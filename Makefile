@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet lint check bench benchdiff chaos
+.PHONY: build test race vet lint benchsmoke check bench benchdiff chaos
 
 build:
 	$(GO) build ./...
@@ -29,12 +29,23 @@ race:
 lint:
 	$(GO) run ./cmd/sommlint ./...
 
-# check is the CI gate: vet, then sommlint, then the race-detector run,
-# then the benchmark-baseline diff. lint sits before race because it is
-# ~100x cheaper and catches the invariant violations race can only hope
-# to trip over; benchdiff last because it only compares JSON already on
-# disk (regenerate with `make bench` to compare fresh numbers).
-check: vet lint race benchdiff
+# benchsmoke vets and tests the bench/ module. It is a module of its
+# own (BENCHMARK.json's harness), so the root ./... patterns neither
+# build nor test it, yet bench/layers.go calls internal/catalog,
+# internal/index and internal/lsh directly: an internal-API change that
+# breaks the benchmark's build must fail here, not at the next
+# benchmark run.
+benchsmoke:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# check is the CI gate: vet, then sommlint, then the bench-module smoke,
+# then the race-detector run, then the benchmark-baseline diff. lint
+# sits before race because it is ~100x cheaper and catches the invariant
+# violations race can only hope to trip over; benchsmoke (~30 s) before
+# race for the same reason; benchdiff last because it only compares JSON
+# already on disk (regenerate with `make bench` to compare fresh
+# numbers).
+check: vet lint benchsmoke race benchdiff
 
 # bench runs the Go micro-benchmarks, then the serial-vs-parallel
 # indexing benchmark, the query-latency benchmark, the cluster

@@ -19,8 +19,7 @@ import (
 //     quiescent catalog would;
 //   - one parse pass over all strings before any execution starts;
 //   - one shared reprofile memo, so an EXEC-spec model that is a
-//     candidate of many queries is loaded and measured once;
-//   - pooled stage-2 scratch buffers.
+//     candidate of many queries is loaded and measured once.
 //
 // Queries execute on a bounded worker pool (WithQueryWorkers, default
 // GOMAXPROCS) with a per-query span under one query_batch root span.
@@ -81,7 +80,7 @@ func (e *Engine) runBatch(ctx context.Context, qs []*query.Query, errs []error) 
 			sem <- struct{}{}
 			defer func() { <-sem }()
 			qctx, span := e.obs.StartSpan(ctx, "query", fmt.Sprintf("batch[%d]", i))
-			results[i], errs[i] = e.queryOne(qctx, snap, qs[i], memo)
+			results[i], errs[i] = e.queryOne(qctx, snap, qs[i], memo, nil)
 			e.obs.Histogram("query_total_ms").Observe(span.End())
 			if errs[i] != nil {
 				e.obs.Counter("query_errors_total").Inc()

@@ -11,7 +11,6 @@ import (
 
 	"sommelier/internal/dataset"
 	"sommelier/internal/graph"
-	"sommelier/internal/query"
 	"sommelier/internal/repo"
 	"sommelier/internal/resource"
 	"sommelier/internal/zoo"
@@ -284,25 +283,11 @@ func dropProfile(t *testing.T, eng *Engine, store Store, id string) {
 	}
 }
 
-// TestQueryDuplicateConstraintsTakeTightest pins the budgetFrom bugfix:
-// a metric bounded twice resolves to the tightest bound regardless of
-// write order, and duplicate bounds answer exactly like the single
-// tight bound.
+// TestQueryDuplicateConstraintsTakeTightest pins duplicate-bound
+// semantics: constraints AND together, so a metric bounded twice
+// answers exactly like the single tight bound regardless of write
+// order, and a lower plus an upper bound on one metric is a range.
 func TestQueryDuplicateConstraintsTakeTightest(t *testing.T) {
-	cs := []query.Constraint{
-		{Metric: query.MetricMemory, Op: query.OpLE, Value: 100, Unit: query.UnitMB},
-		{Metric: query.MetricMemory, Op: query.OpLT, Value: 50, Unit: query.UnitMB},
-	}
-	for _, order := range [][]query.Constraint{cs, {cs[1], cs[0]}} {
-		b, err := budgetFrom(order, resource.Profile{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if b.MaxMemoryBytes != 50<<20 {
-			t.Fatalf("budget = %d bytes, want the tighter 50MB regardless of order", b.MaxMemoryBytes)
-		}
-	}
-
 	store := repo.NewInMemory()
 	eng, refID := newLadderOverStore(t, store)
 	single, err := eng.Query(fmt.Sprintf(`SELECT CORR %q WITHIN 50%% ON memory <= 120%% PICK smallest`, refID))

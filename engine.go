@@ -92,8 +92,8 @@ func (e *Engine) SetDefaultReference(task, id string) error {
 	return nil
 }
 
-// IndexMemoryBytes reports the two indexes' in-memory footprints
-// (semantic, resource) for the Table 4 experiment.
+// IndexMemoryBytes reports the in-memory footprints of the catalog's
+// semantic index and resource-profile table.
 func (e *Engine) IndexMemoryBytes() (semantic, res int64) {
 	return e.cat.MemoryBytes()
 }

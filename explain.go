@@ -3,8 +3,10 @@ package sommelier
 import (
 	"context"
 	"fmt"
+	"sort"
 	"strings"
 
+	"sommelier/internal/catalog"
 	"sommelier/internal/query"
 )
 
@@ -55,11 +57,7 @@ func (e *Explanation) String() string {
 		for k := range e.ResourceRejected {
 			keys = append(keys, k)
 		}
-		for i := 1; i < len(keys); i++ {
-			for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-				keys[j], keys[j-1] = keys[j-1], keys[j]
-			}
-		}
+		sort.Strings(keys)
 		for _, k := range keys {
 			fmt.Fprintf(&b, "  %s rejected %d candidates\n", k, e.ResourceRejected[k])
 		}
@@ -75,130 +73,35 @@ func (e *Explanation) String() string {
 }
 
 // ExplainContext runs the query while recording per-stage filtering
-// decisions and per-stage span durations. It returns the same results
-// Query would, plus the explanation. Like QueryASTContext, every stage
-// reads one catalog snapshot, so the counts add up even under
+// decisions and per-stage span durations. It is parse plus the same
+// executor every query path uses (queryOne) with a recorder attached,
+// so Results are exactly what QueryContext returns for the same string
+// against the same catalog state — including EXEC re-profiling through
+// the memo and per-candidate cancellation; oracle_test.go pins both to
+// the brute-force reading of the query. Like QueryASTContext, every
+// stage reads one catalog snapshot, so the counts add up even under
 // concurrent registration.
 func (e *Engine) ExplainContext(ctx context.Context, q string) (*Explanation, error) {
 	ctx, root := e.obs.StartSpan(ctx, "explain", "")
 	defer func() { e.obs.Histogram("query_total_ms").Observe(root.End()) }()
-	e.obs.Counter("queries_total").Inc()
-
+	exp := &Explanation{ResourceRejected: make(map[string]int)}
 	_, span := e.obs.StartSpan(ctx, "parse", "")
 	ast, err := query.Parse(q)
-	parseMS := span.End()
-	e.obs.Histogram("query_parse_ms").Observe(parseMS)
+	e.endStage(span, "parse", "query_parse_ms", exp)
+	if err == nil {
+		exp.Query = ast.String()
+		// Seed every constraint so zero-rejection constraints still appear
+		// in the report (distinct from "no constraints at all").
+		for _, con := range ast.Constraints {
+			exp.ResourceRejected[con.String()] = 0
+		}
+		exp.Results, err = e.queryOne(ctx, e.cat.Snapshot(), ast, catalog.NewReprofileMemo(), exp)
+	}
 	if err != nil {
 		e.obs.Counter("query_errors_total").Inc()
 		return nil, err
 	}
-	snap := e.cat.Snapshot()
-
-	refID := ast.Ref
-	if refID == "" {
-		id, ok := snap.DefaultReference(ast.Task)
-		if !ok {
-			return nil, fmt.Errorf("%w: no default reference for task %q", ErrUnknownReference, ast.Task)
-		}
-		refID = id
-	}
-	if !snap.Contains(refID) {
-		return nil, fmt.Errorf("%w: %q is not indexed", ErrUnknownReference, refID)
-	}
-	refProf, ok := snap.Profile(refID)
-	if !ok {
-		return nil, fmt.Errorf("%w: reference model %q", ErrNoProfile, refID)
-	}
-
-	exp := &Explanation{
-		Query:            ast.String(),
-		Reference:        refID,
-		ResourceRejected: make(map[string]int),
-		Stages:           []StageTiming{{Stage: "parse", Millis: parseMS}},
-	}
-	// Seed every constraint so zero-rejection constraints still appear
-	// in the report (distinct from "no constraints at all").
-	for _, con := range ast.Constraints {
-		exp.ResourceRejected[con.String()] = 0
-	}
-
-	_, span = e.obs.StartSpan(ctx, "candidates", "")
-	all, err := snap.Lookup(refID, 0)
-	if err != nil {
-		span.End()
-		return nil, err
-	}
-	cands, err := snap.Lookup(refID, ast.Threshold)
-	candMS := span.End()
-	e.obs.Histogram("query_candidates_ms").Observe(candMS)
-	exp.Stages = append(exp.Stages, StageTiming{Stage: "candidates", Millis: candMS})
-	if err != nil {
-		return nil, err
-	}
-	exp.SemanticCandidates = len(cands)
-	exp.SemanticRejected = len(all) - len(cands)
-
-	setting, reprofile, err := execSetting(ast.Exec)
-	if err != nil {
-		return nil, err
-	}
-	_, span = e.obs.StartSpan(ctx, "filter", "")
-	var results []Result
-	for _, c := range cands {
-		pid := candProfileID(c)
-		prof, ok := snap.Profile(pid)
-		if reprofile {
-			m, err := e.store.Load(pid)
-			if err != nil {
-				span.End()
-				return nil, err
-			}
-			if prof, err = e.cat.Profiler().MeasureWith(m, setting); err != nil {
-				span.End()
-				return nil, err
-			}
-			ok = true
-		}
-		if !ok {
-			e.obs.Counter("query_skipped_no_profile_total").Inc()
-			continue
-		}
-		rejected := false
-		for _, con := range ast.Constraints {
-			keep, err := exactlySatisfies([]query.Constraint{con}, prof, refProf)
-			if err != nil {
-				span.End()
-				return nil, err
-			}
-			if !keep {
-				exp.ResourceRejected[con.String()]++
-				rejected = true
-			}
-		}
-		if rejected {
-			continue
-		}
-		results = append(results, Result{
-			ID: pid, Level: c.Level,
-			Synthesized: c.Kind.String() == "synthesized",
-			DonorID:     c.DonorID, Segment: c.Segment,
-			Derived: c.Derived, Profile: prof,
-		})
-	}
-	filterMS := span.End()
-	e.obs.Histogram("query_filter_ms").Observe(filterMS)
-	exp.Stages = append(exp.Stages, StageTiming{Stage: "filter", Millis: filterMS})
-
-	_, span = e.obs.StartSpan(ctx, "rank", "")
-	sortResults(results, ast.Pick)
-	if ast.Limit > 0 && len(results) > ast.Limit {
-		results = results[:ast.Limit]
-	}
-	rankMS := span.End()
-	e.obs.Histogram("query_rank_ms").Observe(rankMS)
-	exp.Stages = append(exp.Stages, StageTiming{Stage: "rank", Millis: rankMS})
-	exp.Returned = len(results)
-	exp.Results = results
+	exp.Returned = len(exp.Results)
 	return exp, nil
 }
 

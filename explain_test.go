@@ -1,8 +1,13 @@
 package sommelier
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
+
+	"sommelier/internal/repo"
 )
 
 func TestExplainStages(t *testing.T) {
@@ -85,5 +90,49 @@ func TestExplainErrors(t *testing.T) {
 	}
 	if _, err := eng.Explain(`SELECT TASK nosuch`); err == nil {
 		t.Fatal("expected no-default error")
+	}
+}
+
+// TestExplainHonoursCancellation: Explain runs the query executor, so a
+// cancelled ctx stops it at the first candidate like any other query.
+func TestExplainHonoursCancellation(t *testing.T) {
+	eng, refID, _ := newEngineWithLadder(t, false)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, err := eng.ExplainContext(ctx, `SELECT CORR "`+refID+`" WITHIN 10% PICK most_similar`)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("ExplainContext on a cancelled ctx = %v, want context.Canceled", err)
+	}
+}
+
+// TestExplainSharesReprofileMemo: an EXEC explain re-measures through
+// the same memoized helper as a query — the reference and each
+// candidate loaded once per (model, setting) — and so returns the
+// query's results.
+func TestExplainSharesReprofileMemo(t *testing.T) {
+	store := &countingStore{Repository: repo.NewInMemory()}
+	eng, refID := newLadderOverStore(t, store)
+	ctx := context.Background()
+	q := fmt.Sprintf(`SELECT CORR %q WITHIN 50%% ON flops <= 300%% EXEC batch=4 PICK fastest`, refID)
+
+	store.loads.Store(0)
+	direct, err := eng.QueryContext(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perQuery := store.loads.Load()
+	if perQuery == 0 {
+		t.Fatal("EXEC query did not load any model; the memo test is vacuous")
+	}
+	store.loads.Store(0)
+	exp, err := eng.ExplainContext(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := store.loads.Load(); got != perQuery {
+		t.Fatalf("EXEC explain loaded %d models, the same query %d", got, perQuery)
+	}
+	if got, want := mustMarshal(t, exp.Results), mustMarshal(t, direct); string(got) != string(want) {
+		t.Fatalf("EXEC explain results diverge from the query:\n got %s\nwant %s", got, want)
 	}
 }

@@ -1,6 +1,7 @@
 // Package catalog owns Sommelier's index state: the semantic index
-// (§5.2), the LSH resource index (§5.3), and the default-reference
-// table, behind a copy-on-write snapshot scheme. Writers — the staged
+// (§5.2), the resource-profile table (§5.3's exact side — what stage 2
+// of a query reads), and the default-reference table, behind a
+// copy-on-write snapshot scheme. Writers — the staged
 // indexing pipeline in pipeline.go — mutate the structures under a
 // single writer lock and publish an immutable Snapshot after each
 // commit; readers load the current snapshot with one atomic pointer
@@ -9,6 +10,7 @@ package catalog
 
 import (
 	"fmt"
+	"maps"
 	"runtime"
 	"sort"
 	"sync"
@@ -83,9 +85,9 @@ type Catalog struct {
 	sema chan struct{}
 
 	mu          sync.Mutex
-	sem         *index.SemanticIndex // guarded by mu
-	res         *index.ResourceIndex // guarded by mu
-	defaultRefs map[string]string    // guarded by mu
+	sem         *index.SemanticIndex        // guarded by mu
+	profiles    map[string]resource.Profile // guarded by mu
+	defaultRefs map[string]string           // guarded by mu
 
 	snap atomic.Pointer[Snapshot]
 }
@@ -98,7 +100,7 @@ func New(cfg Config) *Catalog {
 		profiler:    resource.NewProfiler(cfg.LatencyTable),
 		sema:        make(chan struct{}, cfg.workers()),
 		sem:         index.NewSemanticIndex(cfg.Seed + 1),
-		res:         index.NewResourceIndex(cfg.Seed + 2),
+		profiles:    make(map[string]resource.Profile),
 		defaultRefs: make(map[string]string),
 	}
 	if cfg.SampleSize > 0 {
@@ -135,7 +137,7 @@ func (c *Catalog) registerGauges() {
 	reg.GaugeFunc("catalog_resource_profiles", func() int64 {
 		c.mu.Lock()
 		defer c.mu.Unlock()
-		return int64(c.res.Len())
+		return int64(len(c.profiles))
 	})
 }
 
@@ -211,24 +213,24 @@ func (c *Catalog) Annotate(id string, levels map[string]float64) error {
 	return nil
 }
 
-// MemoryBytes reports the two indexes' in-memory footprints (semantic,
-// resource) for the Table 4 experiment.
+// MemoryBytes estimates the in-memory footprints of the semantic index
+// and of the profile table (ID bytes plus one Profile per model).
 func (c *Catalog) MemoryBytes() (semantic, res int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.sem.MemoryBytes(), c.res.MemoryBytes()
+	for id := range c.profiles {
+		res += int64(len(id)) + 32
+	}
+	return c.sem.MemoryBytes(), res
 }
 
 // Export captures the catalog's serializable state (§5.5 persistence):
-// both index snapshots plus the default-reference table.
+// the semantic snapshot, the profile table, and the default-reference
+// table.
 func (c *Catalog) Export() (index.SemanticSnapshot, index.ResourceSnapshot, map[string]string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	refs := make(map[string]string, len(c.defaultRefs))
-	for k, v := range c.defaultRefs {
-		refs[k] = v
-	}
-	return c.sem.Snapshot(), c.res.Snapshot(), refs
+	return c.sem.Snapshot(), index.ResourceSnapshot{Profiles: maps.Clone(c.profiles)}, maps.Clone(c.defaultRefs)
 }
 
 // Restore replaces the catalog's contents with previously exported
@@ -236,18 +238,19 @@ func (c *Catalog) Export() (index.SemanticSnapshot, index.ResourceSnapshot, map[
 // future insertions can analyze against restored entries.
 func (c *Catalog) Restore(sem index.SemanticSnapshot, res index.ResourceSnapshot,
 	refs map[string]string, resolve func(id string) (*graph.Model, error)) error {
+	if _, ok := res.Profiles[""]; ok {
+		return fmt.Errorf("catalog: resource snapshot has a profile without an ID")
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if err := c.sem.Restore(sem, resolve); err != nil {
 		return err
 	}
-	if err := c.res.Restore(res); err != nil {
-		return err
-	}
+	// Copied into fresh maps (never nil): later commits insert into them.
+	c.profiles = make(map[string]resource.Profile, len(res.Profiles))
+	maps.Copy(c.profiles, res.Profiles)
 	c.defaultRefs = make(map[string]string, len(refs))
-	for k, v := range refs {
-		c.defaultRefs[k] = v
-	}
+	maps.Copy(c.defaultRefs, refs)
 	c.publishLocked()
 	return nil
 }

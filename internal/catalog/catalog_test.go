@@ -8,6 +8,7 @@ import (
 
 	"sommelier/internal/dataset"
 	"sommelier/internal/index"
+	"sommelier/internal/resource"
 	"sommelier/internal/tensor"
 	"sommelier/internal/zoo"
 )
@@ -193,5 +194,53 @@ func TestProbeCacheCustomDataset(t *testing.T) {
 	}
 	if again := a.probes.For(other); again != gen {
 		t.Fatal("generated probe dataset not cached")
+	}
+}
+
+// TestResourceSnapshotRoundTrip: the exported profile table restores
+// into another catalog, replacing (not merging with) what it held, and
+// a profile without an ID is rejected before anything is replaced.
+func TestResourceSnapshotRoundTrip(t *testing.T) {
+	profiles := make(map[string]resource.Profile)
+	var sem index.SemanticSnapshot
+	for i := 0; i < 20; i++ {
+		id := fmt.Sprintf("m%d", i)
+		profiles[id] = resource.Profile{FLOPs: int64(i + 1), MemoryBytes: int64(100 * (i + 1)), LatencyMS: float64(i)}
+		sem.Entries = append(sem.Entries, index.SemanticEntrySnapshot{ID: id, Fingerprint: id})
+	}
+	src := New(Config{Seed: 2})
+	if err := src.Restore(sem, index.ResourceSnapshot{Profiles: profiles}, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	_, exported, _ := src.Export()
+
+	dst := New(Config{Seed: 7, Analyzer: silentAnalyzer{}})
+	stale := testModel(t, "stale", 1)
+	if err := dst.Index(context.Background(), stale.ID, stale.Model); err != nil {
+		t.Fatal(err)
+	}
+	bad := index.ResourceSnapshot{Profiles: map[string]resource.Profile{"": {FLOPs: 1}}}
+	if err := dst.Restore(sem, bad, nil, nil); err == nil {
+		t.Fatal("expected an error for a profile without an ID")
+	}
+	if _, ok := dst.Snapshot().Profile(stale.ID); !ok {
+		t.Fatal("rejected restore must leave the catalog untouched")
+	}
+	if err := dst.Restore(sem, exported, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	snap := dst.Snapshot()
+	if _, ok := snap.Profile(stale.ID); ok {
+		t.Fatal("restore kept stale entry")
+	}
+	for id, want := range profiles {
+		if got, ok := snap.Profile(id); !ok || got != want {
+			t.Fatalf("profile %s = %+v (ok=%v), want %+v", id, got, ok, want)
+		}
+	}
+	// The export is a copy: mutating it must not reach the catalog.
+	delete(exported.Profiles, "m0")
+	if _, ok := dst.Snapshot().Profile("m0"); !ok {
+		t.Fatal("restored catalog aliases the snapshot's map")
 	}
 }

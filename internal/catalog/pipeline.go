@@ -86,9 +86,7 @@ func (c *Catalog) Index(ctx context.Context, id string, m *graph.Model) error {
 		}
 		return err
 	}
-	if err := c.res.Insert(id, prof); err != nil {
-		return err
-	}
+	c.profiles[id] = prof
 	c.noteDefaultRefLocked(id, m)
 	c.publishLocked()
 	c.obs.Counter("catalog_models_indexed_total").Inc()
@@ -223,9 +221,7 @@ func (c *Catalog) IndexBatch(ctx context.Context, entries []index.Entry) (int, e
 			}
 			return committed, err
 		}
-		if err := c.res.Insert(plan.Entry.ID, profs[i]); err != nil {
-			return committed, err
-		}
+		c.profiles[plan.Entry.ID] = profs[i]
 		c.noteDefaultRefLocked(plan.Entry.ID, plan.Entry.Model)
 		committed++
 	}

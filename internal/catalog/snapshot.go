@@ -1,19 +1,22 @@
 package catalog
 
 import (
+	"maps"
+
 	"sommelier/internal/index"
 	"sommelier/internal/resource"
 )
 
 // Snapshot is an immutable point-in-time view of the catalog: the
-// semantic and resource index views plus the default-reference table.
+// semantic index view, a copy of the profile table, and the
+// default-reference table.
 // A query (or Explain) grabs one Snapshot and runs every stage of the
 // §5.4 pipeline against it, so its answers are internally consistent
 // even while writers commit new models — and it takes no locks at all.
 type Snapshot struct {
-	sem  *index.SemanticView
-	res  *index.ResourceView
-	refs map[string]string
+	sem      *index.SemanticView
+	profiles map[string]resource.Profile
+	refs     map[string]string
 }
 
 // Snapshot returns the current published snapshot. The result is
@@ -23,14 +26,10 @@ func (c *Catalog) Snapshot() *Snapshot { return c.snap.Load() }
 // publishLocked builds a fresh snapshot from the mutable indexes and
 // publishes it. Callers hold c.mu.
 func (c *Catalog) publishLocked() {
-	refs := make(map[string]string, len(c.defaultRefs))
-	for k, v := range c.defaultRefs {
-		refs[k] = v
-	}
 	c.snap.Store(&Snapshot{
-		sem:  c.sem.View(),
-		res:  c.res.View(),
-		refs: refs,
+		sem:      c.sem.View(),
+		profiles: maps.Clone(c.profiles),
+		refs:     maps.Clone(c.defaultRefs),
 	})
 }
 
@@ -61,13 +60,8 @@ func (s *Snapshot) LookupByFingerprint(fp string) (string, bool) {
 
 // Profile returns the stored resource profile for id.
 func (s *Snapshot) Profile(id string) (resource.Profile, bool) {
-	return s.res.Profile(id)
-}
-
-// ResourceCandidates returns the IDs whose profiles satisfy the budget,
-// via the two-phase LSH-probe-then-exact-check lookup (§5.3).
-func (s *Snapshot) ResourceCandidates(b index.Budget, maxDist float64) ([]string, error) {
-	return s.res.Candidates(b, maxDist)
+	p, ok := s.profiles[id]
+	return p, ok
 }
 
 // DefaultReference resolves a task category to its reference model ID.

@@ -42,7 +42,7 @@ func BenchmarkResourceInsert(b *testing.B) {
 	}
 }
 
-func BenchmarkResourceCandidates10k(b *testing.B) {
+func BenchmarkResourceIndexCandidates10k(b *testing.B) {
 	ri := benchResourceIndex(b, 10000)
 	budget := Budget{MaxMemoryBytes: int64(5e8), MaxFLOPs: int64(5e9), MaxLatencyMS: 50}
 	b.ReportAllocs()

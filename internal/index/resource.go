@@ -11,7 +11,10 @@ import (
 
 // ResourceIndex is the §5.3 structure: an LSH table over resource-profile
 // vectors (memoryMB, GFLOPs, latencyMS) supporting fast nearest-profile
-// retrieval plus exact per-dimension budget filtering.
+// retrieval plus exact per-dimension budget filtering. It is the
+// standalone reproduction the Table 3/4 and LSH-ablation experiments
+// measure; the query engine does not consult it — stage 2 checks each
+// semantic candidate's profile exactly (see DESIGN.md).
 type ResourceIndex struct {
 	lsh      *lsh.Index
 	profiles map[string]resource.Profile
@@ -123,54 +126,40 @@ func (b Budget) probeVector() []float64 {
 // Candidates returns the IDs whose profiles satisfy the budget in every
 // constrained dimension, following the paper's two-phase lookup: an LSH
 // probe around the constraint vector retrieves profile-similar models,
-// then exact dimension checks filter them. When the probe finds nothing
-// satisfying (small or skewed indexes), it falls back to an exact scan so
-// queries never silently miss feasible models.
+// then exact dimension checks filter them. The probe is a ball and a
+// budget is a half-space, so on populations spread over decades the
+// result is a subset of CandidatesExact; only when the probe finds
+// nothing satisfying does it fall back to the exact scan.
 func (r *ResourceIndex) Candidates(b Budget, maxDist float64) ([]string, error) {
-	return budgetCandidates(r.lsh, r.profiles, b, maxDist)
-}
-
-// CandidatesExact scans every profile — the ablation baseline.
-func (r *ResourceIndex) CandidatesExact(b Budget) []string {
-	return exactCandidates(r.profiles, b)
-}
-
-// budgetCandidates implements the two-phase budget lookup shared by the
-// mutable index and its immutable views.
-func budgetCandidates(idx *lsh.Index, profiles map[string]resource.Profile, b Budget, maxDist float64) ([]string, error) {
 	if b == (Budget{}) {
 		// No upper bounds at all: every profile is a candidate.
-		return exactCandidates(profiles, b), nil
+		return r.CandidatesExact(b), nil
 	}
 	if maxDist <= 0 {
 		// Default probe radius: ~2 log-space units, about one order of
 		// magnitude around the probe point.
 		maxDist = 2
 	}
-	probe := b.probeVector()
-	matches, err := idx.Query(probe, maxDist)
+	matches, err := r.lsh.Query(b.probeVector(), maxDist)
 	if err != nil {
 		return nil, err
 	}
-	out := filterByBudget(profiles, matchIDs(matches), b)
-	if len(out) > 0 {
+	if out := r.filterByBudget(matchIDs(matches), b); len(out) > 0 {
 		return out, nil
 	}
-	// The probe's buckets held no satisfying profile (small or skewed
-	// populations); fall back to the exact per-dimension scan so queries
-	// never silently miss feasible models.
-	return exactCandidates(profiles, b), nil
+	return r.CandidatesExact(b), nil
 }
 
-func exactCandidates(profiles map[string]resource.Profile, b Budget) []string {
-	ids := make([]string, 0, len(profiles))
-	for id := range profiles {
+// CandidatesExact scans every profile — the ablation baseline.
+func (r *ResourceIndex) CandidatesExact(b Budget) []string {
+	ids := make([]string, 0, len(r.profiles))
+	for id := range r.profiles {
 		ids = append(ids, id)
 	}
-	// The scan collects IDs in map order; sort before filtering so the
-	// fallback path returns the same candidate order on every run.
+	// The scan collects IDs in map order; sort before filtering so it
+	// returns the same candidate order on every run.
 	sort.Strings(ids)
-	return filterByBudget(profiles, ids, b)
+	return r.filterByBudget(ids, b)
 }
 
 func matchIDs(ms []lsh.Match) []string {
@@ -181,10 +170,10 @@ func matchIDs(ms []lsh.Match) []string {
 	return ids
 }
 
-func filterByBudget(profiles map[string]resource.Profile, ids []string, b Budget) []string {
+func (r *ResourceIndex) filterByBudget(ids []string, b Budget) []string {
 	var out []string
 	for _, id := range ids {
-		if b.Satisfies(profiles[id]) {
+		if b.Satisfies(r.profiles[id]) {
 			out = append(out, id)
 		}
 	}

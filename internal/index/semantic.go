@@ -1,7 +1,9 @@
 // Package index implements Sommelier's two run-time index structures
 // (§5): the semantic index, a hashtable from model fingerprints to
 // descending lists of functionally equivalent candidates, and the
-// resource-profile index, an LSH structure over resource vectors.
+// resource-profile index, an LSH structure over resource vectors. The
+// catalog owns and snapshots the former; the latter is the standalone
+// §5.3 reproduction the experiments construct directly.
 package index
 
 import (

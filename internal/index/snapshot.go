@@ -93,31 +93,8 @@ func (s *SemanticIndex) Restore(snap SemanticSnapshot, resolve func(id string) (
 	return nil
 }
 
-// ResourceSnapshot is the serializable state of a ResourceIndex.
+// ResourceSnapshot is the serialized resource side of a catalog: the
+// profile table. LSH state was never part of the wire shape.
 type ResourceSnapshot struct {
 	Profiles map[string]resource.Profile `json:"profiles"`
-}
-
-// Snapshot captures all stored profiles.
-func (r *ResourceIndex) Snapshot() ResourceSnapshot {
-	snap := ResourceSnapshot{Profiles: make(map[string]resource.Profile, len(r.profiles))}
-	for id, p := range r.profiles {
-		snap.Profiles[id] = p
-	}
-	return snap
-}
-
-// Restore replaces the index's contents with a snapshot, rebuilding the
-// LSH tables.
-func (r *ResourceIndex) Restore(snap ResourceSnapshot) error {
-	for id := range r.profiles {
-		r.lsh.Remove(id)
-	}
-	r.profiles = make(map[string]resource.Profile, len(snap.Profiles))
-	for id, p := range snap.Profiles {
-		if err := r.Insert(id, p); err != nil {
-			return err
-		}
-	}
-	return nil
 }

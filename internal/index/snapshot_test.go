@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"sommelier/internal/graph"
-	"sommelier/internal/resource"
 )
 
 func TestSemanticSnapshotRoundTrip(t *testing.T) {
@@ -79,32 +78,5 @@ func TestSemanticRestoreRejectsBadSnapshots(t *testing.T) {
 		{ID: "x", Fingerprint: "f"},
 	}}, failing); err == nil {
 		t.Fatal("expected resolve error")
-	}
-}
-
-func TestResourceSnapshotRoundTrip(t *testing.T) {
-	ri := NewResourceIndex(2)
-	for i := 0; i < 20; i++ {
-		p := resource.Profile{FLOPs: int64(i + 1), MemoryBytes: int64(100 * (i + 1)), LatencyMS: float64(i)}
-		if err := ri.Insert(fmt.Sprintf("m%d", i), p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	snap := ri.Snapshot()
-	restored := NewResourceIndex(7)
-	// Pre-populate to verify Restore replaces contents.
-	restored.Insert("stale", resource.Profile{FLOPs: 1})
-	if err := restored.Restore(snap); err != nil {
-		t.Fatal(err)
-	}
-	if restored.Len() != 20 {
-		t.Fatalf("restored %d profiles", restored.Len())
-	}
-	if _, ok := restored.Profile("stale"); ok {
-		t.Fatal("restore kept stale entry")
-	}
-	b := Budget{MaxFLOPs: 10}
-	if got := restored.CandidatesExact(b); len(got) != 10 {
-		t.Fatalf("restored budget filter = %d matches", len(got))
 	}
 }

@@ -1,19 +1,13 @@
 package index
 
-import (
-	"fmt"
+import "fmt"
 
-	"sommelier/internal/lsh"
-	"sommelier/internal/resource"
-)
-
-// Views are immutable point-in-time copies of the two index structures,
-// the read side of the catalog's copy-on-write snapshot scheme: the
-// mutable SemanticIndex/ResourceIndex stay behind the writer lock, and
-// each commit publishes a fresh view that any number of readers can
-// query concurrently with zero locking. Candidate lists and profile
-// maps are copied at view-build time because insertSorted and lsh
-// bucket maintenance mutate their backing storage in place.
+// A view is an immutable point-in-time copy of the semantic index, the
+// read side of the catalog's copy-on-write snapshot scheme: the mutable
+// SemanticIndex stays behind the writer lock, and each commit publishes
+// a fresh view that any number of readers can query concurrently with
+// zero locking. Candidate lists are copied at view-build time because
+// insertSorted mutates their backing storage in place.
 
 // SemanticView is an immutable view of a SemanticIndex.
 type SemanticView struct {
@@ -73,45 +67,4 @@ func (v *SemanticView) TopK(refID string, k int) ([]Candidate, error) {
 func (v *SemanticView) LookupByFingerprint(fp string) (string, bool) {
 	id, ok := v.byFP[fp]
 	return id, ok
-}
-
-// ResourceView is an immutable view of a ResourceIndex. It keeps its
-// own clone of the LSH structure so the two-phase budget lookup (§5.3)
-// stays available to lock-free readers.
-type ResourceView struct {
-	lsh      *lsh.Index
-	profiles map[string]resource.Profile
-}
-
-// View captures the resource index's current state as an immutable view.
-func (r *ResourceIndex) View() *ResourceView {
-	v := &ResourceView{
-		lsh:      r.lsh.Clone(),
-		profiles: make(map[string]resource.Profile, len(r.profiles)),
-	}
-	for id, p := range r.profiles {
-		v.profiles[id] = p
-	}
-	return v
-}
-
-// Len returns the number of indexed profiles.
-func (v *ResourceView) Len() int { return len(v.profiles) }
-
-// Profile returns the stored profile for id.
-func (v *ResourceView) Profile(id string) (resource.Profile, bool) {
-	p, ok := v.profiles[id]
-	return p, ok
-}
-
-// Candidates returns the IDs whose profiles satisfy the budget,
-// following the same two-phase LSH-probe-then-exact-check lookup as
-// ResourceIndex.Candidates.
-func (v *ResourceView) Candidates(b Budget, maxDist float64) ([]string, error) {
-	return budgetCandidates(v.lsh, v.profiles, b, maxDist)
-}
-
-// CandidatesExact scans every profile — the ablation baseline.
-func (v *ResourceView) CandidatesExact(b Budget) []string {
-	return exactCandidates(v.profiles, b)
 }

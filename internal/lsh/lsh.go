@@ -164,34 +164,6 @@ func (i *Index) Insert(id string, vec []float64) error {
 	return nil
 }
 
-// Clone returns an independent deep copy of the index's mutable state
-// (bucket maps and the id table). The hash planes and offsets are
-// immutable after New and stay shared, as do the stored vectors — Insert
-// copies its argument and nothing mutates a vector afterwards. Cloning
-// is how read-only snapshots keep LSH probing available without locking
-// against writers.
-func (i *Index) Clone() *Index {
-	c := &Index{
-		cfg:     i.cfg,
-		planes:  i.planes,
-		offsets: i.offsets,
-		tables:  make([]map[uint64][]entry, len(i.tables)),
-		byID:    make(map[string][]float64, len(i.byID)),
-		count:   i.count,
-	}
-	for t, tbl := range i.tables {
-		nt := make(map[uint64][]entry, len(tbl))
-		for h, bucket := range tbl {
-			nt[h] = append([]entry(nil), bucket...)
-		}
-		c.tables[t] = nt
-	}
-	for id, vec := range i.byID {
-		c.byID[id] = vec
-	}
-	return c
-}
-
 // Remove deletes id from the index. Unknown ids are ignored.
 func (i *Index) Remove(id string) {
 	vec, ok := i.byID[id]

@@ -2,6 +2,8 @@ package query
 
 import (
 	"fmt"
+	"math"
+	"strconv"
 	"strings"
 )
 
@@ -52,7 +54,42 @@ type Constraint struct {
 func (c Constraint) Relative() bool { return c.Unit == UnitRelative }
 
 func (c Constraint) String() string {
-	return fmt.Sprintf("%s %s %g%s", c.Metric, c.Op, c.Value, c.Unit)
+	return fmt.Sprintf("%s %s %s%s", c.Metric, c.Op, numberText(c.Value), c.Unit)
+}
+
+// numberText renders v in the shortest form that parses back to v, never
+// with an exponent — the lexer has no exponent syntax, so %g's 1e+21
+// would not re-parse.
+func numberText(v float64) string { return strconv.FormatFloat(v, 'f', -1, 64) }
+
+// thresholdText renders t so it parses back to exactly t: as a percentage
+// where one exists (0.07*100 is 7.000000000000001, so the rounded
+// value is tried first), else as the bare fraction WITHIN also accepts.
+func thresholdText(t float64) string {
+	for _, pct := range []float64{math.Round(t*1e8) / 1e6, t * 100} {
+		if pct/100 == t {
+			return numberText(pct) + "%"
+		}
+	}
+	return numberText(t)
+}
+
+// nameText renders a model, task or EXEC value so it lexes back to one
+// token with the same text: bare when it is a single token of one of
+// the kinds the clause accepts unquoted, else in whichever quote it
+// does not contain. The lexer has no escapes, so nothing is escaped.
+func nameText(s string, bare ...tokenKind) string {
+	if toks, err := lex(s); err == nil && len(toks) == 2 && toks[0].text == s {
+		for _, k := range bare {
+			if toks[0].kind == k {
+				return s
+			}
+		}
+	}
+	if strings.Contains(s, `"`) {
+		return "'" + s + "'"
+	}
+	return `"` + s + `"`
 }
 
 // PickKind is the final selection criterion (§5.1).
@@ -99,8 +136,7 @@ func (q *Query) Validate() error {
 	}
 	// A metric may appear in several constraints — they AND together,
 	// so ranges (MEM > 10MB AND MEM < 100MB) and redundant bounds are
-	// both well-defined; executors must take the tightest bound per
-	// metric when building prefilter budgets.
+	// both well-defined.
 	for _, c := range q.Constraints {
 		switch c.Metric {
 		case MetricMemory, MetricFLOPs, MetricLatency:
@@ -139,13 +175,14 @@ func validUnit(c Constraint) error {
 // String renders the query back in canonical syntax.
 func (q *Query) String() string {
 	var b strings.Builder
-	b.WriteString("SELECT ")
+	b.WriteString("SELECT")
 	if q.Ref != "" {
-		fmt.Fprintf(&b, "CORR %q", q.Ref)
-	} else {
-		fmt.Fprintf(&b, "TASK %s", q.Task)
+		b.WriteString(" CORR " + nameText(q.Ref))
 	}
-	fmt.Fprintf(&b, " WITHIN %g%%", q.Threshold*100)
+	if q.Task != "" {
+		b.WriteString(" TASK " + nameText(q.Task, tokIdent))
+	}
+	b.WriteString(" WITHIN " + thresholdText(q.Threshold))
 	for i, c := range q.Constraints {
 		if i == 0 {
 			b.WriteString(" ON ")
@@ -167,7 +204,7 @@ func (q *Query) String() string {
 			}
 		}
 		for _, k := range keys {
-			fmt.Fprintf(&b, " %s=%s", k, q.Exec[k])
+			fmt.Fprintf(&b, " %s=%s", k, nameText(q.Exec[k], tokIdent, tokNumber))
 		}
 	}
 	fmt.Fprintf(&b, " PICK %s", q.Pick)

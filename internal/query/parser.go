@@ -94,10 +94,10 @@ func (p *parser) parseQuery() (*Query, error) {
 				}
 			}
 		case p.keyword("EXEC"):
-			if q.Exec == nil {
-				q.Exec = make(map[string]string)
-			}
 			for p.cur().kind == tokIdent && p.peekIs(tokEquals) {
+				if q.Exec == nil {
+					q.Exec = make(map[string]string)
+				}
 				key := p.next().text
 				p.next() // '='
 				val := p.cur()

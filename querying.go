@@ -6,12 +6,12 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
-	"sync"
 
 	"sommelier/internal/catalog"
 	"sommelier/internal/equiv"
 	"sommelier/internal/graph"
 	"sommelier/internal/index"
+	"sommelier/internal/obs"
 	"sommelier/internal/query"
 	"sommelier/internal/resource"
 )
@@ -41,7 +41,7 @@ func (e *Engine) QueryContext(ctx context.Context, q string) ([]Result, error) {
 	defer func() { e.obs.Histogram("query_total_ms").Observe(root.End()) }()
 	_, span := e.obs.StartSpan(ctx, "parse", "")
 	ast, err := query.Parse(q)
-	e.obs.Histogram("query_parse_ms").Observe(span.End())
+	e.endStage(span, "parse", "query_parse_ms", nil)
 	if err != nil {
 		e.obs.Counter("query_errors_total").Inc()
 		return nil, err
@@ -79,7 +79,7 @@ func (e *Engine) QueryAST(q *query.Query) ([]Result, error) {
 // queryOne either way, which is what makes batch answers byte-identical
 // to serial ones.
 func (e *Engine) queryAST(ctx context.Context, q *query.Query) ([]Result, error) {
-	results, err := e.queryOne(ctx, e.cat.Snapshot(), q, catalog.NewReprofileMemo())
+	results, err := e.queryOne(ctx, e.cat.Snapshot(), q, catalog.NewReprofileMemo(), nil)
 	if err != nil {
 		e.obs.Counter("query_errors_total").Inc()
 		return nil, err
@@ -87,13 +87,16 @@ func (e *Engine) queryAST(ctx context.Context, q *query.Query) ([]Result, error)
 	return results, nil
 }
 
-// queryOne executes one parsed query against an already-acquired
-// snapshot. ctx carries the caller's root query span; each stage opens
-// a child span and feeds the matching histogram. memo deduplicates
-// EXEC re-profiling work; callers executing a batch pass one memo for
-// the whole batch.
+// queryOne is the engine's only query executor: Query, QueryAST, the
+// batch entry points, Explain and (through the shard engines) the
+// cluster coordinator all end here. It runs one parsed query against an
+// already-acquired snapshot. ctx carries the caller's root span; each
+// stage opens a child span and feeds the matching histogram. memo
+// deduplicates EXEC re-profiling work; callers executing a batch pass
+// one memo for the whole batch. A non-nil exp additionally records what
+// each stage did (Explain); it never changes the results.
 func (e *Engine) queryOne(ctx context.Context, snap *catalog.Snapshot, q *query.Query,
-	memo *catalog.ReprofileMemo) ([]Result, error) {
+	memo *catalog.ReprofileMemo, exp *Explanation) ([]Result, error) {
 	e.obs.Counter("queries_total").Inc()
 	if err := q.Validate(); err != nil {
 		return nil, err
@@ -117,7 +120,12 @@ func (e *Engine) queryOne(ctx context.Context, snap *catalog.Snapshot, q *query.
 	// Stage 1: semantic filter.
 	_, span := e.obs.StartSpan(ctx, "candidates", "")
 	cands, err := snap.Lookup(refID, q.Threshold)
-	e.obs.Histogram("query_candidates_ms").Observe(span.End())
+	if exp != nil && err == nil {
+		all, _ := snap.Lookup(refID, 0) // the same list uncut: fails only where the cut one did
+		exp.Reference = refID
+		exp.SemanticCandidates, exp.SemanticRejected = len(cands), len(all)-len(cands)
+	}
+	e.endStage(span, "candidates", "query_candidates_ms", exp)
 	if err != nil {
 		return nil, err
 	}
@@ -135,10 +143,10 @@ func (e *Engine) queryOne(ctx context.Context, snap *catalog.Snapshot, q *query.
 		}
 	}
 
-	// Stage 2: resource filter, cost-ordered (see resourceFilter).
+	// Stage 2: resource filter.
 	_, span = e.obs.StartSpan(ctx, "filter", "")
-	results, err := e.resourceFilter(ctx, q, snap, cands, refProf, reprofile, setting, memo)
-	e.obs.Histogram("query_filter_ms").Observe(span.End())
+	results, err := e.resourceFilter(ctx, q, snap, cands, refProf, reprofile, setting, memo, exp)
+	e.endStage(span, "filter", "query_filter_ms", exp)
 	if err != nil {
 		return nil, err
 	}
@@ -149,8 +157,18 @@ func (e *Engine) queryOne(ctx context.Context, snap *catalog.Snapshot, q *query.
 	if q.Limit > 0 && len(results) > q.Limit {
 		results = results[:q.Limit]
 	}
-	e.obs.Histogram("query_rank_ms").Observe(span.End())
+	e.endStage(span, "rank", "query_rank_ms", exp)
 	return results, nil
+}
+
+// endStage closes one pipeline stage's span, feeds its histogram and,
+// for Explain, appends its duration to the explanation.
+func (e *Engine) endStage(span *obs.Span, stage, hist string, exp *Explanation) {
+	ms := span.End()
+	e.obs.Histogram(hist).Observe(ms)
+	if exp != nil {
+		exp.Stages = append(exp.Stages, StageTiming{Stage: stage, Millis: ms})
+	}
 }
 
 // reprofile measures one model under an EXEC setting through the memo:
@@ -169,109 +187,55 @@ func (e *Engine) reprofile(id string, setting resource.ExecSetting,
 		})
 }
 
-// feasiblePool recycles the per-query feasibility sets — the scratch
-// buffer every stage-2 pass allocates — across the queries of a batch
-// (and across batches).
-var feasiblePool = sync.Pool{
-	New: func() any { return make(map[string]bool) },
-}
-
-// resourceFilter is stage 2, cost-ordered: every cheap check runs
-// before any expensive one.
-//
-//  1. Budget construction and the LSH prefilter (indexed default
-//     profiles) — pure index math, no model bytes touched.
-//  2. The cheap pass: candidate ∩ feasible intersection and, for
-//     default-setting queries, indexed-profile constraint checks.
-//     Nothing in this pass calls store.Load.
-//  3. The expensive pass (EXEC queries only): survivors are loaded and
-//     re-measured through the batch memo, then checked exactly.
-//
-// Both passes re-check ctx between candidates, so cancelling the query
-// actually stops the work instead of letting the loop grind through
-// the remaining candidates.
+// resourceFilter is stage 2: one exact loop over the stage-1
+// candidates. Each candidate's profile — indexed, or re-measured
+// through the memo under EXEC — is compared with every constraint; this
+// is the only place a constraint meets a profile. ctx is re-checked per
+// candidate, so cancelling the query stops the work instead of letting
+// the loop grind through the remaining candidates.
 func (e *Engine) resourceFilter(ctx context.Context, q *query.Query, snap *catalog.Snapshot,
 	cands []index.Candidate, refProf resource.Profile, reprofile bool,
-	setting resource.ExecSetting, memo *catalog.ReprofileMemo) ([]Result, error) {
-	budget, err := budgetFrom(q.Constraints, refProf)
-	if err != nil {
-		return nil, err
-	}
-	feasible := feasiblePool.Get().(map[string]bool)
-	defer func() {
-		clear(feasible)
-		feasiblePool.Put(feasible)
-	}()
-	// Under an EXEC spec the LSH prefilter is skipped — the indexed
-	// vectors describe the default setting — and the exact re-measured
-	// check below is authoritative.
-	if len(q.Constraints) == 0 || reprofile {
-		for _, c := range cands {
-			feasible[candProfileID(c)] = true
-		}
-	} else {
-		ids, err := snap.ResourceCandidates(budget, 0)
-		if err != nil {
-			return nil, err
-		}
-		for _, id := range ids {
-			feasible[id] = true
-		}
-	}
-
-	// Cheap pass. EXEC queries only collect survivors here; everything
-	// else resolves fully against indexed profiles without touching the
-	// store.
+	setting resource.ExecSetting, memo *catalog.ReprofileMemo, exp *Explanation) ([]Result, error) {
 	var results []Result
-	var expensive []index.Candidate
 	for _, c := range cands {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		pid := candProfileID(c)
-		if !feasible[pid] {
-			continue
-		}
+		var prof resource.Profile
 		if reprofile {
-			expensive = append(expensive, c)
-			continue
+			var err error
+			if prof, err = e.reprofile(pid, setting, memo); err != nil {
+				return nil, err
+			}
+		} else {
+			var ok bool
+			if prof, ok = snap.Profile(pid); !ok {
+				// An indexed candidate without a profile must not compete
+				// with a zero-valued one — it would trivially satisfy every
+				// upper bound and win PICK SMALLEST/FASTEST/CHEAPEST.
+				e.obs.Counter("query_skipped_no_profile_total").Inc()
+				continue
+			}
 		}
-		prof, ok := snap.Profile(pid)
-		if !ok {
-			// An indexed candidate without a profile must not compete
-			// with a zero-valued one — it would trivially satisfy every
-			// upper bound and win PICK SMALLEST/FASTEST/CHEAPEST.
-			e.obs.Counter("query_skipped_no_profile_total").Inc()
-			continue
+		keep := true
+		for _, con := range q.Constraints {
+			pass, err := satisfies(con, prof, refProf)
+			if err != nil {
+				return nil, err
+			}
+			if pass {
+				continue
+			}
+			keep = false
+			if exp == nil {
+				break // a plain query stops at the first failing constraint
+			}
+			exp.ResourceRejected[con.String()]++ // Explain counts every one
 		}
-		keep, err := exactlySatisfies(q.Constraints, prof, refProf)
-		if err != nil {
-			return nil, err
+		if keep {
+			results = append(results, candResult(c, prof))
 		}
-		if !keep {
-			continue
-		}
-		results = append(results, candResult(c, prof))
-	}
-
-	// Expensive pass: only EXEC-query survivors reach the store.
-	for _, c := range expensive {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		pid := candProfileID(c)
-		prof, err := e.reprofile(pid, setting, memo)
-		if err != nil {
-			return nil, err
-		}
-		keep, err := exactlySatisfies(q.Constraints, prof, refProf)
-		if err != nil {
-			return nil, err
-		}
-		if !keep {
-			continue
-		}
-		results = append(results, candResult(c, prof))
 	}
 	return results, nil
 }
@@ -307,12 +271,7 @@ func (e *Engine) TopEquivalents(refID string, k int) ([]Result, error) {
 			e.obs.Counter("query_skipped_no_profile_total").Inc()
 			continue
 		}
-		out = append(out, Result{
-			ID: c.ID, Level: c.Level,
-			Synthesized: c.Kind == index.KindSynthesized,
-			DonorID:     c.DonorID, Segment: c.Segment,
-			Derived: c.Derived, Profile: prof,
-		})
+		out = append(out, candResult(c, prof))
 	}
 	return out, nil
 }
@@ -402,39 +361,6 @@ func execSetting(exec map[string]string) (resource.ExecSetting, bool, error) {
 	return s, used, nil
 }
 
-// budgetFrom converts upper-bound constraints into an absolute Budget.
-// A metric bounded more than once (MEM < 50MB AND MEM < 100MB) takes
-// the tightest bound — resolving duplicates last-write-wins would let
-// the write order loosen the LSH prefilter beyond what the query
-// states.
-func budgetFrom(cs []query.Constraint, ref resource.Profile) (index.Budget, error) {
-	var b index.Budget
-	tighten := func(cur, v float64) float64 {
-		if cur == 0 || v < cur {
-			return v
-		}
-		return cur
-	}
-	for _, c := range cs {
-		if c.Op == query.OpGT || c.Op == query.OpGE {
-			continue // lower bounds are enforced by exactlySatisfies
-		}
-		v, err := absoluteValue(c, ref)
-		if err != nil {
-			return b, err
-		}
-		switch c.Metric {
-		case query.MetricMemory:
-			b.MaxMemoryBytes = int64(tighten(float64(b.MaxMemoryBytes), v))
-		case query.MetricFLOPs:
-			b.MaxFLOPs = int64(tighten(float64(b.MaxFLOPs), v))
-		case query.MetricLatency:
-			b.MaxLatencyMS = tighten(b.MaxLatencyMS, v)
-		}
-	}
-	return b, nil
-}
-
 // absoluteValue resolves a constraint to the metric's native unit
 // (bytes, FLOPs, milliseconds).
 func absoluteValue(c query.Constraint, ref resource.Profile) (float64, error) {
@@ -464,49 +390,38 @@ func absoluteValue(c query.Constraint, ref resource.Profile) (float64, error) {
 	return 0, fmt.Errorf("sommelier: cannot resolve constraint %s", c)
 }
 
-// exactlySatisfies re-checks every constraint (including lower bounds and
-// strict inequalities) against a candidate profile. A constraint that
-// cannot be resolved to an absolute value is an error, not a silent
-// rejection — swallowing it would drop candidates without a trace on
-// malformed constraints that Validate missed.
-func exactlySatisfies(cs []query.Constraint, p, ref resource.Profile) (bool, error) {
-	for _, c := range cs {
-		limit, err := absoluteValue(c, ref)
-		if err != nil {
-			return false, err
-		}
-		var v float64
-		switch c.Metric {
-		case query.MetricMemory:
-			v = float64(p.MemoryBytes)
-		case query.MetricFLOPs:
-			v = float64(p.FLOPs)
-		case query.MetricLatency:
-			v = p.LatencyMS
-		}
-		switch c.Op {
-		case query.OpLT:
-			if !(v < limit) {
-				return false, nil
-			}
-		case query.OpLE:
-			if !(v <= limit) {
-				return false, nil
-			}
-		case query.OpGT:
-			if !(v > limit) {
-				return false, nil
-			}
-		case query.OpGE:
-			if !(v >= limit) {
-				return false, nil
-			}
-		case query.OpEQ:
-			// Equality on continuous profiles means "within 5%".
-			if v < limit*0.95 || v > limit*1.05 {
-				return false, nil
-			}
-		}
+// satisfies checks one constraint against a candidate profile by plain
+// arithmetic; constraints AND together, so duplicate bounds and ranges
+// need no special handling. A constraint that cannot be resolved to an
+// absolute value is an error, not a silent rejection — swallowing it
+// would drop candidates without a trace on malformed constraints that
+// Validate missed.
+func satisfies(c query.Constraint, p, ref resource.Profile) (bool, error) {
+	limit, err := absoluteValue(c, ref)
+	if err != nil {
+		return false, err
+	}
+	var v float64
+	switch c.Metric {
+	case query.MetricMemory:
+		v = float64(p.MemoryBytes)
+	case query.MetricFLOPs:
+		v = float64(p.FLOPs)
+	case query.MetricLatency:
+		v = p.LatencyMS
+	}
+	switch c.Op {
+	case query.OpLT:
+		return v < limit, nil
+	case query.OpLE:
+		return v <= limit, nil
+	case query.OpGT:
+		return v > limit, nil
+	case query.OpGE:
+		return v >= limit, nil
+	case query.OpEQ:
+		// Equality on continuous profiles means "within 5%".
+		return v >= limit*0.95 && v <= limit*1.05, nil
 	}
 	return true, nil
 }

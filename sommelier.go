@@ -6,7 +6,7 @@
 // (Figure 1 of the paper). Models registered with the engine are analyzed
 // for pairwise functional equivalence (internal/equiv, §4), profiled for
 // resource usage (internal/resource, §5.3), and organized into a semantic
-// index and an LSH resource index (internal/index, §5.2–5.3), both owned
+// index (internal/index, §5.2) and a resource-profile table, both owned
 // by internal/catalog behind copy-on-write snapshots. Queries in the
 // Figure 7 syntax are parsed (internal/query) and executed as a
 // three-stage filter pipeline (§5.4): semantic filter → resource filter →

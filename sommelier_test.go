@@ -332,24 +332,6 @@ func TestEngineNilRepository(t *testing.T) {
 	}
 }
 
-func TestBudgetFromRelativeAndAbsolute(t *testing.T) {
-	ref := resource.Profile{MemoryBytes: 1000, FLOPs: 2000, LatencyMS: 10}
-	b, err := budgetFrom([]query.Constraint{
-		{Metric: query.MetricMemory, Op: query.OpLE, Value: 50, Unit: query.UnitRelative},
-		{Metric: query.MetricLatency, Op: query.OpLT, Value: 3, Unit: query.UnitMS},
-		{Metric: query.MetricFLOPs, Op: query.OpGE, Value: 10, Unit: query.UnitRelative},
-	}, ref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.MaxMemoryBytes != 500 || b.MaxLatencyMS != 3 {
-		t.Fatalf("budget = %+v", b)
-	}
-	if b.MaxFLOPs != 0 {
-		t.Fatal("lower-bound constraint should not enter the budget")
-	}
-}
-
 func TestExactlySatisfiesOperators(t *testing.T) {
 	ref := resource.Profile{MemoryBytes: 1000, FLOPs: 1000, LatencyMS: 10}
 	p := resource.Profile{MemoryBytes: 500, FLOPs: 800, LatencyMS: 5}
@@ -359,11 +341,16 @@ func TestExactlySatisfiesOperators(t *testing.T) {
 	}
 	mustSatisfy := func(cs []query.Constraint) bool {
 		t.Helper()
-		keep, err := exactlySatisfies(cs, p, ref)
-		if err != nil {
-			t.Fatal(err)
+		for _, c := range cs {
+			keep, err := satisfies(c, p, ref)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !keep {
+				return false
+			}
 		}
-		return keep
+		return true
 	}
 	if !mustSatisfy(cs) {
 		t.Fatal("satisfying profile rejected")
