@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet lint benchsmoke check bench benchdiff chaos
+.PHONY: build test race vet lint benchsmoke check bench chaos
 
 build:
 	$(GO) build ./...
@@ -39,35 +39,20 @@ benchsmoke:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # check is the CI gate: vet, then sommlint, then the bench-module smoke,
-# then the race-detector run, then the benchmark-baseline diff. lint
-# sits before race because it is ~100x cheaper and catches the invariant
-# violations race can only hope to trip over; benchsmoke (~30 s) before
-# race for the same reason; benchdiff last because it only compares JSON
-# already on disk (regenerate with `make bench` to compare fresh
-# numbers).
-check: vet lint benchsmoke race benchdiff
+# then the race-detector run. lint sits before race because it is ~100x
+# cheaper and catches the invariant violations race can only hope to
+# trip over; benchsmoke (~30 s) before race for the same reason. It is
+# the gate's benchmark half: sommperf's hard checks (batch_equals_serial,
+# oracle_no_stray_result, hydrate_byte_identical, coordinator_full, …)
+# run there at the 3-second rung and fail the build when they break.
+check: vet lint benchsmoke race
 
-# bench runs the Go micro-benchmarks, then the serial-vs-parallel
-# indexing benchmark, the query-latency benchmark, the cluster
-# scatter-gather load harness, the content-addressed storage harness,
-# and the serving-cluster matrix, leaving their machine-readable
-# results in BENCH_index.json, BENCH_query.json, BENCH_cluster.json,
-# BENCH_store.json and BENCH_serving.json (latency percentiles come
-# from the *_ms histograms; the serving numbers are virtual-time and
-# therefore exact — a p95 shift there is a semantic change, not noise).
+# bench is the one way to benchmark: sommperf's whole suite (the four
+# BENCHMARK.json workloads), untraced for the end-to-end metrics and
+# then traced for the per-layer ones. bench/README.md documents the
+# flags for a single run and the noise study.
 bench:
-	$(GO) test -bench=. -benchtime=1x -run=^$$ ./...
-	$(GO) run ./cmd/sommbench -exp indexbench -index-out BENCH_index.json
-	$(GO) run ./cmd/sommbench -exp querybench -query-out BENCH_query.json
-	$(GO) run ./cmd/sommbench -exp clusterbench -cluster-out BENCH_cluster.json
-	$(GO) run ./cmd/sommbench -exp storebench -store-out BENCH_store.json
-	$(GO) run ./cmd/sommbench -exp servebench -serving-out BENCH_serving.json
-
-# benchdiff fails when a freshly generated BENCH_*.json shows a p95
-# latency more than 20% (and more than a noise floor) worse than the
-# committed baseline. Skips files with no committed baseline.
-benchdiff:
-	$(GO) run ./cmd/benchdiff
+	bash bench/run.sh
 
 # chaos runs the seeded fault-schedule matrix under the race detector:
 # every TestChaos* case in internal/cluster (replica kill mid-query,

@@ -6,65 +6,15 @@
 //	go test -bench=. -benchmem
 //
 // regenerates (a reduced-scale version of) the paper's entire evaluation.
-// cmd/sommbench prints the full paper-style tables.
+// cmd/sommbench prints the full paper-style tables. The system's own
+// performance is measured elsewhere: bench/ (sommperf, BENCHMARK.json).
 package sommelier_test
 
 import (
-	"runtime"
 	"testing"
 
-	"sommelier"
 	"sommelier/internal/experiments"
-	"sommelier/internal/repo"
-	"sommelier/internal/zoo"
 )
-
-// indexAllBench measures IndexAll over a fresh 24-model zoo catalog
-// with the given worker count, reporting models indexed per second.
-// Compare BenchmarkIndexAllSerial against BenchmarkIndexAllParallel
-// for the pipeline's fan-out win; make bench writes the same
-// comparison to BENCH_index.json via cmd/sommbench -exp indexbench.
-func indexAllBench(b *testing.B, workers int) {
-	b.Helper()
-	series, err := zoo.Catalog(zoo.CatalogConfig{
-		NumSeries: 6, MinPerSeries: 4, MaxPerSeries: 4, NumTrunks: 3, Seed: 0xbe7c,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	const models = 24
-	for i := 0; i < b.N; i++ {
-		store := repo.NewInMemory()
-		for _, s := range series {
-			for _, m := range s.Models {
-				if _, err := store.Publish(m); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-		eng, err := sommelier.New(store, sommelier.Options{
-			Seed: 17, ValidationSize: 80, IndexWorkers: workers,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := eng.IndexAll(); err != nil {
-			b.Fatal(err)
-		}
-		if eng.IndexedLen() != models {
-			b.Fatalf("indexed %d models, want %d", eng.IndexedLen(), models)
-		}
-	}
-	b.ReportMetric(float64(models*b.N)/b.Elapsed().Seconds(), "models/sec")
-}
-
-func BenchmarkIndexAllSerial(b *testing.B) {
-	indexAllBench(b, 1)
-}
-
-func BenchmarkIndexAllParallel(b *testing.B) {
-	indexAllBench(b, runtime.NumCPU())
-}
 
 func BenchmarkFigure3AgreementMatrix(b *testing.B) {
 	cfg := experiments.DefaultFig3Config()

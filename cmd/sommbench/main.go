@@ -15,11 +15,10 @@
 package main
 
 import (
-	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -34,235 +33,21 @@ type runner struct {
 
 func main() {
 	var (
-		expFlag     = flag.String("exp", "all", "comma-separated experiment ids (fig3,fig9a,fig9b,fig9c,fig10,fig11,fig12a,fig12b,fig13,table1,table2,table3,table4,ablations,indexbench,querybench,clusterbench,storebench,servebench) or 'all'")
-		indexOut    = flag.String("index-out", "", "write the indexbench result as JSON to this file")
-		queryOut    = flag.String("query-out", "", "write the querybench result as JSON to this file")
-		clusterOut  = flag.String("cluster-out", "", "write the clusterbench result as JSON to this file")
-		storeOut    = flag.String("store-out", "", "write the storebench result as JSON to this file")
-		servingOut  = flag.String("serving-out", "", "write the servebench result as JSON to this file")
+		expFlag     = flag.String("exp", "all", "comma-separated experiment ids (fig3,fig9a,fig9b,fig9c,fig10,fig11,fig12a,fig12b,fig13,table1,table2,table3,table4,ablations) or 'all'")
 		table2Scale = flag.Float64("table2scale", 0.02, "fraction of the paper's model sizes for table2 (1.0 = full 62M..340M parameters)")
 		fig13Full   = flag.Bool("fig13full", false, "run fig13 on the full 30-series/163-model catalog")
 		seed        = flag.Uint64("seed", 2022, "base random seed")
 	)
 	flag.Parse()
 
-	runners := []runner{
-		{"fig3", func() (fmt.Stringer, error) {
-			cfg := experiments.DefaultFig3Config()
-			cfg.Seed = *seed
-			r, err := experiments.RunFig3(cfg)
-			return report(r, err)
-		}},
-		{"fig9a", func() (fmt.Stringer, error) {
-			cfg := experiments.DefaultFig9aConfig()
-			cfg.Seed = *seed
-			r, err := experiments.RunFig9a(cfg)
-			return report(r, err)
-		}},
-		{"fig9b", func() (fmt.Stringer, error) {
-			cfg := experiments.DefaultFig9bConfig()
-			cfg.Seed = *seed
-			r, err := experiments.RunFig9b(cfg)
-			return report(r, err)
-		}},
-		{"fig9c", func() (fmt.Stringer, error) {
-			cfg := experiments.DefaultFig9cConfig()
-			cfg.Seed = *seed
-			r, err := experiments.RunFig9c(cfg)
-			return report(r, err)
-		}},
-		{"fig10", func() (fmt.Stringer, error) {
-			cfg := experiments.DefaultFig10Config()
-			cfg.Seed = *seed
-			r, err := experiments.RunFig10(cfg)
-			return report(r, err)
-		}},
-		{"fig11", func() (fmt.Stringer, error) {
-			cfg := experiments.DefaultFig11Config()
-			cfg.Seed = *seed
-			r, err := experiments.RunFig11(cfg)
-			return report(r, err)
-		}},
-		{"fig12a", func() (fmt.Stringer, error) {
-			cfg := experiments.DefaultFig12aConfig()
-			cfg.Seed = *seed
-			r, err := experiments.RunFig12a(cfg)
-			return report(r, err)
-		}},
-		{"fig12b", func() (fmt.Stringer, error) {
-			r, err := experiments.RunFig12b(experiments.Fig12bConfig{Seed: *seed})
-			return report(r, err)
-		}},
-		{"fig13", func() (fmt.Stringer, error) {
-			cfg := experiments.DefaultFig13Config()
-			cfg.Seed = *seed
-			if *fig13Full {
-				cfg.Catalog = zoo.DefaultCatalogConfig()
-				cfg.SeriesCounts = []int{5, 10, 15, 20, 25, 30}
-				cfg.Repeats = 5
-			}
-			r, err := experiments.RunFig13(cfg)
-			return report(r, err)
-		}},
-		{"table1", func() (fmt.Stringer, error) {
-			cfg := experiments.DefaultTable1Config()
-			cfg.Seed = *seed
-			r, err := experiments.RunTable1(cfg)
-			return report(r, err)
-		}},
-		{"table2", func() (fmt.Stringer, error) {
-			r, err := experiments.RunTable2(experiments.Table2Config{Scale: *table2Scale, Seed: *seed})
-			return report(r, err)
-		}},
-		{"table3", func() (fmt.Stringer, error) {
-			cfg := experiments.DefaultTable3Config()
-			cfg.Seed = *seed
-			r, err := experiments.RunTable3(cfg)
-			return report(r, err)
-		}},
-		{"table4", func() (fmt.Stringer, error) {
-			cfg := experiments.DefaultTable4Config()
-			cfg.Seed = *seed
-			r, err := experiments.RunTable4(cfg)
-			return report(r, err)
-		}},
-		{"indexbench", func() (fmt.Stringer, error) {
-			cfg := experiments.DefaultIndexBenchConfig()
-			cfg.Seed = *seed
-			r, err := experiments.RunIndexBench(cfg)
-			if err != nil {
-				return nil, err
-			}
-			if *indexOut != "" {
-				data, err := json.MarshalIndent(r, "", "  ")
-				if err != nil {
-					return nil, err
-				}
-				if err := os.WriteFile(*indexOut, append(data, '\n'), 0o644); err != nil {
-					return nil, err
-				}
-				fmt.Printf("wrote %s\n", *indexOut)
-			}
-			return r.Report(), nil
-		}},
-		{"querybench", func() (fmt.Stringer, error) {
-			cfg := experiments.DefaultQueryBenchConfig()
-			cfg.Seed = *seed
-			r, err := experiments.RunQueryBench(context.Background(), cfg)
-			if err != nil {
-				return nil, err
-			}
-			if *queryOut != "" {
-				data, err := json.MarshalIndent(r, "", "  ")
-				if err != nil {
-					return nil, err
-				}
-				if err := os.WriteFile(*queryOut, append(data, '\n'), 0o644); err != nil {
-					return nil, err
-				}
-				fmt.Printf("wrote %s\n", *queryOut)
-			}
-			return r.Report(), nil
-		}},
-		{"clusterbench", func() (fmt.Stringer, error) {
-			cfg := experiments.DefaultClusterBenchConfig()
-			cfg.Seed = *seed
-			r, err := experiments.RunClusterBench(context.Background(), cfg)
-			if err != nil {
-				return nil, err
-			}
-			if *clusterOut != "" {
-				data, err := json.MarshalIndent(r, "", "  ")
-				if err != nil {
-					return nil, err
-				}
-				if err := os.WriteFile(*clusterOut, append(data, '\n'), 0o644); err != nil {
-					return nil, err
-				}
-				fmt.Printf("wrote %s\n", *clusterOut)
-			}
-			return r.Report(), nil
-		}},
-		{"storebench", func() (fmt.Stringer, error) {
-			cfg := experiments.DefaultStoreBenchConfig()
-			cfg.Seed = *seed
-			r, err := experiments.RunStoreBench(context.Background(), cfg)
-			if err != nil {
-				return nil, err
-			}
-			if *storeOut != "" {
-				data, err := json.MarshalIndent(r, "", "  ")
-				if err != nil {
-					return nil, err
-				}
-				if err := os.WriteFile(*storeOut, append(data, '\n'), 0o644); err != nil {
-					return nil, err
-				}
-				fmt.Printf("wrote %s\n", *storeOut)
-			}
-			return r.Report(), nil
-		}},
-		{"servebench", func() (fmt.Stringer, error) {
-			cfg := experiments.DefaultServeBenchConfig()
-			cfg.Seed = *seed
-			r, err := experiments.RunServeBench(context.Background(), cfg)
-			if err != nil {
-				return nil, err
-			}
-			if *servingOut != "" {
-				data, err := json.MarshalIndent(r, "", "  ")
-				if err != nil {
-					return nil, err
-				}
-				if err := os.WriteFile(*servingOut, append(data, '\n'), 0o644); err != nil {
-					return nil, err
-				}
-				fmt.Printf("wrote %s\n", *servingOut)
-			}
-			return r.Report(), nil
-		}},
-		{"ablations", func() (fmt.Stringer, error) {
-			var out multiReport
-			b, err := experiments.RunAblationBound(*seed)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, b.Report())
-			s, err := experiments.RunAblationSampling(*seed)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, s.Report())
-			l, err := experiments.RunAblationLSH(*seed)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, l.Report())
-			g, err := experiments.RunAblationSegment(*seed)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, g.Report())
-			c, err := experiments.RunAblationSwitchCost(*seed)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, c.Report())
-			return out, nil
-		}},
-	}
-
-	want := map[string]bool{}
-	all := *expFlag == "all"
-	for _, id := range strings.Split(*expFlag, ",") {
-		want[strings.TrimSpace(id)] = true
+	selected, err := selectRunners(*expFlag, runners(*seed, *table2Scale, *fig13Full))
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "sommbench: %v\n", err)
+		os.Exit(2)
 	}
 
 	failed := false
-	for _, r := range runners {
-		if !all && !want[r.id] {
-			continue
-		}
+	for _, r := range selected {
 		start := time.Now()
 		rep, err := r.run()
 		if err != nil {
@@ -275,6 +60,149 @@ func main() {
 	}
 	if failed {
 		os.Exit(1)
+	}
+}
+
+// selectRunners resolves the -exp value against the runner ids: "all"
+// selects every runner, otherwise each comma-separated id must name
+// one. An unknown id is an error naming the valid ids, so a typo fails
+// before any experiment runs instead of silently running nothing.
+func selectRunners(exp string, all []runner) ([]runner, error) {
+	if exp == "all" {
+		return all, nil
+	}
+	ids := make([]string, len(all))
+	for i, r := range all {
+		ids[i] = r.id
+	}
+	want := map[string]bool{}
+	for _, id := range strings.Split(exp, ",") {
+		id = strings.TrimSpace(id)
+		if !slices.Contains(ids, id) {
+			return nil, fmt.Errorf("unknown experiment %q; valid ids: %s, or all", id, strings.Join(ids, ","))
+		}
+		want[id] = true
+	}
+	var selected []runner
+	for _, r := range all {
+		if want[r.id] {
+			selected = append(selected, r)
+		}
+	}
+	return selected, nil
+}
+
+// runners lists every experiment in the order -exp all prints them.
+func runners(seed uint64, table2Scale float64, fig13Full bool) []runner {
+	return []runner{
+		{"fig3", func() (fmt.Stringer, error) {
+			cfg := experiments.DefaultFig3Config()
+			cfg.Seed = seed
+			r, err := experiments.RunFig3(cfg)
+			return report(r, err)
+		}},
+		{"fig9a", func() (fmt.Stringer, error) {
+			cfg := experiments.DefaultFig9aConfig()
+			cfg.Seed = seed
+			r, err := experiments.RunFig9a(cfg)
+			return report(r, err)
+		}},
+		{"fig9b", func() (fmt.Stringer, error) {
+			cfg := experiments.DefaultFig9bConfig()
+			cfg.Seed = seed
+			r, err := experiments.RunFig9b(cfg)
+			return report(r, err)
+		}},
+		{"fig9c", func() (fmt.Stringer, error) {
+			cfg := experiments.DefaultFig9cConfig()
+			cfg.Seed = seed
+			r, err := experiments.RunFig9c(cfg)
+			return report(r, err)
+		}},
+		{"fig10", func() (fmt.Stringer, error) {
+			cfg := experiments.DefaultFig10Config()
+			cfg.Seed = seed
+			r, err := experiments.RunFig10(cfg)
+			return report(r, err)
+		}},
+		{"fig11", func() (fmt.Stringer, error) {
+			cfg := experiments.DefaultFig11Config()
+			cfg.Seed = seed
+			r, err := experiments.RunFig11(cfg)
+			return report(r, err)
+		}},
+		{"fig12a", func() (fmt.Stringer, error) {
+			cfg := experiments.DefaultFig12aConfig()
+			cfg.Seed = seed
+			r, err := experiments.RunFig12a(cfg)
+			return report(r, err)
+		}},
+		{"fig12b", func() (fmt.Stringer, error) {
+			r, err := experiments.RunFig12b(experiments.Fig12bConfig{Seed: seed})
+			return report(r, err)
+		}},
+		{"fig13", func() (fmt.Stringer, error) {
+			cfg := experiments.DefaultFig13Config()
+			cfg.Seed = seed
+			if fig13Full {
+				cfg.Catalog = zoo.DefaultCatalogConfig()
+				cfg.SeriesCounts = []int{5, 10, 15, 20, 25, 30}
+				cfg.Repeats = 5
+			}
+			r, err := experiments.RunFig13(cfg)
+			return report(r, err)
+		}},
+		{"table1", func() (fmt.Stringer, error) {
+			cfg := experiments.DefaultTable1Config()
+			cfg.Seed = seed
+			r, err := experiments.RunTable1(cfg)
+			return report(r, err)
+		}},
+		{"table2", func() (fmt.Stringer, error) {
+			r, err := experiments.RunTable2(experiments.Table2Config{Scale: table2Scale, Seed: seed})
+			return report(r, err)
+		}},
+		{"table3", func() (fmt.Stringer, error) {
+			cfg := experiments.DefaultTable3Config()
+			cfg.Seed = seed
+			r, err := experiments.RunTable3(cfg)
+			return report(r, err)
+		}},
+		{"table4", func() (fmt.Stringer, error) {
+			cfg := experiments.DefaultTable4Config()
+			cfg.Seed = seed
+			r, err := experiments.RunTable4(cfg)
+			return report(r, err)
+		}},
+		{"ablations", func() (fmt.Stringer, error) {
+			var out multiReport
+			b, err := experiments.RunAblationBound(seed)
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, b.Report())
+			s, err := experiments.RunAblationSampling(seed)
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, s.Report())
+			l, err := experiments.RunAblationLSH(seed)
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, l.Report())
+			g, err := experiments.RunAblationSegment(seed)
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, g.Report())
+			c, err := experiments.RunAblationSwitchCost(seed)
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, c.Report())
+			return out, nil
+		}},
 	}
 }
 

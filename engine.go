@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"sommelier/internal/catalog"
-	"sommelier/internal/graph"
 	"sommelier/internal/obs"
 	"sommelier/internal/repo"
 	"sommelier/internal/resource"
@@ -12,15 +11,8 @@ import (
 
 // Store is the repository surface the engine needs. *repo.Repository
 // implements it; internal/faults.FlakyStore wraps one for failure
-// testing. IDs follow the repository convention (repo.IDFor):
-// name@version.
-type Store interface {
-	Publish(m *graph.Model) (string, error)
-	Load(id string) (*graph.Model, error)
-	Delete(id string) error
-	List() []repo.Metadata
-	Metadata(id string) (repo.Metadata, bool)
-}
+// testing.
+type Store = repo.Store
 
 // Engine is the Sommelier query engine: a facade over a Store (the
 // model repository) and a catalog.Catalog (the index state). It is

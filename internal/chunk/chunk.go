@@ -99,7 +99,13 @@ func Split(vals []float64, size int, emit func(hash string, data []byte)) []stri
 // Join reassembles tensor data from ordered chunk contents, checking
 // that the total element count matches want.
 func Join(chunks [][]byte, want int) ([]float64, error) {
-	out := make([]float64, 0, want)
+	// Size the result from the bytes in hand, never from want: want
+	// comes from a decoded shape, which a hostile file sets freely.
+	have := 0
+	for _, data := range chunks {
+		have += len(data)
+	}
+	out := make([]float64, 0, have/8)
 	for i, data := range chunks {
 		vals, err := Floats(data)
 		if err != nil {

@@ -56,6 +56,18 @@ func TestSplitJoinRoundTrip(t *testing.T) {
 	}
 }
 
+// TestJoinDoesNotTrustWant: want comes from an untrusted shape, so a
+// negative or absurd count must be a mismatch error, not a panic or a
+// terabyte allocation.
+func TestJoinDoesNotTrustWant(t *testing.T) {
+	datas := [][]byte{Bytes([]float64{1, 2, 3})}
+	for _, want := range []int{-8, 1 << 40} {
+		if _, err := Join(datas, want); err == nil {
+			t.Fatalf("want=%d: accepted 3 elements", want)
+		}
+	}
+}
+
 func TestSplitDeterministicAndContentAddressed(t *testing.T) {
 	vals := make([]float64, 20)
 	for i := range vals {

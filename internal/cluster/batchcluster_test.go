@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net/http"
 	"net/http/httptest"
 	"testing"
 
@@ -211,44 +210,5 @@ func TestHTTPReplicaQueryBatch(t *testing.T) {
 	// deserves the real error).
 	if errs[3] == nil {
 		t.Fatal("parse-error slot did not carry a per-query error")
-	}
-}
-
-// TestHTTPReplicaQueryBatchOldHubFallback pins mixed-version clusters: a
-// hub that rejects POST /v1/query is driven by serial GETs with the
-// same per-slot semantics.
-func TestHTTPReplicaQueryBatchOldHubFallback(t *testing.T) {
-	answers := map[string]string{"good": `{"results":[{"id":"m@1"}]}`}
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		if req.URL.Path != "/v1/query" || req.Method != http.MethodGet {
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
-		}
-		q := req.URL.Query().Get("q")
-		body, ok := answers[q]
-		if !ok {
-			http.Error(w, "unknown reference", http.StatusUnprocessableEntity)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		fmt.Fprint(w, body)
-	}))
-	t.Cleanup(ts.Close)
-	client, err := hub.NewClient(ts.URL, ts.Client())
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := cluster.NewHTTPReplica(client)
-
-	results, errs, err := r.QueryBatch(context.Background(), []string{"good", "ghost"})
-	if err != nil {
-		t.Fatalf("fallback batch failed outright: %v", err)
-	}
-	if errs[0] != nil || len(results[0]) != 1 || results[0][0].ID != "m@1" {
-		t.Fatalf("slot 0: err %v, results %s", errs[0], mustJSON(t, results[0]))
-	}
-	// The 4xx answer maps to an empty contribution, exactly like Query.
-	if errs[1] != nil || len(results[1]) != 0 {
-		t.Fatalf("slot 1: err %v, %d results; want empty contribution", errs[1], len(results[1]))
 	}
 }

@@ -45,9 +45,7 @@ func (r *HTTPReplica) Query(ctx context.Context, q string) ([]Result, error) {
 	return out, nil
 }
 
-// QueryBatch runs the batch in one POST /v1/query round trip. A hub
-// that does not speak the batch protocol is driven by a serial Query
-// loop instead, so mixed-version clusters keep working. Per-query
+// QueryBatch runs the batch in one POST /v1/query round trip. Per-query
 // unknown-reference errors (the hub marks them with a machine-readable
 // code) become empty contributions, exactly like Query's 4xx mapping;
 // any other per-query error is returned in that query's slot so the
@@ -55,9 +53,6 @@ func (r *HTTPReplica) Query(ctx context.Context, q string) ([]Result, error) {
 func (r *HTTPReplica) QueryBatch(ctx context.Context, qs []string) ([][]Result, []error, error) {
 	raws, qerrs, err := r.client.QueryBatch(ctx, qs)
 	if err != nil {
-		if errors.Is(err, hub.ErrBatchUnsupported) {
-			return r.queryBatchSerial(ctx, qs)
-		}
 		return nil, nil, err
 	}
 	results := make([][]Result, len(qs))
@@ -74,25 +69,6 @@ func (r *HTTPReplica) QueryBatch(ctx context.Context, qs []string) ([][]Result, 
 				errs[i] = fmt.Errorf("cluster: decoding shard results: %w", err)
 			}
 		}
-	}
-	return results, errs, nil
-}
-
-// queryBatchSerial is the pre-batch-hub fallback: one GET per query
-// through the full Query mapping.
-func (r *HTTPReplica) queryBatchSerial(ctx context.Context, qs []string) ([][]Result, []error, error) {
-	results := make([][]Result, len(qs))
-	errs := make([]error, len(qs))
-	for i, q := range qs {
-		if err := ctx.Err(); err != nil {
-			return nil, nil, err
-		}
-		res, err := r.Query(ctx, q)
-		if err != nil {
-			errs[i] = err
-			continue
-		}
-		results[i] = res
 	}
 	return results, errs, nil
 }

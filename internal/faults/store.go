@@ -7,16 +7,8 @@ import (
 	"sommelier/internal/repo"
 )
 
-// Store is the bare-bone repository surface (§2.1) the hub layers on —
-// satisfied by *repo.Repository and by hub-side stand-ins.
-type Store interface {
-	Publish(m *graph.Model) (string, error)
-	Load(id string) (*graph.Model, error)
-	Delete(id string) error
-	List() []repo.Metadata
-	Metadata(id string) (repo.Metadata, bool)
-	Len() int
-}
+// Store is the repository surface FlakyStore wraps and implements.
+type Store = repo.Store
 
 // FlakyStore decorates a Store with injected faults so repository-level
 // failure handling is testable without a faulty disk. Publish, Load and

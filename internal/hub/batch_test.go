@@ -100,13 +100,14 @@ func TestQueryBatchNativeQuerier(t *testing.T) {
 }
 
 // TestQueryBatchRejections pins the failure edges: a hub with no querier
-// at all answers 501 (which the client folds into ErrBatchUnsupported),
-// and malformed or empty batches answer 400.
+// at all answers 501, which reaches the caller as a *StatusError, and
+// malformed or empty batches answer 400.
 func TestQueryBatchRejections(t *testing.T) {
 	_, client := newBatchHub(t)
 	_, _, err := client.QueryBatch(context.Background(), []string{"alpha"})
-	if !errors.Is(err, ErrBatchUnsupported) {
-		t.Fatalf("bare hub: err = %v, want ErrBatchUnsupported", err)
+	var se *StatusError
+	if !errors.As(err, &se) || se.Code != http.StatusNotImplemented {
+		t.Fatalf("bare hub: err = %v, want StatusError{Code: 501}", err)
 	}
 
 	ts2, client2 := newBatchHub(t, WithQuerier(echoQuerier))
@@ -122,25 +123,5 @@ func TestQueryBatchRejections(t *testing.T) {
 	}
 	if _, _, err := client2.QueryBatch(context.Background(), nil); err == nil {
 		t.Fatal("empty batch accepted by client")
-	}
-}
-
-// TestQueryBatchUnsupportedMapping pins the mixed-version detection: a
-// pre-batch hub that answers 405 (or 404/501) on POST maps onto
-// ErrBatchUnsupported so callers can fall back to serial queries.
-func TestQueryBatchUnsupportedMapping(t *testing.T) {
-	for _, code := range []int{http.StatusNotFound, http.StatusMethodNotAllowed, http.StatusNotImplemented} {
-		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			http.Error(w, "nope", code)
-		}))
-		client, err := NewClient(ts.URL, ts.Client())
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, _, err = client.QueryBatch(context.Background(), []string{"alpha"})
-		if !errors.Is(err, ErrBatchUnsupported) {
-			t.Fatalf("status %d: err = %v, want ErrBatchUnsupported", code, err)
-		}
-		ts.Close()
 	}
 }

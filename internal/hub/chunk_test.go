@@ -1,12 +1,15 @@
 package hub
 
 import (
+	"bytes"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync/atomic"
 	"testing"
 
+	"sommelier/internal/cas"
 	"sommelier/internal/graph"
 	"sommelier/internal/repo"
 	"sommelier/internal/zoo"
@@ -129,13 +132,18 @@ func TestLoadManifestAndChunkFetch(t *testing.T) {
 }
 
 // countingTransport counts GET /v1/chunks/ requests — the wire cost a
-// mirror pays for tensor data.
+// mirror pays for tensor data — and request body bytes, the wire cost
+// of a publish.
 type countingTransport struct {
 	inner     http.RoundTripper
 	chunkGets atomic.Int64
+	uploaded  atomic.Int64
 }
 
 func (ct *countingTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	if req.ContentLength > 0 {
+		ct.uploaded.Add(req.ContentLength)
+	}
 	if req.Method == http.MethodGet && strings.Contains(req.URL.Path, "/v1/chunks/") {
 		ct.chunkGets.Add(1)
 	}
@@ -245,5 +253,123 @@ func TestChunkProtocolFallsBackOnOldHub(t *testing.T) {
 	}
 	if _, err := dst.Load(id); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFineTunedSeriesDedupAndFidelity is the chunk layer's acceptance
+// gate: a 32-model fine-tuned series (one base, then variants cycling
+// through sparse edits, frozen-trunk transfers and lightly tuned
+// transfers) must cost at least 3x less than the whole-model baseline
+// in both stored and uploaded bytes, exercise sparse delta refs and
+// shared chunks, and hydrate byte-identically from a cold re-open.
+func TestFineTunedSeriesDedupAndFidelity(t *testing.T) {
+	const n, depth = 32, 3
+	base, err := zoo.DenseResidualNet(zoo.Config{Name: "series-base", Seed: 2022, Width: 48, Depth: depth, Series: "series"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	models := []*graph.Model{base}
+	trunk := 1 + 2*depth // stem + two Dense per residual block
+	for i := 1; i < n; i++ {
+		name, seed := fmt.Sprintf("series-v%02d", i), uint64(2022+i)
+		var v *graph.Model
+		switch i % 3 {
+		case 0:
+			v, err = zoo.SparseEdit(base, name, 8, seed)
+		case 1:
+			v, err = zoo.Transfer(base, name, 8, trunk, 0, seed)
+		default:
+			v, err = zoo.Transfer(base, name, 8, trunk-1, 0.02, seed)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		models = append(models, v)
+	}
+
+	dir := t.TempDir()
+	src, err := repo.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newChunkServer(t)
+	ct := &countingTransport{inner: ts.Client().Transport}
+	c, err := NewClient(ts.URL, &http.Client{Transport: ct})
+	if err != nil {
+		t.Fatal(err)
+	}
+	somxOf := func(m *graph.Model) []byte {
+		var buf bytes.Buffer
+		if err := graph.Encode(&buf, m); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	// wholeStored counts each model's chunks standalone, with no
+	// cross-model sharing; wholeWire is the SOMX body Client.Publish
+	// would upload per model.
+	var wholeStored, wholeWire int64
+	somx := make([][]byte, n)
+	deltaRefs := 0
+	for i, m := range models {
+		m.Version = "1"
+		standalone, err := cas.Encode(m, "", nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, data := range standalone.Chunks {
+			wholeStored += int64(len(data))
+		}
+		somx[i] = somxOf(m)
+		wholeWire += int64(len(somx[i]))
+
+		enc, err := src.Encode(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := src.PublishEncoded(enc); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := c.PublishEncoded(enc); err != nil {
+			t.Fatal(err)
+		}
+		for _, l := range enc.Manifest.Layers {
+			for _, ref := range l.Params {
+				if ref.Delta != nil {
+					deltaRefs++
+				}
+			}
+		}
+	}
+
+	stats, sent := src.CASStats(), ct.uploaded.Load()
+	t.Logf("stored %d of %d bytes (%.1fx), uploaded %d of %d (%.1fx), %d delta refs, %d dedup hits",
+		stats.Bytes, wholeStored, float64(wholeStored)/float64(stats.Bytes),
+		sent, wholeWire, float64(wholeWire)/float64(sent), deltaRefs, stats.DedupHits)
+	if wholeStored < 3*stats.Bytes {
+		t.Fatalf("stored %d of %d whole-model bytes, want >= 3x dedup", stats.Bytes, wholeStored)
+	}
+	if wholeWire < 3*sent {
+		t.Fatalf("uploaded %d of %d whole-model bytes, want >= 3x reduction", sent, wholeWire)
+	}
+	if deltaRefs == 0 {
+		t.Fatal("series exercised no sparse delta refs")
+	}
+	if stats.DedupHits == 0 {
+		t.Fatal("publishing the series hit no shared chunks")
+	}
+
+	cold, err := repo.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, m := range models {
+		got, err := cold.Load(repo.IDFor(m))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(somxOf(got), somx[i]) {
+			t.Fatalf("%s hydrated from chunks did not re-encode byte-identically", repo.IDFor(m))
+		}
 	}
 }

@@ -414,12 +414,6 @@ func (c *Client) Query(ctx context.Context, q string) (_ json.RawMessage, err er
 	return raw, nil
 }
 
-// ErrBatchUnsupported is wrapped by QueryBatch when the hub does not
-// speak the batched POST /v1/query protocol (pre-batch hubs answer 404,
-// 405, or 501). Callers that hold the query strings can fall back to a
-// serial Query loop; HTTPReplica does exactly that.
-var ErrBatchUnsupported = errors.New("hub: batched query not supported by this hub")
-
 // QueryBatch runs a batch of Sommelier queries in one POST /v1/query
 // round trip and returns per-query raw results and per-query errors,
 // both index-aligned with qs (exactly one of results[i]/qerrs[i] is
@@ -456,13 +450,6 @@ func (c *Client) QueryBatch(ctx context.Context, qs []string) (_ []json.RawMessa
 			return json.NewDecoder(resp.Body).Decode(&wire)
 		})
 	if err != nil {
-		var se *StatusError
-		if errors.As(err, &se) {
-			switch se.Code {
-			case http.StatusNotFound, http.StatusMethodNotAllowed, http.StatusNotImplemented:
-				return nil, nil, fmt.Errorf("%w: %w", ErrBatchUnsupported, err)
-			}
-		}
 		return nil, nil, fmt.Errorf("hub: query batch: %w", err)
 	}
 	if len(wire.Results) != len(qs) || len(wire.Errors) != len(qs) {

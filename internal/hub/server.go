@@ -38,14 +38,7 @@ import (
 
 // Store is the repository surface the server needs — satisfied by
 // *repo.Repository and by fault-injecting wrappers in tests.
-type Store interface {
-	Publish(m *graph.Model) (string, error)
-	Load(id string) (*graph.Model, error)
-	Delete(id string) error
-	List() []repo.Metadata
-	Metadata(id string) (repo.Metadata, bool)
-	Len() int
-}
+type Store = repo.Store
 
 // Indexer receives accepted uploads so the serving catalog stays
 // current — the curated-hub mode where Sommelier indexes models as they

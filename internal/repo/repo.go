@@ -50,6 +50,21 @@ type Metadata struct {
 	Annotations map[string]string
 }
 
+// Store is the bare-bone repository surface (§2.1) every layer above
+// programs against: the engine, the hub server and the fault-injecting
+// wrapper all name it through a `type Store = repo.Store` alias, so it
+// is declared exactly once. *Repository implements it, as do
+// faults.FlakyStore and hub-side stand-ins. IDs follow the repository
+// convention (IDFor): name@version.
+type Store interface {
+	Publish(m *graph.Model) (string, error)
+	Load(id string) (*graph.Model, error)
+	Delete(id string) error
+	List() []Metadata
+	Metadata(id string) (Metadata, bool)
+	Len() int
+}
+
 // Repository stores models over a content-addressed chunk store. All
 // methods are safe for concurrent use.
 type Repository struct {
