@@ -1,8 +1,6 @@
 package catalog
 
 import (
-	"sync"
-
 	"sommelier/internal/dataset"
 	"sommelier/internal/equiv"
 	"sommelier/internal/graph"
@@ -10,48 +8,44 @@ import (
 )
 
 // probeCache builds and caches one probe dataset per input-shape
-// signature. It is safe for concurrent use: generation happens outside
-// the lock (the data is deterministic per shape and seed, so two
-// racing generators produce identical datasets) and the first
-// publication wins.
+// signature and names each set (key), so evidence and datasets are
+// keyed alike. It is safe for concurrent use: the first caller for a
+// key generates the data and every other caller waits for and shares it.
 type probeCache struct {
 	custom *dataset.Dataset
 	size   int
 	seed   uint64
+	sets   memo[string, *dataset.Dataset]
+}
 
-	mu   sync.Mutex
-	sets map[string]*dataset.Dataset
+// key names the probe set For(m) returns.
+func (p *probeCache) key(m *graph.Model) string {
+	if cv := p.custom; cv != nil && cv.Len() > 0 && cv.Inputs[0].Shape().Equal(m.InputShape) {
+		return "custom"
+	}
+	return m.InputShape.String()
 }
 
 func (p *probeCache) For(m *graph.Model) *dataset.Dataset {
-	if cv := p.custom; cv != nil && cv.Len() > 0 && cv.Inputs[0].Shape().Equal(m.InputShape) {
-		return cv
+	key := p.key(m)
+	if key == "custom" {
+		return p.custom
 	}
-	key := m.InputShape.String()
-	p.mu.Lock()
-	if d, ok := p.sets[key]; ok {
-		p.mu.Unlock()
-		return d
-	}
-	p.mu.Unlock()
-	d := &dataset.Dataset{
-		Name:   "probe" + key,
-		Inputs: dataset.RandomImages(p.size, m.InputShape, p.seed),
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if exist, ok := p.sets[key]; ok {
-		return exist
-	}
-	p.sets[key] = d
+	d, _ := p.sets.get(key, func() (*dataset.Dataset, error) {
+		return &dataset.Dataset{
+			Name:   "probe" + key,
+			Inputs: dataset.RandomImages(p.size, m.InputShape, p.seed),
+		}, nil
+	})
 	return d
 }
 
-// pairAnalyzer adapts internal/equiv to the semantic index's Analyzer
-// interface, measuring whole-model equivalence in both directions and —
-// when enabled — segment-level replacements. All its state is
-// read-only after construction except the probe cache, so Analyze is
-// safe to call from many workers at once.
+// pairAnalyzer is the real analysis behind the pipeline, built on
+// internal/equiv: models are observed on its probe sets with its
+// options, and analyze turns a planned pair's evidence into whole-model
+// levels in both directions plus — when enabled — segment-level
+// replacements. All its state is read-only after construction except
+// the probe cache, so it is safe to use from many workers at once.
 type pairAnalyzer struct {
 	opts    equiv.Options
 	segs    bool
@@ -71,20 +65,31 @@ func newPairAnalyzer(cfg Config) *pairAnalyzer {
 			custom: cfg.CustomValidation,
 			size:   cfg.validationSize(),
 			seed:   cfg.Seed + 3,
-			sets:   make(map[string]*dataset.Dataset),
 		},
 	}
 }
 
-func (a *pairAnalyzer) Analyze(ref, cand index.Entry) (index.AnalysisResult, error) {
-	fwd, rev, err := equiv.CheckPair(ref.Model, cand.Model,
-		a.probes.For(ref.Model), a.probes.For(cand.Model), a.opts)
-	if err != nil {
-		return index.AnalysisResult{}, err
-	}
-	res := index.AnalysisResult{
-		LevelForRef:  fwd.Score(),
-		LevelForCand: rev.Score(),
+// analyze is CheckPair over evidence: fwd assesses cand standing in for
+// ref on ref's probe set, rev the reverse on cand's. An IO-incompatible
+// pair has no evidence and levels of zero.
+func (a *pairAnalyzer) analyze(p *plannedPair) (index.AnalysisResult, error) {
+	ref, cand := p.ref, p.cand
+	var res index.AnalysisResult
+	if p.compatible {
+		for _, o := range []*observation{p.refOnRef, p.candOnRef, p.candOnCand, p.refOnCand} {
+			if o.err != nil {
+				return res, o.err
+			}
+		}
+		fwd, err := equiv.Compare(p.refOnRef.ev, p.candOnRef.ev, a.opts)
+		if err != nil {
+			return res, err
+		}
+		rev, err := equiv.Compare(p.candOnCand.ev, p.refOnCand.ev, a.opts)
+		if err != nil {
+			return res, err
+		}
+		res.LevelForRef, res.LevelForCand = fwd.Score(), rev.Score()
 	}
 	if a.segs {
 		intoRef, intoCand := equiv.AssessSwapBoth(ref.Model, cand.Model, a.segLen, a.segOpts)

@@ -48,8 +48,9 @@ type Config struct {
 	CustomValidation *dataset.Dataset
 	// LatencyTable overrides the per-operator latency table.
 	LatencyTable resource.LatencyTable
-	// Analyzer overrides the pairwise analyzer; nil selects the real
-	// equiv-backed analyzer. Tests inject failing or counting stubs.
+	// Analyzer overrides how a planned pair is measured; nil selects
+	// the real equiv-backed comparison. Tests inject failing or counting
+	// stubs; the rest of the pipeline, observe stage included, still runs.
 	Analyzer index.Analyzer
 	// Observer receives per-stage pipeline timings, spans, and worker
 	// occupancy. Nil disables instrumentation. The catalog never reads
@@ -78,8 +79,10 @@ func (c Config) workers() int {
 type Catalog struct {
 	cfg      Config
 	profiler *resource.Profiler
-	analyzer index.Analyzer
-	obs      *obs.Observer
+	pairs    *pairAnalyzer
+	// analyze is pairs.analyze or the injected Config.Analyzer.
+	analyze func(*plannedPair) (index.AnalysisResult, error)
+	obs     *obs.Observer
 	// sema bounds concurrent analysis/profiling work across all
 	// indexing calls on this catalog.
 	sema chan struct{}
@@ -88,6 +91,10 @@ type Catalog struct {
 	sem         *index.SemanticIndex        // guarded by mu
 	profiles    map[string]resource.Profile // guarded by mu
 	defaultRefs map[string]string           // guarded by mu
+	// evidence caches what observing committed models has shown; a
+	// missing entry is observed again when next sampled. The catalog
+	// has no removal, so an ID here is always the committed model.
+	evidence map[evidenceKey]*equiv.Evidence // guarded by mu
 
 	snap atomic.Pointer[Snapshot]
 }
@@ -97,18 +104,20 @@ func New(cfg Config) *Catalog {
 	c := &Catalog{
 		cfg:         cfg,
 		obs:         cfg.Observer,
+		pairs:       newPairAnalyzer(cfg),
 		profiler:    resource.NewProfiler(cfg.LatencyTable),
 		sema:        make(chan struct{}, cfg.workers()),
 		sem:         index.NewSemanticIndex(cfg.Seed + 1),
 		profiles:    make(map[string]resource.Profile),
 		defaultRefs: make(map[string]string),
+		evidence:    make(map[evidenceKey]*equiv.Evidence),
 	}
 	if cfg.SampleSize > 0 {
 		c.sem.SampleSize = cfg.SampleSize
 	}
-	c.analyzer = cfg.Analyzer
-	if c.analyzer == nil {
-		c.analyzer = newPairAnalyzer(cfg)
+	c.analyze = c.pairs.analyze
+	if a := cfg.Analyzer; a != nil {
+		c.analyze = func(p *plannedPair) (index.AnalysisResult, error) { return a.Analyze(p.ref, p.cand) }
 	}
 	c.registerGauges()
 	c.mu.Lock()
@@ -138,6 +147,11 @@ func (c *Catalog) registerGauges() {
 		c.mu.Lock()
 		defer c.mu.Unlock()
 		return int64(len(c.profiles))
+	})
+	reg.GaugeFunc("catalog_evidence_entries", func() int64 {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return int64(len(c.evidence))
 	})
 }
 
@@ -251,6 +265,7 @@ func (c *Catalog) Restore(sem index.SemanticSnapshot, res index.ResourceSnapshot
 	maps.Copy(c.profiles, res.Profiles)
 	c.defaultRefs = make(map[string]string, len(refs))
 	maps.Copy(c.defaultRefs, refs)
+	clear(c.evidence) // restored entries are observed again when sampled
 	c.publishLocked()
 	return nil
 }

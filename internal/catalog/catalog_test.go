@@ -195,6 +195,10 @@ func TestProbeCacheCustomDataset(t *testing.T) {
 	if again := a.probes.For(other); again != gen {
 		t.Fatal("generated probe dataset not cached")
 	}
+	// Evidence is keyed by the same names: distinct sets, distinct keys.
+	if km, ko := a.probes.key(match), a.probes.key(other); km != "custom" || ko == km {
+		t.Fatalf("probe set keys %q and %q", km, ko)
+	}
 }
 
 // TestResourceSnapshotRoundTrip: the exported profile table restores

@@ -6,98 +6,85 @@ import (
 	"fmt"
 	"sync"
 
+	"sommelier/internal/equiv"
 	"sommelier/internal/graph"
 	"sommelier/internal/index"
 	"sommelier/internal/resource"
 )
 
-// The indexing pipeline has three stages:
+// The indexing pipeline has four stages:
 //
-//	profile/plan → pairwise-analyze → commit
+//	plan → observe → compare → commit
 //
 // Only planning and commit take the writer lock, and both are cheap:
 // planning draws the pairwise sample (consuming the index RNG in
-// canonical order), commit applies precomputed measurements. The
-// expensive middle stage — equivalence analysis and resource profiling
-// — runs outside any lock, fanned out across the worker pool. For a
-// fixed seed the committed index is byte-identical to serial insertion
-// regardless of worker count: the RNG sequence is fixed at plan time
-// and commits land in plan order.
+// canonical order) and looks each planned model up in the evidence
+// table; commit applies precomputed measurements. Running models — the
+// expensive part — happens outside any lock, on the worker pool, once
+// per model rather than once per pair: an observe task runs one model
+// over one probe set, a pair task compares two models' evidence without
+// running either, and a model's evidence is stored when it commits, so
+// later insertions that sample it observe only themselves. For a fixed
+// seed the committed index is byte-identical to serial insertion at any
+// worker count: the RNG sequence and the task set are fixed at plan
+// time and commits land in plan order.
 //
-// Both entry points are context-aware: cancellation drains the worker
-// pool (queued tasks exit without running) and returns before commit,
-// so a canceled batch commits nothing. Every stage reports its timing
-// through the catalog's observer — plan/analyze/commit histograms, a
-// busy-worker gauge, and a span tree rooted at the indexing call.
+// Cancellation drains the worker pool (queued tasks exit without
+// running) and returns before commit, so a canceled call commits
+// nothing and stores no evidence. Every stage reports its timing
+// through the catalog's observer.
+
+// evidenceKey is a model × probe set, the set named by probeCache.key.
+type evidenceKey struct{ id, probes string }
+
+// observation is one evidence slot an indexing call reads: filled from
+// the catalog's evidence table at plan time, or by an observe task.
+type observation struct {
+	key      evidenceKey
+	model    *graph.Model
+	probesOf *graph.Model // its input shape selects the probe set
+	ev       *equiv.Evidence
+	err      error
+}
+
+// plannedPair is one new model (ref) and one of its sampled partners
+// (cand). A compatible pair reads the observations CheckPair makes: both
+// models on ref's probe set and both on cand's, usually the same set.
+type plannedPair struct {
+	ref, cand                                  index.Entry
+	compatible                                 bool
+	refOnRef, candOnRef, candOnCand, refOnCand *observation
+	res                                        index.AnalysisResult
+	err                                        error
+}
+
+// insertion is one model on its way through the pipeline.
+type insertion struct {
+	entry       index.Entry
+	pairs       []*plannedPair // in the plan's draw order
+	fingerprint string
+	prof        resource.Profile
+	err         error // profiling failure
+}
 
 // Index profiles, analyzes, and commits one model. Indexing an
 // already indexed ID fails with an error wrapping
 // index.ErrAlreadyIndexed. A canceled ctx aborts before commit.
 func (c *Catalog) Index(ctx context.Context, id string, m *graph.Model) error {
-	if id == "" || m == nil {
-		return fmt.Errorf("catalog: index needs an ID and a model")
-	}
 	ctx, root := c.obs.StartSpan(ctx, "catalog.index", id)
 	defer root.End()
-
-	_, pspan := c.obs.StartSpan(ctx, "profile", "")
-	prof, err := c.profiler.Measure(m)
-	c.obs.Histogram("catalog_profile_ms").Observe(pspan.End())
-	if err != nil {
-		c.obs.Counter("catalog_index_errors_total").Inc()
-		return fmt.Errorf("catalog: profiling %q: %w", id, err)
+	n, err := c.indexEntries(ctx, []index.Entry{{ID: id, Model: m}})
+	if err == nil && n == 0 {
+		err = fmt.Errorf("catalog: model %q %w", id, index.ErrAlreadyIndexed)
 	}
-
-	entry := index.Entry{ID: id, Model: m}
-	_, span := c.obs.StartSpan(ctx, "plan", "")
-	c.mu.Lock()
-	if c.sem.Contains(id) {
-		c.mu.Unlock()
-		span.End()
-		return fmt.Errorf("catalog: model %q %w", id, index.ErrAlreadyIndexed)
-	}
-	plan := c.sem.PlanInserts([]index.Entry{entry})[0]
-	partners := make([]index.Entry, len(plan.Partners))
-	for i, pid := range plan.Partners {
-		pe, ok := c.sem.EntryOf(pid)
-		if !ok {
-			c.mu.Unlock()
-			span.End()
-			return fmt.Errorf("catalog: planned partner %q unknown", pid)
-		}
-		partners[i] = pe
-	}
-	c.mu.Unlock()
-	c.obs.Histogram("catalog_plan_ms").Observe(span.End())
-
-	meas, err := c.analyzePlanned(ctx, entry, partners)
-	if err != nil {
-		c.obs.Counter("catalog_index_errors_total").Inc()
-		return err
-	}
-
-	_, span = c.obs.StartSpan(ctx, "commit", "")
-	defer func() { c.obs.Histogram("catalog_commit_ms").Observe(span.End()) }()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := c.sem.CommitPlanned(entry, meas); err != nil {
-		if errors.Is(err, index.ErrAlreadyIndexed) {
-			return fmt.Errorf("catalog: model %q %w", id, index.ErrAlreadyIndexed)
-		}
-		return err
-	}
-	c.profiles[id] = prof
-	c.noteDefaultRefLocked(id, m)
-	c.publishLocked()
-	c.obs.Counter("catalog_models_indexed_total").Inc()
-	return nil
+	return err
 }
 
-// IndexBatch indexes a set of models through the staged pipeline,
-// analyzing all planned pairs concurrently. Entries already indexed —
-// whether before the call or by a concurrent writer between planning
-// and commit — are skipped, not errors; in-batch duplicate IDs keep
-// the first occurrence. It returns the number of models committed.
+// IndexBatch indexes a set of models through the staged pipeline.
+// Entries already indexed — whether before the call or by a concurrent
+// writer between planning and commit — are skipped, not errors;
+// in-batch duplicate IDs keep the first occurrence. It returns the
+// number of models committed.
 //
 // Cancellation mid-analysis drains the worker pool and returns
 // ctx.Err() with nothing committed: the commit stage only runs for a
@@ -109,79 +96,47 @@ func (c *Catalog) Index(ctx context.Context, id string, m *graph.Model) error {
 func (c *Catalog) IndexBatch(ctx context.Context, entries []index.Entry) (int, error) {
 	ctx, root := c.obs.StartSpan(ctx, "catalog.indexall", "")
 	defer root.End()
+	return c.indexEntries(ctx, entries)
+}
 
-	// Stage 1 (plan, short lock): filter out known and duplicate IDs,
-	// then draw every pairwise sample up-front in canonical order.
-	// Later batch entries may sample earlier ones, so partner graphs
-	// resolve from either the committed index or the batch itself.
+func (c *Catalog) indexEntries(ctx context.Context, entries []index.Entry) (int, error) {
 	_, span := c.obs.StartSpan(ctx, "plan", "")
-	c.mu.Lock()
-	var fresh []index.Entry
-	inBatch := make(map[string]*graph.Model, len(entries))
-	for _, e := range entries {
-		if e.ID == "" || e.Model == nil {
-			c.mu.Unlock()
-			span.End()
-			return 0, fmt.Errorf("catalog: batch entry must have an ID and a model")
-		}
-		if c.sem.Contains(e.ID) || inBatch[e.ID] != nil {
+	ins, observations, err := c.plan(entries)
+	c.obs.Histogram("catalog_plan_ms").Observe(span.End())
+	if err != nil || len(ins) == 0 {
+		return 0, err
+	}
+
+	// Observe, then compare (no lock): profile, fingerprint and fill
+	// the evidence slots the table did not have, then measure every
+	// planned pair. Each task writes its own slot: the WaitGroup is all
+	// the synchronization.
+	actx, stage := c.obs.StartSpan(ctx, "analyze", "")
+	var wg sync.WaitGroup
+	for _, in := range ins {
+		c.runTask(actx, &wg, "profile", in.entry.ID, func() {
+			in.fingerprint = in.entry.Model.Fingerprint()
+			if in.prof, in.err = c.profiler.Measure(in.entry.Model); in.err != nil {
+				in.err = fmt.Errorf("catalog: profiling %q: %w", in.entry.ID, in.err)
+			}
+		})
+	}
+	for _, o := range observations {
+		if o.ev != nil {
 			continue
 		}
-		inBatch[e.ID] = e.Model
-		fresh = append(fresh, e)
-	}
-	plans := c.sem.PlanInserts(fresh)
-	partnerEntries := make([][]index.Entry, len(plans))
-	for i, plan := range plans {
-		ps := make([]index.Entry, len(plan.Partners))
-		for j, pid := range plan.Partners {
-			if pe, ok := c.sem.EntryOf(pid); ok {
-				ps[j] = pe
-			} else if m := inBatch[pid]; m != nil {
-				ps[j] = index.Entry{ID: pid, Model: m}
-			} else {
-				c.mu.Unlock()
-				span.End()
-				return 0, fmt.Errorf("catalog: planned partner %q unknown", pid)
-			}
-		}
-		partnerEntries[i] = ps
-	}
-	c.mu.Unlock()
-	c.obs.Histogram("catalog_plan_ms").Observe(span.End())
-
-	// Stage 2 (analyze, no lock): profile every model and measure
-	// every planned pair, bounded by the worker pool. Each task writes
-	// its own slot, so no synchronization beyond the WaitGroup. A
-	// canceled ctx makes queued tasks exit without running.
-	ctx, stage := c.obs.StartSpan(ctx, "analyze", "")
-	profs := make([]resource.Profile, len(plans))
-	profErrs := make([]error, len(plans))
-	measured := make([][]index.PairMeasurement, len(plans))
-	pairErrs := make([][]error, len(plans))
-	var wg sync.WaitGroup
-	for i := range plans {
-		i := i
-		measured[i] = make([]index.PairMeasurement, len(partnerEntries[i]))
-		pairErrs[i] = make([]error, len(partnerEntries[i]))
-		c.runTask(ctx, &wg, "profile", plans[i].Entry.ID, func() {
-			p, err := c.profiler.Measure(plans[i].Entry.Model)
-			if err != nil {
-				profErrs[i] = fmt.Errorf("catalog: profiling %q: %w", plans[i].Entry.ID, err)
-				return
-			}
-			profs[i] = p
+		c.runTask(actx, &wg, "observe", o.key.id+" on "+o.key.probes, func() {
+			c.obs.Counter("catalog_observe_total").Inc()
+			o.ev, o.err = equiv.Observe(o.model, c.pairs.probes.For(o.probesOf), c.pairs.opts)
 		})
-		for j := range partnerEntries[i] {
-			j := j
-			c.runTask(ctx, &wg, "pair", plans[i].Entry.ID+"~"+partnerEntries[i][j].ID, func() {
-				res, err := c.analyzer.Analyze(plans[i].Entry, partnerEntries[i][j])
-				if err != nil {
-					pairErrs[i][j] = fmt.Errorf("catalog: analyzing %q vs %q: %w",
-						plans[i].Entry.ID, partnerEntries[i][j].ID, err)
-					return
+	}
+	wg.Wait()
+	for _, in := range ins {
+		for _, p := range in.pairs {
+			c.runTask(actx, &wg, "pair", p.ref.ID+"~"+p.cand.ID, func() {
+				if p.res, p.err = c.analyze(p); p.err != nil {
+					p.err = fmt.Errorf("catalog: analyzing %q vs %q: %w", p.ref.ID, p.cand.ID, p.err)
 				}
-				measured[i][j] = index.PairMeasurement{Partner: partnerEntries[i][j].ID, Result: res}
 			})
 		}
 	}
@@ -192,48 +147,122 @@ func (c *Catalog) IndexBatch(ctx context.Context, entries []index.Entry) (int, e
 		return 0, err
 	}
 
-	// Stage 3 (commit, short lock): apply measurements in plan order.
-	// A commit that finds its ID already indexed lost a race with a
-	// concurrent writer and is skipped — the check-then-insert pair
-	// lives inside one critical section, so there is no window for
-	// double insertion. The snapshot publishes once, on the way out,
-	// covering both full and partial (error) commits.
+	// Commit (short lock): apply measurements in plan order and publish
+	// once, covering both full and partial (error) commits.
 	_, span = c.obs.StartSpan(ctx, "commit", "")
 	defer func() { c.obs.Histogram("catalog_commit_ms").Observe(span.End()) }()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	defer c.publishLocked()
-	committed := 0
-	for i, plan := range plans {
-		if profErrs[i] != nil {
-			c.obs.Counter("catalog_index_errors_total").Inc()
-			return committed, profErrs[i]
+	committed, err := c.commitLocked(ins)
+	for _, o := range observations {
+		// Evidence is kept only for the model object the index holds:
+		// not for an entry this call did not commit, nor for one that
+		// lost its ID to a concurrent writer's model.
+		if e, ok := c.sem.EntryOf(o.key.id); ok && e.Model == o.model && o.ev != nil {
+			c.evidence[o.key] = o.ev
 		}
-		for _, err := range pairErrs[i] {
-			if err != nil {
-				c.obs.Counter("catalog_index_errors_total").Inc()
-				return committed, err
+	}
+	c.publishLocked()
+	c.obs.Counter("catalog_models_indexed_total").Add(int64(committed))
+	return committed, err
+}
+
+// plan is stage 1 (short lock): filter out known and duplicate IDs,
+// draw every pairwise sample up-front in canonical order, and resolve
+// each planned pair — its partner's graph (later batch entries may
+// sample earlier ones), its IOCompatible verdict, and its evidence
+// slots, in first-use order and filled from the table where it can.
+func (c *Catalog) plan(entries []index.Entry) ([]*insertion, []*observation, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var fresh []index.Entry
+	inBatch := make(map[string]*graph.Model, len(entries))
+	for _, e := range entries {
+		if e.ID == "" || e.Model == nil {
+			return nil, nil, fmt.Errorf("catalog: batch entry must have an ID and a model")
+		}
+		if c.sem.Contains(e.ID) || inBatch[e.ID] != nil {
+			continue
+		}
+		inBatch[e.ID] = e.Model
+		fresh = append(fresh, e)
+	}
+	slots := make(map[evidenceKey]*observation)
+	var observations []*observation
+	slot := func(e index.Entry, probesOf *graph.Model) *observation {
+		key := evidenceKey{e.ID, c.pairs.probes.key(probesOf)}
+		o := slots[key]
+		if o == nil {
+			o = &observation{key: key, model: e.Model, probesOf: probesOf, ev: c.evidence[key]}
+			if o.ev != nil {
+				c.obs.Counter("catalog_evidence_hits_total").Inc()
 			}
+			slots[key] = o
+			observations = append(observations, o)
 		}
-		if err := c.sem.CommitPlanned(plan.Entry, measured[i]); err != nil {
+		return o
+	}
+	var ins []*insertion
+	for _, sp := range c.sem.PlanInserts(fresh) {
+		in := &insertion{entry: sp.Entry}
+		for _, pid := range sp.Partners {
+			partner, ok := c.sem.EntryOf(pid)
+			if !ok {
+				if inBatch[pid] == nil {
+					return nil, nil, fmt.Errorf("catalog: planned partner %q unknown", pid)
+				}
+				partner = index.Entry{ID: pid, Model: inBatch[pid]}
+			}
+			p := &plannedPair{ref: in.entry, cand: partner}
+			if p.compatible, _ = equiv.IOCompatible(p.ref.Model, p.cand.Model); p.compatible {
+				p.refOnRef, p.candOnRef = slot(p.ref, p.ref.Model), slot(p.cand, p.ref.Model)
+				p.candOnCand, p.refOnCand = slot(p.cand, p.cand.Model), slot(p.ref, p.cand.Model)
+			}
+			in.pairs = append(in.pairs, p)
+		}
+		ins = append(ins, in)
+	}
+	return ins, observations, nil
+}
+
+// commitLocked applies insertions in plan order, stopping at the first
+// profiling or analysis failure. A commit that finds its ID already
+// indexed lost a race with a concurrent writer and is skipped — check
+// and insert share one critical section, so there is no window for
+// double insertion. Callers hold c.mu.
+func (c *Catalog) commitLocked(ins []*insertion) (int, error) {
+	committed := 0
+	for _, in := range ins {
+		err := in.err
+		meas := make([]index.PairMeasurement, len(in.pairs))
+		for i, p := range in.pairs {
+			if err == nil {
+				err = p.err
+			}
+			meas[i] = index.PairMeasurement{Partner: p.cand.ID, Result: p.res}
+		}
+		if err != nil {
+			c.obs.Counter("catalog_index_errors_total").Inc()
+			return committed, err
+		}
+		if err := c.sem.CommitPlanned(in.entry, in.fingerprint, meas); err != nil {
 			if errors.Is(err, index.ErrAlreadyIndexed) {
 				continue
 			}
 			return committed, err
 		}
-		c.profiles[plan.Entry.ID] = profs[i]
-		c.noteDefaultRefLocked(plan.Entry.ID, plan.Entry.Model)
+		c.profiles[in.entry.ID] = in.prof
+		c.noteDefaultRefLocked(in.entry.ID, in.entry.Model)
 		committed++
 	}
-	c.obs.Counter("catalog_models_indexed_total").Add(int64(committed))
 	return committed, nil
 }
 
 // runTask schedules fn on the bounded worker pool, tracking occupancy
-// and wrapping the work in a span parented to ctx's current span. A ctx
-// canceled before the task acquires a worker slot skips fn entirely;
-// the batch's post-wait ctx.Err() check turns that into the caller's
-// error.
+// and wrapping the work in a span parented to ctx's current span and a
+// catalog_<name>_ms histogram. A ctx canceled before the task acquires
+// a worker slot skips fn entirely; the call's post-wait ctx.Err()
+// check turns that into the caller's error.
 func (c *Catalog) runTask(ctx context.Context, wg *sync.WaitGroup, name, detail string, fn func()) {
 	wg.Add(1)
 	go func() {
@@ -251,41 +280,7 @@ func (c *Catalog) runTask(ctx context.Context, wg *sync.WaitGroup, name, detail 
 		defer c.obs.Gauge("catalog_workers_busy").Add(-1)
 		c.obs.Counter("catalog_tasks_total").Inc()
 		_, span := c.obs.StartSpan(ctx, name, detail)
-		defer span.End()
+		defer func() { c.obs.Histogram("catalog_" + name + "_ms").Observe(span.End()) }()
 		fn()
 	}()
-}
-
-// analyzePlanned measures one entry against its planned partners,
-// fanning the pairs out across the worker pool. Measurements return in
-// partner (plan) order. Cancellation drains the pool and reports
-// ctx.Err().
-func (c *Catalog) analyzePlanned(ctx context.Context, e index.Entry, partners []index.Entry) ([]index.PairMeasurement, error) {
-	ctx, stage := c.obs.StartSpan(ctx, "analyze", "")
-	meas := make([]index.PairMeasurement, len(partners))
-	errs := make([]error, len(partners))
-	var wg sync.WaitGroup
-	for i, p := range partners {
-		i, p := i, p
-		c.runTask(ctx, &wg, "pair", e.ID+"~"+p.ID, func() {
-			res, err := c.analyzer.Analyze(e, p)
-			if err != nil {
-				errs[i] = fmt.Errorf("catalog: analyzing %q vs %q: %w", e.ID, p.ID, err)
-				return
-			}
-			meas[i] = index.PairMeasurement{Partner: p.ID, Result: res}
-		})
-	}
-	wg.Wait()
-	c.obs.Histogram("catalog_analyze_ms").Observe(stage.End())
-	if err := ctx.Err(); err != nil {
-		c.obs.Counter("catalog_index_canceled_total").Inc()
-		return nil, err
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return meas, nil
 }

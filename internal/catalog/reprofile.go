@@ -1,10 +1,6 @@
 package catalog
 
-import (
-	"sync"
-
-	"sommelier/internal/resource"
-)
+import "sommelier/internal/resource"
 
 // ReprofileKey identifies one (model, execution-setting) measurement.
 // ExecSetting is a flat value struct, so the key is comparable and two
@@ -26,45 +22,21 @@ type ReprofileKey struct {
 // The memo is scoped to one batch (or one serial query): it caches
 // against a single catalog snapshot and must not outlive it.
 type ReprofileMemo struct {
-	mu      sync.Mutex
-	entries map[ReprofileKey]*memoEntry // guarded by mu
-}
-
-// memoEntry is one measurement slot. The once runs the measurement
-// outside the memo's map lock, so concurrent queries asking for
-// *different* models never serialize on each other's I/O.
-type memoEntry struct {
-	once sync.Once
-	prof resource.Profile
-	err  error
+	profiles memo[ReprofileKey, resource.Profile]
 }
 
 // NewReprofileMemo returns an empty memo.
-func NewReprofileMemo() *ReprofileMemo {
-	return &ReprofileMemo{entries: make(map[ReprofileKey]*memoEntry)}
-}
+func NewReprofileMemo() *ReprofileMemo { return &ReprofileMemo{} }
 
 // Profile returns the memoized measurement for key, running measure at
 // most once per key across all callers. Errors are memoized too: a
 // model that fails to load fails identically for every query in the
 // batch instead of being retried per query.
 func (m *ReprofileMemo) Profile(key ReprofileKey, measure func() (resource.Profile, error)) (resource.Profile, error) {
-	m.mu.Lock()
-	e, ok := m.entries[key]
-	if !ok {
-		e = &memoEntry{}
-		m.entries[key] = e
-	}
-	m.mu.Unlock()
-	e.once.Do(func() { e.prof, e.err = measure() })
-	return e.prof, e.err
+	return m.profiles.get(key, measure)
 }
 
 // Len reports how many distinct (model, setting) measurements the memo
 // holds — the number of Load+Measure round trips actually performed (or
 // in flight).
-func (m *ReprofileMemo) Len() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.entries)
-}
+func (m *ReprofileMemo) Len() int { return m.profiles.len() }

@@ -19,7 +19,6 @@ import (
 
 	"sommelier/internal/dataset"
 	"sommelier/internal/graph"
-	"sommelier/internal/nn"
 )
 
 // BoundMode selects how the generalization-bound analysis runs (§5.5's
@@ -108,42 +107,16 @@ func CheckWhole(reference, candidate *graph.Model, val *dataset.Dataset, opts Op
 	if ok, reason := IOCompatible(reference, candidate); !ok {
 		return WholeResult{Compatible: false, Reason: reason}, nil
 	}
-	refExec, err := nn.NewExecutor(reference)
+	// This direction reads only the candidate's bound.
+	ref, err := Observe(reference, val, Options{Bound: BoundOff})
 	if err != nil {
-		return WholeResult{}, fmt.Errorf("equiv: reference: %w", err)
+		return WholeResult{}, err
 	}
-	candExec, err := nn.NewExecutor(candidate)
+	cand, err := Observe(candidate, val, opts)
 	if err != nil {
-		return WholeResult{}, fmt.Errorf("equiv: candidate: %w", err)
+		return WholeResult{}, err
 	}
-	// Empirical QoR difference: with ground-truth labels, the accuracy
-	// gap; without labels, classification pairs use the prediction
-	// disagreement ratio — the "probability of producing the same
-	// results" the paper's semantic correlation is defined by — and
-	// regression pairs fall back to mean output distance.
-	var emp float64
-	if val.Labels == nil && reference.Task == graph.TaskClassification {
-		emp, err = dataset.DisagreementRatio(refExec, candExec, val)
-	} else {
-		emp, err = dataset.QoRDifference(refExec, candExec, val)
-	}
-	if err != nil {
-		return WholeResult{}, fmt.Errorf("equiv: measuring QoR difference: %w", err)
-	}
-	res := WholeResult{Compatible: true, EmpiricalDiff: emp}
-	if opts.Bound == BoundOn {
-		gb, err := GeneralizationBound(candidate, val.Len(), opts.gamma())
-		if err != nil {
-			return WholeResult{}, fmt.Errorf("equiv: generalization bound: %w", err)
-		}
-		res.GeneralizationBound = gb
-	}
-	res.BoundedDiff = res.EmpiricalDiff + res.GeneralizationBound
-	if res.BoundedDiff > 1 {
-		res.BoundedDiff = 1
-	}
-	res.Equivalent = res.BoundedDiff <= opts.Epsilon
-	return res, nil
+	return Compare(ref, cand, opts)
 }
 
 // IOCompatible performs the input/output layer check of §4.1. It returns

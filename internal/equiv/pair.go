@@ -10,22 +10,35 @@ import (
 // This file holds the pure pairwise entry points the indexing pipeline
 // is built on. Every input is explicit — models, probe datasets, and
 // seeded options — so calls are deterministic and safe to fan out
-// across worker goroutines: no engine state, no shared RNG, no caches.
+// across worker goroutines: no engine state, no shared RNG, no caches —
+// a caller comparing one model against many partners keeps the model's
+// Evidence itself (internal/catalog does).
 
 // CheckPair measures whole-model equivalence in both directions of a
 // model pair (§4.3: the relation is asymmetric). fwd assesses cand
 // standing in for ref, probed with ref's validation data; rev assesses
-// ref standing in for cand, probed with cand's validation data.
+// ref standing in for cand, probed with cand's validation data. Each
+// model is observed once per distinct dataset.
 func CheckPair(ref, cand *graph.Model, refVal, candVal *dataset.Dataset, opts Options) (fwd, rev WholeResult, err error) {
-	fwd, err = CheckWhole(ref, cand, refVal, opts)
+	if ok, _ := IOCompatible(ref, cand); !ok || refVal != candVal {
+		// Nothing to share: no sweeps at all, or two per direction.
+		if fwd, err = CheckWhole(ref, cand, refVal, opts); err == nil {
+			rev, err = CheckWhole(cand, ref, candVal, opts)
+		}
+		return fwd, rev, err
+	}
+	refEv, err := Observe(ref, refVal, opts)
 	if err != nil {
 		return WholeResult{}, WholeResult{}, err
 	}
-	rev, err = CheckWhole(cand, ref, candVal, opts)
+	candEv, err := Observe(cand, refVal, opts)
 	if err != nil {
 		return WholeResult{}, WholeResult{}, err
 	}
-	return fwd, rev, nil
+	if fwd, err = Compare(refEv, candEv, opts); err == nil {
+		rev, err = Compare(candEv, refEv, opts)
+	}
+	return fwd, rev, err
 }
 
 // SwapCandidate summarizes a viable segment transplant: the bounded

@@ -105,6 +105,8 @@ type AblationSamplingResult struct {
 
 // RunAblationSampling builds the same 16-model repository under several
 // insertion sample sizes and compares indexing time and top-1 quality.
+// Segment analysis is on, so a sampled pair still runs models (whole-model
+// levels compare cached observations), and one worker makes time = work.
 func RunAblationSampling(seed uint64) (*AblationSamplingResult, error) {
 	base, err := zoo.DenseResidualNet(zoo.Config{Name: "ab-sample", Seed: seed, Width: 32})
 	if err != nil {
@@ -130,7 +132,7 @@ func RunAblationSampling(seed uint64) (*AblationSamplingResult, error) {
 	for _, k := range res.SampleSizes {
 		store := repo.NewInMemory()
 		eng, err := sommelier.New(store, sommelier.Options{
-			Seed: seed, ValidationSize: 400, SampleSize: k, Bound: equiv.BoundOff,
+			Seed: seed, ValidationSize: 400, SampleSize: k, Bound: equiv.BoundOff, Segments: true, IndexWorkers: 1,
 		})
 		if err != nil {
 			return nil, err

@@ -175,7 +175,7 @@ func (s *SemanticIndex) Insert(e Entry, analyzer Analyzer) error {
 		}
 		meas = append(meas, PairMeasurement{Partner: otherID, Result: res})
 	}
-	return s.CommitPlanned(e, meas)
+	return s.CommitPlanned(e, e.Model.Fingerprint(), meas)
 }
 
 // SamplePlan pre-records the partners one future insertion will be
@@ -235,12 +235,13 @@ func (s *SemanticIndex) EntryOf(id string) (Entry, bool) {
 }
 
 // CommitPlanned applies one planned insertion whose pairwise
-// measurements were computed outside the index. It replays exactly what
+// measurements — and fingerprint, a hash over every parameter — were
+// computed outside the index and its lock. It replays exactly what
 // Insert does after analysis: symmetric candidate recording for each
 // measured partner, then transitive derivation against every remaining
 // indexed model. Committing an ID that was indexed in the meantime
 // fails with ErrAlreadyIndexed.
-func (s *SemanticIndex) CommitPlanned(e Entry, meas []PairMeasurement) error {
+func (s *SemanticIndex) CommitPlanned(e Entry, fingerprint string, meas []PairMeasurement) error {
 	if e.ID == "" || e.Model == nil {
 		return fmt.Errorf("index: entry must have an ID and a model")
 	}
@@ -254,7 +255,7 @@ func (s *SemanticIndex) CommitPlanned(e Entry, meas []PairMeasurement) error {
 	}
 	rec := &semEntry{
 		entry:       e,
-		fingerprint: e.Model.Fingerprint(),
+		fingerprint: fingerprint,
 		measured:    make(map[string]float64),
 	}
 

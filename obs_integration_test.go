@@ -52,7 +52,7 @@ func TestIndexAllSpanTreeDeterministic(t *testing.T) {
 	if first != serial {
 		t.Fatalf("span tree with 4 workers differs from serial:\n--- parallel\n%s\n--- serial\n%s", first, serial)
 	}
-	for _, want := range []string{"catalog.indexall", "plan", "analyze", "commit", "profile ["} {
+	for _, want := range []string{"catalog.indexall", "plan", "analyze", "commit", "profile [", "observe [", "pair ["} {
 		if !strings.Contains(first, want) {
 			t.Errorf("span tree missing %q:\n%s", want, first)
 		}
