@@ -40,7 +40,7 @@ func newLadderOverStore(t testing.TB, store Store) (*Engine, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refID, err := eng.Register(base)
+	refID, err := eng.RegisterContext(context.Background(), base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func newLadderOverStore(t testing.TB, store Store) (*Engine, string) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := eng.Register(v); err != nil {
+		if _, err := eng.RegisterContext(context.Background(), v); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -58,7 +58,7 @@ func newLadderOverStore(t testing.TB, store Store) (*Engine, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Register(big); err != nil {
+	if _, err := eng.RegisterContext(context.Background(), big); err != nil {
 		t.Fatal(err)
 	}
 	return eng, refID
@@ -198,7 +198,7 @@ func TestQueryCandidateMissingProfileSkipped(t *testing.T) {
 	eng, refID := newLadderOverStore(t, store)
 	victim := "variant0@1"
 
-	results, err := eng.Query(fmt.Sprintf(`SELECT CORR %q WITHIN 50%% PICK smallest`, refID))
+	results, err := eng.QueryContext(context.Background(), fmt.Sprintf(`SELECT CORR %q WITHIN 50%% PICK smallest`, refID))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestQueryCandidateMissingProfileSkipped(t *testing.T) {
 	}
 
 	dropProfile(t, eng, store, victim)
-	results, err = eng.Query(fmt.Sprintf(`SELECT CORR %q WITHIN 50%% PICK smallest`, refID))
+	results, err = eng.QueryContext(context.Background(), fmt.Sprintf(`SELECT CORR %q WITHIN 50%% PICK smallest`, refID))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestQueryCandidateMissingProfileSkipped(t *testing.T) {
 	// A reference without a profile is an index inconsistency the query
 	// must report, not paper over.
 	dropProfile(t, eng, store, refID)
-	if _, err := eng.Query(fmt.Sprintf(`SELECT CORR %q WITHIN 50%%`, refID)); !errors.Is(err, ErrNoProfile) {
+	if _, err := eng.QueryContext(context.Background(), fmt.Sprintf(`SELECT CORR %q WITHIN 50%%`, refID)); !errors.Is(err, ErrNoProfile) {
 		t.Fatalf("query with profile-less reference: err = %v, want ErrNoProfile", err)
 	}
 }
@@ -290,7 +290,7 @@ func dropProfile(t *testing.T, eng *Engine, store Store, id string) {
 func TestQueryDuplicateConstraintsTakeTightest(t *testing.T) {
 	store := repo.NewInMemory()
 	eng, refID := newLadderOverStore(t, store)
-	single, err := eng.Query(fmt.Sprintf(`SELECT CORR %q WITHIN 50%% ON memory <= 120%% PICK smallest`, refID))
+	single, err := eng.QueryContext(context.Background(), fmt.Sprintf(`SELECT CORR %q WITHIN 50%% ON memory <= 120%% PICK smallest`, refID))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +299,7 @@ func TestQueryDuplicateConstraintsTakeTightest(t *testing.T) {
 		fmt.Sprintf(`SELECT CORR %q WITHIN 50%% ON memory <= 120%% AND memory <= 500%% PICK smallest`, refID),
 		fmt.Sprintf(`SELECT CORR %q WITHIN 50%% ON memory <= 500%% AND memory <= 120%% PICK smallest`, refID),
 	} {
-		dup, err := eng.Query(q)
+		dup, err := eng.QueryContext(context.Background(), q)
 		if err != nil {
 			t.Fatalf("duplicate-bound query rejected: %v", err)
 		}
@@ -310,7 +310,7 @@ func TestQueryDuplicateConstraintsTakeTightest(t *testing.T) {
 
 	// Ranges — a lower and an upper bound on one metric — are the useful
 	// case duplicate rejection used to outlaw.
-	rng, err := eng.Query(fmt.Sprintf(`SELECT CORR %q WITHIN 50%% ON memory >= 10%% AND memory <= 120%% PICK smallest`, refID))
+	rng, err := eng.QueryContext(context.Background(), fmt.Sprintf(`SELECT CORR %q WITHIN 50%% ON memory >= 10%% AND memory <= 120%% PICK smallest`, refID))
 	if err != nil {
 		t.Fatalf("range query rejected: %v", err)
 	}

@@ -11,6 +11,7 @@
 package sommelier_test
 
 import (
+	"context"
 	"testing"
 
 	"sommelier/internal/experiments"
@@ -38,7 +39,7 @@ func BenchmarkFigure9aQueryQuality(b *testing.B) {
 		Seed:            7,
 	}
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunFig9a(cfg)
+		res, err := experiments.RunFig9a(context.Background(), cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -50,7 +51,7 @@ func BenchmarkFigure9aQueryQuality(b *testing.B) {
 func BenchmarkFigure9bEffort(b *testing.B) {
 	cfg := experiments.Fig9bConfig{Models: 8, ValidationSize: 200, Seed: 2}
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunFig9b(cfg)
+		res, err := experiments.RunFig9b(context.Background(), cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -62,7 +63,7 @@ func BenchmarkFigure9bEffort(b *testing.B) {
 func BenchmarkFigure9cTailLatency(b *testing.B) {
 	cfg := experiments.Fig9cConfig{Requests: 5000, Seed: 3}
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunFig9c(cfg)
+		res, err := experiments.RunFig9c(context.Background(), cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -129,7 +130,7 @@ func BenchmarkFigure12aResourceVariation(b *testing.B) {
 
 func BenchmarkFigure12bCrossSeries(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunFig12b(experiments.Fig12bConfig{Seed: 6})
+		res, err := experiments.RunFig12b(context.Background(), experiments.Fig12bConfig{Seed: 6})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -150,7 +151,7 @@ func BenchmarkFigure13TopKOutside(b *testing.B) {
 	cfg.Repeats = 1
 	cfg.ValidationSize = 150
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunFig13(cfg)
+		res, err := experiments.RunFig13(context.Background(), cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -207,7 +208,7 @@ func BenchmarkAblationBoundOnOff(b *testing.B) {
 
 func BenchmarkAblationSampledInsertion(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunAblationSampling(11)
+		res, err := experiments.RunAblationSampling(context.Background(), 11)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -240,7 +241,7 @@ func BenchmarkAblationSegmentVsWhole(b *testing.B) {
 
 func BenchmarkAblationSwitchCost(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunAblationSwitchCost(14)
+		res, err := experiments.RunAblationSwitchCost(context.Background(), 14)
 		if err != nil {
 			b.Fatal(err)
 		}

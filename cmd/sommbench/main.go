@@ -12,14 +12,21 @@
 //
 //	sommbench -exp table2 -table2scale 0.25   # closer to paper model sizes
 //	sommbench -exp fig13 -fig13full           # the full 30-series catalog
+//
+// Ctrl-C (or SIGTERM) cancels the running experiment's context, so an
+// experiment that is indexing or simulating aborts mid-run and the
+// program exits 1; a second signal kills one that takes no context.
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
+	"os/signal"
 	"slices"
 	"strings"
+	"syscall"
 	"time"
 
 	"sommelier/internal/experiments"
@@ -28,7 +35,7 @@ import (
 
 type runner struct {
 	id  string
-	run func() (fmt.Stringer, error)
+	run func(ctx context.Context) (fmt.Stringer, error)
 }
 
 func main() {
@@ -46,10 +53,22 @@ func main() {
 		os.Exit(2)
 	}
 
+	// The first interrupt cancels ctx, which aborts an experiment that
+	// is indexing or simulating; it also restores the default signal
+	// disposition, so a second one kills an experiment that takes no ctx.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	context.AfterFunc(ctx, stop)
+
 	failed := false
 	for _, r := range selected {
+		if ctx.Err() != nil {
+			fmt.Fprintln(os.Stderr, "sommbench: interrupted")
+			failed = true
+			break
+		}
 		start := time.Now()
-		rep, err := r.run()
+		rep, err := r.run(ctx)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "experiment %s failed: %v\n", r.id, err)
 			failed = true
@@ -95,53 +114,53 @@ func selectRunners(exp string, all []runner) ([]runner, error) {
 // runners lists every experiment in the order -exp all prints them.
 func runners(seed uint64, table2Scale float64, fig13Full bool) []runner {
 	return []runner{
-		{"fig3", func() (fmt.Stringer, error) {
+		{"fig3", func(context.Context) (fmt.Stringer, error) {
 			cfg := experiments.DefaultFig3Config()
 			cfg.Seed = seed
 			r, err := experiments.RunFig3(cfg)
 			return report(r, err)
 		}},
-		{"fig9a", func() (fmt.Stringer, error) {
+		{"fig9a", func(ctx context.Context) (fmt.Stringer, error) {
 			cfg := experiments.DefaultFig9aConfig()
 			cfg.Seed = seed
-			r, err := experiments.RunFig9a(cfg)
+			r, err := experiments.RunFig9a(ctx, cfg)
 			return report(r, err)
 		}},
-		{"fig9b", func() (fmt.Stringer, error) {
+		{"fig9b", func(ctx context.Context) (fmt.Stringer, error) {
 			cfg := experiments.DefaultFig9bConfig()
 			cfg.Seed = seed
-			r, err := experiments.RunFig9b(cfg)
+			r, err := experiments.RunFig9b(ctx, cfg)
 			return report(r, err)
 		}},
-		{"fig9c", func() (fmt.Stringer, error) {
+		{"fig9c", func(ctx context.Context) (fmt.Stringer, error) {
 			cfg := experiments.DefaultFig9cConfig()
 			cfg.Seed = seed
-			r, err := experiments.RunFig9c(cfg)
+			r, err := experiments.RunFig9c(ctx, cfg)
 			return report(r, err)
 		}},
-		{"fig10", func() (fmt.Stringer, error) {
+		{"fig10", func(context.Context) (fmt.Stringer, error) {
 			cfg := experiments.DefaultFig10Config()
 			cfg.Seed = seed
 			r, err := experiments.RunFig10(cfg)
 			return report(r, err)
 		}},
-		{"fig11", func() (fmt.Stringer, error) {
+		{"fig11", func(context.Context) (fmt.Stringer, error) {
 			cfg := experiments.DefaultFig11Config()
 			cfg.Seed = seed
 			r, err := experiments.RunFig11(cfg)
 			return report(r, err)
 		}},
-		{"fig12a", func() (fmt.Stringer, error) {
+		{"fig12a", func(context.Context) (fmt.Stringer, error) {
 			cfg := experiments.DefaultFig12aConfig()
 			cfg.Seed = seed
 			r, err := experiments.RunFig12a(cfg)
 			return report(r, err)
 		}},
-		{"fig12b", func() (fmt.Stringer, error) {
-			r, err := experiments.RunFig12b(experiments.Fig12bConfig{Seed: seed})
+		{"fig12b", func(ctx context.Context) (fmt.Stringer, error) {
+			r, err := experiments.RunFig12b(ctx, experiments.Fig12bConfig{Seed: seed})
 			return report(r, err)
 		}},
-		{"fig13", func() (fmt.Stringer, error) {
+		{"fig13", func(ctx context.Context) (fmt.Stringer, error) {
 			cfg := experiments.DefaultFig13Config()
 			cfg.Seed = seed
 			if fig13Full {
@@ -149,39 +168,39 @@ func runners(seed uint64, table2Scale float64, fig13Full bool) []runner {
 				cfg.SeriesCounts = []int{5, 10, 15, 20, 25, 30}
 				cfg.Repeats = 5
 			}
-			r, err := experiments.RunFig13(cfg)
+			r, err := experiments.RunFig13(ctx, cfg)
 			return report(r, err)
 		}},
-		{"table1", func() (fmt.Stringer, error) {
+		{"table1", func(context.Context) (fmt.Stringer, error) {
 			cfg := experiments.DefaultTable1Config()
 			cfg.Seed = seed
 			r, err := experiments.RunTable1(cfg)
 			return report(r, err)
 		}},
-		{"table2", func() (fmt.Stringer, error) {
+		{"table2", func(context.Context) (fmt.Stringer, error) {
 			r, err := experiments.RunTable2(experiments.Table2Config{Scale: table2Scale, Seed: seed})
 			return report(r, err)
 		}},
-		{"table3", func() (fmt.Stringer, error) {
+		{"table3", func(context.Context) (fmt.Stringer, error) {
 			cfg := experiments.DefaultTable3Config()
 			cfg.Seed = seed
 			r, err := experiments.RunTable3(cfg)
 			return report(r, err)
 		}},
-		{"table4", func() (fmt.Stringer, error) {
+		{"table4", func(context.Context) (fmt.Stringer, error) {
 			cfg := experiments.DefaultTable4Config()
 			cfg.Seed = seed
 			r, err := experiments.RunTable4(cfg)
 			return report(r, err)
 		}},
-		{"ablations", func() (fmt.Stringer, error) {
+		{"ablations", func(ctx context.Context) (fmt.Stringer, error) {
 			var out multiReport
 			b, err := experiments.RunAblationBound(seed)
 			if err != nil {
 				return nil, err
 			}
 			out = append(out, b.Report())
-			s, err := experiments.RunAblationSampling(seed)
+			s, err := experiments.RunAblationSampling(ctx, seed)
 			if err != nil {
 				return nil, err
 			}
@@ -196,7 +215,7 @@ func runners(seed uint64, table2Scale float64, fig13Full bool) []runner {
 				return nil, err
 			}
 			out = append(out, g.Report())
-			c, err := experiments.RunAblationSwitchCost(seed)
+			c, err := experiments.RunAblationSwitchCost(ctx, seed)
 			if err != nil {
 				return nil, err
 			}

@@ -1,6 +1,7 @@
 package sommelier
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -17,7 +18,7 @@ import (
 // path while the repository grows). Run with -race in CI.
 func TestEngineConcurrentQueriesDuringRegistration(t *testing.T) {
 	store := repo.NewInMemory()
-	eng, err := New(store, Options{Seed: 21, ValidationSize: 120})
+	eng, err := NewEngine(store, WithSeed(21), WithValidationSize(120))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +26,7 @@ func TestEngineConcurrentQueriesDuringRegistration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refID, err := eng.Register(base)
+	refID, err := eng.RegisterContext(context.Background(), base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +40,7 @@ func TestEngineConcurrentQueriesDuringRegistration(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < 6; i++ {
 			v := zoo.Perturb(base, fmt.Sprintf("conc-v%d", i), 0.05, uint64(i+2))
-			if _, err := eng.Register(v); err != nil {
+			if _, err := eng.RegisterContext(context.Background(), v); err != nil {
 				errs <- err
 				return
 			}
@@ -52,7 +53,7 @@ func TestEngineConcurrentQueriesDuringRegistration(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
-				if _, err := eng.Query(`SELECT CORR "` + refID + `" WITHIN 10% PICK most_similar`); err != nil {
+				if _, err := eng.QueryContext(context.Background(), `SELECT CORR "`+refID+`" WITHIN 10% PICK most_similar`); err != nil {
 					errs <- err
 					return
 				}
@@ -83,7 +84,7 @@ func TestEngineConcurrentQueriesDuringRegistration(t *testing.T) {
 // in CI (make check).
 func TestEngineSnapshotConsistencyUnderStress(t *testing.T) {
 	store := repo.NewInMemory()
-	eng, err := New(store, Options{Seed: 33, ValidationSize: 60, IndexWorkers: 4})
+	eng, err := NewEngine(store, WithSeed(33), WithValidationSize(60), WithIndexWorkers(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +92,7 @@ func TestEngineSnapshotConsistencyUnderStress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refID, err := eng.Register(base)
+	refID, err := eng.RegisterContext(context.Background(), base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +108,7 @@ func TestEngineSnapshotConsistencyUnderStress(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < registered; i++ {
 			v := zoo.Perturb(base, fmt.Sprintf("stress-r%d", i), 0.05, uint64(i+2))
-			if _, err := eng.Register(v); err != nil && !tolerated(err) {
+			if _, err := eng.RegisterContext(context.Background(), v); err != nil && !tolerated(err) {
 				errs <- err
 				return
 			}
@@ -125,7 +126,7 @@ func TestEngineSnapshotConsistencyUnderStress(t *testing.T) {
 				errs <- err
 				return
 			}
-			if err := eng.IndexAll(); err != nil && !tolerated(err) {
+			if err := eng.IndexAllContext(context.Background()); err != nil && !tolerated(err) {
 				errs <- err
 				return
 			}
@@ -138,7 +139,7 @@ func TestEngineSnapshotConsistencyUnderStress(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 15; i++ {
-				results, err := eng.Query(`SELECT CORR "` + refID + `" WITHIN 10% PICK most_similar`)
+				results, err := eng.QueryContext(context.Background(), `SELECT CORR "`+refID+`" WITHIN 10% PICK most_similar`)
 				if err != nil {
 					errs <- err
 					return
@@ -157,7 +158,7 @@ func TestEngineSnapshotConsistencyUnderStress(t *testing.T) {
 						return
 					}
 				}
-				exp, err := eng.Explain(`SELECT CORR "` + refID + `" WITHIN 10% PICK most_similar`)
+				exp, err := eng.ExplainContext(context.Background(), `SELECT CORR "`+refID+`" WITHIN 10% PICK most_similar`)
 				if err != nil {
 					errs <- err
 					return
@@ -181,7 +182,7 @@ func TestEngineSnapshotConsistencyUnderStress(t *testing.T) {
 	}
 
 	// Every published model must be indexed exactly once.
-	if err := eng.IndexAll(); err != nil {
+	if err := eng.IndexAllContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	want := 1 + registered + published

@@ -50,15 +50,6 @@ func NewEngine(store Store, opts ...Option) (*Engine, error) {
 	}, nil
 }
 
-// New creates an engine from the legacy flat Options struct.
-//
-// Deprecated: use NewEngine with functional options; this constructor
-// is kept as a compatibility shim at the root package boundary and
-// accepts no new knobs.
-func New(store Store, opts Options) (*Engine, error) {
-	return NewEngine(store, opts.options()...)
-}
-
 // Store returns the underlying repository.
 func (e *Engine) Store() Store { return e.store }
 

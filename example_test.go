@@ -1,6 +1,7 @@
 package sommelier_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -14,29 +15,30 @@ import (
 // Example shows the minimal end-to-end flow: publish a model family,
 // query for a compact equivalent, and materialize the winner.
 func Example() {
+	ctx := context.Background()
 	store := repo.NewInMemory()
-	eng, err := sommelier.New(store, sommelier.Options{Seed: 1})
+	eng, err := sommelier.NewEngine(store, sommelier.WithSeed(1))
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	base := buildModel("flagship", 1)
-	refID, err := eng.Register(base)
+	refID, err := eng.RegisterContext(ctx, base)
 	if err != nil {
 		log.Fatal(err)
 	}
 	// A near-identical clone and a behaviourally distant sibling.
 	clone := base.Clone()
 	clone.Name = "clone"
-	if _, err := eng.Register(clone); err != nil {
+	if _, err := eng.RegisterContext(ctx, clone); err != nil {
 		log.Fatal(err)
 	}
-	if _, err := eng.Register(zoo.Perturb(base, "distant", 1.5, 2)); err != nil {
+	if _, err := eng.RegisterContext(ctx, zoo.Perturb(base, "distant", 1.5, 2)); err != nil {
 		log.Fatal(err)
 	}
 
-	results, err := eng.Query(
-		`SELECT CORR "` + refID + `" WITHIN 90% PICK most_similar LIMIT 1`)
+	results, err := eng.QueryContext(ctx,
+		`SELECT CORR "`+refID+`" WITHIN 90% PICK most_similar LIMIT 1`)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -46,14 +48,15 @@ func Example() {
 
 // ExampleEngine_Query demonstrates relative resource constraints: the
 // wide sibling is excluded by a memory budget below its footprint.
-func ExampleEngine_Query() {
+func ExampleEngine_QueryContext() {
+	ctx := context.Background()
 	store := repo.NewInMemory()
-	eng, err := sommelier.New(store, sommelier.Options{Seed: 3})
+	eng, err := sommelier.NewEngine(store, sommelier.WithSeed(3))
 	if err != nil {
 		log.Fatal(err)
 	}
 	base := buildModel("ref", 5)
-	refID, err := eng.Register(base)
+	refID, err := eng.RegisterContext(ctx, base)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -61,15 +64,15 @@ func ExampleEngine_Query() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if _, err := eng.Register(wide); err != nil {
+	if _, err := eng.RegisterContext(ctx, wide); err != nil {
 		log.Fatal(err)
 	}
 
-	within, err := eng.Query(`SELECT CORR "` + refID + `" WITHIN 80% ON memory <= 500% PICK most_similar`)
+	within, err := eng.QueryContext(ctx, `SELECT CORR "`+refID+`" WITHIN 80% ON memory <= 500% PICK most_similar`)
 	if err != nil {
 		log.Fatal(err)
 	}
-	tight, err := eng.Query(`SELECT CORR "` + refID + `" WITHIN 80% ON memory <= 120% PICK most_similar`)
+	tight, err := eng.QueryContext(ctx, `SELECT CORR "`+refID+`" WITHIN 80% ON memory <= 120% PICK most_similar`)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -18,8 +19,9 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	store := repo.NewInMemory()
-	eng, err := sommelier.New(store, sommelier.Options{Seed: 5})
+	eng, err := sommelier.NewEngine(store, sommelier.WithSeed(5))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -31,7 +33,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	testedID, err := eng.Register(tested)
+	testedID, err := eng.RegisterContext(ctx, tested)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -42,7 +44,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if _, err := eng.Register(v); err != nil {
+		if _, err := eng.RegisterContext(ctx, v); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -52,7 +54,7 @@ func main() {
 	const n = 3
 	q := fmt.Sprintf(`SELECT CORR %q WITHIN 75%% PICK most_similar LIMIT %d`, testedID, n)
 	fmt.Printf("query: %s\n\n", q)
-	results, err := eng.Query(q)
+	results, err := eng.QueryContext(ctx, q)
 	if err != nil {
 		log.Fatal(err)
 	}

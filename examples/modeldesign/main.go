@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -21,10 +22,10 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	store := repo.NewInMemory()
-	eng, err := sommelier.New(store, sommelier.Options{
-		Seed: 3, Segments: true, SegmentMinLen: 3,
-	})
+	eng, err := sommelier.NewEngine(store,
+		sommelier.WithSeed(3), sommelier.WithSegments(true), sommelier.WithSegmentMinLen(3))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -41,11 +42,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	baseID, err := eng.Register(base)
+	baseID, err := eng.RegisterContext(ctx, base)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if _, err := eng.Register(cousin); err != nil {
+	if _, err := eng.RegisterContext(ctx, cousin); err != nil {
 		log.Fatal(err)
 	}
 

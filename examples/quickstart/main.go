@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -14,12 +15,13 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	// 1. A bare-bone repository — the "remote filesystem" existing hubs
 	//    provide (§2.1). Use repo.Open(dir) for a directory-backed one.
 	store := repo.NewInMemory()
 
 	// 2. The Sommelier engine interposes on it (Figure 1).
-	eng, err := sommelier.New(store, sommelier.Options{Seed: 42})
+	eng, err := sommelier.NewEngine(store, sommelier.WithSeed(42))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -33,7 +35,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	refID, err := eng.Register(base)
+	refID, err := eng.RegisterContext(ctx, base)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -46,7 +48,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		id, err := eng.Register(variant)
+		id, err := eng.RegisterContext(ctx, variant)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -58,7 +60,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if _, err := eng.Register(big); err != nil {
+	if _, err := eng.RegisterContext(ctx, big); err != nil {
 		log.Fatal(err)
 	}
 
@@ -66,7 +68,7 @@ func main() {
 	//    the reference, at most its memory footprint, most similar first.
 	q := fmt.Sprintf(`SELECT CORR %q WITHIN 85%% ON memory <= 100%% PICK most_similar`, refID)
 	fmt.Printf("\nquery: %s\n\n", q)
-	results, err := eng.Query(q)
+	results, err := eng.QueryContext(ctx, q)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -89,7 +91,7 @@ func main() {
 
 	// 6. Ask WHY: the explanation shows what each pipeline stage did
 	//    (Sommelier as an "explanation database for DNNs").
-	exp, err := eng.Explain(q)
+	exp, err := eng.ExplainContext(ctx, q)
 	if err != nil {
 		log.Fatal(err)
 	}

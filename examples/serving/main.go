@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"sort"
@@ -21,13 +22,15 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	// Build the repository: a flagship model and a ladder of compact
 	// functional equivalents at genuinely smaller widths.
 	store := repo.NewInMemory()
 	// Testing-only scoring (bound off) keeps levels ordered purely by
 	// measured interchangeability, which reads better in a demo; see
 	// the ablation benches for what the bound adds.
-	eng, err := sommelier.New(store, sommelier.Options{Seed: 7, Bound: equiv.BoundOff})
+	eng, err := sommelier.NewEngine(store,
+		sommelier.WithSeed(7), sommelier.WithBound(equiv.BoundOff))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -43,12 +46,12 @@ func main() {
 		log.Fatal(err)
 	}
 	flagship := ladder[len(ladder)-1]
-	flagID, err := eng.Register(flagship)
+	flagID, err := eng.RegisterContext(ctx, flagship)
 	if err != nil {
 		log.Fatal(err)
 	}
 	for _, m := range ladder[:len(ladder)-1] {
-		if _, err := eng.Register(m); err != nil {
+		if _, err := eng.RegisterContext(ctx, m); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -62,7 +65,7 @@ func main() {
 	for _, quota := range []int{100, 50, 10, 2} { // % of flagship memory
 		q := fmt.Sprintf(`SELECT CORR %q WITHIN 80%% ON memory <= %d%% PICK most_similar LIMIT 1`,
 			flagID, quota)
-		results, err := eng.Query(q)
+		results, err := eng.QueryContext(ctx, q)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -85,7 +88,7 @@ func main() {
 	// End-to-end effect on tail latency: replay a bursty trace under the
 	// fixed baseline vs Sommelier-driven switching (Figure 9(c)).
 	// Service times are FLOPs-proportional with the flagship at 20 ms.
-	results, err := eng.Query(fmt.Sprintf(`SELECT CORR %q WITHIN 60%% PICK most_similar`, flagID))
+	results, err := eng.QueryContext(ctx, fmt.Sprintf(`SELECT CORR %q WITHIN 60%% PICK most_similar`, flagID))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -109,7 +112,7 @@ func main() {
 		Requests: 10000, MeanArrivalMS: 26,
 		BurstEvery: 400, BurstLen: 80, BurstFactor: 3.5, Seed: 3,
 	}
-	cmp, err := serving.RunComparison(w, candidates, 4)
+	cmp, err := serving.RunComparisonContext(ctx, nil, w, candidates, 4, serving.FailureModel{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -104,11 +104,3 @@ func (e *Engine) ExplainContext(ctx context.Context, q string) (*Explanation, er
 	exp.Returned = len(exp.Results)
 	return exp, nil
 }
-
-// Explain runs the query with per-stage introspection, without a
-// context.
-//
-// Deprecated: use ExplainContext.
-func (e *Engine) Explain(q string) (*Explanation, error) {
-	return e.ExplainContext(context.Background(), q)
-}

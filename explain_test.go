@@ -12,7 +12,7 @@ import (
 
 func TestExplainStages(t *testing.T) {
 	eng, refID, _ := newEngineWithLadder(t, false)
-	exp, err := eng.Explain(`SELECT CORR "` + refID + `" WITHIN 85% ON memory <= 120% PICK most_similar`)
+	exp, err := eng.ExplainContext(context.Background(), `SELECT CORR "`+refID+`" WITHIN 85% ON memory <= 120% PICK most_similar`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestExplainStages(t *testing.T) {
 		t.Fatalf("returned count mismatch: %d vs %d", exp.Returned, len(exp.Results))
 	}
 	// Results must agree with the plain Query path exactly.
-	direct, err := eng.Query(`SELECT CORR "` + refID + `" WITHIN 85% ON memory <= 120% PICK most_similar`)
+	direct, err := eng.QueryContext(context.Background(), `SELECT CORR "`+refID+`" WITHIN 85% ON memory <= 120% PICK most_similar`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestExplainStages(t *testing.T) {
 func TestExplainResourceRejections(t *testing.T) {
 	eng, refID, _ := newEngineWithLadder(t, false)
 	// A tiny memory budget rejects everything.
-	exp, err := eng.Explain(`SELECT CORR "` + refID + `" WITHIN 10% ON memory <= 1% PICK most_similar`)
+	exp, err := eng.ExplainContext(context.Background(), `SELECT CORR "`+refID+`" WITHIN 10% ON memory <= 1% PICK most_similar`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,13 +82,13 @@ func TestExplainResourceRejections(t *testing.T) {
 
 func TestExplainErrors(t *testing.T) {
 	eng, _, _ := newEngineWithLadder(t, false)
-	if _, err := eng.Explain(`garbage`); err == nil {
+	if _, err := eng.ExplainContext(context.Background(), `garbage`); err == nil {
 		t.Fatal("expected parse error")
 	}
-	if _, err := eng.Explain(`SELECT CORR ghost@1`); err == nil {
+	if _, err := eng.ExplainContext(context.Background(), `SELECT CORR ghost@1`); err == nil {
 		t.Fatal("expected unknown-reference error")
 	}
-	if _, err := eng.Explain(`SELECT TASK nosuch`); err == nil {
+	if _, err := eng.ExplainContext(context.Background(), `SELECT TASK nosuch`); err == nil {
 		t.Fatal("expected no-default error")
 	}
 }

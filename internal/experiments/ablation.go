@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -107,7 +108,7 @@ type AblationSamplingResult struct {
 // insertion sample sizes and compares indexing time and top-1 quality.
 // Segment analysis is on, so a sampled pair still runs models (whole-model
 // levels compare cached observations), and one worker makes time = work.
-func RunAblationSampling(seed uint64) (*AblationSamplingResult, error) {
+func RunAblationSampling(ctx context.Context, seed uint64) (*AblationSamplingResult, error) {
 	base, err := zoo.DenseResidualNet(zoo.Config{Name: "ab-sample", Seed: seed, Width: 32})
 	if err != nil {
 		return nil, err
@@ -131,19 +132,24 @@ func RunAblationSampling(seed uint64) (*AblationSamplingResult, error) {
 	res := &AblationSamplingResult{SampleSizes: []int{2, 5, 16}}
 	for _, k := range res.SampleSizes {
 		store := repo.NewInMemory()
-		eng, err := sommelier.New(store, sommelier.Options{
-			Seed: seed, ValidationSize: 400, SampleSize: k, Bound: equiv.BoundOff, Segments: true, IndexWorkers: 1,
-		})
+		eng, err := sommelier.NewEngine(store,
+			sommelier.WithSeed(seed),
+			sommelier.WithValidationSize(400),
+			sommelier.WithSampleSize(k),
+			sommelier.WithBound(equiv.BoundOff),
+			sommelier.WithSegments(true),
+			sommelier.WithIndexWorkers(1),
+		)
 		if err != nil {
 			return nil, err
 		}
 		start := time.Now()
-		refID, err := eng.Register(base)
+		refID, err := eng.RegisterContext(ctx, base)
 		if err != nil {
 			return nil, err
 		}
 		for _, v := range variants {
-			if _, err := eng.Register(v.m); err != nil {
+			if _, err := eng.RegisterContext(ctx, v.m); err != nil {
 				return nil, err
 			}
 		}

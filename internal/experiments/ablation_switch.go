@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"sommelier/internal/serving"
 	"sommelier/internal/stats"
 )
@@ -23,7 +24,7 @@ type AblationSwitchCostResult struct {
 
 // RunAblationSwitchCost simulates the Figure 9(c) switching policy with
 // a 25 ms model-swap penalty under the three mitigation settings.
-func RunAblationSwitchCost(seed uint64) (*AblationSwitchCostResult, error) {
+func RunAblationSwitchCost(ctx context.Context, seed uint64) (*AblationSwitchCostResult, error) {
 	candidates := []serving.ModelChoice{
 		{ID: "flagship", ServiceMS: 20, Level: 1.0},
 		{ID: "mid", ServiceMS: 8, Level: 0.975},
@@ -59,7 +60,11 @@ func RunAblationSwitchCost(seed uint64) (*AblationSwitchCostResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		r, err := serving.Simulate(w, p, 1)
+		sim, err := serving.NewSimulator(serving.WithPolicy(p))
+		if err != nil {
+			return nil, err
+		}
+		r, err := sim.Run(ctx, w)
 		if err != nil {
 			return nil, err
 		}

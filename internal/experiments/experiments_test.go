@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -46,7 +47,7 @@ func TestFig9aHitRateShape(t *testing.T) {
 		ValidationSize:  800,
 		Seed:            7,
 	}
-	res, err := RunFig9a(cfg)
+	res, err := RunFig9a(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +73,7 @@ func TestFig9aHitRateShape(t *testing.T) {
 
 func TestFig9bQueryBeatsManual(t *testing.T) {
 	cfg := Fig9bConfig{Models: 10, ValidationSize: 200, Seed: 3}
-	res, err := RunFig9b(cfg)
+	res, err := RunFig9b(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +95,7 @@ func TestFig9bQueryBeatsManual(t *testing.T) {
 
 func TestFig9cTailLatencyShape(t *testing.T) {
 	cfg := Fig9cConfig{Requests: 6000, Seed: 5}
-	res, err := RunFig9c(cfg)
+	res, err := RunFig9c(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +234,7 @@ func TestFig12aMemoryVariesAcrossSettings(t *testing.T) {
 }
 
 func TestFig12bCrossSeriesWins(t *testing.T) {
-	res, err := RunFig12b(DefaultFig12bConfig())
+	res, err := RunFig12b(context.Background(), DefaultFig12bConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +258,7 @@ func TestFig13CrossSeriesGrowsWithCoverage(t *testing.T) {
 	cfg.SeriesCounts = []int{4, 8}
 	cfg.Repeats = 2
 	cfg.ValidationSize = 200
-	res, err := RunFig13(cfg)
+	res, err := RunFig13(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,7 +364,7 @@ func TestAblationBoundFloorSound(t *testing.T) {
 }
 
 func TestAblationSamplingFasterAtSmallK(t *testing.T) {
-	res, err := RunAblationSampling(7)
+	res, err := RunAblationSampling(context.Background(), 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,7 +419,7 @@ func TestAblationSegmentRecoversReuse(t *testing.T) {
 }
 
 func TestAblationSwitchCostShape(t *testing.T) {
-	res, err := RunAblationSwitchCost(15)
+	res, err := RunAblationSwitchCost(context.Background(), 15)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"sommelier"
@@ -146,7 +147,7 @@ type Fig12bResult struct {
 // as the reference, and asks for a replacement at roughly one-eighth its
 // memory. The paper's surprise: the best candidate comes from the other
 // series.
-func RunFig12b(cfg Fig12bConfig) (*Fig12bResult, error) {
+func RunFig12b(ctx context.Context, cfg Fig12bConfig) (*Fig12bResult, error) {
 	teacher, err := zoo.DenseResidualNet(zoo.Config{Name: "cv-teacher", Seed: cfg.Seed, Width: 32, Depth: 2})
 	if err != nil {
 		return nil, err
@@ -167,28 +168,29 @@ func RunFig12b(cfg Fig12bConfig) (*Fig12bResult, error) {
 	}
 
 	store := repo.NewInMemory()
-	eng, err := sommelier.New(store, sommelier.Options{Seed: cfg.Seed, ValidationSize: 500, SampleSize: 16})
+	eng, err := sommelier.NewEngine(store,
+		sommelier.WithSeed(cfg.Seed), sommelier.WithValidationSize(500), sommelier.WithSampleSize(16))
 	if err != nil {
 		return nil, err
 	}
 	flagship := bit[len(bit)-1]
-	refID, err := eng.Register(flagship)
+	refID, err := eng.RegisterContext(ctx, flagship)
 	if err != nil {
 		return nil, err
 	}
 	for _, m := range bit[:len(bit)-1] {
-		if _, err := eng.Register(m); err != nil {
+		if _, err := eng.RegisterContext(ctx, m); err != nil {
 			return nil, err
 		}
 	}
 	for _, m := range eff {
-		if _, err := eng.Register(m); err != nil {
+		if _, err := eng.RegisterContext(ctx, m); err != nil {
 			return nil, err
 		}
 	}
 
 	// One-eighth the flagship's memory, with slack for rung granularity.
-	results, err := eng.Query(fmt.Sprintf(
+	results, err := eng.QueryContext(ctx, fmt.Sprintf(
 		"SELECT CORR %q WITHIN 0%% ON memory <= 16%% PICK most_similar", refID))
 	if err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"sommelier"
@@ -55,7 +56,7 @@ type Fig13Result struct {
 
 // RunFig13 incrementally indexes randomly chosen series and measures how
 // often the best equivalents of a series' models live in another series.
-func RunFig13(cfg Fig13Config) (*Fig13Result, error) {
+func RunFig13(ctx context.Context, cfg Fig13Config) (*Fig13Result, error) {
 	series, err := zoo.Catalog(cfg.Catalog)
 	if err != nil {
 		return nil, err
@@ -78,7 +79,7 @@ func RunFig13(cfg Fig13Config) (*Fig13Result, error) {
 			for i := 0; i < count; i++ {
 				chosen[i] = series[perm[i]]
 			}
-			t1, t5, err := fig13Round(chosen, cfg, cfg.Seed+uint64(rep)*103)
+			t1, t5, err := fig13Round(ctx, chosen, cfg, cfg.Seed+uint64(rep)*103)
 			if err != nil {
 				return nil, err
 			}
@@ -94,24 +95,21 @@ func RunFig13(cfg Fig13Config) (*Fig13Result, error) {
 // fig13Round indexes the chosen series and returns the fraction of
 // series containing at least one model whose top-1 (resp. any of top-5)
 // equivalent lies outside its own series.
-func fig13Round(chosen []zoo.Series, cfg Fig13Config, seed uint64) (top1, top5 float64, err error) {
+func fig13Round(ctx context.Context, chosen []zoo.Series, cfg Fig13Config, seed uint64) (top1, top5 float64, err error) {
 	store := repo.NewInMemory()
 	// Testing-only scoring: the case study measures where the empirical
 	// semantic correlation lives; the architecture-dependent bound term
 	// would otherwise dominate the small gaps between catalog rungs of
 	// different widths.
-	eng, err := sommelier.New(store, sommelier.Options{
-		Seed:           seed,
-		ValidationSize: cfg.ValidationSize,
-		Bound:          equiv.BoundOff,
-	})
+	eng, err := sommelier.NewEngine(store,
+		sommelier.WithSeed(seed), sommelier.WithValidationSize(cfg.ValidationSize), sommelier.WithBound(equiv.BoundOff))
 	if err != nil {
 		return 0, 0, err
 	}
 	seriesOf := make(map[string]string)
 	for _, s := range chosen {
 		for _, m := range s.Models {
-			id, err := eng.Register(m)
+			id, err := eng.RegisterContext(ctx, m)
 			if err != nil {
 				return 0, 0, err
 			}

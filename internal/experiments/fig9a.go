@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"sommelier"
@@ -58,7 +59,7 @@ type Fig9aResult struct {
 // RunFig9a measures how often the engine's top-1 answer for "the model
 // most interchangeable with this base" matches the ground-truth closest
 // variant, per difference spread.
-func RunFig9a(cfg Fig9aConfig) (*Fig9aResult, error) {
+func RunFig9a(ctx context.Context, cfg Fig9aConfig) (*Fig9aResult, error) {
 	if len(cfg.Spreads) == 0 {
 		return nil, fmt.Errorf("experiments: fig9a needs spreads")
 	}
@@ -70,7 +71,7 @@ func RunFig9a(cfg Fig9aConfig) (*Fig9aResult, error) {
 	for si, spread := range cfg.Spreads {
 		var hits, total, top1, refs int
 		for rep := 0; rep < repeats; rep++ {
-			sr, err := fig9aSpread(cfg, spread, cfg.Seed+uint64(si)*7001+uint64(rep)*293)
+			sr, err := fig9aSpread(ctx, cfg, spread, cfg.Seed+uint64(si)*7001+uint64(rep)*293)
 			if err != nil {
 				return nil, err
 			}
@@ -92,7 +93,7 @@ type spreadResult struct {
 	top1, refs  int // top-1-only metric
 }
 
-func fig9aSpread(cfg Fig9aConfig, spread float64, seed uint64) (spreadResult, error) {
+func fig9aSpread(ctx context.Context, cfg Fig9aConfig, spread float64, seed uint64) (spreadResult, error) {
 	var sr spreadResult
 	synth, err := zoo.SyntheticRepository(cfg.Bases, cfg.VariantsPerBase, spread, seed)
 	if err != nil {
@@ -110,22 +111,22 @@ func fig9aSpread(cfg Fig9aConfig, spread float64, seed uint64) (spreadResult, er
 		if sampleSize == 0 {
 			sampleSize = cfg.Bases*cfg.VariantsPerBase + 1 // full pairwise
 		}
-		eng, err := sommelier.New(store, sommelier.Options{
-			Seed:           seed,
-			ValidationSize: cfg.ValidationSize,
-			Bound:          equiv.BoundOff, // ranking quality; the bound shifts all scores equally
-			SampleSize:     sampleSize,
-		})
+		eng, err := sommelier.NewEngine(store,
+			sommelier.WithSeed(seed),
+			sommelier.WithValidationSize(cfg.ValidationSize),
+			sommelier.WithBound(equiv.BoundOff), // ranking quality; the bound shifts all scores equally
+			sommelier.WithSampleSize(sampleSize),
+		)
 		if err != nil {
 			return sr, err
 		}
-		baseID, err := eng.Register(base)
+		baseID, err := eng.RegisterContext(ctx, base)
 		if err != nil {
 			return sr, err
 		}
 		entries := perBase[base.Name]
 		for _, e := range entries {
-			if _, err := eng.Register(e.Model); err != nil {
+			if _, err := eng.RegisterContext(ctx, e.Model); err != nil {
 				return sr, err
 			}
 		}
@@ -156,7 +157,7 @@ func fig9aSpread(cfg Fig9aConfig, spread float64, seed uint64) (spreadResult, er
 				truth[j], truth[j-1] = truth[j-1], truth[j]
 			}
 		}
-		results, err := eng.Query(fmt.Sprintf("SELECT CORR %q WITHIN 0%% PICK most_similar", baseID))
+		results, err := eng.QueryContext(ctx, fmt.Sprintf("SELECT CORR %q WITHIN 0%% PICK most_similar", baseID))
 		if err != nil {
 			return sr, err
 		}

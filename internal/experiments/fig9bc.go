@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -58,17 +59,18 @@ var fig9bLoC = map[string][2]int{
 
 // RunFig9b measures exhaustive profiling vs query time on the same
 // repository for the three case-study tasks.
-func RunFig9b(cfg Fig9bConfig) (*Fig9bResult, error) {
+func RunFig9b(ctx context.Context, cfg Fig9bConfig) (*Fig9bResult, error) {
 	base, err := zoo.DenseResidualNet(zoo.Config{Name: "effort-base", Seed: cfg.Seed, Width: 32, Depth: 2})
 	if err != nil {
 		return nil, err
 	}
 	store := repo.NewInMemory()
-	eng, err := sommelier.New(store, sommelier.Options{Seed: cfg.Seed, ValidationSize: cfg.ValidationSize})
+	eng, err := sommelier.NewEngine(store,
+		sommelier.WithSeed(cfg.Seed), sommelier.WithValidationSize(cfg.ValidationSize))
 	if err != nil {
 		return nil, err
 	}
-	baseID, err := eng.Register(base)
+	baseID, err := eng.RegisterContext(ctx, base)
 	if err != nil {
 		return nil, err
 	}
@@ -79,7 +81,7 @@ func RunFig9b(cfg Fig9bConfig) (*Fig9bResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		if _, err := eng.Register(v); err != nil {
+		if _, err := eng.RegisterContext(ctx, v); err != nil {
 			return nil, err
 		}
 	}
@@ -128,7 +130,7 @@ func RunFig9b(cfg Fig9bConfig) (*Fig9bResult, error) {
 		manualMS := float64(time.Since(start).Microseconds()) / 1000
 
 		start = time.Now()
-		if _, err := eng.Query(fmt.Sprintf("SELECT CORR %q WITHIN 80%% ON flops <= 100%% PICK most_similar LIMIT 3", baseID)); err != nil {
+		if _, err := eng.QueryContext(ctx, fmt.Sprintf("SELECT CORR %q WITHIN 80%% ON flops <= 100%% PICK most_similar LIMIT 3", baseID)); err != nil {
 			return nil, err
 		}
 		queryMS := float64(time.Since(start).Microseconds()) / 1000
@@ -189,7 +191,7 @@ type Fig9cResult struct {
 // equivalents (a size ladder: real resource differences, near-identical
 // behaviour), derives service times from their profiled latency, and
 // simulates the four configurations.
-func RunFig9c(cfg Fig9cConfig) (*Fig9cResult, error) {
+func RunFig9c(ctx context.Context, cfg Fig9cConfig) (*Fig9cResult, error) {
 	teacher, err := zoo.DenseResidualNet(zoo.Config{Name: "serve-flagship", Seed: cfg.Seed, Width: 32, Depth: 2})
 	if err != nil {
 		return nil, err
@@ -202,21 +204,22 @@ func RunFig9c(cfg Fig9cConfig) (*Fig9cResult, error) {
 	// Register everything with an engine and query for the flagship's
 	// equivalents, mirroring the paper's pre-registered candidates.
 	store := repo.NewInMemory()
-	eng, err := sommelier.New(store, sommelier.Options{Seed: cfg.Seed, ValidationSize: 300})
+	eng, err := sommelier.NewEngine(store,
+		sommelier.WithSeed(cfg.Seed), sommelier.WithValidationSize(300))
 	if err != nil {
 		return nil, err
 	}
 	flagship := ladder[len(ladder)-1]
-	flagID, err := eng.Register(flagship)
+	flagID, err := eng.RegisterContext(ctx, flagship)
 	if err != nil {
 		return nil, err
 	}
 	for _, m := range ladder[:len(ladder)-1] {
-		if _, err := eng.Register(m); err != nil {
+		if _, err := eng.RegisterContext(ctx, m); err != nil {
 			return nil, err
 		}
 	}
-	results, err := eng.Query(fmt.Sprintf("SELECT CORR %q WITHIN 80%% PICK most_similar", flagID))
+	results, err := eng.QueryContext(ctx, fmt.Sprintf("SELECT CORR %q WITHIN 80%% PICK most_similar", flagID))
 	if err != nil {
 		return nil, err
 	}
@@ -257,7 +260,7 @@ func RunFig9c(cfg Fig9cConfig) (*Fig9cResult, error) {
 		BurstFactor:   3.5,
 		Seed:          cfg.Seed + 2,
 	}
-	cmp, err := serving.RunComparison(w, candidates, 4)
+	cmp, err := serving.RunComparisonContext(ctx, nil, w, candidates, 4, serving.FailureModel{})
 	if err != nil {
 		return nil, err
 	}

@@ -341,9 +341,23 @@ func TestDecodeRejectsCorruptParam(t *testing.T) {
 	}
 }
 
+// somxV1 is a well-formed file in the retired SOMX v1 layout (tensors
+// inlined as float arrays), which Decode no longer reads.
+const somxV1 = `{"format":1,"name":"mlp","version":"1","task":"classification","input_shape":[2],` +
+	`"layers":[{"name":"input","op":"Input","attrs":{}},` +
+	`{"name":"d","op":"Dense","inputs":["input"],"attrs":{"units":1},` +
+	`"params":{"B":{"shape":[1],"data":[0]},"W":{"shape":[2,1],"data":[0.5,-0.5]}}}]}`
+
 func TestDecodeRejectsWrongFormat(t *testing.T) {
-	if _, err := Decode(strings.NewReader(`{"format":99}`)); err == nil {
-		t.Fatal("expected format-version error")
+	for _, tc := range []struct{ body, want string }{
+		{`{"format":99}`, "unsupported SOMX format 99"},
+		{somxV1, "unsupported SOMX format 1"},
+		{`{"format":0}`, "unsupported SOMX format 0"},
+	} {
+		_, err := Decode(strings.NewReader(tc.body))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Decode(%.20s…) = %v, want an error naming %q", tc.body, err, tc.want)
+		}
 	}
 }
 

@@ -11,21 +11,18 @@ import (
 )
 
 // The SOMX wire format is the reproduction's stand-in for ONNX: a JSON
-// envelope describing the DAG. Version 1 inlines parameter tensors as
-// flat float arrays. Version 2 records each tensor as an ordered list of
-// content addresses into an in-file chunk table (base64 of the little-
-// endian payload, deduplicated across tensors), so a file shared between
-// many tensors with identical content pays for the bytes once and the
-// on-disk form lines up with the content-addressed store in
+// envelope describing the DAG. Each parameter tensor is recorded as an
+// ordered list of content addresses into an in-file chunk table (base64
+// of the little-endian payload, deduplicated across tensors), so a file
+// shared between many tensors with identical content pays for the bytes
+// once and the on-disk form lines up with the content-addressed store in
 // internal/cas. Real Sommelier imports/exports ONNX through a Python
 // shim; here the format is native so the whole pipeline stays in Go.
 
-const (
-	somxFormatV1 = 1
-	somxFormatV2 = 2
-)
+// somxFormat is the only format number Encode writes and Decode reads.
+const somxFormat = 2
 
-type somxHeader struct {
+type somxFile struct {
 	Format       int               `json:"format"`
 	Name         string            `json:"name"`
 	Version      string            `json:"version"`
@@ -34,14 +31,15 @@ type somxHeader struct {
 	Preprocessor string            `json:"preprocessor,omitempty"`
 	OutputLabels []string          `json:"output_labels,omitempty"`
 	Metadata     map[string]string `json:"metadata,omitempty"`
+	Layers       []somxLayer       `json:"layers"`
+	// Chunks is the file's chunk table: content address → base64 of the
+	// little-endian float64 payload. Tensors with identical content share
+	// entries, so a fine-tuned model whose trunk matches its base pays
+	// for those bytes once per file.
+	Chunks map[string]string `json:"chunks"`
 }
 
-type somxFileV1 struct {
-	somxHeader
-	Layers []somxLayerV1 `json:"layers"`
-}
-
-type somxLayerV1 struct {
+type somxLayer struct {
 	Name   string                `json:"name"`
 	Op     OpKind                `json:"op"`
 	Inputs []string              `json:"inputs,omitempty"`
@@ -50,37 +48,16 @@ type somxLayerV1 struct {
 }
 
 type somxTensor struct {
-	Shape []int     `json:"shape"`
-	Data  []float64 `json:"data"`
-}
-
-type somxFileV2 struct {
-	somxHeader
-	Layers []somxLayerV2 `json:"layers"`
-	// Chunks is the file's chunk table: content address → base64 of the
-	// little-endian float64 payload. Tensors with identical content share
-	// entries, so a fine-tuned model whose trunk matches its base pays
-	// for those bytes once per file.
-	Chunks map[string]string `json:"chunks"`
-}
-
-type somxLayerV2 struct {
-	Name   string                  `json:"name"`
-	Op     OpKind                  `json:"op"`
-	Inputs []string                `json:"inputs,omitempty"`
-	Attrs  Attrs                   `json:"attrs"`
-	Params map[string]somxTensorV2 `json:"params,omitempty"`
-}
-
-type somxTensorV2 struct {
 	Shape []int `json:"shape"`
 	// Chunks lists the tensor's content in offset order, referencing the
 	// file's chunk table.
 	Chunks []string `json:"chunks"`
 }
 
-func headerOf(m *Model) somxHeader {
-	return somxHeader{
+// Encode writes the model to w in SOMX.
+func Encode(w io.Writer, m *Model) error {
+	f := somxFile{
+		Format:       somxFormat,
 		Name:         m.Name,
 		Version:      m.Version,
 		Task:         m.Task,
@@ -88,41 +65,20 @@ func headerOf(m *Model) somxHeader {
 		Preprocessor: m.Preprocessor,
 		OutputLabels: m.OutputLabels,
 		Metadata:     m.Metadata,
+		Layers:       make([]somxLayer, len(m.Layers)),
+		Chunks:       make(map[string]string),
 	}
-}
-
-func modelOf(h somxHeader, layerCount int) *Model {
-	return &Model{
-		Name:         h.Name,
-		Version:      h.Version,
-		Task:         h.Task,
-		InputShape:   h.InputShape,
-		Preprocessor: h.Preprocessor,
-		OutputLabels: h.OutputLabels,
-		Metadata:     h.Metadata,
-		Layers:       make([]*Layer, layerCount),
-	}
-}
-
-// Encode writes the model to w in SOMX v2, the chunked format.
-func Encode(w io.Writer, m *Model) error {
-	f := somxFileV2{
-		somxHeader: headerOf(m),
-		Layers:     make([]somxLayerV2, len(m.Layers)),
-		Chunks:     make(map[string]string),
-	}
-	f.Format = somxFormatV2
 	for i, l := range m.Layers {
-		sl := somxLayerV2{Name: l.Name, Op: l.Op, Inputs: l.Inputs, Attrs: l.Attrs}
+		sl := somxLayer{Name: l.Name, Op: l.Op, Inputs: l.Inputs, Attrs: l.Attrs}
 		if len(l.Params) > 0 {
-			sl.Params = make(map[string]somxTensorV2, len(l.Params))
+			sl.Params = make(map[string]somxTensor, len(l.Params))
 			for name, p := range l.Params {
 				refs := chunk.Split(p.Data(), 0, func(h string, data []byte) {
 					if _, ok := f.Chunks[h]; !ok {
 						f.Chunks[h] = base64.StdEncoding.EncodeToString(data)
 					}
 				})
-				sl.Params[name] = somxTensorV2{Shape: p.Shape(), Chunks: refs}
+				sl.Params[name] = somxTensor{Shape: p.Shape(), Chunks: refs}
 			}
 		}
 		f.Layers[i] = sl
@@ -130,86 +86,18 @@ func Encode(w io.Writer, m *Model) error {
 	return json.NewEncoder(w).Encode(&f)
 }
 
-// EncodeV1 writes the model in legacy SOMX v1 (tensors inlined as flat
-// float arrays). Kept so older readers stay testable and fixtures can be
-// regenerated.
-func EncodeV1(w io.Writer, m *Model) error {
-	f := somxFileV1{
-		somxHeader: headerOf(m),
-		Layers:     make([]somxLayerV1, len(m.Layers)),
-	}
-	f.Format = somxFormatV1
-	for i, l := range m.Layers {
-		sl := somxLayerV1{Name: l.Name, Op: l.Op, Inputs: l.Inputs, Attrs: l.Attrs}
-		if len(l.Params) > 0 {
-			sl.Params = make(map[string]somxTensor, len(l.Params))
-			for name, p := range l.Params {
-				sl.Params[name] = somxTensor{Shape: p.Shape(), Data: p.Data()}
-			}
-		}
-		f.Layers[i] = sl
-	}
-	return json.NewEncoder(w).Encode(&f)
-}
-
-// Decode reads a SOMX model from r, accepting both v1 (inline tensors)
-// and v2 (chunked), and validates it.
+// Decode reads a SOMX model from r and validates it.
 func Decode(r io.Reader) (*Model, error) {
 	raw, err := io.ReadAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("graph: reading SOMX: %w", err)
 	}
-	var probe struct {
-		Format int `json:"format"`
-	}
-	if err := json.Unmarshal(raw, &probe); err != nil {
+	var f somxFile
+	if err := json.Unmarshal(raw, &f); err != nil {
 		return nil, fmt.Errorf("graph: decoding SOMX: %w", err)
 	}
-	var m *Model
-	switch probe.Format {
-	case somxFormatV1:
-		m, err = decodeV1(raw)
-	case somxFormatV2:
-		m, err = decodeV2(raw)
-	default:
-		return nil, fmt.Errorf("graph: unsupported SOMX format %d", probe.Format)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if err := m.Validate(); err != nil {
-		return nil, fmt.Errorf("graph: decoded model invalid: %w", err)
-	}
-	return m, nil
-}
-
-func decodeV1(raw []byte) (*Model, error) {
-	var f somxFileV1
-	if err := json.Unmarshal(raw, &f); err != nil {
-		return nil, fmt.Errorf("graph: decoding SOMX v1: %w", err)
-	}
-	m := modelOf(f.somxHeader, len(f.Layers))
-	for i, sl := range f.Layers {
-		l := &Layer{Name: sl.Name, Op: sl.Op, Inputs: sl.Inputs, Attrs: sl.Attrs}
-		if len(sl.Params) > 0 {
-			l.Params = make(map[string]*tensor.Tensor, len(sl.Params))
-			for name, st := range sl.Params {
-				if tensor.Shape(st.Shape).NumElements() != len(st.Data) {
-					return nil, fmt.Errorf("graph: layer %q param %q: %d values for shape %v",
-						sl.Name, name, len(st.Data), st.Shape)
-				}
-				l.Params[name] = tensor.FromSlice(st.Data, st.Shape...)
-			}
-		}
-		m.Layers[i] = l
-	}
-	return m, nil
-}
-
-func decodeV2(raw []byte) (*Model, error) {
-	var f somxFileV2
-	if err := json.Unmarshal(raw, &f); err != nil {
-		return nil, fmt.Errorf("graph: decoding SOMX v2: %w", err)
+	if f.Format != somxFormat {
+		return nil, fmt.Errorf("graph: unsupported SOMX format %d", f.Format)
 	}
 	// Decode and verify the chunk table once; tensors then assemble by
 	// reference. A chunk whose bytes don't hash to its address is
@@ -225,7 +113,16 @@ func decodeV2(raw []byte) (*Model, error) {
 		}
 		table[h] = data
 	}
-	m := modelOf(f.somxHeader, len(f.Layers))
+	m := &Model{
+		Name:         f.Name,
+		Version:      f.Version,
+		Task:         f.Task,
+		InputShape:   f.InputShape,
+		Preprocessor: f.Preprocessor,
+		OutputLabels: f.OutputLabels,
+		Metadata:     f.Metadata,
+		Layers:       make([]*Layer, len(f.Layers)),
+	}
 	for i, sl := range f.Layers {
 		l := &Layer{Name: sl.Name, Op: sl.Op, Inputs: sl.Inputs, Attrs: sl.Attrs}
 		if len(sl.Params) > 0 {
@@ -248,6 +145,9 @@ func decodeV2(raw []byte) (*Model, error) {
 			}
 		}
 		m.Layers[i] = l
+	}
+	if err := m.Validate(); err != nil {
+		return nil, fmt.Errorf("graph: decoded model invalid: %w", err)
 	}
 	return m, nil
 }

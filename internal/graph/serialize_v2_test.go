@@ -3,29 +3,10 @@ package graph
 import (
 	"bytes"
 	"encoding/json"
-	"strings"
 	"testing"
 
 	"sommelier/internal/tensor"
 )
-
-func TestDecodeV1BackCompat(t *testing.T) {
-	m := smallMLP(t)
-	var buf bytes.Buffer
-	if err := EncodeV1(&buf, m); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), `"format":1`) {
-		t.Fatal("EncodeV1 did not stamp format 1")
-	}
-	got, err := Decode(&buf)
-	if err != nil {
-		t.Fatalf("decoding legacy v1: %v", err)
-	}
-	if got.Fingerprint() != m.Fingerprint() {
-		t.Fatal("v1 round-trip changed the model")
-	}
-}
 
 func TestEncodeEmitsV2WithChunkTable(t *testing.T) {
 	m := smallMLP(t)
@@ -40,8 +21,8 @@ func TestEncodeEmitsV2WithChunkTable(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &f); err != nil {
 		t.Fatal(err)
 	}
-	if f.Format != somxFormatV2 {
-		t.Fatalf("format = %d, want %d", f.Format, somxFormatV2)
+	if f.Format != somxFormat {
+		t.Fatalf("format = %d, want %d", f.Format, somxFormat)
 	}
 	if len(f.Chunks) == 0 {
 		t.Fatal("v2 file has an empty chunk table")
@@ -72,7 +53,7 @@ func TestEncodeV2DedupsIdenticalTensors(t *testing.T) {
 	if err := Encode(&buf, m); err != nil {
 		t.Fatal(err)
 	}
-	var f somxFileV2
+	var f somxFile
 	if err := json.Unmarshal(buf.Bytes(), &f); err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +76,7 @@ func TestDecodeV2RejectsTamperedChunk(t *testing.T) {
 	if err := Encode(&buf, m); err != nil {
 		t.Fatal(err)
 	}
-	var f somxFileV2
+	var f somxFile
 	if err := json.Unmarshal(buf.Bytes(), &f); err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +99,7 @@ func TestDecodeV2RejectsDanglingChunkRef(t *testing.T) {
 	if err := Encode(&buf, m); err != nil {
 		t.Fatal(err)
 	}
-	var f somxFileV2
+	var f somxFile
 	if err := json.Unmarshal(buf.Bytes(), &f); err != nil {
 		t.Fatal(err)
 	}

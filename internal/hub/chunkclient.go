@@ -17,8 +17,9 @@ import (
 )
 
 // ErrChunkUnsupported is wrapped by chunk-protocol errors when the hub
-// deliberately refused the chunk endpoints — an older or wrapped hub.
-// Callers fall back to whole-model transfer.
+// deliberately refused the chunk endpoints: its store has no chunk
+// surface (a sommhub in coordinator mode, a hub over a fault-wrapped
+// store). Callers fall back to whole-model transfer.
 var ErrChunkUnsupported = errors.New("hub: chunk transfer not supported")
 
 // chunkUnsupported classifies hub answers that mean "this hub cannot
@@ -205,7 +206,7 @@ func (c *Client) PublishEncoded(enc *cas.Encoded) (_ string, sent int64, err err
 	}
 	if err != nil {
 		if chunkUnsupported(err) && enc.Model != nil {
-			// Old hub: ship the whole model.
+			// No chunk surface on this hub: ship the whole model.
 			id, perr := c.Publish(enc.Model)
 			return id, -1, perr
 		}
@@ -238,12 +239,13 @@ func (c *Client) PublishModel(m *graph.Model) (string, int64, error) {
 // migration path of §6: point Sommelier at a mirror of any hub. When
 // the hub speaks the chunk protocol, each model transfers as manifest
 // plus only the chunks the destination is missing, so re-mirroring a
-// mostly-unchanged hub moves metadata, not tensors; older hubs fall
-// back to whole-model fetches. Mirror tolerates partial failure: a
-// model that cannot be fetched or stored is skipped and reported, and
-// the rest of the hub still mirrors. The returned count is the number
-// of models copied; the error is nil on full success, a *MirrorError on
-// partial success, or a plain error if the hub could not be listed.
+// mostly-unchanged hub moves metadata, not tensors; a hub without a
+// chunk surface falls back to whole-model fetches. Mirror tolerates
+// partial failure: a model that cannot be fetched or stored is skipped
+// and reported, and the rest of the hub still mirrors. The returned
+// count is the number of models copied; the error is nil on full
+// success, a *MirrorError on partial success, or a plain error if the
+// hub could not be listed.
 func (c *Client) Mirror(dst *repo.Repository) (int, error) {
 	list, err := c.List()
 	if err != nil {
@@ -261,8 +263,9 @@ func (c *Client) Mirror(dst *repo.Repository) (int, error) {
 			}
 		}
 		if !chunked || err != nil {
-			// Whole-model path: both the fallback for old hubs and the
-			// recovery path when one chunked transfer fails.
+			// Whole-model path: both the fallback for hubs without a
+			// chunk surface and the recovery path when one chunked
+			// transfer fails.
 			var m *graph.Model
 			m, err = c.Load(md.ID)
 			if err == nil {

@@ -30,7 +30,8 @@ import (
 const ContentTypeManifest = "application/x-somx-manifest"
 
 // ChunkStore is the optional chunk-level surface a Store may implement
-// — *repo.Repository does. A server whose store lacks it answers chunk
+// — *repo.Repository does. A server whose store lacks it (sommhub's
+// coordinator-mode cluster store, faults.FlakyStore) answers chunk
 // endpoints with 501, and clients fall back to whole-model transfer.
 type ChunkStore interface {
 	HasChunk(hash string) bool

@@ -1,9 +1,6 @@
 package lint
 
-import (
-	"go/ast"
-	"strings"
-)
+import "go/ast"
 
 // CtxCheck enforces the context conventions for library packages:
 //
@@ -15,12 +12,9 @@ import (
 //     library that fabricates its own root silently detaches the work
 //     from the caller's deadline and cancellation.
 //
-// One narrow allowance: a function whose doc comment carries a
-// "Deprecated:" notice may mint a root. That is the compatibility-shim
-// pattern — a ctx-less legacy name wrapping its ctx-first replacement —
-// and the deprecation marker is exactly the signal that the function
-// exists only for callers who cannot pass a context yet. New code
-// cannot use the loophole without also declaring itself deprecated.
+// There is no allowance for compatibility shims: a ctx-less name
+// wrapping its ctx-first replacement over context.Background() is a
+// finding, deprecation notice or not.
 //
 // Package main is exempt from both rules, and test files are never
 // loaded by the driver.
@@ -36,39 +30,24 @@ func runCtxCheck(pass *Pass) {
 	}
 	info := pass.Pkg.Info
 	for _, f := range pass.Pkg.Files {
-		for _, decl := range f.Decls {
-			deprecated := false
-			if fd, ok := decl.(*ast.FuncDecl); ok {
-				deprecated = isDeprecated(fd.Doc)
-			}
-			ast.Inspect(decl, func(n ast.Node) bool {
-				switch x := n.(type) {
-				case *ast.FuncDecl:
-					checkCtxPosition(pass, x.Type, funcScopeName(x))
-				case *ast.FuncLit:
-					checkCtxPosition(pass, x.Type, "function literal")
-				case *ast.CallExpr:
-					if deprecated {
-						return true
-					}
-					for _, name := range [...]string{"Background", "TODO"} {
-						if pkgFunc(info, x, "context", name) {
-							pass.Reportf(x.Pos(),
-								"context.%s in a library package; accept a ctx from the caller instead",
-								name)
-						}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch x := n.(type) {
+			case *ast.FuncDecl:
+				checkCtxPosition(pass, x.Type, funcScopeName(x))
+			case *ast.FuncLit:
+				checkCtxPosition(pass, x.Type, "function literal")
+			case *ast.CallExpr:
+				for _, name := range [...]string{"Background", "TODO"} {
+					if pkgFunc(info, x, "context", name) {
+						pass.Reportf(x.Pos(),
+							"context.%s in a library package; accept a ctx from the caller instead",
+							name)
 					}
 				}
-				return true
-			})
-		}
+			}
+			return true
+		})
 	}
-}
-
-// isDeprecated reports whether a doc comment carries the conventional
-// "Deprecated:" marker.
-func isDeprecated(doc *ast.CommentGroup) bool {
-	return doc != nil && strings.Contains(doc.Text(), "Deprecated:")
 }
 
 // checkCtxPosition flags context.Context parameters that are not the

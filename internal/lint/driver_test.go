@@ -48,7 +48,7 @@ import "errors"
 var ErrMissing = errors.New("missing")
 
 func Check(err error) bool {
-	//lint:ignore errcmp the sentinel arrives unwrapped from the legacy decoder
+	//lint:ignore errcmp the store contract returns this sentinel bare
 	return err == ErrMissing
 }
 `)

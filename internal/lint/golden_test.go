@@ -118,7 +118,7 @@ func TestCtxCheckGolden(t *testing.T) {
 func TestErrCmpGolden(t *testing.T) { runGolden(t, ErrCmp, "errcmp") }
 
 func TestOptCheckGolden(t *testing.T) {
-	runGolden(t, OptCheck, "sommelier", "sommelier/internal/serving")
+	runGolden(t, OptCheck, "sommelier/internal/serving")
 }
 
 func TestLockFlowGolden(t *testing.T) { runGolden(t, LockFlow, "lockflow") }
@@ -137,7 +137,7 @@ func TestSuppressGolden(t *testing.T) { runGolden(t, ErrCmp, "suppress") }
 // This catches analyzers that fire on another analyzer's fixtures.
 func TestFullSuiteOverTestdata(t *testing.T) {
 	patterns := []string{
-		"lockcheck", "snapwrite", "sommelier", "sommelier/internal/catalog",
+		"lockcheck", "snapwrite", "sommelier/internal/catalog",
 		"sommelier/internal/serving",
 		"detcheck/index", "detcheck/plain", "ctxcheck/lib", "ctxcheck/mainprog",
 		"errcmp", "errcmp/deps",

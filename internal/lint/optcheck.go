@@ -5,27 +5,13 @@ import (
 )
 
 // frozenStructs maps package name → struct name → its frozen field set.
-// These are the legacy configuration structs kept only so pre-options
-// callers compile after a functional-options redesign. Each has a
-// conversion path (Options.options, Workload → arrival stream,
-// FailureModel → fault schedule) that would silently drop any field the
-// author forgets to map, so the safe rule is absolute: no new fields,
-// ever. New knobs are With… functional options — on the root engine,
-// the serving Simulator, or the serving/cluster Sim.
+// These are the serving simulator's input structs, which predate its
+// functional options. Each has a conversion path (Workload → arrival
+// stream, FailureModel → fault schedule) that would silently drop any
+// field the author forgets to map, so the safe rule is absolute: no new
+// fields, ever. New knobs are With… functional options — on the serving
+// Simulator or the serving/cluster Sim.
 var frozenStructs = map[string]map[string]map[string]bool{
-	"sommelier": {
-		"Options": {
-			"Seed":             true,
-			"ValidationSize":   true,
-			"Bound":            true,
-			"Segments":         true,
-			"SegmentMinLen":    true,
-			"SampleSize":       true,
-			"IndexWorkers":     true,
-			"LatencyTable":     true,
-			"CustomValidation": true,
-		},
-	},
 	"serving": {
 		"Workload": {
 			"Requests":      true,
@@ -42,16 +28,15 @@ var frozenStructs = map[string]map[string]map[string]bool{
 	},
 }
 
-// OptCheck freezes the deprecated configuration structs: the root
-// package's Options plus the serving package's Workload and
-// FailureModel. Configuration knobs added after the functional-options
-// redesigns must be With… Option constructors, not struct fields — a
-// field added to a frozen struct but not to its legacy converter would
-// be silently ignored for every caller. This check turns that quiet
+// OptCheck freezes the serving package's Workload and FailureModel
+// structs. Configuration knobs added after the functional-options
+// redesign must be With… Option constructors, not struct fields — a
+// field added to a frozen struct but not to its converter would be
+// silently ignored for every caller. This check turns that quiet
 // divergence into a lint failure.
 var OptCheck = &Analyzer{
 	Name: "optcheck",
-	Doc:  "legacy config structs (Options, Workload, FailureModel) are frozen; new knobs must be functional options",
+	Doc:  "serving config structs (Workload, FailureModel) are frozen; new knobs must be functional options",
 	Run:  runOptCheck,
 }
 

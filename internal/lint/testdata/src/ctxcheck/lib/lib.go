@@ -38,14 +38,13 @@ func NoCtx(id string) string { return id }
 
 // FetchLegacy wraps Fetch for pre-context callers.
 //
-// Deprecated: use Fetch. A deprecated compatibility shim is the one
-// place a library may mint a root, so no finding here.
+// Deprecated: use Fetch. A deprecation notice buys no allowance: a
+// compatibility shim that mints a root is a finding like any other.
 func FetchLegacy(id string) error {
-	return Fetch(context.Background(), id)
+	return Fetch(context.Background(), id) // want `context\.Background in a library package`
 }
 
-// FreshMint looks like a shim but is not marked deprecated, so the
-// allowance does not apply.
+// FreshMint is the same shim without the notice.
 func FreshMint(id string) error {
 	return Fetch(context.Background(), id) // want `context\.Background in a library package`
 }

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"testing"
 
-	"sommelier/internal/graph"
 	"sommelier/internal/zoo"
 )
 
@@ -191,43 +190,5 @@ func TestDeleteRemovesDiskFileWhenMemoryEntryMissing(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dir, safeID(id)+manifestSuffix)); !os.IsNotExist(err) {
 		t.Fatal("Delete left the on-disk manifest for an ID missing from memory")
-	}
-}
-
-func TestOpenMigratesLegacySOMX(t *testing.T) {
-	dir := t.TempDir()
-	m := model(t, "legacy", "1", 11)
-	f, err := os.Create(filepath.Join(dir, "legacy@1"+legacySuffix))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := graph.EncodeV1(f, m); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	r, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := r.Load("legacy@1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Fingerprint() != m.Fingerprint() {
-		t.Fatal("migration changed the model")
-	}
-	if _, err := os.Stat(filepath.Join(dir, "legacy@1"+legacySuffix)); !os.IsNotExist(err) {
-		t.Fatal("migrated legacy file left behind")
-	}
-	// The migrated form must survive another open.
-	r2, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r2.Load("legacy@1"); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -1,6 +1,7 @@
 package repo
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -11,25 +12,35 @@ import (
 // when its on-disk state is damaged — and one damaged file must never
 // take the whole repository down.
 
-func TestOpenSweepsCorruptLegacyFile(t *testing.T) {
+func TestOpenLeavesUnknownFilesAlone(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "broken@1.somx")
-	if err := os.WriteFile(path, []byte("{not json"), 0o644); err != nil {
+	path := filepath.Join(dir, "foo@1.somx")
+	body := []byte("{not json")
+	if err := os.WriteFile(path, body, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	r, err := Open(dir)
 	if err != nil {
-		t.Fatalf("corrupt file must not fail the open: %v", err)
+		t.Fatalf("an unknown file must not fail the open: %v", err)
 	}
 	if r.Len() != 0 {
-		t.Fatalf("corrupt file counted as a model: %d", r.Len())
+		t.Fatalf("unknown file counted as a model: %d", r.Len())
 	}
-	if got := r.SweptFiles(); len(got) != 1 || got[0] != "broken@1.somx" {
-		t.Fatalf("SweptFiles = %v, want the corrupt file", got)
+	if got := r.SweptFiles(); len(got) != 0 {
+		t.Fatalf("SweptFiles = %v, want none: the file is not the repository's", got)
 	}
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Fatal("corrupt file left on disk after sweep")
+	untouched := func(when string) {
+		t.Helper()
+		got, err := os.ReadFile(path)
+		if err != nil || !bytes.Equal(got, body) {
+			t.Fatalf("after %s: file = %q, %v; want it byte-for-byte intact", when, got, err)
+		}
 	}
+	untouched("Open")
+	if err := r.Delete("foo@1"); err != nil {
+		t.Fatal(err)
+	}
+	untouched(`Delete("foo@1")`)
 }
 
 func TestOpenSweepsTornManifest(t *testing.T) {

@@ -91,12 +91,11 @@ func NewInMemory() *Repository {
 
 // Open returns a directory-backed repository. The directory is created
 // if missing. Layout: one manifest file per model plus a chunks/ tree
-// holding the content-addressed tensor segments. Legacy single-file
-// SOMX models found in the directory are migrated into chunked form.
-// Files that cannot be decoded — a torn manifest, a truncated legacy
-// model, chunks no manifest references — are swept with a logged
-// warning rather than failing the open: one damaged file must not take
-// the repository down.
+// holding the content-addressed tensor segments. Repository files that
+// cannot be used — a torn manifest, chunks no manifest references — are
+// swept with a logged warning rather than failing the open: one damaged
+// file must not take the repository down. Any other file in the
+// directory is not the repository's and is left alone.
 func Open(dir string) (*Repository, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("repo: %w", err)
@@ -112,20 +111,13 @@ func Open(dir string) (*Repository, error) {
 	if err != nil {
 		return nil, fmt.Errorf("repo: %w", err)
 	}
-	var manifestFiles, legacyFiles []string
+	var manifestFiles []string
 	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
-		switch {
-		case strings.HasSuffix(e.Name(), manifestSuffix):
+		if !e.IsDir() && strings.HasSuffix(e.Name(), manifestSuffix) {
 			manifestFiles = append(manifestFiles, e.Name())
-		case strings.HasSuffix(e.Name(), legacySuffix):
-			legacyFiles = append(legacyFiles, e.Name())
 		}
 	}
 	sort.Strings(manifestFiles)
-	sort.Strings(legacyFiles)
 	for _, name := range manifestFiles {
 		id := strings.TrimSuffix(name, manifestSuffix)
 		man, err := readManifestFile(filepath.Join(dir, name))
@@ -146,20 +138,6 @@ func Open(dir string) (*Repository, error) {
 		r.manifests[id] = man
 		r.order = append(r.order, id)
 	}
-	for _, name := range legacyFiles {
-		m, err := readLegacyFile(filepath.Join(dir, name))
-		if err != nil {
-			r.sweepFile(name, err)
-			continue
-		}
-		if _, err := r.Publish(m); err != nil {
-			r.sweepFile(name, err)
-			continue
-		}
-		// The model now lives as manifest + chunks; the single-file form
-		// is redundant.
-		_ = os.Remove(filepath.Join(dir, name))
-	}
 	if orphans := chunks.Sweep(); len(orphans) > 0 {
 		log.Printf("repo: open %s: swept %d unreferenced chunks", dir, len(orphans))
 		r.swept = append(r.swept, orphans...)
@@ -168,10 +146,7 @@ func Open(dir string) (*Repository, error) {
 	return r, nil
 }
 
-const (
-	manifestSuffix = ".manifest.json"
-	legacySuffix   = ".somx"
-)
+const manifestSuffix = ".manifest.json"
 
 // sweepFile removes an undecodable repository file, logging why. Only
 // called from Open, before the repository is shared.
@@ -449,10 +424,8 @@ func (r *Repository) Delete(id string) error {
 	}
 	r.mu.Unlock()
 	if r.dir != "" {
-		for _, path := range []string{r.manifestPath(id), r.legacyPath(id)} {
-			if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
-				return fmt.Errorf("repo: %w", err)
-			}
+		if err := os.Remove(r.manifestPath(id)); err != nil && !os.IsNotExist(err) {
+			return fmt.Errorf("repo: %w", err)
 		}
 	}
 	r.chunks.Release(refs)
@@ -519,10 +492,6 @@ func (r *Repository) manifestPath(id string) string {
 	return filepath.Join(r.dir, safeID(id)+manifestSuffix)
 }
 
-func (r *Repository) legacyPath(id string) string {
-	return filepath.Join(r.dir, safeID(id)+legacySuffix)
-}
-
 // safeID keeps '@' in file names but sanitizes path separators.
 func safeID(id string) string {
 	return strings.ReplaceAll(id, string(filepath.Separator), "_")
@@ -563,13 +532,4 @@ func writeManifestFile(path string, man *cas.Manifest) error {
 		return err
 	}
 	return nil
-}
-
-func readLegacyFile(path string) (*graph.Model, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return graph.Decode(f)
 }

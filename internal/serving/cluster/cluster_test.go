@@ -183,10 +183,8 @@ func TestSingleInstanceMatchesServing(t *testing.T) {
 }
 
 // servingArrivals reproduces the single-server simulator's arrival
-// times through its exported deprecated entry point: a fixed-policy dry
-// run's latencies are service-only under light load, so arrivals are
-// recovered by running the real generator logic — here simply the same
-// exponential stream the serving package documents (Workload.Seed).
+// times: the same exponential stream the serving package documents
+// (Workload.Seed), through its exported Arrivals.
 func servingArrivals(t *testing.T, w serving.Workload) []float64 {
 	t.Helper()
 	return serving.Arrivals(w)

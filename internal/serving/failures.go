@@ -42,20 +42,6 @@ func (fm FailureModel) validate() error {
 	return nil
 }
 
-// SimulateWithFailures runs Simulate under a failure model: switch
-// attempts fail with fm.SwitchFailProb and fall back to the previously
-// deployed model, with counts reported in the Result.
-//
-// Deprecated: use NewSimulator(WithPolicy(policy), WithServers(servers),
-// WithFailureModel(fm)) and Run with a caller context.
-func SimulateWithFailures(w Workload, policy Policy, servers int, fm FailureModel) (Result, error) {
-	sim, err := NewSimulator(WithPolicy(policy), WithServers(servers), WithFailureModel(fm))
-	if err != nil {
-		return Result{}, err
-	}
-	return sim.Run(context.Background(), w)
-}
-
 // RunComparisonContext executes the Figure 9(c) comparison — baseline,
 // scale-out, switching, switching+scale-out on the same workload — with
 // the switching configurations subjected to the failure model. The
@@ -111,14 +97,6 @@ func RunComparisonContext(ctx context.Context, o *obs.Observer, w Workload,
 	c.Combined.PolicyName = "switching+scale-out"
 	ObserveResult(o, c.Combined)
 	return c, nil
-}
-
-// RunComparisonWithFailures executes the Figure 9(c) comparison with
-// the switching configurations subjected to the failure model.
-//
-// Deprecated: use RunComparisonContext with a caller context.
-func RunComparisonWithFailures(w Workload, candidates []ModelChoice, switchStep int, fm FailureModel) (Comparison, error) {
-	return RunComparisonContext(context.Background(), nil, w, candidates, switchStep, fm)
 }
 
 // DegradationReport summarizes how a result behaved under faults:

@@ -1,6 +1,7 @@
 package serving
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"testing"
@@ -28,11 +29,11 @@ func mustSwitching(t *testing.T, step int) *SwitchingPolicy {
 
 func TestFailureModelValidation(t *testing.T) {
 	for _, p := range []float64{-0.1, 1.5} {
-		if _, err := SimulateWithFailures(faultWorkload(1), mustSwitching(t, 4), 1,
-			FailureModel{SwitchFailProb: p}); err == nil {
+		if _, err := run(faultWorkload(1), WithPolicy(mustSwitching(t, 4)),
+			WithFailureModel(FailureModel{SwitchFailProb: p})); err == nil {
 			t.Errorf("probability %v accepted", p)
 		}
-		if _, err := RunComparisonWithFailures(faultWorkload(1), ladder(), 4,
+		if _, err := RunComparisonContext(context.Background(), nil, faultWorkload(1), ladder(), 4,
 			FailureModel{SwitchFailProb: p}); err == nil {
 			t.Errorf("comparison with probability %v accepted", p)
 		}
@@ -41,11 +42,11 @@ func TestFailureModelValidation(t *testing.T) {
 
 func TestZeroProbMatchesSimulate(t *testing.T) {
 	w := faultWorkload(3)
-	plain, err := Simulate(w, mustSwitching(t, 4), 2)
+	plain, err := run(w, WithPolicy(mustSwitching(t, 4)), WithServers(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	under, err := SimulateWithFailures(w, mustSwitching(t, 4), 2, FailureModel{})
+	under, err := run(w, WithPolicy(mustSwitching(t, 4)), WithServers(2), WithFailureModel(FailureModel{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,11 +64,11 @@ func TestZeroProbMatchesSimulate(t *testing.T) {
 
 func TestFailureModelDeterministic(t *testing.T) {
 	fm := FailureModel{SwitchFailProb: 0.4, Seed: 11}
-	a, err := SimulateWithFailures(faultWorkload(5), mustSwitching(t, 4), 1, fm)
+	a, err := run(faultWorkload(5), WithPolicy(mustSwitching(t, 4)), WithFailureModel(fm))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := SimulateWithFailures(faultWorkload(5), mustSwitching(t, 4), 1, fm)
+	b, err := run(faultWorkload(5), WithPolicy(mustSwitching(t, 4)), WithFailureModel(fm))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,8 +83,8 @@ func TestFailureModelDeterministic(t *testing.T) {
 		t.Fatal("0.4 failure probability never failed a switch")
 	}
 	// A different failure seed shifts which switches fail.
-	c, err := SimulateWithFailures(faultWorkload(5), mustSwitching(t, 4), 1,
-		FailureModel{SwitchFailProb: 0.4, Seed: 12})
+	c, err := run(faultWorkload(5), WithPolicy(mustSwitching(t, 4)),
+		WithFailureModel(FailureModel{SwitchFailProb: 0.4, Seed: 12}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,8 +112,8 @@ func TestCertainFailurePinsFirstModel(t *testing.T) {
 		{ID: "a", ServiceMS: 5, Level: 1.0},
 		{ID: "b", ServiceMS: 5, Level: 0.9},
 	}
-	res, err := SimulateWithFailures(w, &flipPolicy{models: models}, 1,
-		FailureModel{SwitchFailProb: 1, Seed: 3})
+	res, err := run(w, WithPolicy(&flipPolicy{models: models}),
+		WithFailureModel(FailureModel{SwitchFailProb: 1, Seed: 3}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +136,7 @@ func TestCertainFailurePinsFirstModel(t *testing.T) {
 
 func TestComparisonWithFailuresReports(t *testing.T) {
 	fm := FailureModel{SwitchFailProb: 0.3, Seed: 7}
-	cmp, err := RunComparisonWithFailures(faultWorkload(9), ladder(), 4, fm)
+	cmp, err := RunComparisonContext(context.Background(), nil, faultWorkload(9), ladder(), 4, fm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +160,7 @@ func TestComparisonWithFailuresReports(t *testing.T) {
 	// Failed switches leave the old (often slower) model serving, so
 	// the faulty run cannot beat the fault-free one at the median by
 	// any margin — sanity-check the direction of the effect.
-	clean, err := RunComparison(faultWorkload(9), ladder(), 4)
+	clean, err := RunComparisonContext(context.Background(), nil, faultWorkload(9), ladder(), 4, FailureModel{})
 	if err != nil {
 		t.Fatal(err)
 	}

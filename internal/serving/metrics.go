@@ -1,7 +1,6 @@
 package serving
 
 import (
-	"context"
 	"strings"
 
 	"sommelier/internal/obs"
@@ -29,15 +28,6 @@ func ObserveComparison(o *obs.Observer, c Comparison) {
 	ObserveResult(o, c.ScaleOut)
 	ObserveResult(o, c.Switching)
 	ObserveResult(o, c.Combined)
-}
-
-// RunComparisonObserved executes the Figure 9(c) comparison under a
-// failure model and records every configuration into the observer.
-//
-// Deprecated: use RunComparisonContext with a caller context.
-func RunComparisonObserved(o *obs.Observer, w Workload, candidates []ModelChoice,
-	switchStep int, fm FailureModel) (Comparison, error) {
-	return RunComparisonContext(context.Background(), o, w, candidates, switchStep, fm)
 }
 
 // MetricName folds a policy name into metric-identifier form

@@ -9,12 +9,9 @@ import (
 )
 
 // Option configures a Simulator. Options compose left to right; later
-// options win. This is the serving simulator's primary configuration
-// surface — the legacy entry points (Simulate, SimulateWithFailures,
-// SimulateRacing, RunComparison…) are Deprecated wrappers over it, and
-// the legacy Workload/FailureModel structs accept no new fields
-// (enforced by sommlint's optcheck, exactly as the root package's
-// Options struct is frozen).
+// options win. This is the serving simulator's configuration surface:
+// the Workload and FailureModel input structs accept no new fields
+// (enforced by sommlint's optcheck), so new knobs arrive as Options.
 type Option func(*simConfig)
 
 // simConfig is the resolved simulator configuration.

@@ -17,56 +17,6 @@ func optCandidates() []ModelChoice {
 	}
 }
 
-// TestDeprecatedWrappersMatchNewAPI pins the compatibility contract:
-// the legacy entry points are thin wrappers, so they must produce
-// byte-identical results to the option-based simulator.
-func TestDeprecatedWrappersMatchNewAPI(t *testing.T) {
-	w := Workload{Requests: 300, MeanArrivalMS: 6, Seed: 21}
-
-	p1, err := NewSwitchingPolicy(optCandidates(), 5)
-	if err != nil {
-		t.Fatalf("policy: %v", err)
-	}
-	old, err := Simulate(w, p1, 2)
-	if err != nil {
-		t.Fatalf("Simulate: %v", err)
-	}
-	p2, err := NewSwitchingPolicy(optCandidates(), 5)
-	if err != nil {
-		t.Fatalf("policy: %v", err)
-	}
-	sim, err := NewSimulator(WithPolicy(p2), WithServers(2))
-	if err != nil {
-		t.Fatalf("NewSimulator: %v", err)
-	}
-	res, err := sim.Run(context.Background(), w)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if !reflect.DeepEqual(old, res) {
-		t.Fatalf("Simulate diverges from NewSimulator+Run:\nold: %+v\nnew: %+v", old, res)
-	}
-
-	fm := FailureModel{SwitchFailProb: 0.4, Seed: 8}
-	p3, _ := NewSwitchingPolicy(optCandidates(), 5)
-	oldF, err := SimulateWithFailures(w, p3, 1, fm)
-	if err != nil {
-		t.Fatalf("SimulateWithFailures: %v", err)
-	}
-	p4, _ := NewSwitchingPolicy(optCandidates(), 5)
-	simF, err := NewSimulator(WithPolicy(p4), WithFailureModel(fm))
-	if err != nil {
-		t.Fatalf("NewSimulator: %v", err)
-	}
-	resF, err := simF.Run(context.Background(), w)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if !reflect.DeepEqual(oldF, resF) {
-		t.Fatalf("SimulateWithFailures diverges from option API")
-	}
-}
-
 func TestNewSimulatorValidation(t *testing.T) {
 	if _, err := NewSimulator(); err == nil {
 		t.Error("NewSimulator without policy succeeded")
@@ -216,23 +166,5 @@ func TestRunContextCancel(t *testing.T) {
 	}
 	if _, err := sim.Run(ctx, Workload{Requests: 5000, MeanArrivalMS: 1, Seed: 1}); err == nil {
 		t.Fatal("Run with cancelled ctx succeeded")
-	}
-}
-
-// TestRunComparisonContextMatchesDeprecated pins the observed-comparison
-// wrapper chain.
-func TestRunComparisonContextMatchesDeprecated(t *testing.T) {
-	w := Workload{Requests: 200, MeanArrivalMS: 6, Seed: 13}
-	fm := FailureModel{SwitchFailProb: 0.3, Seed: 5}
-	a, err := RunComparisonWithFailures(w, optCandidates(), 5, fm)
-	if err != nil {
-		t.Fatalf("RunComparisonWithFailures: %v", err)
-	}
-	b, err := RunComparisonContext(context.Background(), nil, w, optCandidates(), 5, fm)
-	if err != nil {
-		t.Fatalf("RunComparisonContext: %v", err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatal("deprecated comparison wrapper diverges from RunComparisonContext")
 	}
 }

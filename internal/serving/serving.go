@@ -12,8 +12,6 @@
 //
 // The configuration surface is ctx-first with functional options:
 // NewSimulator(WithPolicy(...), WithServers(...), ...).Run(ctx, w). The
-// pre-redesign entry points (Simulate, SimulateWithFailures,
-// SimulateRacing, RunComparison…) remain as Deprecated wrappers. The
 // cluster-scale generalization — many instances behind pluggable
 // routing and admission control — lives in the serving/cluster
 // subpackage.
@@ -167,19 +165,6 @@ func arrivals(w Workload) []float64 {
 // cancellation lands promptly.
 const ctxCheckEvery = 1024
 
-// Simulate runs the workload against `servers` identical servers using
-// the policy with switches always succeeding.
-//
-// Deprecated: use NewSimulator(WithPolicy(policy),
-// WithServers(servers)) and Run with a caller context.
-func Simulate(w Workload, policy Policy, servers int) (Result, error) {
-	sim, err := NewSimulator(WithPolicy(policy), WithServers(servers))
-	if err != nil {
-		return Result{}, err
-	}
-	return sim.Run(context.Background(), w)
-}
-
 // runSim is the core discrete-event loop, shared by every
 // fixed-and-switching entry point. Requests join the shortest backlog
 // (join-shortest-queue, the paper's even distribution under heavy
@@ -332,32 +317,9 @@ func runRacing(ctx context.Context, cfg simConfig, w Workload, model ModelChoice
 	return res, nil
 }
 
-// SimulateRacing models the idealized two-server scale-out with a fixed
-// model.
-//
-// Deprecated: use NewSimulator(WithPolicy(FixedPolicy{Model: model}))
-// and RunRacing with a caller context.
-func SimulateRacing(w Workload, model ModelChoice) (Result, error) {
-	sim, err := NewSimulator(WithPolicy(FixedPolicy{Model: model}))
-	if err != nil {
-		return Result{}, err
-	}
-	return sim.RunRacing(context.Background(), w, model)
-}
-
 // Comparison bundles the four Figure 9(c) configurations.
 type Comparison struct {
 	Baseline, ScaleOut, Switching, Combined Result
-}
-
-// RunComparison executes the full Figure 9(c) experiment: the same
-// workload under all four configurations, with switches always
-// succeeding.
-//
-// Deprecated: use RunComparisonContext with a caller context (a nil
-// observer reproduces this function's behaviour).
-func RunComparison(w Workload, candidates []ModelChoice, switchStep int) (Comparison, error) {
-	return RunComparisonContext(context.Background(), nil, w, candidates, switchStep, FailureModel{})
 }
 
 // SortedModelShare renders a result's per-model request counts in a

@@ -1,6 +1,7 @@
 package serving
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -24,6 +25,15 @@ func heavyWorkload(seed uint64) Workload {
 		BurstFactor:   8,
 		Seed:          seed,
 	}
+}
+
+// run executes w on a simulator built from opts.
+func run(w Workload, opts ...Option) (Result, error) {
+	sim, err := NewSimulator(opts...)
+	if err != nil {
+		return Result{}, err
+	}
+	return sim.Run(context.Background(), w)
 }
 
 func TestArrivalsMonotone(t *testing.T) {
@@ -51,17 +61,17 @@ func TestArrivalsBurstsCompressGaps(t *testing.T) {
 }
 
 func TestSimulateValidation(t *testing.T) {
-	if _, err := Simulate(Workload{}, FixedPolicy{}, 1); err == nil {
+	if _, err := run(Workload{}, WithPolicy(FixedPolicy{})); err == nil {
 		t.Fatal("expected workload validation error")
 	}
-	if _, err := RunComparison(heavyWorkload(1), nil, 4); err == nil {
+	if _, err := RunComparisonContext(context.Background(), nil, heavyWorkload(1), nil, 4, FailureModel{}); err == nil {
 		t.Fatal("expected no-candidates error")
 	}
 }
 
 func TestFixedPolicyUnderLightLoadHasServiceLatency(t *testing.T) {
 	w := Workload{Requests: 500, MeanArrivalMS: 1000, Seed: 3}
-	r, err := Simulate(w, FixedPolicy{Model: ladder()[0]}, 1)
+	r, err := run(w, WithPolicy(FixedPolicy{Model: ladder()[0]}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +110,7 @@ func TestSwitchingStepsDownUnderLoad(t *testing.T) {
 
 func TestSwitchingReducesTailLatency(t *testing.T) {
 	w := heavyWorkload(7)
-	cmp, err := RunComparison(w, ladder(), 4)
+	cmp, err := RunComparisonContext(context.Background(), nil, w, ladder(), 4, FailureModel{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,11 +143,15 @@ func TestSwitchingReducesTailLatency(t *testing.T) {
 func TestScaleOutBeatsBaseline(t *testing.T) {
 	w := heavyWorkload(9)
 	flagship := ladder()[0]
-	base, err := Simulate(w, FixedPolicy{Model: flagship}, 1)
+	base, err := run(w, WithPolicy(FixedPolicy{Model: flagship}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	scale, err := SimulateRacing(w, flagship)
+	sim, err := NewSimulator(WithPolicy(FixedPolicy{Model: flagship}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	scale, err := sim.RunRacing(context.Background(), w, flagship)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,11 +162,11 @@ func TestScaleOutBeatsBaseline(t *testing.T) {
 
 func TestSimulateDeterministic(t *testing.T) {
 	w := heavyWorkload(4)
-	a, err := Simulate(w, FixedPolicy{Model: ladder()[0]}, 1)
+	a, err := run(w, WithPolicy(FixedPolicy{Model: ladder()[0]}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Simulate(w, FixedPolicy{Model: ladder()[0]}, 1)
+	b, err := run(w, WithPolicy(FixedPolicy{Model: ladder()[0]}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,11 +180,11 @@ func TestSimulateDeterministic(t *testing.T) {
 func TestMoreServersNeverWorse(t *testing.T) {
 	w := heavyWorkload(5)
 	p, _ := NewSwitchingPolicy(ladder(), 4)
-	one, err := Simulate(w, p, 1)
+	one, err := run(w, WithPolicy(p))
 	if err != nil {
 		t.Fatal(err)
 	}
-	four, err := Simulate(w, p, 4)
+	four, err := run(w, WithPolicy(p), WithServers(4))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,7 +64,7 @@ func TestSLOPolicyFallsBackToCheapest(t *testing.T) {
 func TestSLOPolicyImprovesAttainment(t *testing.T) {
 	w := heavyWorkload(11)
 	const target = 60
-	fixed, err := Simulate(w, FixedPolicy{Model: ladder()[0]}, 1)
+	fixed, err := run(w, WithPolicy(FixedPolicy{Model: ladder()[0]}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestSLOPolicyImprovesAttainment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	adaptive, err := Simulate(w, slo, 1)
+	adaptive, err := run(w, WithPolicy(slo))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -138,7 +138,7 @@ func TestSwapCostRaisesTailUnderFlapping(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := Simulate(w, p, 1)
+		r, err := run(w, WithPolicy(p))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,7 +169,7 @@ func TestBackgroundBeatsForegroundUnderLoad(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := Simulate(w, p, 1)
+		r, err := run(w, WithPolicy(p))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -9,9 +9,7 @@ import (
 )
 
 // Option configures an Engine. Options compose left to right; later
-// options win. This is the engine's primary configuration surface — the
-// legacy Options struct converts into a sequence of these and accepts
-// no new knobs (enforced by sommlint's optcheck).
+// options win. This is the engine's only configuration surface.
 type Option func(*engineConfig)
 
 // engineConfig is the resolved engine configuration: the catalog's
@@ -61,8 +59,9 @@ func WithSampleSize(n int) Option {
 
 // WithIndexWorkers bounds the indexing pipeline's concurrency: how many
 // pairwise analyses and profile measurements run at once during
-// Register and IndexAll. Zero means runtime.GOMAXPROCS(0). The worker
-// count never changes indexing results — only how fast they arrive.
+// RegisterContext and IndexAllContext. Zero means
+// runtime.GOMAXPROCS(0). The worker count never changes indexing
+// results — only how fast they arrive.
 func WithIndexWorkers(n int) Option {
 	return func(c *engineConfig) { c.cat.Workers = n }
 }
@@ -97,21 +96,4 @@ func WithCustomValidation(d *dataset.Dataset) Option {
 // with an obs.TickClock for deterministic trace output in tests.
 func WithObserver(o *obs.Observer) Option {
 	return func(c *engineConfig) { c.obs = o }
-}
-
-// options converts the legacy flat struct into the functional form.
-// New knobs must NOT be added here (or to the struct — sommlint's
-// optcheck freezes its field set); add a With… Option instead.
-func (o Options) options() []Option {
-	return []Option{
-		WithSeed(o.Seed),
-		WithValidationSize(o.ValidationSize),
-		WithBound(o.Bound),
-		WithSegments(o.Segments),
-		WithSegmentMinLen(o.SegmentMinLen),
-		WithSampleSize(o.SampleSize),
-		WithIndexWorkers(o.IndexWorkers),
-		WithLatencyTable(o.LatencyTable),
-		WithCustomValidation(o.CustomValidation),
-	}
 }

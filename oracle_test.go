@@ -382,10 +382,10 @@ func TestCoordinatorMatchesUnionOracle(t *testing.T) {
 		want := oracle(q.ast, union, refProf, anyProfile)
 		resp, err := coord.Query(context.Background(), q.text)
 		if err != nil {
-			t.Fatalf("Coordinator.Query(%s): %v", q.text, err)
+			t.Fatalf("Coordinator.QueryContext(context.Background(), %s): %v", q.text, err)
 		}
 		if !resp.Complete() {
-			t.Fatalf("Coordinator.Query(%s): incomplete response %+v", q.text, resp)
+			t.Fatalf("Coordinator.QueryContext(context.Background(), %s): incomplete response %+v", q.text, resp)
 		}
 		got := make([]Result, len(resp.Results))
 		for i, r := range resp.Results {

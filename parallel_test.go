@@ -2,6 +2,7 @@ package sommelier
 
 import (
 	"bytes"
+	"context"
 	"runtime"
 	"testing"
 	"time"
@@ -37,12 +38,13 @@ func benchCatalog(t testing.TB, seed uint64) *repo.Repository {
 func indexAllWith(t testing.TB, workers int) ([]byte, time.Duration) {
 	t.Helper()
 	store := benchCatalog(t, 0xbe7c)
-	eng, err := New(store, Options{Seed: 17, ValidationSize: 80, IndexWorkers: workers})
+	eng, err := NewEngine(store,
+		WithSeed(17), WithValidationSize(80), WithIndexWorkers(workers))
 	if err != nil {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	if err := eng.IndexAll(); err != nil {
+	if err := eng.IndexAllContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	elapsed := time.Since(start)

@@ -2,6 +2,7 @@ package sommelier
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -17,7 +18,7 @@ func TestSaveLoadIndexesRoundTrip(t *testing.T) {
 
 	// A fresh engine over the same repository, restored without any
 	// re-analysis.
-	eng2, err := New(eng.Store(), Options{Seed: 99})
+	eng2, err := NewEngine(eng.Store(), WithSeed(99))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,11 +31,11 @@ func TestSaveLoadIndexesRoundTrip(t *testing.T) {
 
 	// Queries over the restored engine match the original exactly.
 	q := `SELECT CORR "` + refID + `" WITHIN 50% PICK most_similar`
-	orig, err := eng.Query(q)
+	orig, err := eng.QueryContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored, err := eng2.Query(q)
+	restored, err := eng2.QueryContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +48,7 @@ func TestSaveLoadIndexesRoundTrip(t *testing.T) {
 		}
 	}
 	// Task-default references survive.
-	if _, err := eng2.Query(`SELECT TASK classification WITHIN 50% PICK most_similar`); err != nil {
+	if _, err := eng2.QueryContext(context.Background(), `SELECT TASK classification WITHIN 50% PICK most_similar`); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -58,7 +59,7 @@ func TestLoadIndexesAfterRestoreCanRegisterMore(t *testing.T) {
 	if err := eng.SaveIndexes(&buf); err != nil {
 		t.Fatal(err)
 	}
-	eng2, err := New(eng.Store(), Options{Seed: 11, ValidationSize: 250})
+	eng2, err := NewEngine(eng.Store(), WithSeed(11), WithValidationSize(250))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +74,7 @@ func TestLoadIndexesAfterRestoreCanRegisterMore(t *testing.T) {
 	}
 	clone := m.Clone()
 	clone.Name = "post-restore"
-	id, err := eng2.Register(clone)
+	id, err := eng2.RegisterContext(context.Background(), clone)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +88,7 @@ func TestLoadIndexesAfterRestoreCanRegisterMore(t *testing.T) {
 }
 
 func TestLoadIndexesErrors(t *testing.T) {
-	eng, err := New(repo.NewInMemory(), Options{})
+	eng, err := NewEngine(repo.NewInMemory())
 	if err != nil {
 		t.Fatal(err)
 	}

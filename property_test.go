@@ -1,6 +1,7 @@
 package sommelier
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"testing/quick"
@@ -40,7 +41,7 @@ func TestPropertyQueryContract(t *testing.T) {
 			Pick:  pick,
 			Limit: limit,
 		}
-		results, err := eng.QueryAST(q)
+		results, err := eng.QueryASTContext(context.Background(), q)
 		if err != nil {
 			t.Logf("query error: %v", err)
 			return false
@@ -95,7 +96,7 @@ func TestPropertyQueryStringEquivalence(t *testing.T) {
 		memPct := 10 + int(memRaw%300)
 		qs := fmt.Sprintf("SELECT CORR %q WITHIN %d%% ON memory <= %d%% PICK most_similar",
 			refID, threshold, memPct)
-		viaString, err := eng.Query(qs)
+		viaString, err := eng.QueryContext(context.Background(), qs)
 		if err != nil {
 			return false
 		}
@@ -103,7 +104,7 @@ func TestPropertyQueryStringEquivalence(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		viaAST, err := eng.QueryAST(ast)
+		viaAST, err := eng.QueryASTContext(context.Background(), ast)
 		if err != nil {
 			return false
 		}

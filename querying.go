@@ -49,13 +49,6 @@ func (e *Engine) QueryContext(ctx context.Context, q string) ([]Result, error) {
 	return e.queryAST(ctx, ast)
 }
 
-// Query parses and executes a query string without a context.
-//
-// Deprecated: use QueryContext.
-func (e *Engine) Query(q string) ([]Result, error) {
-	return e.QueryContext(context.Background(), q)
-}
-
 // QueryASTContext executes a parsed query through the three-stage
 // pipeline (§5.4). The whole query runs against one catalog snapshot,
 // so its answer is internally consistent — and lock-free — no matter
@@ -64,13 +57,6 @@ func (e *Engine) QueryASTContext(ctx context.Context, q *query.Query) ([]Result,
 	ctx, root := e.obs.StartSpan(ctx, "query", "")
 	defer func() { e.obs.Histogram("query_total_ms").Observe(root.End()) }()
 	return e.queryAST(ctx, q)
-}
-
-// QueryAST executes a parsed query without a context.
-//
-// Deprecated: use QueryASTContext.
-func (e *Engine) QueryAST(q *query.Query) ([]Result, error) {
-	return e.QueryASTContext(context.Background(), q)
 }
 
 // queryAST is the shared single-query execution body: one fresh

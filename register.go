@@ -10,11 +10,11 @@ import (
 	"sommelier/internal/repo"
 )
 
-// ErrPublishedUnindexed is wrapped by Register when the model reached
-// the repository but indexing failed AND the rollback delete also
-// failed: the store now holds a model the engine does not know about.
-// Callers can retry with IndexAll (which picks up unindexed repository
-// models) or delete the ID themselves.
+// ErrPublishedUnindexed is wrapped by RegisterContext when the model
+// reached the repository but indexing failed AND the rollback delete
+// also failed: the store now holds a model the engine does not know about.
+// Callers can retry with IndexAllContext (which picks up unindexed
+// repository models) or delete the ID themselves.
 var ErrPublishedUnindexed = errors.New("model published but not indexed")
 
 // RegisterContext publishes the model to the repository and indexes it.
@@ -54,15 +54,6 @@ func (e *Engine) RegisterContext(ctx context.Context, m *graph.Model) (string, e
 	return id, nil
 }
 
-// Register publishes and indexes the model without a context.
-//
-// Deprecated: use RegisterContext. This wrapper exists only so code
-// written against the pre-context API keeps compiling; it cannot be
-// canceled.
-func (e *Engine) Register(m *graph.Model) (string, error) {
-	return e.RegisterContext(context.Background(), m)
-}
-
 // RegisterAnnotatedContext publishes and indexes a model using
 // designer-supplied equivalence annotations (§5.5, "Supporting
 // developer annotations") instead of running the pairwise analysis
@@ -89,14 +80,6 @@ func (e *Engine) RegisterAnnotatedContext(ctx context.Context, m *graph.Model, l
 	return id, nil
 }
 
-// RegisterAnnotated publishes and indexes a model with annotations,
-// without a context.
-//
-// Deprecated: use RegisterAnnotatedContext.
-func (e *Engine) RegisterAnnotated(m *graph.Model, levels map[string]float64) (string, error) {
-	return e.RegisterAnnotatedContext(context.Background(), m, levels)
-}
-
 // IndexAllContext indexes every repository model not yet indexed, in
 // repository order, fanning the pairwise analysis out across the
 // engine's index workers. Models indexed concurrently by other writers
@@ -121,14 +104,6 @@ func (e *Engine) IndexAllContext(ctx context.Context) error {
 	}
 	_, err := e.cat.IndexBatch(ctx, entries)
 	return err
-}
-
-// IndexAll indexes every unindexed repository model without a context.
-//
-// Deprecated: use IndexAllContext, whose cancellation aborts the
-// worker pool mid-batch.
-func (e *Engine) IndexAll() error {
-	return e.IndexAllContext(context.Background())
 }
 
 // IndexModel indexes an already published model, skipping it silently

@@ -44,19 +44,19 @@ func registerTestModel(t testing.TB, name string, seed uint64) *graph.Model {
 // indexed" survives the failure.
 func TestRegisterRollsBackOnIndexFailure(t *testing.T) {
 	store := repo.NewInMemory()
-	eng, err := New(store, Options{Seed: 5})
+	eng, err := NewEngine(store, WithSeed(5))
 	if err != nil {
 		t.Fatal(err)
 	}
 	withAnalyzer(eng, failingAnalyzer{})
 
 	a := registerTestModel(t, "roll-a", 1)
-	if _, err := eng.Register(a); err != nil {
+	if _, err := eng.RegisterContext(context.Background(), a); err != nil {
 		t.Fatalf("first model has no analysis partners, want success: %v", err)
 	}
 
 	b := registerTestModel(t, "roll-b", 2)
-	if _, err := eng.Register(b); err == nil {
+	if _, err := eng.RegisterContext(context.Background(), b); err == nil {
 		t.Fatal("expected index failure")
 	}
 	if _, err := store.Load(repo.IDFor(b)); !errors.Is(err, repo.ErrNotFound) {
@@ -72,20 +72,20 @@ func TestRegisterRollsBackOnIndexFailure(t *testing.T) {
 // slot held real data before this call.
 func TestRegisterKeepsPreexistingOnIndexFailure(t *testing.T) {
 	store := repo.NewInMemory()
-	eng, err := New(store, Options{Seed: 6})
+	eng, err := NewEngine(store, WithSeed(6))
 	if err != nil {
 		t.Fatal(err)
 	}
 	withAnalyzer(eng, failingAnalyzer{})
 
-	if _, err := eng.Register(registerTestModel(t, "keep-a", 1)); err != nil {
+	if _, err := eng.RegisterContext(context.Background(), registerTestModel(t, "keep-a", 1)); err != nil {
 		t.Fatal(err)
 	}
 	b := registerTestModel(t, "keep-b", 2)
 	if _, err := store.Publish(b); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Register(b); err == nil {
+	if _, err := eng.RegisterContext(context.Background(), b); err == nil {
 		t.Fatal("expected index failure")
 	}
 	if _, err := store.Load(repo.IDFor(b)); err != nil {
@@ -122,17 +122,17 @@ func TestRegisterSurfacesErrPublishedUnindexed(t *testing.T) {
 	}
 	inner := repo.NewInMemory()
 	store := faults.NewFlakyStore(inner, inj)
-	eng, err := New(store, Options{Seed: 7})
+	eng, err := NewEngine(store, WithSeed(7))
 	if err != nil {
 		t.Fatal(err)
 	}
 	withAnalyzer(eng, failingAnalyzer{})
 
-	if _, err := eng.Register(registerTestModel(t, "sync-a", 1)); err != nil {
+	if _, err := eng.RegisterContext(context.Background(), registerTestModel(t, "sync-a", 1)); err != nil {
 		t.Fatal(err)
 	}
 	b := registerTestModel(t, "sync-b", 2)
-	_, err = eng.Register(b)
+	_, err = eng.RegisterContext(context.Background(), b)
 	if !errors.Is(err, ErrPublishedUnindexed) {
 		t.Fatalf("err = %v, want ErrPublishedUnindexed", err)
 	}
@@ -149,23 +149,23 @@ func TestRegisterSurfacesErrPublishedUnindexed(t *testing.T) {
 // though valid edges were staged before the bad one.
 func TestRegisterAnnotatedAtomic(t *testing.T) {
 	store := repo.NewInMemory()
-	eng, err := New(store, Options{Seed: 8})
+	eng, err := NewEngine(store, WithSeed(8))
 	if err != nil {
 		t.Fatal(err)
 	}
 	withAnalyzer(eng, silentRootAnalyzer{})
 
-	aID, err := eng.Register(registerTestModel(t, "ann-a", 1))
+	aID, err := eng.RegisterContext(context.Background(), registerTestModel(t, "ann-a", 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	bID, err := eng.Register(registerTestModel(t, "ann-b", 2))
+	bID, err := eng.RegisterContext(context.Background(), registerTestModel(t, "ann-b", 2))
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	c := registerTestModel(t, "ann-c", 3)
-	if _, err := eng.RegisterAnnotated(c, map[string]float64{
+	if _, err := eng.RegisterAnnotatedContext(context.Background(), c, map[string]float64{
 		aID: 0.9, bID: 0.8, "ghost@v1": 0.7,
 	}); err == nil {
 		t.Fatal("expected error for unindexed annotation reference")
@@ -182,7 +182,7 @@ func TestRegisterAnnotatedAtomic(t *testing.T) {
 	}
 
 	d := registerTestModel(t, "ann-d", 4)
-	dID, err := eng.RegisterAnnotated(d, map[string]float64{aID: 0.9})
+	dID, err := eng.RegisterAnnotatedContext(context.Background(), d, map[string]float64{aID: 0.9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func (silentRootAnalyzer) Analyze(ref, cand index.Entry) (index.AnalysisResult, 
 // the commit's critical section, not double-inserted and not an error.
 func TestIndexAllSkipsConcurrentlyIndexed(t *testing.T) {
 	store := repo.NewInMemory()
-	eng, err := New(store, Options{Seed: 9})
+	eng, err := NewEngine(store, WithSeed(9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,14 +227,14 @@ func TestIndexAllSkipsConcurrentlyIndexed(t *testing.T) {
 	if err := eng.IndexModel(context.Background(), repo.IDFor(models[1]), models[1]); err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.IndexAll(); err != nil {
+	if err := eng.IndexAllContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if eng.IndexedLen() != 4 {
 		t.Fatalf("IndexedLen = %d, want 4", eng.IndexedLen())
 	}
 	// Idempotent: a second pass finds nothing to do.
-	if err := eng.IndexAll(); err != nil {
+	if err := eng.IndexAllContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if eng.IndexedLen() != 4 {

@@ -22,62 +22,17 @@
 //
 // The API is context-first: every entry point that can block — query,
 // register, index — takes a ctx whose cancellation aborts the work,
-// including the indexing worker pool mid-batch. The ctx-less names
-// (Query, Register, IndexAll, Explain) remain as deprecated wrappers
-// over context.Background() at this package boundary only. The engine
-// observes itself through internal/obs (see Engine.Observer): per-stage
-// index and query timings, spans, and worker occupancy, exported as one
-// JSON snapshot.
+// including the indexing worker pool mid-batch. The engine observes
+// itself through internal/obs (see Engine.Observer): per-stage index
+// and query timings, spans, and worker occupancy, exported as one JSON
+// snapshot.
 //
 // The Engine itself is a thin facade: engine.go holds construction and
 // accessors (options.go the functional options), register.go the write
 // path (publish + staged indexing), querying.go the read path.
 package sommelier
 
-import (
-	"sommelier/internal/dataset"
-	"sommelier/internal/equiv"
-	"sommelier/internal/resource"
-)
-
-// Options configures an Engine (§5.5's knobs).
-//
-// Deprecated: use NewEngine with functional options (WithSeed,
-// WithIndexWorkers, WithObserver, …). The struct is kept as a
-// convertible compatibility shim; its field set is frozen — sommlint's
-// optcheck rejects new fields — so new knobs appear only as Options
-// funcs.
-type Options struct {
-	// Seed drives every random choice; equal seeds give identical
-	// indexes and results, at any IndexWorkers setting.
-	Seed uint64
-	// ValidationSize is the per-task probe dataset size used for
-	// empirical equivalence measurement (default 300).
-	ValidationSize int
-	// Bound selects the generalization-bound mode: on (default) for
-	// dataset-independent scores, off for testing-only scores.
-	Bound equiv.BoundMode
-	// Segments enables model-segment analysis during indexing; it is
-	// the slower, higher-recall mode (§4.2). Off by default.
-	Segments bool
-	// SegmentMinLen is the minimum common-segment length considered.
-	SegmentMinLen int
-	// SampleSize overrides the semantic index's pairwise sample count
-	// (the paper uses 5).
-	SampleSize int
-	// IndexWorkers bounds the indexing pipeline's concurrency: how
-	// many pairwise analyses and profile measurements run at once
-	// during Register and IndexAll. Zero means runtime.GOMAXPROCS(0).
-	// The worker count never changes indexing results — only how fast
-	// they arrive.
-	IndexWorkers int
-	// LatencyTable overrides the per-operator latency table.
-	LatencyTable resource.LatencyTable
-	// CustomValidation, when set, is used instead of generated probe
-	// data for models whose input shape matches (the "custom" bound
-	// knob of §5.5).
-	CustomValidation *dataset.Dataset
-}
+import "sommelier/internal/resource"
 
 // Result is one model returned by a query, with everything an inference
 // server needs to act on it.

@@ -1,6 +1,7 @@
 package sommelier
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -19,7 +20,7 @@ import (
 func newEngineWithLadder(t testing.TB, segments bool) (*Engine, string, []string) {
 	t.Helper()
 	store := repo.NewInMemory()
-	eng, err := New(store, Options{Seed: 11, ValidationSize: 250, Segments: segments})
+	eng, err := NewEngine(store, WithSeed(11), WithValidationSize(250), WithSegments(segments))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +28,7 @@ func newEngineWithLadder(t testing.TB, segments bool) (*Engine, string, []string
 	if err != nil {
 		t.Fatal(err)
 	}
-	refID, err := eng.Register(base)
+	refID, err := eng.RegisterContext(context.Background(), base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +39,7 @@ func newEngineWithLadder(t testing.TB, segments bool) (*Engine, string, []string
 		if err != nil {
 			t.Fatal(err)
 		}
-		id, err := eng.Register(v)
+		id, err := eng.RegisterContext(context.Background(), v)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -49,7 +50,7 @@ func newEngineWithLadder(t testing.TB, segments bool) (*Engine, string, []string
 	if err != nil {
 		t.Fatal(err)
 	}
-	bigID, err := eng.Register(big)
+	bigID, err := eng.RegisterContext(context.Background(), big)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +89,7 @@ func TestEngineQueryPipeline(t *testing.T) {
 	eng, refID, _ := newEngineWithLadder(t, false)
 	// High threshold, memory within 120% of ref: excludes the distant
 	// variant and the inflated big model.
-	results, err := eng.Query(`SELECT CORR "` + refID + `" WITHIN 85% ON memory <= 120% PICK most_similar`)
+	results, err := eng.QueryContext(context.Background(), `SELECT CORR "`+refID+`" WITHIN 85% ON memory <= 120% PICK most_similar`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +114,7 @@ func TestEngineQueryPipeline(t *testing.T) {
 
 func TestEngineQueryPickSmallest(t *testing.T) {
 	eng, refID, _ := newEngineWithLadder(t, false)
-	results, err := eng.Query(`SELECT CORR "` + refID + `" WITHIN 50% PICK smallest`)
+	results, err := eng.QueryContext(context.Background(), `SELECT CORR "`+refID+`" WITHIN 50% PICK smallest`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +127,7 @@ func TestEngineQueryPickSmallest(t *testing.T) {
 
 func TestEngineQueryLimit(t *testing.T) {
 	eng, refID, _ := newEngineWithLadder(t, false)
-	results, err := eng.Query(`SELECT CORR "` + refID + `" WITHIN 10% PICK most_similar LIMIT 2`)
+	results, err := eng.QueryContext(context.Background(), `SELECT CORR "`+refID+`" WITHIN 10% PICK most_similar LIMIT 2`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +139,7 @@ func TestEngineQueryLimit(t *testing.T) {
 func TestEngineQueryLowerBoundConstraint(t *testing.T) {
 	eng, refID, _ := newEngineWithLadder(t, false)
 	// Require MORE memory than the reference: only the inflated model.
-	results, err := eng.Query(`SELECT CORR "` + refID + `" WITHIN 50% ON memory >= 150% PICK most_similar`)
+	results, err := eng.QueryContext(context.Background(), `SELECT CORR "`+refID+`" WITHIN 50% ON memory >= 150% PICK most_similar`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +151,7 @@ func TestEngineQueryLowerBoundConstraint(t *testing.T) {
 func TestEngineQueryTaskDefaultReference(t *testing.T) {
 	eng, refID, _ := newEngineWithLadder(t, false)
 	// The first registered classification model is the default ref.
-	results, err := eng.Query(`SELECT TASK classification WITHIN 50% PICK most_similar`)
+	results, err := eng.QueryContext(context.Background(), `SELECT TASK classification WITHIN 50% PICK most_similar`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,13 +169,13 @@ func TestEngineQueryTaskDefaultReference(t *testing.T) {
 
 func TestEngineQueryErrors(t *testing.T) {
 	eng, _, _ := newEngineWithLadder(t, false)
-	if _, err := eng.Query(`garbage`); err == nil {
+	if _, err := eng.QueryContext(context.Background(), `garbage`); err == nil {
 		t.Fatal("expected parse error")
 	}
-	if _, err := eng.Query(`SELECT CORR ghost@9`); err == nil {
+	if _, err := eng.QueryContext(context.Background(), `SELECT CORR ghost@9`); err == nil {
 		t.Fatal("expected unknown-reference error")
 	}
-	if _, err := eng.Query(`SELECT TASK regression`); err == nil {
+	if _, err := eng.QueryContext(context.Background(), `SELECT TASK regression`); err == nil {
 		t.Fatal("expected no-default-reference error")
 	}
 }
@@ -192,7 +193,7 @@ func TestEngineQueryAbsoluteConstraint(t *testing.T) {
 		}},
 		Pick: query.PickMostSimilar,
 	}
-	results, err := eng.QueryAST(q)
+	results, err := eng.QueryASTContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +206,8 @@ func TestEngineQueryAbsoluteConstraint(t *testing.T) {
 
 func TestEngineSegmentsProduceSynthesizedCandidates(t *testing.T) {
 	store := repo.NewInMemory()
-	eng, err := New(store, Options{Seed: 3, ValidationSize: 150, Segments: true, SegmentMinLen: 3})
+	eng, err := NewEngine(store,
+		WithSeed(3), WithValidationSize(150), WithSegments(true), WithSegmentMinLen(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,11 +220,11 @@ func TestEngineSegmentsProduceSynthesizedCandidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refID, err := eng.Register(base)
+	refID, err := eng.RegisterContext(context.Background(), base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Register(variant); err != nil {
+	if _, err := eng.RegisterContext(context.Background(), variant); err != nil {
 		t.Fatal(err)
 	}
 	res, err := eng.TopEquivalents(refID, 10)
@@ -279,18 +281,18 @@ func TestEngineIndexAllFromRepository(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	eng, err := New(store, Options{Seed: 5, ValidationSize: 100})
+	eng, err := NewEngine(store, WithSeed(5), WithValidationSize(100))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.IndexAll(); err != nil {
+	if err := eng.IndexAllContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if eng.IndexedLen() != 3 {
 		t.Fatalf("IndexedLen = %d", eng.IndexedLen())
 	}
 	// Idempotent.
-	if err := eng.IndexAll(); err != nil {
+	if err := eng.IndexAllContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if eng.IndexedLen() != 3 {
@@ -309,7 +311,7 @@ func TestEngineIndexMemoryBytes(t *testing.T) {
 func TestEngineDeterministicAcrossRuns(t *testing.T) {
 	run := func() []Result {
 		eng, refID, _ := newEngineWithLadder(t, false)
-		rs, err := eng.Query(`SELECT CORR "` + refID + `" WITHIN 50% PICK most_similar`)
+		rs, err := eng.QueryContext(context.Background(), `SELECT CORR "`+refID+`" WITHIN 50% PICK most_similar`)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -327,7 +329,7 @@ func TestEngineDeterministicAcrossRuns(t *testing.T) {
 }
 
 func TestEngineNilRepository(t *testing.T) {
-	if _, err := New(nil, Options{}); err == nil {
+	if _, err := NewEngine(nil); err == nil {
 		t.Fatal("expected nil-repository error")
 	}
 }
@@ -374,7 +376,7 @@ func TestEquivOptionsExposedThroughEngine(t *testing.T) {
 	// same pair (the bound only subtracts).
 	mkEngine := func(mode equiv.BoundMode) float64 {
 		store := repo.NewInMemory()
-		eng, err := New(store, Options{Seed: 9, ValidationSize: 200, Bound: mode})
+		eng, err := NewEngine(store, WithSeed(9), WithValidationSize(200), WithBound(mode))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -382,12 +384,12 @@ func TestEquivOptionsExposedThroughEngine(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		refID, err := eng.Register(base)
+		refID, err := eng.RegisterContext(context.Background(), base)
 		if err != nil {
 			t.Fatal(err)
 		}
 		v := zoo.Perturb(base, "v", 0.02, 3)
-		if _, err := eng.Register(v); err != nil {
+		if _, err := eng.RegisterContext(context.Background(), v); err != nil {
 			t.Fatal(err)
 		}
 		res, err := eng.TopEquivalents(refID, 1)
@@ -409,7 +411,7 @@ func TestValidationForCustomDataset(t *testing.T) {
 		Name:   "custom",
 		Inputs: dataset.RandomImages(50, tensor.Shape{16}, 99),
 	}
-	eng, err := New(store, Options{Seed: 1, CustomValidation: custom})
+	eng, err := NewEngine(store, WithSeed(1), WithCustomValidation(custom))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,14 +422,14 @@ func TestValidationForCustomDataset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Register(m); err != nil {
+	if _, err := eng.RegisterContext(context.Background(), m); err != nil {
 		t.Fatal(err)
 	}
 	m2, err := zoo.DenseResidualNet(zoo.Config{Name: "cv2", Seed: 6, InDim: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Register(m2); err != nil {
+	if _, err := eng.RegisterContext(context.Background(), m2); err != nil {
 		t.Fatal(err)
 	}
 	if eng.IndexedLen() != 2 {
@@ -442,11 +444,11 @@ func TestEngineExecSpecReprofiles(t *testing.T) {
 	// that passes at batch 1 can fail at batch 32, and vice versa a
 	// query with EXEC must still return a consistent, non-empty set at
 	// a loose budget.
-	base, err := eng.Query(`SELECT CORR "` + refID + `" WITHIN 50% ON memory <= 200% PICK most_similar`)
+	base, err := eng.QueryContext(context.Background(), `SELECT CORR "`+refID+`" WITHIN 50% ON memory <= 200% PICK most_similar`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	withExec, err := eng.Query(`SELECT CORR "` + refID + `" WITHIN 50% ON memory <= 200% EXEC batch=32 PICK most_similar`)
+	withExec, err := eng.QueryContext(context.Background(), `SELECT CORR "`+refID+`" WITHIN 50% ON memory <= 200% EXEC batch=32 PICK most_similar`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -465,10 +467,10 @@ func TestEngineExecSpecReprofiles(t *testing.T) {
 		t.Fatalf("exec-spec did not re-profile: default %d vs exec %d", defMem, execMem)
 	}
 	// Invalid EXEC values fail loudly.
-	if _, err := eng.Query(`SELECT CORR "` + refID + `" EXEC batch=zero`); err == nil {
+	if _, err := eng.QueryContext(context.Background(), `SELECT CORR "`+refID+`" EXEC batch=zero`); err == nil {
 		t.Fatal("expected bad-batch error")
 	}
-	if _, err := eng.Query(`SELECT CORR "` + refID + `" EXEC precision=fp8`); err == nil {
+	if _, err := eng.QueryContext(context.Background(), `SELECT CORR "`+refID+`" EXEC precision=fp8`); err == nil {
 		t.Fatal("expected bad-precision error")
 	}
 }
@@ -481,7 +483,7 @@ func TestRegisterAnnotated(t *testing.T) {
 	}
 	annotated := m.Clone()
 	annotated.Name = "annotated"
-	id, err := eng.RegisterAnnotated(annotated, map[string]float64{refID: 0.99})
+	id, err := eng.RegisterAnnotatedContext(context.Background(), annotated, map[string]float64{refID: 0.99})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -504,12 +506,12 @@ func TestRegisterAnnotated(t *testing.T) {
 	// Invalid annotations fail loudly.
 	bad := m.Clone()
 	bad.Name = "bad-level"
-	if _, err := eng.RegisterAnnotated(bad, map[string]float64{refID: 1.5}); err == nil {
+	if _, err := eng.RegisterAnnotatedContext(context.Background(), bad, map[string]float64{refID: 1.5}); err == nil {
 		t.Fatal("expected range error")
 	}
 	bad2 := m.Clone()
 	bad2.Name = "bad-target"
-	if _, err := eng.RegisterAnnotated(bad2, map[string]float64{"ghost@1": 0.5}); err == nil {
+	if _, err := eng.RegisterAnnotatedContext(context.Background(), bad2, map[string]float64{"ghost@1": 0.5}); err == nil {
 		t.Fatal("expected unindexed-target error")
 	}
 }

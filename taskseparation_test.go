@@ -1,6 +1,7 @@
 package sommelier
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -15,7 +16,7 @@ import (
 // versa, even at threshold zero.
 func TestMixedRepositoryTaskSeparation(t *testing.T) {
 	store := repo.NewInMemory()
-	eng, err := New(store, Options{Seed: 31, ValidationSize: 200, SampleSize: 50})
+	eng, err := NewEngine(store, WithSeed(31), WithValidationSize(200), WithSampleSize(50))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,14 +26,14 @@ func TestMixedRepositoryTaskSeparation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cvID, err := eng.Register(cv)
+	cvID, err := eng.RegisterContext(context.Background(), cv)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cvIDs := map[string]bool{cvID: true}
 	for i := 0; i < 2; i++ {
 		v := zoo.Perturb(cv, fmt.Sprintf("cv-v%d", i), 0.05, uint64(i+2))
-		id, err := eng.Register(v)
+		id, err := eng.RegisterContext(context.Background(), v)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -44,13 +45,13 @@ func TestMixedRepositoryTaskSeparation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nlpID, err := eng.Register(cohort.Teacher)
+	nlpID, err := eng.RegisterContext(context.Background(), cohort.Teacher)
 	if err != nil {
 		t.Fatal(err)
 	}
 	nlpIDs := map[string]bool{nlpID: true}
 	for _, m := range cohort.Models {
-		id, err := eng.Register(m)
+		id, err := eng.RegisterContext(context.Background(), m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -58,7 +59,7 @@ func TestMixedRepositoryTaskSeparation(t *testing.T) {
 	}
 
 	// Vision queries stay in vision...
-	res, err := eng.Query(fmt.Sprintf("SELECT CORR %q WITHIN 0%% PICK most_similar", cvID))
+	res, err := eng.QueryContext(context.Background(), fmt.Sprintf("SELECT CORR %q WITHIN 0%% PICK most_similar", cvID))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +72,7 @@ func TestMixedRepositoryTaskSeparation(t *testing.T) {
 		}
 	}
 	// ...and text queries stay in text.
-	res, err = eng.Query(fmt.Sprintf("SELECT CORR %q WITHIN 0%% PICK most_similar", nlpID))
+	res, err = eng.QueryContext(context.Background(), fmt.Sprintf("SELECT CORR %q WITHIN 0%% PICK most_similar", nlpID))
 	if err != nil {
 		t.Fatal(err)
 	}
