@@ -8,8 +8,12 @@ build:
 test:
 	$(GO) test ./...
 
+# vet also gates formatting: any file gofmt would rewrite fails the
+# build. testdata/ is exempt — the lint goldens pin source positions.
 vet:
 	$(GO) vet ./...
+	@unformatted="$$(gofmt -l . | grep -v '/testdata/')"; \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l:"; echo "$$unformatted"; exit 1; fi
 
 # race runs the full suite under the race detector — the concurrent
 # breaker, LRU-cache and retry paths in internal/hub depend on it. The
@@ -38,8 +42,8 @@ lint:
 benchsmoke:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-# check is the CI gate: vet, then sommlint, then the bench-module smoke,
-# then the race-detector run. lint sits before race because it is ~100x
+# check is the CI gate: vet (and its gofmt gate), then sommlint, then
+# the bench-module smoke, then the race-detector run. lint sits before race because it is ~100x
 # cheaper and catches the invariant violations race can only hope to
 # trip over; benchsmoke (~30 s) before race for the same reason. It is
 # the gate's benchmark half: sommperf's hard checks (batch_equals_serial,

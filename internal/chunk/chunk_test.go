@@ -150,7 +150,7 @@ func TestDeltaRefusesWhenDenseWins(t *testing.T) {
 func TestApplyDeltaRejectsCorrupt(t *testing.T) {
 	base := []float64{1, 2, 3}
 	for _, bad := range [][]byte{
-		{1, 2, 3},                // truncated header
+		{1, 2, 3}, // truncated header
 		{9, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}, // index out of range
 		{0, 0, 0, 0, 2, 0, 0, 0, 1, 2, 3},                // truncated run
 	} {

@@ -9,8 +9,10 @@ import (
 	"testing"
 
 	"sommelier"
+	"sommelier/internal/cas"
 	"sommelier/internal/cluster"
 	"sommelier/internal/faults"
+	"sommelier/internal/graph"
 	"sommelier/internal/hub"
 	"sommelier/internal/repo"
 	"sommelier/internal/zoo"
@@ -156,19 +158,24 @@ func newBatchHubReplica(t *testing.T) (*cluster.HTTPReplica, *sommelier.Engine) 
 
 func seedHTTPReplica(t *testing.T, r *cluster.HTTPReplica) string {
 	t.Helper()
+	publish := func(m *graph.Model) string {
+		enc, err := cas.Encode(m, "", nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		id, err := r.PublishEncoded(context.Background(), enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return id
+	}
 	base, err := zoo.DenseResidualNet(zoo.Config{Name: "httpbase", Seed: 3, Width: 8, Depth: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	refID, err := r.Publish(context.Background(), base)
-	if err != nil {
-		t.Fatal(err)
-	}
+	refID := publish(base)
 	for i := 0; i < 3; i++ {
-		v := zoo.Perturb(base, fmt.Sprintf("httpv%d", i), 0.01*float64(i+1), uint64(20+i))
-		if _, err := r.Publish(context.Background(), v); err != nil {
-			t.Fatal(err)
-		}
+		publish(zoo.Perturb(base, fmt.Sprintf("httpv%d", i), 0.01*float64(i+1), uint64(20+i)))
 	}
 	return refID
 }
@@ -204,8 +211,8 @@ func TestHTTPReplicaQueryBatch(t *testing.T) {
 	if errs[2] != nil || len(results[2]) != 0 {
 		t.Fatalf("unknown-reference slot: err %v, %d results; want empty contribution", errs[2], len(results[2]))
 	}
-	// The GET path buries parse errors in its blanket 4xx→empty mapping;
-	// the batch protocol surfaces them per slot (the coordinator never
+	// The GET path buries parse errors in its 400→empty mapping; the
+	// batch protocol surfaces them per slot (the coordinator never
 	// sends one — it validates before scattering — but a direct caller
 	// deserves the real error).
 	if errs[3] == nil {

@@ -4,6 +4,13 @@
 // result — is exercised deterministically and asserted byte-for-byte
 // across independent runs of the same schedule.
 //
+// Every seeded schedule is run twice more than determinism needs: once
+// through Coordinator.Query and once, on an identically seeded cluster,
+// through QueryBatch of that one query. The two entry points share one
+// ladder, so Response and ladder counters must be reflect.DeepEqual
+// (sameAsBatchOfOne). Only the concurrent stress test is exempt — its
+// fault draws interleave differently on every run by design.
+//
 // The suite doubles as the `make chaos` matrix: every test here matches
 // -run TestChaos.
 package cluster_test
@@ -14,6 +21,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -64,6 +73,52 @@ func chaosQuery(refID string) string {
 	return fmt.Sprintf("SELECT CORR %q WITHIN 50%% PICK most_similar", refID)
 }
 
+// askFunc puts one query to the coordinator through one of its two
+// entry points.
+type askFunc func(co *cluster.Coordinator, q string) (*cluster.Response, error)
+
+func askQuery(co *cluster.Coordinator, q string) (*cluster.Response, error) {
+	return co.Query(context.Background(), q)
+}
+
+func askBatchOfOne(co *cluster.Coordinator, q string) (*cluster.Response, error) {
+	resps, errs := co.QueryBatch(context.Background(), []string{q})
+	return resps[0], errs[0]
+}
+
+// ladderCounters extracts the counters the degradation ladder moves.
+func ladderCounters(o *obs.Observer) map[string]int64 {
+	out := make(map[string]int64)
+	for name, v := range o.Snapshot().Counters {
+		if strings.HasPrefix(name, "cluster_failover") ||
+			name == "cluster_stale_shards_total" || name == "cluster_missing_shards_total" {
+			out[name] = v
+		}
+	}
+	return out
+}
+
+// sameAsBatchOfOne asserts the single ≡ batch-of-one contract for one
+// schedule: the responses a Query run collected and the ladder counters
+// it moved equal those of the QueryBatch([]string{q}) run.
+func sameAsBatchOfOne(t *testing.T, so *obs.Observer, single []*cluster.Response, bo *obs.Observer, batch []*cluster.Response) {
+	t.Helper()
+	if len(single) != len(batch) {
+		t.Fatalf("Query run collected %d responses, batch-of-one run %d", len(single), len(batch))
+	}
+	for i := range single {
+		// Class() is a function of the compared fields, so equal
+		// responses are equally classed; it is printed for the reader.
+		if !reflect.DeepEqual(single[i], batch[i]) {
+			t.Errorf("response %d: Query and QueryBatch-of-one diverge:\n single %s (%s)\n batch  %s (%s)",
+				i, mustJSON(t, single[i]), single[i].Class(), mustJSON(t, batch[i]), batch[i].Class())
+		}
+	}
+	if s, b := ladderCounters(so), ladderCounters(bo); !reflect.DeepEqual(s, b) {
+		t.Errorf("ladder counters diverge:\n single %v\n batch  %v", s, b)
+	}
+}
+
 // mustJSON marshals for byte-for-byte comparison.
 func mustJSON(t *testing.T, v any) []byte {
 	t.Helper()
@@ -103,16 +158,16 @@ func TestChaosFailoverInvisible(t *testing.T) {
 	for shard := 0; shard < chaosTopology.Shards; shard++ {
 		shard := shard
 		t.Run(fmt.Sprintf("kill-shard%d-replica0", shard), func(t *testing.T) {
-			run := func() ([]byte, *cluster.Response, *obs.Observer) {
+			run := func(ask askFunc) ([]byte, *cluster.Response, *obs.Observer) {
 				_, co, sched, o, refID := chaosCluster(t)
 				sched.Set(cluster.Target(shard, 0), faults.Kill(0, 0))
-				resp, err := co.Query(context.Background(), chaosQuery(refID))
+				resp, err := ask(co, chaosQuery(refID))
 				if err != nil {
 					t.Fatalf("query with dead replica: %v", err)
 				}
 				return mustJSON(t, resp), resp, o
 			}
-			full1, resp, o := run()
+			full1, resp, o := run(askQuery)
 			if resp.Class() != cluster.OutcomeFull {
 				t.Fatalf("response class = %s (missing %v, stale %v); a 1-of-2 replica loss must stay invisible",
 					resp.Class(), resp.Missing, resp.Stale)
@@ -131,10 +186,12 @@ func TestChaosFailoverInvisible(t *testing.T) {
 				t.Error("cluster_degraded_queries incremented for an invisible failover")
 			}
 
-			full2, _, _ := run()
+			full2, _, _ := run(askQuery)
 			if !bytes.Equal(full1, full2) {
 				t.Errorf("same schedule, different Response bytes:\n run1 %s\n run2 %s", full1, full2)
 			}
+			_, bresp, bo := run(askBatchOfOne)
+			sameAsBatchOfOne(t, o, []*cluster.Response{resp}, bo, []*cluster.Response{bresp})
 		})
 	}
 }
@@ -149,18 +206,18 @@ func TestChaosShardLossDegrades(t *testing.T) {
 	for shard := 0; shard < chaosTopology.Shards; shard++ {
 		shard := shard
 		t.Run(fmt.Sprintf("kill-shard%d-all-replicas", shard), func(t *testing.T) {
-			run := func() ([]byte, *cluster.Response, *obs.Observer) {
+			run := func(ask askFunc) ([]byte, *cluster.Response, *obs.Observer) {
 				_, co, sched, o, refID := chaosCluster(t)
 				for r := 0; r < chaosTopology.Replicas; r++ {
 					sched.Set(cluster.Target(shard, r), faults.Kill(0, 0))
 				}
-				resp, err := co.Query(context.Background(), chaosQuery(refID))
+				resp, err := ask(co, chaosQuery(refID))
 				if err != nil {
 					t.Fatalf("query with dead shard: %v", err)
 				}
 				return mustJSON(t, resp), resp, o
 			}
-			full1, resp, o := run()
+			full1, resp, o := run(askQuery)
 			if resp.Class() != cluster.OutcomeDegraded {
 				t.Fatalf("response class = %s, want degraded", resp.Class())
 			}
@@ -200,10 +257,12 @@ func TestChaosShardLossDegrades(t *testing.T) {
 					mustJSON(t, part), baseline)
 			}
 
-			full2, _, _ := run()
+			full2, _, _ := run(askQuery)
 			if !bytes.Equal(full1, full2) {
 				t.Errorf("same schedule, different Response bytes:\n run1 %s\n run2 %s", full1, full2)
 			}
+			_, bresp, bo := run(askBatchOfOne)
+			sameAsBatchOfOne(t, o, []*cluster.Response{resp}, bo, []*cluster.Response{bresp})
 		})
 	}
 }
@@ -215,22 +274,22 @@ func TestChaosStaleLastKnownGood(t *testing.T) {
 	baseline := baselineResults(t)
 	const shard = 1
 
-	run := func() ([]byte, *cluster.Response, *obs.Observer) {
+	run := func(ask askFunc) ([]byte, *cluster.Response, *obs.Observer) {
 		_, co, sched, o, refID := chaosCluster(t)
 		q := chaosQuery(refID)
-		if _, err := co.Query(context.Background(), q); err != nil {
+		if _, err := ask(co, q); err != nil {
 			t.Fatalf("warm-up query: %v", err)
 		}
 		for r := 0; r < chaosTopology.Replicas; r++ {
 			sched.Set(cluster.Target(shard, r), faults.Kill(0, 0))
 		}
-		resp, err := co.Query(context.Background(), q)
+		resp, err := ask(co, q)
 		if err != nil {
 			t.Fatalf("query with dead shard: %v", err)
 		}
 		return mustJSON(t, resp), resp, o
 	}
-	full1, resp, o := run()
+	full1, resp, o := run(askQuery)
 	if resp.Class() != cluster.OutcomeDegraded {
 		t.Fatalf("response class = %s, want degraded (stale rung)", resp.Class())
 	}
@@ -248,10 +307,12 @@ func TestChaosStaleLastKnownGood(t *testing.T) {
 		t.Errorf("cluster_degraded_queries = %d, want 1", snap.Counters["cluster_degraded_queries"])
 	}
 
-	full2, _, _ := run()
+	full2, _, _ := run(askQuery)
 	if !bytes.Equal(full1, full2) {
 		t.Errorf("same schedule, different Response bytes:\n run1 %s\n run2 %s", full1, full2)
 	}
+	_, bresp, bo := run(askBatchOfOne)
+	sameAsBatchOfOne(t, o, []*cluster.Response{resp}, bo, []*cluster.Response{bresp})
 }
 
 // TestChaosMatrix runs the fault-schedule matrix — kill/slow/flake a
@@ -263,12 +324,13 @@ func TestChaosMatrix(t *testing.T) {
 	t.Run("flake-mid-query", func(t *testing.T) {
 		// A replica flaking at 50% must never change an answer: every
 		// query either hits it healthy or fails over.
-		run := func() []byte {
+		run := func(ask askFunc) ([]byte, []*cluster.Response, *obs.Observer) {
 			_, co, sched, o, refID := chaosCluster(t)
 			sched.Set(cluster.Target(0, 0), faults.Flake(0, 0, 0.5))
 			var trace bytes.Buffer
+			var resps []*cluster.Response
 			for i := 0; i < 10; i++ {
-				resp, err := co.Query(context.Background(), chaosQuery(refID))
+				resp, err := ask(co, chaosQuery(refID))
 				if err != nil {
 					t.Fatalf("query %d: %v", i, err)
 				}
@@ -280,25 +342,29 @@ func TestChaosMatrix(t *testing.T) {
 				}
 				trace.Write(mustJSON(t, resp))
 				trace.WriteByte('\n')
+				resps = append(resps, resp)
 			}
 			if o.Snapshot().Counters["cluster_failover_error_total"] == 0 {
 				t.Fatal("flake window never fired; the matrix entry tested nothing")
 			}
-			return trace.Bytes()
+			return trace.Bytes(), resps, o
 		}
-		t1, t2 := run(), run()
+		t1, resps, o := run(askQuery)
+		t2, _, _ := run(askQuery)
 		if !bytes.Equal(t1, t2) {
 			t.Errorf("flake trace not reproducible:\n run1 %s\n run2 %s", t1, t2)
 		}
+		_, bresps, bo := run(askBatchOfOne)
+		sameAsBatchOfOne(t, o, resps, bo, bresps)
 	})
 
 	t.Run("slow-replica-times-out", func(t *testing.T) {
 		// A replica slower than the per-replica timeout is a failover,
 		// classified as such in the counters.
-		run := func() []byte {
+		run := func(ask askFunc) ([]byte, *cluster.Response, *obs.Observer) {
 			_, co, sched, o, refID := chaosCluster(t, cluster.WithReplicaTimeout(40*time.Millisecond))
 			sched.Set(cluster.Target(1, 0), faults.Slow(0, 0, 2*time.Second))
-			resp, err := co.Query(context.Background(), chaosQuery(refID))
+			resp, err := ask(co, chaosQuery(refID))
 			if err != nil {
 				t.Fatalf("query with slow replica: %v", err)
 			}
@@ -311,20 +377,23 @@ func TestChaosMatrix(t *testing.T) {
 			if o.Snapshot().Counters["cluster_failover_timeout_total"] == 0 {
 				t.Fatal("cluster_failover_timeout_total = 0; the timeout was not classified as such")
 			}
-			return mustJSON(t, resp)
+			return mustJSON(t, resp), resp, o
 		}
-		r1, r2 := run(), run()
+		r1, resp, o := run(askQuery)
+		r2, _, _ := run(askQuery)
 		if !bytes.Equal(r1, r2) {
 			t.Errorf("slow-replica run not reproducible:\n run1 %s\n run2 %s", r1, r2)
 		}
+		_, bresp, bo := run(askBatchOfOne)
+		sameAsBatchOfOne(t, o, []*cluster.Response{resp}, bo, []*cluster.Response{bresp})
 	})
 
 	t.Run("kill-mid-upload", func(t *testing.T) {
 		// A replica dying mid-publish yields a PartialWriteError — the
 		// write is durable on the surviving replica — and Repair restores
 		// full replication.
-		run := func() string {
-			cl, co, sched, _, refID := chaosCluster(t)
+		run := func(ask askFunc) (string, *cluster.Response, *obs.Observer) {
+			cl, co, sched, o, refID := chaosCluster(t)
 			m, err := cl.Load(context.Background(), refID)
 			if err != nil {
 				t.Fatalf("loading base: %v", err)
@@ -358,26 +427,29 @@ func TestChaosMatrix(t *testing.T) {
 			// With replicas converged again, killing the previously
 			// surviving replica must be invisible.
 			sched.Set(cluster.Target(owner, 1), faults.Kill(0, 0))
-			resp, err := co.Query(context.Background(), chaosQuery(refID))
+			resp, err := ask(co, chaosQuery(refID))
 			if err != nil {
 				t.Fatalf("post-repair query: %v", err)
 			}
 			if resp.Class() != cluster.OutcomeFull {
 				t.Fatalf("post-repair failover degraded to %s; repair left replicas divergent", resp.Class())
 			}
-			return fmt.Sprintf("owner=%d copies=%d resp=%s", owner, rep.Copies, mustJSON(t, resp))
+			return fmt.Sprintf("owner=%d copies=%d resp=%s", owner, rep.Copies, mustJSON(t, resp)), resp, o
 		}
-		r1, r2 := run(), run()
+		r1, resp, o := run(askQuery)
+		r2, _, _ := run(askQuery)
 		if r1 != r2 {
 			t.Errorf("mid-upload run not reproducible:\n run1 %s\n run2 %s", r1, r2)
 		}
+		_, bresp, bo := run(askBatchOfOne)
+		sameAsBatchOfOne(t, o, []*cluster.Response{resp}, bo, []*cluster.Response{bresp})
 	})
 
 	t.Run("kill-mid-rebalance", func(t *testing.T) {
 		// A new shard whose replica dies mid-move must abort the move
 		// with the model retained — no loss — and a retry after recovery
 		// completes the rebalance.
-		run := func() string {
+		run := func(ask askFunc) (string, *cluster.Response, *obs.Observer) {
 			cl, _, sched, o, refID := chaosCluster(t)
 			ctx := context.Background()
 			before, err := cl.List(ctx)
@@ -459,23 +531,26 @@ func TestChaosMatrix(t *testing.T) {
 			if _, err := cl.Broadcast(ctx, mustLoad(t, cl, refID)); err != nil {
 				t.Fatalf("re-broadcast of reference: %v", err)
 			}
-			co2, err := cluster.NewCoordinator(cl.Backends())
+			co2, err := cluster.NewCoordinator(cl.Backends(), cluster.WithCoordinatorObserver(o))
 			if err != nil {
 				t.Fatal(err)
 			}
-			resp, err := co2.Query(ctx, chaosQuery(refID))
+			resp, err := ask(co2, chaosQuery(refID))
 			if err != nil {
 				t.Fatalf("post-rebalance query: %v", err)
 			}
 			if resp.Class() != cluster.OutcomeFull {
 				t.Fatalf("post-rebalance query degraded to %s", resp.Class())
 			}
-			return fmt.Sprintf("moved=%d resp=%s", rep.Moved, mustJSON(t, resp))
+			return fmt.Sprintf("moved=%d resp=%s", rep.Moved, mustJSON(t, resp)), resp, o
 		}
-		r1, r2 := run(), run()
+		r1, resp, o := run(askQuery)
+		r2, _, _ := run(askQuery)
 		if r1 != r2 {
 			t.Errorf("mid-rebalance run not reproducible:\n run1 %s\n run2 %s", r1, r2)
 		}
+		_, bresp, bo := run(askBatchOfOne)
+		sameAsBatchOfOne(t, o, []*cluster.Response{resp}, bo, []*cluster.Response{bresp})
 	})
 }
 

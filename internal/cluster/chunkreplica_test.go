@@ -13,8 +13,8 @@ import (
 	"sommelier/internal/zoo"
 )
 
-// denseReplica is a minimal store-backed Replica with no chunk surface,
-// counting dense publishes.
+// denseReplica is a minimal store-backed Replica that unpacks every
+// encoded publish into a whole-model store write, counting them.
 type denseReplica struct {
 	store *repo.Repository
 	dense atomic.Int64
@@ -23,9 +23,9 @@ type denseReplica struct {
 func newDenseReplica() *denseReplica { return &denseReplica{store: repo.NewInMemory()} }
 
 func (d *denseReplica) Query(ctx context.Context, q string) ([]Result, error) { return nil, nil }
-func (d *denseReplica) Publish(ctx context.Context, m *graph.Model) (string, error) {
+func (d *denseReplica) PublishEncoded(ctx context.Context, enc *cas.Encoded) (string, error) {
 	d.dense.Add(1)
-	return d.store.Publish(m)
+	return d.store.Publish(enc.Model)
 }
 func (d *denseReplica) Load(ctx context.Context, id string) (*graph.Model, error) {
 	return d.store.Load(id)
@@ -36,7 +36,7 @@ func (d *denseReplica) List(ctx context.Context) ([]repo.Metadata, error) {
 func (d *denseReplica) Delete(ctx context.Context, id string) error { return d.store.Delete(id) }
 func (d *denseReplica) Rebuild(ctx context.Context) error           { return nil }
 
-// chunkStubReplica adds the chunk surface, counting chunked publishes.
+// chunkStubReplica stores the chunks as sent, counting chunked publishes.
 type chunkStubReplica struct {
 	denseReplica
 	chunked atomic.Int64
@@ -61,47 +61,10 @@ func chunkTestModel(t *testing.T) *graph.Model {
 	return m
 }
 
-// TestPublishPrefersChunkReplica: replication routes each replica copy
-// through the chunk protocol when the replica speaks it and falls back
-// to a dense publish when it does not — in the same shard, from one
-// shared encoding.
-func TestPublishPrefersChunkReplica(t *testing.T) {
-	chunked := newChunkStubReplica()
-	plain := newDenseReplica()
-	c, err := NewCluster([][]Replica{{chunked, plain}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := chunkTestModel(t)
-	id, err := c.Publish(context.Background(), m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := chunked.chunked.Load(); got != 1 {
-		t.Fatalf("chunk replica saw %d chunked publishes, want 1", got)
-	}
-	if got := chunked.dense.Load(); got != 0 {
-		t.Fatalf("chunk replica saw %d dense publishes, want 0", got)
-	}
-	if got := plain.dense.Load(); got != 1 {
-		t.Fatalf("plain replica saw %d dense publishes, want 1", got)
-	}
-	for _, r := range []*repo.Repository{chunked.store, plain.store} {
-		got, err := r.Load(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Fingerprint() != m.Fingerprint() {
-			t.Fatal("replicated model does not match the original")
-		}
-	}
-}
-
-// TestFaultyReplicaChunkFaultAccounting: a chunked publish through
-// FaultyReplica draws exactly one scheduled fault — the same accounting
-// as a dense publish, so chaos fault windows stay aligned — and
-// delegates to the inner chunk surface; over a plain inner replica it
-// degrades to a dense publish.
+// TestFaultyReplicaChunkFaultAccounting: a publish through
+// FaultyReplica draws exactly one scheduled fault — so chaos fault
+// windows count replica-publishes — and delegates to the inner
+// replica's PublishEncoded, whatever that replica does with the chunks.
 func TestFaultyReplicaChunkFaultAccounting(t *testing.T) {
 	enc, err := cas.Encode(chunkTestModel(t), "", nil, 0)
 	if err != nil {
@@ -125,12 +88,11 @@ func TestFaultyReplicaChunkFaultAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := plain.dense.Load(); got != 1 {
-		t.Fatalf("plain inner saw %d dense publishes, want 1 (chunk fallback)", got)
+		t.Fatalf("plain inner saw %d dense publishes, want 1", got)
 	}
 }
 
-// TestRepairUsesChunkPath: anti-entropy copies ride the chunk protocol
-// to chunk-capable replicas.
+// TestRepairUsesChunkPath: anti-entropy copies ride the chunk protocol.
 func TestRepairUsesChunkPath(t *testing.T) {
 	holder := newChunkStubReplica()
 	missing := newChunkStubReplica()

@@ -52,9 +52,6 @@ func (e *PartialWriteError) Error() string {
 // ClusterOption configures a Cluster.
 type ClusterOption func(*Cluster)
 
-// WithVirtualNodes sets the ring's virtual-node count per shard.
-func WithVirtualNodes(n int) ClusterOption { return func(c *Cluster) { c.vnodes = n } }
-
 // WithClusterObserver attaches an observability handle: writes count
 // into cluster_publish_total / cluster_publish_partial_total /
 // cluster_publish_failed_total, repair into cluster_repair_copies_total
@@ -68,8 +65,7 @@ func WithClusterObserver(o *obs.Observer) ClusterOption { return func(c *Cluster
 // replica divergence after a partial write, misplacement after the
 // ring changes.
 type Cluster struct {
-	vnodes int
-	obs    *obs.Observer
+	obs *obs.Observer
 
 	mu     sync.Mutex
 	ring   *Ring       // guarded by mu
@@ -87,15 +83,14 @@ func NewCluster(shards [][]Replica, opts ...ClusterOption) (*Cluster, error) {
 			return nil, fmt.Errorf("cluster: shard %d has no replicas", i)
 		}
 	}
-	c := &Cluster{shards: shards}
-	for _, opt := range opts {
-		opt(c)
-	}
-	ring, err := NewRing(len(shards), c.vnodes)
+	ring, err := NewRing(len(shards))
 	if err != nil {
 		return nil, err
 	}
-	c.ring = ring
+	c := &Cluster{shards: shards, ring: ring}
+	for _, opt := range opts {
+		opt(c)
+	}
 	return c, nil
 }
 
@@ -129,27 +124,24 @@ func (c *Cluster) topology() (*Ring, [][]Replica) {
 
 // encodeOnce chunk-encodes a model for replication. The encoding is
 // computed once per logical write and shared by every replica copy;
-// chunk-capable replicas then receive only the chunks they are missing.
-// A nil return (encoding failed) downgrades every copy to the dense
-// path rather than failing the write.
-func encodeOnce(m *graph.Model) *cas.Encoded {
+// each replica then receives only the chunks it is missing.
+func encodeOnce(m *graph.Model) (*cas.Encoded, error) {
 	enc, err := cas.Encode(m, "", nil, 0)
 	if err != nil {
-		return nil
+		return nil, fmt.Errorf("cluster: encoding %s@%s: %w", m.Name, m.Version, err)
 	}
-	return enc
+	return enc, nil
 }
 
-// publishTo writes the model to every replica of one shard.
+// publishTo writes the encoded model to every replica of one shard.
 // At least one accepting replica makes the write durable; fewer than
-// all yields a *PartialWriteError. enc is the shared chunk encoding
-// (nil to force dense transfer).
-func (c *Cluster) publishTo(ctx context.Context, shard int, reps []Replica, m *graph.Model, enc *cas.Encoded) (string, error) {
-	id := m.Name + "@" + m.Version
+// all yields a *PartialWriteError.
+func (c *Cluster) publishTo(ctx context.Context, shard int, reps []Replica, enc *cas.Encoded) (string, error) {
+	id := enc.Manifest.ID()
 	accepted := 0
 	var errs map[string]error
 	for r, rep := range reps {
-		if _, err := publishReplica(ctx, rep, m, enc); err != nil {
+		if _, err := rep.PublishEncoded(ctx, enc); err != nil {
 			if errs == nil {
 				errs = make(map[string]error)
 			}
@@ -177,11 +169,14 @@ func (c *Cluster) Publish(ctx context.Context, m *graph.Model) (string, error) {
 	if err := m.Validate(); err != nil {
 		return "", fmt.Errorf("cluster: refusing invalid model: %w", err)
 	}
+	enc, err := encodeOnce(m)
+	if err != nil {
+		return "", err
+	}
 	ring, shards := c.topology()
 	c.obs.Counter("cluster_publish_total").Inc()
-	id := m.Name + "@" + m.Version
-	shard := ring.ShardFor(PlacementKey(id, seriesOf(m)))
-	return c.publishTo(ctx, shard, shards[shard], m, encodeOnce(m))
+	shard := ring.ShardFor(PlacementKey(enc.Manifest.ID(), seriesOf(m)))
+	return c.publishTo(ctx, shard, shards[shard], enc)
 }
 
 // Broadcast writes the model to every replica of every shard — the
@@ -192,14 +187,17 @@ func (c *Cluster) Broadcast(ctx context.Context, m *graph.Model) (string, error)
 	if err := m.Validate(); err != nil {
 		return "", fmt.Errorf("cluster: refusing invalid model: %w", err)
 	}
+	enc, err := encodeOnce(m)
+	if err != nil {
+		return "", err
+	}
 	_, shards := c.topology()
 	c.obs.Counter("cluster_publish_total").Inc()
-	id := m.Name + "@" + m.Version
-	enc := encodeOnce(m)
+	id := enc.Manifest.ID()
 	accepted := 0
 	var errs map[string]error
 	for s, reps := range shards {
-		_, err := c.publishTo(ctx, s, reps, m, enc)
+		_, err := c.publishTo(ctx, s, reps, enc)
 		var pw *PartialWriteError
 		switch {
 		case err == nil:
@@ -354,21 +352,22 @@ func (c *Cluster) Repair(ctx context.Context) (*RepairReport, error) {
 		}
 		sort.Strings(ids)
 		for _, id := range ids {
-			var m *graph.Model
 			var enc *cas.Encoded
 			for r := range reps {
 				if have[r][id] {
 					continue
 				}
-				if m == nil {
-					var err error
-					if m, err = reps[source[id]].Load(ctx, id); err != nil {
+				if enc == nil {
+					m, err := reps[source[id]].Load(ctx, id)
+					if err != nil {
 						return rep, fmt.Errorf("cluster: repair shard %d: loading %s from %s: %w",
 							s, id, Target(s, source[id]), err)
 					}
-					enc = encodeOnce(m)
+					if enc, err = encodeOnce(m); err != nil {
+						return rep, err
+					}
 				}
-				if _, err := publishReplica(ctx, reps[r], m, enc); err != nil {
+				if _, err := reps[r].PublishEncoded(ctx, enc); err != nil {
 					rep.Failed = append(rep.Failed, Target(s, r)+":"+id)
 					continue
 				}
@@ -395,7 +394,7 @@ func (c *Cluster) AddShard(replicas ...Replica) error {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	ring, err := NewRing(len(c.shards)+1, c.vnodes)
+	ring, err := NewRing(len(c.shards) + 1)
 	if err != nil {
 		return err
 	}
@@ -477,9 +476,12 @@ func (c *Cluster) Rebalance(ctx context.Context) (*RebalanceReport, error) {
 		// goes away. A refused copy aborts the move and rolls the
 		// already-accepted copies back, so a half-moved model cannot be
 		// mistaken for a broadcast one on the next pass.
-		enc := encodeOnce(m)
+		enc, err := encodeOnce(m)
+		if err != nil {
+			return rep, err
+		}
 		for r, replica := range shards[want] {
-			if _, err := publishReplica(ctx, replica, m, enc); err != nil {
+			if _, err := replica.PublishEncoded(ctx, enc); err != nil {
 				for rb := 0; rb < r; rb++ {
 					if derr := shards[want][rb].Delete(ctx, id); derr != nil && !errors.Is(derr, repo.ErrNotFound) {
 						return rep, fmt.Errorf("cluster: rebalance: moving %s to %s: %w; rollback from %s also failed: %w (model retained on shard %d)",

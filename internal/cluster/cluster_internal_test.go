@@ -13,11 +13,11 @@ import (
 // of (key, topology), and the virtual nodes must keep partitions within
 // sane bounds.
 func TestRingDeterministicAndBalanced(t *testing.T) {
-	a, err := NewRing(4, 0)
+	a, err := NewRing(4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewRing(4, 0)
+	b, err := NewRing(4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,11 +44,11 @@ func TestRingDeterministicAndBalanced(t *testing.T) {
 // hashing worth its salt: adding one shard to N must re-home roughly
 // 1/(N+1) of the keys, not half of them (as mod-hashing would).
 func TestRingGrowthMovesFewKeys(t *testing.T) {
-	before, err := NewRing(4, 0)
+	before, err := NewRing(4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	after, err := NewRing(5, 0)
+	after, err := NewRing(5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestRingGrowthMovesFewKeys(t *testing.T) {
 // TestPlacementKeyGroupsSeries: models of one series co-locate; bare
 // IDs spread.
 func TestPlacementKeyGroupsSeries(t *testing.T) {
-	r, err := NewRing(8, 0)
+	r, err := NewRing(8)
 	if err != nil {
 		t.Fatal(err)
 	}

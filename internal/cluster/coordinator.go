@@ -1,15 +1,14 @@
 package cluster
 
 import (
-	"container/list"
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
 	"sommelier/internal/hub"
+	"sommelier/internal/lru"
 	"sommelier/internal/obs"
 	"sommelier/internal/query"
 )
@@ -18,9 +17,9 @@ import (
 const (
 	// DefaultReplicaTimeout bounds each per-replica query attempt.
 	DefaultReplicaTimeout = 2 * time.Second
-	// DefaultLKGCacheCap bounds the last-known-good cache (per-shard,
-	// per-query entries, LRU eviction).
-	DefaultLKGCacheCap = 256
+	// lkgCacheCap bounds the last-known-good cache (per-shard, per-query
+	// entries, LRU eviction).
+	lkgCacheCap = 256
 )
 
 // CoordinatorOption configures a Coordinator.
@@ -30,12 +29,6 @@ type CoordinatorOption func(*Coordinator)
 // deadline a caller sets on ctx still applies on top.
 func WithReplicaTimeout(d time.Duration) CoordinatorOption {
 	return func(c *Coordinator) { c.replicaTimeout = d }
-}
-
-// WithLKGCacheCap bounds the last-known-good cache; n <= 0 disables
-// the stale-serving rung entirely.
-func WithLKGCacheCap(n int) CoordinatorOption {
-	return func(c *Coordinator) { c.lkgCap = n }
 }
 
 // WithCoordinatorObserver attaches an observability handle. The
@@ -53,7 +46,7 @@ func WithCoordinatorObserver(o *obs.Observer) CoordinatorOption {
 // query out to all shards in parallel, walks each shard's replicas in
 // health-preference order, and merges the per-shard answers into one
 // globally ranked top-K. Failure degrades one rung at a time, per
-// shard (the PR-1 ladder, lifted to the cluster):
+// shard and per query:
 //
 //	replica answer → failover to next replica → last-known-good (stale)
 //	→ partial result naming the missing shard
@@ -61,23 +54,26 @@ func WithCoordinatorObserver(o *obs.Observer) CoordinatorOption {
 // A query therefore never fails because a shard died; it fails only if
 // the query itself is invalid. Everything below an invalid query is a
 // Response whose Missing/Stale fields say exactly how much of the
-// catalog answered.
+// catalog answered. Query and QueryBatch share one implementation of
+// the ladder (queryShardBatch) and of the merge (scatter); a single
+// query is a batch of one.
 type Coordinator struct {
 	shards         [][]QueryBackend
 	health         *healthTracker
 	replicaTimeout time.Duration
-	lkgCap         int
 	obs            *obs.Observer
+	// Per-shard metric names, built once: cluster_shard<i>_query_ms and
+	// cluster_shard<i>_errors_total.
+	shardQueryMs, shardErrors []string
 
-	mu     sync.Mutex
-	lkg    map[string]*list.Element // guarded by mu — key "shard|query"
-	lkgLRU *list.List               // guarded by mu — front = most recent
+	mu  sync.Mutex
+	lkg *lru.Cache[shardQuery, []Result] // guarded by mu
 }
 
-// lkgEntry is one cached per-shard answer.
-type lkgEntry struct {
-	key     string
-	results []Result
+// shardQuery keys one cached per-shard answer.
+type shardQuery struct {
+	shard int
+	q     string
 }
 
 // NewCoordinator builds a coordinator over the shard topology; every
@@ -86,18 +82,20 @@ func NewCoordinator(shards [][]QueryBackend, opts ...CoordinatorOption) (*Coordi
 	if len(shards) == 0 {
 		return nil, fmt.Errorf("cluster: coordinator needs at least one shard")
 	}
-	for i, reps := range shards {
-		if len(reps) == 0 {
-			return nil, fmt.Errorf("cluster: shard %d has no replicas", i)
-		}
-	}
 	c := &Coordinator{
 		shards:         shards,
 		health:         newHealthTracker(shards),
 		replicaTimeout: DefaultReplicaTimeout,
-		lkgCap:         DefaultLKGCacheCap,
-		lkg:            make(map[string]*list.Element),
-		lkgLRU:         list.New(),
+		shardQueryMs:   make([]string, len(shards)),
+		shardErrors:    make([]string, len(shards)),
+		lkg:            lru.New[shardQuery, []Result](lkgCacheCap),
+	}
+	for i, reps := range shards {
+		if len(reps) == 0 {
+			return nil, fmt.Errorf("cluster: shard %d has no replicas", i)
+		}
+		c.shardQueryMs[i] = fmt.Sprintf("cluster_shard%d_query_ms", i)
+		c.shardErrors[i] = fmt.Sprintf("cluster_shard%d_errors_total", i)
 	}
 	for _, opt := range opts {
 		opt(c)
@@ -114,7 +112,7 @@ func (c *Coordinator) Shards() int { return len(c.shards) }
 // Health returns every replica's health record, shards outermost.
 func (c *Coordinator) Health() [][]ReplicaHealth { return c.health.Snapshot() }
 
-// shardOut is one shard's contribution to a scatter.
+// shardOut is one shard's contribution to one query of a scatter.
 type shardOut struct {
 	results   []Result
 	stale     bool
@@ -122,13 +120,9 @@ type shardOut struct {
 	failovers int
 }
 
-// Query runs one scatter-gather query. The error is non-nil only for
-// an invalid query; shard failures surface through the Response's
-// Missing and Stale fields instead.
-func (c *Coordinator) Query(ctx context.Context, q string) (*Response, error) {
+// parse counts and validates one incoming query.
+func (c *Coordinator) parse(q string) (*query.Query, error) {
 	c.obs.Counter("cluster_queries_total").Inc()
-	stop := c.obs.Time("cluster_query_ms")
-	defer stop()
 	parsed, err := query.Parse(q)
 	if err == nil {
 		err = parsed.Validate()
@@ -137,40 +131,20 @@ func (c *Coordinator) Query(ctx context.Context, q string) (*Response, error) {
 		c.obs.Counter("cluster_query_errors_total").Inc()
 		return nil, err
 	}
+	return parsed, nil
+}
 
-	outs := make([]shardOut, len(c.shards))
-	var wg sync.WaitGroup
-	for i := range c.shards {
-		wg.Add(1)
-		go func(shard int) {
-			defer wg.Done()
-			outs[shard] = c.queryShard(ctx, shard, q)
-		}(i)
+// Query runs one scatter-gather query. The error is non-nil only for
+// an invalid query; shard failures surface through the Response's
+// Missing and Stale fields instead.
+func (c *Coordinator) Query(ctx context.Context, q string) (*Response, error) {
+	stop := c.obs.Time("cluster_query_ms")
+	defer stop()
+	parsed, err := c.parse(q)
+	if err != nil {
+		return nil, err
 	}
-	wg.Wait()
-
-	resp := &Response{Shards: len(c.shards)}
-	perShard := make([][]Result, len(outs))
-	for i, out := range outs {
-		perShard[i] = out.results
-		resp.Failovers += out.failovers
-		if out.stale {
-			resp.Stale = append(resp.Stale, i)
-		}
-		if out.missing {
-			resp.Missing = append(resp.Missing, i)
-		}
-	}
-	sort.Ints(resp.Stale)
-	sort.Ints(resp.Missing)
-	resp.Results = mergeTopK(parsed, perShard)
-	switch resp.Class() {
-	case OutcomeDegraded:
-		c.obs.Counter("cluster_degraded_queries").Inc()
-	case OutcomeFailed:
-		c.obs.Counter("cluster_failed_queries_total").Inc()
-	}
-	return resp, nil
+	return c.scatter(ctx, []string{q}, []*query.Query{parsed})[0], nil
 }
 
 // QueryBatch runs a batch of queries through one scatter: each shard is
@@ -178,8 +152,8 @@ func (c *Coordinator) Query(ctx context.Context, q string) (*Response, error) {
 // 64-query batch against a healthy cluster costs one round trip per
 // shard instead of 64. The returned slices are index-aligned with qs;
 // errors[i] is non-nil only when query i itself is invalid — shard
-// failures degrade per query through the same ladder as Query (failover
-// → last-known-good → missing) and surface in that query's Response.
+// failures degrade per query through the ladder and surface in that
+// query's Response.
 func (c *Coordinator) QueryBatch(ctx context.Context, qs []string) ([]*Response, []error) {
 	c.obs.Counter("cluster_batches_total").Inc()
 	stop := c.obs.Time("cluster_batch_ms")
@@ -187,44 +161,52 @@ func (c *Coordinator) QueryBatch(ctx context.Context, qs []string) ([]*Response,
 
 	responses := make([]*Response, len(qs))
 	errs := make([]error, len(qs))
-	parsed := make([]*query.Query, len(qs))
+	parsed := make([]*query.Query, 0, len(qs))
 	valid := make([]int, 0, len(qs))
 	for i, q := range qs {
-		c.obs.Counter("cluster_queries_total").Inc()
-		p, err := query.Parse(q)
-		if err == nil {
-			err = p.Validate()
-		}
+		p, err := c.parse(q)
 		if err != nil {
-			c.obs.Counter("cluster_query_errors_total").Inc()
 			errs[i] = err
 			continue
 		}
-		parsed[i] = p
+		parsed = append(parsed, p)
 		valid = append(valid, i)
 	}
 	if len(valid) == 0 {
 		return responses, errs
 	}
-	sub := make([]string, len(valid))
-	for j, i := range valid {
-		sub[j] = qs[i]
+	sub := qs
+	if len(valid) < len(qs) {
+		sub = make([]string, len(valid))
+		for j, i := range valid {
+			sub[j] = qs[i]
+		}
 	}
+	for j, resp := range c.scatter(ctx, sub, parsed) {
+		responses[valid[j]] = resp
+	}
+	return responses, errs
+}
 
+// scatter sends the validated queries to every shard in parallel and
+// merges each query's per-shard contributions into its Response.
+// parsed is index-aligned with qs.
+func (c *Coordinator) scatter(ctx context.Context, qs []string, parsed []*query.Query) []*Response {
 	shardOuts := make([][]shardOut, len(c.shards))
 	var wg sync.WaitGroup
 	for i := range c.shards {
 		wg.Add(1)
 		go func(shard int) {
 			defer wg.Done()
-			shardOuts[shard] = c.queryShardBatch(ctx, shard, sub)
+			shardOuts[shard] = c.queryShardBatch(ctx, shard, qs)
 		}(i)
 	}
 	wg.Wait()
 
-	for j, i := range valid {
+	responses := make([]*Response, len(qs))
+	perShard := make([][]Result, len(c.shards)) // mergeTopK copies out of it
+	for j := range qs {
 		resp := &Response{Shards: len(c.shards)}
-		perShard := make([][]Result, len(c.shards))
 		for s := range c.shards {
 			out := shardOuts[s][j]
 			perShard[s] = out.results
@@ -236,26 +218,26 @@ func (c *Coordinator) QueryBatch(ctx context.Context, qs []string) ([]*Response,
 				resp.Missing = append(resp.Missing, s)
 			}
 		}
-		resp.Results = mergeTopK(parsed[i], perShard)
+		resp.Results = mergeTopK(parsed[j], perShard)
 		switch resp.Class() {
 		case OutcomeDegraded:
 			c.obs.Counter("cluster_degraded_queries").Inc()
 		case OutcomeFailed:
 			c.obs.Counter("cluster_failed_queries_total").Inc()
 		}
-		responses[i] = resp
+		responses[j] = resp
 	}
-	return responses, errs
+	return responses
 }
 
-// queryShardBatch walks one shard's replicas in preference order with
-// the whole pending set, retrying only the queries a replica failed: a
-// transport-level failure fails the entire pending set over, a
-// per-query error retries just that query on the next replica. Queries
-// still unanswered after the walk fall through to the last-known-good
-// cache, then to missing — the single-query ladder, applied per slot.
+// queryShardBatch is the ladder. It walks one shard's replicas in preference
+// order with the whole pending set, retrying only the queries a replica
+// failed: a transport-level failure fails the entire pending set over,
+// a per-query error retries just that query on the next replica.
+// Queries still unanswered after the walk fall through to the
+// last-known-good cache, then to missing.
 func (c *Coordinator) queryShardBatch(ctx context.Context, shard int, qs []string) []shardOut {
-	stop := c.obs.Time(fmt.Sprintf("cluster_shard%d_query_ms", shard))
+	stop := c.obs.Time(c.shardQueryMs[shard])
 	defer stop()
 	outs := make([]shardOut, len(qs))
 	pending := make([]int, len(qs))
@@ -266,21 +248,26 @@ func (c *Coordinator) queryShardBatch(ctx context.Context, shard int, qs []strin
 		if len(pending) == 0 {
 			break
 		}
-		sub := make([]string, len(pending))
-		for k, p := range pending {
-			sub[k] = qs[p]
+		sub := qs
+		if len(pending) < len(qs) {
+			sub = make([]string, len(pending))
+			for k, p := range pending {
+				sub[k] = qs[p]
+			}
 		}
 		attemptCtx, cancel := context.WithTimeout(ctx, c.replicaTimeout)
 		results, qerrs, err := replicaBatch(attemptCtx, c.shards[shard][r], sub)
 		cancel()
 		if err != nil {
 			c.health.fail(shard, r)
-			c.obs.Counter(fmt.Sprintf("cluster_shard%d_errors_total", shard)).Inc()
-			c.obs.Counter("cluster_failover_" + failoverCause(err) + "_total").Inc()
+			c.obs.Counter(c.shardErrors[shard]).Inc()
+			c.obs.Counter(failoverCounter(err)).Inc()
 			for _, p := range pending {
 				outs[p].failovers++
 			}
 			if ctx.Err() != nil {
+				// The scatter deadline itself expired; further replicas
+				// would only see dead contexts.
 				break
 			}
 			continue
@@ -289,8 +276,8 @@ func (c *Coordinator) queryShardBatch(ctx context.Context, shard int, qs []strin
 		for k, p := range pending {
 			if qerrs[k] != nil {
 				outs[p].failovers++
-				c.obs.Counter(fmt.Sprintf("cluster_shard%d_errors_total", shard)).Inc()
-				c.obs.Counter("cluster_failover_" + failoverCause(qerrs[k]) + "_total").Inc()
+				c.obs.Counter(c.shardErrors[shard]).Inc()
+				c.obs.Counter(failoverCounter(qerrs[k])).Inc()
 				still = append(still, p)
 				continue
 			}
@@ -298,7 +285,9 @@ func (c *Coordinator) queryShardBatch(ctx context.Context, shard int, qs []strin
 			if outs[p].failovers > 0 {
 				c.obs.Counter("cluster_failovers_total").Add(int64(outs[p].failovers))
 			}
-			c.cachePut(shard, qs[p], results[k])
+			c.mu.Lock()
+			c.lkg.Add(shardQuery{shard, qs[p]}, results[k])
+			c.mu.Unlock()
 		}
 		// A replica that answered nothing is as bad as one that did not
 		// answer; one that answered anything stays preferred.
@@ -313,7 +302,12 @@ func (c *Coordinator) queryShardBatch(ctx context.Context, shard int, qs []strin
 		}
 	}
 	for _, p := range pending {
-		if res, ok := c.cacheGet(shard, qs[p]); ok {
+		// A hit refreshes recency but the entry stays — an outage can
+		// outlive many queries.
+		c.mu.Lock()
+		res, ok := c.lkg.Get(shardQuery{shard, qs[p]})
+		c.mu.Unlock()
+		if ok {
 			c.obs.Counter("cluster_stale_shards_total").Inc()
 			outs[p].results = res
 			outs[p].stale = true
@@ -325,12 +319,13 @@ func (c *Coordinator) queryShardBatch(ctx context.Context, shard int, qs []strin
 	return outs
 }
 
-// replicaBatch runs the pending set against one replica, through its
-// batch surface when it has one and a serial Query loop otherwise. The
-// returned slices are index-aligned with qs; the outer error means the
-// whole attempt failed.
+// replicaBatch runs the pending set against one replica: one query goes
+// through Query (for a remote replica, the GET wire form), several
+// through the replica's batch surface when it has one and a serial
+// Query loop otherwise. The returned slices are index-aligned with qs;
+// the outer error means the whole attempt failed.
 func replicaBatch(ctx context.Context, b QueryBackend, qs []string) ([][]Result, []error, error) {
-	if bb, ok := b.(BatchQueryBackend); ok {
+	if bb, ok := b.(BatchQueryBackend); ok && len(qs) > 1 {
 		results, qerrs, err := bb.QueryBatch(ctx, qs)
 		if err != nil {
 			return nil, nil, err
@@ -357,94 +352,17 @@ func replicaBatch(ctx context.Context, b QueryBackend, qs []string) ([][]Result,
 	return results, qerrs, nil
 }
 
-// queryShard walks one shard's replicas in preference order, then the
-// lower rungs of the ladder.
-func (c *Coordinator) queryShard(ctx context.Context, shard int, q string) shardOut {
-	stop := c.obs.Time(fmt.Sprintf("cluster_shard%d_query_ms", shard))
-	defer stop()
-	attempts := 0
-	for _, r := range c.health.order(shard) {
-		attemptCtx, cancel := context.WithTimeout(ctx, c.replicaTimeout)
-		res, err := c.shards[shard][r].Query(attemptCtx, q)
-		cancel()
-		if err == nil {
-			c.health.ok(shard, r)
-			if attempts > 0 {
-				c.obs.Counter("cluster_failovers_total").Add(int64(attempts))
-			}
-			c.cachePut(shard, q, res)
-			return shardOut{results: res, failovers: attempts}
-		}
-		c.health.fail(shard, r)
-		c.obs.Counter(fmt.Sprintf("cluster_shard%d_errors_total", shard)).Inc()
-		c.obs.Counter("cluster_failover_" + failoverCause(err) + "_total").Inc()
-		attempts++
-		if ctx.Err() != nil {
-			// The scatter deadline itself expired; further replicas
-			// would only see dead contexts.
-			break
-		}
-	}
-	if res, ok := c.cacheGet(shard, q); ok {
-		c.obs.Counter("cluster_stale_shards_total").Inc()
-		return shardOut{results: res, stale: true, failovers: attempts}
-	}
-	c.obs.Counter("cluster_missing_shards_total").Inc()
-	return shardOut{missing: true, failovers: attempts}
-}
-
-// failoverCause classifies why a replica attempt failed, for the
-// failover counters: an open client-side breaker, a timeout (the
-// per-attempt deadline or the hub client's own per-attempt timeout), or
-// any other error.
-func failoverCause(err error) string {
+// failoverCounter names the failover counter for why a replica attempt
+// failed: an open client-side breaker, a timeout (the per-attempt
+// deadline or the hub client's own per-attempt timeout), or any other
+// error.
+func failoverCounter(err error) string {
 	switch {
 	case errors.Is(err, hub.ErrCircuitOpen):
-		return "breaker"
+		return "cluster_failover_breaker_total"
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, hub.ErrAttemptTimeout):
-		return "timeout"
+		return "cluster_failover_timeout_total"
 	default:
-		return "error"
+		return "cluster_failover_error_total"
 	}
-}
-
-func lkgKey(shard int, q string) string { return fmt.Sprintf("%d|%s", shard, q) }
-
-// cachePut stores a fresh per-shard answer as that (shard, query)'s
-// last known good, evicting the oldest entry past the cap.
-func (c *Coordinator) cachePut(shard int, q string, res []Result) {
-	if c.lkgCap <= 0 {
-		return
-	}
-	key := lkgKey(shard, q)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.lkg[key]; ok {
-		el.Value.(*lkgEntry).results = res
-		c.lkgLRU.MoveToFront(el)
-		return
-	}
-	c.lkg[key] = c.lkgLRU.PushFront(&lkgEntry{key: key, results: res})
-	if c.lkgLRU.Len() > c.lkgCap {
-		oldest := c.lkgLRU.Back()
-		c.lkgLRU.Remove(oldest)
-		delete(c.lkg, oldest.Value.(*lkgEntry).key)
-	}
-}
-
-// cacheGet returns the last-known-good answer for (shard, query), if
-// any. A hit refreshes recency but the entry stays — an outage can
-// outlive many queries.
-func (c *Coordinator) cacheGet(shard int, q string) ([]Result, bool) {
-	if c.lkgCap <= 0 {
-		return nil, false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.lkg[lkgKey(shard, q)]
-	if !ok {
-		return nil, false
-	}
-	c.lkgLRU.MoveToFront(el)
-	return el.Value.(*lkgEntry).results, true
 }

@@ -3,7 +3,9 @@ package cluster_test
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -145,5 +147,65 @@ func TestHTTPClusterFailover(t *testing.T) {
 	}
 	if resp.Class() != cluster.OutcomeDegraded || len(resp.Missing) != 1 || resp.Missing[0] != 0 {
 		t.Fatalf("novel query: class %s, missing %v, stale %v; want missing [0]", resp.Class(), resp.Missing, resp.Stale)
+	}
+}
+
+// TestHTTPReplicaQueryStatusMapping: only the 400 a hub answers when its
+// querier refuses the query (a shard that does not hold the reference)
+// is an empty contribution. Any other client error says nothing about
+// the shard's catalog — a proxy, a wrong path, a throttled shard — and
+// must reach the coordinator as an error so the ladder fails over
+// instead of reporting a full response that silently lacks a shard.
+func TestHTTPReplicaQueryStatusMapping(t *testing.T) {
+	cases := []struct {
+		status int
+		empty  bool
+	}{
+		{http.StatusBadRequest, true},
+		{http.StatusUnauthorized, false},
+		{http.StatusForbidden, false},
+		{http.StatusNotFound, false},
+		{http.StatusMethodNotAllowed, false},
+		{http.StatusRequestEntityTooLarge, false},
+		{http.StatusTooManyRequests, false},
+	}
+	for _, tc := range cases {
+		tc := tc
+		t.Run(fmt.Sprint(tc.status), func(t *testing.T) {
+			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				http.Error(w, "stub hub says no", tc.status)
+			}))
+			defer ts.Close()
+			client, err := hub.NewClient(ts.URL, ts.Client(), hub.WithRetries(0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := cluster.NewHTTPReplica(client)
+			res, err := r.Query(context.Background(), `SELECT CORR "ref@1" WITHIN 50%`)
+			if tc.empty {
+				if err != nil || len(res) != 0 {
+					t.Fatalf("status %d: got %d results, err %v; want a clean empty contribution", tc.status, len(res), err)
+				}
+				return
+			}
+			var se *hub.StatusError
+			if !errors.As(err, &se) || se.Code != tc.status {
+				t.Fatalf("status %d: err = %v; want a *hub.StatusError carrying the code", tc.status, err)
+			}
+
+			// Through the coordinator the shard is missing, not silently empty.
+			co, err := cluster.NewCoordinator([][]cluster.QueryBackend{{r}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := co.Query(context.Background(), `SELECT CORR "ref@1" WITHIN 50%`)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.Class() == cluster.OutcomeFull || len(resp.Missing) != 1 {
+				t.Fatalf("status %d: coordinator response class %s, missing %v; want the shard reported missing",
+					tc.status, resp.Class(), resp.Missing)
+			}
+		})
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
 
 	"sommelier/internal/cas"
 	"sommelier/internal/graph"
@@ -23,15 +24,17 @@ type HTTPReplica struct {
 // NewHTTPReplica wraps a hub client.
 func NewHTTPReplica(c *hub.Client) *HTTPReplica { return &HTTPReplica{client: c} }
 
-// Query runs the query on the remote shard's /v1/query. A shard that
-// answers deliberately with a client error — the unknown-reference case
-// of a catalog that does not hold this query's reference model — is an
-// empty contribution, not a failure.
+// Query runs the query on the remote shard's GET /v1/query. A shard
+// that answers 400 — what the hub returns when its querier refuses the
+// query, the unknown-reference case of a catalog that does not hold
+// this query's reference model — is an empty contribution, not a
+// failure. Every other status (a proxy's 401/403, a wrong path's 404, a
+// throttled shard's 429) is an error the coordinator fails over on.
 func (r *HTTPReplica) Query(ctx context.Context, q string) ([]Result, error) {
 	raw, err := r.client.Query(ctx, q)
 	if err != nil {
 		var se *hub.StatusError
-		if errors.As(err, &se) && se.Code >= 400 && se.Code < 500 {
+		if errors.As(err, &se) && se.Code == http.StatusBadRequest {
 			return nil, nil
 		}
 		return nil, err
@@ -47,7 +50,7 @@ func (r *HTTPReplica) Query(ctx context.Context, q string) ([]Result, error) {
 
 // QueryBatch runs the batch in one POST /v1/query round trip. Per-query
 // unknown-reference errors (the hub marks them with a machine-readable
-// code) become empty contributions, exactly like Query's 4xx mapping;
+// code) become empty contributions, exactly like Query's 400 mapping;
 // any other per-query error is returned in that query's slot so the
 // coordinator can retry just that query on the next replica.
 func (r *HTTPReplica) QueryBatch(ctx context.Context, qs []string) ([][]Result, []error, error) {
@@ -71,15 +74,6 @@ func (r *HTTPReplica) QueryBatch(ctx context.Context, qs []string) ([][]Result, 
 		}
 	}
 	return results, errs, nil
-}
-
-// Publish uploads the model. The hub client carries its own timeout;
-// ctx only gates starting the upload.
-func (r *HTTPReplica) Publish(ctx context.Context, m *graph.Model) (string, error) {
-	if err := ctx.Err(); err != nil {
-		return "", err
-	}
-	return r.client.Publish(m)
 }
 
 // PublishEncoded uploads the model through the hub's chunk-negotiation

@@ -14,11 +14,13 @@ import (
 // QueryBackend answers queries for one shard replica. A backend must
 // treat an unknown reference model as an empty answer, not an error —
 // in a sharded catalog most shards do not hold any given reference.
+// The coordinator sends an attempt of exactly one query through Query.
 type QueryBackend interface {
 	Query(ctx context.Context, q string) ([]Result, error)
 }
 
-// BatchQueryBackend is the optional batched surface of a QueryBackend:
+// BatchQueryBackend is the optional batched surface of a QueryBackend,
+// which the coordinator uses for an attempt of more than one query:
 // QueryBatch answers every query against one catalog state. results and
 // errs are index-aligned with qs — exactly one of results[i]/errs[i] is
 // meaningful per slot. The outer error is transport-level: the whole
@@ -26,8 +28,8 @@ type QueryBackend interface {
 // fails the entire pending set over to the next replica. Like Query, an
 // unknown reference must surface as an empty answer, not an error.
 // Backends without this surface are driven by a serial Query loop;
-// FaultyReplica deliberately omits it so chaos schedules keep drawing
-// one fault per query, exactly as in the single-query path.
+// FaultyReplica deliberately omits it so chaos schedules draw one fault
+// per query whatever the batch size.
 type BatchQueryBackend interface {
 	QueryBatch(ctx context.Context, qs []string) ([][]Result, []error, error)
 }
@@ -38,8 +40,11 @@ type BatchQueryBackend interface {
 // store; remote replicas wrap a hub client.
 type Replica interface {
 	QueryBackend
-	// Publish stores and indexes the model.
-	Publish(ctx context.Context, m *graph.Model) (string, error)
+	// PublishEncoded stores and indexes the model. Replication encodes
+	// a model once as manifest + chunks and each receiver stores (or
+	// transfers) only the chunks it is missing — a fine-tuned series
+	// replicates at the cost of its unique tensors.
+	PublishEncoded(ctx context.Context, enc *cas.Encoded) (string, error)
 	// Load fetches a model; repo.ErrNotFound (wrapped) for unknown IDs.
 	Load(ctx context.Context, id string) (*graph.Model, error)
 	// List returns the replica's model metadata.
@@ -50,27 +55,6 @@ type Replica interface {
 	// the post-rebalance step that drops index entries for moved-away
 	// models.
 	Rebuild(ctx context.Context) error
-}
-
-// ChunkReplica is the optional chunk-transfer surface a Replica may
-// implement. Replication then ships a model encoded once as manifest +
-// chunks, and each receiver stores (or transfers) only the chunks it is
-// missing — a fine-tuned series replicates at the cost of its unique
-// tensors. A single method keeps fault accounting identical to Publish:
-// one replica-publish, one fault draw.
-type ChunkReplica interface {
-	// PublishEncoded stores and indexes the already-chunked model.
-	PublishEncoded(ctx context.Context, enc *cas.Encoded) (string, error)
-}
-
-// publishReplica writes a model to one replica, preferring the chunk
-// path when both sides can speak it. enc is the lazily-computed shared
-// encoding; nil means encoding failed and the dense path is used.
-func publishReplica(ctx context.Context, rep Replica, m *graph.Model, enc *cas.Encoded) (string, error) {
-	if cr, ok := rep.(ChunkReplica); ok && enc != nil {
-		return cr.PublishEncoded(ctx, enc)
-	}
-	return rep.Publish(ctx, m)
 }
 
 // Backends converts a cluster's replica topology to the query-only view
@@ -138,26 +122,13 @@ func (f *FaultyReplica) Query(ctx context.Context, q string) ([]Result, error) {
 	return f.inner.Query(ctx, q)
 }
 
-// Publish applies the schedule, then delegates.
-func (f *FaultyReplica) Publish(ctx context.Context, m *graph.Model) (string, error) {
-	if err := f.fault(ctx, "publish"); err != nil {
-		return "", err
-	}
-	return f.inner.Publish(ctx, m)
-}
-
-// PublishEncoded applies the schedule — one draw, exactly like a dense
-// Publish, so chaos fault windows count replica-publishes identically —
-// then delegates, falling back to a dense publish when the inner
-// replica cannot take chunks.
+// PublishEncoded applies the schedule — one draw per replica-publish —
+// then delegates.
 func (f *FaultyReplica) PublishEncoded(ctx context.Context, enc *cas.Encoded) (string, error) {
 	if err := f.fault(ctx, "publish"); err != nil {
 		return "", err
 	}
-	if cr, ok := f.inner.(ChunkReplica); ok {
-		return cr.PublishEncoded(ctx, enc)
-	}
-	return f.inner.Publish(ctx, enc.Model)
+	return f.inner.PublishEncoded(ctx, enc)
 }
 
 // Load applies the schedule, then delegates.

@@ -18,10 +18,10 @@ import (
 	"sort"
 )
 
-// DefaultVirtualNodes is the number of ring points per shard. More
-// points smooth the partition sizes; the value only changes placement,
-// never correctness.
-const DefaultVirtualNodes = 64
+// virtualNodes is the number of ring points per shard. More points
+// smooth the partition sizes; the value only changes placement, never
+// correctness.
+const virtualNodes = 64
 
 // Ring is a consistent-hash ring over shard indices. It is immutable
 // after construction; rebuild it to change the shard count.
@@ -35,18 +35,14 @@ type ringPoint struct {
 	shard int
 }
 
-// NewRing builds a ring of n shards with v virtual nodes each (v <= 0
-// uses DefaultVirtualNodes).
-func NewRing(n, v int) (*Ring, error) {
+// NewRing builds a ring of n shards.
+func NewRing(n int) (*Ring, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("cluster: ring needs at least one shard, got %d", n)
 	}
-	if v <= 0 {
-		v = DefaultVirtualNodes
-	}
-	r := &Ring{shards: n, points: make([]ringPoint, 0, n*v)}
+	r := &Ring{shards: n, points: make([]ringPoint, 0, n*virtualNodes)}
 	for s := 0; s < n; s++ {
-		for p := 0; p < v; p++ {
+		for p := 0; p < virtualNodes; p++ {
 			r.points = append(r.points, ringPoint{hash: hash64(fmt.Sprintf("shard%d#%d", s, p)), shard: s})
 		}
 	}

@@ -78,44 +78,21 @@ func (r *EngineReplica) QueryBatch(ctx context.Context, qs []string) ([][]cluste
 	return results, errs, nil
 }
 
+// toClusterResults is a struct conversion, so a field added to one
+// Result declaration and not the other is a compile error here.
 func toClusterResults(rs []sommelier.Result) []cluster.Result {
 	out := make([]cluster.Result, len(rs))
 	for i, res := range rs {
-		out[i] = cluster.Result{
-			ID:          res.ID,
-			Level:       res.Level,
-			Synthesized: res.Synthesized,
-			DonorID:     res.DonorID,
-			Segment:     res.Segment,
-			Derived:     res.Derived,
-			Profile:     res.Profile,
-		}
+		out[i] = cluster.Result(res)
 	}
 	return out
 }
 
-// Publish stores and indexes the model, rolling the store back if
-// indexing a fresh upload fails — the hub server's "published implies
-// indexed" rule.
-func (r *EngineReplica) Publish(ctx context.Context, m *graph.Model) (string, error) {
-	id := m.Name + "@" + m.Version
-	_, existed := r.store.Metadata(id)
-	if _, err := r.store.Publish(m); err != nil {
-		return "", err
-	}
-	if err := r.eng.IndexModel(ctx, id, m); err != nil {
-		if !existed {
-			_ = r.store.Delete(id)
-		}
-		return "", fmt.Errorf("indexing %q: %w", id, err)
-	}
-	return id, nil
-}
-
-// PublishEncoded stores an already-chunked model. The replica's store
-// deduplicates against chunks it already holds — replicating a
-// fine-tuned series costs each replica only the series' unique tensors
-// — with the same rollback-on-index-failure rule as Publish.
+// PublishEncoded stores and indexes an already-chunked model. The
+// replica's store deduplicates against chunks it already holds —
+// replicating a fine-tuned series costs each replica only the series'
+// unique tensors — and a fresh upload that fails to index is rolled
+// back, the hub server's "published implies indexed" rule.
 func (r *EngineReplica) PublishEncoded(ctx context.Context, enc *cas.Encoded) (string, error) {
 	id := enc.Manifest.ID()
 	_, existed := r.store.Metadata(id)

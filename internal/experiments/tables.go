@@ -26,9 +26,6 @@ type Table2Config struct {
 	Seed  uint64
 }
 
-// DefaultTable2Config runs at 2% of the paper's model sizes.
-func DefaultTable2Config() Table2Config { return Table2Config{Scale: 0.02, Seed: 0x7a2} }
-
 // Table2Row is one model's timing.
 type Table2Row struct {
 	Model     string

@@ -214,7 +214,7 @@ func (c *Client) PublishEncoded(enc *cas.Encoded) (_ string, sent int64, err err
 	}
 	c.mu.Lock()
 	if enc.Model != nil {
-		c.cache.add(id, enc.Model)
+		c.cache.Add(id, enc.Model)
 	}
 	c.mu.Unlock()
 	return id, sent, nil

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"sommelier/internal/graph"
+	"sommelier/internal/lru"
 	"sommelier/internal/obs"
 	"sommelier/internal/repo"
 )
@@ -122,8 +123,8 @@ type Client struct {
 	staleLoads, staleLists  atomic.Int64
 
 	mu       sync.Mutex
-	cache    *modelLRU       // guarded by mu
-	lastList []repo.Metadata // guarded by mu
+	cache    *lru.Cache[string, *graph.Model] // guarded by mu
+	lastList []repo.Metadata                  // guarded by mu
 
 	jitterMu sync.Mutex
 	jitter   *rand.Rand // guarded by jitterMu
@@ -167,7 +168,7 @@ func NewClient(baseURL string, httpClient *http.Client, opts ...Option) (*Client
 		c.retries = 0
 	}
 	c.breaker = newBreaker(c.breakerThreshold, c.breakerCooldown)
-	c.cache = newModelLRU(c.cacheCap)
+	c.cache = lru.New[string, *graph.Model](c.cacheCap)
 	c.registerGauges()
 	return c, nil
 }
@@ -187,7 +188,7 @@ func (c *Client) registerGauges() {
 	reg.GaugeFunc("hub_client_cached_models", func() int64 {
 		c.mu.Lock()
 		defer c.mu.Unlock()
-		return int64(c.cache.len())
+		return int64(c.cache.Len())
 	})
 	reg.GaugeFunc("hub_client_breaker_state", func() int64 {
 		state, _ := c.breaker.snapshot()
@@ -209,7 +210,7 @@ func (c *Client) timeOp(op string) func(error) {
 func (c *Client) Stats() Stats {
 	state, opens := c.breaker.snapshot()
 	c.mu.Lock()
-	cached := c.cache.len()
+	cached := c.cache.Len()
 	c.mu.Unlock()
 	return Stats{
 		Retries:      c.retryCount.Load(),
@@ -487,7 +488,7 @@ func (c *Client) Publish(m *graph.Model) (_ string, err error) {
 		return "", fmt.Errorf("hub: publish %s: %w", id, err)
 	}
 	c.mu.Lock()
-	c.cache.add(id, m)
+	c.cache.Add(id, m)
 	c.mu.Unlock()
 	return id, nil
 }
@@ -500,7 +501,7 @@ func (c *Client) Load(id string) (_ *graph.Model, err error) {
 	done := c.timeOp("load")
 	defer func() { done(err) }()
 	c.mu.Lock()
-	m, ok := c.cache.get(id)
+	m, ok := c.cache.Get(id)
 	c.mu.Unlock()
 	if ok {
 		if state, _ := c.breaker.snapshot(); state != stateClosed {
@@ -520,7 +521,7 @@ func (c *Client) Load(id string) (_ *graph.Model, err error) {
 		return nil, fmt.Errorf("hub: load %s: %w", id, err)
 	}
 	c.mu.Lock()
-	c.cache.add(id, m)
+	c.cache.Add(id, m)
 	c.mu.Unlock()
 	return m, nil
 }
@@ -580,7 +581,7 @@ func (c *Client) Delete(id string) (err error) {
 		return fmt.Errorf("hub: delete %s: %w", id, err)
 	}
 	c.mu.Lock()
-	c.cache.remove(id)
+	c.cache.Remove(id)
 	c.mu.Unlock()
 	return nil
 }

@@ -130,7 +130,7 @@ func TestAttemptTimeoutVsCallerDeadline(t *testing.T) {
 	}
 
 	// Per-attempt timeout fires first: the failure names the slow hub.
-	_, err := slowClient(30 * time.Millisecond).Query(context.Background(), "q")
+	_, err := slowClient(30*time.Millisecond).Query(context.Background(), "q")
 	if !errors.Is(err, ErrAttemptTimeout) {
 		t.Fatalf("slow-hub error = %v, want errors.Is(_, ErrAttemptTimeout)", err)
 	}
@@ -142,7 +142,7 @@ func TestAttemptTimeoutVsCallerDeadline(t *testing.T) {
 	// context error, NOT an attempt timeout.
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
-	_, err = slowClient(10 * time.Second).Query(ctx, "q")
+	_, err = slowClient(10*time.Second).Query(ctx, "q")
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("caller-deadline error = %v, want errors.Is(_, context.DeadlineExceeded)", err)
 	}

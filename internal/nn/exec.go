@@ -7,7 +7,6 @@ package nn
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 
 	"sommelier/internal/graph"
@@ -449,17 +448,4 @@ func AgreementRatio(a, b *Executor, samples []*tensor.Tensor) (float64, error) {
 		}
 	}
 	return float64(agree) / float64(len(samples)), nil
-}
-
-// RegisteredPreprocessors returns the sorted names of all registered
-// preprocessors, mainly for diagnostics.
-func RegisteredPreprocessors() []string {
-	preprocMu.RLock()
-	defer preprocMu.RUnlock()
-	names := make([]string, 0, len(preprocs))
-	for n := range preprocs {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

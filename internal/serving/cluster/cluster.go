@@ -689,7 +689,7 @@ func (r *Result) Summary() string {
 // instance that already has its model deployed. Seriesless requests
 // fall back to least-loaded.
 func AffinityRouter(instances int) (Router, error) {
-	ring, err := hubcluster.NewRing(instances, 0)
+	ring, err := hubcluster.NewRing(instances)
 	if err != nil {
 		return nil, fmt.Errorf("serving/cluster: affinity ring: %w", err)
 	}

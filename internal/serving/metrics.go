@@ -22,14 +22,6 @@ func ObserveResult(o *obs.Observer, r Result) {
 	o.Counter("serving_" + p + "_failed_switches_total").Add(int64(r.FailedSwitches))
 }
 
-// ObserveComparison records all four Figure 9(c) configurations.
-func ObserveComparison(o *obs.Observer, c Comparison) {
-	ObserveResult(o, c.Baseline)
-	ObserveResult(o, c.ScaleOut)
-	ObserveResult(o, c.Switching)
-	ObserveResult(o, c.Combined)
-}
-
 // MetricName folds a policy name into metric-identifier form
 // ("sommelier-switching" → "sommelier_switching"), the key under which
 // ObserveResult registers that policy's metrics.
