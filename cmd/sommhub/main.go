@@ -105,7 +105,7 @@ func main() {
 		hub.WithServerObserver(o),
 	}
 
-	var srvStore hub.Store
+	var srvStore repo.Store
 	switch {
 	case *coordinator != "":
 		topo, err := parseCoordinatorTopology(*coordinator)

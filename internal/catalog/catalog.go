@@ -1,11 +1,13 @@
 // Package catalog owns Sommelier's index state: the semantic index
 // (§5.2), the resource-profile table (§5.3's exact side — what stage 2
-// of a query reads), and the default-reference table, behind a
-// copy-on-write snapshot scheme. Writers — the staged
-// indexing pipeline in pipeline.go — mutate the structures under a
-// single writer lock and publish an immutable Snapshot after each
-// commit; readers load the current snapshot with one atomic pointer
-// read and never contend with writers or each other.
+// of a query reads), and the default-reference table. All of it that
+// can be read lives once, in the published Snapshot: an immutable value
+// behind an atomic pointer, which readers load without contending with
+// writers or each other. Writers — the staged indexing pipeline in
+// pipeline.go, Annotate, SetDefaultReference, Restore — take one lock
+// among themselves and publish the next snapshot, which holds new
+// copies of the candidate lists and tables the commit changed and
+// shares everything else with the one before.
 package catalog
 
 import (
@@ -46,8 +48,6 @@ type Config struct {
 	// CustomValidation replaces generated probe data for matching
 	// input shapes.
 	CustomValidation *dataset.Dataset
-	// LatencyTable overrides the per-operator latency table.
-	LatencyTable resource.LatencyTable
 	// Analyzer overrides how a planned pair is measured; nil selects
 	// the real equiv-backed comparison. Tests inject failing or counting
 	// stubs; the rest of the pipeline, observe stage included, still runs.
@@ -74,8 +74,7 @@ func (c Config) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// Catalog is the write side of the index state plus the published
-// read-side snapshot.
+// Catalog is the published snapshot plus what only writers need.
 type Catalog struct {
 	cfg      Config
 	profiler *resource.Profiler
@@ -87,10 +86,12 @@ type Catalog struct {
 	// indexing calls on this catalog.
 	sema chan struct{}
 
-	mu          sync.Mutex
-	sem         *index.SemanticIndex        // guarded by mu
-	profiles    map[string]resource.Profile // guarded by mu
-	defaultRefs map[string]string           // guarded by mu
+	// mu serializes writers; no read of the snapshot takes it.
+	mu sync.Mutex
+	// writer is the semantic index's write side: the sampling RNG, the
+	// model graphs and the measured diffs. The version it writes is the
+	// one each snapshot publishes, not a copy of it.
+	writer *index.SemanticIndex // guarded by mu
 	// evidence caches what observing committed models has shown; a
 	// missing entry is observed again when next sampled. The catalog
 	// has no removal, so an ID here is always the committed model.
@@ -102,57 +103,44 @@ type Catalog struct {
 // New creates an empty catalog.
 func New(cfg Config) *Catalog {
 	c := &Catalog{
-		cfg:         cfg,
-		obs:         cfg.Observer,
-		pairs:       newPairAnalyzer(cfg),
-		profiler:    resource.NewProfiler(cfg.LatencyTable),
-		sema:        make(chan struct{}, cfg.workers()),
-		sem:         index.NewSemanticIndex(cfg.Seed + 1),
-		profiles:    make(map[string]resource.Profile),
-		defaultRefs: make(map[string]string),
-		evidence:    make(map[evidenceKey]*equiv.Evidence),
+		cfg:      cfg,
+		obs:      cfg.Observer,
+		pairs:    newPairAnalyzer(cfg),
+		profiler: resource.NewProfiler(nil),
+		sema:     make(chan struct{}, cfg.workers()),
+		writer:   index.NewSemanticIndex(cfg.Seed + 1),
+		evidence: make(map[evidenceKey]*equiv.Evidence),
 	}
 	if cfg.SampleSize > 0 {
-		c.sem.SampleSize = cfg.SampleSize
+		c.writer.SampleSize = cfg.SampleSize
 	}
 	c.analyze = c.pairs.analyze
 	if a := cfg.Analyzer; a != nil {
 		c.analyze = func(p *plannedPair) (index.AnalysisResult, error) { return a.Analyze(p.ref, p.cand) }
 	}
-	c.registerGauges()
 	c.mu.Lock()
-	c.publishLocked()
+	c.publishLocked(map[string]resource.Profile{}, map[string]string{})
 	c.mu.Unlock()
+	c.registerGauges() // after the first publish: the gauges read the snapshot
 	return c
 }
 
 // registerGauges folds the index sizes into the unified snapshot as
-// snapshot-time callbacks — no write-path bookkeeping, the gauges read
-// the live structures under the writer lock when asked.
+// snapshot-time callbacks — no write-path bookkeeping and no lock: each
+// reads the published snapshot, whose Stats walks the index once however
+// many gauges ask, and which carries the one count of writer state
+// (catalog_evidence_entries) as of its publish.
 func (c *Catalog) registerGauges() {
 	reg := c.obs.Registry()
 	if reg == nil {
 		return
 	}
-	semStat := func() index.Stats {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		return c.sem.Stats()
-	}
-	reg.GaugeFunc("catalog_semantic_models", func() int64 { return int64(semStat().Models) })
-	reg.GaugeFunc("catalog_semantic_candidates", func() int64 { return int64(semStat().Candidates) })
-	reg.GaugeFunc("catalog_semantic_derived", func() int64 { return int64(semStat().Derived) })
-	reg.GaugeFunc("catalog_semantic_synthesized", func() int64 { return int64(semStat().Synthesized) })
-	reg.GaugeFunc("catalog_resource_profiles", func() int64 {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		return int64(len(c.profiles))
-	})
-	reg.GaugeFunc("catalog_evidence_entries", func() int64 {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		return int64(len(c.evidence))
-	})
+	reg.GaugeFunc("catalog_semantic_models", func() int64 { return int64(c.Snapshot().Stats().Models) })
+	reg.GaugeFunc("catalog_semantic_candidates", func() int64 { return int64(c.Snapshot().Stats().Candidates) })
+	reg.GaugeFunc("catalog_semantic_derived", func() int64 { return int64(c.Snapshot().Stats().Derived) })
+	reg.GaugeFunc("catalog_semantic_synthesized", func() int64 { return int64(c.Snapshot().Stats().Synthesized) })
+	reg.GaugeFunc("catalog_resource_profiles", func() int64 { return int64(len(c.Snapshot().profiles)) })
+	reg.GaugeFunc("catalog_evidence_entries", func() int64 { return int64(c.Snapshot().evidence) })
 }
 
 // Profiler returns the catalog's resource profiler (safe for concurrent
@@ -165,21 +153,14 @@ func (c *Catalog) Profiler() *resource.Profiler { return c.profiler }
 func (c *Catalog) SetDefaultReference(task, id string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if !c.sem.Contains(id) {
+	cur := c.snap.Load()
+	if !cur.Contains(id) {
 		return fmt.Errorf("catalog: %q is not indexed", id)
 	}
-	c.defaultRefs[task] = id
-	c.publishLocked()
+	refs := maps.Clone(cur.refs)
+	refs[task] = id
+	c.publishLocked(cur.profiles, refs)
 	return nil
-}
-
-// noteDefaultRefLocked makes the first indexed model of a task category
-// that category's default reference. Callers hold c.mu.
-func (c *Catalog) noteDefaultRefLocked(id string, m *graph.Model) {
-	task := string(m.Task)
-	if _, ok := c.defaultRefs[task]; !ok {
-		c.defaultRefs[task] = id
-	}
 }
 
 // Annotate records designer-supplied equivalence levels (§5.5) between
@@ -195,7 +176,8 @@ func (c *Catalog) Annotate(id string, levels map[string]float64) error {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if !c.sem.Contains(id) {
+	cur := c.snap.Load()
+	if !cur.Contains(id) {
 		return fmt.Errorf("catalog: %q is not indexed", id)
 	}
 	others := make([]string, 0, len(levels))
@@ -204,7 +186,7 @@ func (c *Catalog) Annotate(id string, levels map[string]float64) error {
 	}
 	sort.Strings(others)
 	for _, other := range others {
-		if !c.sem.Contains(other) {
+		if !cur.Contains(other) {
 			return fmt.Errorf("catalog: annotation references unindexed model %q", other)
 		}
 	}
@@ -212,39 +194,40 @@ func (c *Catalog) Annotate(id string, levels map[string]float64) error {
 	for _, other := range others {
 		lvl := levels[other]
 		own = append(own, index.Candidate{ID: other, Level: lvl, Kind: index.KindWhole})
-		if err := c.sem.InsertPrecomputed(other, []index.Candidate{
+		if err := c.writer.InsertPrecomputed(other, []index.Candidate{
 			{ID: id, Level: lvl, Kind: index.KindWhole},
 		}); err != nil {
 			return err
 		}
 	}
 	if len(own) > 0 {
-		if err := c.sem.InsertPrecomputed(id, own); err != nil {
+		if err := c.writer.InsertPrecomputed(id, own); err != nil {
 			return err
 		}
 	}
-	c.publishLocked()
+	c.publishLocked(cur.profiles, cur.refs)
 	return nil
 }
 
 // MemoryBytes estimates the in-memory footprints of the semantic index
 // and of the profile table (ID bytes plus one Profile per model).
 func (c *Catalog) MemoryBytes() (semantic, res int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for id := range c.profiles {
+	snap := c.Snapshot()
+	for id := range snap.profiles {
 		res += int64(len(id)) + 32
 	}
-	return c.sem.MemoryBytes(), res
+	return snap.MemoryBytes(), res
 }
 
 // Export captures the catalog's serializable state (§5.5 persistence):
 // the semantic snapshot, the profile table, and the default-reference
-// table.
+// table. It is a writer as far as the lock goes: the measured diffs it
+// copies are writer state.
 func (c *Catalog) Export() (index.SemanticSnapshot, index.ResourceSnapshot, map[string]string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.sem.Snapshot(), index.ResourceSnapshot{Profiles: maps.Clone(c.profiles)}, maps.Clone(c.defaultRefs)
+	cur := c.snap.Load()
+	return c.writer.Snapshot(), index.ResourceSnapshot{Profiles: maps.Clone(cur.profiles)}, maps.Clone(cur.refs)
 }
 
 // Restore replaces the catalog's contents with previously exported
@@ -257,15 +240,16 @@ func (c *Catalog) Restore(sem index.SemanticSnapshot, res index.ResourceSnapshot
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if err := c.sem.Restore(sem, resolve); err != nil {
+	if err := c.writer.Restore(sem, resolve); err != nil {
 		return err
 	}
-	// Copied into fresh maps (never nil): later commits insert into them.
-	c.profiles = make(map[string]resource.Profile, len(res.Profiles))
-	maps.Copy(c.profiles, res.Profiles)
-	c.defaultRefs = make(map[string]string, len(refs))
-	maps.Copy(c.defaultRefs, refs)
+	// Copied into fresh maps (never nil): the caller keeps its own, and
+	// later commits write to clones of these.
+	profiles := make(map[string]resource.Profile, len(res.Profiles))
+	maps.Copy(profiles, res.Profiles)
+	defaultRefs := make(map[string]string, len(refs))
+	maps.Copy(defaultRefs, refs)
 	clear(c.evidence) // restored entries are observed again when sampled
-	c.publishLocked()
+	c.publishLocked(profiles, defaultRefs)
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"sync"
 
 	"sommelier/internal/equiv"
@@ -153,16 +154,18 @@ func (c *Catalog) indexEntries(ctx context.Context, entries []index.Entry) (int,
 	defer func() { c.obs.Histogram("catalog_commit_ms").Observe(span.End()) }()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	committed, err := c.commitLocked(ins)
+	cur := c.snap.Load()
+	profiles, refs := maps.Clone(cur.profiles), maps.Clone(cur.refs)
+	committed, err := c.commitLocked(ins, profiles, refs)
 	for _, o := range observations {
 		// Evidence is kept only for the model object the index holds:
 		// not for an entry this call did not commit, nor for one that
 		// lost its ID to a concurrent writer's model.
-		if e, ok := c.sem.EntryOf(o.key.id); ok && e.Model == o.model && o.ev != nil {
+		if e, ok := c.writer.EntryOf(o.key.id); ok && e.Model == o.model && o.ev != nil {
 			c.evidence[o.key] = o.ev
 		}
 	}
-	c.publishLocked()
+	c.publishLocked(profiles, refs)
 	c.obs.Counter("catalog_models_indexed_total").Add(int64(committed))
 	return committed, err
 }
@@ -181,7 +184,7 @@ func (c *Catalog) plan(entries []index.Entry) ([]*insertion, []*observation, err
 		if e.ID == "" || e.Model == nil {
 			return nil, nil, fmt.Errorf("catalog: batch entry must have an ID and a model")
 		}
-		if c.sem.Contains(e.ID) || inBatch[e.ID] != nil {
+		if c.writer.Contains(e.ID) || inBatch[e.ID] != nil {
 			continue
 		}
 		inBatch[e.ID] = e.Model
@@ -203,10 +206,10 @@ func (c *Catalog) plan(entries []index.Entry) ([]*insertion, []*observation, err
 		return o
 	}
 	var ins []*insertion
-	for _, sp := range c.sem.PlanInserts(fresh) {
+	for _, sp := range c.writer.PlanInserts(fresh) {
 		in := &insertion{entry: sp.Entry}
 		for _, pid := range sp.Partners {
-			partner, ok := c.sem.EntryOf(pid)
+			partner, ok := c.writer.EntryOf(pid)
 			if !ok {
 				if inBatch[pid] == nil {
 					return nil, nil, fmt.Errorf("catalog: planned partner %q unknown", pid)
@@ -229,8 +232,9 @@ func (c *Catalog) plan(entries []index.Entry) ([]*insertion, []*observation, err
 // profiling or analysis failure. A commit that finds its ID already
 // indexed lost a race with a concurrent writer and is skipped — check
 // and insert share one critical section, so there is no window for
-// double insertion. Callers hold c.mu.
-func (c *Catalog) commitLocked(ins []*insertion) (int, error) {
+// double insertion. Profiles and first-of-a-task default references go
+// into the caller's clones of the two tables. Callers hold c.mu.
+func (c *Catalog) commitLocked(ins []*insertion, profiles map[string]resource.Profile, refs map[string]string) (int, error) {
 	committed := 0
 	for _, in := range ins {
 		err := in.err
@@ -245,14 +249,18 @@ func (c *Catalog) commitLocked(ins []*insertion) (int, error) {
 			c.obs.Counter("catalog_index_errors_total").Inc()
 			return committed, err
 		}
-		if err := c.sem.CommitPlanned(in.entry, in.fingerprint, meas); err != nil {
+		if err := c.writer.CommitPlanned(in.entry, in.fingerprint, meas); err != nil {
 			if errors.Is(err, index.ErrAlreadyIndexed) {
 				continue
 			}
 			return committed, err
 		}
-		c.profiles[in.entry.ID] = in.prof
-		c.noteDefaultRefLocked(in.entry.ID, in.entry.Model)
+		profiles[in.entry.ID] = in.prof
+		// A task category's first model is its default reference.
+		task := string(in.entry.Model.Task)
+		if _, ok := refs[task]; !ok {
+			refs[task] = in.entry.ID
+		}
 		committed++
 	}
 	return committed, nil

@@ -25,12 +25,12 @@ type hubReplica struct {
 	r  *cluster.HTTPReplica
 }
 
-func newHubReplica(t *testing.T, shard, shards int) *hubReplica {
+func newHubReplica(t *testing.T, shard, shards int, opts ...sommelier.Option) *hubReplica {
 	t.Helper()
 	store := repo.NewInMemory()
-	eng, err := sommelier.NewEngine(store,
+	eng, err := sommelier.NewEngine(store, append([]sommelier.Option{
 		sommelier.WithSeed(11),
-		sommelier.WithValidationSize(32))
+		sommelier.WithValidationSize(32)}, opts...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,6 +148,74 @@ func TestHTTPClusterFailover(t *testing.T) {
 	if resp.Class() != cluster.OutcomeDegraded || len(resp.Missing) != 1 || resp.Missing[0] != 0 {
 		t.Fatalf("novel query: class %s, missing %v, stale %v; want missing [0]", resp.Class(), resp.Missing, resp.Stale)
 	}
+}
+
+// TestHTTPSynthesizedResultCrossesWire: a synthesized (§4.2
+// segment-replacement) result is only usable with its donor and segment,
+// so both must survive every way a shard hub's answer reaches a
+// coordinator: the GET form, the POST batch form, and a Coordinator
+// query over the HTTP replica. The hub encodes engine results and the
+// replica decodes cluster results; the two declarations have to spell
+// every field the same on the wire.
+func TestHTTPSynthesizedResultCrossesWire(t *testing.T) {
+	hr := newHubReplica(t, 0, 1, sommelier.WithSeed(3), sommelier.WithValidationSize(150),
+		sommelier.WithSegments(true), sommelier.WithSegmentMinLen(3))
+	topo := [][]cluster.Replica{{hr.r}}
+	cl, err := cluster.NewCluster(topo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	base, err := zoo.DenseResidualNet(zoo.Config{Name: "segbase", Seed: 7, Width: 24, Depth: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A transfer variant sharing the frozen trunk.
+	variant, err := zoo.Transfer(base, "segvariant", 8, 99, 0, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refID, err := cl.Publish(ctx, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	donorID, err := cl.Publish(ctx, variant)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	q := fmt.Sprintf("SELECT CORR %q WITHIN 1%% PICK most_similar", refID)
+	check := func(via string, rs []cluster.Result) {
+		t.Helper()
+		for _, r := range rs {
+			if r.Synthesized {
+				if r.DonorID != donorID || r.Segment == "" {
+					t.Fatalf("%s: synthesized result lost its donor or segment: %+v", via, r)
+				}
+				return
+			}
+		}
+		t.Fatalf("%s: no synthesized result in %+v", via, rs)
+	}
+	got, err := hr.r.Query(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("GET /v1/query", got)
+	batch, qerrs, err := hr.r.QueryBatch(ctx, []string{q, q})
+	if err != nil || qerrs[0] != nil || qerrs[1] != nil {
+		t.Fatalf("batch: %v, per-query %v", err, qerrs)
+	}
+	check("POST /v1/query", batch[1])
+	co, err := cluster.NewCoordinator(cluster.Backends(topo))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := co.Query(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("Coordinator.Query", resp.Results)
 }
 
 // TestHTTPReplicaQueryStatusMapping: only the 400 a hub answers when its

@@ -9,8 +9,9 @@ import (
 
 // Result is one model in a cluster query answer — the wire form of the
 // engine's query result, carrying everything the coordinator needs to
-// merge and rank across shards. Field names match the engine's Result
-// so the HTTP replica can decode a shard's /v1/query payload directly.
+// merge and rank across shards. Fields and JSON tags match the engine's
+// Result one for one, so the HTTP replica decodes a shard's /v1/query
+// payload directly and Result(r) converts an engine result.
 type Result struct {
 	ID          string           `json:"id"`
 	Level       float64          `json:"level"`

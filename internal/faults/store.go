@@ -7,10 +7,7 @@ import (
 	"sommelier/internal/repo"
 )
 
-// Store is the repository surface FlakyStore wraps and implements.
-type Store = repo.Store
-
-// FlakyStore decorates a Store with injected faults so repository-level
+// FlakyStore decorates a repo.Store with injected faults so repository-level
 // failure handling is testable without a faulty disk. Publish, Load and
 // Delete can fail with an ErrInjected-wrapped error (ConnError,
 // ServerError and Truncate kinds all surface as errors here — there is
@@ -18,12 +15,12 @@ type Store = repo.Store
 // Len are cheap local reads and pass through untouched except for
 // latency spikes on List.
 type FlakyStore struct {
-	inner Store
+	inner repo.Store
 	inj   *Injector
 }
 
 // NewFlakyStore wraps a store with the injector.
-func NewFlakyStore(inner Store, inj *Injector) *FlakyStore {
+func NewFlakyStore(inner repo.Store, inj *Injector) *FlakyStore {
 	return &FlakyStore{inner: inner, inj: inj}
 }
 

@@ -36,10 +36,6 @@ import (
 	"sommelier/internal/repo"
 )
 
-// Store is the repository surface the server needs — satisfied by
-// *repo.Repository and by fault-injecting wrappers in tests.
-type Store = repo.Store
-
 // Indexer receives accepted uploads so the serving catalog stays
 // current — the curated-hub mode where Sommelier indexes models as they
 // arrive instead of in offline batches. The ctx is the upload request's
@@ -140,7 +136,7 @@ func WithServerObserver(o *obs.Observer) ServerOption {
 
 // Server serves a repository over HTTP.
 type Server struct {
-	store   Store
+	store   repo.Store
 	mux     *http.ServeMux
 	maxBody int64
 	indexer Indexer
@@ -155,7 +151,7 @@ type Server struct {
 }
 
 // NewServer wraps a repository.
-func NewServer(store Store, opts ...ServerOption) (*Server, error) {
+func NewServer(store repo.Store, opts ...ServerOption) (*Server, error) {
 	if store == nil {
 		return nil, fmt.Errorf("hub: nil repository")
 	}

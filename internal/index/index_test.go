@@ -2,6 +2,7 @@ package index
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"sommelier/internal/graph"
@@ -206,6 +207,33 @@ func TestInsertSortedReplacesSameKey(t *testing.T) {
 	list = insertSorted(list, Candidate{ID: "x", Level: 0.9, Kind: KindSynthesized, Segment: "s"})
 	if len(list) != 2 {
 		t.Fatalf("different kind should coexist: %+v", list)
+	}
+}
+
+// TestSortedOnceEqualsInsertSorted: the new model's own list is sorted
+// once at commit; that must be the list record-by-record insertion
+// builds, ties, repeated keys and replacements included.
+func TestSortedOnceEqualsInsertSorted(t *testing.T) {
+	if got := sortedOnce(nil); got != nil {
+		t.Fatalf("sortedOnce(nil) = %#v, want nil", got)
+	}
+	rng := tensor.NewRNG(11)
+	for round := 0; round < 200; round++ {
+		recs := make([]Candidate, 1+rng.Intn(40))
+		for i := range recs {
+			// Few IDs, levels and segments, so keys and levels collide.
+			recs[i] = Candidate{ID: fmt.Sprintf("m%d", rng.Intn(8)), Level: float64(1+rng.Intn(5)) / 5, Derived: rng.Intn(2) == 0}
+			if rng.Intn(3) == 0 {
+				recs[i].Kind, recs[i].Segment, recs[i].DonorID = KindSynthesized, fmt.Sprintf("s%d", rng.Intn(2)), "d"
+			}
+		}
+		var want []Candidate
+		for _, c := range recs {
+			want = insertSorted(want, c)
+		}
+		if got := sortedOnce(recs); !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d:\n got %+v\nwant %+v", round, got, want)
+		}
 	}
 }
 

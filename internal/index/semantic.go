@@ -2,13 +2,17 @@
 // (§5): the semantic index, a hashtable from model fingerprints to
 // descending lists of functionally equivalent candidates, and the
 // resource-profile index, an LSH structure over resource vectors. The
-// catalog owns and snapshots the former; the latter is the standalone
-// §5.3 reproduction the experiments construct directly.
+// catalog writes the former and publishes its versions (SemanticVersion:
+// immutable, sharing every list a commit did not touch with the version
+// before); the latter is the standalone §5.3 reproduction the
+// experiments construct directly.
 package index
 
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 
 	"sommelier/internal/graph"
@@ -80,27 +84,44 @@ type Analyzer interface {
 	Analyze(ref, cand Entry) (AnalysisResult, error)
 }
 
-// SemanticIndex is the §5.2 structure: for each stored model, a list of
-// candidate records ordered by descending functional-equivalence level.
+// SemanticVersion is one version of the §5.2 structure: for each stored
+// model, a list of candidate records ordered by descending
+// functional-equivalence level, with the fingerprint table and the
+// insertion order. Once its SemanticIndex has handed it out it is never
+// written again, so any number of goroutines may read it, and keep it,
+// with no locking. The slices it returns alias its own lists: callers
+// must not write to them (sommlint's snapcheck holds snapshot readers to
+// that).
+type SemanticVersion struct {
+	order []string               // insertion order; successors extend the same array
+	fps   []string               // fingerprints, parallel to order
+	byFP  map[string]string      // fingerprint -> model ID
+	lists map[string][]Candidate // model ID -> candidates; a stored list is never written, only replaced
+	diffs int                    // measured-diff records the writer holds, for MemoryBytes
+}
+
+// SemanticIndex is the write side of the §5.2 structure. It embeds the
+// current version — the index's one copy of the lists, and its whole
+// read API — next to the state only insertion needs. Callers
+// synchronize writes; Version is how readers get a value that later
+// writes leave alone.
 type SemanticIndex struct {
 	// SampleSize is how many existing models a new insertion is
 	// measured against directly (the paper uses 5); the rest are
 	// derived transitively.
 	SampleSize int
 
-	entries map[string]*semEntry // keyed by model ID
-	byFP    map[string]string    // fingerprint -> model ID
-	order   []string             // insertion order, for deterministic sampling
-	rng     *tensor.RNG
-}
+	*SemanticVersion
+	// handedOut: Version returned the current version, so the next
+	// write moves to a successor instead of touching it.
+	handedOut bool
 
-type semEntry struct {
-	entry       Entry
-	fingerprint string
-	candidates  []Candidate
-	// measured records which other IDs have a directly measured level
-	// (used for transitive derivation).
-	measured map[string]float64 // other ID -> diff (1 - level)
+	models map[string]*graph.Model // every indexed ID's graph, for analyzing new models against it
+	// measured records which other IDs have a directly measured (or
+	// derived) level, for transitive derivation: ID -> other ID -> diff
+	// (1 - level).
+	measured map[string]map[string]float64
+	rng      *tensor.RNG
 }
 
 // NewSemanticIndex returns an empty semantic index with the paper's
@@ -108,14 +129,38 @@ type semEntry struct {
 func NewSemanticIndex(seed uint64) *SemanticIndex {
 	return &SemanticIndex{
 		SampleSize: 5,
-		entries:    make(map[string]*semEntry),
-		byFP:       make(map[string]string),
-		rng:        tensor.NewRNG(seed),
+		SemanticVersion: &SemanticVersion{
+			byFP:  make(map[string]string),
+			lists: make(map[string][]Candidate),
+		},
+		models:   make(map[string]*graph.Model),
+		measured: make(map[string]map[string]float64),
+		rng:      tensor.NewRNG(seed),
 	}
 }
 
+// Version returns the current version. The index never writes to it
+// again: the next write starts a successor.
+func (s *SemanticIndex) Version() *SemanticVersion {
+	s.handedOut = true
+	return s.SemanticVersion
+}
+
+// writable returns the version writes go to. If the current one has
+// been handed out, that is a successor owning fresh copies of the two
+// tables — O(models) words, once per run of writes between two Version
+// calls — and sharing every list and the order arrays.
+func (s *SemanticIndex) writable() *SemanticVersion {
+	if s.handedOut {
+		next := *s.SemanticVersion
+		next.byFP, next.lists = maps.Clone(next.byFP), maps.Clone(next.lists)
+		s.SemanticVersion, s.handedOut = &next, false
+	}
+	return s.SemanticVersion
+}
+
 // Len returns the number of indexed models.
-func (s *SemanticIndex) Len() int { return len(s.entries) }
+func (v *SemanticVersion) Len() int { return len(v.order) }
 
 // Stats is the semantic index's size digest: how many models are
 // indexed and how the candidate edges among them break down. The
@@ -127,13 +172,12 @@ type Stats struct {
 	Synthesized int // segment-synthesized candidate edges
 }
 
-// Stats walks the index and counts. Callers synchronize as for any
-// other read.
-func (s *SemanticIndex) Stats() Stats {
-	st := Stats{Models: len(s.entries)}
-	for _, e := range s.entries {
-		st.Candidates += len(e.candidates)
-		for _, c := range e.candidates {
+// Stats walks the version and counts.
+func (v *SemanticVersion) Stats() Stats {
+	st := Stats{Models: len(v.order)}
+	for _, list := range v.lists {
+		st.Candidates += len(list)
+		for _, c := range list {
 			if c.Derived {
 				st.Derived++
 			}
@@ -146,11 +190,11 @@ func (s *SemanticIndex) Stats() Stats {
 }
 
 // IDs returns the indexed model IDs in insertion order.
-func (s *SemanticIndex) IDs() []string { return append([]string(nil), s.order...) }
+func (v *SemanticVersion) IDs() []string { return slices.Clip(v.order) }
 
 // Contains reports whether the model ID is indexed.
-func (s *SemanticIndex) Contains(id string) bool {
-	_, ok := s.entries[id]
+func (v *SemanticVersion) Contains(id string) bool {
+	_, ok := v.lists[id]
 	return ok
 }
 
@@ -163,13 +207,13 @@ func (s *SemanticIndex) Insert(e Entry, analyzer Analyzer) error {
 	if e.ID == "" || e.Model == nil {
 		return fmt.Errorf("index: entry must have an ID and a model")
 	}
-	if _, dup := s.entries[e.ID]; dup {
+	if s.Contains(e.ID) {
 		return fmt.Errorf("index: model %q %w", e.ID, ErrAlreadyIndexed)
 	}
 	plan := s.PlanInserts([]Entry{e})[0]
 	meas := make([]PairMeasurement, 0, len(plan.Partners))
 	for _, otherID := range plan.Partners {
-		res, err := analyzer.Analyze(e, s.entries[otherID].entry)
+		res, err := analyzer.Analyze(e, Entry{ID: otherID, Model: s.models[otherID]})
 		if err != nil {
 			return fmt.Errorf("index: analyzing %q vs %q: %w", e.ID, otherID, err)
 		}
@@ -205,7 +249,7 @@ func (s *SemanticIndex) PlanInserts(entries []Entry) []SamplePlan {
 	if k <= 0 {
 		k = 5
 	}
-	virtual := append([]string(nil), s.order...)
+	virtual := s.IDs() // clipped: the appends below land in a copy
 	plans := make([]SamplePlan, 0, len(entries))
 	for _, e := range entries {
 		var partners []string
@@ -227,11 +271,11 @@ func (s *SemanticIndex) PlanInserts(entries []Entry) []SamplePlan {
 // material a staged pipeline needs to analyze new models against
 // already committed ones.
 func (s *SemanticIndex) EntryOf(id string) (Entry, bool) {
-	rec, ok := s.entries[id]
+	m, ok := s.models[id]
 	if !ok {
 		return Entry{}, false
 	}
-	return rec.entry, true
+	return Entry{ID: id, Model: m}, true
 }
 
 // CommitPlanned applies one planned insertion whose pairwise
@@ -245,42 +289,44 @@ func (s *SemanticIndex) CommitPlanned(e Entry, fingerprint string, meas []PairMe
 	if e.ID == "" || e.Model == nil {
 		return fmt.Errorf("index: entry must have an ID and a model")
 	}
-	if _, dup := s.entries[e.ID]; dup {
+	if s.Contains(e.ID) {
 		return fmt.Errorf("index: model %q %w", e.ID, ErrAlreadyIndexed)
 	}
 	for _, pm := range meas {
-		if _, ok := s.entries[pm.Partner]; !ok {
+		if !s.Contains(pm.Partner) {
 			return fmt.Errorf("index: planned partner %q is not indexed", pm.Partner)
 		}
 	}
-	rec := &semEntry{
-		entry:       e,
-		fingerprint: fingerprint,
-		measured:    make(map[string]float64),
+	v := s.writable()
+	// own collects the new model's records in arrival order; no version
+	// holds its list yet, so it is sorted once at the end. A partner's
+	// list may be published and is replaced record by record.
+	var own []Candidate
+	add := func(id string, c Candidate) { v.lists[id] = insertSorted(v.lists[id], c) }
+	setDiff := func(id, other string, diff float64) {
+		m := s.measured[id]
+		v.diffs -= len(m)
+		m[other] = diff
+		v.diffs += len(m)
 	}
+	mine := make(map[string]float64)
+	s.measured[e.ID] = mine
 
 	for _, pm := range meas {
-		other := s.entries[pm.Partner]
 		res := pm.Result
-		// res.LevelForRef: candidate (other) standing in for the new
-		// model; goes to the new entry's list.
+		// res.LevelForRef: candidate (the partner) standing in for the
+		// new model; goes to the new model's list.
 		if res.LevelForRef > 0 {
-			rec.candidates = insertSorted(rec.candidates, Candidate{
-				ID: pm.Partner, Level: res.LevelForRef, Kind: KindWhole,
-			})
+			own = append(own, Candidate{ID: pm.Partner, Level: res.LevelForRef, Kind: KindWhole})
 		}
 		if res.LevelForCand > 0 {
-			other.candidates = insertSorted(other.candidates, Candidate{
-				ID: e.ID, Level: res.LevelForCand, Kind: KindWhole,
-			})
+			add(pm.Partner, Candidate{ID: e.ID, Level: res.LevelForCand, Kind: KindWhole})
 		}
-		rec.measured[pm.Partner] = 1 - res.LevelForRef
-		other.measured[e.ID] = 1 - res.LevelForCand
-		for _, c := range res.SynthForRef {
-			rec.candidates = insertSorted(rec.candidates, c)
-		}
+		setDiff(e.ID, pm.Partner, 1-res.LevelForRef)
+		setDiff(pm.Partner, e.ID, 1-res.LevelForCand)
+		own = append(own, res.SynthForRef...)
 		for _, c := range res.SynthForCand {
-			other.candidates = insertSorted(other.candidates, c)
+			add(pm.Partner, c)
 		}
 	}
 
@@ -292,18 +338,17 @@ func (s *SemanticIndex) CommitPlanned(e Entry, fingerprint string, meas []PairMe
 	for _, pm := range meas {
 		sampledSet[pm.Partner] = true
 	}
-	for _, otherID := range s.order {
+	for _, otherID := range v.order {
 		if sampledSet[otherID] {
 			continue
 		}
-		other := s.entries[otherID]
 		best := -1.0
 		for _, pm := range meas {
-			dNewY, ok := rec.measured[pm.Partner]
+			dNewY, ok := mine[pm.Partner]
 			if !ok {
 				continue
 			}
-			dYZ, ok := s.entries[pm.Partner].measured[otherID]
+			dYZ, ok := s.measured[pm.Partner][otherID]
 			if !ok {
 				continue
 			}
@@ -312,40 +357,65 @@ func (s *SemanticIndex) CommitPlanned(e Entry, fingerprint string, meas []PairMe
 			}
 		}
 		if best > 0 {
-			rec.candidates = insertSorted(rec.candidates, Candidate{
-				ID: otherID, Level: best, Kind: KindWhole, Derived: true,
-			})
-			other.candidates = insertSorted(other.candidates, Candidate{
-				ID: e.ID, Level: best, Kind: KindWhole, Derived: true,
-			})
-			rec.measured[otherID] = 1 - best
-			other.measured[e.ID] = 1 - best
+			own = append(own, Candidate{ID: otherID, Level: best, Kind: KindWhole, Derived: true})
+			add(otherID, Candidate{ID: e.ID, Level: best, Kind: KindWhole, Derived: true})
+			setDiff(e.ID, otherID, 1-best)
+			setDiff(otherID, e.ID, 1-best)
 		}
 	}
 
-	s.entries[e.ID] = rec
-	s.byFP[rec.fingerprint] = e.ID
-	s.order = append(s.order, e.ID)
+	v.lists[e.ID] = sortedOnce(own)
+	s.models[e.ID] = e.Model
+	v.byFP[fingerprint] = e.ID
+	v.order = append(v.order, e.ID)
+	v.fps = append(v.fps, fingerprint)
 	return nil
 }
 
+// insertSorted returns list with c in its descending-level place, as a
+// fresh slice: list may belong to a version readers hold, so it is
+// never shifted in place. A record with c's (ID, Kind, Segment) is
+// replaced if c's level is better and wins otherwise.
 func insertSorted(list []Candidate, c Candidate) []Candidate {
-	// Replace an existing record for the same (ID, Kind, Segment) if
-	// the new level is better.
+	drop := -1
 	for i, old := range list {
 		if old.ID == c.ID && old.Kind == c.Kind && old.Segment == c.Segment {
 			if c.Level <= old.Level {
 				return list
 			}
-			list = append(list[:i], list[i+1:]...)
+			drop = i // below c's place: its level is lower
 			break
 		}
 	}
 	pos := sort.Search(len(list), func(i int) bool { return list[i].Level < c.Level })
-	list = append(list, Candidate{})
-	copy(list[pos+1:], list[pos:])
-	list[pos] = c
-	return list
+	out := make([]Candidate, 0, len(list)+1)
+	out = append(append(out, list[:pos]...), c)
+	if drop < 0 {
+		return append(out, list[pos:]...)
+	}
+	return append(append(out, list[pos:drop]...), list[drop+1:]...)
+}
+
+// sortedOnce orders recs, in place, into the list that insertSorted
+// builds from them one at a time: descending level, equal levels in
+// arrival order, and of the records sharing an (ID, Kind, Segment) only
+// the best — the earliest of them if their levels tie.
+func sortedOnce(recs []Candidate) []Candidate {
+	sort.SliceStable(recs, func(i, j int) bool { return recs[i].Level > recs[j].Level })
+	type key struct {
+		id      string
+		kind    CandidateKind
+		segment string
+	}
+	seen := make(map[key]bool, len(recs))
+	out := recs[:0]
+	for _, c := range recs {
+		if k := (key{c.ID, c.Kind, c.Segment}); !seen[k] {
+			seen[k] = true
+			out = append(out, c)
+		}
+	}
+	return out
 }
 
 // InsertPrecomputed bulk-loads candidate records for an already indexed
@@ -355,73 +425,63 @@ func insertSorted(list []Candidate, c Candidate) []Candidate {
 // quadratic. Records are sorted descending and replace the existing list
 // merged with it.
 func (s *SemanticIndex) InsertPrecomputed(refID string, cands []Candidate) error {
-	rec, ok := s.entries[refID]
-	if !ok {
+	if !s.Contains(refID) {
 		return fmt.Errorf("index: model %q is not indexed", refID)
 	}
-	merged := append(append([]Candidate(nil), rec.candidates...), cands...)
+	merged := slices.Concat(s.lists[refID], cands)
 	sort.SliceStable(merged, func(i, j int) bool { return merged[i].Level > merged[j].Level })
-	rec.candidates = merged
+	s.writable().lists[refID] = merged
 	return nil
 }
 
 // Lookup returns, in descending level order, all candidates of the model
 // identified by refID whose equivalence level meets the threshold.
-func (s *SemanticIndex) Lookup(refID string, threshold float64) ([]Candidate, error) {
-	rec, ok := s.entries[refID]
+func (v *SemanticVersion) Lookup(refID string, threshold float64) ([]Candidate, error) {
+	list, ok := v.lists[refID]
 	if !ok {
 		return nil, fmt.Errorf("index: model %q is not indexed", refID)
 	}
-	return cutAtThreshold(rec.candidates, threshold), nil
-}
-
-// cutAtThreshold returns a copy of the descending-sorted list's prefix
-// at or above the threshold, binary-searching the cutoff.
-func cutAtThreshold(list []Candidate, threshold float64) []Candidate {
-	cut := sort.Search(len(list), func(i int) bool {
+	return head(list, sort.Search(len(list), func(i int) bool {
 		return list[i].Level < threshold
-	})
-	if cut == 0 {
-		return nil
-	}
-	return append([]Candidate(nil), list[:cut]...)
+	})), nil
 }
 
 // LookupByFingerprint resolves a model fingerprint to its indexed ID —
 // the paper's key calculation on query submission.
-func (s *SemanticIndex) LookupByFingerprint(fp string) (string, bool) {
-	id, ok := s.byFP[fp]
+func (v *SemanticVersion) LookupByFingerprint(fp string) (string, bool) {
+	id, ok := v.byFP[fp]
 	return id, ok
 }
 
 // TopK returns the refID's K best candidates regardless of threshold.
-func (s *SemanticIndex) TopK(refID string, k int) ([]Candidate, error) {
-	rec, ok := s.entries[refID]
+func (v *SemanticVersion) TopK(refID string, k int) ([]Candidate, error) {
+	list, ok := v.lists[refID]
 	if !ok {
 		return nil, fmt.Errorf("index: model %q is not indexed", refID)
 	}
-	return topOf(rec.candidates, k), nil
+	return head(list, min(k, len(list))), nil
 }
 
-// topOf copies the first k records of a descending-sorted list.
-func topOf(list []Candidate, k int) []Candidate {
-	if k > len(list) {
-		k = len(list)
+// head returns the first n records of a version's list without copying
+// them, capacity-clipped so that a caller's append cannot reach the
+// shared array.
+func head(list []Candidate, n int) []Candidate {
+	if n == 0 {
+		return nil
 	}
-	return append([]Candidate(nil), list[:k]...)
+	return list[:n:n]
 }
 
 // MemoryBytes estimates the in-memory footprint of the semantic index:
 // fingerprints, candidate records, and the measured-diff maps. Models
 // themselves live in the repository, not here (§5.5, persistence).
-func (s *SemanticIndex) MemoryBytes() int64 {
-	var total int64
-	for id, rec := range s.entries {
-		total += int64(len(id)) + int64(len(rec.fingerprint)) + 48
-		for _, c := range rec.candidates {
+func (v *SemanticVersion) MemoryBytes() int64 {
+	total := int64(v.diffs) * 56
+	for i, id := range v.order {
+		total += int64(len(id)) + int64(len(v.fps[i])) + 48
+		for _, c := range v.lists[id] {
 			total += int64(len(c.ID)+len(c.DonorID)+len(c.Segment)) + 40
 		}
-		total += int64(len(rec.measured)) * 56
 	}
 	return total
 }

@@ -2,6 +2,8 @@ package index
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"sommelier/internal/graph"
 	"sommelier/internal/resource"
@@ -27,21 +29,20 @@ type SemanticSnapshot struct {
 	Entries    []SemanticEntrySnapshot `json:"entries"`
 }
 
-// Snapshot captures the index's current state in insertion order.
+// Snapshot captures the index's current state in insertion order. The
+// result shares nothing with the index: the lists are copied because
+// the caller may write to what it gets, the measured-diff maps because
+// later commits write to them.
 func (s *SemanticIndex) Snapshot() SemanticSnapshot {
 	snap := SemanticSnapshot{SampleSize: s.SampleSize}
-	for _, id := range s.order {
-		rec := s.entries[id]
+	for i, id := range s.order {
 		e := SemanticEntrySnapshot{
 			ID:          id,
-			Fingerprint: rec.fingerprint,
-			Candidates:  append([]Candidate(nil), rec.candidates...),
+			Fingerprint: s.fps[i],
+			Candidates:  slices.Clone(s.lists[id]),
 		}
-		if len(rec.measured) > 0 {
-			e.Measured = make(map[string]float64, len(rec.measured))
-			for k, v := range rec.measured {
-				e.Measured[k] = v
-			}
+		if len(s.measured[id]) > 0 {
+			e.Measured = maps.Clone(s.measured[id])
 		}
 		snap.Entries = append(snap.Entries, e)
 	}
@@ -53,14 +54,17 @@ func (s *SemanticIndex) Snapshot() SemanticSnapshot {
 // can analyze against restored entries; it may return nil for models
 // that will never be re-analyzed.
 func (s *SemanticIndex) Restore(snap SemanticSnapshot, resolve func(id string) (*graph.Model, error)) error {
-	entries := make(map[string]*semEntry, len(snap.Entries))
-	byFP := make(map[string]string, len(snap.Entries))
-	order := make([]string, 0, len(snap.Entries))
+	v := &SemanticVersion{
+		byFP:  make(map[string]string, len(snap.Entries)),
+		lists: make(map[string][]Candidate, len(snap.Entries)),
+	}
+	models := make(map[string]*graph.Model, len(snap.Entries))
+	measured := make(map[string]map[string]float64, len(snap.Entries))
 	for _, e := range snap.Entries {
 		if e.ID == "" {
 			return fmt.Errorf("index: snapshot entry without ID")
 		}
-		if _, dup := entries[e.ID]; dup {
+		if _, dup := v.lists[e.ID]; dup {
 			return fmt.Errorf("index: snapshot has duplicate entry %q", e.ID)
 		}
 		var m *graph.Model
@@ -71,25 +75,21 @@ func (s *SemanticIndex) Restore(snap SemanticSnapshot, resolve func(id string) (
 				return fmt.Errorf("index: resolving %q: %w", e.ID, err)
 			}
 		}
-		rec := &semEntry{
-			entry:       Entry{ID: e.ID, Model: m},
-			fingerprint: e.Fingerprint,
-			candidates:  append([]Candidate(nil), e.Candidates...),
-			measured:    make(map[string]float64, len(e.Measured)),
-		}
-		for k, v := range e.Measured {
-			rec.measured[k] = v
-		}
-		entries[e.ID] = rec
-		byFP[e.Fingerprint] = e.ID
-		order = append(order, e.ID)
+		models[e.ID] = m
+		// Copied: the caller keeps the snapshot and may write to it.
+		v.lists[e.ID] = slices.Clone(e.Candidates)
+		measured[e.ID] = make(map[string]float64, len(e.Measured))
+		maps.Copy(measured[e.ID], e.Measured)
+		v.diffs += len(e.Measured)
+		v.byFP[e.Fingerprint] = e.ID
+		v.order = append(v.order, e.ID)
+		v.fps = append(v.fps, e.Fingerprint)
 	}
 	if snap.SampleSize > 0 {
 		s.SampleSize = snap.SampleSize
 	}
-	s.entries = entries
-	s.byFP = byFP
-	s.order = order
+	s.SemanticVersion, s.handedOut = v, false
+	s.models, s.measured = models, measured
 	return nil
 }
 

@@ -7,21 +7,24 @@ import (
 	"strings"
 )
 
-// SnapCheck enforces the catalog's copy-on-write contract: a published
+// SnapCheck enforces the catalog's publishing contract: a published
 // catalog.Snapshot is immutable. Two rules:
 //
 //  1. Field stores: no assignment through a Snapshot's fields (or
-//     through map/slice elements reached from them), anywhere. The
-//     commit path builds fresh snapshots with composite literals and
-//     publishes them atomically, so even internal/catalog has no
-//     legitimate field store outside publishLocked.
+//     through map/slice elements reached from them), anywhere, with no
+//     exception. Successive snapshots share the tables and lists a
+//     commit did not change, so a store through one would reach every
+//     snapshot that shares the target. The commit path clones a table
+//     into a local before writing to it and builds the next snapshot
+//     as one composite literal, which is not a store.
 //
 //  2. Derived data (outside internal/catalog): values returned by
-//     Snapshot methods are treated as immutable. Writing an element,
-//     appending to, or in-place sorting a snapshot-derived slice is
-//     flagged — copy first. Tracking is intra-procedural: a variable
-//     assigned from a Snapshot method call is tainted until reassigned
-//     from something else.
+//     Snapshot methods — its own or those of the semantic version it
+//     embeds — alias published data. Writing an element, appending to,
+//     or in-place sorting a snapshot-derived slice is flagged — copy
+//     first. Tracking is intra-procedural: a variable assigned from a
+//     Snapshot method call is tainted until reassigned from something
+//     else.
 var SnapCheck = &Analyzer{
 	Name: "snapcheck",
 	Doc:  "published catalog.Snapshot data must never be mutated",
@@ -38,9 +41,6 @@ func runSnapCheck(pass *Pass) {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
 				continue
-			}
-			if inCatalog && fd.Name.Name == "publishLocked" {
-				continue // the one place snapshots are built and swapped in
 			}
 			checkSnapshotWrites(pass, fd)
 			if !inCatalog {

@@ -14,6 +14,9 @@ func mutateDerived(s *catalog.Snapshot) {
 	cands, _ := s.Lookup("ref", 0.9)
 	cands[0].Level = 0 // want `writes into data derived from a catalog\.Snapshot`
 
+	top, _ := s.TopK("ref", 3) // promoted from the embedded version
+	top[0].Level = 1           // want `writes into data derived from a catalog\.Snapshot`
+
 	ids := s.IDs()
 	ids[0] = "swapped" // want `writes into data derived from a catalog\.Snapshot`
 

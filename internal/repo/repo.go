@@ -51,11 +51,12 @@ type Metadata struct {
 }
 
 // Store is the bare-bone repository surface (§2.1) every layer above
-// programs against: the engine, the hub server and the fault-injecting
-// wrapper all name it through a `type Store = repo.Store` alias, so it
-// is declared exactly once. *Repository implements it, as do
-// faults.FlakyStore and hub-side stand-ins. IDs follow the repository
-// convention (IDFor): name@version.
+// programs against — the engine, the hub server, the fault-injecting
+// wrapper — declared exactly once and named directly (the root
+// package's sommelier.Store alias is the one other spelling).
+// *Repository implements it, as do faults.FlakyStore and hub-side
+// stand-ins. IDs follow the repository convention (IDFor):
+// name@version.
 type Store interface {
 	Publish(m *graph.Model) (string, error)
 	Load(id string) (*graph.Model, error)

@@ -5,7 +5,6 @@ import (
 	"sommelier/internal/dataset"
 	"sommelier/internal/equiv"
 	"sommelier/internal/obs"
-	"sommelier/internal/resource"
 )
 
 // Option configures an Engine. Options compose left to right; later
@@ -73,11 +72,6 @@ func WithIndexWorkers(n int) Option {
 // batch's shared snapshot.
 func WithQueryWorkers(n int) Option {
 	return func(c *engineConfig) { c.queryWorkers = n }
-}
-
-// WithLatencyTable overrides the per-operator latency table.
-func WithLatencyTable(t resource.LatencyTable) Option {
-	return func(c *engineConfig) { c.cat.LatencyTable = t }
 }
 
 // WithCustomValidation uses the dataset instead of generated probe data

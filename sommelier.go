@@ -6,9 +6,9 @@
 // (Figure 1 of the paper). Models registered with the engine are analyzed
 // for pairwise functional equivalence (internal/equiv, §4), profiled for
 // resource usage (internal/resource, §5.3), and organized into a semantic
-// index (internal/index, §5.2) and a resource-profile table, both owned
-// by internal/catalog behind copy-on-write snapshots. Queries in the
-// Figure 7 syntax are parsed (internal/query) and executed as a
+// index (internal/index, §5.2) and a resource-profile table, both held
+// once, in the immutable snapshot internal/catalog publishes. Queries in
+// the Figure 7 syntax are parsed (internal/query) and executed as a
 // three-stage filter pipeline (§5.4): semantic filter → resource filter →
 // final selection — every stage reading one consistent snapshot, with no
 // locking against concurrent registration.
@@ -35,19 +35,21 @@ package sommelier
 import "sommelier/internal/resource"
 
 // Result is one model returned by a query, with everything an inference
-// server needs to act on it.
+// server needs to act on it. The JSON tags are the wire form a hub's
+// /v1/query answers in and are the same as cluster.Result's, which a
+// coordinator decodes that answer into.
 type Result struct {
 	// ID is the repository ID; synthesized results carry the base
 	// model's ID here and the donor in DonorID.
-	ID string
+	ID string `json:"id"`
 	// Level is the functional-equivalence level to the reference.
-	Level float64
+	Level float64 `json:"level"`
 	// Synthesized marks segment-replacement candidates (§5.2).
-	Synthesized bool
-	DonorID     string
-	Segment     string
+	Synthesized bool   `json:"synthesized,omitempty"`
+	DonorID     string `json:"donor_id,omitempty"`
+	Segment     string `json:"segment,omitempty"`
 	// Derived marks transitively derived (unmeasured) levels.
-	Derived bool
+	Derived bool `json:"derived,omitempty"`
 	// Profile is the candidate's resource profile.
-	Profile resource.Profile
+	Profile resource.Profile `json:"profile"`
 }
