@@ -103,13 +103,8 @@ func TeacherLabeled(name string, teacher *nn.Executor, n int, seed uint64) (*Dat
 	}
 	d := &Dataset{Name: name, NumClasses: out.NumElements()}
 	d.Inputs = inputs
-	d.Labels = make([]int, n)
-	for i, x := range inputs {
-		cls, err := teacher.Predict(x)
-		if err != nil {
-			return nil, fmt.Errorf("dataset: labeling sample %d: %w", i, err)
-		}
-		d.Labels[i] = cls
+	if d.Labels, err = teacher.PredictBatch(inputs); err != nil {
+		return nil, fmt.Errorf("dataset: labeling %q: %w", name, err)
 	}
 	return d, nil
 }
@@ -123,12 +118,12 @@ func Accuracy(e *nn.Executor, d *Dataset) (float64, error) {
 	if d.Len() == 0 {
 		return 0, fmt.Errorf("dataset: %q is empty", d.Name)
 	}
+	classes, err := e.PredictBatch(d.Inputs)
+	if err != nil {
+		return 0, err
+	}
 	correct := 0
-	for i, x := range d.Inputs {
-		cls, err := e.Predict(x)
-		if err != nil {
-			return 0, err
-		}
+	for i, cls := range classes {
 		if cls == d.Labels[i] {
 			correct++
 		}

@@ -1,6 +1,7 @@
 package equiv
 
 import (
+	"fmt"
 	"testing"
 
 	"sommelier/internal/dataset"
@@ -22,6 +23,30 @@ func BenchmarkCheckWhole(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := CheckWhole(base, cand, val, Options{Epsilon: 0.1}); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkObserve times one observation — the sweep over the validation
+// set plus the bound factor — on a residual MLP at a width ladder and two
+// validation-set sizes. Scratch is per block of probes, so B/op must not
+// follow the probe count.
+func BenchmarkObserve(b *testing.B) {
+	for _, width := range []int{40, 128, 512} {
+		m, err := zoo.DenseResidualNet(zoo.Config{Name: "obs", Seed: 11, InDim: width, Width: width, Depth: 2})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, probes := range []int{64, 300} {
+			val := &dataset.Dataset{Name: "bench", Inputs: dataset.RandomImages(probes, m.InputShape, 12)}
+			b.Run(fmt.Sprintf("width=%d/probes=%d", width, probes), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := Observe(m, val, Options{Epsilon: 1}); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"sommelier/internal/dataset"
 	"sommelier/internal/graph"
 	"sommelier/internal/nn"
 	"sommelier/internal/tensor"
@@ -29,6 +30,8 @@ import (
 // ~10% of the actual accuracy once n ≥ 1000) while preserving the two
 // properties the experiments check: the bound shrinks as 1/√n and grows
 // with depth and poorly-conditioned layers.
+//
+// The model must validate: the bound is computed from its executor.
 func GeneralizationBound(m *graph.Model, n int, gamma float64) (float64, error) {
 	if n <= 0 {
 		return 0, fmt.Errorf("equiv: generalization bound needs a positive dataset size")
@@ -36,7 +39,11 @@ func GeneralizationBound(m *graph.Model, n int, gamma float64) (float64, error) 
 	if gamma <= 0 {
 		gamma = 1
 	}
-	factor, err := boundFactor(m)
+	exec, err := nn.NewExecutor(m)
+	if err != nil {
+		return 0, err
+	}
+	factor, err := boundFactor(exec)
 	if err != nil {
 		return 0, err
 	}
@@ -46,9 +53,10 @@ func GeneralizationBound(m *graph.Model, n int, gamma float64) (float64, error) 
 // boundFactor is the part of the bound that depends on the model alone,
 // d² · max‖f(x)‖₂ · Σᵢ 1/(μᵢ² μᵢ→²): a spectral-norm pass per linear
 // layer, which Observe keeps with the model's evidence.
-func boundFactor(m *graph.Model) (float64, error) {
-	linear := linearLayers(m)
-	d := float64(len(m.Layers))
+func boundFactor(exec *nn.Executor) (float64, error) {
+	order := exec.Layers()
+	linear := linearLayers(order)
+	d := float64(len(order))
 	if len(linear) == 0 {
 		// A model with no linear layers has no learned capacity; the
 		// empirical measurement already generalizes.
@@ -69,7 +77,7 @@ func boundFactor(m *graph.Model) (float64, error) {
 		sum += 1 / (mu * mu * muNext * muNext)
 	}
 
-	fNorm, err := outputNormEstimate(m)
+	fNorm, err := outputNormEstimate(exec)
 	if err != nil {
 		return 0, err
 	}
@@ -89,12 +97,8 @@ func boundFrom(factor float64, n int, gamma float64) float64 {
 	return raw
 }
 
-func linearLayers(m *graph.Model) []*graph.Layer {
+func linearLayers(order []*graph.Layer) []*graph.Layer {
 	var out []*graph.Layer
-	order, err := m.TopoSort()
-	if err != nil {
-		order = m.Layers
-	}
 	for _, l := range order {
 		if l.Op.Class() == graph.ClassLinear && l.Param("W") != nil {
 			out = append(out, l)
@@ -127,29 +131,18 @@ func layerCushion(l *graph.Layer) float64 {
 
 // outputNormEstimate estimates max‖f(x)‖₂ over the input distribution by
 // probing a few random inputs. Softmax-terminated classifiers are bounded
-// by 1 analytically; other models are probed.
-func outputNormEstimate(m *graph.Model) (float64, error) {
-	if len(m.Layers) > 0 {
-		out, err := m.OutputLayerName()
-		if err == nil {
-			if l := m.Layer(out); l != nil && l.Op == graph.OpSoftmax {
-				return 1, nil
-			}
-		}
+// by 1 analytically; other models are probed in one batched pass.
+func outputNormEstimate(exec *nn.Executor) (float64, error) {
+	m := exec.Model()
+	if l := m.Layer(exec.OutputLayer()); l != nil && l.Op == graph.OpSoftmax {
+		return 1, nil
 	}
-	exec, err := nn.NewExecutor(m)
+	outs, err := exec.ForwardBatch(dataset.RandomImages(8, m.InputShape, 0x5eed))
 	if err != nil {
 		return 0, fmt.Errorf("equiv: output norm estimate: %w", err)
 	}
-	rng := tensor.NewRNG(0x5eed)
 	max := 0.0
-	for i := 0; i < 8; i++ {
-		x := tensor.New(m.InputShape...)
-		rng.FillNormal(x, 0, 1)
-		o, err := exec.Forward(x)
-		if err != nil {
-			return 0, fmt.Errorf("equiv: output norm estimate: %w", err)
-		}
+	for _, o := range outs {
 		if n := o.L2Norm(); n > max {
 			max = n
 		}

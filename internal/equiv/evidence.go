@@ -27,20 +27,17 @@ type Evidence struct {
 }
 
 // Observe runs m over the validation set once and returns its evidence,
-// including the bound factor unless opts turns the bound off.
+// including the bound factor unless opts turns the bound off. The model
+// is validated and ordered once; the sweep and the bound share both.
 func Observe(m *graph.Model, val *dataset.Dataset, opts Options) (*Evidence, error) {
-	ev, err := sweep(m, val)
-	if err == nil && opts.Bound == BoundOn {
-		ev.bound, err = boundFactor(m)
-		ev.hasBound = true
-	}
+	ev, err := observe(m, val, opts)
 	if err != nil {
 		return nil, fmt.Errorf("equiv: observing %q: %w", m.Name, err)
 	}
 	return ev, nil
 }
 
-func sweep(m *graph.Model, val *dataset.Dataset) (*Evidence, error) {
+func observe(m *graph.Model, val *dataset.Dataset, opts Options) (*Evidence, error) {
 	if val.Len() == 0 {
 		return nil, fmt.Errorf("dataset %q is empty", val.Name)
 	}
@@ -48,17 +45,29 @@ func sweep(m *graph.Model, val *dataset.Dataset) (*Evidence, error) {
 	if err != nil {
 		return nil, err
 	}
+	ev, err := sweep(exec, val)
+	if err == nil && opts.Bound == BoundOn {
+		ev.bound, err = boundFactor(exec)
+		ev.hasBound = true
+	}
+	return ev, err
+}
+
+// sweep is the one inference pass of an observation: the whole
+// validation set through the batched executor.
+func sweep(exec *nn.Executor, val *dataset.Dataset) (*Evidence, error) {
 	ev := &Evidence{n: val.Len(), labelled: val.Labels != nil}
-	if !ev.labelled && m.Task != graph.TaskClassification {
+	if !ev.labelled && exec.Model().Task != graph.TaskClassification {
+		var err error
 		ev.outputs, err = exec.ForwardBatch(val.Inputs)
 		return ev, err
 	}
+	classes, err := exec.PredictBatch(val.Inputs)
+	if err != nil {
+		return nil, err
+	}
 	ev.classes = make([]int32, ev.n)
-	for i, x := range val.Inputs {
-		cls, err := exec.Predict(x)
-		if err != nil {
-			return nil, err
-		}
+	for i, cls := range classes {
 		ev.classes[i] = int32(cls)
 		if ev.labelled && cls == val.Labels[i] {
 			ev.correct++

@@ -29,12 +29,7 @@ func oracleCheckWhole(reference, candidate *graph.Model, val *dataset.Dataset, o
 	if err != nil {
 		return WholeResult{}, fmt.Errorf("equiv: candidate: %w", err)
 	}
-	var emp float64
-	if val.Labels == nil && reference.Task == graph.TaskClassification {
-		emp, err = dataset.DisagreementRatio(refExec, candExec, val)
-	} else {
-		emp, err = dataset.QoRDifference(refExec, candExec, val)
-	}
+	emp, err := oracleEmpirical(refExec, candExec, val)
 	if err != nil {
 		return WholeResult{}, fmt.Errorf("equiv: measuring QoR difference: %w", err)
 	}
@@ -54,10 +49,68 @@ func oracleCheckWhole(reference, candidate *graph.Model, val *dataset.Dataset, o
 	return res, nil
 }
 
+// oracleEmpirical is the empirical QoR difference as it was measured
+// before the executor batched: one Predict or Forward per probe per
+// model, never the blocked pass.
+func oracleEmpirical(ref, cand *nn.Executor, val *dataset.Dataset) (float64, error) {
+	if val.Len() == 0 {
+		return 0, fmt.Errorf("dataset %q is empty", val.Name)
+	}
+	n := float64(val.Len())
+	if val.Labels == nil && ref.Model().Task != graph.TaskClassification {
+		total := 0.0
+		for _, x := range val.Inputs {
+			oa, err := ref.Forward(x)
+			if err != nil {
+				return 0, err
+			}
+			ob, err := cand.Forward(x)
+			if err != nil {
+				return 0, err
+			}
+			total += tensor.L2Distance(oa, ob)
+		}
+		return total / n, nil
+	}
+	agree, correctRef, correctCand := 0, 0, 0
+	for i, x := range val.Inputs {
+		a, err := ref.Predict(x)
+		if err != nil {
+			return 0, err
+		}
+		b, err := cand.Predict(x)
+		if err != nil {
+			return 0, err
+		}
+		if a == b {
+			agree++
+		}
+		if val.Labels != nil {
+			if a == val.Labels[i] {
+				correctRef++
+			}
+			if b == val.Labels[i] {
+				correctCand++
+			}
+		}
+	}
+	if val.Labels != nil {
+		return math.Abs(float64(correctRef)/n - float64(correctCand)/n), nil
+	}
+	return 1 - float64(agree)/n, nil
+}
+
 // oracleBound is GeneralizationBound as one expression over the model,
-// n and γ, before the model-only factor was split out.
+// n and γ, before the model-only factor was split out, with the
+// output-norm probe as the per-sample loop it was before the executor
+// batched: its own topological sort, its own executor, one Forward per
+// probe.
 func oracleBound(m *graph.Model, n int, gamma float64) (float64, error) {
-	linear := linearLayers(m)
+	order, err := m.TopoSort()
+	if err != nil {
+		order = m.Layers
+	}
+	linear := linearLayers(order)
 	if len(linear) == 0 {
 		return 0, nil
 	}
@@ -70,11 +123,40 @@ func oracleBound(m *graph.Model, n int, gamma float64) (float64, error) {
 		}
 		sum += 1 / (mu * mu * muNext * muNext)
 	}
-	fNorm, err := outputNormEstimate(m)
+	fNorm, err := oracleOutputNorm(m)
 	if err != nil {
 		return 0, err
 	}
 	return math.Min(1, 0.011*math.Sqrt(d*d*fNorm*sum/(gamma*gamma*float64(n)))), nil
+}
+
+func oracleOutputNorm(m *graph.Model) (float64, error) {
+	if out, err := m.OutputLayerName(); err == nil {
+		if l := m.Layer(out); l != nil && l.Op == graph.OpSoftmax {
+			return 1, nil
+		}
+	}
+	exec, err := nn.NewExecutor(m)
+	if err != nil {
+		return 0, err
+	}
+	rng := tensor.NewRNG(0x5eed)
+	max := 0.0
+	for i := 0; i < 8; i++ {
+		x := tensor.New(m.InputShape...)
+		rng.FillNormal(x, 0, 1)
+		o, err := exec.Forward(x)
+		if err != nil {
+			return 0, err
+		}
+		if n := o.L2Norm(); n > max {
+			max = n
+		}
+	}
+	if max == 0 {
+		return 1, nil
+	}
+	return max, nil
 }
 
 func oracleCheckPair(ref, cand *graph.Model, refVal, candVal *dataset.Dataset, opts Options) (fwd, rev WholeResult, err error) {

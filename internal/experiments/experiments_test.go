@@ -300,7 +300,7 @@ func TestTable2TimeGrowsWithModelSize(t *testing.T) {
 }
 
 func TestTable3LatencyShape(t *testing.T) {
-	cfg := Table3Config{Sizes: []int{100, 10000}, Queries: 5, Seed: 3}
+	cfg := Table3Config{Sizes: []int{100, 10000}, Queries: 21, Seed: 3}
 	res, err := RunTable3(cfg)
 	if err != nil {
 		t.Fatal(err)

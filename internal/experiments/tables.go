@@ -9,6 +9,7 @@ import (
 	"sommelier/internal/graph"
 	"sommelier/internal/index"
 	"sommelier/internal/resource"
+	"sommelier/internal/stats"
 	"sommelier/internal/tensor"
 	"sommelier/internal/zoo"
 )
@@ -135,7 +136,9 @@ func DefaultTable3Config() Table3Config {
 	return Table3Config{Sizes: []int{100, 1000, 10000, 100000}, Queries: 20, Seed: 0x7a3}
 }
 
-// Table3Result reports mean latency in milliseconds per predicate kind.
+// Table3Result reports the median latency in milliseconds per predicate
+// kind: a lookup takes ~0.1 ms, so one descheduled query would own a
+// mean.
 type Table3Result struct {
 	Sizes      []int
 	ResourceMS []float64
@@ -150,6 +153,9 @@ type Table3Result struct {
 // same: "we prepare the model repository with different numbers of
 // models").
 func RunTable3(cfg Table3Config) (*Table3Result, error) {
+	if cfg.Queries <= 0 {
+		return nil, fmt.Errorf("experiments: table 3 needs at least one query per size, got %d", cfg.Queries)
+	}
 	res := &Table3Result{Sizes: cfg.Sizes}
 	for _, n := range cfg.Sizes {
 		rng := tensor.NewRNG(cfg.Seed + uint64(n))
@@ -191,19 +197,19 @@ func RunTable3(cfg Table3Config) (*Table3Result, error) {
 			return nil, err
 		}
 
-		var resMS, semMS, bothMS float64
+		var resMS, semMS, bothMS []float64
 		for q := 0; q < cfg.Queries; q++ {
 			start := time.Now()
 			if _, err := ri.Candidates(budget, 0); err != nil {
 				return nil, err
 			}
-			resMS += ms(start)
+			resMS = append(resMS, ms(start))
 
 			start = time.Now()
 			if _, err := si.Lookup("ref", 0.99); err != nil {
 				return nil, err
 			}
-			semMS += ms(start)
+			semMS = append(semMS, ms(start))
 
 			start = time.Now()
 			ids, err := ri.Candidates(budget, 0)
@@ -215,12 +221,11 @@ func RunTable3(cfg Table3Config) (*Table3Result, error) {
 				return nil, err
 			}
 			intersect(ids, cands)
-			bothMS += ms(start)
+			bothMS = append(bothMS, ms(start))
 		}
-		q := float64(cfg.Queries)
-		res.ResourceMS = append(res.ResourceMS, resMS/q)
-		res.SemanticMS = append(res.SemanticMS, semMS/q)
-		res.BothMS = append(res.BothMS, bothMS/q)
+		res.ResourceMS = append(res.ResourceMS, stats.Percentile(resMS, 50))
+		res.SemanticMS = append(res.SemanticMS, stats.Percentile(semMS, 50))
+		res.BothMS = append(res.BothMS, stats.Percentile(bothMS, 50))
 	}
 	return res, nil
 }

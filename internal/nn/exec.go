@@ -1,7 +1,7 @@
-// Package nn executes graph.Model DNNs: single-sample and batched forward
-// passes, per-layer activation capture (needed by the segment-equivalence
-// analysis in internal/equiv), and input preprocessor registration per
-// §4.1 of the paper.
+// Package nn executes graph.Model DNNs: single-sample forward passes,
+// blocked batch passes (batch.go), per-layer activation capture (needed
+// by the segment-equivalence analysis in internal/equiv), and input
+// preprocessor registration per §4.1 of the paper.
 package nn
 
 import (
@@ -50,6 +50,13 @@ type Executor struct {
 	model  *graph.Model
 	order  []*graph.Layer
 	output string
+	// inputs[i] holds the positions in order of order[i]'s inputs,
+	// readers[i] counts the layers that read order[i] (the batched pass
+	// recycles an activation buffer once its last reader has run) and
+	// outPos is the output layer's position.
+	inputs  [][]int
+	readers []int
+	outPos  int
 }
 
 // NewExecutor prepares an executor for m. The model must validate.
@@ -65,11 +72,27 @@ func NewExecutor(m *graph.Model) (*Executor, error) {
 	if err != nil {
 		return nil, fmt.Errorf("nn: %w", err)
 	}
-	return &Executor{model: m, order: order, output: out}, nil
+	e := &Executor{model: m, order: order, output: out,
+		inputs: make([][]int, len(order)), readers: make([]int, len(order))}
+	pos := make(map[string]int, len(order))
+	for i, l := range order {
+		pos[l.Name] = i
+		e.inputs[i] = make([]int, len(l.Inputs))
+		for j, name := range l.Inputs {
+			e.inputs[i][j] = pos[name]
+			e.readers[pos[name]]++
+		}
+	}
+	e.outPos = pos[out]
+	return e, nil
 }
 
 // Model returns the model this executor runs.
 func (e *Executor) Model() *graph.Model { return e.model }
+
+// Layers returns the model's layers in the topological order the
+// executor runs them. Callers must not mutate the slice.
+func (e *Executor) Layers() []*graph.Layer { return e.order }
 
 // OutputLayer returns the name of the model's sink layer.
 func (e *Executor) OutputLayer() string { return e.output }
@@ -101,7 +124,9 @@ func (e *Executor) ForwardFrom(sample *tensor.Tensor, pinned map[string]*tensor.
 	return acts[e.output], nil
 }
 
-func (e *Executor) forward(sample *tensor.Tensor, pinned map[string]*tensor.Tensor) (map[string]*tensor.Tensor, error) {
+// prepare returns the tensor the input layer holds for a raw sample: the
+// registered preprocessor applied, the shape checked against the model.
+func (e *Executor) prepare(sample *tensor.Tensor) (*tensor.Tensor, error) {
 	in := sample
 	if e.model.Preprocessor != "" {
 		if p, ok := LookupPreprocessor(e.model.Preprocessor); ok {
@@ -111,6 +136,14 @@ func (e *Executor) forward(sample *tensor.Tensor, pinned map[string]*tensor.Tens
 	if !in.Shape().Equal(e.model.InputShape) {
 		return nil, fmt.Errorf("nn: input shape %v, model %q wants %v",
 			in.Shape(), e.model.Name, e.model.InputShape)
+	}
+	return in, nil
+}
+
+func (e *Executor) forward(sample *tensor.Tensor, pinned map[string]*tensor.Tensor) (map[string]*tensor.Tensor, error) {
+	in, err := e.prepare(sample)
+	if err != nil {
+		return nil, err
 	}
 	acts := make(map[string]*tensor.Tensor, len(e.order))
 	for _, l := range e.order {
@@ -137,20 +170,6 @@ func (e *Executor) forward(sample *tensor.Tensor, pinned map[string]*tensor.Tens
 	return acts, nil
 }
 
-// ForwardBatch runs each sample through the model and returns the outputs
-// in order.
-func (e *Executor) ForwardBatch(samples []*tensor.Tensor) ([]*tensor.Tensor, error) {
-	outs := make([]*tensor.Tensor, len(samples))
-	for i, s := range samples {
-		o, err := e.Forward(s)
-		if err != nil {
-			return nil, fmt.Errorf("nn: sample %d: %w", i, err)
-		}
-		outs[i] = o
-	}
-	return outs, nil
-}
-
 // Predict returns the argmax class index for a classification model.
 func (e *Executor) Predict(sample *tensor.Tensor) (int, error) {
 	out, err := e.Forward(sample)
@@ -170,23 +189,8 @@ func Apply(l *graph.Layer, in []*tensor.Tensor) (*tensor.Tensor, error) {
 		return applyConv(l, in[0])
 	case graph.OpEmbedding:
 		return applyEmbedding(l, in[0])
-	case graph.OpReLU:
-		return in[0].Map(func(v float64) float64 { return math.Max(0, v) }), nil
-	case graph.OpLeakyReLU:
-		alpha := l.Attrs.Alpha
-		if alpha == 0 {
-			alpha = 0.01
-		}
-		return in[0].Map(func(v float64) float64 {
-			if v >= 0 {
-				return v
-			}
-			return alpha * v
-		}), nil
-	case graph.OpTanh:
-		return in[0].Map(math.Tanh), nil
-	case graph.OpSigmoid:
-		return in[0].Map(func(v float64) float64 { return 1 / (1 + math.Exp(-v)) }), nil
+	case graph.OpReLU, graph.OpLeakyReLU, graph.OpTanh, graph.OpSigmoid:
+		return in[0].Map(activationFunc(l)), nil
 	case graph.OpSoftmax:
 		return tensor.Softmax(in[0].Reshape(in[0].NumElements())).Reshape(in[0].Shape()...), nil
 	case graph.OpMaxPool:
@@ -199,16 +203,13 @@ func Apply(l *graph.Layer, in []*tensor.Tensor) (*tensor.Tensor, error) {
 		return applyBatchNorm(l, in[0])
 	case graph.OpLayerNorm:
 		return applyLayerNorm(l, in[0])
-	case graph.OpAdd:
+	case graph.OpAdd, graph.OpMul:
 		out := in[0].Clone()
 		for _, x := range in[1:] {
-			out.AddInPlace(x)
-		}
-		return out, nil
-	case graph.OpMul:
-		out := in[0].Clone()
-		for _, x := range in[1:] {
-			out = out.Mul(x)
+			if !x.Shape().Equal(out.Shape()) {
+				return nil, combineShapeError(l.Op, out.Shape(), x.Shape())
+			}
+			combine(l.Op, out.Data(), x.Data())
 		}
 		return out, nil
 	case graph.OpConcat:
@@ -222,13 +223,65 @@ func Apply(l *graph.Layer, in []*tensor.Tensor) (*tensor.Tensor, error) {
 	}
 }
 
-func applyDense(l *graph.Layer, x *tensor.Tensor) (*tensor.Tensor, error) {
-	w, b := l.Param("W"), l.Param("B")
-	if w == nil || b == nil {
-		return nil, fmt.Errorf("nn: Dense missing parameters")
+// activationFunc returns the scalar function of an elementwise
+// activation layer; Apply maps it over one sample, the batched pass over
+// a block of them.
+func activationFunc(l *graph.Layer) func(float64) float64 {
+	switch l.Op {
+	case graph.OpReLU:
+		return func(v float64) float64 { return math.Max(0, v) }
+	case graph.OpLeakyReLU:
+		alpha := l.Attrs.Alpha
+		if alpha == 0 {
+			alpha = 0.01
+		}
+		return func(v float64) float64 {
+			if v >= 0 {
+				return v
+			}
+			return alpha * v
+		}
+	case graph.OpTanh:
+		return math.Tanh
+	case graph.OpSigmoid:
+		return func(v float64) float64 { return 1 / (1 + math.Exp(-v)) }
 	}
-	out := tensor.MatVec(w, x)
-	out.AddInPlace(b)
+	return nil
+}
+
+// combine folds src into dst elementwise: dst += src for Add, dst *= src
+// for Mul. Inputs are folded in the order the layer lists them.
+func combine(op graph.OpKind, dst, src []float64) {
+	if op == graph.OpAdd {
+		for i, v := range src {
+			dst[i] += v
+		}
+		return
+	}
+	for i, v := range src {
+		dst[i] *= v
+	}
+}
+
+func combineShapeError(op graph.OpKind, a, b tensor.Shape) error {
+	return fmt.Errorf("nn: %s inputs of shapes %v and %v", op, a, b)
+}
+
+// denseParams returns a Dense layer's weights and bias.
+func denseParams(l *graph.Layer) (w, b *tensor.Tensor, err error) {
+	if w, b = l.Param("W"), l.Param("B"); w == nil || b == nil {
+		return nil, nil, fmt.Errorf("nn: Dense missing parameters")
+	}
+	return w, b, nil
+}
+
+func applyDense(l *graph.Layer, x *tensor.Tensor) (*tensor.Tensor, error) {
+	w, b, err := denseParams(l)
+	if err != nil {
+		return nil, err
+	}
+	out := tensor.New(w.Shape()[0])
+	tensor.DenseBatch(out.Data(), x.Data(), w, b)
 	return out, nil
 }
 
@@ -433,17 +486,17 @@ func AgreementRatio(a, b *Executor, samples []*tensor.Tensor) (float64, error) {
 	if len(samples) == 0 {
 		return 0, fmt.Errorf("nn: no samples")
 	}
+	pa, err := a.PredictBatch(samples)
+	if err != nil {
+		return 0, err
+	}
+	pb, err := b.PredictBatch(samples)
+	if err != nil {
+		return 0, err
+	}
 	agree := 0
-	for _, s := range samples {
-		pa, err := a.Predict(s)
-		if err != nil {
-			return 0, err
-		}
-		pb, err := b.Predict(s)
-		if err != nil {
-			return 0, err
-		}
-		if pa == pb {
+	for i, cls := range pa {
+		if cls == pb[i] {
 			agree++
 		}
 	}

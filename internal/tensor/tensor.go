@@ -264,13 +264,7 @@ func (t *Tensor) ArgMax() int {
 }
 
 // L2Norm returns the Euclidean norm of the flattened tensor.
-func (t *Tensor) L2Norm() float64 {
-	s := 0.0
-	for _, v := range t.data {
-		s += v * v
-	}
-	return math.Sqrt(s)
-}
+func (t *Tensor) L2Norm() float64 { return l2Norm(t.data) }
 
 // L2Distance returns the Euclidean distance between the flattened tensors.
 func L2Distance(a, b *Tensor) float64 {
