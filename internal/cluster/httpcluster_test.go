@@ -11,7 +11,9 @@ import (
 	"time"
 
 	"sommelier"
+	"sommelier/internal/cas"
 	"sommelier/internal/cluster"
+	"sommelier/internal/graph"
 	"sommelier/internal/hub"
 	"sommelier/internal/repo"
 	"sommelier/internal/zoo"
@@ -216,6 +218,52 @@ func TestHTTPSynthesizedResultCrossesWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("Coordinator.Query", resp.Results)
+}
+
+// TestHTTPReplicaLoadPullsAndMapsNotFound: a remote replica's Load is
+// the hub client's pack pull — the model re-encodes to the bytes that
+// were published — and a model the shard does not hold is
+// repo.ErrNotFound, the error in-process replicas return, not a bare
+// status.
+func TestHTTPReplicaLoadPullsAndMapsNotFound(t *testing.T) {
+	ctx := context.Background()
+	shard := newHubReplica(t, 0, 1)
+	m, err := zoo.DenseResidualNet(zoo.Config{Name: "pulled", Seed: 5, Width: 32, Depth: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc, err := cas.Encode(m, "", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := shard.r.PublishEncoded(ctx, enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A second client on the same hub: the publisher's has the model in
+	// its write-through cache and would not go to the wire.
+	client, err := hub.NewClient(shard.ts.URL, shard.ts.Client())
+	if err != nil {
+		t.Fatal(err)
+	}
+	puller := cluster.NewHTTPReplica(client)
+	got, err := puller.Load(ctx, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want, have bytes.Buffer
+	if err := graph.Encode(&want, m); err != nil {
+		t.Fatal(err)
+	}
+	if err := graph.Encode(&have, got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(want.Bytes(), have.Bytes()) {
+		t.Fatal("the pulled model re-encodes differently")
+	}
+	if _, err := puller.Load(ctx, "ghost@1"); !errors.Is(err, repo.ErrNotFound) {
+		t.Fatalf("load of an unknown id: %v, want repo.ErrNotFound", err)
+	}
 }
 
 // TestHTTPReplicaQueryStatusMapping: only the 400 a hub answers when its

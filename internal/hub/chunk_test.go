@@ -131,23 +131,31 @@ func TestLoadManifestAndChunkFetch(t *testing.T) {
 	}
 }
 
-// countingTransport counts GET /v1/chunks/ requests — the wire cost a
-// mirror pays for tensor data — and request body bytes, the wire cost
-// of a publish.
+// countingTransport counts round trips, GET /v1/chunks/ requests — the
+// wire cost a mirror pays for tensor data — and request body bytes, the
+// wire cost of a publish, and remembers what the last response called
+// itself.
 type countingTransport struct {
-	inner     http.RoundTripper
-	chunkGets atomic.Int64
-	uploaded  atomic.Int64
+	inner       http.RoundTripper
+	requests    atomic.Int64
+	chunkGets   atomic.Int64
+	uploaded    atomic.Int64
+	contentType atomic.Value // string
 }
 
 func (ct *countingTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	ct.requests.Add(1)
 	if req.ContentLength > 0 {
 		ct.uploaded.Add(req.ContentLength)
 	}
 	if req.Method == http.MethodGet && strings.Contains(req.URL.Path, "/v1/chunks/") {
 		ct.chunkGets.Add(1)
 	}
-	return ct.inner.RoundTrip(req)
+	resp, err := ct.inner.RoundTrip(req)
+	if err == nil {
+		ct.contentType.Store(resp.Header.Get("Content-Type"))
+	}
+	return resp, err
 }
 
 func TestMirrorTransfersOnlyMissingChunks(t *testing.T) {
@@ -256,14 +264,13 @@ func TestChunkProtocolFallsBackOnOldHub(t *testing.T) {
 	}
 }
 
-// TestFineTunedSeriesDedupAndFidelity is the chunk layer's acceptance
-// gate: a 32-model fine-tuned series (one base, then variants cycling
-// through sparse edits, frozen-trunk transfers and lightly tuned
-// transfers) must cost at least 3x less than the whole-model baseline
-// in both stored and uploaded bytes, exercise sparse delta refs and
-// shared chunks, and hydrate byte-identically from a cold re-open.
-func TestFineTunedSeriesDedupAndFidelity(t *testing.T) {
-	const n, depth = 32, 3
+// fineTunedSeries builds an n-model fine-tuned series: a width-48
+// depth-3 residual base, then variants cycling through sparse edits,
+// frozen-trunk transfers and lightly tuned transfers, each naming the
+// base so a repository stores it as delta refs and shared trunk chunks.
+func fineTunedSeries(t testing.TB, n int) []*graph.Model {
+	t.Helper()
+	const depth = 3
 	base, err := zoo.DenseResidualNet(zoo.Config{Name: "series-base", Seed: 2022, Width: 48, Depth: depth, Series: "series"})
 	if err != nil {
 		t.Fatal(err)
@@ -286,6 +293,18 @@ func TestFineTunedSeriesDedupAndFidelity(t *testing.T) {
 		}
 		models = append(models, v)
 	}
+	return models
+}
+
+// TestFineTunedSeriesDedupAndFidelity is the chunk layer's acceptance
+// gate: a 32-model fine-tuned series (one base, then variants cycling
+// through sparse edits, frozen-trunk transfers and lightly tuned
+// transfers) must cost at least 3x less than the whole-model baseline
+// in both stored and uploaded bytes, exercise sparse delta refs and
+// shared chunks, and hydrate byte-identically from a cold re-open.
+func TestFineTunedSeriesDedupAndFidelity(t *testing.T) {
+	const n = 32
+	models := fineTunedSeries(t, n)
 
 	dir := t.TempDir()
 	src, err := repo.Open(dir)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 
 	"sommelier/internal/cas"
@@ -23,16 +24,63 @@ import (
 //	GET  /v1/chunks/{hash}            — fetch one chunk (binary)
 //	PUT  /v1/chunks/{hash}            — upload one chunk (binary)
 //	GET  /v1/models/{id}?format=manifest — fetch a model's chunk manifest
+//	GET  /v1/models/{id}?format=pack  — fetch manifest + every chunk, one body
 //	PUT  /v1/models/{id} (manifest)   — publish by manifest; 409 lists missing chunks
+//
+// The pack is the pull of a receiver that holds nothing — Client.Load.
+// Its body (framing in internal/cas/pack.go) is the stored manifest
+// and, in Manifest.ChunkRefs() order, each chunk as a length-prefixed
+// raw record, copied out of the chunk store with Content-Length set:
+// the hub neither hydrates the model nor re-encodes it. The hub
+// verifies nothing on the way out and the client trusts nothing on the
+// way in — cas.ReadPack derives every chunk's address by hashing the
+// bytes that arrived and requires it to be the manifest's next
+// reference, then hydrates and validates as a repository would.
+//
+// ?format=pack is a preference, not a demand: a hub whose store has no
+// chunk surface, like a hub that predates the parameter, answers the
+// same 200 with plain SOMX, and the client decodes whichever
+// Content-Type came back. A 501 here would make every load against
+// such a hub two requests, or make the client remember which hubs
+// cannot pack; answering with what the hub has keeps a Load one
+// request against every hub and keeps the client stateless.
 
 // ContentTypeManifest marks a PUT /v1/models/{id} body as a chunk
 // manifest rather than a whole SOMX model.
 const ContentTypeManifest = "application/x-somx-manifest"
 
+// ContentTypePack marks a GET /v1/models/{id}?format=pack response as
+// a pack rather than a whole SOMX model.
+const ContentTypePack = "application/x-somx-pack"
+
+// presizeLimit caps the buffer readBody allocates on the strength of a
+// declared Content-Length alone. Chunks are 32 KiB by default and the
+// packs of the models this repository serves a few hundred KiB; a body
+// declared longer is read by io.ReadAll, which grows only as bytes
+// actually arrive.
+const presizeLimit = 1 << 20
+
+// readBody reads a whole HTTP body given its Content-Length (-1 when
+// unknown). io.ReadAll's doubling buffer allocates about three times
+// what it returns, so a plausible declared length gets one exact buffer
+// instead. net/http ends a body at its declared length, so nothing can
+// follow the buffer; a body that ends early is io.ErrUnexpectedEOF.
+func readBody(body io.Reader, declared int64) ([]byte, error) {
+	if declared <= 0 || declared > presizeLimit {
+		return io.ReadAll(body)
+	}
+	buf := make([]byte, declared)
+	if _, err := io.ReadFull(body, buf); err != nil {
+		return nil, err
+	}
+	return buf, nil
+}
+
 // ChunkStore is the optional chunk-level surface a Store may implement
 // — *repo.Repository does. A server whose store lacks it (sommhub's
 // coordinator-mode cluster store, faults.FlakyStore) answers chunk
-// endpoints with 501, and clients fall back to whole-model transfer.
+// endpoints with 501, and clients fall back to whole-model transfer;
+// asked for a pack, it answers SOMX.
 type ChunkStore interface {
 	HasChunk(hash string) bool
 	GetChunk(hash string) ([]byte, error)
@@ -80,7 +128,7 @@ func (s *Server) handleChunk(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/octet-stream")
 		w.Write(data)
 	case http.MethodPut:
-		data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.maxBody))
+		data, err := readBody(http.MaxBytesReader(w, r.Body, s.maxBody), r.ContentLength)
 		if err != nil {
 			var mbe *http.MaxBytesError
 			if errors.As(err, &mbe) {
@@ -119,6 +167,28 @@ func (s *Server) serveManifestGet(w http.ResponseWriter, id string) {
 	if err := cas.EncodeManifest(w, man); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 	}
+}
+
+// servePack answers GET /v1/models/{id}?format=pack on a hub with a
+// chunk surface.
+func (s *Server) servePack(w http.ResponseWriter, cs ChunkStore, id string) {
+	man, ok := cs.Manifest(id)
+	if !ok {
+		http.Error(w, fmt.Sprintf("model %q not found", id), http.StatusNotFound)
+		return
+	}
+	body, err := cas.EncodePack(man, cs.GetChunk)
+	if err != nil {
+		// The manifest is stored and a chunk it references is not
+		// readable: a damaged store, or a delete that won the race.
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	w.Header().Set("Content-Type", ContentTypePack)
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.Write(body)
+	s.obs.Counter("hub_fetch_pack_total").Inc()
+	s.obs.Counter("hub_fetch_bytes_total").Add(int64(len(body)))
 }
 
 // serveManifestPut answers a manifest-typed PUT /v1/models/{id}: if the

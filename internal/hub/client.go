@@ -16,6 +16,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"sommelier/internal/cas"
 	"sommelier/internal/graph"
 	"sommelier/internal/lru"
 	"sommelier/internal/obs"
@@ -493,7 +494,11 @@ func (c *Client) Publish(m *graph.Model) (_ string, err error) {
 	return id, nil
 }
 
-// Load fetches a model by ID, serving repeats from the local cache.
+// Load fetches a model by ID, serving repeats from the local cache. A
+// fetch is one GET for the model's pack (manifest + raw chunks,
+// verified and hydrated by cas.ReadPack); a hub that has no pack to
+// give answers the same request with SOMX, and Load decodes whichever
+// the response's Content-Type names.
 // When the hub is down, previously fetched models keep loading from
 // cache (counted as stale in Stats while the breaker is not closed);
 // unseen models fail fast with ErrCircuitOpen once the breaker trips.
@@ -509,13 +514,21 @@ func (c *Client) Load(id string) (_ *graph.Model, err error) {
 		}
 		return m, nil
 	}
-	err = c.do(true, buildGet(c.modelURL(id)), func(resp *http.Response) error {
-		if err := expectStatus(resp, http.StatusOK); err != nil {
+	err = c.do(true, buildGet(c.modelURL(id)+"?format=pack"), func(resp *http.Response) error {
+		err := expectStatus(resp, http.StatusOK)
+		if err != nil {
 			return err
 		}
-		var derr error
-		m, derr = graph.Decode(resp.Body)
-		return derr
+		if resp.Header.Get("Content-Type") != ContentTypePack {
+			m, err = graph.Decode(resp.Body)
+			return err
+		}
+		data, err := readBody(resp.Body, resp.ContentLength)
+		if err != nil {
+			return err
+		}
+		m, err = cas.ReadPack(data)
+		return err
 	})
 	if err != nil {
 		return nil, fmt.Errorf("hub: load %s: %w", id, err)

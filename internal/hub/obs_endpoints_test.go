@@ -125,6 +125,42 @@ func TestMetricsEndpointCountsErrors(t *testing.T) {
 	}
 }
 
+// TestMetricsCountFetchRepresentations: /v1/metrics says which
+// representation the fetch endpoint handed out and how many body bytes
+// went with it — one SOMX fetch and one pack fetch of the same model
+// count one each, and the byte counter is the sum of the two bodies. A
+// 404 counts as neither. (Hubs without an observer serve both all
+// through pack_test.go.)
+func TestMetricsCountFetchRepresentations(t *testing.T) {
+	ts, client, o := newObservedHub(t)
+	id, err := client.Publish(testModel(t, "counted", 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var served int64
+	for _, url := range []string{"/v1/models/" + id, "/v1/models/" + id + "?format=pack", "/v1/models/ghost@1?format=pack"} {
+		resp, err := ts.Client().Get(ts.URL + url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode == http.StatusOK {
+			served += n
+		}
+	}
+	snap := o.Snapshot()
+	if somx, pack := snap.Counters["hub_fetch_somx_total"], snap.Counters["hub_fetch_pack_total"]; somx != 1 || pack != 1 {
+		t.Errorf("hub_fetch_somx_total = %d, hub_fetch_pack_total = %d, want 1 and 1", somx, pack)
+	}
+	if got := snap.Counters["hub_fetch_bytes_total"]; got != served || got == 0 {
+		t.Errorf("hub_fetch_bytes_total = %d, the two bodies were %d bytes", got, served)
+	}
+}
+
 // TestQueryEndpoint pins the /v1/query contract: echo on success,
 // 400 on missing q or query error, 501 when the hub has no engine.
 func TestQueryEndpoint(t *testing.T) {

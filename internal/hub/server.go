@@ -9,8 +9,12 @@
 // Endpoints:
 //
 //	GET  /v1/models            — list model metadata (JSON)
-//	GET  /v1/models/{id}       — fetch one model (SOMX), or its chunk
-//	                             manifest with ?format=manifest
+//	GET  /v1/models/{id}       — fetch one model (SOMX); its chunk
+//	                             manifest with ?format=manifest; manifest
+//	                             plus raw chunks in one body with
+//	                             ?format=pack (what Client.Load asks for;
+//	                             a hub whose store has no chunk surface
+//	                             answers that with SOMX — see chunks.go)
 //	PUT  /v1/models/{id}       — publish a model (SOMX body), or by
 //	                             manifest (chunk negotiation; see chunks.go)
 //	DELETE /v1/models/{id}     — remove a model
@@ -28,6 +32,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
 
@@ -126,7 +131,9 @@ func WithShardInfo(shard, shards int) ServerOption {
 // WithServerObserver attaches an observability handle: every endpoint
 // records a request counter and latency histogram through it
 // (hub_<op>_requests_total / hub_<op>_errors_total / hub_<op>_ms, for
-// op in list, fetch, upload, delete, query, healthz), and the snapshot
+// op in list, fetch, upload, delete, query, healthz), the fetch endpoint
+// also counts what it served (hub_fetch_pack_total, hub_fetch_somx_total,
+// hub_fetch_bytes_total of model body), and the snapshot
 // is served at /v1/metrics with recent spans at /v1/tracez. Pass the
 // same observer the engine uses and /v1/metrics becomes the one unified
 // snapshot — hub, catalog, and query metrics together.
@@ -184,6 +191,18 @@ type statusWriter struct {
 func (w *statusWriter) WriteHeader(code int) {
 	w.status = code
 	w.ResponseWriter.WriteHeader(code)
+}
+
+// byteCounter counts the body bytes a fetch writes through it.
+type byteCounter struct {
+	w io.Writer
+	n int64
+}
+
+func (c *byteCounter) Write(p []byte) (int, error) {
+	n, err := c.w.Write(p)
+	c.n += int64(n)
+	return n, err
 }
 
 // instrument wraps a handler with the per-endpoint request counter,
@@ -382,9 +401,17 @@ func (s *Server) serveModel(w http.ResponseWriter, r *http.Request) {
 	}
 	switch r.Method {
 	case http.MethodGet:
-		if r.URL.Query().Get("format") == "manifest" {
+		switch r.URL.Query().Get("format") {
+		case "manifest":
 			s.serveManifestGet(w, id)
 			return
+		case "pack":
+			// A store without a chunk surface has no pack to give; it
+			// answers SOMX below and the Content-Type says so.
+			if cs := s.chunkStore(); cs != nil {
+				s.servePack(w, cs, id)
+				return
+			}
 		}
 		m, err := s.store.Load(id)
 		if err != nil {
@@ -396,11 +423,14 @@ func (s *Server) serveModel(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		w.Header().Set("Content-Type", "application/x-somx")
-		if err := graph.Encode(w, m); err != nil {
+		body := &byteCounter{w: w}
+		if err := graph.Encode(body, m); err != nil {
 			// Headers are gone; nothing more to do than log via the
 			// error path available to handlers.
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
+		s.obs.Counter("hub_fetch_somx_total").Inc()
+		s.obs.Counter("hub_fetch_bytes_total").Add(body.n)
 	case http.MethodPut:
 		if r.Header.Get("Content-Type") == ContentTypeManifest {
 			s.serveManifestPut(w, r, id)
