@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet lint benchsmoke check bench chaos
+.PHONY: build test race vet lint benchsmoke check bench chaos loc
 
 build:
 	$(GO) build ./...
@@ -67,3 +67,12 @@ bench:
 chaos:
 	$(GO) test -race -v -run 'TestChaos|TestSchedule|TestComposedFlakyStores' \
 		./internal/cluster/ ./internal/faults/
+
+# loc prints the two line counts ROADMAP's subtraction budget is stated
+# in: non-test Go outside bench/ and testdata/, and test Go outside
+# bench/. Plain `wc -l` over `find`, so the count is reproducible.
+loc:
+	@printf 'non-test Go (outside bench/, testdata/): '; \
+	find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path '*/testdata/*' -print0 | xargs -0 cat | wc -l
+	@printf 'test Go (outside bench/): '; \
+	find . -name '*_test.go' ! -path './bench/*' -print0 | xargs -0 cat | wc -l

@@ -1,29 +1,15 @@
-// Command servesim runs the inference-serving simulations: the
-// single-server Figure 9(c) comparison (default), one multi-instance
-// cluster scenario (-cluster), or the full policy × router × load
-// scenario matrix (-matrix).
+// Command servesim runs the Figure 9(c) inference-serving simulation.
 //
-// The default mode prints latency percentiles and model shares for the
-// four §7.1 configurations (fixed baseline, scale-out, Sommelier
-// switching, combined); a switch-failure probability subjects the
-// switching configurations to a fault model. Percentiles come from the
+// It prints latency percentiles and model shares for the four §7.1
+// configurations (fixed baseline, scale-out, Sommelier switching,
+// combined); a switch-failure probability subjects the switching
+// configurations to a fault model. Percentiles come from the
 // observability layer: each configuration's latencies feed a
 // serving_<policy>_latency_ms histogram and the table reads the
 // histogram summaries — the same numbers -metrics exports as JSON.
 //
-// Cluster mode simulates N serving instances behind a router and a
-// token-bucket admission controller on one shared virtual clock, with
-// per-SLO-class percentiles, attainment and a Jain fairness index.
-// Matrix mode sweeps {fixed, switching, slo} × {round-robin,
-// least-loaded, affinity} × {steady, bursty} and prints one row per
-// cell; the fixed/round-robin/steady cell at -instances 1 is exactly
-// the single-server baseline experiment.
-//
 //	servesim -requests 50000 -arrival 22 -burst-factor 8
 //	servesim -switch-fail 0.3            # re-examine Fig. 9(c) under faults
-//	servesim -cluster -instances 4 -router affinity -admit-rate 300
-//	servesim -cluster -trace-file trace.jsonl
-//	servesim -matrix -instances 4 -requests 5000
 package main
 
 import (
@@ -33,10 +19,8 @@ import (
 	"fmt"
 	"os"
 
-	"sommelier/internal/faults"
 	"sommelier/internal/obs"
 	"sommelier/internal/serving"
-	"sommelier/internal/serving/cluster"
 )
 
 func main() {
@@ -51,22 +35,6 @@ func main() {
 		seed        = flag.Uint64("seed", 1, "random seed")
 		metrics     = flag.Bool("metrics", false, "print the observability snapshot as JSON after the run")
 		trace       = flag.Bool("trace", false, "print the simulation span tree after the run")
-
-		clusterMode = flag.Bool("cluster", false, "run one multi-instance cluster scenario")
-		matrixMode  = flag.Bool("matrix", false, "run the policy x router x load scenario matrix")
-		instances   = flag.Int("instances", 4, "serving instances (cluster/matrix modes)")
-		routerName  = flag.String("router", "least-loaded", "router: round-robin, least-loaded, affinity")
-		policyName  = flag.String("policy", "switching", "per-instance policy: fixed, switching, slo")
-		sloTarget   = flag.Float64("slo-target", 40, "slo policy latency target (ms)")
-		gammaShape  = flag.Float64("gamma-shape", 0, "inter-arrival Gamma shape (0 or 1 = Poisson)")
-		zipfS       = flag.Float64("zipf", 1.1, "Zipf skew for model-series popularity (0 = uniform)")
-		series      = flag.Int("series", 6, "number of model-family series in the workload")
-		admitRate   = flag.Float64("admit-rate", 0, "token-bucket admission rate (req/s, 0 = admit all)")
-		admitBurst  = flag.Float64("admit-burst", 50, "token-bucket burst size")
-		traceFile   = flag.String("trace-file", "", "replay a JSONL trace ({\"at_ms\":..,\"class\":..,\"series\":..}) instead of generating")
-		killInst    = flag.Int("kill-instance", -1, "instance to kill for ops [kill-from, kill-to)")
-		killFrom    = flag.Int64("kill-from", 0, "first op of the kill window")
-		killTo      = flag.Int64("kill-to", 0, "end of the kill window (exclusive)")
 	)
 	flag.Parse()
 
@@ -77,40 +45,6 @@ func main() {
 		{ID: "mid", ServiceMS: 8, Level: 0.975},
 		{ID: "compact", ServiceMS: 3, Level: 0.955},
 		{ID: "tiny", ServiceMS: 1, Level: 0.93},
-	}
-
-	cc := clusterConfig{
-		candidates: candidates,
-		requests:   *requests,
-		arrival:    *arrival,
-		instances:  *instances,
-		switchStep: *switchStep,
-		switchFail: *switchFail,
-		sloTarget:  *sloTarget,
-		gammaShape: *gammaShape,
-		zipfS:      *zipfS,
-		series:     *series,
-		admitRate:  *admitRate,
-		admitBurst: *admitBurst,
-		traceFile:  *traceFile,
-		killInst:   *killInst,
-		killFrom:   *killFrom,
-		killTo:     *killTo,
-		seed:       *seed,
-	}
-	switch {
-	case *matrixMode:
-		if err := runMatrix(cc); err != nil {
-			fmt.Fprintln(os.Stderr, "servesim:", err)
-			os.Exit(1)
-		}
-		return
-	case *clusterMode:
-		if err := runCluster(cc, *policyName, *routerName); err != nil {
-			fmt.Fprintln(os.Stderr, "servesim:", err)
-			os.Exit(1)
-		}
-		return
 	}
 
 	w := serving.Workload{
@@ -172,214 +106,4 @@ func main() {
 	if *trace {
 		fmt.Printf("\nspans:\n%s", o.Tracer().TreeString())
 	}
-}
-
-// clusterConfig carries the cluster/matrix-mode knobs.
-type clusterConfig struct {
-	candidates []serving.ModelChoice
-	requests   int
-	arrival    float64
-	instances  int
-	switchStep int
-	switchFail float64
-	sloTarget  float64
-	gammaShape float64
-	zipfS      float64
-	series     int
-	admitRate  float64
-	admitBurst float64
-	traceFile  string
-	killInst   int
-	killFrom   int64
-	killTo     int64
-	seed       uint64
-}
-
-// sloClasses is the demo class mix used by cluster and matrix modes.
-func sloClasses() []cluster.Class {
-	return []cluster.Class{
-		{Name: "gold", Weight: 0.2, TargetMS: 30},
-		{Name: "silver", Weight: 0.3, TargetMS: 80},
-		{Name: "batch", Weight: 0.5},
-	}
-}
-
-// policyFactory builds the per-instance policy factory for a name.
-func (cc clusterConfig) policyFactory(name string) (func() serving.Policy, error) {
-	switch name {
-	case "fixed":
-		return func() serving.Policy { return serving.FixedPolicy{Model: cc.candidates[0]} }, nil
-	case "switching":
-		return func() serving.Policy {
-			p, err := serving.NewSwitchingPolicy(cc.candidates, cc.switchStep)
-			if err != nil {
-				panic(err) // candidates validated before the factory is built
-			}
-			return p
-		}, nil
-	case "slo":
-		return func() serving.Policy {
-			p, err := serving.NewSLOPolicy(cc.candidates, cc.sloTarget)
-			if err != nil {
-				panic(err)
-			}
-			return p
-		}, nil
-	default:
-		return nil, fmt.Errorf("unknown policy %q (want fixed, switching, slo)", name)
-	}
-}
-
-// router builds a router by name.
-func (cc clusterConfig) router(name string) (cluster.Router, error) {
-	switch name {
-	case "round-robin":
-		return cluster.NewRoundRobin(), nil
-	case "least-loaded":
-		return cluster.NewLeastLoaded(), nil
-	case "affinity":
-		return cluster.AffinityRouter(cc.instances)
-	default:
-		return nil, fmt.Errorf("unknown router %q (want round-robin, least-loaded, affinity)", name)
-	}
-}
-
-// source builds the workload: a trace replay when a file is given,
-// otherwise the distribution generator. bursty overlays the load spike
-// knobs (matrix mode's second load column).
-func (cc clusterConfig) source(bursty bool) (cluster.Source, error) {
-	if cc.traceFile != "" {
-		f, err := os.Open(cc.traceFile)
-		if err != nil {
-			return nil, fmt.Errorf("opening trace: %w", err)
-		}
-		defer f.Close()
-		return cluster.NewTraceSource(f)
-	}
-	gc := cluster.GeneratorConfig{
-		Requests:      cc.requests,
-		MeanArrivalMS: cc.arrival / float64(cc.instances),
-		GammaShape:    cc.gammaShape,
-		Classes:       sloClasses(),
-		Series:        cc.series,
-		ZipfS:         cc.zipfS,
-		Seed:          cc.seed,
-	}
-	if bursty {
-		gc.BurstEvery = 400
-		gc.BurstLen = 80
-		gc.BurstFactor = 4
-	}
-	return cluster.NewGenerator(gc)
-}
-
-// schedule assembles the fault schedule from the kill-window and
-// switch-failure flags; nil when no faults are requested.
-func (cc clusterConfig) schedule() *faults.Schedule {
-	hasKill := cc.killInst >= 0 && cc.killTo > cc.killFrom
-	if !hasKill && cc.switchFail <= 0 {
-		return nil
-	}
-	sched := faults.NewSchedule(cc.seed + 1)
-	if hasKill {
-		sched.Set(cluster.InstanceTarget(cc.killInst), faults.Kill(cc.killFrom, cc.killTo))
-	}
-	if cc.switchFail > 0 {
-		for i := 0; i < cc.instances; i++ {
-			sched.Set(cluster.SwitchTarget(i), faults.Flake(0, 0, cc.switchFail))
-		}
-	}
-	return sched
-}
-
-// runScenario executes one cluster scenario cell.
-func (cc clusterConfig) runScenario(policy, routerName string, bursty bool) (*cluster.Result, error) {
-	factory, err := cc.policyFactory(policy)
-	if err != nil {
-		return nil, err
-	}
-	r, err := cc.router(routerName)
-	if err != nil {
-		return nil, err
-	}
-	src, err := cc.source(bursty)
-	if err != nil {
-		return nil, err
-	}
-	admission := cluster.AdmitAll()
-	if cc.admitRate > 0 {
-		admission = cluster.NewTokenBucket(cc.admitRate, cc.admitBurst)
-	}
-	opts := []cluster.Option{
-		cluster.WithInstances(cc.instances),
-		cluster.WithPolicy(factory),
-		cluster.WithRouter(r),
-		cluster.WithAdmission(admission),
-		cluster.WithClasses(sloClasses()...),
-		cluster.WithSeed(cc.seed),
-	}
-	if sched := cc.schedule(); sched != nil {
-		opts = append(opts, cluster.WithFaultSchedule(sched))
-	}
-	sim, err := cluster.New(opts...)
-	if err != nil {
-		return nil, err
-	}
-	return sim.Run(context.Background(), src)
-}
-
-// runCluster prints one scenario in full per-class detail.
-func runCluster(cc clusterConfig, policy, routerName string) error {
-	res, err := cc.runScenario(policy, routerName, false)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("cluster: %d instances, policy=%s router=%s admission=%s workload=%s\n",
-		res.Instances, res.Policy, res.Router, res.Admission, res.Workload)
-	fmt.Printf("requests=%d rejected=%d failed=%d failovers=%d switches=%d/%d fairness=%.3f\n\n",
-		res.Requests, res.Rejected, res.Failed, res.Failovers,
-		res.FailedSwitches, res.SwitchAttempts, res.Fairness)
-	fmt.Printf("%-8s %9s %7s %7s %7s %8s %8s %8s %8s %7s %6s\n",
-		"CLASS", "TARGET", "ARRIVE", "REJECT", "FAIL", "P50", "P95", "P99", "MAX", "ATTAIN", "LEVEL")
-	for _, c := range res.Classes {
-		target := "-"
-		if c.TargetMS > 0 {
-			target = fmt.Sprintf("%.0fms", c.TargetMS)
-		}
-		fmt.Printf("%-8s %9s %7d %7d %7d %8.1f %8.1f %8.1f %8.1f %6.1f%% %6.3f\n",
-			c.Class, target, c.Arrived, c.Rejected, c.Failed,
-			c.P50, c.P95, c.P99, c.Max, 100*c.Attainment, c.MeanLevel)
-	}
-	return nil
-}
-
-// runMatrix sweeps policies x routers x loads and prints one row per
-// cell. The fixed/round-robin/steady cell at -instances 1 reproduces
-// the single-server baseline experiment.
-func runMatrix(cc clusterConfig) error {
-	policies := []string{"fixed", "switching", "slo"}
-	routers := []string{"round-robin", "least-loaded", "affinity"}
-	loads := []string{"steady", "bursty"}
-	fmt.Printf("matrix: %d instances, %d requests/cell, mean gap %.1fms\n\n",
-		cc.instances, cc.requests, cc.arrival)
-	fmt.Printf("%-10s %-13s %-7s %9s %9s %9s %8s %9s %9s\n",
-		"POLICY", "ROUTER", "LOAD", "GOLD-P95", "SILV-P95", "BATCH-P95", "FAIRNESS", "REJECTED", "SWITCHES")
-	for _, policy := range policies {
-		for _, router := range routers {
-			for _, load := range loads {
-				res, err := cc.runScenario(policy, router, load == "bursty")
-				if err != nil {
-					return fmt.Errorf("cell %s/%s/%s: %w", policy, router, load, err)
-				}
-				p95 := map[string]float64{}
-				for _, c := range res.Classes {
-					p95[c.Class] = c.P95
-				}
-				fmt.Printf("%-10s %-13s %-7s %9.1f %9.1f %9.1f %8.3f %9d %9d\n",
-					policy, router, load, p95["gold"], p95["silver"], p95["batch"],
-					res.Fairness, res.Rejected, res.SwitchAttempts)
-			}
-		}
-	}
-	return nil
 }

@@ -315,8 +315,9 @@ func buildCoordinator(topo [][]string, o *obs.Observer) (*cluster.Cluster, *clus
 // the standard publish/load/list endpoints front the whole cluster. A
 // model whose metadata carries placement=broadcast is written to every
 // shard; everything else shards by the ring. Partial writes (some
-// replicas down) are accepted — the model is durable and Repair heals
-// the divergence — but logged.
+// replicas down) are accepted and logged: the model is durable, but the
+// shard's replicas stay diverged until something calls Cluster.Repair,
+// which no binary does.
 type clusterStore struct {
 	cl *cluster.Cluster
 }

@@ -109,9 +109,6 @@ func NewCoordinator(shards [][]QueryBackend, opts ...CoordinatorOption) (*Coordi
 // Shards returns the shard count.
 func (c *Coordinator) Shards() int { return len(c.shards) }
 
-// Health returns every replica's health record, shards outermost.
-func (c *Coordinator) Health() [][]ReplicaHealth { return c.health.Snapshot() }
-
 // shardOut is one shard's contribution to one query of a scatter.
 type shardOut struct {
 	results   []Result

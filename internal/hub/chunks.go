@@ -235,10 +235,7 @@ func (s *Server) serveManifestPut(w http.ResponseWriter, r *http.Request, id str
 			err = s.indexer.IndexModel(r.Context(), id, m)
 		}
 		if err != nil {
-			if !existed {
-				_ = s.store.Delete(id)
-			}
-			http.Error(w, fmt.Sprintf("indexing %q: %v", id, err), http.StatusInternalServerError)
+			s.indexFailed(w, id, existed, err)
 			return
 		}
 	}

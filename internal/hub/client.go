@@ -469,7 +469,7 @@ func (c *Client) Publish(m *graph.Model) (_ string, err error) {
 	if err := m.Validate(); err != nil {
 		return "", fmt.Errorf("hub: refusing invalid model: %w", err)
 	}
-	id := m.Name + "@" + m.Version
+	id := repo.IDFor(m)
 	var buf bytes.Buffer
 	if err := graph.Encode(&buf, m); err != nil {
 		return "", fmt.Errorf("hub: encoding: %w", err)

@@ -1,11 +1,15 @@
 package hub
 
 import (
+	"context"
+	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
+	"sommelier/internal/faults"
 	"sommelier/internal/graph"
 	"sommelier/internal/repo"
 	"sommelier/internal/tensor"
@@ -105,7 +109,20 @@ func TestLoadUsesCache(t *testing.T) {
 }
 
 func TestListMetadata(t *testing.T) {
-	_, client, _ := newHub(t)
+	ts, client, _ := newHub(t)
+	// An empty hub lists as an empty JSON array, not null.
+	resp, err := ts.Client().Get(ts.URL + "/v1/models")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.TrimSpace(string(body)); got != "[]" {
+		t.Fatalf("empty hub lists as %q, want []", got)
+	}
 	if _, err := client.Publish(testModel(t, "a", 1)); err != nil {
 		t.Fatal(err)
 	}
@@ -121,6 +138,77 @@ func TestListMetadata(t *testing.T) {
 	}
 	if list[0].Series != "hub-series" || list[0].Task != graph.TaskClassification {
 		t.Fatalf("metadata lost: %+v", list[0])
+	}
+}
+
+type failingIndexer struct{}
+
+func (failingIndexer) IndexModel(context.Context, string, *graph.Model) error {
+	return errors.New("analysis failed")
+}
+
+// TestFailedRollbackIsReported: when indexing an upload fails and the
+// rollback delete fails too, the model is left published but unindexed
+// and the 500 must say so — for a whole-model PUT and a manifest PUT
+// alike.
+func TestFailedRollbackIsReported(t *testing.T) {
+	// Find an injector seed whose first two store faults are none,
+	// conn-error: Publish (whole-model) or Load (manifest) ok, then the
+	// rollback Delete fails. The sequence is deterministic per seed.
+	cfg := faults.Config{ConnErrorRate: 0.3}
+	for ; cfg.Seed < 10000; cfg.Seed++ {
+		inj, err := faults.NewInjector(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if inj.Next() == faults.None && inj.Next() == faults.ConnError {
+			break
+		}
+	}
+	if cfg.Seed == 10000 {
+		t.Fatal("no injector seed found for the none,conn-error pattern")
+	}
+	for _, tc := range []struct {
+		name    string
+		publish func(*Client, *graph.Model) error
+	}{
+		{"somx", func(c *Client, m *graph.Model) error { _, err := c.Publish(m); return err }},
+		{"manifest", func(c *Client, m *graph.Model) error { _, _, err := c.PublishModel(m); return err }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			inj, err := faults.NewInjector(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			inner := repo.NewInMemory()
+			// FlakyStore has no chunk surface; lend it the repository's
+			// so the manifest PUT is reachable. Delete stays flaky.
+			store := struct {
+				*faults.FlakyStore
+				ChunkStore
+			}{faults.NewFlakyStore(inner, inj), inner}
+			srv, err := NewServer(store, WithIndexer(failingIndexer{}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts := httptest.NewServer(srv)
+			defer ts.Close()
+			client, err := NewClient(ts.URL, ts.Client())
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = tc.publish(client, testModel(t, "orphan", 5))
+			var se *StatusError
+			if !errors.As(err, &se) || se.Code != http.StatusInternalServerError {
+				t.Fatalf("publish: %v, want a *StatusError 500", err)
+			}
+			if !strings.Contains(err.Error(), `"orphan@1" is published but not indexed`) {
+				t.Fatalf("500 does not name the orphaned model: %v", err)
+			}
+			if _, err := inner.Load("orphan@1"); err != nil {
+				t.Fatalf("orphaned model missing from store: %v", err)
+			}
+		})
 	}
 }
 

@@ -254,7 +254,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
-	var out []metaJSON
+	out := []metaJSON{}
 	for _, md := range s.store.List() {
 		out = append(out, metaJSON{
 			ID: md.ID, Name: md.Name, Version: md.Version,
@@ -452,7 +452,7 @@ func (s *Server) serveModel(w http.ResponseWriter, r *http.Request) {
 		// Reject before publishing — storing first and compensating
 		// with a delete could destroy a pre-existing model under the
 		// body's ID.
-		if gotID := m.Name + "@" + m.Version; gotID != id {
+		if gotID := repo.IDFor(m); gotID != id {
 			http.Error(w, fmt.Sprintf("model identity %q does not match path id %q", gotID, id),
 				http.StatusBadRequest)
 			return
@@ -464,14 +464,7 @@ func (s *Server) serveModel(w http.ResponseWriter, r *http.Request) {
 		}
 		if s.indexer != nil {
 			if err := s.indexer.IndexModel(r.Context(), id, m); err != nil {
-				// Keep the hub consistent with the catalog: drop the
-				// model this PUT created. A pre-existing version stays —
-				// deleting it would destroy data the uploader didn't
-				// send — and remains queryable under its old index entry.
-				if !existed {
-					_ = s.store.Delete(id)
-				}
-				http.Error(w, fmt.Sprintf("indexing %q: %v", id, err), http.StatusInternalServerError)
+				s.indexFailed(w, id, existed, err)
 				return
 			}
 		}
@@ -489,4 +482,20 @@ func (s *Server) serveModel(w http.ResponseWriter, r *http.Request) {
 	default:
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 	}
+}
+
+// indexFailed answers 500 for a PUT that stored id but could not index
+// it, after keeping the hub consistent with the catalog: the model this
+// PUT created is dropped. A pre-existing version stays — deleting it
+// would destroy data the uploader didn't send — and remains queryable
+// under its old index entry. When the delete fails too the model is
+// left published but unindexed, and the body says so.
+func (s *Server) indexFailed(w http.ResponseWriter, id string, existed bool, err error) {
+	msg := fmt.Sprintf("indexing %q: %v", id, err)
+	if !existed {
+		if delErr := s.store.Delete(id); delErr != nil {
+			msg += fmt.Sprintf("; rollback failed, %q is published but not indexed: %v", id, delErr)
+		}
+	}
+	http.Error(w, msg, http.StatusInternalServerError)
 }

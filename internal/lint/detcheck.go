@@ -29,9 +29,7 @@ var DetCheck = &Analyzer{
 
 // detPackages are the import-path leaf names of the packages whose
 // output must be reproducible (ISSUE 3 / DESIGN.md invariants).
-// Matching is by leaf name, so internal/serving/cluster is covered
-// twice over: "cluster" names both the hub cluster and the serving
-// cluster simulator, and both must stay deterministic.
+// Matching is by leaf name.
 var detPackages = map[string]bool{
 	"cas":     true,
 	"catalog": true,

@@ -9,8 +9,8 @@ import (
 // functional options. Each has a conversion path (Workload → arrival
 // stream, FailureModel → fault schedule) that would silently drop any
 // field the author forgets to map, so the safe rule is absolute: no new
-// fields, ever. New knobs are With… functional options — on the serving
-// Simulator or the serving/cluster Sim.
+// fields, ever. New knobs are With… functional options on the serving
+// Simulator.
 var frozenStructs = map[string]map[string]map[string]bool{
 	"serving": {
 		"Workload": {

@@ -1,8 +1,8 @@
 // Package serving is optcheck's golden input for the serving package's
 // frozen legacy structs: Workload and FailureModel are kept only so
 // pre-options callers compile, so new knobs belong on the Simulator's
-// functional options (or the serving/cluster generator config), never
-// here. The fixture lives at the real import path's leaf name, so it is
+// functional options, never on these structs. The fixture lives at the
+// real import path's leaf name, so it is
 // also covered by every package-scoped analyzer (detcheck treats
 // "serving" as determinism-critical) — it must stay clean for all of
 // them.

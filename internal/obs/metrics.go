@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -214,19 +213,4 @@ func (r *Registry) Snapshot() Snapshot {
 		snap.Histograms[k] = h.Summary()
 	}
 	return snap
-}
-
-// CounterNames returns the registered counter names, sorted.
-func (r *Registry) CounterNames() []string {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.counters))
-	for k := range r.counters {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -86,12 +86,6 @@ func (t *Tracer) start(parent uint64, name, detail string) *Span {
 	}}
 }
 
-// StartRoot opens a span with an explicit parent ID — the fan-out form
-// for worker goroutines that share one context. parent 0 means root.
-func (t *Tracer) StartRoot(parent uint64, name, detail string) *Span {
-	return t.start(parent, name, detail)
-}
-
 func (t *Tracer) record(rec SpanRecord) {
 	if t == nil {
 		return

@@ -390,19 +390,6 @@ func (r *Repository) Manifest(id string) (*cas.Manifest, bool) {
 	return man, ok
 }
 
-// LoadByURL resolves a bare-bone repository URL (somx://<id>) — the
-// primitive load-by-exact-URL interface existing hubs expose.
-func (r *Repository) LoadByURL(url string) (*graph.Model, error) {
-	const scheme = "somx://"
-	if !strings.HasPrefix(url, scheme) {
-		return nil, fmt.Errorf("repo: unsupported URL %q", url)
-	}
-	return r.Load(strings.TrimPrefix(url, scheme))
-}
-
-// URL returns the bare-bone URL for a stored model ID.
-func (r *Repository) URL(id string) string { return "somx://" + id }
-
 // Delete removes a model and releases its chunk references; chunks
 // shared with other models survive, exclusive ones are reclaimed.
 // Unknown IDs are a no-op for the in-memory record, but any stray

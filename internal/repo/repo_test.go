@@ -54,24 +54,6 @@ func TestPublishRejectsInvalid(t *testing.T) {
 	}
 }
 
-func TestLoadByURL(t *testing.T) {
-	r := NewInMemory()
-	id, err := r.Publish(model(t, "m", "2", 3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	url := r.URL(id)
-	if url != "somx://m@2" {
-		t.Fatalf("URL = %q", url)
-	}
-	if _, err := r.LoadByURL(url); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.LoadByURL("http://example.com/m"); err == nil {
-		t.Fatal("expected unsupported-URL error")
-	}
-}
-
 func TestLoadMissing(t *testing.T) {
 	r := NewInMemory()
 	if _, err := r.Load("ghost@1"); err == nil {

@@ -31,9 +31,8 @@ func WithServers(n int) Option {
 	return func(c *simConfig) { c.servers = n }
 }
 
-// WithPolicy sets the model-selection policy — required. Stateful
-// policies (SLOPolicy, SwitchCostPolicy) must not be shared between
-// simulators.
+// WithPolicy sets the model-selection policy — required. A stateful
+// policy (SwitchCostPolicy) must not be shared between simulators.
 func WithPolicy(p Policy) Option {
 	return func(c *simConfig) { c.policy = p }
 }

@@ -11,10 +11,7 @@
 // queueing dynamics that generate the tail-latency results.
 //
 // The configuration surface is ctx-first with functional options:
-// NewSimulator(WithPolicy(...), WithServers(...), ...).Run(ctx, w). The
-// cluster-scale generalization — many instances behind pluggable
-// routing and admission control — lives in the serving/cluster
-// subpackage.
+// NewSimulator(WithPolicy(...), WithServers(...), ...).Run(ctx, w).
 package serving
 
 import (
@@ -41,9 +38,8 @@ type ModelChoice struct {
 // Workload describes the arrival process.
 //
 // The struct is frozen (sommlint optcheck): new workload knobs belong on
-// the serving/cluster generator config or as Simulator options, not
-// here — a field added here would be silently ignored by every
-// pre-redesign call site.
+// Simulator options, not here — a field added here would be silently
+// ignored by every call site that builds the struct by hand.
 type Workload struct {
 	// Requests is the total number of arrivals to simulate.
 	Requests int
@@ -132,12 +128,6 @@ type Result struct {
 
 // Summary returns latency percentiles.
 func (r Result) Summary() stats.Summary { return stats.Summarize(r.Latencies) }
-
-// Arrivals generates the workload's request arrival times in
-// milliseconds — the exact stream the simulator replays — so other
-// harnesses (the serving/cluster simulator, trace writers) can feed
-// byte-identical arrivals without re-deriving the generator.
-func Arrivals(w Workload) []float64 { return arrivals(w) }
 
 // arrivals generates the request arrival times for a workload.
 func arrivals(w Workload) []float64 {

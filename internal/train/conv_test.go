@@ -187,21 +187,13 @@ func TestBatchNormBackwardUpdatesAffineParams(t *testing.T) {
 }
 
 func TestFrozenConvTrunkHeadOnlyTraining(t *testing.T) {
-	// The §2 workflow end-to-end: extract a conv feature extractor,
-	// attach a head, train only the head.
-	base := tinyCNN(t, 11)
-	fx, err := graph.ExtractPrefix(base, "MaxPool_3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := tensor.NewRNG(12)
-	ds, err := graph.AttachHead(fx, "downstream", 2, nil, func(l *graph.Layer) {
-		rng.FillXavier(l.Params["W"])
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	frozen := graph.FrozenTrunk(ds)
+	// The §2 workflow end-to-end: keep a conv feature extractor, give
+	// it a fresh head, train only the head.
+	ds := tinyCNN(t, 11)
+	head := ds.Layer("Dense_5")
+	tensor.NewRNG(12).FillXavier(head.Params["W"])
+	head.Params["B"].Fill(0)
+	frozen := map[string]bool{"Conv2D_1": true, "ReLU_2": true, "MaxPool_3": true, "Flatten_4": true}
 	convBefore := ds.Layer("Conv2D_1").Params["W"].Clone()
 	ex := imageExamples(120, 13)
 	if _, err := SGD(ds, ex, Config{
