@@ -4,7 +4,9 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"strconv"
 	"sync"
+	"sync/atomic"
 
 	"sommelier/internal/catalog"
 	"sommelier/internal/query"
@@ -30,62 +32,74 @@ import (
 // report the context error in their slot.
 func (e *Engine) QueryBatchContext(ctx context.Context, qs []string) ([][]Result, []error) {
 	ctx, root := e.obs.StartSpan(ctx, "query_batch", fmt.Sprintf("%d queries", len(qs)))
-	defer func() { e.obs.Histogram("query_batch_total_ms").Observe(root.End()) }()
+	defer func() { e.qm.batchTotal.Observe(root.End()) }()
 	asts := make([]*query.Query, len(qs))
 	errs := make([]error, len(qs))
-	_, span := e.obs.StartSpan(ctx, "parse", "")
+	span := e.obs.StartLeaf(ctx, "parse")
 	for i, s := range qs {
 		asts[i], errs[i] = query.Parse(s)
 	}
-	e.obs.Histogram("query_parse_ms").Observe(span.End())
-	results := e.runBatch(ctx, asts, errs)
+	e.qm.parse.Observe(span.End())
+	results := e.runBatch(ctx, asts, errs, false)
 	return results, errs
 }
 
 // QueryBatchASTContext executes a batch of already-parsed queries with
 // the same shared-snapshot, shared-memo, bounded-pool semantics as
-// QueryBatchContext. A nil query yields a per-slot error; it does not
-// abort the rest of the batch.
+// QueryBatchContext. A nil or invalid query yields a per-slot error; it
+// does not abort the rest of the batch.
 func (e *Engine) QueryBatchASTContext(ctx context.Context, qs []*query.Query) ([][]Result, []error) {
 	ctx, root := e.obs.StartSpan(ctx, "query_batch", fmt.Sprintf("%d queries", len(qs)))
-	defer func() { e.obs.Histogram("query_batch_total_ms").Observe(root.End()) }()
+	defer func() { e.qm.batchTotal.Observe(root.End()) }()
 	errs := make([]error, len(qs))
-	results := e.runBatch(ctx, qs, errs)
+	results := e.runBatch(ctx, qs, errs, true)
 	return results, errs
 }
 
 // runBatch executes the parsed queries of one batch. errs arrives with
-// parse failures already recorded; those slots are skipped. Each
-// worker writes only its own slot, so no result-side synchronization
-// is needed beyond the WaitGroup join.
-func (e *Engine) runBatch(ctx context.Context, qs []*query.Query, errs []error) [][]Result {
+// parse failures already recorded; those slots are skipped. validate is
+// set for queries that did not come through query.Parse. The pool's
+// workers pull query indices from one counter and each writes only its
+// own slots, so no result-side synchronization is needed beyond the
+// WaitGroup join.
+func (e *Engine) runBatch(ctx context.Context, qs []*query.Query, errs []error, validate bool) [][]Result {
 	results := make([][]Result, len(qs))
-	snap := e.cat.Snapshot()
-	memo := catalog.NewReprofileMemo()
-	sem := make(chan struct{}, e.queryWorkers(len(qs)))
-	var wg sync.WaitGroup
+	todo := make([]int, 0, len(qs))
 	for i := range qs {
 		if errs[i] != nil {
-			e.obs.Counter("query_errors_total").Inc()
+			e.qm.errors.Inc()
 			continue
 		}
 		if qs[i] == nil {
 			errs[i] = fmt.Errorf("sommelier: nil query at batch index %d", i)
-			e.obs.Counter("query_errors_total").Inc()
+			e.qm.errors.Inc()
 			continue
 		}
+		todo = append(todo, i)
+	}
+	snap := e.cat.Snapshot()
+	memo := catalog.NewReprofileMemo()
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := e.queryWorkers(len(todo)); w > 0; w-- {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			qctx, span := e.obs.StartSpan(ctx, "query", fmt.Sprintf("batch[%d]", i))
-			results[i], errs[i] = e.queryOne(qctx, snap, qs[i], memo, nil)
-			e.obs.Histogram("query_total_ms").Observe(span.End())
-			if errs[i] != nil {
-				e.obs.Counter("query_errors_total").Inc()
+			for k := int(next.Add(1)) - 1; k < len(todo); k = int(next.Add(1)) - 1 {
+				i := todo[k]
+				qctx, span := e.obs.StartSpan(ctx, "query", "batch["+strconv.Itoa(i)+"]")
+				if validate {
+					errs[i] = e.validateAST(qs[i])
+				}
+				if errs[i] == nil {
+					results[i], errs[i] = e.queryOne(qctx, snap, qs[i], memo, nil)
+				}
+				e.qm.total.Observe(span.End())
+				if errs[i] != nil {
+					e.qm.errors.Inc()
+				}
 			}
-		}(i)
+		}()
 	}
 	wg.Wait()
 	return results
@@ -93,17 +107,11 @@ func (e *Engine) runBatch(ctx context.Context, qs []*query.Query, errs []error) 
 
 // queryWorkers resolves the batch pool size: the configured
 // WithQueryWorkers value (default GOMAXPROCS), never more than the
-// batch has queries, never less than one.
+// batch has queries to run.
 func (e *Engine) queryWorkers(batch int) int {
 	n := e.cfg.queryWorkers
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
 	}
-	if n > batch {
-		n = batch
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
+	return min(n, batch)
 }

@@ -22,6 +22,29 @@ type Engine struct {
 	store Store
 	cat   *catalog.Catalog
 	obs   *obs.Observer
+	qm    queryMetrics
+}
+
+// queryMetrics are the query path's metric handles, resolved once in
+// NewEngine: a query updates each with one atomic operation instead of
+// a lookup by name under the registry's lock.
+type queryMetrics struct {
+	queries, errors *obs.Counter // queries_total, query_errors_total
+	// query_{total,parse,candidates,filter,rank,batch_total}_ms
+	total, parse, candidates, filter, rank, batchTotal *obs.Histogram
+}
+
+func newQueryMetrics(o *obs.Observer) queryMetrics {
+	return queryMetrics{
+		queries:    o.Counter("queries_total"),
+		errors:     o.Counter("query_errors_total"),
+		total:      o.Histogram("query_total_ms"),
+		parse:      o.Histogram("query_parse_ms"),
+		candidates: o.Histogram("query_candidates_ms"),
+		filter:     o.Histogram("query_filter_ms"),
+		rank:       o.Histogram("query_rank_ms"),
+		batchTotal: o.Histogram("query_batch_total_ms"),
+	}
 }
 
 // NewEngine creates an engine over an existing repository, configured
@@ -46,6 +69,7 @@ func NewEngine(store Store, opts ...Option) (*Engine, error) {
 		cfg:   cfg,
 		store: store,
 		obs:   cfg.obs,
+		qm:    newQueryMetrics(cfg.obs),
 		cat:   catalog.New(cfg.cat),
 	}, nil
 }

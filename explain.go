@@ -83,11 +83,11 @@ func (e *Explanation) String() string {
 // concurrent registration.
 func (e *Engine) ExplainContext(ctx context.Context, q string) (*Explanation, error) {
 	ctx, root := e.obs.StartSpan(ctx, "explain", "")
-	defer func() { e.obs.Histogram("query_total_ms").Observe(root.End()) }()
+	defer func() { e.qm.total.Observe(root.End()) }()
 	exp := &Explanation{ResourceRejected: make(map[string]int)}
-	_, span := e.obs.StartSpan(ctx, "parse", "")
+	span := e.obs.StartLeaf(ctx, "parse")
 	ast, err := query.Parse(q)
-	e.endStage(span, "parse", "query_parse_ms", exp)
+	e.endStage(&span, "parse", e.qm.parse, exp)
 	if err == nil {
 		exp.Query = ast.String()
 		// Seed every constraint so zero-rejection constraints still appear
@@ -98,7 +98,7 @@ func (e *Engine) ExplainContext(ctx context.Context, q string) (*Explanation, er
 		exp.Results, err = e.queryOne(ctx, e.cat.Snapshot(), ast, catalog.NewReprofileMemo(), exp)
 	}
 	if err != nil {
-		e.obs.Counter("query_errors_total").Inc()
+		e.qm.errors.Inc()
 		return nil, err
 	}
 	exp.Returned = len(exp.Results)

@@ -146,29 +146,33 @@ func (m *Model) Clone() *Model {
 // TopoSort returns the layers in a dependency-respecting order. It returns
 // an error if the graph has a cycle or references an unknown layer.
 func (m *Model) TopoSort() ([]*Layer, error) {
+	order, _, err := m.topoSort()
+	return order, err
+}
+
+// topoSort is TopoSort that also returns each layer's position in the
+// order, by name: the depth-first search's visit state, in which every
+// finished layer holds its position.
+func (m *Model) topoSort() ([]*Layer, map[string]int, error) {
 	byName := make(map[string]*Layer, len(m.Layers))
 	for _, l := range m.Layers {
 		if _, dup := byName[l.Name]; dup {
-			return nil, fmt.Errorf("graph: duplicate layer name %q", l.Name)
+			return nil, nil, fmt.Errorf("graph: duplicate layer name %q", l.Name)
 		}
 		byName[l.Name] = l
 	}
-	const (
-		white = 0
-		grey  = 1
-		black = 2
-	)
-	state := make(map[string]int, len(m.Layers))
+	const onPath = -1 // entered, not finished: seeing it again is a cycle
+	pos := make(map[string]int, len(m.Layers))
 	order := make([]*Layer, 0, len(m.Layers))
 	var visit func(l *Layer) error
 	visit = func(l *Layer) error {
-		switch state[l.Name] {
-		case grey:
-			return fmt.Errorf("graph: cycle through layer %q", l.Name)
-		case black:
+		if p, seen := pos[l.Name]; seen {
+			if p == onPath {
+				return fmt.Errorf("graph: cycle through layer %q", l.Name)
+			}
 			return nil
 		}
-		state[l.Name] = grey
+		pos[l.Name] = onPath
 		for _, in := range l.Inputs {
 			dep, ok := byName[in]
 			if !ok {
@@ -178,45 +182,68 @@ func (m *Model) TopoSort() ([]*Layer, error) {
 				return err
 			}
 		}
-		state[l.Name] = black
+		pos[l.Name] = len(order)
 		order = append(order, l)
 		return nil
 	}
 	// Visit in declaration order for a deterministic result.
 	for _, l := range m.Layers {
 		if err := visit(l); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
-	return order, nil
+	return order, pos, nil
+}
+
+// ShapedOrder is shape inference over one topological order: Layers[i]
+// outputs Shapes[i], and Pos maps each layer's name to its position.
+type ShapedOrder struct {
+	Layers []*Layer
+	Shapes []tensor.Shape
+	Pos    map[string]int
+}
+
+// InferShapes runs shape inference over the whole model in one
+// topological order, keeping every layer's output shape by position —
+// the form a pass that walks the same order again (resource profiling)
+// reads without a second sort.
+func (m *Model) InferShapes() (ShapedOrder, error) {
+	order, pos, err := m.topoSort()
+	if err != nil {
+		return ShapedOrder{}, err
+	}
+	so := ShapedOrder{Layers: order, Shapes: make([]tensor.Shape, len(order)), Pos: pos}
+	var in []tensor.Shape
+	for i, l := range order {
+		if l.Op == OpInput {
+			if !m.InputShape.Valid() {
+				return ShapedOrder{}, fmt.Errorf("graph: model %q has invalid input shape %v", m.Name, m.InputShape)
+			}
+			so.Shapes[i] = m.InputShape.Clone()
+			continue
+		}
+		in = in[:0]
+		for _, name := range l.Inputs {
+			in = append(in, so.Shapes[so.Pos[name]])
+		}
+		if so.Shapes[i], err = InferShape(l.Op, l.Attrs, in); err != nil {
+			return ShapedOrder{}, fmt.Errorf("graph: layer %q: %w", l.Name, err)
+		}
+	}
+	return so, nil
 }
 
 // ShapeOf runs shape inference over the whole model and returns the output
 // shape of every layer. It is the static type-check that fronts the
 // whole-model equivalence pipeline.
 func (m *Model) ShapeOf() (map[string]tensor.Shape, error) {
-	order, err := m.TopoSort()
+	so, err := m.InferShapes()
 	if err != nil {
 		return nil, err
 	}
-	shapes := make(map[string]tensor.Shape, len(order))
-	for _, l := range order {
-		if l.Op == OpInput {
-			if !m.InputShape.Valid() {
-				return nil, fmt.Errorf("graph: model %q has invalid input shape %v", m.Name, m.InputShape)
-			}
-			shapes[l.Name] = m.InputShape.Clone()
-			continue
-		}
-		in := make([]tensor.Shape, len(l.Inputs))
-		for i, name := range l.Inputs {
-			in[i] = shapes[name]
-		}
-		out, err := InferShape(l.Op, l.Attrs, in)
-		if err != nil {
-			return nil, fmt.Errorf("graph: layer %q: %w", l.Name, err)
-		}
-		shapes[l.Name] = out
+	shapes := make(map[string]tensor.Shape, len(so.Layers))
+	for i, l := range so.Layers {
+		shapes[l.Name] = so.Shapes[i]
 	}
 	return shapes, nil
 }

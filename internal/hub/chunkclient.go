@@ -43,7 +43,7 @@ func (c *Client) chunkURL(hash string) string {
 
 // LoadManifest fetches a model's chunk manifest.
 func (c *Client) LoadManifest(id string) (_ *cas.Manifest, err error) {
-	done := c.timeOp("manifest")
+	done := c.obs.TimeOp("hub_client_manifest")
 	defer func() { done(err) }()
 	var man *cas.Manifest
 	err = c.do(true, buildGet(c.modelURL(id)+"?format=manifest"), func(resp *http.Response) error {
@@ -180,7 +180,7 @@ func (c *Client) putManifest(man *cas.Manifest) (created bool, missing []string,
 // the returned bytes count is the chunk payload actually uploaded
 // (zero when the hub already held everything, -1 on fallback).
 func (c *Client) PublishEncoded(enc *cas.Encoded) (_ string, sent int64, err error) {
-	done := c.timeOp("publish_chunked")
+	done := c.obs.TimeOp("hub_client_publish_chunked")
 	defer func() { done(err) }()
 	id := enc.Manifest.ID()
 	created, missing, err := c.putManifest(enc.Manifest)

@@ -201,12 +201,6 @@ func (c *Client) registerGauges() {
 	})
 }
 
-// timeOp returns a stop function recording the operation's latency and
-// outcome. Call the result with the operation's error.
-func (c *Client) timeOp(op string) func(error) {
-	return c.obs.TimeOp("hub_client_" + op)
-}
-
 // Stats returns a snapshot of the resilience counters.
 func (c *Client) Stats() Stats {
 	state, opens := c.breaker.snapshot()
@@ -389,7 +383,7 @@ func expectStatus(resp *http.Response, want int) error {
 // per-attempt expiry is reported as ErrAttemptTimeout). This is the
 // per-shard call a cluster coordinator fans out.
 func (c *Client) Query(ctx context.Context, q string) (_ json.RawMessage, err error) {
-	done := c.timeOp("query")
+	done := c.obs.TimeOp("hub_client_query")
 	defer func() { done(err) }()
 	queryURL := c.base + "/v1/query?q=" + url.QueryEscape(q)
 	var raw json.RawMessage
@@ -423,7 +417,7 @@ func (c *Client) Query(ctx context.Context, q string) (_ json.RawMessage, err er
 // nothing per-query is known. The POST is read-only, so it goes through
 // the same retry/breaker machinery as Query.
 func (c *Client) QueryBatch(ctx context.Context, qs []string) (_ []json.RawMessage, _ []*QueryError, err error) {
-	done := c.timeOp("query_batch")
+	done := c.obs.TimeOp("hub_client_query_batch")
 	defer func() { done(err) }()
 	if len(qs) == 0 {
 		return nil, nil, fmt.Errorf("hub: empty query batch")
@@ -464,7 +458,7 @@ func (c *Client) QueryBatch(ctx context.Context, qs []string) (_ []json.RawMessa
 // Publish uploads a model and returns its hub ID. Publishes are not
 // retried — PUT against a bare-bone hub is not guaranteed idempotent.
 func (c *Client) Publish(m *graph.Model) (_ string, err error) {
-	done := c.timeOp("publish")
+	done := c.obs.TimeOp("hub_client_publish")
 	defer func() { done(err) }()
 	if err := m.Validate(); err != nil {
 		return "", fmt.Errorf("hub: refusing invalid model: %w", err)
@@ -503,7 +497,7 @@ func (c *Client) Publish(m *graph.Model) (_ string, err error) {
 // cache (counted as stale in Stats while the breaker is not closed);
 // unseen models fail fast with ErrCircuitOpen once the breaker trips.
 func (c *Client) Load(id string) (_ *graph.Model, err error) {
-	done := c.timeOp("load")
+	done := c.obs.TimeOp("hub_client_load")
 	defer func() { done(err) }()
 	c.mu.Lock()
 	m, ok := c.cache.Get(id)
@@ -544,7 +538,7 @@ func (c *Client) Load(id string) (_ *graph.Model, err error) {
 // List succeeded, the last-known-good snapshot is returned instead and
 // counted as stale in Stats.
 func (c *Client) List() (_ []repo.Metadata, err error) {
-	done := c.timeOp("list")
+	done := c.obs.TimeOp("hub_client_list")
 	defer func() { done(err) }()
 	var out []repo.Metadata
 	err = c.do(true, buildGet(c.base+"/v1/models"), func(resp *http.Response) error {
@@ -585,7 +579,7 @@ func (c *Client) List() (_ []repo.Metadata, err error) {
 // Delete removes a model from the hub and the local cache. Deletes are
 // not retried.
 func (c *Client) Delete(id string) (err error) {
-	done := c.timeOp("delete")
+	done := c.obs.TimeOp("hub_client_delete")
 	defer func() { done(err) }()
 	err = c.do(false,
 		func() (*http.Request, error) { return http.NewRequest(http.MethodDelete, c.modelURL(id), nil) },

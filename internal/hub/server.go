@@ -167,7 +167,7 @@ func NewServer(store repo.Store, opts ...ServerOption) (*Server, error) {
 		opt(s)
 	}
 	s.mux.HandleFunc("/v1/models", s.instrument("list", s.handleList))
-	s.mux.HandleFunc("/v1/models/", s.handleModel)
+	s.mux.HandleFunc("/v1/models/", s.modelHandler())
 	s.mux.HandleFunc("/v1/chunks/", s.instrument("chunk", s.handleChunk))
 	s.mux.HandleFunc("/v1/query", s.instrument("query", s.handleQuery))
 	s.mux.HandleFunc("/v1/metrics", s.handleMetrics)
@@ -207,17 +207,20 @@ func (c *byteCounter) Write(p []byte) (int, error) {
 
 // instrument wraps a handler with the per-endpoint request counter,
 // error counter, latency histogram, and a span named after the
-// operation. With no observer configured every obs call is a nil-safe
-// no-op, so the wrapper costs nothing.
+// operation; the four names are built once, here, not per request.
+// With no observer configured every obs call is a nil-safe no-op, so
+// the wrapper costs nothing.
 func (s *Server) instrument(op string, h http.HandlerFunc) http.HandlerFunc {
+	requests, spanName := "hub_"+op+"_requests_total", "hub."+op
+	hist, errs := "hub_"+op+"_ms", "hub_"+op+"_errors_total"
 	return func(w http.ResponseWriter, r *http.Request) {
-		s.obs.Counter("hub_" + op + "_requests_total").Inc()
-		ctx, span := s.obs.StartSpan(r.Context(), "hub."+op, "")
+		s.obs.Counter(requests).Inc()
+		ctx, span := s.obs.StartSpan(r.Context(), spanName, "")
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 		h(sw, r.WithContext(ctx))
-		s.obs.Histogram("hub_" + op + "_ms").Observe(span.End())
+		s.obs.Histogram(hist).Observe(span.End())
 		if sw.status >= 400 {
-			s.obs.Counter("hub_" + op + "_errors_total").Inc()
+			s.obs.Counter(errs).Inc()
 		}
 	}
 }
@@ -382,15 +385,22 @@ func (s *Server) runBatch(ctx context.Context, qs []string) ([]any, []*QueryErro
 	return results, qerrs
 }
 
-func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
-	op := "fetch"
-	switch r.Method {
-	case http.MethodPut:
-		op = "upload"
-	case http.MethodDelete:
-		op = "delete"
+// modelHandler serves /v1/models/{id}, instrumented by method as the
+// upload, delete or fetch endpoint.
+func (s *Server) modelHandler() http.HandlerFunc {
+	fetch := s.instrument("fetch", s.serveModel)
+	upload := s.instrument("upload", s.serveModel)
+	remove := s.instrument("delete", s.serveModel)
+	return func(w http.ResponseWriter, r *http.Request) {
+		switch r.Method {
+		case http.MethodPut:
+			upload(w, r)
+		case http.MethodDelete:
+			remove(w, r)
+		default:
+			fetch(w, r)
+		}
 	}
-	s.instrument(op, s.serveModel)(w, r)
 }
 
 func (s *Server) serveModel(w http.ResponseWriter, r *http.Request) {

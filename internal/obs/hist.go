@@ -31,11 +31,12 @@ type Histogram struct {
 }
 
 // DefaultLatencyBounds returns the default millisecond bucket bounds:
-// 1-2-5 steps from 10µs to 100s. Fine enough for sub-millisecond query
-// stages, wide enough for multi-second index builds.
+// 1-2-5 steps from 0.1µs to 100s. Fine enough for the sub-microsecond
+// stages of a whole query that takes under 2µs, wide enough for
+// multi-second index builds.
 func DefaultLatencyBounds() []float64 {
 	var bounds []float64
-	for _, mag := range []float64{0.01, 0.1, 1, 10, 100, 1000, 10000} {
+	for _, mag := range []float64{0.0001, 0.001, 0.01, 0.1, 1, 10, 100, 1000, 10000} {
 		for _, step := range []float64{1, 2, 5} {
 			bounds = append(bounds, mag*step)
 		}

@@ -186,3 +186,25 @@ func TestNewHistogramValidation(t *testing.T) {
 		}()
 	}
 }
+
+// TestDefaultBoundsResolveMicroseconds: a query stage takes a fraction
+// of a microsecond, so the default buckets must resolve sub-µs samples
+// rather than interpolate them all inside one 10µs bucket. Ten samples
+// each of 0.3, 1.5 and 4µs must read back within one 1-2-5 step.
+func TestDefaultBoundsResolveMicroseconds(t *testing.T) {
+	h := NewHistogram(DefaultLatencyBounds())
+	for i := 0; i < 10; i++ {
+		for _, us := range []float64{0.3, 1.5, 4} {
+			h.Observe(us / 1e3)
+		}
+	}
+	for _, c := range []struct{ q, lo, hi float64 }{
+		{0.1, 0.2, 0.5}, // truth 0.3µs
+		{0.5, 1, 2},     // truth 1.5µs
+		{0.9, 2, 5},     // truth 4µs
+	} {
+		if got := h.Quantile(c.q) * 1e3; got < c.lo || got > c.hi {
+			t.Errorf("p%g = %.3gµs, want within [%g, %g]µs", c.q*100, got, c.lo, c.hi)
+		}
+	}
+}

@@ -175,3 +175,35 @@ func TestConcurrentRegistryAccess(t *testing.T) {
 		t.Errorf("counter = %d, want %d", got, 8*500)
 	}
 }
+
+// TestStartLeafRecordsWhatStartSpanDoes: a leaf span is the record
+// StartSpan would make under the same parent — name, parent link, one
+// clock read at each end — without a derived context; a nil observer's
+// leaf is a no-op.
+func TestStartLeafRecordsWhatStartSpanDoes(t *testing.T) {
+	run := func(leaf bool) []SpanRecord {
+		o := New(WithClock(NewTickClock(0, 1e6)))
+		ctx, root := o.StartSpan(context.Background(), "query", "")
+		if leaf {
+			s := o.StartLeaf(ctx, "parse")
+			s.End()
+		} else {
+			_, s := o.StartSpan(ctx, "parse", "")
+			s.End()
+		}
+		root.End()
+		return o.Tracer().Recent()
+	}
+	got, want := run(true), run(false)
+	if len(got) != 2 || len(want) != 2 || got[0] != want[0] || got[1] != want[1] {
+		t.Errorf("leaf spans %+v, StartSpan spans %+v", got, want)
+	}
+	if got[0].Parent != got[1].ID || got[0].DurNS != 1e6 {
+		t.Errorf("leaf %+v under root %+v: want parent link and one tick", got[0], got[1])
+	}
+	var off *Observer
+	s := off.StartLeaf(context.Background(), "parse")
+	if ms := s.End(); ms != 0 {
+		t.Errorf("nil observer leaf End = %g, want 0", ms)
+	}
+}

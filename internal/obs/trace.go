@@ -21,8 +21,8 @@ type SpanRecord struct {
 	DurNS   int64  `json:"dur_ns"`
 }
 
-// Span is an open interval. End it exactly once; a nil span (observer
-// disabled) no-ops throughout.
+// Span is an open interval. End it exactly once; a nil or zero span
+// (observer disabled) no-ops throughout.
 type Span struct {
 	t   *Tracer
 	rec SpanRecord
@@ -31,7 +31,7 @@ type Span struct {
 // End closes the span, records it in the tracer's ring, and returns its
 // duration in milliseconds.
 func (s *Span) End() float64 {
-	if s == nil {
+	if s == nil || s.t == nil {
 		return 0
 	}
 	s.rec.DurNS = s.t.clock.NowNanos() - s.rec.StartNS
@@ -72,12 +72,10 @@ func newTracer(clock Clock, cap int) *Tracer {
 }
 
 // start opens a span. Exposed through Observer.StartSpan, which also
-// threads the parent through a context.
-func (t *Tracer) start(parent uint64, name, detail string) *Span {
-	if t == nil {
-		return nil
-	}
-	return &Span{t: t, rec: SpanRecord{
+// threads the parent through a context, and Observer.StartLeaf, which
+// does not.
+func (t *Tracer) start(parent uint64, name, detail string) Span {
+	return Span{t: t, rec: SpanRecord{
 		ID:      t.nextID.Add(1),
 		Parent:  parent,
 		Name:    name,

@@ -79,7 +79,7 @@ func thresholdText(t float64) string {
 // the kinds the clause accepts unquoted, else in whichever quote it
 // does not contain. The lexer has no escapes, so nothing is escaped.
 func nameText(s string, bare ...tokenKind) string {
-	if toks, err := lex(s); err == nil && len(toks) == 2 && toks[0].text == s {
+	if toks, err := lex(s, nil); err == nil && len(toks) == 2 && toks[0].text == s {
 		for _, k := range bare {
 			if toks[0].kind == k {
 				return s
@@ -159,13 +159,19 @@ func (q *Query) Validate() error {
 }
 
 func validUnit(c Constraint) error {
-	ok := map[Metric][]Unit{
-		MetricMemory:  {UnitRelative, UnitMB, UnitGB, UnitNone},
-		MetricFLOPs:   {UnitRelative, UnitGFLOPs, UnitTFLOPs, UnitNone},
-		MetricLatency: {UnitRelative, UnitMS, UnitNone},
-	}
-	for _, u := range ok[c.Metric] {
-		if c.Unit == u {
+	switch c.Unit {
+	case UnitRelative, UnitNone:
+		return nil
+	case UnitMB, UnitGB:
+		if c.Metric == MetricMemory {
+			return nil
+		}
+	case UnitGFLOPs, UnitTFLOPs:
+		if c.Metric == MetricFLOPs {
+			return nil
+		}
+	case UnitMS:
+		if c.Metric == MetricLatency {
 			return nil
 		}
 	}

@@ -8,7 +8,8 @@ import (
 
 // Parse turns a query string into a validated AST.
 func Parse(input string) (*Query, error) {
-	toks, err := lex(input)
+	var buf [32]token
+	toks, err := lex(input, buf[:0])
 	if err != nil {
 		return nil, err
 	}
@@ -208,21 +209,25 @@ func (p *parser) parseConstraint() (Constraint, error) {
 	}
 	// Optional unit identifier (MB, GB, GFLOPS, TFLOPS, ms).
 	if u := p.cur(); u.kind == tokIdent {
-		switch strings.ToUpper(u.text) {
-		case "MB":
-			c.Unit = UnitMB
-		case "GB":
-			c.Unit = UnitGB
-		case "GFLOPS", "GFLOP":
-			c.Unit = UnitGFLOPs
-		case "TFLOPS", "TFLOP":
-			c.Unit = UnitTFLOPs
-		case "MS":
-			c.Unit = UnitMS
-		default:
-			return c, nil // not a unit; belongs to the next clause
+		for _, w := range unitWords {
+			if strings.EqualFold(u.text, w.word) {
+				c.Unit = w.unit
+				p.next()
+				break
+			}
 		}
-		p.next()
+		// Any other identifier is not a unit; it belongs to the next clause.
 	}
 	return c, nil
+}
+
+// unitWords are the unit identifiers, matched case-insensitively.
+var unitWords = []struct {
+	word string
+	unit Unit
+}{
+	{"MB", UnitMB}, {"GB", UnitGB},
+	{"GFLOPS", UnitGFLOPs}, {"GFLOP", UnitGFLOPs},
+	{"TFLOPS", UnitTFLOPs}, {"TFLOP", UnitTFLOPs},
+	{"MS", UnitMS},
 }

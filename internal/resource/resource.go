@@ -116,6 +116,11 @@ func OpFLOPs(l *graph.Layer, in []tensor.Shape) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
+	return opFLOPs(l, in, out)
+}
+
+// opFLOPs is OpFLOPs given the layer's already inferred output shape.
+func opFLOPs(l *graph.Layer, in []tensor.Shape, out tensor.Shape) (int64, error) {
 	switch l.Op {
 	case graph.OpDense:
 		// 2 * units * inDim MACs plus bias adds.
@@ -185,16 +190,14 @@ func (p *Profiler) Measure(m *graph.Model) (Profile, error) {
 }
 
 // MeasureWith computes the model's profile under a specific execution
-// setting.
+// setting. It walks the one topological order graph.Model.InferShapes
+// sorted and shaped, with finish times kept by position in it.
 func (p *Profiler) MeasureWith(m *graph.Model, setting ExecSetting) (Profile, error) {
-	shapes, err := m.ShapeOf()
+	so, err := m.InferShapes()
 	if err != nil {
 		return Profile{}, fmt.Errorf("resource: %w", err)
 	}
-	order, err := m.TopoSort()
-	if err != nil {
-		return Profile{}, fmt.Errorf("resource: %w", err)
-	}
+	order, shapes, pos := so.Layers, so.Shapes, so.Pos
 	if setting.BatchSize <= 0 {
 		setting.BatchSize = 1
 	}
@@ -208,24 +211,26 @@ func (p *Profiler) MeasureWith(m *graph.Model, setting ExecSetting) (Profile, er
 	// finish[i] is the time at which layer order[i] completes; the
 	// model latency is the completion time of the sink — the longest
 	// path of §5.3.
-	finish := make(map[string]float64, len(order))
-
-	for _, l := range order {
-		in := make([]tensor.Shape, len(l.Inputs))
+	finish := make([]float64, len(order))
+	// A layer's input shapes, on the stack: opFLOPs does not keep them,
+	// and a layer rarely takes more than two.
+	var inBuf [4]tensor.Shape
+	in := inBuf[:0]
+	for i, l := range order {
+		in = in[:0]
 		ready := 0.0
-		for i, name := range l.Inputs {
-			in[i] = shapes[name]
-			if finish[name] > ready {
-				ready = finish[name]
+		for _, name := range l.Inputs {
+			at := pos[name]
+			in = append(in, shapes[at])
+			if finish[at] > ready {
+				ready = finish[at]
 			}
 		}
-		var opIn []tensor.Shape
+		opIn := in
 		if l.Op == graph.OpInput {
-			opIn = []tensor.Shape{shapes[l.Name]}
-		} else {
-			opIn = in
+			opIn = shapes[i : i+1]
 		}
-		f, err := OpFLOPs(l, opIn)
+		f, err := opFLOPs(l, opIn, shapes[i])
 		if err != nil {
 			return Profile{}, fmt.Errorf("resource: layer %q: %w", l.Name, err)
 		}
@@ -234,7 +239,7 @@ func (p *Profiler) MeasureWith(m *graph.Model, setting ExecSetting) (Profile, er
 
 		// Simple liveness model: a layer's inputs and output are live
 		// simultaneously while it runs; track the max across layers.
-		live := int64(shapes[l.Name].NumElements())
+		live := int64(shapes[i].NumElements())
 		for _, s := range in {
 			live += int64(s.NumElements())
 		}
@@ -243,7 +248,7 @@ func (p *Profiler) MeasureWith(m *graph.Model, setting ExecSetting) (Profile, er
 			peakActivation = act
 		}
 
-		finish[l.Name] = ready + p.opLatencyNS(l, f, shapes[l.Name])
+		finish[i] = ready + p.opLatencyNS(l, f, shapes[i])
 	}
 
 	var latNS float64

@@ -4,8 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
+	"strings"
 
 	"sommelier/internal/catalog"
 	"sommelier/internal/equiv"
@@ -38,12 +39,12 @@ var ErrNoProfile = errors.New("sommelier: indexed model has no resource profile"
 // timed into the engine's per-stage query histograms.
 func (e *Engine) QueryContext(ctx context.Context, q string) ([]Result, error) {
 	ctx, root := e.obs.StartSpan(ctx, "query", "")
-	defer func() { e.obs.Histogram("query_total_ms").Observe(root.End()) }()
-	_, span := e.obs.StartSpan(ctx, "parse", "")
+	defer func() { e.qm.total.Observe(root.End()) }()
+	span := e.obs.StartLeaf(ctx, "parse")
 	ast, err := query.Parse(q)
-	e.endStage(span, "parse", "query_parse_ms", nil)
+	e.endStage(&span, "parse", e.qm.parse, nil)
 	if err != nil {
-		e.obs.Counter("query_errors_total").Inc()
+		e.qm.errors.Inc()
 		return nil, err
 	}
 	return e.queryAST(ctx, ast)
@@ -52,11 +53,27 @@ func (e *Engine) QueryContext(ctx context.Context, q string) ([]Result, error) {
 // QueryASTContext executes a parsed query through the three-stage
 // pipeline (§5.4). The whole query runs against one catalog snapshot,
 // so its answer is internally consistent — and lock-free — no matter
-// how many models are being registered concurrently.
+// how many models are being registered concurrently. q is validated
+// first, since it may not have come through query.Parse.
 func (e *Engine) QueryASTContext(ctx context.Context, q *query.Query) ([]Result, error) {
 	ctx, root := e.obs.StartSpan(ctx, "query", "")
-	defer func() { e.obs.Histogram("query_total_ms").Observe(root.End()) }()
+	defer func() { e.qm.total.Observe(root.End()) }()
+	if err := e.validateAST(q); err != nil {
+		e.qm.errors.Inc()
+		return nil, err
+	}
 	return e.queryAST(ctx, q)
+}
+
+// validateAST checks a query that did not come through query.Parse
+// (which validates) before it reaches queryOne, counting an invalid one
+// as a query, as queryOne would have.
+func (e *Engine) validateAST(q *query.Query) error {
+	if err := q.Validate(); err != nil {
+		e.qm.queries.Inc()
+		return err
+	}
+	return nil
 }
 
 // queryAST is the shared single-query execution body: one fresh
@@ -67,7 +84,7 @@ func (e *Engine) QueryASTContext(ctx context.Context, q *query.Query) ([]Result,
 func (e *Engine) queryAST(ctx context.Context, q *query.Query) ([]Result, error) {
 	results, err := e.queryOne(ctx, e.cat.Snapshot(), q, catalog.NewReprofileMemo(), nil)
 	if err != nil {
-		e.obs.Counter("query_errors_total").Inc()
+		e.qm.errors.Inc()
 		return nil, err
 	}
 	return results, nil
@@ -75,18 +92,15 @@ func (e *Engine) queryAST(ctx context.Context, q *query.Query) ([]Result, error)
 
 // queryOne is the engine's only query executor: Query, QueryAST, the
 // batch entry points, Explain and (through the shard engines) the
-// cluster coordinator all end here. It runs one parsed query against an
-// already-acquired snapshot. ctx carries the caller's root span; each
-// stage opens a child span and feeds the matching histogram. memo
+// cluster coordinator all end here. It runs one validated query against
+// an already-acquired snapshot. ctx carries the caller's root span; each
+// stage opens a leaf span under it and feeds the matching histogram. memo
 // deduplicates EXEC re-profiling work; callers executing a batch pass
 // one memo for the whole batch. A non-nil exp additionally records what
 // each stage did (Explain); it never changes the results.
 func (e *Engine) queryOne(ctx context.Context, snap *catalog.Snapshot, q *query.Query,
 	memo *catalog.ReprofileMemo, exp *Explanation) ([]Result, error) {
-	e.obs.Counter("queries_total").Inc()
-	if err := q.Validate(); err != nil {
-		return nil, err
-	}
+	e.qm.queries.Inc()
 	refID := q.Ref
 	if refID == "" {
 		id, ok := snap.DefaultReference(q.Task)
@@ -104,14 +118,14 @@ func (e *Engine) queryOne(ctx context.Context, snap *catalog.Snapshot, q *query.
 	}
 
 	// Stage 1: semantic filter.
-	_, span := e.obs.StartSpan(ctx, "candidates", "")
+	span := e.obs.StartLeaf(ctx, "candidates")
 	cands, err := snap.Lookup(refID, q.Threshold)
 	if exp != nil && err == nil {
 		all, _ := snap.Lookup(refID, 0) // the same list uncut: fails only where the cut one did
 		exp.Reference = refID
 		exp.SemanticCandidates, exp.SemanticRejected = len(cands), len(all)-len(cands)
 	}
-	e.endStage(span, "candidates", "query_candidates_ms", exp)
+	e.endStage(&span, "candidates", e.qm.candidates, exp)
 	if err != nil {
 		return nil, err
 	}
@@ -130,28 +144,28 @@ func (e *Engine) queryOne(ctx context.Context, snap *catalog.Snapshot, q *query.
 	}
 
 	// Stage 2: resource filter.
-	_, span = e.obs.StartSpan(ctx, "filter", "")
+	span = e.obs.StartLeaf(ctx, "filter")
 	results, err := e.resourceFilter(ctx, q, snap, cands, refProf, reprofile, setting, memo, exp)
-	e.endStage(span, "filter", "query_filter_ms", exp)
+	e.endStage(&span, "filter", e.qm.filter, exp)
 	if err != nil {
 		return nil, err
 	}
 
 	// Stage 3: final selection.
-	_, span = e.obs.StartSpan(ctx, "rank", "")
+	span = e.obs.StartLeaf(ctx, "rank")
 	sortResults(results, q.Pick)
 	if q.Limit > 0 && len(results) > q.Limit {
 		results = results[:q.Limit]
 	}
-	e.endStage(span, "rank", "query_rank_ms", exp)
+	e.endStage(&span, "rank", e.qm.rank, exp)
 	return results, nil
 }
 
 // endStage closes one pipeline stage's span, feeds its histogram and,
 // for Explain, appends its duration to the explanation.
-func (e *Engine) endStage(span *obs.Span, stage, hist string, exp *Explanation) {
+func (e *Engine) endStage(span *obs.Span, stage string, hist *obs.Histogram, exp *Explanation) {
 	ms := span.End()
-	e.obs.Histogram(hist).Observe(ms)
+	hist.Observe(ms)
 	if exp != nil {
 		exp.Stages = append(exp.Stages, StageTiming{Stage: stage, Millis: ms})
 	}
@@ -413,22 +427,22 @@ func satisfies(c query.Constraint, p, ref resource.Profile) (bool, error) {
 }
 
 func sortResults(rs []Result, pick query.PickKind) {
-	less := func(i, j int) bool { return rs[i].Level > rs[j].Level }
+	less := func(a, b Result) bool { return a.Level > b.Level }
 	switch pick {
 	case query.PickSmallest:
-		less = func(i, j int) bool { return rs[i].Profile.MemoryBytes < rs[j].Profile.MemoryBytes }
+		less = func(a, b Result) bool { return a.Profile.MemoryBytes < b.Profile.MemoryBytes }
 	case query.PickFastest:
-		less = func(i, j int) bool { return rs[i].Profile.LatencyMS < rs[j].Profile.LatencyMS }
+		less = func(a, b Result) bool { return a.Profile.LatencyMS < b.Profile.LatencyMS }
 	case query.PickCheapest:
-		less = func(i, j int) bool { return rs[i].Profile.FLOPs < rs[j].Profile.FLOPs }
+		less = func(a, b Result) bool { return a.Profile.FLOPs < b.Profile.FLOPs }
 	}
-	sort.SliceStable(rs, func(i, j int) bool {
-		if less(i, j) {
-			return true
+	slices.SortStableFunc(rs, func(a, b Result) int {
+		switch {
+		case less(a, b):
+			return -1
+		case less(b, a):
+			return 1
 		}
-		if less(j, i) {
-			return false
-		}
-		return rs[i].ID < rs[j].ID // deterministic tie-break
+		return strings.Compare(a.ID, b.ID) // deterministic tie-break
 	})
 }
