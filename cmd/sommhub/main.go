@@ -224,9 +224,7 @@ func main() {
 }
 
 // engineBatchQuerier adapts an engine's batched query path to the hub
-// server's POST /v1/query. Unknown-reference failures carry the
-// machine-readable code a cluster coordinator needs to treat a shard
-// that simply lacks the reference as an empty contribution.
+// server's POST /v1/query.
 func engineBatchQuerier(eng *sommelier.Engine) hub.BatchQuerier {
 	return func(ctx context.Context, qs []string) ([]any, []*hub.QueryError) {
 		results, errs := eng.QueryBatchContext(ctx, qs)
@@ -234,11 +232,7 @@ func engineBatchQuerier(eng *sommelier.Engine) hub.BatchQuerier {
 		qerrs := make([]*hub.QueryError, len(qs))
 		for i := range qs {
 			if err := errs[i]; err != nil {
-				qe := &hub.QueryError{Message: err.Error()}
-				if errors.Is(err, sommelier.ErrUnknownReference) {
-					qe.Code = hub.CodeUnknownReference
-				}
-				qerrs[i] = qe
+				qerrs[i] = hub.NewQueryError(err)
 				continue
 			}
 			out[i] = results[i]
@@ -256,7 +250,7 @@ func coordinatorBatchQuerier(co *cluster.Coordinator) hub.BatchQuerier {
 		qerrs := make([]*hub.QueryError, len(qs))
 		for i := range qs {
 			if err := errs[i]; err != nil {
-				qerrs[i] = &hub.QueryError{Message: err.Error()}
+				qerrs[i] = hub.NewQueryError(err)
 				continue
 			}
 			out[i] = responses[i]

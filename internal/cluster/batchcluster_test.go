@@ -194,9 +194,6 @@ func TestHTTPReplicaQueryBatch(t *testing.T) {
 		t.Fatalf("batch transport error: %v", err)
 	}
 	for i, q := range qs {
-		if i == 3 {
-			continue // parse-error slot asserted separately below
-		}
 		serial, serr := r.Query(context.Background(), q)
 		if (errs[i] == nil) != (serr == nil) {
 			t.Fatalf("slot %d: batch err %v, serial err %v", i, errs[i], serr)
@@ -211,8 +208,7 @@ func TestHTTPReplicaQueryBatch(t *testing.T) {
 	if errs[2] != nil || len(results[2]) != 0 {
 		t.Fatalf("unknown-reference slot: err %v, %d results; want empty contribution", errs[2], len(results[2]))
 	}
-	// The GET path buries parse errors in its 400→empty mapping; the
-	// batch protocol surfaces them per slot (the coordinator never
+	// A parse error is a refusal on both paths (the coordinator never
 	// sends one — it validates before scattering — but a direct caller
 	// deserves the real error).
 	if errs[3] == nil {

@@ -15,6 +15,7 @@ import (
 	"sommelier/internal/cluster"
 	"sommelier/internal/graph"
 	"sommelier/internal/hub"
+	"sommelier/internal/query"
 	"sommelier/internal/repo"
 	"sommelier/internal/zoo"
 )
@@ -156,9 +157,7 @@ func TestHTTPClusterFailover(t *testing.T) {
 // segment-replacement) result is only usable with its donor and segment,
 // so both must survive every way a shard hub's answer reaches a
 // coordinator: the GET form, the POST batch form, and a Coordinator
-// query over the HTTP replica. The hub encodes engine results and the
-// replica decodes cluster results; the two declarations have to spell
-// every field the same on the wire.
+// query over the HTTP replica.
 func TestHTTPSynthesizedResultCrossesWire(t *testing.T) {
 	hr := newHubReplica(t, 0, 1, sommelier.WithSeed(3), sommelier.WithValidationSize(150),
 		sommelier.WithSegments(true), sommelier.WithSegmentMinLen(3))
@@ -266,31 +265,54 @@ func TestHTTPReplicaLoadPullsAndMapsNotFound(t *testing.T) {
 	}
 }
 
-// TestHTTPReplicaQueryStatusMapping: only the 400 a hub answers when its
-// querier refuses the query (a shard that does not hold the reference)
-// is an empty contribution. Any other client error says nothing about
-// the shard's catalog — a proxy, a wrong path, a throttled shard — and
-// must reach the coordinator as an error so the ladder fails over
+// TestHTTPReplicaQueryStatusMapping: a shard whose hub refuses the query
+// as an unknown reference (the one code a hub sets on a refusal) has
+// nothing to contribute, and the replica answers empty. Any other answer
+// says nothing about the shard's catalog — another refusal, a bare 400
+// without a frame, a proxy's 401/403, a wrong path, a throttled shard —
+// and must reach the coordinator as an error so the ladder fails over
 // instead of reporting a full response that silently lacks a shard.
 func TestHTTPReplicaQueryStatusMapping(t *testing.T) {
 	cases := []struct {
+		name   string
 		status int
-		empty  bool
+		// refusal, when set, is what a real hub's querier refuses every
+		// query with; otherwise a stub answers status in plain text.
+		refusal error
+		empty   bool
 	}{
-		{http.StatusBadRequest, true},
-		{http.StatusUnauthorized, false},
-		{http.StatusForbidden, false},
-		{http.StatusNotFound, false},
-		{http.StatusMethodNotAllowed, false},
-		{http.StatusRequestEntityTooLarge, false},
-		{http.StatusTooManyRequests, false},
+		{status: http.StatusBadRequest},
+		{name: "400-unknown-reference", status: http.StatusBadRequest, empty: true,
+			refusal: fmt.Errorf("%w: %q is not indexed", query.ErrUnknownReference, "ref@1")},
+		{name: "400-refused", status: http.StatusBadRequest,
+			refusal: fmt.Errorf("%w: reference model %q", sommelier.ErrNoProfile, "ref@1")},
+		{status: http.StatusUnauthorized},
+		{status: http.StatusForbidden},
+		{status: http.StatusNotFound},
+		{status: http.StatusMethodNotAllowed},
+		{status: http.StatusRequestEntityTooLarge},
+		{status: http.StatusTooManyRequests},
 	}
 	for _, tc := range cases {
 		tc := tc
-		t.Run(fmt.Sprint(tc.status), func(t *testing.T) {
-			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		name := tc.name
+		if name == "" {
+			name = fmt.Sprint(tc.status)
+		}
+		t.Run(name, func(t *testing.T) {
+			var h http.Handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 				http.Error(w, "stub hub says no", tc.status)
-			}))
+			})
+			if tc.refusal != nil {
+				srv, err := hub.NewServer(repo.NewInMemory(), hub.WithQuerier(func(context.Context, string) (any, error) {
+					return nil, tc.refusal
+				}))
+				if err != nil {
+					t.Fatal(err)
+				}
+				h = srv
+			}
+			ts := httptest.NewServer(h)
 			defer ts.Close()
 			client, err := hub.NewClient(ts.URL, ts.Client(), hub.WithRetries(0))
 			if err != nil {
@@ -323,5 +345,53 @@ func TestHTTPReplicaQueryStatusMapping(t *testing.T) {
 					tc.status, resp.Class(), resp.Missing)
 			}
 		})
+	}
+}
+
+// TestRefusedQueryIsMissingSingleOrBatched: a shard that refuses a query
+// for any reason but an unknown reference has not answered it, whichever
+// entry point asked. Query and QueryBatch agree: the shard is missing
+// and the response degraded — never a full answer that silently lacks
+// the shard.
+func TestRefusedQueryIsMissingSingleOrBatched(t *testing.T) {
+	queriers := []hub.Querier{
+		func(context.Context, string) (any, error) { return []query.Result{{ID: "m@1", Level: 0.9}}, nil },
+		func(context.Context, string) (any, error) {
+			return nil, fmt.Errorf("%w: reference model %q", sommelier.ErrNoProfile, "ref@1")
+		},
+	}
+	var topo [][]cluster.QueryBackend
+	for _, querier := range queriers {
+		srv, err := hub.NewServer(repo.NewInMemory(), hub.WithQuerier(querier))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(srv)
+		t.Cleanup(ts.Close)
+		client, err := hub.NewClient(ts.URL, ts.Client())
+		if err != nil {
+			t.Fatal(err)
+		}
+		topo = append(topo, []cluster.QueryBackend{cluster.NewHTTPReplica(client)})
+	}
+	co, err := cluster.NewCoordinator(topo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	q := `SELECT CORR "ref@1" WITHIN 50%`
+	single, err := co.Query(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch, errs := co.QueryBatch(ctx, []string{q, q})
+	for i, resp := range []*cluster.Response{single, batch[0], batch[1]} {
+		if i > 0 && errs[i-1] != nil {
+			t.Fatal(errs[i-1])
+		}
+		if resp.Class() != cluster.OutcomeDegraded || fmt.Sprint(resp.Missing) != "[1]" || len(resp.Results) != 1 {
+			t.Fatalf("response %d (0 single, 1-2 batched): class %s, missing %v, %d results; want degraded, missing [1], 1 result",
+				i, resp.Class(), resp.Missing, len(resp.Results))
+		}
 	}
 }

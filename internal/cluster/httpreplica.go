@@ -2,10 +2,8 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"net/http"
 
 	"sommelier/internal/cas"
 	"sommelier/internal/graph"
@@ -24,56 +22,43 @@ type HTTPReplica struct {
 // NewHTTPReplica wraps a hub client.
 func NewHTTPReplica(c *hub.Client) *HTTPReplica { return &HTTPReplica{client: c} }
 
-// Query runs the query on the remote shard's GET /v1/query. A shard
-// that answers 400 — what the hub returns when its querier refuses the
-// query, the unknown-reference case of a catalog that does not hold
-// this query's reference model — is an empty contribution, not a
-// failure. Every other status (a proxy's 401/403, a wrong path's 404, a
-// throttled shard's 429) is an error the coordinator fails over on.
+// Query runs the query on the remote shard's GET /v1/query. A refusal
+// the hub codes CodeUnknownReference — a catalog that does not hold this
+// query's reference model — is an empty contribution, not a failure.
+// Every other refusal, and every other status (a bare 400 that says
+// nothing about the catalog, a proxy's 401/403, a wrong path's 404, a
+// throttled shard's 429), is an error the coordinator fails over on.
 func (r *HTTPReplica) Query(ctx context.Context, q string) ([]Result, error) {
-	raw, err := r.client.Query(ctx, q)
-	if err != nil {
-		var se *hub.StatusError
-		if errors.As(err, &se) && se.Code == http.StatusBadRequest {
-			return nil, nil
-		}
-		return nil, err
+	res, err := r.client.Query(ctx, q)
+	if unknownReference(err) {
+		return nil, nil
 	}
-	var out []Result
-	if len(raw) > 0 {
-		if err := json.Unmarshal(raw, &out); err != nil {
-			return nil, fmt.Errorf("cluster: decoding shard results: %w", err)
-		}
-	}
-	return out, nil
+	return res, err
 }
 
-// QueryBatch runs the batch in one POST /v1/query round trip. Per-query
-// unknown-reference errors (the hub marks them with a machine-readable
-// code) become empty contributions, exactly like Query's 400 mapping;
-// any other per-query error is returned in that query's slot so the
-// coordinator can retry just that query on the next replica.
+// QueryBatch runs the batch in one POST /v1/query round trip, with
+// Query's mapping per slot: an unknown-reference refusal is an empty
+// contribution, and any other refusal is returned in that query's slot
+// so the coordinator can retry just that query on the next replica.
 func (r *HTTPReplica) QueryBatch(ctx context.Context, qs []string) ([][]Result, []error, error) {
-	raws, qerrs, err := r.client.QueryBatch(ctx, qs)
+	results, qerrs, err := r.client.QueryBatch(ctx, qs)
 	if err != nil {
 		return nil, nil, err
 	}
-	results := make([][]Result, len(qs))
 	errs := make([]error, len(qs))
-	for i := range qs {
-		if qe := qerrs[i]; qe != nil {
-			if qe.Code != hub.CodeUnknownReference {
-				errs[i] = qe
-			}
-			continue
-		}
-		if len(raws[i]) > 0 {
-			if err := json.Unmarshal(raws[i], &results[i]); err != nil {
-				errs[i] = fmt.Errorf("cluster: decoding shard results: %w", err)
-			}
+	for i, qe := range qerrs {
+		if qe != nil && !unknownReference(qe) {
+			errs[i] = qe
 		}
 	}
 	return results, errs, nil
+}
+
+// unknownReference reports whether err is a shard's refusal coded
+// CodeUnknownReference.
+func unknownReference(err error) bool {
+	var qe *hub.QueryError
+	return errors.As(err, &qe) && qe.Code == hub.CodeUnknownReference
 }
 
 // PublishEncoded uploads the model through the hub's chunk-negotiation

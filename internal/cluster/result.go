@@ -4,23 +4,11 @@ import (
 	"sort"
 
 	"sommelier/internal/query"
-	"sommelier/internal/resource"
 )
 
-// Result is one model in a cluster query answer — the wire form of the
-// engine's query result, carrying everything the coordinator needs to
-// merge and rank across shards. Fields and JSON tags match the engine's
-// Result one for one, so the HTTP replica decodes a shard's /v1/query
-// payload directly and Result(r) converts an engine result.
-type Result struct {
-	ID          string           `json:"id"`
-	Level       float64          `json:"level"`
-	Synthesized bool             `json:"synthesized,omitempty"`
-	DonorID     string           `json:"donor_id,omitempty"`
-	Segment     string           `json:"segment,omitempty"`
-	Derived     bool             `json:"derived,omitempty"`
-	Profile     resource.Profile `json:"profile"`
-}
+// Result is one model in a cluster query answer: query.Result, the type
+// the shard engines return and a shard hub answers on the wire.
+type Result = query.Result
 
 // Response is a scatter-gather query answer. Results are globally
 // ranked and truncated to the query's limit; Missing and Stale tag the

@@ -56,7 +56,7 @@ func (r *EngineReplica) Query(ctx context.Context, q string) ([]cluster.Result, 
 		}
 		return nil, err
 	}
-	return toClusterResults(rs), nil
+	return rs, nil
 }
 
 // QueryBatch answers the whole batch through the engine's batched
@@ -73,19 +73,9 @@ func (r *EngineReplica) QueryBatch(ctx context.Context, qs []string) ([][]cluste
 			}
 			continue
 		}
-		results[i] = toClusterResults(rss[i])
+		results[i] = rss[i]
 	}
 	return results, errs, nil
-}
-
-// toClusterResults is a struct conversion, so a field added to one
-// Result declaration and not the other is a compile error here.
-func toClusterResults(rs []sommelier.Result) []cluster.Result {
-	out := make([]cluster.Result, len(rs))
-	for i, res := range rs {
-		out[i] = cluster.Result(res)
-	}
-	return out
 }
 
 // PublishEncoded stores and indexes an already-chunked model. The

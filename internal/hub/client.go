@@ -20,6 +20,7 @@ import (
 	"sommelier/internal/graph"
 	"sommelier/internal/lru"
 	"sommelier/internal/obs"
+	"sommelier/internal/query"
 	"sommelier/internal/repo"
 )
 
@@ -229,9 +230,15 @@ type StatusError struct {
 	// Code is the HTTP status code the hub answered with.
 	Code int
 	msg  string
+	// refusal is the *QueryError a refused query's results frame
+	// carried, if any; Unwrap exposes it to errors.As.
+	refusal error
 }
 
 func (e *StatusError) Error() string { return e.msg }
+
+// Unwrap returns the refusal the hub sent with the status, if any.
+func (e *StatusError) Unwrap() error { return e.refusal }
 
 // ErrAttemptTimeout is wrapped by attempt failures caused by the
 // client's own per-attempt timeout — as opposed to the caller's context
@@ -376,83 +383,104 @@ func expectStatus(resp *http.Response, want int) error {
 	return nil
 }
 
-// Query runs a Sommelier query on the hub's /v1/query endpoint and
-// returns the raw results payload. Queries are idempotent GETs, so the
-// full retry/breaker machinery applies; ctx bounds the whole operation
-// (each attempt additionally carries the per-attempt timeout, and a
-// per-attempt expiry is reported as ErrAttemptTimeout). This is the
+// Query runs a Sommelier query on the hub's GET /v1/query and returns
+// its results. It asks for the results frame and decodes it once; an
+// answer in any other form is a decode error. Queries are idempotent
+// GETs, so the full retry/breaker machinery applies; ctx bounds the
+// whole operation (each attempt additionally carries the per-attempt
+// timeout, and a per-attempt expiry is reported as ErrAttemptTimeout).
+// A refused query is a *StatusError (400) which, when the hub said why
+// in a frame, wraps that *QueryError, code included. This is the
 // per-shard call a cluster coordinator fans out.
-func (c *Client) Query(ctx context.Context, q string) (_ json.RawMessage, err error) {
+func (c *Client) Query(ctx context.Context, q string) (_ []query.Result, err error) {
 	done := c.obs.TimeOp("hub_client_query")
 	defer func() { done(err) }()
 	queryURL := c.base + "/v1/query?q=" + url.QueryEscape(q)
-	var raw json.RawMessage
+	var out []query.Result
 	err = c.do(true,
 		func() (*http.Request, error) {
-			return http.NewRequestWithContext(ctx, http.MethodGet, queryURL, nil)
+			req, err := http.NewRequestWithContext(ctx, http.MethodGet, queryURL, nil)
+			if err != nil {
+				return nil, err
+			}
+			req.Header.Set("Accept", ContentTypeResults)
+			return req, nil
 		},
 		func(resp *http.Response) error {
-			if err := expectStatus(resp, http.StatusOK); err != nil {
+			if resp.Header.Get("Content-Type") != ContentTypeResults {
+				if err := expectStatus(resp, http.StatusOK); err != nil {
+					return err
+				}
+			}
+			rss, qerrs, err := readResultsBody(resp, 1)
+			if err != nil {
 				return err
 			}
-			var wire struct {
-				Results json.RawMessage `json:"results"`
+			if qe := qerrs[0]; qe != nil {
+				return &StatusError{Code: resp.StatusCode, msg: resp.Status + ": " + qe.Message, refusal: qe}
 			}
-			if err := json.NewDecoder(resp.Body).Decode(&wire); err != nil {
-				return err
-			}
-			raw = wire.Results
-			return nil
+			out = rss[0]
+			return expectStatus(resp, http.StatusOK)
 		})
 	if err != nil {
 		return nil, fmt.Errorf("hub: query: %w", err)
 	}
-	return raw, nil
+	return out, nil
 }
 
 // QueryBatch runs a batch of Sommelier queries in one POST /v1/query
-// round trip and returns per-query raw results and per-query errors,
-// both index-aligned with qs (exactly one of results[i]/qerrs[i] is
-// set). The overall error is transport-level: the whole batch failed,
-// nothing per-query is known. The POST is read-only, so it goes through
-// the same retry/breaker machinery as Query.
-func (c *Client) QueryBatch(ctx context.Context, qs []string) (_ []json.RawMessage, _ []*QueryError, err error) {
+// round trip — the queries sent as a queries frame, the answer asked
+// for as a results frame and decoded once — and returns per-query
+// results and per-query errors, both index-aligned with qs (exactly one
+// of results[i]/qerrs[i] is meaningful). The overall error is
+// transport-level: the whole batch failed, nothing per-query is known.
+// The POST is read-only, so it goes through the same retry/breaker
+// machinery as Query.
+func (c *Client) QueryBatch(ctx context.Context, qs []string) (_ [][]query.Result, _ []*QueryError, err error) {
 	done := c.obs.TimeOp("hub_client_query_batch")
 	defer func() { done(err) }()
 	if len(qs) == 0 {
 		return nil, nil, fmt.Errorf("hub: empty query batch")
 	}
-	body, err := json.Marshal(batchRequest{Queries: qs})
-	if err != nil {
-		return nil, nil, fmt.Errorf("hub: encoding batch: %w", err)
-	}
-	var wire struct {
-		Results []json.RawMessage `json:"results"`
-		Errors  []*QueryError     `json:"errors"`
-	}
+	body := appendQueries(nil, qs)
+	var (
+		results [][]query.Result
+		qerrs   []*QueryError
+	)
 	err = c.do(true,
 		func() (*http.Request, error) {
 			req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/v1/query", bytes.NewReader(body))
 			if err != nil {
 				return nil, err
 			}
-			req.Header.Set("Content-Type", "application/json")
+			req.Header.Set("Content-Type", ContentTypeQueries)
+			req.Header.Set("Accept", ContentTypeResults)
 			return req, nil
 		},
-		func(resp *http.Response) error {
+		func(resp *http.Response) (err error) {
 			if err := expectStatus(resp, http.StatusOK); err != nil {
 				return err
 			}
-			return json.NewDecoder(resp.Body).Decode(&wire)
+			results, qerrs, err = readResultsBody(resp, len(qs))
+			return err
 		})
 	if err != nil {
 		return nil, nil, fmt.Errorf("hub: query batch: %w", err)
 	}
-	if len(wire.Results) != len(qs) || len(wire.Errors) != len(qs) {
-		return nil, nil, fmt.Errorf("hub: query batch: hub returned %d results / %d errors for %d queries",
-			len(wire.Results), len(wire.Errors), len(qs))
+	return results, qerrs, nil
+}
+
+// readResultsBody decodes a response body that is a results frame of
+// want slots; a body of any other Content-Type is an error.
+func readResultsBody(resp *http.Response, want int) ([][]query.Result, []*QueryError, error) {
+	if ct := resp.Header.Get("Content-Type"); ct != ContentTypeResults {
+		return nil, nil, fmt.Errorf("hub answered %q, not a results frame", ct)
 	}
-	return wire.Results, wire.Errors, nil
+	data, err := readBody(resp.Body, resp.ContentLength)
+	if err != nil {
+		return nil, nil, err
+	}
+	return readResults(data, want)
 }
 
 // Publish uploads a model and returns its hub ID. Publishes are not

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"sommelier/internal/query"
 	"sommelier/internal/repo"
 )
 
@@ -30,10 +31,10 @@ func queryHub(t *testing.T, querier Querier, opts ...Option) (*httptest.Server, 
 	return ts, client
 }
 
-// TestClientQueryRoundTrip drives Client.Query end to end: the raw
-// results payload comes back verbatim, and a querier rejection surfaces
-// as a *StatusError with the 4xx code — reachable via errors.As through
-// the operation wrapping.
+// TestClientQueryRoundTrip drives Client.Query end to end: the results
+// come back typed, and a querier rejection surfaces as a *StatusError
+// with the 4xx code — reachable via errors.As through the operation
+// wrapping — that wraps the hub's *QueryError.
 func TestClientQueryRoundTrip(t *testing.T) {
 	calls := 0
 	_, client := queryHub(t, func(ctx context.Context, q string) (any, error) {
@@ -41,19 +42,12 @@ func TestClientQueryRoundTrip(t *testing.T) {
 		if strings.Contains(q, "boom") {
 			return nil, errors.New("no such reference")
 		}
-		return []map[string]any{{"id": "m@1", "level": 3}}, nil
+		return []query.Result{{ID: "m@1", Level: 3}}, nil
 	})
 
-	raw, err := client.Query(context.Background(), "SELECT CORR \"m@1\"")
+	rs, err := client.Query(context.Background(), "SELECT CORR \"m@1\"")
 	if err != nil {
 		t.Fatalf("Query: %v", err)
-	}
-	var rs []struct {
-		ID    string `json:"id"`
-		Level int    `json:"level"`
-	}
-	if err := json.Unmarshal(raw, &rs); err != nil {
-		t.Fatalf("bad results payload %q: %v", raw, err)
 	}
 	if len(rs) != 1 || rs[0].ID != "m@1" || rs[0].Level != 3 {
 		t.Fatalf("results = %+v", rs)
@@ -68,8 +62,29 @@ func TestClientQueryRoundTrip(t *testing.T) {
 	if se.Code != http.StatusBadRequest {
 		t.Errorf("StatusError.Code = %d, want 400", se.Code)
 	}
+	var qe *QueryError
+	if !errors.As(err, &qe) || qe.Message != "no such reference" || qe.Code != "" {
+		t.Errorf("querier rejection = %v, want the hub's uncoded *QueryError via errors.As", err)
+	}
 	if calls != 1 {
 		t.Errorf("4xx was attempted %d times, want 1 (no retries on deliberate answers)", calls)
+	}
+}
+
+// TestClientRefusesJSONAnswers: the client reads only the results frame.
+// A hub whose querier answers something other than []query.Result — a
+// coordinator-mode hub, say — answers JSON even when asked for the
+// frame, and both Query and QueryBatch report that as an error instead
+// of guessing at its shape.
+func TestClientRefusesJSONAnswers(t *testing.T) {
+	_, client := queryHub(t, func(context.Context, string) (any, error) {
+		return map[string]any{"results": []query.Result{{ID: "m@1"}}}, nil
+	})
+	if rs, err := client.Query(context.Background(), "q"); err == nil || !strings.Contains(err.Error(), "not a results frame") {
+		t.Fatalf("Query of a JSON-answering hub = %+v, %v; want a not-a-frame error", rs, err)
+	}
+	if rss, _, err := client.QueryBatch(context.Background(), []string{"a", "b"}); err == nil || !strings.Contains(err.Error(), "not a results frame") {
+		t.Fatalf("QueryBatch of a JSON-answering hub = %+v, %v; want a not-a-frame error", rss, err)
 	}
 }
 
@@ -84,7 +99,8 @@ func TestQueryRetriesTransientFailures(t *testing.T) {
 			http.Error(w, "warming up", http.StatusServiceUnavailable)
 			return
 		}
-		_ = json.NewEncoder(w).Encode(map[string]any{"results": []string{"ok"}})
+		w.Header().Set("Content-Type", ContentTypeResults)
+		_, _ = w.Write(appendResults(nil, [][]query.Result{{{ID: "ok"}}}, []*QueryError{nil}))
 	})
 	ts := httptest.NewServer(mux)
 	defer ts.Close()
@@ -92,12 +108,12 @@ func TestQueryRetriesTransientFailures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, err := client.Query(context.Background(), "q")
+	rs, err := client.Query(context.Background(), "q")
 	if err != nil {
 		t.Fatalf("Query after transient 503s: %v", err)
 	}
-	if string(raw) != `["ok"]` {
-		t.Fatalf("results = %s", raw)
+	if len(rs) != 1 || rs[0].ID != "ok" {
+		t.Fatalf("results = %+v", rs)
 	}
 	if got := client.Stats().Retries; got != 2 {
 		t.Errorf("retries = %d, want 2", got)

@@ -19,9 +19,11 @@
 //	                             manifest (chunk negotiation; see chunks.go)
 //	DELETE /v1/models/{id}     — remove a model
 //	HEAD/GET/PUT /v1/chunks/{hash} — probe/fetch/upload one tensor chunk
-//	GET  /v1/query?q=…         — run a Sommelier query (JSON; needs WithQuerier)
-//	POST /v1/query             — run a query batch ({"queries":[…]} body;
-//	                             needs WithQuerier or WithBatchQuerier)
+//	GET  /v1/query?q=…         — run a Sommelier query (JSON, or a results
+//	                             frame when Accept asks; needs WithQuerier)
+//	POST /v1/query             — run a query batch ({"queries":[…]} body or
+//	                             a queries frame; answered like GET; needs
+//	                             WithQuerier or WithBatchQuerier)
 //	GET  /v1/metrics           — observability snapshot (JSON; needs WithObserver)
 //	GET  /v1/tracez            — recent spans, oldest first (JSON; needs WithObserver)
 //	GET  /v1/healthz           — liveness + model count (JSON)
@@ -34,10 +36,12 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 
 	"sommelier/internal/graph"
 	"sommelier/internal/obs"
+	"sommelier/internal/query"
 	"sommelier/internal/repo"
 )
 
@@ -52,16 +56,19 @@ type Indexer interface {
 	IndexModel(ctx context.Context, id string, m *graph.Model) error
 }
 
-// Querier answers query strings for the /v1/query endpoint. The result
-// is marshaled to JSON as-is. *sommelier.Engine's QueryContext fits
-// after a one-line adaptation (see cmd/sommhub); the indirection keeps
-// this package free of an upward dependency on the root engine.
+// Querier answers query strings for the /v1/query endpoint. A
+// []query.Result answer goes out as a results frame to a client that
+// asks for one (see frame.go); any other answer, and every answer to a
+// client that does not ask, is marshaled to JSON as-is.
+// *sommelier.Engine's QueryContext fits after a one-line adaptation
+// (see cmd/sommhub); the indirection keeps this package free of an
+// upward dependency on the root engine.
 type Querier func(ctx context.Context, q string) (any, error)
 
-// QueryError is the wire form of one failed query in a batch. Code
-// carries machine-readable classifications a remote caller needs to
-// branch on without string matching; the only code this package
-// defines is CodeUnknownReference.
+// QueryError is the wire form of one refused query. Code carries
+// machine-readable classifications a remote caller needs to branch on
+// without string matching; the only code this package defines is
+// CodeUnknownReference.
 type QueryError struct {
 	Message string `json:"message"`
 	Code    string `json:"code,omitempty"`
@@ -75,6 +82,18 @@ const CodeUnknownReference = "unknown_reference"
 
 // Error implements error.
 func (e *QueryError) Error() string { return e.Message }
+
+// NewQueryError is the wire form of a querier's error: its message, and
+// CodeUnknownReference when it wraps query.ErrUnknownReference. The
+// server builds every refusal of a Querier through it, and a
+// BatchQuerier builds its error slots with it.
+func NewQueryError(err error) *QueryError {
+	qe := &QueryError{Message: err.Error()}
+	if errors.Is(err, query.ErrUnknownReference) {
+		qe.Code = CodeUnknownReference
+	}
+	return qe
+}
 
 // BatchQuerier answers query batches for POST /v1/query: results and
 // errors are aligned with the input by index, exactly one of
@@ -317,9 +336,18 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "missing q parameter", http.StatusBadRequest)
 		return
 	}
+	framed := wantsFrame(r)
 	res, err := s.querier(r.Context(), q)
 	if err != nil {
+		if framed {
+			writeFrame(w, http.StatusBadRequest, nil, []*QueryError{NewQueryError(err)})
+			return
+		}
 		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	if rs, ok := res.([]query.Result); ok && framed {
+		writeFrame(w, http.StatusOK, [][]query.Result{rs}, []*QueryError{nil})
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -328,7 +356,23 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// batchRequest/batchResponse are the POST /v1/query wire forms. The
+// wantsFrame reports whether the request's Accept names the results
+// frame.
+func wantsFrame(r *http.Request) bool {
+	return strings.Contains(r.Header.Get("Accept"), ContentTypeResults)
+}
+
+// writeFrame answers with the results frame of rss and qerrs.
+func writeFrame(w http.ResponseWriter, status int, rss [][]query.Result, qerrs []*QueryError) {
+	body := appendResults(nil, rss, qerrs)
+	h := w.Header()
+	h.Set("Content-Type", ContentTypeResults)
+	h.Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(status)
+	w.Write(body)
+}
+
+// batchRequest/batchResponse are the POST /v1/query JSON forms. The
 // response arrays are index-aligned with the request: for every i
 // exactly one of results[i] (non-null) and errors[i] (non-null) holds.
 type batchRequest struct {
@@ -345,24 +389,62 @@ func (s *Server) serveQueryBatch(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "query endpoint not enabled on this hub", http.StatusNotImplemented)
 		return
 	}
-	var req batchRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxBody)).Decode(&req); err != nil {
+	qs, err := readBatchRequest(http.MaxBytesReader(w, r.Body, s.maxBody), r)
+	if err != nil {
 		http.Error(w, fmt.Sprintf("decoding batch body: %v", err), http.StatusBadRequest)
 		return
 	}
-	if len(req.Queries) == 0 {
+	if len(qs) == 0 {
 		http.Error(w, "empty query batch", http.StatusBadRequest)
 		return
 	}
-	results, qerrs := s.runBatch(r.Context(), req.Queries)
-	if len(results) != len(req.Queries) || len(qerrs) != len(req.Queries) {
+	results, qerrs := s.runBatch(r.Context(), qs)
+	if len(results) != len(qs) || len(qerrs) != len(qs) {
 		http.Error(w, "batch querier returned misaligned results", http.StatusInternalServerError)
 		return
+	}
+	if wantsFrame(r) {
+		if rss, ok := frameable(results, qerrs); ok {
+			writeFrame(w, http.StatusOK, rss, qerrs)
+			return
+		}
 	}
 	w.Header().Set("Content-Type", "application/json")
 	if err := json.NewEncoder(w).Encode(batchResponse{Results: results, Errors: qerrs}); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 	}
+}
+
+// readBatchRequest reads a batch's queries from body, a queries frame
+// when the Content-Type names one and {"queries":[…]} otherwise.
+func readBatchRequest(body io.Reader, r *http.Request) ([]string, error) {
+	if r.Header.Get("Content-Type") != ContentTypeQueries {
+		var req batchRequest
+		err := json.NewDecoder(body).Decode(&req)
+		return req.Queries, err
+	}
+	data, err := readBody(body, r.ContentLength)
+	if err != nil {
+		return nil, err
+	}
+	return readQueries(data)
+}
+
+// frameable returns a batch's answers as results when every answered
+// slot holds a []query.Result, the only answer the frame carries.
+func frameable(results []any, qerrs []*QueryError) ([][]query.Result, bool) {
+	rss := make([][]query.Result, len(results))
+	for i, res := range results {
+		if qerrs[i] != nil {
+			continue
+		}
+		rs, ok := res.([]query.Result)
+		if !ok {
+			return nil, false
+		}
+		rss[i] = rs
+	}
+	return rss, true
 }
 
 // runBatch answers a batch through the native BatchQuerier when one is
@@ -377,7 +459,7 @@ func (s *Server) runBatch(ctx context.Context, qs []string) ([]any, []*QueryErro
 	for i, q := range qs {
 		res, err := s.querier(ctx, q)
 		if err != nil {
-			qerrs[i] = &QueryError{Message: err.Error()}
+			qerrs[i] = NewQueryError(err)
 			continue
 		}
 		results[i] = res

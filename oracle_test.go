@@ -331,12 +331,7 @@ func TestExecQueryPathsMatchOracle(t *testing.T) {
 type engineBackend struct{ eng *Engine }
 
 func (b engineBackend) Query(ctx context.Context, q string) ([]cluster.Result, error) {
-	rs, err := b.eng.QueryContext(ctx, q)
-	out := make([]cluster.Result, len(rs))
-	for i, r := range rs {
-		out[i] = cluster.Result(r)
-	}
-	return out, err
+	return b.eng.QueryContext(ctx, q)
 }
 
 // TestCoordinatorMatchesUnionOracle: two shards hold the same

@@ -3,6 +3,8 @@ package sommelier
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -104,4 +106,100 @@ func TestLoadIndexesErrors(t *testing.T) {
 	)); err == nil {
 		t.Fatal("expected missing-model error")
 	}
+}
+
+// FuzzLoadIndexes: LoadIndexes reads operator-supplied bytes at start-up.
+// It never panics and never allocates more than a small multiple of what
+// it was handed; a snapshot it accepts re-saves to bytes that load and
+// save again unchanged, and answers every query shape without
+// panicking; a snapshot it rejects leaves the engine exactly as it was.
+// Seeds: a real snapshot and TestLoadIndexesErrors' hostile cases, plus
+// a profile without an ID and a duplicated entry.
+func FuzzLoadIndexes(f *testing.F) {
+	eng, refID, _ := newEngineWithLadder(f, false)
+	var buf bytes.Buffer
+	if err := eng.SaveIndexes(&buf); err != nil {
+		f.Fatal(err)
+	}
+	snapshot := buf.Bytes()
+	store := eng.Store()
+	refs := []string{"ghost@1"}
+	for _, md := range store.List() {
+		// Loaded once here, so the store's cache, not LoadIndexes, pays
+		// for hydration.
+		if _, err := store.Load(md.ID); err != nil {
+			f.Fatal(err)
+		}
+		refs = append(refs, md.ID)
+	}
+	f.Add(snapshot)
+	for _, s := range []string{
+		`{"version":99}`,
+		`not json`,
+		`{"version":1,"semantic":{"entries":[{"id":"ghost@1","fingerprint":"x"}]},"resource":{"profiles":{}}}`,
+		`{"version":1,"semantic":{"entries":[]},"resource":{"profiles":{"":{}}}}`,
+		`{"version":1,"semantic":{"entries":[{"id":"` + refID + `"},{"id":"` + refID + `"}]}}`,
+	} {
+		f.Add([]byte(s))
+	}
+	var queries []string
+	for _, ref := range refs {
+		for _, tail := range []string{
+			"WITHIN 50% PICK most_similar",
+			"WITHIN 50% ON memory <= 80% PICK smallest",
+			"WITHIN 50% ON memory <= 1 GB AND latency < 30 ms PICK fastest LIMIT 2",
+			"WITHIN 50% ON flops >= 10% AND flops <= 120% PICK cheapest",
+			"WITHIN 50% EXEC batch=8 PICK smallest",
+		} {
+			queries = append(queries, fmt.Sprintf("SELECT CORR %q %s", ref, tail))
+		}
+	}
+	queries = append(queries, "SELECT TASK classification WITHIN 50% PICK most_similar")
+	saved := func(t *testing.T, e *Engine) []byte {
+		var out bytes.Buffer
+		if err := e.SaveIndexes(&out); err != nil {
+			t.Fatal(err)
+		}
+		return out.Bytes()
+	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		e, err := NewEngine(store, WithSeed(11))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.LoadIndexes(bytes.NewReader(snapshot)); err != nil {
+			t.Fatal(err)
+		}
+		before := saved(t, e)
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		err = e.LoadIndexes(bytes.NewReader(in))
+		runtime.ReadMemStats(&m1)
+		if grew := m1.TotalAlloc - m0.TotalAlloc; grew > 256*uint64(len(in))+1<<20 {
+			t.Fatalf("LoadIndexes allocated %d bytes for a %d-byte snapshot", grew, len(in))
+		}
+		if err != nil {
+			if !bytes.Equal(saved(t, e), before) {
+				t.Fatalf("a rejected snapshot (%v) changed the engine", err)
+			}
+			return
+		}
+		canon := saved(t, e)
+		again, err := NewEngine(store, WithSeed(11))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := again.LoadIndexes(bytes.NewReader(canon)); err != nil {
+			t.Fatalf("the re-saved snapshot is rejected: %v", err)
+		}
+		if !bytes.Equal(saved(t, again), canon) {
+			t.Fatal("an accepted snapshot does not re-save byte-identically")
+		}
+		// Errors are answers here; only a panic fails.
+		ctx := context.Background()
+		for _, q := range queries {
+			_, _ = e.QueryContext(ctx, q)
+		}
+		_, _ = e.QueryBatchContext(ctx, queries)
+	})
 }

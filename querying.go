@@ -19,11 +19,9 @@ import (
 
 // ErrUnknownReference is wrapped by query errors whose cause is that
 // this engine's catalog does not hold the query's reference model (or
-// holds no default reference for the task). In a sharded deployment
-// that is an expected per-shard condition, not a failure: a scatter
-// coordinator checks for it with errors.Is and records an empty
-// contribution from the shard.
-var ErrUnknownReference = errors.New("sommelier: reference model not in this catalog")
+// holds no default reference for the task). It is query.ErrUnknownReference,
+// the value a hub and a cluster coordinator test for with errors.Is.
+var ErrUnknownReference = query.ErrUnknownReference
 
 // ErrNoProfile is wrapped by query errors whose cause is an indexed
 // model with no resource profile — an index inconsistency, since the

@@ -32,24 +32,8 @@
 // path (publish + staged indexing), querying.go the read path.
 package sommelier
 
-import "sommelier/internal/resource"
+import "sommelier/internal/query"
 
-// Result is one model returned by a query, with everything an inference
-// server needs to act on it. The JSON tags are the wire form a hub's
-// /v1/query answers in and are the same as cluster.Result's, which a
-// coordinator decodes that answer into.
-type Result struct {
-	// ID is the repository ID; synthesized results carry the base
-	// model's ID here and the donor in DonorID.
-	ID string `json:"id"`
-	// Level is the functional-equivalence level to the reference.
-	Level float64 `json:"level"`
-	// Synthesized marks segment-replacement candidates (§5.2).
-	Synthesized bool   `json:"synthesized,omitempty"`
-	DonorID     string `json:"donor_id,omitempty"`
-	Segment     string `json:"segment,omitempty"`
-	// Derived marks transitively derived (unmeasured) levels.
-	Derived bool `json:"derived,omitempty"`
-	// Profile is the candidate's resource profile.
-	Profile resource.Profile `json:"profile"`
-}
+// Result is one model returned by a query (see query.Result): the same
+// type a hub answers on the wire and a cluster coordinator merges.
+type Result = query.Result
