@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet lint benchsmoke check bench chaos loc
+.PHONY: build test race vet lint benchsmoke check bench chaos fuzz loc
 
 build:
 	$(GO) build ./...
@@ -67,6 +67,20 @@ bench:
 chaos:
 	$(GO) test -race -v -run 'TestChaos|TestSchedule|TestComposedFlakyStores' \
 		./internal/cluster/ ./internal/faults/
+
+# fuzz runs every decoder of outside bytes under its fuzz target for 60
+# s each: the index snapshot (root), the query wire frames (hub), packs
+# and manifests (cas), query text (query) and SOMX models (graph). go
+# test fuzzes one target per run, so each gets its own line; a crasher
+# fails the run and lands in that package's testdata/fuzz/.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzLoadIndexes$$' -fuzztime 60s .
+	$(GO) test -run '^$$' -fuzz '^FuzzReadResults$$' -fuzztime 60s ./internal/hub
+	$(GO) test -run '^$$' -fuzz '^FuzzReadQueries$$' -fuzztime 60s ./internal/hub
+	$(GO) test -run '^$$' -fuzz '^FuzzReadPack$$' -fuzztime 60s ./internal/cas
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeManifest$$' -fuzztime 60s ./internal/cas
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 60s ./internal/query
+	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 60s ./internal/graph
 
 # loc prints the two line counts ROADMAP's subtraction budget is stated
 # in: non-test Go outside bench/ and testdata/, and test Go outside

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"sommelier/internal/catalog"
 	"sommelier/internal/query"
 )
 
@@ -19,9 +18,7 @@ import (
 //   - one catalog snapshot acquisition — every query answers against
 //     the same consistent view, exactly as one serial loop over a
 //     quiescent catalog would;
-//   - one parse pass over all strings before any execution starts;
-//   - one shared reprofile memo, so an EXEC-spec model that is a
-//     candidate of many queries is loaded and measured once.
+//   - one parse pass over all strings before any execution starts.
 //
 // Queries execute on a bounded worker pool (WithQueryWorkers, default
 // GOMAXPROCS) with a per-query span under one query_batch root span.
@@ -45,7 +42,7 @@ func (e *Engine) QueryBatchContext(ctx context.Context, qs []string) ([][]Result
 }
 
 // QueryBatchASTContext executes a batch of already-parsed queries with
-// the same shared-snapshot, shared-memo, bounded-pool semantics as
+// the same shared-snapshot, bounded-pool semantics as
 // QueryBatchContext. A nil or invalid query yields a per-slot error; it
 // does not abort the rest of the batch.
 func (e *Engine) QueryBatchASTContext(ctx context.Context, qs []*query.Query) ([][]Result, []error) {
@@ -78,7 +75,6 @@ func (e *Engine) runBatch(ctx context.Context, qs []*query.Query, errs []error, 
 		todo = append(todo, i)
 	}
 	snap := e.cat.Snapshot()
-	memo := catalog.NewReprofileMemo()
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := e.queryWorkers(len(todo)); w > 0; w-- {
@@ -92,7 +88,7 @@ func (e *Engine) runBatch(ctx context.Context, qs []*query.Query, errs []error, 
 					errs[i] = e.validateAST(qs[i])
 				}
 				if errs[i] == nil {
-					results[i], errs[i] = e.queryOne(qctx, snap, qs[i], memo, nil)
+					results[i], errs[i] = e.queryOne(qctx, snap, qs[i], nil)
 				}
 				e.qm.total.Observe(span.End())
 				if errs[i] != nil {

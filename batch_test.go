@@ -16,15 +16,21 @@ import (
 	"sommelier/internal/zoo"
 )
 
-// countingStore wraps a repository and counts Load calls — the expensive
-// stage-2 operation the batch memo exists to deduplicate.
+// countingStore wraps a repository, counts Load calls and, once fail is
+// set, fails them: a query path that reads a model shows on both.
 type countingStore struct {
 	*repo.Repository
 	loads atomic.Int64
+	fail  atomic.Bool
 }
+
+var errStoreDown = errors.New("store down")
 
 func (c *countingStore) Load(id string) (*graph.Model, error) {
 	c.loads.Add(1)
+	if c.fail.Load() {
+		return nil, errStoreDown
+	}
 	return c.Repository.Load(id)
 }
 
@@ -129,39 +135,104 @@ func TestQueryBatchMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestQueryBatchSharesReprofileMemo pins the amortization claim: a batch
-// of EXEC queries loads and re-measures each candidate model once, where
-// the serial loop pays the full cost per query.
-func TestQueryBatchSharesReprofileMemo(t *testing.T) {
+// TestQueryBatchExecLoadsNoModel: a batch of EXEC queries derives every
+// profile from the snapshot's footprints — no model is loaded, by the
+// batch or by the serial query — and each slot answers as the serial
+// query does.
+func TestQueryBatchExecLoadsNoModel(t *testing.T) {
 	store := &countingStore{Repository: repo.NewInMemory()}
 	eng, refID := newLadderOverStore(t, store)
 	ctx := context.Background()
 	q := fmt.Sprintf(`SELECT CORR %q WITHIN 50%% ON flops <= 300%% EXEC batch=4 PICK fastest`, refID)
 
 	store.loads.Store(0)
-	if _, err := eng.QueryContext(ctx, q); err != nil {
+	serial, err := eng.QueryContext(ctx, q)
+	if err != nil {
 		t.Fatal(err)
 	}
-	perQuery := store.loads.Load()
-	if perQuery == 0 {
-		t.Fatal("EXEC query did not load any model; the memo test is vacuous")
+	if len(serial) == 0 {
+		t.Fatal("EXEC query returned nothing; the test is vacuous")
 	}
-
 	const n = 8
 	workload := make([]string, n)
 	for i := range workload {
 		workload[i] = q
 	}
-	store.loads.Store(0)
-	_, errs := eng.QueryBatchContext(ctx, workload)
+	results, errs := eng.QueryBatchContext(ctx, workload)
+	want := mustMarshal(t, serial)
 	for i, err := range errs {
 		if err != nil {
 			t.Fatalf("batch slot %d: %v", i, err)
 		}
+		if got := mustMarshal(t, results[i]); !bytes.Equal(got, want) {
+			t.Fatalf("batch slot %d diverges from serial:\n got %s\nwant %s", i, got, want)
+		}
 	}
-	if got := store.loads.Load(); got != perQuery {
-		t.Fatalf("batch of %d identical EXEC queries loaded %d models, want %d (one memoized pass)",
-			n, got, perQuery)
+	if got := store.loads.Load(); got != 0 {
+		t.Fatalf("an EXEC query and a batch of %d loaded %d models, want 0", n, got)
+	}
+}
+
+// TestExecQueryReadsSnapshotNotStore: once the ladder is indexed, EXEC
+// queries need no model, so with every store Load failing,
+// QueryContext, ExplainContext and QueryBatchContext still answer — and
+// answer as TestExecQueryPathsMatchOracle's oracle does, measuring each
+// model from the repository under the query's setting.
+func TestExecQueryReadsSnapshotNotStore(t *testing.T) {
+	store := &countingStore{Repository: repo.NewInMemory()}
+	eng, refID := newLadderOverStore(t, store)
+	snap := eng.cat.Snapshot()
+	var qs []oracleQuery
+	for i, exec := range []string{" EXEC batch=4", " EXEC batch=16 precision=fp16", " EXEC overhead=0.5"} {
+		qs = append(qs, randomQueries(t, int64(10+i), 40, []string{refID}, false, exec, snap.Profile, snap.IDs())...)
+	}
+	want := make([][]Result, len(qs))
+	texts := make([]string, len(qs))
+	for i, q := range qs {
+		setting, err := execSetting(q.ast.Exec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = snapshotOracle(snap, q.ast, func(id string) (resource.Profile, bool) {
+			m, err := store.Repository.Load(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := resource.NewProfiler(nil).MeasureWith(m, setting)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return p, true
+		})
+		texts[i] = q.text
+	}
+
+	store.fail.Store(true)
+	store.loads.Store(0)
+	ctx := context.Background()
+	rep := &oracleReport{t: t, bad: make(map[string]int)}
+	for i, q := range qs {
+		got, err := eng.QueryContext(ctx, q.text)
+		if err != nil {
+			t.Fatalf("QueryContext(%s): %v", q.text, err)
+		}
+		rep.check("QueryContext", q, got, want[i])
+		exp, err := eng.ExplainContext(ctx, q.text)
+		if err != nil {
+			t.Fatalf("ExplainContext(%s): %v", q.text, err)
+		}
+		rep.check("ExplainContext", q, exp.Results, want[i])
+	}
+	got, errs := eng.QueryBatchContext(ctx, texts)
+	for i, q := range qs {
+		if errs[i] != nil {
+			t.Fatalf("QueryBatchContext(%s): %v", q.text, errs[i])
+		}
+		rep.check("QueryBatchContext", q, got[i], want[i])
+	}
+	rep.summary()
+	if n := store.loads.Load(); n != 0 {
+		t.Fatalf("EXEC queries tried %d store loads, want 0", n)
 	}
 }
 
@@ -246,7 +317,7 @@ func TestQueryCandidateMissingProfileSkipped(t *testing.T) {
 	}
 }
 
-// dropProfile removes one model's resource profile through the
+// dropProfile removes one model's resource footprint through the
 // persistence round trip — the only way index state legitimately
 // re-enters an engine.
 func dropProfile(t *testing.T, eng *Engine, store Store, id string) {
@@ -260,15 +331,15 @@ func dropProfile(t *testing.T, eng *Engine, store Store, id string) {
 		t.Fatal(err)
 	}
 	var res struct {
-		Profiles map[string]resource.Profile `json:"profiles"`
+		Footprints map[string]resource.Footprint `json:"footprints"`
 	}
 	if err := json.Unmarshal(snap["resource"], &res); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := res.Profiles[id]; !ok {
-		t.Fatalf("no profile for %s in snapshot", id)
+	if _, ok := res.Footprints[id]; !ok {
+		t.Fatalf("no footprint for %s in snapshot", id)
 	}
-	delete(res.Profiles, id)
+	delete(res.Footprints, id)
 	raw, err := json.Marshal(res)
 	if err != nil {
 		t.Fatal(err)

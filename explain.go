@@ -6,7 +6,6 @@ import (
 	"sort"
 	"strings"
 
-	"sommelier/internal/catalog"
 	"sommelier/internal/query"
 )
 
@@ -76,8 +75,8 @@ func (e *Explanation) String() string {
 // decisions and per-stage span durations. It is parse plus the same
 // executor every query path uses (queryOne) with a recorder attached,
 // so Results are exactly what QueryContext returns for the same string
-// against the same catalog state — including EXEC re-profiling through
-// the memo and per-candidate cancellation; oracle_test.go pins both to
+// against the same catalog state — including EXEC profiles and
+// per-candidate cancellation; oracle_test.go pins both to
 // the brute-force reading of the query. Like QueryASTContext, every
 // stage reads one catalog snapshot, so the counts add up even under
 // concurrent registration.
@@ -95,7 +94,7 @@ func (e *Engine) ExplainContext(ctx context.Context, q string) (*Explanation, er
 		for _, con := range ast.Constraints {
 			exp.ResourceRejected[con.String()] = 0
 		}
-		exp.Results, err = e.queryOne(ctx, e.cat.Snapshot(), ast, catalog.NewReprofileMemo(), exp)
+		exp.Results, err = e.queryOne(ctx, e.cat.Snapshot(), ast, exp)
 	}
 	if err != nil {
 		e.qm.errors.Inc()

@@ -71,7 +71,7 @@ func BenchmarkPublish(b *testing.B) {
 		for _, l := range []int{8, 64} {
 			b.Run(fmt.Sprintf("N=%d/L=%d", n, l), func(b *testing.B) {
 				var sem index.SemanticSnapshot
-				profiles := make(map[string]resource.Profile, n)
+				footprints := make(map[string]resource.Footprint, n)
 				for i := 0; i < n; i++ {
 					e := index.SemanticEntrySnapshot{ID: fmt.Sprintf("m%d@v1", i), Fingerprint: fmt.Sprintf("fp%d", i)}
 					for j := 1; j <= l; j++ {
@@ -80,10 +80,10 @@ func BenchmarkPublish(b *testing.B) {
 						})
 					}
 					sem.Entries = append(sem.Entries, e)
-					profiles[e.ID] = resource.Profile{FLOPs: int64(i + 1), MemoryBytes: int64(i + 1), LatencyMS: 1}
+					footprints[e.ID] = resource.Footprint{FLOPs: int64(i + 1), ParamBytes: int64(i + 1), PeakActivation: 1, LatencyNS: 1e6}
 				}
 				c := New(Config{Seed: 7, ValidationSize: 4, Workers: 1, Analyzer: tenthAnalyzer{}})
-				if err := c.Restore(sem, index.ResourceSnapshot{Profiles: profiles}, nil, resolve); err != nil {
+				if err := c.Restore(sem, index.ResourceSnapshot{Footprints: footprints}, nil, resolve); err != nil {
 					b.Fatal(err)
 				}
 				b.ReportAllocs()

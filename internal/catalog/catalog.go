@@ -1,18 +1,20 @@
 // Package catalog owns Sommelier's index state: the semantic index
-// (§5.2), the resource-profile table (§5.3's exact side — what stage 2
-// of a query reads), and the default-reference table. All of it that
-// can be read lives once, in the published Snapshot: an immutable value
-// behind an atomic pointer, which readers load without contending with
-// writers or each other. Writers — the staged indexing pipeline in
-// pipeline.go, Annotate, SetDefaultReference, Restore — take one lock
-// among themselves and publish the next snapshot, which holds new
-// copies of the candidate lists and tables the commit changed and
-// shares everything else with the one before.
+// (§5.2), the resource footprint table (§5.3's exact side — what stage
+// 2 of a query derives every profile from), and the default-reference
+// table. All of it that can be read lives once, in the published
+// Snapshot: an immutable value behind an atomic pointer, which readers
+// load without contending with writers or each other. Writers — the
+// staged indexing pipeline in pipeline.go, Annotate,
+// SetDefaultReference, Restore — take one lock among themselves and
+// publish the next snapshot, which holds new copies of the candidate
+// lists and tables the commit changed and shares everything else with
+// the one before.
 package catalog
 
 import (
 	"fmt"
 	"maps"
+	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -119,7 +121,7 @@ func New(cfg Config) *Catalog {
 		c.analyze = func(p *plannedPair) (index.AnalysisResult, error) { return a.Analyze(p.ref, p.cand) }
 	}
 	c.mu.Lock()
-	c.publishLocked(map[string]resource.Profile{}, map[string]string{})
+	c.publishLocked(map[string]resource.Footprint{}, map[string]string{})
 	c.mu.Unlock()
 	c.registerGauges() // after the first publish: the gauges read the snapshot
 	return c
@@ -139,14 +141,9 @@ func (c *Catalog) registerGauges() {
 	reg.GaugeFunc("catalog_semantic_candidates", func() int64 { return int64(c.Snapshot().Stats().Candidates) })
 	reg.GaugeFunc("catalog_semantic_derived", func() int64 { return int64(c.Snapshot().Stats().Derived) })
 	reg.GaugeFunc("catalog_semantic_synthesized", func() int64 { return int64(c.Snapshot().Stats().Synthesized) })
-	reg.GaugeFunc("catalog_resource_profiles", func() int64 { return int64(len(c.Snapshot().profiles)) })
+	reg.GaugeFunc("catalog_resource_profiles", func() int64 { return int64(len(c.Snapshot().footprints)) })
 	reg.GaugeFunc("catalog_evidence_entries", func() int64 { return int64(c.Snapshot().evidence) })
 }
-
-// Profiler returns the catalog's resource profiler (safe for concurrent
-// use), so callers can re-profile models under non-default execution
-// settings.
-func (c *Catalog) Profiler() *resource.Profiler { return c.profiler }
 
 // SetDefaultReference sets the reference model used when a query names
 // a task category instead of a model (§5.1).
@@ -159,7 +156,7 @@ func (c *Catalog) SetDefaultReference(task, id string) error {
 	}
 	refs := maps.Clone(cur.refs)
 	refs[task] = id
-	c.publishLocked(cur.profiles, refs)
+	c.publishLocked(cur.footprints, refs)
 	return nil
 }
 
@@ -205,38 +202,51 @@ func (c *Catalog) Annotate(id string, levels map[string]float64) error {
 			return err
 		}
 	}
-	c.publishLocked(cur.profiles, cur.refs)
+	c.publishLocked(cur.footprints, cur.refs)
 	return nil
 }
 
 // MemoryBytes estimates the in-memory footprints of the semantic index
-// and of the profile table (ID bytes plus one Profile per model).
+// and of the footprint table (ID bytes plus one 32-byte Footprint per
+// model).
 func (c *Catalog) MemoryBytes() (semantic, res int64) {
 	snap := c.Snapshot()
-	for id := range snap.profiles {
+	for id := range snap.footprints {
 		res += int64(len(id)) + 32
 	}
 	return snap.MemoryBytes(), res
 }
 
 // Export captures the catalog's serializable state (§5.5 persistence):
-// the semantic snapshot, the profile table, and the default-reference
+// the semantic snapshot, the footprint table, and the default-reference
 // table. It is a writer as far as the lock goes: the measured diffs it
 // copies are writer state.
 func (c *Catalog) Export() (index.SemanticSnapshot, index.ResourceSnapshot, map[string]string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	cur := c.snap.Load()
-	return c.writer.Snapshot(), index.ResourceSnapshot{Profiles: maps.Clone(cur.profiles)}, maps.Clone(cur.refs)
+	return c.writer.Snapshot(), index.ResourceSnapshot{Footprints: maps.Clone(cur.footprints)}, maps.Clone(cur.refs)
 }
 
 // Restore replaces the catalog's contents with previously exported
 // state. resolve maps model IDs back to graphs (normally repo.Load) so
-// future insertions can analyze against restored entries.
+// future insertions can analyze against restored entries. A footprint
+// without an ID, with a negative count or with a negative or non-finite
+// latency is refused before anything is replaced.
 func (c *Catalog) Restore(sem index.SemanticSnapshot, res index.ResourceSnapshot,
 	refs map[string]string, resolve func(id string) (*graph.Model, error)) error {
-	if _, ok := res.Profiles[""]; ok {
-		return fmt.Errorf("catalog: resource snapshot has a profile without an ID")
+	if _, ok := res.Footprints[""]; ok {
+		return fmt.Errorf("catalog: resource snapshot has a footprint without an ID")
+	}
+	bad := "" // the least offending ID, so the error names the same one every time
+	for id, f := range res.Footprints {
+		if (f.FLOPs < 0 || f.ParamBytes < 0 || f.PeakActivation < 0 ||
+			!(f.LatencyNS >= 0 && f.LatencyNS <= math.MaxFloat64)) && (bad == "" || id < bad) {
+			bad = id
+		}
+	}
+	if bad != "" {
+		return fmt.Errorf("catalog: footprint of %q is negative or not finite: %+v", bad, res.Footprints[bad])
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -245,11 +255,11 @@ func (c *Catalog) Restore(sem index.SemanticSnapshot, res index.ResourceSnapshot
 	}
 	// Copied into fresh maps (never nil): the caller keeps its own, and
 	// later commits write to clones of these.
-	profiles := make(map[string]resource.Profile, len(res.Profiles))
-	maps.Copy(profiles, res.Profiles)
+	footprints := make(map[string]resource.Footprint, len(res.Footprints))
+	maps.Copy(footprints, res.Footprints)
 	defaultRefs := make(map[string]string, len(refs))
 	maps.Copy(defaultRefs, refs)
 	clear(c.evidence) // restored entries are observed again when sampled
-	c.publishLocked(profiles, defaultRefs)
+	c.publishLocked(footprints, defaultRefs)
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"testing"
 
 	"sommelier/internal/dataset"
@@ -201,19 +202,20 @@ func TestProbeCacheCustomDataset(t *testing.T) {
 	}
 }
 
-// TestResourceSnapshotRoundTrip: the exported profile table restores
+// TestResourceSnapshotRoundTrip: the exported footprint table restores
 // into another catalog, replacing (not merging with) what it held, and
-// a profile without an ID is rejected before anything is replaced.
+// a footprint without an ID or with a negative or non-finite field is
+// rejected before anything is replaced.
 func TestResourceSnapshotRoundTrip(t *testing.T) {
-	profiles := make(map[string]resource.Profile)
+	footprints := make(map[string]resource.Footprint)
 	var sem index.SemanticSnapshot
 	for i := 0; i < 20; i++ {
 		id := fmt.Sprintf("m%d", i)
-		profiles[id] = resource.Profile{FLOPs: int64(i + 1), MemoryBytes: int64(100 * (i + 1)), LatencyMS: float64(i)}
+		footprints[id] = resource.Footprint{FLOPs: int64(i + 1), ParamBytes: int64(100 * (i + 1)), PeakActivation: int64(i), LatencyNS: float64(i) * 1e6}
 		sem.Entries = append(sem.Entries, index.SemanticEntrySnapshot{ID: id, Fingerprint: id})
 	}
 	src := New(Config{Seed: 2})
-	if err := src.Restore(sem, index.ResourceSnapshot{Profiles: profiles}, nil, nil); err != nil {
+	if err := src.Restore(sem, index.ResourceSnapshot{Footprints: footprints}, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	_, exported, _ := src.Export()
@@ -223,12 +225,21 @@ func TestResourceSnapshotRoundTrip(t *testing.T) {
 	if err := dst.Index(context.Background(), stale.ID, stale.Model); err != nil {
 		t.Fatal(err)
 	}
-	bad := index.ResourceSnapshot{Profiles: map[string]resource.Profile{"": {FLOPs: 1}}}
-	if err := dst.Restore(sem, bad, nil, nil); err == nil {
-		t.Fatal("expected an error for a profile without an ID")
-	}
-	if _, ok := dst.Snapshot().Profile(stale.ID); !ok {
-		t.Fatal("rejected restore must leave the catalog untouched")
+	for _, bad := range []map[string]resource.Footprint{
+		{"": {FLOPs: 1}},
+		{"m0": {FLOPs: -1}},
+		{"m0": {ParamBytes: -1}},
+		{"m0": {PeakActivation: -1}},
+		{"m0": {LatencyNS: -1}},
+		{"m0": {LatencyNS: math.NaN()}},
+		{"m0": {LatencyNS: math.Inf(1)}},
+	} {
+		if err := dst.Restore(sem, index.ResourceSnapshot{Footprints: bad}, nil, nil); err == nil {
+			t.Fatalf("expected an error for footprints %+v", bad)
+		}
+		if _, ok := dst.Snapshot().Profile(stale.ID); !ok {
+			t.Fatal("rejected restore must leave the catalog untouched")
+		}
 	}
 	if err := dst.Restore(sem, exported, nil, nil); err != nil {
 		t.Fatal(err)
@@ -237,13 +248,13 @@ func TestResourceSnapshotRoundTrip(t *testing.T) {
 	if _, ok := snap.Profile(stale.ID); ok {
 		t.Fatal("restore kept stale entry")
 	}
-	for id, want := range profiles {
-		if got, ok := snap.Profile(id); !ok || got != want {
-			t.Fatalf("profile %s = %+v (ok=%v), want %+v", id, got, ok, want)
+	for id, f := range footprints {
+		if got, ok := snap.Profile(id); !ok || got != f.Under(resource.DefaultSetting()) {
+			t.Fatalf("profile %s = %+v (ok=%v), want %+v", id, got, ok, f.Under(resource.DefaultSetting()))
 		}
 	}
 	// The export is a copy: mutating it must not reach the catalog.
-	delete(exported.Profiles, "m0")
+	delete(exported.Footprints, "m0")
 	if _, ok := dst.Snapshot().Profile("m0"); !ok {
 		t.Fatal("restored catalog aliases the snapshot's map")
 	}

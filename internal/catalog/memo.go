@@ -32,10 +32,3 @@ func (m *memo[K, V]) get(key K, fill func() (V, error)) (V, error) {
 	e.once.Do(func() { e.val, e.err = fill() })
 	return e.val, e.err
 }
-
-// len reports how many distinct keys were asked for.
-func (m *memo[K, V]) len() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.entries)
-}

@@ -64,7 +64,7 @@ type insertion struct {
 	entry       index.Entry
 	pairs       []*plannedPair // in the plan's draw order
 	fingerprint string
-	prof        resource.Profile
+	footprint   resource.Footprint
 	err         error // profiling failure
 }
 
@@ -117,7 +117,7 @@ func (c *Catalog) indexEntries(ctx context.Context, entries []index.Entry) (int,
 	for _, in := range ins {
 		c.runTask(actx, &wg, "profile", in.entry.ID, func() {
 			in.fingerprint = in.entry.Model.Fingerprint()
-			if in.prof, in.err = c.profiler.Measure(in.entry.Model); in.err != nil {
+			if in.footprint, in.err = c.profiler.Footprint(in.entry.Model); in.err != nil {
 				in.err = fmt.Errorf("catalog: profiling %q: %w", in.entry.ID, in.err)
 			}
 		})
@@ -155,8 +155,8 @@ func (c *Catalog) indexEntries(ctx context.Context, entries []index.Entry) (int,
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	cur := c.snap.Load()
-	profiles, refs := maps.Clone(cur.profiles), maps.Clone(cur.refs)
-	committed, err := c.commitLocked(ins, profiles, refs)
+	footprints, refs := maps.Clone(cur.footprints), maps.Clone(cur.refs)
+	committed, err := c.commitLocked(ins, footprints, refs)
 	for _, o := range observations {
 		// Evidence is kept only for the model object the index holds:
 		// not for an entry this call did not commit, nor for one that
@@ -165,7 +165,7 @@ func (c *Catalog) indexEntries(ctx context.Context, entries []index.Entry) (int,
 			c.evidence[o.key] = o.ev
 		}
 	}
-	c.publishLocked(profiles, refs)
+	c.publishLocked(footprints, refs)
 	c.obs.Counter("catalog_models_indexed_total").Add(int64(committed))
 	return committed, err
 }
@@ -232,9 +232,9 @@ func (c *Catalog) plan(entries []index.Entry) ([]*insertion, []*observation, err
 // profiling or analysis failure. A commit that finds its ID already
 // indexed lost a race with a concurrent writer and is skipped — check
 // and insert share one critical section, so there is no window for
-// double insertion. Profiles and first-of-a-task default references go
-// into the caller's clones of the two tables. Callers hold c.mu.
-func (c *Catalog) commitLocked(ins []*insertion, profiles map[string]resource.Profile, refs map[string]string) (int, error) {
+// double insertion. Footprints and first-of-a-task default references
+// go into the caller's clones of the two tables. Callers hold c.mu.
+func (c *Catalog) commitLocked(ins []*insertion, footprints map[string]resource.Footprint, refs map[string]string) (int, error) {
 	committed := 0
 	for _, in := range ins {
 		err := in.err
@@ -255,7 +255,7 @@ func (c *Catalog) commitLocked(ins []*insertion, profiles map[string]resource.Pr
 			}
 			return committed, err
 		}
-		profiles[in.entry.ID] = in.prof
+		footprints[in.entry.ID] = in.footprint
 		// A task category's first model is its default reference.
 		task := string(in.entry.Model.Task)
 		if _, ok := refs[task]; !ok {

@@ -191,8 +191,8 @@ func TestSnapshotsShareAndStayFrozen(t *testing.T) {
 				t.Fatalf("%s: %q's list did not change but was copied", op, id)
 			}
 		}
-		if !profilesChanged && tableOf(prev.profiles) != tableOf(cur.profiles) {
-			t.Fatalf("%s: profile table copied though no profile changed", op)
+		if !profilesChanged && tableOf(prev.footprints) != tableOf(cur.footprints) {
+			t.Fatalf("%s: footprint table copied though no footprint changed", op)
 		}
 		if !refsChanged && tableOf(prev.refs) != tableOf(cur.refs) {
 			t.Fatalf("%s: default-reference table copied though no reference changed", op)

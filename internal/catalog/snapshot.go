@@ -10,7 +10,7 @@ import (
 // Snapshot is one immutable version of everything the catalog lets
 // readers see — and the only copy of it: a version of the semantic
 // index, whose read methods (Len, Contains, IDs, Lookup, TopK,
-// LookupByFingerprint) it carries, the profile table and the
+// LookupByFingerprint) it carries, the footprint table and the
 // default-reference table. A query (or Explain) grabs one Snapshot and
 // runs every stage of the §5.4 pipeline against it, so its answers are
 // internally consistent even while writers commit new models — and it
@@ -22,10 +22,10 @@ import (
 // not be written to; sommlint's snapcheck enforces that.
 type Snapshot struct {
 	*version
-	profiles map[string]resource.Profile
-	refs     map[string]string
-	stats    func() index.Stats
-	evidence int // models whose observation the writer had cached at publish
+	footprints map[string]resource.Footprint
+	refs       map[string]string
+	stats      func() index.Stats
+	evidence   int // models whose observation the writer had cached at publish
 }
 
 // version keeps the embedded field unexported: the read methods are
@@ -41,19 +41,29 @@ func (c *Catalog) Snapshot() *Snapshot { return c.snap.Load() }
 // swaps it in. A commit that changed a table passes a clone it wrote
 // to; one that did not passes the current snapshot's table, which the
 // next one then shares. Callers hold c.mu.
-func (c *Catalog) publishLocked(profiles map[string]resource.Profile, refs map[string]string) {
+func (c *Catalog) publishLocked(footprints map[string]resource.Footprint, refs map[string]string) {
 	v := c.writer.Version()
-	c.snap.Store(&Snapshot{version: v, profiles: profiles, refs: refs, stats: sync.OnceValue(v.Stats), evidence: len(c.evidence)})
+	c.snap.Store(&Snapshot{version: v, footprints: footprints, refs: refs, stats: sync.OnceValue(v.Stats), evidence: len(c.evidence)})
 }
 
 // Stats is the semantic version's size digest, counted on first use and
 // kept: a metrics scrape reads four gauges from one walk.
 func (s *Snapshot) Stats() index.Stats { return s.stats() }
 
-// Profile returns the stored resource profile for id.
+// Profile returns id's resource profile under the default execution
+// setting.
 func (s *Snapshot) Profile(id string) (resource.Profile, bool) {
-	p, ok := s.profiles[id]
-	return p, ok
+	return s.ProfileUnder(id, resource.DefaultSetting())
+}
+
+// ProfileUnder returns id's resource profile under an execution setting,
+// derived from its indexed footprint: no model is loaded or walked.
+func (s *Snapshot) ProfileUnder(id string, setting resource.ExecSetting) (resource.Profile, bool) {
+	f, ok := s.footprints[id]
+	if !ok {
+		return resource.Profile{}, false
+	}
+	return f.Under(setting), true
 }
 
 // DefaultReference resolves a task category to its reference model ID.

@@ -60,8 +60,8 @@ func (r *EngineReplica) Query(ctx context.Context, q string) ([]cluster.Result, 
 }
 
 // QueryBatch answers the whole batch through the engine's batched
-// query path — one catalog snapshot and one reprofile memo for all
-// queries — with the same unknown-reference-is-empty mapping as Query.
+// query path — one catalog snapshot for all queries — with the same
+// unknown-reference-is-empty mapping as Query.
 func (r *EngineReplica) QueryBatch(ctx context.Context, qs []string) ([][]cluster.Result, []error, error) {
 	rss, qerrs := r.eng.QueryBatchContext(ctx, qs)
 	results := make([][]cluster.Result, len(qs))

@@ -94,7 +94,8 @@ func (s *SemanticIndex) Restore(snap SemanticSnapshot, resolve func(id string) (
 }
 
 // ResourceSnapshot is the serialized resource side of a catalog: the
-// profile table. LSH state was never part of the wire shape.
+// footprint table, from which every profile is derived. LSH state was
+// never part of the wire shape.
 type ResourceSnapshot struct {
-	Profiles map[string]resource.Profile `json:"profiles"`
+	Footprints map[string]resource.Footprint `json:"footprints"`
 }

@@ -142,7 +142,7 @@ func (p *blockPass) run(in activation, n int) (activation, int, error) {
 		case graph.OpSoftmax:
 			// Row-wise softmax of the block matrix is each sample's softmax.
 			out = p.alloc(src.shape, n)
-			copy(out.rows(), tensor.Softmax(tensor.FromSlice(src.rows(), n, src.width)).Data())
+			tensor.SoftmaxRows(out.rows(), src.rows(), src.width)
 		case graph.OpFlatten:
 			out = activation{shape: tensor.Shape{src.width}, width: src.width, buf: src.buf}
 			out.buf.users++

@@ -2,6 +2,7 @@ package resource
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"sommelier/internal/graph"
@@ -72,13 +73,27 @@ func measureOracle(p *Profiler, m *graph.Model, setting ExecSetting) (Profile, e
 }
 
 // TestMeasureMatchesOracle: every zoo family, under the default setting
-// and the three knobs an EXEC spec turns, profiles bit for bit as the
-// two-sort body did; broken graphs fail with the same error.
+// and the three knobs an EXEC spec turns — including the zero values
+// MeasureWith normalises — profiles bit for bit as the two-sort body
+// that measured under the setting did; broken graphs fail with the same
+// error.
 func TestMeasureMatchesOracle(t *testing.T) {
 	settings := []ExecSetting{DefaultSetting(),
 		{Name: "batch8", BatchSize: 8, ActivationBytes: 4, RuntimeOverhead: 0.05},
 		{Name: "fp16", BatchSize: 1, ActivationBytes: 2, RuntimeOverhead: 0.05},
 		{Name: "overhead", BatchSize: 1, ActivationBytes: 4, RuntimeOverhead: 0.3},
+		{Name: "batch0", BatchSize: 0, ActivationBytes: 4, RuntimeOverhead: 0.05},
+		{Name: "batch64", BatchSize: 64, ActivationBytes: 4, RuntimeOverhead: 0.05},
+		{Name: "bytes0", BatchSize: 1, ActivationBytes: 0, RuntimeOverhead: 0.05},
+		{Name: "bytes2", BatchSize: 1, ActivationBytes: 2, RuntimeOverhead: 0.05},
+		{Name: "overhead0", BatchSize: 1, ActivationBytes: 4, RuntimeOverhead: 0},
+		{Name: "overhead0.5", BatchSize: 1, ActivationBytes: 4, RuntimeOverhead: 0.5},
+		{Name: "zero"},
+		{Name: "mixed", BatchSize: 64, ActivationBytes: 2, RuntimeOverhead: 0.5},
+	}
+	sameBits := func(a, b Profile) bool {
+		return a.FLOPs == b.FLOPs && a.MemoryBytes == b.MemoryBytes &&
+			math.Float64bits(a.LatencyMS) == math.Float64bits(b.LatencyMS)
 	}
 	p := NewProfiler(nil)
 	var models []*graph.Model
@@ -93,7 +108,7 @@ func TestMeasureMatchesOracle(t *testing.T) {
 		for _, s := range settings {
 			got, gotErr := p.MeasureWith(m, s)
 			want, wantErr := measureOracle(p, m, s)
-			if got != want || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+			if !sameBits(got, want) || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
 				t.Errorf("%s under %s: %+v (%v), oracle %+v (%v)", m.Name, s.Name, got, gotErr, want, wantErr)
 			}
 		}
@@ -114,7 +129,7 @@ func TestMeasureMatchesOracle(t *testing.T) {
 	}
 }
 
-// BenchmarkMeasureWith is the per-candidate cost of an EXEC query.
+// BenchmarkMeasureWith is the index-time footprint walk plus one Under.
 func BenchmarkMeasureWith(b *testing.B) {
 	m, err := zoo.Build("dense-residual", zoo.Config{Name: "m", Seed: 1, Depth: 3, Width: 64})
 	if err != nil {

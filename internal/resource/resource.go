@@ -7,23 +7,27 @@ package resource
 
 import (
 	"fmt"
+	"math"
 
 	"sommelier/internal/graph"
 	"sommelier/internal/tensor"
 )
 
-// Profile is a model's resource vector. All fields are per-sample.
+// Profile is a model's resource vector under one execution setting
+// (Footprint.Under): FLOPs are per sample, memory and latency are for
+// one batch of the setting.
 type Profile struct {
 	// FLOPs counts multiply-accumulate operations (×2) across all
-	// compute-intensive operators.
+	// compute-intensive operators, for one sample.
 	FLOPs int64
 	// MemoryBytes is the parameter storage plus the peak simultaneous
-	// intermediate tensor footprint, at 4 bytes per element (models
-	// serve in float32 even though this reproduction computes in
-	// float64).
+	// intermediate tensor footprint of a batch, plus the runtime
+	// overhead. The default setting counts 4 bytes per activation
+	// (models serve in float32 even though this reproduction computes
+	// in float64).
 	MemoryBytes int64
 	// LatencyMS is the critical-path latency estimate from the
-	// per-operator table, in milliseconds.
+	// per-operator table, in milliseconds, for a batch.
 	LatencyMS float64
 }
 
@@ -190,24 +194,74 @@ func (p *Profiler) Measure(m *graph.Model) (Profile, error) {
 }
 
 // MeasureWith computes the model's profile under a specific execution
-// setting. It walks the one topological order graph.Model.InferShapes
-// sorted and shaped, with finish times kept by position in it.
+// setting: its footprint, under the setting.
 func (p *Profiler) MeasureWith(m *graph.Model, setting ExecSetting) (Profile, error) {
+	f, err := p.Footprint(m)
+	if err != nil {
+		return Profile{}, err
+	}
+	return f.Under(setting), nil
+}
+
+// Footprint is what a model costs before an execution setting applies:
+// the one graph walk every profile of the model is derived from, so a
+// setting is arithmetic on it rather than a re-measurement (Figure
+// 12(a)). It is 32 bytes.
+type Footprint struct {
+	// FLOPs is per sample, as in Profile.
+	FLOPs int64
+	// ParamBytes is the parameter storage, at 4 bytes per element.
+	ParamBytes int64
+	// PeakActivation is the largest number of intermediate tensor
+	// elements live at once, per sample. Kept in elements: for any
+	// positive bytes-per-element × batch k, the peak of live·k over the
+	// layers is k times the peak of live, so no setting needs the walk.
+	PeakActivation int64
+	// LatencyNS is the critical-path latency of one sample, in
+	// nanoseconds.
+	LatencyNS float64
+}
+
+// Under returns the footprint's profile under an execution setting: the
+// activation peak scaled by precision and batch, parameters added, the
+// runtime overhead applied, latency scaled by batch. A memory figure
+// past the int64 range saturates at math.MaxInt64, so an absurd setting
+// fails every finite memory budget instead of wrapping into a small one.
+func (f Footprint) Under(setting ExecSetting) Profile {
+	batch, elem := int64(setting.BatchSize), int64(setting.ActivationBytes)
+	if batch <= 0 {
+		batch = 1
+	}
+	if elem <= 0 {
+		elem = bytesPerElement
+	}
+	mem := int64(math.MaxInt64)
+	// Each product, and the parameter sum with the last, is checked by
+	// division before it is taken; 2⁶³ is the first float64 past int64,
+	// and NaN fails that test too.
+	if pe := f.PeakActivation; pe <= math.MaxInt64/elem && pe*elem <= (math.MaxInt64-f.ParamBytes)/batch {
+		if m := float64(f.ParamBytes+pe*elem*batch) * (1 + setting.RuntimeOverhead); m < 1<<63 {
+			mem = int64(m)
+		}
+	}
+	return Profile{
+		FLOPs:       f.FLOPs,
+		MemoryBytes: mem,
+		LatencyMS:   f.LatencyNS * float64(batch) / 1e6,
+	}
+}
+
+// Footprint walks the model once, in the one topological order
+// graph.Model.InferShapes sorted and shaped, with finish times kept by
+// position in it.
+func (p *Profiler) Footprint(m *graph.Model) (Footprint, error) {
 	so, err := m.InferShapes()
 	if err != nil {
-		return Profile{}, fmt.Errorf("resource: %w", err)
+		return Footprint{}, fmt.Errorf("resource: %w", err)
 	}
 	order, shapes, pos := so.Layers, so.Shapes, so.Pos
-	if setting.BatchSize <= 0 {
-		setting.BatchSize = 1
-	}
-	if setting.ActivationBytes <= 0 {
-		setting.ActivationBytes = bytesPerElement
-	}
 
-	var flops int64
-	var paramBytes int64
-	var peakActivation int64
+	var f Footprint
 	// finish[i] is the time at which layer order[i] completes; the
 	// model latency is the completion time of the sink — the longest
 	// path of §5.3.
@@ -230,12 +284,12 @@ func (p *Profiler) MeasureWith(m *graph.Model, setting ExecSetting) (Profile, er
 		if l.Op == graph.OpInput {
 			opIn = shapes[i : i+1]
 		}
-		f, err := opFLOPs(l, opIn, shapes[i])
+		flops, err := opFLOPs(l, opIn, shapes[i])
 		if err != nil {
-			return Profile{}, fmt.Errorf("resource: layer %q: %w", l.Name, err)
+			return Footprint{}, fmt.Errorf("resource: layer %q: %w", l.Name, err)
 		}
-		flops += f
-		paramBytes += l.ParamCount() * bytesPerElement
+		f.FLOPs += flops
+		f.ParamBytes += l.ParamCount() * bytesPerElement
 
 		// Simple liveness model: a layer's inputs and output are live
 		// simultaneously while it runs; track the max across layers.
@@ -243,26 +297,16 @@ func (p *Profiler) MeasureWith(m *graph.Model, setting ExecSetting) (Profile, er
 		for _, s := range in {
 			live += int64(s.NumElements())
 		}
-		act := live * int64(setting.ActivationBytes) * int64(setting.BatchSize)
-		if act > peakActivation {
-			peakActivation = act
-		}
+		f.PeakActivation = max(f.PeakActivation, live)
 
-		finish[i] = ready + p.opLatencyNS(l, f, shapes[i])
+		finish[i] = ready + p.opLatencyNS(l, flops, shapes[i])
 	}
-
-	var latNS float64
 	for _, t := range finish {
-		if t > latNS {
-			latNS = t
+		if t > f.LatencyNS {
+			f.LatencyNS = t
 		}
 	}
-	mem := float64(paramBytes+peakActivation) * (1 + setting.RuntimeOverhead)
-	return Profile{
-		FLOPs:       flops,
-		MemoryBytes: int64(mem),
-		LatencyMS:   latNS * float64(setting.BatchSize) / 1e6,
-	}, nil
+	return f, nil
 }
 
 func (p *Profiler) opLatencyNS(l *graph.Layer, flops int64, out tensor.Shape) float64 {

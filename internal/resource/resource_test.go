@@ -1,6 +1,7 @@
 package resource
 
 import (
+	"math"
 	"testing"
 
 	"sommelier/internal/graph"
@@ -184,5 +185,32 @@ func TestMeasureInvalidModel(t *testing.T) {
 		}}
 	if _, err := NewProfiler(nil).Measure(m); err == nil {
 		t.Fatal("expected error for invalid graph")
+	}
+}
+
+// TestUnderSaturatesMemory: a setting whose activation term or overhead
+// carries memory past int64 reports math.MaxInt64 — never a wrapped,
+// smaller or negative figure — and the largest settings that fit are
+// exact.
+func TestUnderSaturatesMemory(t *testing.T) {
+	f := Footprint{FLOPs: 10, ParamBytes: 1000, PeakActivation: 8, LatencyNS: 500}
+	for _, s := range []ExecSetting{
+		{BatchSize: 1 << 61, ActivationBytes: 4},                         // product wraps
+		{BatchSize: 1, ActivationBytes: 1 << 61},                         // bytes per element alone wraps
+		{BatchSize: (math.MaxInt64 - 500) / 8, ActivationBytes: 1},       // sum past int64
+		{BatchSize: 1, ActivationBytes: 4, RuntimeOverhead: 1e17},        // conversion past int64
+		{BatchSize: 1, ActivationBytes: 4, RuntimeOverhead: math.Inf(1)}, // infinite
+		{BatchSize: 1, ActivationBytes: 4, RuntimeOverhead: math.NaN()},  // no figure at all
+	} {
+		if got := f.Under(s).MemoryBytes; got != math.MaxInt64 {
+			t.Errorf("%+v: MemoryBytes = %d, want saturation at %d", s, got, int64(math.MaxInt64))
+		}
+	}
+	if got, want := f.Under(ExecSetting{BatchSize: 1 << 40, ActivationBytes: 4}).MemoryBytes, int64(1000+8*4<<40); got != want {
+		t.Errorf("in-range batch: MemoryBytes = %d, want %d", got, want)
+	}
+	mem := float64(1000+8*4) * 1.05
+	if got := f.Under(DefaultSetting()); got != (Profile{FLOPs: 10, MemoryBytes: int64(mem), LatencyMS: 500.0 / 1e6}) {
+		t.Errorf("default setting: %+v", got)
 	}
 }

@@ -235,11 +235,20 @@ func Softmax(a *Tensor) *Tensor {
 		panic(fmt.Errorf("%w: Softmax needs rank 1 or 2, got %v", ErrShape, a.shape))
 	}
 	out := New(a.shape...)
-	n := a.shape[a.shape.Rank()-1]
-	for lo := 0; lo < len(a.data); lo += n {
-		softmaxRow(out.data[lo:lo+n], a.data[lo:lo+n])
-	}
+	SoftmaxRows(out.data, a.data, a.shape[a.shape.Rank()-1])
 	return out
+}
+
+// SoftmaxRows writes the softmax of each width-long row of src into the
+// same row of dst, which must be as long as src — Softmax without the
+// output tensor, for callers that own the storage.
+func SoftmaxRows(dst, src []float64, width int) {
+	if len(dst) != len(src) || len(src) > 0 && (width <= 0 || len(src)%width != 0) {
+		panic(fmt.Errorf("%w: SoftmaxRows of %d values into %d in rows of %d", ErrShape, len(src), len(dst), width))
+	}
+	for lo := 0; lo < len(src); lo += width {
+		softmaxRow(dst[lo:lo+width], src[lo:lo+width])
+	}
 }
 
 func softmaxRow(out, row []float64) {

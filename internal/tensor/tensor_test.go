@@ -284,6 +284,14 @@ func TestSoftmaxProperties(t *testing.T) {
 	if !almostEqual(sm.Data()[2]+sm.Data()[3], 1, 1e-12) {
 		t.Fatal("row 1 not normalized")
 	}
+	// Into caller storage, the same bits.
+	dst := make([]float64, 4)
+	SoftmaxRows(dst, m.Data(), 2)
+	for i, v := range dst {
+		if math.Float64bits(v) != math.Float64bits(sm.Data()[i]) {
+			t.Fatalf("SoftmaxRows[%d] = %v, Softmax %v", i, v, sm.Data()[i])
+		}
+	}
 }
 
 func TestSoftmaxNumericalStability(t *testing.T) {

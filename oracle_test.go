@@ -20,8 +20,9 @@ import (
 // oracle answers a parsed query by the brute-force reading of §5.4 over
 // all, every candidate of the reference: level ≥ threshold, every
 // constraint by plain arithmetic on the profile, PICK order with ID
-// tie-break, LIMIT. No thresholded index lookup, no LSH, no memo, no
-// batch, no shard — every query path must return exactly this. profile
+// tie-break, LIMIT. No thresholded index lookup, no LSH, no footprint
+// arithmetic, no batch, no shard — every query path must return exactly
+// this. profile
 // supplies the profile a model is judged by (indexed, or measured under
 // the query's EXEC setting).
 func oracle(q *query.Query, all []index.Candidate, refProf resource.Profile,
@@ -95,27 +96,29 @@ var oracleRefs = []string{"ref0", "ref1", "ref2"}
 // restoreSyntheticCatalog fills eng's catalog, with no models behind
 // it, with the references' random candidate lists over models
 // m<first>…m<first+n-1>: levels on a 1% grid (so ties and exact
-// threshold hits occur), profiles log-spread over 1 MB–1 GB, 1 MFLOP–
-// 1 TFLOP and 0.1 ms–1 s, every tenth model without a profile, and —
-// when dups is set — some models listed twice (whole and synthesized).
+// threshold hits occur), footprints log-spread over 1 MB–1 GB of
+// parameters and 0.25–256 M activation elements, 1 MFLOP–1 TFLOP and
+// 0.1 ms–1 s, every tenth model without one, and — when dups is set —
+// some models listed twice (whole and synthesized).
 func restoreSyntheticCatalog(t *testing.T, eng *Engine, seed int64, first, n int, dups bool) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	profile := func() resource.Profile {
-		return resource.Profile{
-			MemoryBytes: int64(logUniform(rng, 1, 1024)) << 20,
-			FLOPs:       int64(logUniform(rng, 1e6, 1e12)),
-			LatencyMS:   logUniform(rng, 0.1, 1000),
+	footprint := func() resource.Footprint {
+		return resource.Footprint{
+			ParamBytes:     int64(logUniform(rng, 1, 1024)) << 20,
+			PeakActivation: int64(logUniform(rng, 1, 1024)) << 18,
+			FLOPs:          int64(logUniform(rng, 1e6, 1e12)),
+			LatencyNS:      logUniform(rng, 1e5, 1e9),
 		}
 	}
 	var sem index.SemanticSnapshot
-	res := index.ResourceSnapshot{Profiles: make(map[string]resource.Profile)}
+	res := index.ResourceSnapshot{Footprints: make(map[string]resource.Footprint)}
 	ids := make([]string, n)
 	for i := range ids {
 		ids[i] = fmt.Sprintf("m%03d", first+i)
 		sem.Entries = append(sem.Entries, index.SemanticEntrySnapshot{ID: ids[i], Fingerprint: "fp-" + ids[i]})
 		if i%10 != 7 {
-			res.Profiles[ids[i]] = profile()
+			res.Footprints[ids[i]] = footprint()
 		}
 	}
 	for _, ref := range oracleRefs {
@@ -132,7 +135,7 @@ func restoreSyntheticCatalog(t *testing.T, eng *Engine, seed int64, first, n int
 		}
 		sort.SliceStable(cands, func(i, j int) bool { return cands[i].Level > cands[j].Level })
 		sem.Entries = append(sem.Entries, index.SemanticEntrySnapshot{ID: ref, Fingerprint: "fp-" + ref, Candidates: cands})
-		res.Profiles[ref] = profile()
+		res.Footprints[ref] = footprint()
 	}
 	if err := eng.cat.Restore(sem, res, map[string]string{"classification": "ref0"}, nil); err != nil {
 		t.Fatal(err)
@@ -309,7 +312,7 @@ func TestExecQueryPathsMatchOracle(t *testing.T) {
 		qs = append(qs, randomQueries(t, int64(10+i), 40, []string{refID}, false, exec, snap.Profile, snap.IDs())...)
 	}
 	checkAgainstOracle(t, eng, qs, func(q *query.Query) func(string) (resource.Profile, bool) {
-		setting, _, err := execSetting(q.Exec)
+		setting, err := execSetting(q.Exec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -318,7 +321,7 @@ func TestExecQueryPathsMatchOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			p, err := eng.cat.Profiler().MeasureWith(m, setting)
+			p, err := resource.NewProfiler(nil).MeasureWith(m, setting)
 			if err != nil {
 				t.Fatal(err)
 			}

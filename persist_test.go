@@ -102,9 +102,41 @@ func TestLoadIndexesErrors(t *testing.T) {
 	}
 	// Snapshot referencing a model absent from the repository.
 	if err := eng.LoadIndexes(strings.NewReader(
-		`{"version":1,"semantic":{"entries":[{"id":"ghost@1","fingerprint":"x"}]},"resource":{"profiles":{}}}`,
+		`{"version":2,"semantic":{"entries":[{"id":"ghost@1","fingerprint":"x"}]},"resource":{"footprints":{}}}`,
 	)); err == nil {
 		t.Fatal("expected missing-model error")
+	}
+	// A version-1 snapshot holds default-setting profiles, which no
+	// footprint can be recovered from: refused, with what to do instead.
+	err = eng.LoadIndexes(strings.NewReader(
+		`{"version":1,"semantic":{"entries":[]},"resource":{"profiles":{}}}`,
+	))
+	if err == nil || !strings.Contains(err.Error(), "re-index the models") {
+		t.Fatalf("version-1 snapshot: err = %v, want the re-index message", err)
+	}
+	// A footprint with a negative count or latency is refused, and the
+	// refused snapshot leaves SaveIndexes output as it was.
+	var before bytes.Buffer
+	if err := eng.SaveIndexes(&before); err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range []string{
+		`{"FLOPs":-1,"ParamBytes":0,"PeakActivation":0,"LatencyNS":0}`,
+		`{"FLOPs":0,"ParamBytes":-1,"PeakActivation":0,"LatencyNS":0}`,
+		`{"FLOPs":0,"ParamBytes":0,"PeakActivation":-9223372036854775808,"LatencyNS":0}`,
+		`{"FLOPs":0,"ParamBytes":0,"PeakActivation":0,"LatencyNS":-0.5}`,
+	} {
+		in := `{"version":2,"semantic":{"entries":[{"id":"m@1","fingerprint":"x"}]},"resource":{"footprints":{"m@1":` + row + `}}}`
+		if err := eng.LoadIndexes(strings.NewReader(in)); err == nil || !strings.Contains(err.Error(), "negative or not finite") {
+			t.Fatalf("footprint %s: err = %v, want a refusal", row, err)
+		}
+		var after bytes.Buffer
+		if err := eng.SaveIndexes(&after); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(after.Bytes(), before.Bytes()) {
+			t.Fatalf("the refused footprint %s changed the engine", row)
+		}
 	}
 }
 
@@ -114,7 +146,8 @@ func TestLoadIndexesErrors(t *testing.T) {
 // save again unchanged, and answers every query shape without
 // panicking; a snapshot it rejects leaves the engine exactly as it was.
 // Seeds: a real snapshot and TestLoadIndexesErrors' hostile cases, plus
-// a profile without an ID and a duplicated entry.
+// a footprint without an ID, a duplicated entry and footprints with
+// negative fields.
 func FuzzLoadIndexes(f *testing.F) {
 	eng, refID, _ := newEngineWithLadder(f, false)
 	var buf bytes.Buffer
@@ -136,9 +169,16 @@ func FuzzLoadIndexes(f *testing.F) {
 	for _, s := range []string{
 		`{"version":99}`,
 		`not json`,
-		`{"version":1,"semantic":{"entries":[{"id":"ghost@1","fingerprint":"x"}]},"resource":{"profiles":{}}}`,
-		`{"version":1,"semantic":{"entries":[]},"resource":{"profiles":{"":{}}}}`,
-		`{"version":1,"semantic":{"entries":[{"id":"` + refID + `"},{"id":"` + refID + `"}]}}`,
+		`{"version":2,"semantic":{"entries":[{"id":"ghost@1","fingerprint":"x"}]},"resource":{"footprints":{}}}`,
+		`{"version":2,"semantic":{"entries":[]},"resource":{"footprints":{"":{}}}}`,
+		`{"version":2,"semantic":{"entries":[{"id":"` + refID + `"},{"id":"` + refID + `"}]}}`,
+		`{"version":1,"semantic":{"entries":[]},"resource":{"profiles":{}}}`,
+		`{"version":2,"semantic":{"entries":[{"id":"` + refID + `","fingerprint":"x"}]},"resource":{"footprints":{"` +
+			refID + `":{"FLOPs":-1,"ParamBytes":4,"PeakActivation":8,"LatencyNS":1}}}}`,
+		`{"version":2,"semantic":{"entries":[{"id":"` + refID + `","fingerprint":"x"}]},"resource":{"footprints":{"` +
+			refID + `":{"FLOPs":1,"ParamBytes":-4,"PeakActivation":-8,"LatencyNS":-1e308}}}}`,
+		`{"version":2,"semantic":{"entries":[{"id":"` + refID + `","fingerprint":"x"}]},"resource":{"footprints":{"` +
+			refID + `":{"FLOPs":9223372036854775807,"ParamBytes":9223372036854775807,"PeakActivation":9223372036854775807,"LatencyNS":1.7976931348623157e308}}}}`,
 	} {
 		f.Add([]byte(s))
 	}

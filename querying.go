@@ -74,13 +74,12 @@ func (e *Engine) validateAST(q *query.Query) error {
 	return nil
 }
 
-// queryAST is the shared single-query execution body: one fresh
-// snapshot, one fresh reprofile memo. Batches share both across
-// queries instead (see batch.go); the per-query execution is the same
-// queryOne either way, which is what makes batch answers byte-identical
-// to serial ones.
+// queryAST is the shared single-query execution body over one fresh
+// snapshot. Batches share one across queries instead (see batch.go);
+// the per-query execution is the same queryOne either way, which is
+// what makes batch answers byte-identical to serial ones.
 func (e *Engine) queryAST(ctx context.Context, q *query.Query) ([]Result, error) {
-	results, err := e.queryOne(ctx, e.cat.Snapshot(), q, catalog.NewReprofileMemo(), nil)
+	results, err := e.queryOne(ctx, e.cat.Snapshot(), q, nil)
 	if err != nil {
 		e.qm.errors.Inc()
 		return nil, err
@@ -92,12 +91,11 @@ func (e *Engine) queryAST(ctx context.Context, q *query.Query) ([]Result, error)
 // batch entry points, Explain and (through the shard engines) the
 // cluster coordinator all end here. It runs one validated query against
 // an already-acquired snapshot. ctx carries the caller's root span; each
-// stage opens a leaf span under it and feeds the matching histogram. memo
-// deduplicates EXEC re-profiling work; callers executing a batch pass
-// one memo for the whole batch. A non-nil exp additionally records what
-// each stage did (Explain); it never changes the results.
+// stage opens a leaf span under it and feeds the matching histogram. A
+// non-nil exp additionally records what each stage did (Explain); it
+// never changes the results.
 func (e *Engine) queryOne(ctx context.Context, snap *catalog.Snapshot, q *query.Query,
-	memo *catalog.ReprofileMemo, exp *Explanation) ([]Result, error) {
+	exp *Explanation) ([]Result, error) {
 	e.qm.queries.Inc()
 	refID := q.Ref
 	if refID == "" {
@@ -110,8 +108,7 @@ func (e *Engine) queryOne(ctx context.Context, snap *catalog.Snapshot, q *query.
 	if !snap.Contains(refID) {
 		return nil, fmt.Errorf("%w: %q is not indexed", ErrUnknownReference, refID)
 	}
-	refProf, ok := snap.Profile(refID)
-	if !ok {
+	if _, ok := snap.Profile(refID); !ok {
 		return nil, fmt.Errorf("%w: reference model %q", ErrNoProfile, refID)
 	}
 
@@ -128,22 +125,19 @@ func (e *Engine) queryOne(ctx context.Context, snap *catalog.Snapshot, q *query.
 		return nil, err
 	}
 
-	// An EXEC spec re-profiles models under the requested execution
-	// setting (§5.3: batch size and precision shift real footprints);
-	// without one, the indexed default-setting profiles apply.
-	setting, reprofile, err := execSetting(q.Exec)
+	// Every profile the query compares, the reference's included, is
+	// derived from the indexed footprints under the query's execution
+	// setting (§5.3: batch size and precision shift real footprints) —
+	// the default one without an EXEC spec.
+	setting, err := execSetting(q.Exec)
 	if err != nil {
 		return nil, err
 	}
-	if reprofile {
-		if refProf, err = e.reprofile(refID, setting, memo); err != nil {
-			return nil, err
-		}
-	}
+	refProf, _ := snap.ProfileUnder(refID, setting)
 
 	// Stage 2: resource filter.
 	span = e.obs.StartLeaf(ctx, "filter")
-	results, err := e.resourceFilter(ctx, q, snap, cands, refProf, reprofile, setting, memo, exp)
+	results, err := e.resourceFilter(ctx, q, snap, cands, refProf, setting, exp)
 	e.endStage(&span, "filter", e.qm.filter, exp)
 	if err != nil {
 		return nil, err
@@ -169,52 +163,27 @@ func (e *Engine) endStage(span *obs.Span, stage string, hist *obs.Histogram, exp
 	}
 }
 
-// reprofile measures one model under an EXEC setting through the memo:
-// the expensive store.Load + MeasureWith round trip runs at most once
-// per (model, setting) per memo, no matter how many queries of a batch
-// share the candidate.
-func (e *Engine) reprofile(id string, setting resource.ExecSetting,
-	memo *catalog.ReprofileMemo) (resource.Profile, error) {
-	return memo.Profile(catalog.ReprofileKey{ID: id, Setting: setting},
-		func() (resource.Profile, error) {
-			m, err := e.store.Load(id)
-			if err != nil {
-				return resource.Profile{}, err
-			}
-			return e.cat.Profiler().MeasureWith(m, setting)
-		})
-}
-
 // resourceFilter is stage 2: one exact loop over the stage-1
-// candidates. Each candidate's profile — indexed, or re-measured
-// through the memo under EXEC — is compared with every constraint; this
-// is the only place a constraint meets a profile. ctx is re-checked per
-// candidate, so cancelling the query stops the work instead of letting
-// the loop grind through the remaining candidates.
+// candidates. Each candidate's profile under the query's setting is
+// compared with every constraint; this is the only place a constraint
+// meets a profile. ctx is re-checked per candidate, so cancelling the
+// query stops the work instead of letting the loop grind through the
+// remaining candidates.
 func (e *Engine) resourceFilter(ctx context.Context, q *query.Query, snap *catalog.Snapshot,
-	cands []index.Candidate, refProf resource.Profile, reprofile bool,
-	setting resource.ExecSetting, memo *catalog.ReprofileMemo, exp *Explanation) ([]Result, error) {
+	cands []index.Candidate, refProf resource.Profile, setting resource.ExecSetting,
+	exp *Explanation) ([]Result, error) {
 	var results []Result
 	for _, c := range cands {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		pid := candProfileID(c)
-		var prof resource.Profile
-		if reprofile {
-			var err error
-			if prof, err = e.reprofile(pid, setting, memo); err != nil {
-				return nil, err
-			}
-		} else {
-			var ok bool
-			if prof, ok = snap.Profile(pid); !ok {
-				// An indexed candidate without a profile must not compete
-				// with a zero-valued one — it would trivially satisfy every
-				// upper bound and win PICK SMALLEST/FASTEST/CHEAPEST.
-				e.obs.Counter("query_skipped_no_profile_total").Inc()
-				continue
-			}
+		prof, ok := snap.ProfileUnder(candProfileID(c), setting)
+		if !ok {
+			// An indexed candidate without a profile must not compete
+			// with a zero-valued one — it would trivially satisfy every
+			// upper bound and win PICK SMALLEST/FASTEST/CHEAPEST.
+			e.obs.Counter("query_skipped_no_profile_total").Inc()
+			continue
 		}
 		keep := true
 		for _, con := range q.Constraints {
@@ -319,23 +288,18 @@ func (e *Engine) Materialize(r Result) (*graph.Model, error) {
 func candProfileID(c index.Candidate) string { return c.ID }
 
 // execSetting translates a query's EXEC spec into a resource execution
-// setting. Recognized keys: batch (int), precision (fp16|fp32),
-// overhead (fraction). Unknown keys are ignored so serving systems can
-// pass opaque hints through.
-func execSetting(exec map[string]string) (resource.ExecSetting, bool, error) {
-	if len(exec) == 0 {
-		return resource.ExecSetting{}, false, nil
-	}
+// setting: the default setting with the spec's keys applied. Recognized
+// keys: batch (int), precision (fp16|fp32), overhead (fraction).
+// Unknown keys are ignored so serving systems can pass opaque hints
+// through.
+func execSetting(exec map[string]string) (resource.ExecSetting, error) {
 	s := resource.DefaultSetting()
-	s.Name = "exec-spec"
-	used := false
 	if v, ok := exec["batch"]; ok {
 		n, err := strconv.Atoi(v)
 		if err != nil || n <= 0 {
-			return s, false, fmt.Errorf("sommelier: bad EXEC batch %q", v)
+			return s, fmt.Errorf("sommelier: bad EXEC batch %q", v)
 		}
 		s.BatchSize = n
-		used = true
 	}
 	if v, ok := exec["precision"]; ok {
 		switch v {
@@ -344,19 +308,17 @@ func execSetting(exec map[string]string) (resource.ExecSetting, bool, error) {
 		case "fp32":
 			s.ActivationBytes = 4
 		default:
-			return s, false, fmt.Errorf("sommelier: bad EXEC precision %q", v)
+			return s, fmt.Errorf("sommelier: bad EXEC precision %q", v)
 		}
-		used = true
 	}
 	if v, ok := exec["overhead"]; ok {
 		f, err := strconv.ParseFloat(v, 64)
 		if err != nil || f < 0 {
-			return s, false, fmt.Errorf("sommelier: bad EXEC overhead %q", v)
+			return s, fmt.Errorf("sommelier: bad EXEC overhead %q", v)
 		}
 		s.RuntimeOverhead = f
-		used = true
 	}
-	return s, used, nil
+	return s, nil
 }
 
 // absoluteValue resolves a constraint to the metric's native unit

@@ -257,11 +257,12 @@ func TestQueryTracesPinned(t *testing.T) {
 }
 
 // queryAllocCeiling is the most one QueryContext of each mix shape may
-// allocate over the bench catalog: the Query and its constraints, the
-// root span and its context, the reprofile memo, the result slice's
-// growth and, under EXEC, one MeasureWith per candidate.
+// allocate over the bench catalog: the Query and its constraints (an
+// EXEC spec's map among them), the root span and its context, and the
+// result slice's growth. An EXEC query derives its profiles from the
+// snapshot as every other shape does, so it allocates like one.
 var queryAllocCeiling = map[string]float64{
-	"sim": 9, "budget_rel": 6, "budget_abs": 11, "range": 10, "exec": 234, "task": 6,
+	"sim": 8, "budget_rel": 5, "budget_abs": 10, "range": 9, "exec": 7, "task": 5,
 }
 
 func TestQueryAllocs(t *testing.T) {

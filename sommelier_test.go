@@ -2,6 +2,8 @@ package sommelier
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -472,6 +474,42 @@ func TestEngineExecSpecReprofiles(t *testing.T) {
 	}
 	if _, err := eng.QueryContext(context.Background(), `SELECT CORR "`+refID+`" EXEC precision=fp8`); err == nil {
 		t.Fatal("expected bad-precision error")
+	}
+}
+
+// TestExecHugeSettingSaturatesMemory: an EXEC setting whose memory
+// figure leaves int64 — the activation term of a 2⁶¹ batch, or an
+// overhead of 10¹⁵ — reports math.MaxInt64 for every model, so it fails
+// every finite memory budget instead of wrapping into a small (batch
+// 2⁶¹ read 21,134 B against batch 1's 21,537) or negative (bignet@1 as
+// the "smallest" model under 1 MB) figure.
+func TestExecHugeSettingSaturatesMemory(t *testing.T) {
+	eng, refID := newLadderOverStore(t, repo.NewInMemory())
+	ctx := context.Background()
+	huge, err := eng.QueryContext(ctx, fmt.Sprintf(`SELECT CORR %q WITHIN 0%% EXEC batch=2305843009213693952 PICK smallest`, refID))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(huge) == 0 {
+		t.Fatal("no results without a budget")
+	}
+	for _, r := range huge {
+		if r.Profile.MemoryBytes != math.MaxInt64 {
+			t.Errorf("%s at batch 2^61: MemoryBytes %d, want %d", r.ID, r.Profile.MemoryBytes, int64(math.MaxInt64))
+		}
+	}
+	for _, q := range []string{
+		`SELECT CORR %q WITHIN 0%% ON memory <= 1 GB EXEC batch=2305843009213693952 PICK smallest`,
+		`SELECT CORR %q WITHIN 0%% ON memory <= 1MB EXEC overhead=1000000000000000 PICK smallest`,
+	} {
+		got, err := eng.QueryContext(ctx, fmt.Sprintf(q, refID))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != 0 {
+			t.Errorf("%s: %d models pass the budget, first %s with MemoryBytes %d",
+				fmt.Sprintf(q, refID), len(got), got[0].ID, got[0].Profile.MemoryBytes)
+		}
 	}
 }
 
