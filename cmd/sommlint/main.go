@@ -1,6 +1,6 @@
 // Command sommlint runs Sommelier's in-tree static-analysis suite
 // (internal/lint) over the module: the syntactic checks (lockcheck,
-// snapcheck, detcheck, ctxcheck, errcmp, optcheck) plus the
+// snapcheck, detcheck, ctxcheck, errcmp) plus the
 // flow-sensitive ones built on the CFG engine (lockflow, leakcheck,
 // errflow) — the machine-checked versions of the invariants DESIGN.md
 // documents. Findings can be silenced case by case with a justified

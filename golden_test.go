@@ -92,10 +92,10 @@ func v1Bytes(t *testing.T, v2 []byte) []byte {
 
 // TestIndexGoldenDigest pins the index content across commits, not just
 // across worker counts within one: testdata/index_golden.json holds the
-// SHA-256 of the SaveIndexes bytes as generated before whole-model
-// analysis was split into observe and compare — version-1 bytes, which
-// the version-2 snapshot must project back to exactly — and, under
-// <key>_v2, of the version-2 bytes themselves. Every route into the
+// SHA-256 of the SaveIndexes bytes projected to version 1 and, under
+// <key>_v2, of the version-2 bytes themselves. They last changed when
+// semantic entries lost their "fingerprint" member, to the earlier
+// bytes with exactly that member deleted. Every route into the
 // index — batch or one by one, 1 or 4 workers, segments off or on —
 // must produce exactly those bytes.
 func TestIndexGoldenDigest(t *testing.T) {

@@ -73,7 +73,7 @@ func BenchmarkPublish(b *testing.B) {
 				var sem index.SemanticSnapshot
 				footprints := make(map[string]resource.Footprint, n)
 				for i := 0; i < n; i++ {
-					e := index.SemanticEntrySnapshot{ID: fmt.Sprintf("m%d@v1", i), Fingerprint: fmt.Sprintf("fp%d", i)}
+					e := index.SemanticEntrySnapshot{ID: fmt.Sprintf("m%d@v1", i)}
 					for j := 1; j <= l; j++ {
 						e.Candidates = append(e.Candidates, index.Candidate{
 							ID: fmt.Sprintf("m%d@v1", (i+j)%n), Level: 1 - float64(j)/float64(l+1),

@@ -212,7 +212,7 @@ func TestResourceSnapshotRoundTrip(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		id := fmt.Sprintf("m%d", i)
 		footprints[id] = resource.Footprint{FLOPs: int64(i + 1), ParamBytes: int64(100 * (i + 1)), PeakActivation: int64(i), LatencyNS: float64(i) * 1e6}
-		sem.Entries = append(sem.Entries, index.SemanticEntrySnapshot{ID: id, Fingerprint: id})
+		sem.Entries = append(sem.Entries, index.SemanticEntrySnapshot{ID: id})
 	}
 	src := New(Config{Seed: 2})
 	if err := src.Restore(sem, index.ResourceSnapshot{Footprints: footprints}, nil, nil); err != nil {

@@ -61,11 +61,10 @@ type plannedPair struct {
 
 // insertion is one model on its way through the pipeline.
 type insertion struct {
-	entry       index.Entry
-	pairs       []*plannedPair // in the plan's draw order
-	fingerprint string
-	footprint   resource.Footprint
-	err         error // profiling failure
+	entry     index.Entry
+	pairs     []*plannedPair // in the plan's draw order
+	footprint resource.Footprint
+	err       error // profiling failure
 }
 
 // Index profiles, analyzes, and commits one model. Indexing an
@@ -108,15 +107,14 @@ func (c *Catalog) indexEntries(ctx context.Context, entries []index.Entry) (int,
 		return 0, err
 	}
 
-	// Observe, then compare (no lock): profile, fingerprint and fill
-	// the evidence slots the table did not have, then measure every
-	// planned pair. Each task writes its own slot: the WaitGroup is all
-	// the synchronization.
+	// Observe, then compare (no lock): profile and fill the evidence
+	// slots the table did not have, then measure every planned pair.
+	// Each task writes its own slot: the WaitGroup is all the
+	// synchronization.
 	actx, stage := c.obs.StartSpan(ctx, "analyze", "")
 	var wg sync.WaitGroup
 	for _, in := range ins {
 		c.runTask(actx, &wg, "profile", in.entry.ID, func() {
-			in.fingerprint = in.entry.Model.Fingerprint()
 			if in.footprint, in.err = c.profiler.Footprint(in.entry.Model); in.err != nil {
 				in.err = fmt.Errorf("catalog: profiling %q: %w", in.entry.ID, in.err)
 			}
@@ -249,7 +247,7 @@ func (c *Catalog) commitLocked(ins []*insertion, footprints map[string]resource.
 			c.obs.Counter("catalog_index_errors_total").Inc()
 			return committed, err
 		}
-		if err := c.writer.CommitPlanned(in.entry, in.fingerprint, meas); err != nil {
+		if err := c.writer.CommitPlanned(in.entry, meas); err != nil {
 			if errors.Is(err, index.ErrAlreadyIndexed) {
 				continue
 			}

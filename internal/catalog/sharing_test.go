@@ -48,17 +48,15 @@ func (familyAnalyzer) Analyze(ref, cand index.Entry) (index.AnalysisResult, erro
 type frozenSnapshot struct {
 	IDs      []string
 	Lists    map[string][]index.Candidate
-	ByFP     map[string]string
 	Profiles map[string]resource.Profile
 	Refs     map[string]string
 }
 
-func freeze(t *testing.T, s *Snapshot, fingerprints []string, tasks []string) frozenSnapshot {
+func freeze(t *testing.T, s *Snapshot, tasks []string) frozenSnapshot {
 	t.Helper()
 	f := frozenSnapshot{
 		IDs:      slices.Clone(s.IDs()),
 		Lists:    make(map[string][]index.Candidate),
-		ByFP:     make(map[string]string),
 		Profiles: make(map[string]resource.Profile),
 		Refs:     make(map[string]string),
 	}
@@ -73,11 +71,6 @@ func freeze(t *testing.T, s *Snapshot, fingerprints []string, tasks []string) fr
 		f.Lists[id] = slices.Clone(list)
 		if p, ok := s.Profile(id); ok {
 			f.Profiles[id] = p
-		}
-	}
-	for _, fp := range fingerprints {
-		if id, ok := s.LookupByFingerprint(fp); ok {
-			f.ByFP[fp] = id
 		}
 	}
 	for _, task := range tasks {
@@ -109,12 +102,10 @@ func TestSnapshotsShareAndStayFrozen(t *testing.T) {
 
 	var pool []index.Entry
 	byID := make(map[string]*graph.Model)
-	var fingerprints []string
 	for i := 0; i < 16; i++ {
 		e := *testModel(t, fmt.Sprintf("share-%d", i), uint64(40+i))
 		pool = append(pool, e)
 		byID[e.ID] = e.Model
-		fingerprints = append(fingerprints, e.Model.Fingerprint())
 	}
 	resolve := func(id string) (*graph.Model, error) { return byID[id], nil }
 	tasks := []string{string(pool[0].Model.Task), "vision", "speech"}
@@ -172,7 +163,7 @@ func TestSnapshotsShareAndStayFrozen(t *testing.T) {
 	publish := func(op string, prev *Snapshot, rebuilt, profilesChanged, refsChanged bool) {
 		cur := c.Snapshot()
 		mu.Lock()
-		all = append(all, kept{cur, freeze(t, cur, fingerprints, tasks)})
+		all = append(all, kept{cur, freeze(t, cur, tasks)})
 		mu.Unlock()
 		if rebuilt {
 			return
@@ -263,7 +254,7 @@ func TestSnapshotsShareAndStayFrozen(t *testing.T) {
 			len(all), sharedLists, replacedLists)
 	}
 	for i, k := range all {
-		got := freeze(t, k.snap, fingerprints, tasks)
+		got := freeze(t, k.snap, tasks)
 		for _, id := range k.want.IDs {
 			if !slices.Equal(got.Lists[id], k.want.Lists[id]) {
 				t.Errorf("snapshot %d of %d: %q's list changed after it was published:\n got %+v\nwant %+v",

@@ -9,12 +9,11 @@ import (
 
 // Snapshot is one immutable version of everything the catalog lets
 // readers see — and the only copy of it: a version of the semantic
-// index, whose read methods (Len, Contains, IDs, Lookup, TopK,
-// LookupByFingerprint) it carries, the footprint table and the
-// default-reference table. A query (or Explain) grabs one Snapshot and
-// runs every stage of the §5.4 pipeline against it, so its answers are
-// internally consistent even while writers commit new models — and it
-// takes no locks at all.
+// index, whose read methods (Len, Contains, IDs, Lookup, TopK) it
+// carries, the footprint table and the default-reference table. A query
+// (or Explain) grabs one Snapshot and runs every stage of the §5.4
+// pipeline against it, so its answers are internally consistent even
+// while writers commit new models — and it takes no locks at all.
 //
 // Successive snapshots share what a commit did not change: every
 // candidate list it did not touch, and a table it did not write. What

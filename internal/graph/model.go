@@ -1,11 +1,7 @@
 package graph
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
 	"fmt"
-	"math"
 	"sort"
 
 	"sommelier/internal/tensor"
@@ -350,57 +346,4 @@ func (m *Model) Validate() error {
 		}
 	}
 	return nil
-}
-
-// Fingerprint returns a stable hex digest of the model: its structure
-// (layer names, operators, attributes, wiring) plus a content digest of
-// every parameter tensor. It keys the semantic index (§5.2).
-func (m *Model) Fingerprint() string {
-	h := sha256.New()
-	write := func(s string) { h.Write([]byte(s)); h.Write([]byte{0}) }
-	write(m.Name)
-	write(m.Version)
-	write(string(m.Task))
-	write(m.InputShape.String())
-	order, err := m.TopoSort()
-	if err != nil {
-		// An invalid graph still gets a stable fingerprint from the
-		// declaration order so callers can detect duplicates.
-		order = m.Layers
-	}
-	var buf [8]byte
-	for _, l := range order {
-		write(l.Name)
-		write(string(l.Op))
-		for _, in := range l.Inputs {
-			write(in)
-		}
-		write(fmt.Sprintf("%+v", l.Attrs))
-		names := make([]string, 0, len(l.Params))
-		for name := range l.Params {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			p := l.Params[name]
-			write(name)
-			write(p.Shape().String())
-			// Content digest: element count, sum, and a strided
-			// sample of values. Hashing all of a 340M-parameter
-			// tensor would dominate index insertion time; this
-			// digest still changes whenever training or
-			// perturbation touches the tensor.
-			binary.LittleEndian.PutUint64(buf[:], uint64(p.NumElements()))
-			h.Write(buf[:])
-			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(p.Sum()))
-			h.Write(buf[:])
-			data := p.Data()
-			stride := len(data)/64 + 1
-			for i := 0; i < len(data); i += stride {
-				binary.LittleEndian.PutUint64(buf[:], math.Float64bits(data[i]))
-				h.Write(buf[:])
-			}
-		}
-	}
-	return hex.EncodeToString(h.Sum(nil))
 }

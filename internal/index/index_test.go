@@ -178,22 +178,6 @@ func TestSemanticTopK(t *testing.T) {
 	}
 }
 
-func TestSemanticFingerprintLookup(t *testing.T) {
-	idx := NewSemanticIndex(1)
-	an := &stubAnalyzer{tag: map[string]float64{"a": 0}}
-	m := tinyModel(t, 5)
-	if err := idx.Insert(Entry{ID: "a", Model: m}, an); err != nil {
-		t.Fatal(err)
-	}
-	id, ok := idx.LookupByFingerprint(m.Fingerprint())
-	if !ok || id != "a" {
-		t.Fatalf("fingerprint lookup = %q, %v", id, ok)
-	}
-	if _, ok := idx.LookupByFingerprint("nope"); ok {
-		t.Fatal("unknown fingerprint resolved")
-	}
-}
-
 func TestInsertSortedReplacesSameKey(t *testing.T) {
 	list := insertSorted(nil, Candidate{ID: "x", Level: 0.5})
 	list = insertSorted(list, Candidate{ID: "x", Level: 0.8})

@@ -1,6 +1,6 @@
 // Package index implements Sommelier's two run-time index structures
-// (§5): the semantic index, a hashtable from model fingerprints to
-// descending lists of functionally equivalent candidates, and the
+// (§5): the semantic index, a hashtable from model IDs to descending
+// lists of functionally equivalent candidates, and the
 // resource-profile index, an LSH structure over resource vectors. The
 // catalog writes the former and publishes its versions (SemanticVersion:
 // immutable, sharing every list a commit did not touch with the version
@@ -86,16 +86,13 @@ type Analyzer interface {
 
 // SemanticVersion is one version of the §5.2 structure: for each stored
 // model, a list of candidate records ordered by descending
-// functional-equivalence level, with the fingerprint table and the
-// insertion order. Once its SemanticIndex has handed it out it is never
-// written again, so any number of goroutines may read it, and keep it,
-// with no locking. The slices it returns alias its own lists: callers
-// must not write to them (sommlint's snapcheck holds snapshot readers to
-// that).
+// functional-equivalence level, and the insertion order. Once its
+// SemanticIndex has handed it out it is never written again, so any
+// number of goroutines may read it, and keep it, with no locking. The
+// slices it returns alias its own lists: callers must not write to them
+// (sommlint's snapcheck holds snapshot readers to that).
 type SemanticVersion struct {
 	order []string               // insertion order; successors extend the same array
-	fps   []string               // fingerprints, parallel to order
-	byFP  map[string]string      // fingerprint -> model ID
 	lists map[string][]Candidate // model ID -> candidates; a stored list is never written, only replaced
 	diffs int                    // measured-diff records the writer holds, for MemoryBytes
 }
@@ -130,7 +127,6 @@ func NewSemanticIndex(seed uint64) *SemanticIndex {
 	return &SemanticIndex{
 		SampleSize: 5,
 		SemanticVersion: &SemanticVersion{
-			byFP:  make(map[string]string),
 			lists: make(map[string][]Candidate),
 		},
 		models:   make(map[string]*graph.Model),
@@ -147,13 +143,13 @@ func (s *SemanticIndex) Version() *SemanticVersion {
 }
 
 // writable returns the version writes go to. If the current one has
-// been handed out, that is a successor owning fresh copies of the two
-// tables — O(models) words, once per run of writes between two Version
+// been handed out, that is a successor owning a fresh copy of the list
+// table — O(models) words, once per run of writes between two Version
 // calls — and sharing every list and the order arrays.
 func (s *SemanticIndex) writable() *SemanticVersion {
 	if s.handedOut {
 		next := *s.SemanticVersion
-		next.byFP, next.lists = maps.Clone(next.byFP), maps.Clone(next.lists)
+		next.lists = maps.Clone(next.lists)
 		s.SemanticVersion, s.handedOut = &next, false
 	}
 	return s.SemanticVersion
@@ -219,7 +215,7 @@ func (s *SemanticIndex) Insert(e Entry, analyzer Analyzer) error {
 		}
 		meas = append(meas, PairMeasurement{Partner: otherID, Result: res})
 	}
-	return s.CommitPlanned(e, e.Model.Fingerprint(), meas)
+	return s.CommitPlanned(e, meas)
 }
 
 // SamplePlan pre-records the partners one future insertion will be
@@ -279,13 +275,12 @@ func (s *SemanticIndex) EntryOf(id string) (Entry, bool) {
 }
 
 // CommitPlanned applies one planned insertion whose pairwise
-// measurements — and fingerprint, a hash over every parameter — were
-// computed outside the index and its lock. It replays exactly what
-// Insert does after analysis: symmetric candidate recording for each
-// measured partner, then transitive derivation against every remaining
-// indexed model. Committing an ID that was indexed in the meantime
+// measurements were computed outside the index and its lock. It replays
+// exactly what Insert does after analysis: symmetric candidate recording
+// for each measured partner, then transitive derivation against every
+// remaining indexed model. Committing an ID that was indexed in the meantime
 // fails with ErrAlreadyIndexed.
-func (s *SemanticIndex) CommitPlanned(e Entry, fingerprint string, meas []PairMeasurement) error {
+func (s *SemanticIndex) CommitPlanned(e Entry, meas []PairMeasurement) error {
 	if e.ID == "" || e.Model == nil {
 		return fmt.Errorf("index: entry must have an ID and a model")
 	}
@@ -366,9 +361,7 @@ func (s *SemanticIndex) CommitPlanned(e Entry, fingerprint string, meas []PairMe
 
 	v.lists[e.ID] = sortedOnce(own)
 	s.models[e.ID] = e.Model
-	v.byFP[fingerprint] = e.ID
 	v.order = append(v.order, e.ID)
-	v.fps = append(v.fps, fingerprint)
 	return nil
 }
 
@@ -446,13 +439,6 @@ func (v *SemanticVersion) Lookup(refID string, threshold float64) ([]Candidate, 
 	})), nil
 }
 
-// LookupByFingerprint resolves a model fingerprint to its indexed ID —
-// the paper's key calculation on query submission.
-func (v *SemanticVersion) LookupByFingerprint(fp string) (string, bool) {
-	id, ok := v.byFP[fp]
-	return id, ok
-}
-
 // TopK returns the refID's K best candidates regardless of threshold.
 func (v *SemanticVersion) TopK(refID string, k int) ([]Candidate, error) {
 	list, ok := v.lists[refID]
@@ -473,12 +459,12 @@ func head(list []Candidate, n int) []Candidate {
 }
 
 // MemoryBytes estimates the in-memory footprint of the semantic index:
-// fingerprints, candidate records, and the measured-diff maps. Models
-// themselves live in the repository, not here (§5.5, persistence).
+// IDs, candidate records, and the measured-diff maps. Models themselves
+// live in the repository, not here (§5.5, persistence).
 func (v *SemanticVersion) MemoryBytes() int64 {
 	total := int64(v.diffs) * 56
-	for i, id := range v.order {
-		total += int64(len(id)) + int64(len(v.fps[i])) + 48
+	for _, id := range v.order {
+		total += int64(len(id)) + 48
 		for _, c := range v.lists[id] {
 			total += int64(len(c.ID)+len(c.DonorID)+len(c.Segment)) + 40
 		}

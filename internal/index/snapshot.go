@@ -17,10 +17,9 @@ import (
 
 // SemanticEntrySnapshot is one serialized semantic-index entry.
 type SemanticEntrySnapshot struct {
-	ID          string             `json:"id"`
-	Fingerprint string             `json:"fingerprint"`
-	Candidates  []Candidate        `json:"candidates,omitempty"`
-	Measured    map[string]float64 `json:"measured,omitempty"`
+	ID         string             `json:"id"`
+	Candidates []Candidate        `json:"candidates,omitempty"`
+	Measured   map[string]float64 `json:"measured,omitempty"`
 }
 
 // SemanticSnapshot is the serializable state of a SemanticIndex.
@@ -35,12 +34,8 @@ type SemanticSnapshot struct {
 // later commits write to them.
 func (s *SemanticIndex) Snapshot() SemanticSnapshot {
 	snap := SemanticSnapshot{SampleSize: s.SampleSize}
-	for i, id := range s.order {
-		e := SemanticEntrySnapshot{
-			ID:          id,
-			Fingerprint: s.fps[i],
-			Candidates:  slices.Clone(s.lists[id]),
-		}
+	for _, id := range s.order {
+		e := SemanticEntrySnapshot{ID: id, Candidates: slices.Clone(s.lists[id])}
 		if len(s.measured[id]) > 0 {
 			e.Measured = maps.Clone(s.measured[id])
 		}
@@ -54,10 +49,7 @@ func (s *SemanticIndex) Snapshot() SemanticSnapshot {
 // can analyze against restored entries; it may return nil for models
 // that will never be re-analyzed.
 func (s *SemanticIndex) Restore(snap SemanticSnapshot, resolve func(id string) (*graph.Model, error)) error {
-	v := &SemanticVersion{
-		byFP:  make(map[string]string, len(snap.Entries)),
-		lists: make(map[string][]Candidate, len(snap.Entries)),
-	}
+	v := &SemanticVersion{lists: make(map[string][]Candidate, len(snap.Entries))}
 	models := make(map[string]*graph.Model, len(snap.Entries))
 	measured := make(map[string]map[string]float64, len(snap.Entries))
 	for _, e := range snap.Entries {
@@ -81,9 +73,7 @@ func (s *SemanticIndex) Restore(snap SemanticSnapshot, resolve func(id string) (
 		measured[e.ID] = make(map[string]float64, len(e.Measured))
 		maps.Copy(measured[e.ID], e.Measured)
 		v.diffs += len(e.Measured)
-		v.byFP[e.Fingerprint] = e.ID
 		v.order = append(v.order, e.ID)
-		v.fps = append(v.fps, e.Fingerprint)
 	}
 	if snap.SampleSize > 0 {
 		s.SampleSize = snap.SampleSize

@@ -2,6 +2,7 @@ package index
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"sommelier/internal/graph"
@@ -53,9 +54,9 @@ func TestSemanticSnapshotRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	// Fingerprint mapping survives.
-	if id, ok := restored.LookupByFingerprint(models["a"].Fingerprint()); !ok || id != "a" {
-		t.Fatal("fingerprint mapping lost")
+	// Insertion order survives.
+	if got := restored.IDs(); !slices.Equal(got, idx.IDs()) {
+		t.Fatalf("restored order %v, want %v", got, idx.IDs())
 	}
 	// Post-restore insertion can measure against restored entries.
 	if err := restored.Insert(Entry{ID: "d", Model: tinyModel(t, 44)}, an); err != nil {
@@ -69,13 +70,13 @@ func TestSemanticRestoreRejectsBadSnapshots(t *testing.T) {
 		t.Fatal("expected empty-ID error")
 	}
 	if err := idx.Restore(SemanticSnapshot{Entries: []SemanticEntrySnapshot{
-		{ID: "x", Fingerprint: "f1"}, {ID: "x", Fingerprint: "f2"},
+		{ID: "x"}, {ID: "x"},
 	}}, nil); err == nil {
 		t.Fatal("expected duplicate error")
 	}
 	failing := func(string) (*graph.Model, error) { return nil, fmt.Errorf("boom") }
 	if err := idx.Restore(SemanticSnapshot{Entries: []SemanticEntrySnapshot{
-		{ID: "x", Fingerprint: "f"},
+		{ID: "x"},
 	}}, failing); err == nil {
 		t.Fatal("expected resolve error")
 	}

@@ -117,10 +117,6 @@ func TestCtxCheckGolden(t *testing.T) {
 
 func TestErrCmpGolden(t *testing.T) { runGolden(t, ErrCmp, "errcmp") }
 
-func TestOptCheckGolden(t *testing.T) {
-	runGolden(t, OptCheck, "sommelier/internal/serving")
-}
-
 func TestLockFlowGolden(t *testing.T) { runGolden(t, LockFlow, "lockflow") }
 
 func TestLeakCheckGolden(t *testing.T) { runGolden(t, LeakCheck, "leakcheck") }
@@ -138,7 +134,6 @@ func TestSuppressGolden(t *testing.T) { runGolden(t, ErrCmp, "suppress") }
 func TestFullSuiteOverTestdata(t *testing.T) {
 	patterns := []string{
 		"lockcheck", "snapwrite", "sommelier/internal/catalog",
-		"sommelier/internal/serving",
 		"detcheck/index", "detcheck/plain", "ctxcheck/lib", "ctxcheck/mainprog",
 		"errcmp", "errcmp/deps",
 		"lockflow", "leakcheck", "errflow", "suppress",

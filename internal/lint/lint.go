@@ -89,7 +89,6 @@ func Analyzers() []*Analyzer {
 		DetCheck,
 		CtxCheck,
 		ErrCmp,
-		OptCheck,
 		LockFlow,
 		LeakCheck,
 		ErrFlow,

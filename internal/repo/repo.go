@@ -274,26 +274,25 @@ func (r *Repository) PublishEncoded(enc *cas.Encoded) (string, error) {
 	// A chunk is unreferenced between Put and AddRefs, so a racing
 	// Delete of a model sharing it can GC it out from under this
 	// publish. AddRefs is all-or-nothing; on that race, re-put the
-	// collected chunks from the encoding and retry.
+	// collected chunks from the encoding and retry. A chunk another
+	// publish has put back in the meantime needs nothing from this one.
 	for attempt := 0; ; attempt++ {
 		if err := r.commitManifest(enc, refs); err == nil {
 			return id, nil
 		} else if attempt >= 8 || !errors.Is(err, cas.ErrMissingChunk) {
 			return "", fmt.Errorf("repo: publishing %s: %w", id, err)
 		}
-		reput := false
 		for _, h := range refs {
-			data, ok := enc.Chunks[h]
-			if !ok || r.chunks.Has(h) {
+			if r.chunks.Has(h) {
 				continue
+			}
+			data, ok := enc.Chunks[h]
+			if !ok {
+				return "", fmt.Errorf("repo: publishing %s: %w and the encoding cannot resupply it", id, cas.ErrMissingChunk)
 			}
 			if err := r.chunks.Put(h, data); err != nil {
 				return "", fmt.Errorf("repo: publishing %s: %w", id, err)
 			}
-			reput = true
-		}
-		if !reput {
-			return "", fmt.Errorf("repo: publishing %s: %w and the encoding cannot resupply it", id, cas.ErrMissingChunk)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package repo
 
 import (
+	"bytes"
 	"sync"
 	"testing"
 
@@ -38,7 +39,7 @@ func TestInMemoryPublishLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Fingerprint() != m.Fingerprint() {
+	if !bytes.Equal(somxOf(t, got), somxOf(t, m)) {
 		t.Fatal("loaded model differs")
 	}
 	if r.Len() != 1 {
@@ -96,7 +97,7 @@ func TestPublishOverwritesVersion(t *testing.T) {
 		t.Fatalf("Len = %d after overwrite", r.Len())
 	}
 	got, _ := r.Load("m@1")
-	if got.Fingerprint() != m2.Fingerprint() {
+	if !bytes.Equal(somxOf(t, got), somxOf(t, m2)) {
 		t.Fatal("overwrite did not take effect")
 	}
 }
@@ -125,7 +126,7 @@ func TestDirectoryBackedRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Fingerprint() != m.Fingerprint() {
+	if !bytes.Equal(somxOf(t, got), somxOf(t, m)) {
 		t.Fatal("disk round-trip changed the model")
 	}
 	md, ok := r2.Metadata(id)
@@ -163,4 +164,15 @@ func TestConcurrentAccess(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
+}
+
+// somxOf is m's SOMX encoding: two models are equal when their
+// encodings are byte-identical.
+func somxOf(t testing.TB, m *graph.Model) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := graph.Encode(&buf, m); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }

@@ -25,8 +25,9 @@ import (
 // The sequence a server sees depends only on its own switch-attempt
 // count, never on cross-server interleaving.
 //
-// The struct is frozen (sommlint optcheck): richer fault shapes are
-// expressed through WithFaultSchedule, not new fields here.
+// Every field shapes the fault schedule (switchSchedule);
+// TestEveryInputFieldReachesItsConverter fails for a field that does
+// not. Richer fault shapes are expressed through WithFaultSchedule.
 type FailureModel struct {
 	// SwitchFailProb is the probability in [0,1] that a model switch
 	// attempt fails, leaving the old model deployed.

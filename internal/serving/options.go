@@ -10,8 +10,8 @@ import (
 
 // Option configures a Simulator. Options compose left to right; later
 // options win. This is the serving simulator's configuration surface:
-// the Workload and FailureModel input structs accept no new fields
-// (enforced by sommlint's optcheck), so new knobs arrive as Options.
+// new knobs arrive as Options, not as fields of the Workload and
+// FailureModel input structs.
 type Option func(*simConfig)
 
 // simConfig is the resolved simulator configuration.

@@ -168,3 +168,54 @@ func TestRunContextCancel(t *testing.T) {
 		t.Fatal("Run with cancelled ctx succeeded")
 	}
 }
+
+// TestEveryInputFieldReachesItsConverter: a Workload becomes an arrival
+// stream and a FailureModel a fault schedule, and a field neither
+// converter reads would be silently ignored by every caller. Each field,
+// found by reflection, is changed from a base where every field is set,
+// and the converted stream must change with it. A field added later
+// fails here until its converter reads it (and the base sets it).
+func TestEveryInputFieldReachesItsConverter(t *testing.T) {
+	decisions := func(fm FailureModel) []faults.Decision {
+		s := switchSchedule(simConfig{servers: 1, fm: fm})
+		out := make([]faults.Decision, 256)
+		for i := range out {
+			out[i] = s.Next(SwitchTarget(0))
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		base    any
+		convert func(any) any
+	}{
+		{heavyWorkload(1), func(v any) any { return arrivals(v.(Workload)) }},
+		{FailureModel{SwitchFailProb: 0.3, Seed: 5}, func(v any) any { return decisions(v.(FailureModel)) }},
+	} {
+		typ := reflect.TypeOf(tc.base)
+		want := tc.convert(tc.base)
+		for i := 0; i < typ.NumField(); i++ {
+			name := typ.Name() + "." + typ.Field(i).Name
+			t.Run(name, func(t *testing.T) {
+				v := reflect.New(typ).Elem()
+				v.Set(reflect.ValueOf(tc.base))
+				f := v.Field(i)
+				if f.IsZero() {
+					t.Fatalf("the base leaves %s zero", name)
+				}
+				switch f.Kind() {
+				case reflect.Int:
+					f.SetInt(f.Int() + 1)
+				case reflect.Uint64:
+					f.SetUint(f.Uint() + 1)
+				case reflect.Float64:
+					f.SetFloat(f.Float() / 2)
+				default:
+					t.Fatalf("no change defined for %s of kind %s", name, f.Kind())
+				}
+				if reflect.DeepEqual(tc.convert(v.Interface()), want) {
+					t.Fatalf("changing %s leaves the converted stream as it was", name)
+				}
+			})
+		}
+	}
+}

@@ -37,9 +37,9 @@ type ModelChoice struct {
 
 // Workload describes the arrival process.
 //
-// The struct is frozen (sommlint optcheck): new workload knobs belong on
-// Simulator options, not here — a field added here would be silently
-// ignored by every call site that builds the struct by hand.
+// Every field shapes the arrival stream (arrivals);
+// TestEveryInputFieldReachesItsConverter fails for a field that does
+// not. Simulator knobs belong on Options, not here.
 type Workload struct {
 	// Requests is the total number of arrivals to simulate.
 	Requests int

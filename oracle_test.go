@@ -116,7 +116,7 @@ func restoreSyntheticCatalog(t *testing.T, eng *Engine, seed int64, first, n int
 	ids := make([]string, n)
 	for i := range ids {
 		ids[i] = fmt.Sprintf("m%03d", first+i)
-		sem.Entries = append(sem.Entries, index.SemanticEntrySnapshot{ID: ids[i], Fingerprint: "fp-" + ids[i]})
+		sem.Entries = append(sem.Entries, index.SemanticEntrySnapshot{ID: ids[i]})
 		if i%10 != 7 {
 			res.Footprints[ids[i]] = footprint()
 		}
@@ -134,7 +134,7 @@ func restoreSyntheticCatalog(t *testing.T, eng *Engine, seed int64, first, n int
 			}
 		}
 		sort.SliceStable(cands, func(i, j int) bool { return cands[i].Level > cands[j].Level })
-		sem.Entries = append(sem.Entries, index.SemanticEntrySnapshot{ID: ref, Fingerprint: "fp-" + ref, Candidates: cands})
+		sem.Entries = append(sem.Entries, index.SemanticEntrySnapshot{ID: ref, Candidates: cands})
 		res.Footprints[ref] = footprint()
 	}
 	if err := eng.cat.Restore(sem, res, map[string]string{"classification": "ref0"}, nil); err != nil {

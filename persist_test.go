@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"os"
 	"runtime"
 	"strings"
 	"testing"
@@ -17,41 +18,66 @@ func TestSaveLoadIndexesRoundTrip(t *testing.T) {
 	if err := eng.SaveIndexes(&buf); err != nil {
 		t.Fatal(err)
 	}
-
-	// A fresh engine over the same repository, restored without any
-	// re-analysis.
-	eng2, err := NewEngine(eng.Store(), WithSeed(99))
+	saved := buf.Bytes()
+	// The same ladder's snapshot as written while semantic entries still
+	// carried a sampled "fingerprint" member: still version 2, and the
+	// member is ignored.
+	legacy, err := os.ReadFile("testdata/index_v2_fingerprints.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng2.LoadIndexes(bytes.NewReader(buf.Bytes())); err != nil {
-		t.Fatal(err)
-	}
-	if eng2.IndexedLen() != eng.IndexedLen() {
-		t.Fatalf("restored %d entries, want %d", eng2.IndexedLen(), eng.IndexedLen())
+	if !bytes.Contains(legacy, []byte(`"fingerprint":`)) {
+		t.Fatal("testdata/index_v2_fingerprints.json lost its fingerprint members")
 	}
 
-	// Queries over the restored engine match the original exactly.
-	q := `SELECT CORR "` + refID + `" WITHIN 50% PICK most_similar`
-	orig, err := eng.QueryContext(context.Background(), q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	restored, err := eng2.QueryContext(context.Background(), q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(orig) != len(restored) {
-		t.Fatalf("result sizes differ: %d vs %d", len(orig), len(restored))
-	}
-	for i := range orig {
-		if orig[i].ID != restored[i].ID || orig[i].Level != restored[i].Level {
-			t.Fatalf("result %d differs: %+v vs %+v", i, orig[i], restored[i])
-		}
-	}
-	// Task-default references survive.
-	if _, err := eng2.QueryContext(context.Background(), `SELECT TASK classification WITHIN 50% PICK most_similar`); err != nil {
-		t.Fatal(err)
+	for _, in := range []struct {
+		name string
+		snap []byte
+	}{{"saved", saved}, {"with-fingerprints", legacy}} {
+		t.Run(in.name, func(t *testing.T) {
+			// A fresh engine over the same repository, restored without
+			// any re-analysis.
+			eng2, err := NewEngine(eng.Store(), WithSeed(99))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := eng2.LoadIndexes(bytes.NewReader(in.snap)); err != nil {
+				t.Fatal(err)
+			}
+			if eng2.IndexedLen() != eng.IndexedLen() {
+				t.Fatalf("restored %d entries, want %d", eng2.IndexedLen(), eng.IndexedLen())
+			}
+			var again bytes.Buffer
+			if err := eng2.SaveIndexes(&again); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(again.Bytes(), saved) {
+				t.Fatalf("re-saved snapshot differs from the engine's own:\n got %s\nwant %s", again.Bytes(), saved)
+			}
+
+			// Queries over the restored engine match the original exactly.
+			q := `SELECT CORR "` + refID + `" WITHIN 50% PICK most_similar`
+			orig, err := eng.QueryContext(context.Background(), q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			restored, err := eng2.QueryContext(context.Background(), q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(orig) != len(restored) {
+				t.Fatalf("result sizes differ: %d vs %d", len(orig), len(restored))
+			}
+			for i := range orig {
+				if orig[i].ID != restored[i].ID || orig[i].Level != restored[i].Level {
+					t.Fatalf("result %d differs: %+v vs %+v", i, orig[i], restored[i])
+				}
+			}
+			// Task-default references survive.
+			if _, err := eng2.QueryContext(context.Background(), `SELECT TASK classification WITHIN 50% PICK most_similar`); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
@@ -102,7 +128,7 @@ func TestLoadIndexesErrors(t *testing.T) {
 	}
 	// Snapshot referencing a model absent from the repository.
 	if err := eng.LoadIndexes(strings.NewReader(
-		`{"version":2,"semantic":{"entries":[{"id":"ghost@1","fingerprint":"x"}]},"resource":{"footprints":{}}}`,
+		`{"version":2,"semantic":{"entries":[{"id":"ghost@1"}]},"resource":{"footprints":{}}}`,
 	)); err == nil {
 		t.Fatal("expected missing-model error")
 	}
@@ -126,7 +152,7 @@ func TestLoadIndexesErrors(t *testing.T) {
 		`{"FLOPs":0,"ParamBytes":0,"PeakActivation":-9223372036854775808,"LatencyNS":0}`,
 		`{"FLOPs":0,"ParamBytes":0,"PeakActivation":0,"LatencyNS":-0.5}`,
 	} {
-		in := `{"version":2,"semantic":{"entries":[{"id":"m@1","fingerprint":"x"}]},"resource":{"footprints":{"m@1":` + row + `}}}`
+		in := `{"version":2,"semantic":{"entries":[{"id":"m@1"}]},"resource":{"footprints":{"m@1":` + row + `}}}`
 		if err := eng.LoadIndexes(strings.NewReader(in)); err == nil || !strings.Contains(err.Error(), "negative or not finite") {
 			t.Fatalf("footprint %s: err = %v, want a refusal", row, err)
 		}
@@ -169,15 +195,15 @@ func FuzzLoadIndexes(f *testing.F) {
 	for _, s := range []string{
 		`{"version":99}`,
 		`not json`,
-		`{"version":2,"semantic":{"entries":[{"id":"ghost@1","fingerprint":"x"}]},"resource":{"footprints":{}}}`,
+		`{"version":2,"semantic":{"entries":[{"id":"ghost@1"}]},"resource":{"footprints":{}}}`,
 		`{"version":2,"semantic":{"entries":[]},"resource":{"footprints":{"":{}}}}`,
 		`{"version":2,"semantic":{"entries":[{"id":"` + refID + `"},{"id":"` + refID + `"}]}}`,
 		`{"version":1,"semantic":{"entries":[]},"resource":{"profiles":{}}}`,
-		`{"version":2,"semantic":{"entries":[{"id":"` + refID + `","fingerprint":"x"}]},"resource":{"footprints":{"` +
+		`{"version":2,"semantic":{"entries":[{"id":"` + refID + `"}]},"resource":{"footprints":{"` +
 			refID + `":{"FLOPs":-1,"ParamBytes":4,"PeakActivation":8,"LatencyNS":1}}}}`,
-		`{"version":2,"semantic":{"entries":[{"id":"` + refID + `","fingerprint":"x"}]},"resource":{"footprints":{"` +
+		`{"version":2,"semantic":{"entries":[{"id":"` + refID + `"}]},"resource":{"footprints":{"` +
 			refID + `":{"FLOPs":1,"ParamBytes":-4,"PeakActivation":-8,"LatencyNS":-1e308}}}}`,
-		`{"version":2,"semantic":{"entries":[{"id":"` + refID + `","fingerprint":"x"}]},"resource":{"footprints":{"` +
+		`{"version":2,"semantic":{"entries":[{"id":"` + refID + `"}]},"resource":{"footprints":{"` +
 			refID + `":{"FLOPs":9223372036854775807,"ParamBytes":9223372036854775807,"PeakActivation":9223372036854775807,"LatencyNS":1.7976931348623157e308}}}}`,
 	} {
 		f.Add([]byte(s))
