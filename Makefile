@@ -60,8 +60,8 @@ bench:
 
 # chaos runs the seeded fault-schedule matrix under the race detector:
 # every TestChaos* case in internal/cluster (replica kill mid-query,
-# full shard loss, flake, slow-replica timeout, kill mid-upload and
-# mid-rebalance, concurrent stress) plus the schedule-replay tests in
+# full shard loss, flake, slow-replica timeout, kill mid-upload,
+# concurrent stress) plus the schedule-replay tests in
 # internal/faults. -v prints per-schedule PASS/FAIL; every schedule is
 # seed-programmed, so a failure reproduces byte-for-byte.
 chaos:

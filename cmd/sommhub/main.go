@@ -260,7 +260,8 @@ func coordinatorBatchQuerier(co *cluster.Coordinator) hub.BatchQuerier {
 }
 
 // parseCoordinatorTopology parses "u1,u2;u3,u4" into per-shard replica
-// URL lists.
+// URL lists. Every shard needs at least one URL, so an empty spec fails
+// as shard 0.
 func parseCoordinatorTopology(spec string) ([][]string, error) {
 	var topo [][]string
 	for i, shard := range strings.Split(spec, ";") {
@@ -274,9 +275,6 @@ func parseCoordinatorTopology(spec string) ([][]string, error) {
 			return nil, fmt.Errorf("-coordinator: shard %d has no replica URLs", i)
 		}
 		topo = append(topo, urls)
-	}
-	if len(topo) == 0 {
-		return nil, fmt.Errorf("-coordinator: no shards in %q", spec)
 	}
 	return topo, nil
 }

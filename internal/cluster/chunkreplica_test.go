@@ -34,7 +34,6 @@ func (d *denseReplica) List(ctx context.Context) ([]repo.Metadata, error) {
 	return d.store.List(), nil
 }
 func (d *denseReplica) Delete(ctx context.Context, id string) error { return d.store.Delete(id) }
-func (d *denseReplica) Rebuild(ctx context.Context) error           { return nil }
 
 // chunkStubReplica stores the chunks as sent, counting chunked publishes.
 type chunkStubReplica struct {

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"sommelier/internal/cas"
 	"sommelier/internal/graph"
@@ -55,21 +54,19 @@ type ClusterOption func(*Cluster)
 // WithClusterObserver attaches an observability handle: writes count
 // into cluster_publish_total / cluster_publish_partial_total /
 // cluster_publish_failed_total, repair into cluster_repair_copies_total
-// and rebalance into cluster_rebalance_moves_total.
+// and unlistable shards into cluster_shard<i>_errors_total.
 func WithClusterObserver(o *obs.Observer) ClusterOption { return func(c *Cluster) { c.obs = o } }
 
 // Cluster owns the write path and placement of a sharded, replicated
 // hub: a consistent-hash ring assigns every model (by series when set)
 // to one shard, writes go to all of that shard's replicas, and the
-// repair and rebalance passes restore the invariants failures break —
-// replica divergence after a partial write, misplacement after the
-// ring changes.
+// repair pass restores the invariant a failure breaks — replica
+// divergence after a partial write. The topology is fixed when the
+// cluster is built, so ring and shards are read without a lock.
 type Cluster struct {
-	obs *obs.Observer
-
-	mu     sync.Mutex
-	ring   *Ring       // guarded by mu
-	shards [][]Replica // guarded by mu
+	obs    *obs.Observer
+	ring   *Ring
+	shards [][]Replica
 }
 
 // NewCluster builds a cluster over the replica topology; every shard
@@ -95,31 +92,14 @@ func NewCluster(shards [][]Replica, opts ...ClusterOption) (*Cluster, error) {
 }
 
 // Shards returns the shard count.
-func (c *Cluster) Shards() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.shards)
-}
+func (c *Cluster) Shards() int { return len(c.shards) }
 
 // Backends returns the query-only topology view for a Coordinator.
-func (c *Cluster) Backends() [][]QueryBackend {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return Backends(c.shards)
-}
+func (c *Cluster) Backends() [][]QueryBackend { return Backends(c.shards) }
 
 // ShardFor returns the shard owning a model.
 func (c *Cluster) ShardFor(id, series string) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return c.ring.ShardFor(PlacementKey(id, series))
-}
-
-// topology returns a consistent (ring, shards) pair for one operation.
-func (c *Cluster) topology() (*Ring, [][]Replica) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ring, c.shards
 }
 
 // encodeOnce chunk-encodes a model for replication. The encoding is
@@ -173,10 +153,9 @@ func (c *Cluster) Publish(ctx context.Context, m *graph.Model) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	ring, shards := c.topology()
 	c.obs.Counter("cluster_publish_total").Inc()
-	shard := ring.ShardFor(PlacementKey(enc.Manifest.ID(), seriesOf(m)))
-	return c.publishTo(ctx, shard, shards[shard], enc)
+	shard := c.ShardFor(enc.Manifest.ID(), seriesOf(m))
+	return c.publishTo(ctx, shard, c.shards[shard], enc)
 }
 
 // Broadcast writes the model to every replica of every shard — the
@@ -191,12 +170,11 @@ func (c *Cluster) Broadcast(ctx context.Context, m *graph.Model) (string, error)
 	if err != nil {
 		return "", err
 	}
-	_, shards := c.topology()
 	c.obs.Counter("cluster_publish_total").Inc()
 	id := enc.Manifest.ID()
 	accepted := 0
 	var errs map[string]error
-	for s, reps := range shards {
+	for s, reps := range c.shards {
 		_, err := c.publishTo(ctx, s, reps, enc)
 		var pw *PartialWriteError
 		switch {
@@ -226,22 +204,21 @@ func (c *Cluster) Broadcast(ctx context.Context, m *graph.Model) (string, error)
 	return id, &PartialWriteError{ID: id, Errs: errs, Accepted: accepted}
 }
 
-// Load fetches a model: the owning shard's replicas first, then — the
-// degraded path that keeps reads alive mid-rebalance or after a ring
-// change — every other shard.
+// Load fetches a model: the owning shard's replicas first, then every
+// other shard — a model placed by its series key lives off the shard a
+// bare ID hashes to, so the any-shard fallback is what finds it.
 func (c *Cluster) Load(ctx context.Context, id string) (*graph.Model, error) {
-	ring, shards := c.topology()
-	owner := ring.ShardFor(PlacementKey(id, "")) // series unknown for a bare ID
-	order := make([]int, 0, len(shards))
+	owner := c.ShardFor(id, "") // series unknown for a bare ID
+	order := make([]int, 0, len(c.shards))
 	order = append(order, owner)
-	for s := range shards {
+	for s := range c.shards {
 		if s != owner {
 			order = append(order, s)
 		}
 	}
 	var lastErr error = repo.ErrNotFound
 	for _, s := range order {
-		for _, rep := range shards[s] {
+		for _, rep := range c.shards[s] {
 			m, err := rep.Load(ctx, id)
 			if err == nil {
 				return m, nil
@@ -259,10 +236,9 @@ func (c *Cluster) Load(ctx context.Context, id string) (*graph.Model, error) {
 // answering replica; shards with no answering replica are skipped —
 // List is a read and degrades like one.
 func (c *Cluster) List(ctx context.Context) ([]repo.Metadata, error) {
-	_, shards := c.topology()
 	seen := make(map[string]bool)
 	var out []repo.Metadata
-	for s, reps := range shards {
+	for s, reps := range c.shards {
 		var mds []repo.Metadata
 		var err error
 		ok := false
@@ -291,10 +267,9 @@ func (c *Cluster) List(ctx context.Context) ([]repo.Metadata, error) {
 // models live everywhere, so deletes fan out cluster-wide). Replicas
 // that do not hold the model are not an error.
 func (c *Cluster) Delete(ctx context.Context, id string) error {
-	_, shards := c.topology()
 	deleted := 0
 	var lastErr error
-	for _, reps := range shards {
+	for _, reps := range c.shards {
 		for _, rep := range reps {
 			switch err := rep.Delete(ctx, id); {
 			case err == nil:
@@ -327,9 +302,8 @@ type RepairReport struct {
 // recovery path after a *PartialWriteError — once Repair succeeds, the
 // shard's replicas are interchangeable again and failover is invisible.
 func (c *Cluster) Repair(ctx context.Context) (*RepairReport, error) {
-	_, shards := c.topology()
 	rep := &RepairReport{}
-	for s, reps := range shards {
+	for s, reps := range c.shards {
 		// Union of IDs across replicas, with a source replica for each.
 		have := make([]map[string]bool, len(reps))
 		source := make(map[string]int)
@@ -382,151 +356,6 @@ func (c *Cluster) Repair(ctx context.Context) (*RepairReport, error) {
 			len(rep.Failed), strings.Join(rep.Failed, ", "))
 	}
 	return rep, nil
-}
-
-// AddShard appends a new shard (its replicas presumed empty) and
-// rebuilds the ring. Existing models stay where they are — and stay
-// readable through Load's any-shard fallback — until Rebalance moves
-// them.
-func (c *Cluster) AddShard(replicas ...Replica) error {
-	if len(replicas) == 0 {
-		return fmt.Errorf("cluster: new shard needs at least one replica")
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	ring, err := NewRing(len(c.shards) + 1)
-	if err != nil {
-		return err
-	}
-	c.shards = append(c.shards, replicas)
-	c.ring = ring
-	return nil
-}
-
-// RebalanceReport summarises one rebalance pass.
-type RebalanceReport struct {
-	// Moved is the number of models re-homed to their ring shard.
-	Moved int
-	// Rebuilt lists shards whose replicas were reindexed after losing
-	// models, ascending.
-	Rebuilt []int
-}
-
-// Rebalance moves every model to the shard the current ring assigns
-// it, copy-first: a model is published to all replicas of its new
-// shard and only deleted from its old shard once every new replica
-// accepted it. A fault mid-rebalance therefore never loses a model —
-// the move is abandoned, the model stays on its old shard, and the
-// error reports which move failed. Shards that lost models get their
-// replicas rebuilt so stale index entries cannot serve ghosts.
-//
-// Broadcast models (present on several shards) are recognised by their
-// multiplicity and left alone.
-func (c *Cluster) Rebalance(ctx context.Context) (*RebalanceReport, error) {
-	ring, shards := c.topology()
-	rep := &RebalanceReport{}
-
-	// Placement audit: where does everything live vs. where should it
-	// live. Models on more than one shard are broadcast — skipped.
-	type placement struct {
-		shard  int
-		series string
-	}
-	locs := make(map[string][]placement)
-	for s, reps := range shards {
-		var mds []repo.Metadata
-		var err error
-		ok := false
-		for r, replica := range reps {
-			if mds, err = replica.List(ctx); err == nil {
-				ok = true
-				break
-			} else if r == len(reps)-1 {
-				return rep, fmt.Errorf("cluster: rebalance: listing shard %d: %w", s, err)
-			}
-		}
-		if !ok {
-			return rep, fmt.Errorf("cluster: rebalance: shard %d unlistable", s)
-		}
-		for _, md := range mds {
-			locs[md.ID] = append(locs[md.ID], placement{shard: s, series: md.Series})
-		}
-	}
-	ids := make([]string, 0, len(locs))
-	for id := range locs {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-
-	dirty := make(map[int]bool) // shards that lost a model
-	for _, id := range ids {
-		pls := locs[id]
-		if len(pls) != 1 {
-			continue // broadcast (or already mid-copy): leave in place
-		}
-		from, want := pls[0].shard, ring.ShardFor(PlacementKey(id, pls[0].series))
-		if from == want {
-			continue
-		}
-		m, err := c.loadFromShard(ctx, shards[from], id)
-		if err != nil {
-			return rep, fmt.Errorf("cluster: rebalance: loading %s from shard %d: %w", id, from, err)
-		}
-		// Copy first: all new replicas must accept before the old copy
-		// goes away. A refused copy aborts the move and rolls the
-		// already-accepted copies back, so a half-moved model cannot be
-		// mistaken for a broadcast one on the next pass.
-		enc, err := encodeOnce(m)
-		if err != nil {
-			return rep, err
-		}
-		for r, replica := range shards[want] {
-			if _, err := replica.PublishEncoded(ctx, enc); err != nil {
-				for rb := 0; rb < r; rb++ {
-					if derr := shards[want][rb].Delete(ctx, id); derr != nil && !errors.Is(derr, repo.ErrNotFound) {
-						return rep, fmt.Errorf("cluster: rebalance: moving %s to %s: %w; rollback from %s also failed: %w (model retained on shard %d)",
-							id, Target(want, r), err, Target(want, rb), derr, from)
-					}
-				}
-				return rep, fmt.Errorf("cluster: rebalance: moving %s to %s: %w (model retained on shard %d)",
-					id, Target(want, r), err, from)
-			}
-		}
-		for _, replica := range shards[from] {
-			if err := replica.Delete(ctx, id); err != nil && !errors.Is(err, repo.ErrNotFound) {
-				return rep, fmt.Errorf("cluster: rebalance: dropping %s from shard %d: %w", id, from, err)
-			}
-		}
-		dirty[from] = true
-		rep.Moved++
-		c.obs.Counter("cluster_rebalance_moves_total").Inc()
-	}
-
-	for s := range dirty {
-		rep.Rebuilt = append(rep.Rebuilt, s)
-	}
-	sort.Ints(rep.Rebuilt)
-	for _, s := range rep.Rebuilt {
-		for r, replica := range shards[s] {
-			if err := replica.Rebuild(ctx); err != nil {
-				return rep, fmt.Errorf("cluster: rebalance: rebuilding %s: %w", Target(s, r), err)
-			}
-		}
-	}
-	return rep, nil
-}
-
-// loadFromShard loads a model through the first answering replica.
-func (c *Cluster) loadFromShard(ctx context.Context, reps []Replica, id string) (*graph.Model, error) {
-	var lastErr error
-	for _, rep := range reps {
-		m, err := rep.Load(ctx, id)
-		if err == nil {
-			return m, nil
-		}
-		lastErr = err
-	}
-	return nil, fmt.Errorf("%w: %w", ErrAllReplicasFailed, lastErr)
 }
 
 // seriesOf extracts the model's series annotation, if any — the

@@ -113,8 +113,3 @@ func (r *HTTPReplica) Delete(ctx context.Context, id string) error {
 	}
 	return nil
 }
-
-// Rebuild is a no-op for remote replicas: a sommhub shard running with
-// -index reindexes every accepted upload itself, which is the same
-// invariant Rebuild restores for in-process replicas.
-func (r *HTTPReplica) Rebuild(ctx context.Context) error { return ctx.Err() }

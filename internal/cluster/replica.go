@@ -35,8 +35,8 @@ type BatchQueryBackend interface {
 }
 
 // Replica is one replica of one shard: the query surface plus the
-// store surface the Cluster needs for placement, replication, repair
-// and rebalancing. In-process replicas wrap an engine over a private
+// store surface the Cluster needs for placement, replication and
+// repair. In-process replicas wrap an engine over a private
 // store; remote replicas wrap a hub client.
 type Replica interface {
 	QueryBackend
@@ -51,10 +51,6 @@ type Replica interface {
 	List(ctx context.Context) ([]repo.Metadata, error)
 	// Delete removes a model.
 	Delete(ctx context.Context, id string) error
-	// Rebuild re-indexes the replica from its current store contents —
-	// the post-rebalance step that drops index entries for moved-away
-	// models.
-	Rebuild(ctx context.Context) error
 }
 
 // Backends converts a cluster's replica topology to the query-only view
@@ -154,7 +150,3 @@ func (f *FaultyReplica) Delete(ctx context.Context, id string) error {
 	}
 	return f.inner.Delete(ctx, id)
 }
-
-// Rebuild passes through untouched: it is the recovery path, and a
-// schedule that killed it would only re-test the fault paths above.
-func (f *FaultyReplica) Rebuild(ctx context.Context) error { return f.inner.Rebuild(ctx) }

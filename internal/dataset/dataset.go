@@ -130,51 +130,3 @@ func Accuracy(e *nn.Executor, d *Dataset) (float64, error) {
 	}
 	return float64(correct) / float64(d.Len()), nil
 }
-
-// QoRDifference measures the empirical quality-of-result difference
-// between two models on the dataset (§4.1). For classification datasets it
-// is the absolute accuracy gap; otherwise it is the mean L2 distance
-// between raw outputs on the same inputs.
-func QoRDifference(a, b *nn.Executor, d *Dataset) (float64, error) {
-	if d.Len() == 0 {
-		return 0, fmt.Errorf("dataset: %q is empty", d.Name)
-	}
-	if d.Labels != nil {
-		accA, err := Accuracy(a, d)
-		if err != nil {
-			return 0, err
-		}
-		accB, err := Accuracy(b, d)
-		if err != nil {
-			return 0, err
-		}
-		if accA >= accB {
-			return accA - accB, nil
-		}
-		return accB - accA, nil
-	}
-	total := 0.0
-	for _, x := range d.Inputs {
-		oa, err := a.Forward(x)
-		if err != nil {
-			return 0, err
-		}
-		ob, err := b.Forward(x)
-		if err != nil {
-			return 0, err
-		}
-		total += tensor.L2Distance(oa, ob)
-	}
-	return total / float64(d.Len()), nil
-}
-
-// DisagreementRatio returns the fraction of samples on which two models
-// predict different classes — the quantity "models differ by x%" that the
-// synthetic-repository experiments sweep.
-func DisagreementRatio(a, b *nn.Executor, d *Dataset) (float64, error) {
-	r, err := nn.AgreementRatio(a, b, d.Inputs)
-	if err != nil {
-		return 0, err
-	}
-	return 1 - r, nil
-}

@@ -104,69 +104,6 @@ func TestTeacherLabeledPerfectSelfAccuracy(t *testing.T) {
 	}
 }
 
-func TestQoRDifferenceSymmetricOnLabels(t *testing.T) {
-	a, b := testModel(t, 1), testModel(t, 2)
-	d, err := TeacherLabeled("q", a, 40, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ab, err := QoRDifference(a, b, d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ba, err := QoRDifference(b, a, d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ab != ba {
-		t.Fatalf("QoR difference asymmetric on accuracy gap: %g vs %g", ab, ba)
-	}
-	if ab < 0 || ab > 1 {
-		t.Fatalf("QoR difference out of range: %g", ab)
-	}
-	self, err := QoRDifference(a, a, d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if self != 0 {
-		t.Fatalf("self QoR difference = %g", self)
-	}
-}
-
-func TestQoRDifferenceRegression(t *testing.T) {
-	a, b := testModel(t, 3), testModel(t, 4)
-	d := &Dataset{Name: "reg", Inputs: RandomImages(10, tensor.Shape{4}, 5)}
-	diff, err := QoRDifference(a, b, d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if diff <= 0 {
-		t.Fatalf("distinct models should have positive output distance, got %g", diff)
-	}
-}
-
-func TestDisagreementRatioBounds(t *testing.T) {
-	a, b := testModel(t, 5), testModel(t, 6)
-	d, err := TeacherLabeled("dis", a, 30, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := DisagreementRatio(a, b, d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r < 0 || r > 1 {
-		t.Fatalf("disagreement = %g", r)
-	}
-	self, err := DisagreementRatio(a, a, d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if self != 0 {
-		t.Fatalf("self disagreement = %g", self)
-	}
-}
-
 func TestAccuracyErrors(t *testing.T) {
 	e := testModel(t, 7)
 	if _, err := Accuracy(e, &Dataset{Name: "empty"}); err == nil {

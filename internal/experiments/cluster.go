@@ -20,11 +20,8 @@ import (
 // same publishes, produce byte-identical query answers — which is what
 // makes replica failover invisible to clients.
 type EngineReplica struct {
-	store          *repo.Repository
-	eng            *sommelier.Engine
-	seed           uint64
-	validationSize int
-	obs            *obs.Observer
+	store *repo.Repository
+	eng   *sommelier.Engine
 }
 
 // NewEngineReplica builds an empty replica. o may be nil; a shared
@@ -39,7 +36,7 @@ func NewEngineReplica(seed uint64, validationSize int, o *obs.Observer) (*Engine
 	if err != nil {
 		return nil, err
 	}
-	return &EngineReplica{store: store, eng: eng, seed: seed, validationSize: validationSize, obs: o}, nil
+	return &EngineReplica{store: store, eng: eng}, nil
 }
 
 // Engine exposes the replica's engine (tests assert against it).
@@ -122,32 +119,13 @@ func (r *EngineReplica) List(ctx context.Context) ([]repo.Metadata, error) {
 }
 
 // Delete removes the model from the store. The engine's index keeps
-// its entry until Rebuild; callers that delete outside a rebalance
-// (which rebuilds) accept briefly-stale index entries, the same
-// trade-off the hub server makes.
+// its entry, because the catalog has no removal — the same trade-off
+// the hub server makes.
 func (r *EngineReplica) Delete(ctx context.Context, id string) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
 	return r.store.Delete(id)
-}
-
-// Rebuild replaces the engine with a fresh one indexed from the
-// current store contents — the post-rebalance step that drops moved
-// models from the index.
-func (r *EngineReplica) Rebuild(ctx context.Context) error {
-	eng, err := sommelier.NewEngine(r.store,
-		sommelier.WithSeed(r.seed),
-		sommelier.WithValidationSize(r.validationSize),
-		sommelier.WithObserver(r.obs))
-	if err != nil {
-		return err
-	}
-	if err := eng.IndexAllContext(ctx); err != nil {
-		return err
-	}
-	r.eng = eng
-	return nil
 }
 
 // ClusterTopology sizes an in-process cluster.

@@ -115,16 +115,25 @@ func TestLoadManifestAndChunkFetch(t *testing.T) {
 	if len(refs) == 0 {
 		t.Fatal("manifest has no chunk refs")
 	}
-	has, err := c.HasChunk(refs[0])
-	if err != nil || !has {
-		t.Fatalf("HasChunk(%s) = %v, %v", refs[0], has, err)
+	// HEAD /v1/chunks/{hash} answers 200 for a held chunk, 404 otherwise.
+	head := func(hash string) int {
+		t.Helper()
+		resp, err := ts.Client().Head(ts.URL + "/v1/chunks/" + hash)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	if code := head(refs[0]); code != http.StatusOK {
+		t.Fatalf("HEAD held chunk %s = %d, want 200", refs[0], code)
 	}
 	data, err := c.GetChunk(refs[0])
 	if err != nil || len(data) == 0 {
 		t.Fatalf("GetChunk = %d bytes, %v", len(data), err)
 	}
-	if has, err := c.HasChunk("0000000000000000000000000000000000000000000000000000000000000000"); err != nil || has {
-		t.Fatalf("absent chunk: has=%v err=%v", has, err)
+	if code := head(strings.Repeat("0", 64)); code != http.StatusNotFound {
+		t.Fatalf("HEAD absent chunk = %d, want 404", code)
 	}
 	if err := c.PutChunk(refs[0], []byte("tampered")); err == nil {
 		t.Fatal("hub accepted a chunk whose bytes do not hash to its address")

@@ -63,30 +63,6 @@ func (c *Client) LoadManifest(id string) (_ *cas.Manifest, err error) {
 	return man, nil
 }
 
-// HasChunk probes whether the hub holds a chunk.
-func (c *Client) HasChunk(hash string) (bool, error) {
-	has := false
-	err := c.do(true,
-		func() (*http.Request, error) { return http.NewRequest(http.MethodHead, c.chunkURL(hash), nil) },
-		func(resp *http.Response) error {
-			switch resp.StatusCode {
-			case http.StatusOK:
-				has = true
-				return nil
-			case http.StatusNotFound:
-				return nil
-			}
-			return &StatusError{Code: resp.StatusCode, msg: resp.Status}
-		})
-	if err != nil {
-		if chunkUnsupported(err) {
-			err = fmt.Errorf("%w: %w", ErrChunkUnsupported, err)
-		}
-		return false, fmt.Errorf("hub: has chunk %s: %w", hash, err)
-	}
-	return has, nil
-}
-
 // GetChunk fetches one chunk, verifying the bytes against the address
 // so a corrupted transfer is caught at the edge.
 func (c *Client) GetChunk(hash string) (_ []byte, err error) {

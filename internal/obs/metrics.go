@@ -131,28 +131,11 @@ func (r *Registry) Histogram(name string) *Histogram {
 	if r == nil {
 		return nil
 	}
-	return r.histogram(name, nil)
-}
-
-// HistogramWith returns the named histogram, creating it with the given
-// bucket upper bounds on first use (an existing histogram keeps its
-// original bounds).
-func (r *Registry) HistogramWith(name string, bounds []float64) *Histogram {
-	if r == nil {
-		return nil
-	}
-	return r.histogram(name, bounds)
-}
-
-func (r *Registry) histogram(name string, bounds []float64) *Histogram {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	h, ok := r.hists[name]
 	if !ok {
-		if bounds == nil {
-			bounds = DefaultLatencyBounds()
-		}
-		h = NewHistogram(bounds)
+		h = NewHistogram(DefaultLatencyBounds())
 		r.hists[name] = h
 	}
 	return h

@@ -37,11 +37,6 @@ func TestRegistryHandlesAreStable(t *testing.T) {
 	if r.Histogram("h") != r.Histogram("h") {
 		t.Error("Histogram returned distinct handles for one name")
 	}
-	// HistogramWith keeps the first layout.
-	h := r.HistogramWith("w", []float64{1, 2})
-	if r.HistogramWith("w", []float64{5}) != h {
-		t.Error("HistogramWith replaced an existing histogram")
-	}
 }
 
 func TestSnapshotIncludesGaugeFuncs(t *testing.T) {
@@ -112,9 +107,6 @@ func TestTracerRingEviction(t *testing.T) {
 	spans := o.Tracer().Recent()
 	if len(spans) != 2 || spans[0].Name != "b" || spans[1].Name != "c" {
 		t.Errorf("Recent after eviction = %+v, want [b c]", spans)
-	}
-	if o.Tracer().Total() != 3 {
-		t.Errorf("Total = %d, want 3", o.Tracer().Total())
 	}
 }
 

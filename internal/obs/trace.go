@@ -55,10 +55,9 @@ type Tracer struct {
 	clock  Clock
 	nextID atomic.Uint64
 
-	mu    sync.Mutex
-	ring  []SpanRecord // guarded by mu
-	next  int          // guarded by mu
-	total int64        // guarded by mu
+	mu   sync.Mutex
+	ring []SpanRecord // guarded by mu
+	next int          // guarded by mu
 }
 
 // newTracer builds a tracer with capacity cap; cap <= 0 disables
@@ -99,7 +98,6 @@ func (t *Tracer) record(rec SpanRecord) {
 		t.ring[t.next] = rec
 		t.next = (t.next + 1) % cap(t.ring)
 	}
-	t.total++
 }
 
 // Recent returns the ring's contents, oldest first. The slice is a
@@ -114,17 +112,6 @@ func (t *Tracer) Recent() []SpanRecord {
 	out = append(out, t.ring[t.next:]...)
 	out = append(out, t.ring[:t.next]...)
 	return out
-}
-
-// Total returns how many spans have been recorded over the tracer's
-// lifetime (including those the ring has since evicted).
-func (t *Tracer) Total() int64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.total
 }
 
 // TreeString renders the recorded spans as an indented forest with

@@ -45,20 +45,6 @@ func (p Profile) Vector() []float64 {
 // zero value, as distinct from a real (if tiny) measured profile.
 func (p Profile) IsZero() bool { return p == Profile{} }
 
-// RelativeTo returns this profile's usage as fractions of a reference
-// profile, the form queries express budgets in ("80% of ResNet memory").
-func (p Profile) RelativeTo(ref Profile) (memFrac, flopsFrac, latFrac float64) {
-	frac := func(a, b float64) float64 {
-		if b == 0 {
-			return 0
-		}
-		return a / b
-	}
-	return frac(float64(p.MemoryBytes), float64(ref.MemoryBytes)),
-		frac(float64(p.FLOPs), float64(ref.FLOPs)),
-		frac(p.LatencyMS, ref.LatencyMS)
-}
-
 const bytesPerElement = 4
 
 // LatencyTable maps operator kinds to per-element execution cost in

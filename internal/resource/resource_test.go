@@ -156,19 +156,6 @@ func TestCriticalPathUsesLongestBranch(t *testing.T) {
 	}
 }
 
-func TestRelativeTo(t *testing.T) {
-	a := Profile{FLOPs: 50, MemoryBytes: 100, LatencyMS: 2}
-	ref := Profile{FLOPs: 100, MemoryBytes: 400, LatencyMS: 4}
-	mem, fl, lat := a.RelativeTo(ref)
-	if mem != 0.25 || fl != 0.5 || lat != 0.5 {
-		t.Fatalf("RelativeTo = %g %g %g", mem, fl, lat)
-	}
-	mem, fl, lat = a.RelativeTo(Profile{})
-	if mem != 0 || fl != 0 || lat != 0 {
-		t.Fatal("RelativeTo zero reference should yield zeros")
-	}
-}
-
 func TestVectorOrder(t *testing.T) {
 	p := Profile{FLOPs: 2e9, MemoryBytes: 1 << 21, LatencyMS: 3}
 	v := p.Vector()

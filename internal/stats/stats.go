@@ -1,5 +1,5 @@
 // Package stats provides the small statistical toolkit the experiment
-// harness uses: percentiles, summaries, histograms, and CDF series.
+// harness uses: percentiles, summaries and histograms.
 package stats
 
 import (
@@ -115,22 +115,6 @@ func Summarize(xs []float64) Summary {
 func (s Summary) String() string {
 	return fmt.Sprintf("n=%d mean=%.4g std=%.4g min=%.4g p50=%.4g p90=%.4g p99=%.4g max=%.4g",
 		s.N, s.Mean, s.Std, s.MinV, s.P50, s.P90, s.P99, s.MaxV)
-}
-
-// CDFPoint is one point of an empirical CDF.
-type CDFPoint struct {
-	Value    float64
-	Fraction float64
-}
-
-// CDF returns the empirical CDF of xs sampled at the given fractions
-// (e.g. 0.5, 0.9, 0.99).
-func CDF(xs []float64, fractions []float64) []CDFPoint {
-	pts := make([]CDFPoint, len(fractions))
-	for i, f := range fractions {
-		pts[i] = CDFPoint{Value: Percentile(xs, f*100), Fraction: f}
-	}
-	return pts
 }
 
 // Histogram counts xs into nbins equal-width bins spanning [min, max].

@@ -79,14 +79,6 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
-func TestCDF(t *testing.T) {
-	xs := []float64{1, 2, 3, 4}
-	pts := CDF(xs, []float64{0.5, 1.0})
-	if len(pts) != 2 || pts[1].Value != 4 {
-		t.Fatalf("CDF = %+v", pts)
-	}
-}
-
 func TestHistogram(t *testing.T) {
 	xs := []float64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
 	h := NewHistogram(xs, 5)
