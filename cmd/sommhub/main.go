@@ -20,14 +20,17 @@
 //   - In-process cluster: -shards N -replicas R (without -shard) runs N
 //     shards × R engine-backed replicas inside one process behind a
 //     consistent-hash ring. Writes replicate R ways, GET /v1/query
-//     scatter-gathers across all shards with per-shard failover and the
-//     degradation ladder (replica failover → stale last-known-good →
-//     partial result); the query payload is the full cluster Response,
-//     including any missing/stale shard tags.
+//     goes to the shards that may hold its reference with per-shard
+//     failover and the degradation ladder (replica failover → stale
+//     last-known-good → partial result); the query payload is the full
+//     cluster Response, including any missing/stale shard tags.
 //   - Coordinator: -coordinator "u1,u2;u3,u4" fronts remote shard hubs
 //     (';' separates shards, ',' separates a shard's replicas, each
-//     running with -index) with the same scatter-gather read path and
-//     replicated write path.
+//     running with -index) with the same read path and replicated write
+//     path. Write through the coordinator: a write made straight to a
+//     shard hub is seen from the first answer that shard gives the
+//     coordinator after it, and stays unseen while the coordinator
+//     skips that shard for every reference it is asked about.
 //
 // In the cluster roles, a PUT whose model metadata carries
 // placement=broadcast is written to every shard — the placement for
@@ -83,7 +86,7 @@ func main() {
 		shards       = flag.Int("shards", 0, "cluster shard count: with -shard, the advertised total; without, runs an in-process cluster of this many shards")
 		replicas     = flag.Int("replicas", 2, "replicas per shard in in-process cluster mode")
 		shardID      = flag.Int("shard", -1, "this hub's shard index (standalone shard node; needs -shards)")
-		coordinator  = flag.String("coordinator", "", `front remote shard hubs: ';'-separated shards of ','-separated replica URLs`)
+		coordinator  = flag.String("coordinator", "", `front remote shard hubs: ';'-separated shards of ','-separated replica URLs (write through the coordinator: a direct write to a shard hub is seen only once that shard answers it)`)
 		validation   = flag.Int("validation", 64, "per-task probe dataset size for cluster-mode engines")
 	)
 	flag.Parse()

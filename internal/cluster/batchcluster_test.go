@@ -14,6 +14,7 @@ import (
 	"sommelier/internal/faults"
 	"sommelier/internal/graph"
 	"sommelier/internal/hub"
+	"sommelier/internal/query"
 	"sommelier/internal/repo"
 	"sommelier/internal/zoo"
 )
@@ -182,7 +183,8 @@ func seedHTTPReplica(t *testing.T, r *cluster.HTTPReplica) string {
 
 // TestHTTPReplicaQueryBatch drives the wire protocol end to end: a
 // batch over a live hub matches per-query GETs, the unknown-reference
-// code maps to an empty contribution, and a genuine per-query error
+// code comes back in its slot as query.ErrUnknownReference (where the
+// GET answers an empty contribution), and a genuine per-query error
 // stays in its slot.
 func TestHTTPReplicaQueryBatch(t *testing.T) {
 	r, _ := newBatchHubReplica(t)
@@ -194,6 +196,9 @@ func TestHTTPReplicaQueryBatch(t *testing.T) {
 		t.Fatalf("batch transport error: %v", err)
 	}
 	for i, q := range qs {
+		if i == 2 {
+			continue // the unknown reference, checked below
+		}
 		serial, serr := r.Query(context.Background(), q)
 		if (errs[i] == nil) != (serr == nil) {
 			t.Fatalf("slot %d: batch err %v, serial err %v", i, errs[i], serr)
@@ -205,8 +210,15 @@ func TestHTTPReplicaQueryBatch(t *testing.T) {
 			t.Fatalf("slot %d: batch diverges from GET:\n got %s\nwant %s", i, got, want)
 		}
 	}
-	if errs[2] != nil || len(results[2]) != 0 {
-		t.Fatalf("unknown-reference slot: err %v, %d results; want empty contribution", errs[2], len(results[2]))
+	if !errors.Is(errs[2], query.ErrUnknownReference) || len(results[2]) != 0 {
+		t.Fatalf("unknown-reference slot: err %v, %d results; want query.ErrUnknownReference", errs[2], len(results[2]))
+	}
+	if res, err := r.Query(context.Background(), qs[2]); err != nil || len(res) != 0 {
+		t.Fatalf("unknown reference through Query: err %v, %d results; want an empty contribution", err, len(res))
+	}
+	// A one-query attempt takes the GET and maps the same way.
+	if _, one, err := r.QueryBatch(context.Background(), qs[2:3]); err != nil || !errors.Is(one[0], query.ErrUnknownReference) {
+		t.Fatalf("one-query attempt: err %v, slot %v; want query.ErrUnknownReference", err, one[0])
 	}
 	// A parse error is a refusal on both paths (the coordinator never
 	// sends one — it validates before scattering — but a direct caller

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -20,6 +21,9 @@ const (
 	// lkgCacheCap bounds the last-known-good cache (per-shard, per-query
 	// entries, LRU eviction).
 	lkgCacheCap = 256
+	// holderCacheCap bounds the holder directory (per-reference
+	// entries, LRU eviction).
+	holderCacheCap = 1024
 )
 
 // CoordinatorOption configures a Coordinator.
@@ -37,16 +41,20 @@ func WithReplicaTimeout(d time.Duration) CoordinatorOption {
 // (cluster_queries_total, cluster_degraded_queries,
 // cluster_failed_queries_total), and tallies the degradation machinery:
 // cluster_failovers_total split by cause (breaker/timeout/error),
-// cluster_stale_shards_total and cluster_missing_shards_total.
+// cluster_stale_shards_total and cluster_missing_shards_total. The
+// holder directory counts cluster_directed_queries_total (queries that
+// skipped a shard not holding their reference) and
+// cluster_directory_relearns_total (queries asked of every shard again
+// because a generation moved or a holder no longer held the reference).
 func WithCoordinatorObserver(o *obs.Observer) CoordinatorOption {
 	return func(c *Coordinator) { c.obs = o }
 }
 
-// Coordinator owns the read path of a shard cluster: it fans every
-// query out to all shards in parallel, walks each shard's replicas in
-// health-preference order, and merges the per-shard answers into one
-// globally ranked top-K. Failure degrades one rung at a time, per
-// shard and per query:
+// Coordinator owns the read path of a shard cluster: it sends each
+// query to the shards that may hold its reference model, in parallel,
+// walks each shard's replicas in health-preference order, and merges
+// the per-shard answers into one globally ranked top-K. Failure
+// degrades one rung at a time, per shard and per query:
 //
 //	replica answer → failover to next replica → last-known-good (stale)
 //	→ partial result naming the missing shard
@@ -57,6 +65,15 @@ func WithCoordinatorObserver(o *obs.Observer) CoordinatorOption {
 // catalog answered. Query and QueryBatch share one implementation of
 // the ladder (queryShardBatch) and of the merge (scatter); a single
 // query is a batch of one.
+//
+// Which shards hold a reference is learned: a query that every shard
+// answered fresh records the shards that said they do not hold its
+// reference, with the replica that said so and the generations of the
+// shard's replicas read before the query was sent. Later queries on
+// that reference skip those shards while the replica is still the
+// shard's first choice and no generation has moved. Everything else —
+// a query without a reference, a reference not learned yet, a moved
+// generation — is asked of every shard.
 type Coordinator struct {
 	shards         [][]QueryBackend
 	health         *healthTracker
@@ -66,14 +83,28 @@ type Coordinator struct {
 	// cluster_shard<i>_errors_total.
 	shardQueryMs, shardErrors []string
 
-	mu  sync.Mutex
-	lkg *lru.Cache[shardQuery, []Result] // guarded by mu
+	mu      sync.Mutex
+	lkg     *lru.Cache[shardQuery, []Result] // guarded by mu
+	holders *lru.Cache[string, *holderEntry] // guarded by mu
 }
 
 // shardQuery keys one cached per-shard answer.
 type shardQuery struct {
 	shard int
 	q     string
+}
+
+// holderEntry is what one query that every shard answered fresh taught
+// the directory about its reference. held[s] marks a shard that holds
+// it; ask[s] a shard its queries go to: a holder, or a shard with a
+// replica that cannot report a generation. Every other shard answered,
+// through replica[s], that it does not hold the reference, and gens[s]
+// are its replicas' generations read before that query was sent. An
+// entry is never changed after it is stored.
+type holderEntry struct {
+	held, ask []bool
+	replica   []int
+	gens      [][]uint64
 }
 
 // NewCoordinator builds a coordinator over the shard topology; every
@@ -89,6 +120,7 @@ func NewCoordinator(shards [][]QueryBackend, opts ...CoordinatorOption) (*Coordi
 		shardQueryMs:   make([]string, len(shards)),
 		shardErrors:    make([]string, len(shards)),
 		lkg:            lru.New[shardQuery, []Result](lkgCacheCap),
+		holders:        lru.New[string, *holderEntry](holderCacheCap),
 	}
 	for i, reps := range shards {
 		if len(reps) == 0 {
@@ -111,9 +143,13 @@ func (c *Coordinator) Shards() int { return len(c.shards) }
 
 // shardOut is one shard's contribution to one query of a scatter.
 type shardOut struct {
-	results   []Result
-	stale     bool
-	missing   bool
+	results []Result
+	stale   bool
+	missing bool
+	// unknown: replica answered fresh that it does not hold the
+	// query's reference.
+	unknown   bool
+	replica   int
 	failovers int
 }
 
@@ -182,27 +218,85 @@ func (c *Coordinator) QueryBatch(ctx context.Context, qs []string) ([]*Response,
 	return responses, errs
 }
 
-// scatter sends the validated queries to every shard in parallel and
-// merges each query's per-shard contributions into its Response.
-// parsed is index-aligned with qs.
+// route is how one query of a scatter is sent.
+type route struct {
+	// by is the valid directory entry the query goes by; nil sends it
+	// to every shard.
+	by *holderEntry
+	// gens are the generations read before sending a query whose
+	// answer will teach the directory; nil for any other query.
+	gens [][]uint64
+}
+
+// scatter answers the validated queries (parsed is index-aligned with
+// qs) and merges each query's per-shard contributions into its
+// Response. A query goes to the shards its valid directory entry asks
+// and otherwise to every shard; a query one of whose holders no longer
+// holds its reference is asked of every shard again in the same call.
+// A shard a query skipped contributes nothing and is neither stale nor
+// missing.
 func (c *Coordinator) scatter(ctx context.Context, qs []string, parsed []*query.Query) []*Response {
-	shardOuts := make([][]shardOut, len(c.shards))
-	var wg sync.WaitGroup
-	for i := range c.shards {
-		wg.Add(1)
-		go func(shard int) {
-			defer wg.Done()
-			shardOuts[shard] = c.queryShardBatch(ctx, shard, qs)
-		}(i)
+	n := len(c.shards)
+	routes := make([]route, len(qs))
+	var round [][]uint64
+	for j, p := range parsed {
+		if p.Ref == "" {
+			continue // the default reference is resolved by each shard
+		}
+		c.mu.Lock()
+		e, ok := c.holders.Get(p.Ref)
+		c.mu.Unlock()
+		if ok && c.valid(e) {
+			routes[j].by = e
+			if slices.Contains(e.ask, false) {
+				c.obs.Counter("cluster_directed_queries_total").Inc()
+			}
+			continue
+		}
+		if ok {
+			c.obs.Counter("cluster_directory_relearns_total").Inc()
+		}
+		if round == nil {
+			round = c.generations() // before anything is sent
+		}
+		routes[j].gens = round
 	}
-	wg.Wait()
+	flat := make([]shardOut, len(qs)*n)
+	outs := make([][]shardOut, len(qs))
+	all := make([]int, len(qs))
+	for j := range qs {
+		outs[j] = flat[j*n : (j+1)*n : (j+1)*n]
+		all[j] = j
+	}
+	c.fanOut(ctx, qs, all, routes, outs)
+
+	var again []int
+	for j, rt := range routes {
+		if rt.by == nil {
+			continue
+		}
+		for s, o := range outs[j] {
+			if rt.by.held[s] && o.unknown {
+				again = append(again, j)
+				break
+			}
+		}
+	}
+	if len(again) > 0 {
+		round = c.generations()
+		for _, j := range again {
+			c.obs.Counter("cluster_directory_relearns_total").Inc()
+			routes[j] = route{gens: round}
+			clear(outs[j])
+		}
+		c.fanOut(ctx, qs, again, routes, outs)
+	}
 
 	responses := make([]*Response, len(qs))
-	perShard := make([][]Result, len(c.shards)) // mergeTopK copies out of it
+	perShard := make([][]Result, n) // mergeTopK copies out of it
 	for j := range qs {
-		resp := &Response{Shards: len(c.shards)}
-		for s := range c.shards {
-			out := shardOuts[s][j]
+		resp := &Response{Shards: n}
+		for s, out := range outs[j] {
 			perShard[s] = out.results
 			resp.Failovers += out.failovers
 			if out.stale {
@@ -214,6 +308,10 @@ func (c *Coordinator) scatter(ctx context.Context, qs []string, parsed []*query.
 		}
 		resp.Results = mergeTopK(parsed[j], perShard)
 		switch resp.Class() {
+		case OutcomeFull:
+			if routes[j].gens != nil {
+				c.learn(parsed[j].Ref, outs[j], routes[j].gens)
+			}
 		case OutcomeDegraded:
 			c.obs.Counter("cluster_degraded_queries").Inc()
 		case OutcomeFailed:
@@ -222,6 +320,111 @@ func (c *Coordinator) scatter(ctx context.Context, qs []string, parsed []*query.
 		responses[j] = resp
 	}
 	return responses
+}
+
+// fanOut sends the queries idx to the shards their routes ask, every
+// shard's share in parallel — the last shard's on the caller's
+// goroutine — and stores shard s's answer to query j in outs[j][s].
+func (c *Coordinator) fanOut(ctx context.Context, qs []string, idx []int, routes []route, outs [][]shardOut) {
+	type share struct {
+		shard int
+		idx   []int
+	}
+	shares := make([]share, 0, len(c.shards))
+	for s := range c.shards {
+		var mine []int
+		for _, j := range idx {
+			if by := routes[j].by; by == nil || by.ask[s] {
+				mine = append(mine, j)
+			}
+		}
+		if len(mine) > 0 {
+			shares = append(shares, share{s, mine})
+		}
+	}
+	if len(shares) == 0 {
+		return
+	}
+	run := func(sh share) {
+		sub := make([]string, len(sh.idx))
+		for k, j := range sh.idx {
+			sub[k] = qs[j]
+		}
+		for k, out := range c.queryShardBatch(ctx, sh.shard, sub) {
+			outs[sh.idx[k]][sh.shard] = out
+		}
+	}
+	var wg sync.WaitGroup
+	for _, sh := range shares[:len(shares)-1] {
+		wg.Add(1)
+		go func(sh share) {
+			defer wg.Done()
+			run(sh)
+		}(sh)
+	}
+	run(shares[len(shares)-1])
+	wg.Wait()
+}
+
+// generation reads b's generation; false when b cannot report one.
+func generation(b QueryBackend) (uint64, bool) {
+	if g, ok := b.(GenerationReporter); ok {
+		return g.Generation()
+	}
+	return 0, false
+}
+
+// generations reads every replica's generation, shard by shard; a shard
+// with a replica that cannot report one reads nil.
+func (c *Coordinator) generations() [][]uint64 {
+	out := make([][]uint64, len(c.shards))
+	for s, reps := range c.shards {
+		out[s] = make([]uint64, len(reps))
+		for r, rep := range reps {
+			g, ok := generation(rep)
+			if !ok {
+				out[s] = nil
+				break
+			}
+			out[s][r] = g
+		}
+	}
+	return out
+}
+
+// valid reports whether e still describes the shards it skips: each is
+// asked through the replica that answered for it, and none of its
+// replicas' generations has moved.
+func (c *Coordinator) valid(e *holderEntry) bool {
+	for s, ask := range e.ask {
+		if ask {
+			continue
+		}
+		if c.health.order(s)[0] != e.replica[s] {
+			return false
+		}
+		for r, rep := range c.shards[s] {
+			if g, ok := generation(rep); !ok || g != e.gens[s][r] {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// learn stores what a query that every shard answered fresh says about
+// ref's holders; gens are the generations read before it was sent.
+func (c *Coordinator) learn(ref string, outs []shardOut, gens [][]uint64) {
+	n := len(outs)
+	e := &holderEntry{held: make([]bool, n), ask: make([]bool, n), replica: make([]int, n), gens: gens}
+	for s, out := range outs {
+		e.held[s] = !out.unknown
+		e.ask[s] = e.held[s] || gens[s] == nil
+		e.replica[s] = out.replica
+	}
+	c.mu.Lock()
+	c.holders.Add(ref, e)
+	c.mu.Unlock()
 }
 
 // queryShardBatch is the ladder. It walks one shard's replicas in preference
@@ -268,14 +471,18 @@ func (c *Coordinator) queryShardBatch(ctx context.Context, shard int, qs []strin
 		}
 		still := pending[:0]
 		for k, p := range pending {
-			if qerrs[k] != nil {
+			unknown := errors.Is(qerrs[k], query.ErrUnknownReference)
+			if qerrs[k] != nil && !unknown {
 				outs[p].failovers++
 				c.obs.Counter(c.shardErrors[shard]).Inc()
 				c.obs.Counter(failoverCounter(qerrs[k])).Inc()
 				still = append(still, p)
 				continue
 			}
-			outs[p].results = results[k]
+			if unknown {
+				results[k] = nil
+			}
+			outs[p].results, outs[p].unknown, outs[p].replica = results[k], unknown, r
 			if outs[p].failovers > 0 {
 				c.obs.Counter("cluster_failovers_total").Add(int64(outs[p].failovers))
 			}
@@ -313,13 +520,12 @@ func (c *Coordinator) queryShardBatch(ctx context.Context, shard int, qs []strin
 	return outs
 }
 
-// replicaBatch runs the pending set against one replica: one query goes
-// through Query (for a remote replica, the GET wire form), several
-// through the replica's batch surface when it has one and a serial
-// Query loop otherwise. The returned slices are index-aligned with qs;
-// the outer error means the whole attempt failed.
+// replicaBatch runs the pending set against one replica: through the
+// replica's batch surface when it has one, one query or many, and
+// through a serial Query loop otherwise. The returned slices are
+// index-aligned with qs; the outer error means the whole attempt failed.
 func replicaBatch(ctx context.Context, b QueryBackend, qs []string) ([][]Result, []error, error) {
-	if bb, ok := b.(BatchQueryBackend); ok && len(qs) > 1 {
+	if bb, ok := b.(BatchQueryBackend); ok {
 		results, qerrs, err := bb.QueryBatch(ctx, qs)
 		if err != nil {
 			return nil, nil, err

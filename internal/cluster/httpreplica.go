@@ -8,6 +8,7 @@ import (
 	"sommelier/internal/cas"
 	"sommelier/internal/graph"
 	"sommelier/internal/hub"
+	"sommelier/internal/query"
 	"sommelier/internal/repo"
 )
 
@@ -30,36 +31,41 @@ func NewHTTPReplica(c *hub.Client) *HTTPReplica { return &HTTPReplica{client: c}
 // throttled shard's 429), is an error the coordinator fails over on.
 func (r *HTTPReplica) Query(ctx context.Context, q string) ([]Result, error) {
 	res, err := r.client.Query(ctx, q)
-	if unknownReference(err) {
+	if errors.Is(err, query.ErrUnknownReference) {
 		return nil, nil
 	}
 	return res, err
 }
 
-// QueryBatch runs the batch in one POST /v1/query round trip, with
-// Query's mapping per slot: an unknown-reference refusal is an empty
-// contribution, and any other refusal is returned in that query's slot
-// so the coordinator can retry just that query on the next replica.
+// QueryBatch runs a one-query attempt as Query's GET and a larger one
+// in one POST /v1/query round trip. Every refusal is returned in its
+// query's slot — one coded CodeUnknownReference matches
+// query.ErrUnknownReference — so the coordinator can tell a shard that
+// does not hold the reference, and retry any other refusal on the next
+// replica.
 func (r *HTTPReplica) QueryBatch(ctx context.Context, qs []string) ([][]Result, []error, error) {
+	if len(qs) == 1 {
+		res, err := r.client.Query(ctx, qs[0])
+		return [][]Result{res}, []error{err}, nil
+	}
 	results, qerrs, err := r.client.QueryBatch(ctx, qs)
 	if err != nil {
 		return nil, nil, err
 	}
 	errs := make([]error, len(qs))
 	for i, qe := range qerrs {
-		if qe != nil && !unknownReference(qe) {
+		if qe != nil {
 			errs[i] = qe
 		}
 	}
 	return results, errs, nil
 }
 
-// unknownReference reports whether err is a shard's refusal coded
-// CodeUnknownReference.
-func unknownReference(err error) bool {
-	var qe *hub.QueryError
-	return errors.As(err, &qe) && qe.Code == hub.CodeUnknownReference
-}
+// Generation is the hub client's: a write made through this replica
+// moves it with the write's ack, and one whose ack never arrived makes
+// it unknown until the hub shows a later change; a write made by anyone
+// else moves it with the first answer the hub gives after that write.
+func (r *HTTPReplica) Generation() (uint64, bool) { return r.client.Generation() }
 
 // PublishEncoded uploads the model through the hub's chunk-negotiation
 // protocol, shipping only the chunks the remote shard is missing. The

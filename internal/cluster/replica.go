@@ -11,27 +11,39 @@ import (
 	"sommelier/internal/repo"
 )
 
-// QueryBackend answers queries for one shard replica. A backend must
-// treat an unknown reference model as an empty answer, not an error —
-// in a sharded catalog most shards do not hold any given reference.
-// The coordinator sends an attempt of exactly one query through Query.
+// QueryBackend answers queries for one shard replica. Query treats an
+// unknown reference model as an empty answer, not an error — in a
+// sharded catalog most shards do not hold any given reference. A
+// backend without the batched surface below cannot say that it does not
+// hold a reference, so the coordinator asks its shard every query.
 type QueryBackend interface {
 	Query(ctx context.Context, q string) ([]Result, error)
 }
 
-// BatchQueryBackend is the optional batched surface of a QueryBackend,
-// which the coordinator uses for an attempt of more than one query:
+// BatchQueryBackend is the optional batched surface of a QueryBackend;
+// the coordinator sends every attempt through it, one query or many.
 // QueryBatch answers every query against one catalog state. results and
 // errs are index-aligned with qs — exactly one of results[i]/errs[i] is
-// meaningful per slot. The outer error is transport-level: the whole
-// attempt failed and nothing per-query is known, so the coordinator
-// fails the entire pending set over to the next replica. Like Query, an
-// unknown reference must surface as an empty answer, not an error.
-// Backends without this surface are driven by a serial Query loop;
-// FaultyReplica deliberately omits it so chaos schedules draw one fault
-// per query whatever the batch size.
+// meaningful per slot. A query whose reference this replica does not
+// hold is an errs[i] wrapping query.ErrUnknownReference, which the
+// coordinator reads as an empty answer from a replica that does not
+// hold the reference. Any other errs[i] is retried on the next replica.
+// The outer error is transport-level: the whole attempt failed and
+// nothing per-query is known, so the coordinator fails the entire
+// pending set over to the next replica. Backends without this surface
+// are driven by a serial Query loop.
 type BatchQueryBackend interface {
 	QueryBatch(ctx context.Context, qs []string) ([][]Result, []error, error)
+}
+
+// GenerationReporter is the optional surface of a QueryBackend that
+// lets the coordinator skip the backend's shard for a reference it did
+// not hold: Generation returns a counter that moves whenever the
+// replica's catalog may have changed, false while it cannot tell. Two
+// equal readings mean no write to the replica was acknowledged between
+// them. A shard with a replica that cannot report is asked every query.
+type GenerationReporter interface {
+	Generation() (uint64, bool)
 }
 
 // Replica is one replica of one shard: the query surface plus the
@@ -116,6 +128,47 @@ func (f *FaultyReplica) Query(ctx context.Context, q string) ([]Result, error) {
 		return nil, err
 	}
 	return f.inner.Query(ctx, q)
+}
+
+// QueryBatch draws one fault per query, in order — the draws a serial
+// Query loop makes — and sends the queries no fault stopped to the
+// inner replica as one attempt. A fault fails only its query's slot.
+func (f *FaultyReplica) QueryBatch(ctx context.Context, qs []string) ([][]Result, []error, error) {
+	results := make([][]Result, len(qs))
+	errs := make([]error, len(qs))
+	passed := make([]int, 0, len(qs))
+	for i := range qs {
+		if err := ctx.Err(); err != nil {
+			return nil, nil, err
+		}
+		if errs[i] = f.fault(ctx, "query"); errs[i] == nil {
+			passed = append(passed, i)
+		}
+	}
+	if len(passed) == 0 {
+		return results, errs, nil
+	}
+	sub := make([]string, len(passed))
+	for k, i := range passed {
+		sub[k] = qs[i]
+	}
+	rs, es, err := replicaBatch(ctx, f.inner, sub)
+	if err != nil {
+		return nil, nil, err
+	}
+	for k, i := range passed {
+		results[i], errs[i] = rs[k], es[k]
+	}
+	return results, errs, nil
+}
+
+// Generation reports the inner replica's generation: a faulted write
+// never reaches the inner replica, so it cannot change it.
+func (f *FaultyReplica) Generation() (uint64, bool) {
+	if g, ok := f.inner.(GenerationReporter); ok {
+		return g.Generation()
+	}
+	return 0, false
 }
 
 // PublishEncoded applies the schedule — one draw per replica-publish —

@@ -1,10 +1,11 @@
 // Package cluster shards the curated catalog across N hub nodes and
 // serves it back as one: a consistent-hash ring partitions models (by
 // series when present, else by ID) across shards, every shard is
-// replicated R ways, and a scatter-gather Coordinator fans each query
-// out to all shards, failing over between replicas and degrading —
-// replica failover → stale last-known-good → partial result — per the
-// resilience rules the hub client established (PR 1).
+// replicated R ways, and a scatter-gather Coordinator sends each query
+// to the shards that may hold its reference model — every shard until
+// a complete answer has shown which do not — failing over between
+// replicas and degrading — replica failover → stale last-known-good →
+// partial result — per the resilience rules the hub client established.
 //
 // The package is deterministic by construction: ring placement, top-K
 // merging and degradation decisions depend only on inputs and the

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync/atomic"
 
 	"sommelier"
 	"sommelier/internal/cas"
@@ -22,6 +23,8 @@ import (
 type EngineReplica struct {
 	store *repo.Repository
 	eng   *sommelier.Engine
+	// writes counts PublishEncoded and Delete calls that have returned.
+	writes atomic.Uint64
 }
 
 // NewEngineReplica builds an empty replica. o may be nil; a shared
@@ -56,24 +59,23 @@ func (r *EngineReplica) Query(ctx context.Context, q string) ([]cluster.Result, 
 	return rs, nil
 }
 
-// QueryBatch answers the whole batch through the engine's batched
-// query path — one catalog snapshot for all queries — with the same
-// unknown-reference-is-empty mapping as Query.
+// QueryBatch answers one query through the engine's single-query path
+// and more through its batched path — one catalog snapshot for all
+// queries. Unlike Query, an unknown reference stays in its slot,
+// wrapping sommelier.ErrUnknownReference, so the coordinator learns
+// that this replica does not hold the reference.
 func (r *EngineReplica) QueryBatch(ctx context.Context, qs []string) ([][]cluster.Result, []error, error) {
-	rss, qerrs := r.eng.QueryBatchContext(ctx, qs)
-	results := make([][]cluster.Result, len(qs))
-	errs := make([]error, len(qs))
-	for i := range qs {
-		if err := qerrs[i]; err != nil {
-			if !errors.Is(err, sommelier.ErrUnknownReference) {
-				errs[i] = err
-			}
-			continue
-		}
-		results[i] = rss[i]
+	if len(qs) == 1 {
+		rs, err := r.eng.QueryContext(ctx, qs[0])
+		return [][]cluster.Result{rs}, []error{err}, nil
 	}
+	results, errs := r.eng.QueryBatchContext(ctx, qs)
 	return results, errs, nil
 }
+
+// Generation counts the replica's writes: every write to the replica's
+// store and index goes through PublishEncoded or Delete.
+func (r *EngineReplica) Generation() (uint64, bool) { return r.writes.Load(), true }
 
 // PublishEncoded stores and indexes an already-chunked model. The
 // replica's store deduplicates against chunks it already holds —
@@ -81,6 +83,7 @@ func (r *EngineReplica) QueryBatch(ctx context.Context, qs []string) ([][]cluste
 // unique tensors — and a fresh upload that fails to index is rolled
 // back, the hub server's "published implies indexed" rule.
 func (r *EngineReplica) PublishEncoded(ctx context.Context, enc *cas.Encoded) (string, error) {
+	defer r.writes.Add(1)
 	id := enc.Manifest.ID()
 	_, existed := r.store.Metadata(id)
 	if _, err := r.store.PublishEncoded(enc); err != nil {
@@ -122,6 +125,7 @@ func (r *EngineReplica) List(ctx context.Context) ([]repo.Metadata, error) {
 // its entry, because the catalog has no removal — the same trade-off
 // the hub server makes.
 func (r *EngineReplica) Delete(ctx context.Context, id string) error {
+	defer r.writes.Add(1)
 	if err := ctx.Err(); err != nil {
 		return err
 	}

@@ -239,6 +239,7 @@ func (s *Server) serveManifestPut(w http.ResponseWriter, r *http.Request, id str
 			return
 		}
 	}
+	s.wrote(w)
 	w.WriteHeader(http.StatusCreated)
 }
 

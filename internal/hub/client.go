@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"net/url"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -123,6 +124,13 @@ type Client struct {
 	obs                     *obs.Observer
 	retryCount              atomic.Int64
 	staleLoads, staleLists  atomic.Int64
+	// gen is the latest change HeaderGeneration values have shown; nil
+	// until a response has carried one.
+	gen atomic.Pointer[genSeen]
+	// unsure, above 0, is one more than gen's seen at a PUT or DELETE
+	// attempt whose answer never arrived, or was a 5xx without the
+	// header: Generation reports none until a later change is seen.
+	unsure atomic.Uint64
 
 	mu       sync.Mutex
 	cache    *lru.Cache[string, *graph.Model] // guarded by mu
@@ -215,6 +223,76 @@ func (c *Client) Stats() Stats {
 		BreakerState: stateName(state),
 		BreakerOpens: opens,
 		CachedModels: cached,
+	}
+}
+
+// genSeen is what HeaderGeneration values have told a client so far.
+type genSeen struct {
+	boot string // the hub process that sent the latest change
+	gen  uint64 // the highest count that process has sent
+	seen uint64 // changes seen, from 1
+}
+
+// Generation counts the changes to the hub's write generation
+// (HeaderGeneration, on query answers and write acks) this client has
+// seen: a higher count under the same boot, or a new boot — the hub
+// restarted, or the URL now reaches another hub. Two equal readings
+// mean no response between them showed a write. It is false until a
+// response has carried one — a hub that predates the header, or a proxy
+// that strips it, leaves it false — and after a PUT or DELETE attempt
+// whose answer never arrived or was a 5xx without the header, until a
+// later change has been seen: that write may still commit.
+func (c *Client) Generation() (uint64, bool) {
+	cur := c.gen.Load()
+	if cur == nil || cur.seen < c.unsure.Load() {
+		return 0, false
+	}
+	return cur.seen, true
+}
+
+// noteGeneration records a change a response's HeaderGeneration shows
+// and reports whether it carried one; a missing or malformed header
+// shows nothing.
+func (c *Client) noteGeneration(h http.Header) bool {
+	v := h[HeaderGeneration]
+	if len(v) == 0 {
+		return false
+	}
+	boot, n, ok := strings.Cut(v[0], ".")
+	if !ok || boot == "" {
+		return false
+	}
+	g, err := strconv.ParseUint(n, 10, 64)
+	if err != nil {
+		return false
+	}
+	for {
+		cur := c.gen.Load()
+		next := &genSeen{boot: boot, gen: g, seen: 1}
+		if cur != nil {
+			if cur.boot == boot && cur.gen >= g {
+				return true
+			}
+			next.seen = cur.seen + 1
+		}
+		if c.gen.CompareAndSwap(cur, next) {
+			return true
+		}
+	}
+}
+
+// doubtGeneration makes Generation report none until a change newer
+// than the latest seen arrives.
+func (c *Client) doubtGeneration() {
+	next := uint64(1)
+	if cur := c.gen.Load(); cur != nil {
+		next = cur.seen + 1
+	}
+	for {
+		u := c.unsure.Load()
+		if u >= next || c.unsure.CompareAndSwap(u, next) {
+			return
+		}
 	}
 }
 
@@ -325,10 +403,19 @@ func (c *Client) doOnce(req *http.Request, handle func(*http.Response) error) er
 		return err
 	}
 	resp, err := c.http.Do(req.WithContext(ctx))
+	write := req.Method == http.MethodPut || req.Method == http.MethodDelete
 	if err != nil {
+		if write {
+			c.doubtGeneration()
+		}
 		return attemptTimedOut(err)
 	}
 	defer resp.Body.Close()
+	if !c.noteGeneration(resp.Header) && write && resp.StatusCode >= 500 {
+		// Not the hub's answer to the write — a gateway's, say — so
+		// the hub behind it may still commit it.
+		c.doubtGeneration()
+	}
 	if err := handle(resp); err != nil {
 		// Body reads run under the same attempt deadline.
 		return attemptTimedOut(err)

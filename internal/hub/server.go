@@ -27,10 +27,15 @@
 //	GET  /v1/metrics           — observability snapshot (JSON; needs WithObserver)
 //	GET  /v1/tracez            — recent spans, oldest first (JSON; needs WithObserver)
 //	GET  /v1/healthz           — liveness + model count (JSON)
+//
+// Query answers and write acks carry the hub's write generation in the
+// HeaderGeneration response header.
 package hub
 
 import (
 	"context"
+	"crypto/rand"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -38,6 +43,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync/atomic"
 
 	"sommelier/internal/graph"
 	"sommelier/internal/obs"
@@ -83,6 +89,12 @@ const CodeUnknownReference = "unknown_reference"
 // Error implements error.
 func (e *QueryError) Error() string { return e.Message }
 
+// Is reads a refusal coded CodeUnknownReference as
+// query.ErrUnknownReference, the error the refusing engine returned.
+func (e *QueryError) Is(target error) bool {
+	return e.Code == CodeUnknownReference && errors.Is(query.ErrUnknownReference, target)
+}
+
 // NewQueryError is the wire form of a querier's error: its message, and
 // CodeUnknownReference when it wraps query.ErrUnknownReference. The
 // server builds every refusal of a Querier through it, and a
@@ -102,6 +114,16 @@ func NewQueryError(err error) *QueryError {
 // When only a Querier is configured the server loops it instead, so
 // the batch endpoint works against any query-enabled hub.
 type BatchQuerier func(ctx context.Context, qs []string) ([]any, []*QueryError)
+
+// HeaderGeneration names the response header that carries the hub's
+// write generation, "<boot>.<n>": boot names the hub process and n
+// counts, from 0 at its start, the writes that changed the store (a
+// model PUT, a manifest publish, a DELETE). A /v1/query answer carries
+// the value read before the query ran, so an answer carrying n has seen
+// every write whose ack carried n or less under the same boot; a write
+// ack carries the value read after the write committed. Chunk
+// transfers and loads do not carry it.
+const HeaderGeneration = "X-Sommelier-Generation"
 
 // DefaultMaxBodyBytes caps PUT bodies; a bare-bone hub should not be
 // taken down by one oversized (or unbounded) upload.
@@ -174,6 +196,11 @@ type Server struct {
 	// shard/shards identify this node's partition when it runs as part
 	// of a cluster; shards == 0 means standalone.
 	shard, shards int
+	// boot names this server process in HeaderGeneration: a restarted
+	// hub counts gen from 0 again under a new boot.
+	boot string
+	// gen is the write generation HeaderGeneration reports.
+	gen atomic.Uint64
 }
 
 // NewServer wraps a repository.
@@ -181,7 +208,11 @@ func NewServer(store repo.Store, opts ...ServerOption) (*Server, error) {
 	if store == nil {
 		return nil, fmt.Errorf("hub: nil repository")
 	}
-	s := &Server{store: store, mux: http.NewServeMux(), maxBody: DefaultMaxBodyBytes}
+	var boot [8]byte
+	if _, err := rand.Read(boot[:]); err != nil {
+		return nil, fmt.Errorf("hub: boot id: %w", err)
+	}
+	s := &Server{store: store, mux: http.NewServeMux(), maxBody: DefaultMaxBodyBytes, boot: hex.EncodeToString(boot[:])}
 	for _, opt := range opts {
 		opt(s)
 	}
@@ -317,14 +348,23 @@ func (s *Server) handleTracez(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// setGeneration puts generation g on the response's headers.
+func (s *Server) setGeneration(w http.ResponseWriter, g uint64) {
+	w.Header()[HeaderGeneration] = []string{s.boot + "." + strconv.FormatUint(g, 10)}
+}
+
+// wrote bumps the write generation after a write changed the store and
+// puts the new value on the ack.
+func (s *Server) wrote(w http.ResponseWriter) { s.setGeneration(w, s.gen.Add(1)) }
+
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	switch r.Method {
-	case http.MethodGet:
-	case http.MethodPost:
-		s.serveQueryBatch(w, r)
-		return
-	default:
+	if r.Method != http.MethodGet && r.Method != http.MethodPost {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+		return
+	}
+	s.setGeneration(w, s.gen.Load())
+	if r.Method == http.MethodPost {
+		s.serveQueryBatch(w, r)
 		return
 	}
 	if s.querier == nil {
@@ -560,6 +600,7 @@ func (s *Server) serveModel(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 		}
+		s.wrote(w)
 		w.WriteHeader(http.StatusCreated)
 	case http.MethodDelete:
 		if _, ok := s.store.Metadata(id); !ok {
@@ -570,6 +611,7 @@ func (s *Server) serveModel(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
 		}
+		s.wrote(w)
 		w.WriteHeader(http.StatusNoContent)
 	default:
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
@@ -581,7 +623,8 @@ func (s *Server) serveModel(w http.ResponseWriter, r *http.Request) {
 // PUT created is dropped. A pre-existing version stays — deleting it
 // would destroy data the uploader didn't send — and remains queryable
 // under its old index entry. When the delete fails too the model is
-// left published but unindexed, and the body says so.
+// left published but unindexed, and the body says so. The store
+// changed either way, so the generation moves.
 func (s *Server) indexFailed(w http.ResponseWriter, id string, existed bool, err error) {
 	msg := fmt.Sprintf("indexing %q: %v", id, err)
 	if !existed {
@@ -589,5 +632,6 @@ func (s *Server) indexFailed(w http.ResponseWriter, id string, existed bool, err
 			msg += fmt.Sprintf("; rollback failed, %q is published but not indexed: %v", id, delErr)
 		}
 	}
+	s.wrote(w)
 	http.Error(w, msg, http.StatusInternalServerError)
 }
