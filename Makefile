@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet lint benchsmoke check bench chaos fuzz loc
+.PHONY: build test race vet lint benchsmoke layerbench check bench chaos fuzz loc
 
 build:
 	$(GO) build ./...
@@ -42,14 +42,21 @@ lint:
 benchsmoke:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
+# layerbench runs the storage layer's hydration benchmarks once each, so
+# a benchmark that stops building or panics fails the gate; the numbers
+# it prints are not judged here (TestHydrateCopiesOnce bounds the bytes).
+layerbench:
+	$(GO) test -run '^$$' -bench 'Join|Hydrate' -benchtime 1x ./internal/chunk ./internal/cas
+
 # check is the CI gate: vet (and its gofmt gate), then sommlint, then
-# the bench-module smoke, then the race-detector run. lint sits before race because it is ~100x
+# the bench-module smoke and the layer benchmarks, then the
+# race-detector run. lint sits before race because it is ~100x
 # cheaper and catches the invariant violations race can only hope to
 # trip over; benchsmoke (~30 s) before race for the same reason. It is
 # the gate's benchmark half: sommperf's hard checks (batch_equals_serial,
 # oracle_no_stray_result, hydrate_byte_identical, coordinator_full, …)
 # run there at the 3-second rung and fail the build when they break.
-check: vet lint benchsmoke race
+check: vet lint benchsmoke layerbench race
 
 # bench is the one way to benchmark: sommperf's whole suite (the four
 # BENCHMARK.json workloads), untraced for the end-to-end metrics and

@@ -1,6 +1,7 @@
 package cas
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 
@@ -178,7 +179,11 @@ func Hydrate(man *Manifest, get func(hash string) ([]byte, error)) (*graph.Model
 	return m, nil
 }
 
-// hydrateTensor fetches and reassembles one tensor's values.
+// hydrateTensor fetches and reassembles one tensor's values. Each
+// parameter byte is copied once, from the chunk into the returned
+// slice: a delta is replayed onto the base slice Join just made, which
+// nothing else holds, and a one-chunk delta stream is read where it
+// lies.
 func hydrateTensor(ref TensorRef, get func(hash string) ([]byte, error)) ([]float64, error) {
 	want := tensor.Shape(ref.Shape).NumElements()
 	if ref.Delta == nil {
@@ -192,19 +197,24 @@ func hydrateTensor(ref TensorRef, get func(hash string) ([]byte, error)) ([]floa
 	if err != nil {
 		return nil, err
 	}
-	baseVals, err := chunk.Join(baseDatas, want)
+	vals, err := chunk.Join(baseDatas, want)
 	if err != nil {
 		return nil, fmt.Errorf("delta base: %w", err)
 	}
-	var stream []byte
 	deltaDatas, err := fetchAll(ref.Delta.Chunks, get)
 	if err != nil {
 		return nil, err
 	}
-	for _, d := range deltaDatas {
-		stream = append(stream, d...)
+	var stream []byte
+	if len(deltaDatas) == 1 {
+		stream = deltaDatas[0]
+	} else {
+		stream = bytes.Join(deltaDatas, nil)
 	}
-	return chunk.ApplyDelta(baseVals, stream)
+	if err := chunk.ApplyDelta(vals, stream); err != nil {
+		return nil, err
+	}
+	return vals, nil
 }
 
 func fetchAll(hashes []string, get func(hash string) ([]byte, error)) ([][]byte, error) {

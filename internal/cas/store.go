@@ -169,9 +169,13 @@ func (s *Store) Put(hash string, data []byte) error {
 	return nil
 }
 
-// Get returns a chunk's bytes, verifying them against the address so
-// silent corruption surfaces as ErrCorruptChunk rather than as a
-// wrong-weights model.
+// Get returns a chunk's bytes. A directory store reads a fresh buffer
+// and verifies it against the address, so silent corruption surfaces as
+// ErrCorruptChunk rather than as a wrong-weights model. A memory store
+// lends the slice it holds, capacity clipped so an append reallocates:
+// the result is read-only, and a caller that needs to edit it copies it
+// first. Put copied the bytes in after checking their hash, so nothing
+// but such a write can change them.
 func (s *Store) Get(hash string) ([]byte, error) {
 	s.mu.Lock()
 	if _, ok := s.sizes[hash]; !ok {
@@ -181,7 +185,7 @@ func (s *Store) Get(hash string) ([]byte, error) {
 	if s.data != nil {
 		data := s.data[hash]
 		s.mu.Unlock()
-		return append([]byte(nil), data...), nil
+		return data[:len(data):len(data)], nil
 	}
 	s.mu.Unlock()
 	data, err := os.ReadFile(s.path(hash))

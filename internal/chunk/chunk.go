@@ -53,17 +53,11 @@ func Bytes(vals []float64) []byte {
 	return out
 }
 
-// Floats decodes little-endian bytes back into float64 values. The
-// byte length must be a multiple of 8.
-func Floats(data []byte) ([]float64, error) {
-	if len(data)%8 != 0 {
-		return nil, fmt.Errorf("chunk: %d bytes is not a whole number of float64s", len(data))
+// decode fills dst from little-endian bytes; len(src) is 8*len(dst).
+func decode(dst []float64, src []byte) {
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
 	}
-	out := make([]float64, len(data)/8)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
-	}
-	return out, nil
 }
 
 // Split cuts raw tensor data into content-addressed chunks of at most
@@ -97,24 +91,27 @@ func Split(vals []float64, size int, emit func(hash string, data []byte)) []stri
 }
 
 // Join reassembles tensor data from ordered chunk contents, checking
-// that the total element count matches want.
+// that every chunk is a whole number of float64s and that the total
+// element count matches want. Each byte is decoded once, straight into
+// the one slice Join returns; the chunks are only read.
 func Join(chunks [][]byte, want int) ([]float64, error) {
 	// Size the result from the bytes in hand, never from want: want
 	// comes from a decoded shape, which a hostile file sets freely.
 	have := 0
-	for _, data := range chunks {
+	for i, data := range chunks {
+		if len(data)%8 != 0 {
+			return nil, fmt.Errorf("chunk %d: %d bytes is not a whole number of float64s", i, len(data))
+		}
 		have += len(data)
 	}
-	out := make([]float64, 0, have/8)
-	for i, data := range chunks {
-		vals, err := Floats(data)
-		if err != nil {
-			return nil, fmt.Errorf("chunk %d: %w", i, err)
-		}
-		out = append(out, vals...)
+	if have/8 != want {
+		return nil, fmt.Errorf("chunk: reassembled %d elements, want %d", have/8, want)
 	}
-	if len(out) != want {
-		return nil, fmt.Errorf("chunk: reassembled %d elements, want %d", len(out), want)
+	out := make([]float64, have/8)
+	at := 0
+	for _, data := range chunks {
+		decode(out[at:at+len(data)/8], data)
+		at += len(data) / 8
 	}
 	return out, nil
 }
@@ -162,29 +159,24 @@ func EncodeDelta(base, vals []float64) ([]byte, bool) {
 	return out, true
 }
 
-// ApplyDelta replays a sparse edit list onto a copy of base.
-func ApplyDelta(base []float64, delta []byte) ([]float64, error) {
-	out := make([]float64, len(base))
-	copy(out, base)
+// ApplyDelta replays a sparse edit list onto vals in place. On error
+// vals is partly edited and must be discarded.
+func ApplyDelta(vals []float64, delta []byte) error {
 	for off := 0; off < len(delta); {
 		if off+deltaHeader > len(delta) {
-			return nil, fmt.Errorf("chunk: truncated delta header at offset %d", off)
+			return fmt.Errorf("chunk: truncated delta header at offset %d", off)
 		}
 		idx := int(binary.LittleEndian.Uint32(delta[off:]))
 		cnt := int(binary.LittleEndian.Uint32(delta[off+4:]))
 		off += deltaHeader
 		if cnt <= 0 || off+8*cnt > len(delta) {
-			return nil, fmt.Errorf("chunk: truncated delta run at offset %d", off)
+			return fmt.Errorf("chunk: truncated delta run at offset %d", off)
 		}
-		if idx < 0 || idx+cnt > len(out) {
-			return nil, fmt.Errorf("chunk: delta run [%d,%d) outside tensor of %d elements", idx, idx+cnt, len(out))
+		if idx < 0 || idx+cnt > len(vals) {
+			return fmt.Errorf("chunk: delta run [%d,%d) outside tensor of %d elements", idx, idx+cnt, len(vals))
 		}
-		vals, err := Floats(delta[off : off+8*cnt])
-		if err != nil {
-			return nil, err
-		}
-		copy(out[idx:], vals)
+		decode(vals[idx:idx+cnt], delta[off:off+8*cnt])
 		off += 8 * cnt
 	}
-	return out, nil
+	return nil
 }

@@ -7,7 +7,7 @@ import (
 
 func TestBytesFloatsRoundTrip(t *testing.T) {
 	vals := []float64{0, 1.5, -2.75, math.Pi, math.SmallestNonzeroFloat64, math.MaxFloat64, math.Inf(1)}
-	got, err := Floats(Bytes(vals))
+	got, err := Join([][]byte{Bytes(vals)}, len(vals))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -16,7 +16,7 @@ func TestBytesFloatsRoundTrip(t *testing.T) {
 			t.Fatalf("value %d: %v != %v", i, got[i], v)
 		}
 	}
-	if _, err := Floats([]byte{1, 2, 3}); err == nil {
+	if _, err := Join([][]byte{Bytes(vals), {1, 2, 3}}, len(vals)); err == nil {
 		t.Fatal("expected error for ragged byte length")
 	}
 }
@@ -107,8 +107,8 @@ func TestDeltaRoundTrip(t *testing.T) {
 	if len(delta) >= 8*len(vals) {
 		t.Fatalf("delta (%d bytes) not smaller than dense (%d)", len(delta), 8*len(vals))
 	}
-	got, err := ApplyDelta(base, delta)
-	if err != nil {
+	got := append([]float64(nil), base...)
+	if err := ApplyDelta(got, delta); err != nil {
 		t.Fatal(err)
 	}
 	for i := range vals {
@@ -124,8 +124,8 @@ func TestDeltaIdentical(t *testing.T) {
 	if !ok || len(delta) != 0 {
 		t.Fatalf("identical tensors: delta=%v ok=%v, want empty+true", delta, ok)
 	}
-	got, err := ApplyDelta(base, delta)
-	if err != nil {
+	got := append([]float64(nil), base...)
+	if err := ApplyDelta(got, delta); err != nil {
 		t.Fatal(err)
 	}
 	if got[0] != 1 || got[2] != 3 {
@@ -154,8 +154,27 @@ func TestApplyDeltaRejectsCorrupt(t *testing.T) {
 		{9, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}, // index out of range
 		{0, 0, 0, 0, 2, 0, 0, 0, 1, 2, 3},                // truncated run
 	} {
-		if _, err := ApplyDelta(base, bad); err == nil {
+		if err := ApplyDelta(append([]float64(nil), base...), bad); err == nil {
 			t.Fatalf("corrupt delta %v accepted", bad)
+		}
+	}
+}
+
+// BenchmarkJoin reassembles a 512 KiB tensor from its 16 default-size
+// chunks: one allocation of the tensor's bytes per op, nothing else.
+func BenchmarkJoin(b *testing.B) {
+	vals := make([]float64, 16*DefaultSize)
+	for i := range vals {
+		vals[i] = float64(i) * 0.5
+	}
+	var datas [][]byte
+	Split(vals, 0, func(_ string, data []byte) { datas = append(datas, data) })
+	b.SetBytes(int64(8 * len(vals)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Join(datas, len(vals)); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"sommelier/internal/cas"
 	"sommelier/internal/faults"
 	"sommelier/internal/graph"
+	"sommelier/internal/obs"
 	"sommelier/internal/repo"
 	"sommelier/internal/zoo"
 )
@@ -118,5 +119,57 @@ func TestRepairUsesChunkPath(t *testing.T) {
 	}
 	if _, err := missing.store.Load("ckr@1"); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLoadCountsProbes: every replica that answers not-found before the
+// one holding the model counts into cluster_load_probes_total — none
+// when the bare ID's owner holds it, the owner's two replicas when the
+// model lives on the other shard, all four when no shard has it.
+func TestLoadCountsProbes(t *testing.T) {
+	reps := [][]*denseReplica{{newDenseReplica(), newDenseReplica()}, {newDenseReplica(), newDenseReplica()}}
+	topo := make([][]Replica, len(reps))
+	for s, rs := range reps {
+		for _, r := range rs {
+			topo[s] = append(topo[s], r)
+		}
+	}
+	o := obs.New()
+	c, err := NewCluster(topo, WithClusterObserver(o))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := chunkTestModel(t)
+	owner := c.ShardFor("ckr@1", "")
+	probes := o.Registry().Counter("cluster_load_probes_total")
+	for _, tc := range []struct {
+		name  string
+		shard int
+		want  int64
+	}{{"owner", owner, 0}, {"off-owner", 1 - owner, 2}} {
+		for _, r := range reps[tc.shard] {
+			if _, err := r.store.Publish(m); err != nil {
+				t.Fatal(err)
+			}
+		}
+		before := probes.Value()
+		if _, err := c.Load(context.Background(), "ckr@1"); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got := probes.Value() - before; got != tc.want {
+			t.Fatalf("%s: %d probes, want %d", tc.name, got, tc.want)
+		}
+		for _, r := range reps[tc.shard] {
+			if err := r.store.Delete("ckr@1"); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	before := probes.Value()
+	if _, err := c.Load(context.Background(), "ckr@1"); !errors.Is(err, repo.ErrNotFound) {
+		t.Fatalf("load of an absent model: %v, want ErrNotFound", err)
+	}
+	if got := probes.Value() - before; got != 4 {
+		t.Fatalf("absent model: %d probes, want 4", got)
 	}
 }

@@ -53,8 +53,9 @@ type ClusterOption func(*Cluster)
 
 // WithClusterObserver attaches an observability handle: writes count
 // into cluster_publish_total / cluster_publish_partial_total /
-// cluster_publish_failed_total, repair into cluster_repair_copies_total
-// and unlistable shards into cluster_shard<i>_errors_total.
+// cluster_publish_failed_total, repair into cluster_repair_copies_total,
+// not-found load answers into cluster_load_probes_total and unlistable
+// shards into cluster_shard<i>_errors_total.
 func WithClusterObserver(o *obs.Observer) ClusterOption { return func(c *Cluster) { c.obs = o } }
 
 // Cluster owns the write path and placement of a sharded, replicated
@@ -206,7 +207,9 @@ func (c *Cluster) Broadcast(ctx context.Context, m *graph.Model) (string, error)
 
 // Load fetches a model: the owning shard's replicas first, then every
 // other shard — a model placed by its series key lives off the shard a
-// bare ID hashes to, so the any-shard fallback is what finds it.
+// bare ID hashes to, so the any-shard fallback is what finds it. Each
+// replica that answers not-found counts into cluster_load_probes_total:
+// the asks a load spends before the one that finds the model.
 func (c *Cluster) Load(ctx context.Context, id string) (*graph.Model, error) {
 	owner := c.ShardFor(id, "") // series unknown for a bare ID
 	order := make([]int, 0, len(c.shards))
@@ -223,7 +226,9 @@ func (c *Cluster) Load(ctx context.Context, id string) (*graph.Model, error) {
 			if err == nil {
 				return m, nil
 			}
-			if !errors.Is(err, repo.ErrNotFound) {
+			if errors.Is(err, repo.ErrNotFound) {
+				c.obs.Counter("cluster_load_probes_total").Inc()
+			} else {
 				lastErr = err
 			}
 		}
