@@ -42,11 +42,12 @@ lint:
 benchsmoke:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-# layerbench runs the storage layer's hydration benchmarks once each, so
-# a benchmark that stops building or panics fails the gate; the numbers
-# it prints are not judged here (TestHydrateCopiesOnce bounds the bytes).
+# layerbench runs the storage layer's benchmarks once each — hydration,
+# the pack reader and the manifest codec — so a benchmark that stops
+# building or panics fails the gate; the numbers it prints are not
+# judged here (TestHydrateCopiesOnce bounds the bytes).
 layerbench:
-	$(GO) test -run '^$$' -bench 'Join|Hydrate' -benchtime 1x ./internal/chunk ./internal/cas
+	$(GO) test -run '^$$' -bench 'Join|Hydrate|ReadPack|ManifestCodec' -benchtime 1x ./internal/chunk ./internal/cas
 
 # check is the CI gate: vet (and its gofmt gate), then sommlint, then
 # the bench-module smoke and the layer benchmarks, then the
@@ -79,15 +80,20 @@ chaos:
 # s each: the index snapshot (root), the query wire frames (hub), packs
 # and manifests (cas), query text (query) and SOMX models (graph). go
 # test fuzzes one target per run, so each gets its own line; a crasher
-# fails the run and lands in that package's testdata/fuzz/.
+# fails the run and lands in that package's testdata/fuzz/. go test's
+# default 60 s to minimize each new interesting input would spend the
+# whole run on one kB-sized pack or manifest (8 executions in 60 s), so
+# minimizing gets 5 s.
+FUZZ = $(GO) test -run '^$$' -fuzztime 60s -fuzzminimizetime 5s -fuzz
+
 fuzz:
-	$(GO) test -run '^$$' -fuzz '^FuzzLoadIndexes$$' -fuzztime 60s .
-	$(GO) test -run '^$$' -fuzz '^FuzzReadResults$$' -fuzztime 60s ./internal/hub
-	$(GO) test -run '^$$' -fuzz '^FuzzReadQueries$$' -fuzztime 60s ./internal/hub
-	$(GO) test -run '^$$' -fuzz '^FuzzReadPack$$' -fuzztime 60s ./internal/cas
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeManifest$$' -fuzztime 60s ./internal/cas
-	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 60s ./internal/query
-	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 60s ./internal/graph
+	$(FUZZ) '^FuzzLoadIndexes$$' .
+	$(FUZZ) '^FuzzReadResults$$' ./internal/hub
+	$(FUZZ) '^FuzzReadQueries$$' ./internal/hub
+	$(FUZZ) '^FuzzReadPack$$' ./internal/cas
+	$(FUZZ) '^FuzzDecodeManifest$$' ./internal/cas
+	$(FUZZ) '^FuzzParse$$' ./internal/query
+	$(FUZZ) '^FuzzDecode$$' ./internal/graph
 
 # loc prints the two line counts ROADMAP's subtraction budget is stated
 # in: non-test Go outside bench/ and testdata/, and test Go outside

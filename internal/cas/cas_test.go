@@ -2,9 +2,11 @@ package cas
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
+	"strconv"
 	"sync"
 	"testing"
 
@@ -349,9 +351,59 @@ func TestManifestValidateRejectsGarbage(t *testing.T) {
 	if err := man.Validate(); err == nil {
 		t.Fatal("tensor with neither chunks nor delta accepted")
 	}
+	man.Layers[0].Params["W"] = TensorRef{Shape: []int{2, 2}, Chunks: []string{"nothex"}}
 	var buf bytes.Buffer
-	buf.WriteString("{malformed")
-	if _, err := DecodeManifest(&buf); err == nil {
-		t.Fatal("malformed manifest decoded")
+	if err := EncodeManifest(&buf, man); err == nil || buf.Len() != 0 {
+		t.Fatalf("encoding a non-hex address: err %v, %d bytes written", err, buf.Len())
 	}
+	for name, raw := range map[string][]byte{
+		"malformed":                 []byte("{malformed"),
+		"neither chunks nor delta":  rawManifest(0, addrSize),
+		"address past the end":      rawManifest(1, 5),
+		"wrong address count":       rawManifest(2, addrSize),
+		"one address, bytes behind": append(rawManifest(1, addrSize), 0),
+	} {
+		if _, err := DecodeManifest(bytes.NewReader(raw)); err == nil {
+			t.Errorf("%s: garbage manifest decoded", name)
+		}
+	}
+	if _, err := DecodeManifest(bytes.NewReader(rawManifest(1, addrSize))); err != nil {
+		t.Fatalf("the well-formed raw manifest is rejected: %v", err)
+	}
+}
+
+// TestManifestMagicNamesFormat: the digit in the magic is the format
+// Validate demands.
+func TestManifestMagicNamesFormat(t *testing.T) {
+	if want := manifestMagicStem + strconv.Itoa(ManifestFormat) + "\n"; manifestMagic != want {
+		t.Fatalf("manifest magic %q, want %q", manifestMagic, want)
+	}
+}
+
+// rawManifest assembles by hand the binary form of a one-layer manifest
+// whose one dense param declares count chunk addresses and carries
+// payload bytes of them — independent of appendManifest, so it checks
+// the form against its documentation, and able to spell garbage the
+// encoder refuses to write.
+func rawManifest(count, payload int) []byte {
+	str := func(b []byte, s string) []byte { return append(binary.BigEndian.AppendUint32(b, uint32(len(s))), s...) }
+	b := []byte("SOMXMF2\n")
+	for _, s := range []string{"x", "1", "", "", ""} { // name, version, task, preprocessor, base
+		b = str(b, s)
+	}
+	b = binary.BigEndian.AppendUint32(b, 0) // input shape
+	b = binary.BigEndian.AppendUint32(b, 0) // output labels
+	b = binary.BigEndian.AppendUint32(b, 0) // metadata
+	b = binary.BigEndian.AppendUint32(b, 1) // layers
+	b = str(str(b, "l"), string(graph.OpDense))
+	b = binary.BigEndian.AppendUint32(b, 0) // inputs
+	b = binary.BigEndian.AppendUint16(b, 1) // attrs: units only,
+	b = binary.BigEndian.AppendUint64(b, 2) // which is 2
+	b = binary.BigEndian.AppendUint32(b, 1) // params
+	b = str(b, "W")
+	b = binary.BigEndian.AppendUint32(b, 2)
+	b = binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint64(b, 2), 2)
+	b = append(b, tagDense)
+	b = binary.BigEndian.AppendUint32(b, uint32(count))
+	return append(b, bytes.Repeat([]byte{0xab}, payload)...)
 }

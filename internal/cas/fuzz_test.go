@@ -3,16 +3,15 @@ package cas
 import (
 	"bytes"
 	"testing"
-
-	"sommelier/internal/graph"
 )
 
 // FuzzDecodeManifest: DecodeManifest never panics on arbitrary bytes,
 // and a manifest it accepts passes Validate and survives
 // EncodeManifest → DecodeManifest → EncodeManifest byte for byte (bytes
-// rather than reflect.DeepEqual, because omitempty folds `"inputs":[]`
-// into an absent field). Seeds are a dense and a delta manifest plus
-// the garbage TestManifestValidateRejectsGarbage pins.
+// rather than reflect.DeepEqual, because an empty list decodes as nil).
+// An accepted input is already canonical, so it is its own re-encoding.
+// Seeds are a dense and a delta manifest plus the raw garbage
+// TestManifestValidateRejectsGarbage pins.
 func FuzzDecodeManifest(f *testing.F) {
 	encoded := func(man *Manifest) []byte {
 		var buf bytes.Buffer
@@ -35,13 +34,9 @@ func FuzzDecodeManifest(f *testing.F) {
 	}
 	f.Add(encoded(dense.Manifest))
 	f.Add(encoded(delta.Manifest))
-	garbage := &Manifest{Format: ManifestFormat, Name: "x", Version: "1", Layers: []LayerRef{{
-		Name: "l", Op: graph.OpDense,
-		Params: map[string]TensorRef{"W": {Shape: []int{2, 2}, Chunks: []string{"nothex"}}},
-	}}}
-	f.Add(encoded(garbage))
-	garbage.Layers[0].Params["W"] = TensorRef{Shape: []int{2, 2}} // neither chunks nor delta
-	f.Add(encoded(garbage))
+	f.Add(rawManifest(1, addrSize))
+	f.Add(rawManifest(0, addrSize)) // neither chunks nor delta
+	f.Add(rawManifest(1, 5))        // an address cut short
 	f.Add([]byte("{malformed"))
 
 	f.Fuzz(func(t *testing.T, in []byte) {
@@ -64,8 +59,8 @@ func FuzzDecodeManifest(f *testing.F) {
 		if err := EncodeManifest(&again, back); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(canon.Bytes(), again.Bytes()) {
-			t.Fatalf("round trip changed the manifest:\n 1st %s\n 2nd %s", canon.Bytes(), again.Bytes())
+		if !bytes.Equal(canon.Bytes(), again.Bytes()) || !bytes.Equal(canon.Bytes(), in) {
+			t.Fatalf("round trip changed the manifest:\n in  %x\n 1st %x\n 2nd %x", in, canon.Bytes(), again.Bytes())
 		}
 	})
 }

@@ -1,7 +1,6 @@
 package cas
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -10,35 +9,36 @@ import (
 	"sommelier/internal/graph"
 )
 
-// ManifestFormat versions the manifest wire form.
-const ManifestFormat = 1
+// ManifestFormat versions the manifest wire form. Format 1 was JSON;
+// format 2 is the binary form of manifestcodec.go, and the only one read.
+const ManifestFormat = 2
 
 // TensorRef records where one parameter tensor's content lives: either
 // a dense ordered chunk list, or a delta against a base tensor's chunks.
 type TensorRef struct {
-	Shape []int `json:"shape"`
+	Shape []int
 	// Chunks is the ordered chunk list of the raw tensor data (dense
 	// form). Empty when Delta is set.
-	Chunks []string `json:"chunks,omitempty"`
+	Chunks []string
 	// Delta stores the tensor as sparse edits against a base tensor.
-	Delta *DeltaRef `json:"delta,omitempty"`
+	Delta *DeltaRef
 }
 
 // DeltaRef is the delta form of a tensor: the base tensor's dense chunk
 // list plus the chunks holding the sparse edit stream (internal/chunk
 // delta encoding) that turns the base into this tensor.
 type DeltaRef struct {
-	Base   []string `json:"base"`
-	Chunks []string `json:"chunks,omitempty"`
+	Base   []string
+	Chunks []string
 }
 
 // LayerRef is one layer's structure plus its parameter tensor refs.
 type LayerRef struct {
-	Name   string               `json:"name"`
-	Op     graph.OpKind         `json:"op"`
-	Inputs []string             `json:"inputs,omitempty"`
-	Attrs  graph.Attrs          `json:"attrs"`
-	Params map[string]TensorRef `json:"params,omitempty"`
+	Name   string
+	Op     graph.OpKind
+	Inputs []string
+	Attrs  graph.Attrs
+	Params map[string]TensorRef
 }
 
 // Manifest records a model as structure plus chunk references — the
@@ -46,20 +46,20 @@ type LayerRef struct {
 // replicates. A manifest is small (hashes, not weights); all bulk lives
 // in the chunk store.
 type Manifest struct {
-	Format       int               `json:"format"`
-	Name         string            `json:"name"`
-	Version      string            `json:"version"`
-	Task         graph.TaskKind    `json:"task"`
-	InputShape   []int             `json:"input_shape"`
-	Preprocessor string            `json:"preprocessor,omitempty"`
-	OutputLabels []string          `json:"output_labels,omitempty"`
-	Metadata     map[string]string `json:"metadata,omitempty"`
+	Format       int
+	Name         string
+	Version      string
+	Task         graph.TaskKind
+	InputShape   []int
+	Preprocessor string
+	OutputLabels []string
+	Metadata     map[string]string
 	// BaseID names the model this manifest's deltas are encoded
 	// against, for provenance. Hydration never needs the base model —
 	// delta refs carry the base tensor's own chunk list — so deleting
 	// the base cannot orphan a variant.
-	BaseID string     `json:"base_id,omitempty"`
-	Layers []LayerRef `json:"layers"`
+	BaseID string
+	Layers []LayerRef
 }
 
 // ID returns the repository ID the manifest's model publishes under.
@@ -110,29 +110,21 @@ func (m *Manifest) Validate() error {
 				return fmt.Errorf("cas: manifest %s layer %q param %q must have exactly one of chunks or delta",
 					m.ID(), l.Name, name)
 			}
-			for _, h := range append(append(append([]string(nil), ref.Chunks...), deltaBase(ref)...), deltaChunks(ref)...) {
-				if !chunk.ValidHash(h) {
-					return fmt.Errorf("cas: manifest %s layer %q param %q: invalid chunk address %q",
-						m.ID(), l.Name, name, h)
+			lists := [3][]string{ref.Chunks}
+			if ref.Delta != nil {
+				lists[1], lists[2] = ref.Delta.Base, ref.Delta.Chunks
+			}
+			for _, hs := range lists {
+				for _, h := range hs {
+					if !chunk.ValidHash(h) {
+						return fmt.Errorf("cas: manifest %s layer %q param %q: invalid chunk address %q",
+							m.ID(), l.Name, name, h)
+					}
 				}
 			}
 		}
 	}
 	return nil
-}
-
-func deltaBase(r TensorRef) []string {
-	if r.Delta == nil {
-		return nil
-	}
-	return r.Delta.Base
-}
-
-func deltaChunks(r TensorRef) []string {
-	if r.Delta == nil {
-		return nil
-	}
-	return r.Delta.Chunks
 }
 
 // sortedParamNames returns a param map's keys in sorted order so every
@@ -146,22 +138,26 @@ func sortedParamNames(params map[string]TensorRef) []string {
 	return names
 }
 
-// EncodeManifest writes the manifest as JSON. encoding/json sorts map
-// keys, so the byte form is deterministic for a given manifest.
+// EncodeManifest writes the manifest's binary form (manifestcodec.go)
+// in one Write. A manifest that fails Validate, or that the form cannot
+// represent, is an error and nothing is written.
 func EncodeManifest(w io.Writer, m *Manifest) error {
-	return json.NewEncoder(w).Encode(m)
+	b, err := appendManifest(nil, m)
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(b)
+	return err
 }
 
-// DecodeManifest reads and structurally validates a manifest.
+// DecodeManifest reads a manifest's binary form to the end of r, and
+// validates it.
 func DecodeManifest(r io.Reader) (*Manifest, error) {
-	var m Manifest
-	if err := json.NewDecoder(r).Decode(&m); err != nil {
+	data, err := io.ReadAll(r)
+	if err != nil {
 		return nil, fmt.Errorf("cas: decoding manifest: %w", err)
 	}
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	return &m, nil
+	return decodeManifest(data)
 }
 
 // Missing returns the manifest's chunk references not satisfied by has,

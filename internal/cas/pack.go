@@ -1,10 +1,10 @@
 package cas
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"sommelier/internal/chunk"
 	"sommelier/internal/graph"
@@ -17,7 +17,7 @@ import (
 //
 //	magic    "SOMXPK1\n"                      8 bytes
 //	manLen   uint32, big endian
-//	manifest manLen bytes, EncodeManifest form
+//	manifest manLen bytes, the binary form of manifestcodec.go
 //	then, once per address in Manifest.ChunkRefs() order:
 //	  len    uint32, big endian
 //	  chunk  len bytes
@@ -31,36 +31,41 @@ const packMagic = "SOMXPK1\n"
 // packLenSize is the width of the manifest and record length prefixes.
 const packLenSize = 4
 
-// EncodePack renders a manifest and its chunks, fetched through get
-// (typically a chunk store's Get), as one pack. It copies bytes and
-// nothing else: no tensor is reassembled, no chunk re-hashed — get's
-// store has verified them or will not, and ReadPack trusts neither.
-func EncodePack(man *Manifest, get func(hash string) ([]byte, error)) ([]byte, error) {
-	var mbuf bytes.Buffer
-	if err := EncodeManifest(&mbuf, man); err != nil {
-		return nil, fmt.Errorf("cas: packing %s: %w", man.ID(), err)
+// EncodePack appends the pack of a manifest and its chunks, fetched
+// through get (typically a chunk store's Get), to dst and returns the
+// extended slice; a server that renders packs over and over hands back
+// the previous result's bytes, so a pack costs no allocation once one
+// as large has been rendered. It copies bytes and nothing else: no
+// tensor is reassembled, no chunk re-hashed — get's store has verified
+// them or will not, and ReadPack trusts neither.
+func EncodePack(dst []byte, man *Manifest, get func(hash string) ([]byte, error)) ([]byte, error) {
+	out := append(dst, packMagic...)
+	lenAt := len(out)
+	out = append(out, 0, 0, 0, 0) // the manifest's length, set once known
+	out, err := appendManifest(out, man)
+	if err != nil {
+		return dst, fmt.Errorf("cas: packing %s: %w", man.ID(), err)
 	}
-	if uint64(mbuf.Len()) > math.MaxUint32 {
-		return nil, fmt.Errorf("cas: packing %s: manifest is %d bytes, past the record limit", man.ID(), mbuf.Len())
+	manLen := len(out) - lenAt - packLenSize
+	if uint64(manLen) > math.MaxUint32 {
+		return dst, fmt.Errorf("cas: packing %s: manifest is %d bytes, past the record limit", man.ID(), manLen)
 	}
+	binary.BigEndian.PutUint32(out[lenAt:], uint32(manLen))
 	refs := man.ChunkRefs()
 	chunks := make([][]byte, len(refs))
-	size := len(packMagic) + packLenSize + mbuf.Len()
+	size := 0
 	for i, h := range refs {
 		data, err := get(h)
 		if err != nil {
-			return nil, fmt.Errorf("cas: packing %s: %w", man.ID(), err)
+			return dst, fmt.Errorf("cas: packing %s: %w", man.ID(), err)
 		}
 		if uint64(len(data)) > math.MaxUint32 {
-			return nil, fmt.Errorf("cas: packing %s: chunk %s is %d bytes, past the record limit", man.ID(), short(h), len(data))
+			return dst, fmt.Errorf("cas: packing %s: chunk %s is %d bytes, past the record limit", man.ID(), short(h), len(data))
 		}
 		chunks[i] = data
 		size += packLenSize + len(data)
 	}
-	out := make([]byte, 0, size)
-	out = append(out, packMagic...)
-	out = binary.BigEndian.AppendUint32(out, uint32(mbuf.Len()))
-	out = append(out, mbuf.Bytes()...)
+	out = slices.Grow(out, size)
 	for _, data := range chunks {
 		out = binary.BigEndian.AppendUint32(out, uint32(len(data)))
 		out = append(out, data...)
@@ -76,7 +81,8 @@ func EncodePack(man *Manifest, get func(hash string) ([]byte, error)) ([]byte, e
 // checked against the bytes received, the rebuilt model validated. Every
 // length is checked against the bytes in hand before anything is sized
 // from it. The chunks alias data until Hydrate has copied them into
-// tensors; the returned model does not.
+// tensors; the returned model never does, so a caller may reuse data
+// for its next read as soon as ReadPack returns.
 func ReadPack(data []byte) (*graph.Model, error) {
 	if len(data) < len(packMagic) || string(data[:len(packMagic)]) != packMagic {
 		return nil, fmt.Errorf("cas: not a pack: bad or truncated magic")
@@ -86,7 +92,7 @@ func ReadPack(data []byte) (*graph.Model, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cas: pack manifest: %w", err)
 	}
-	man, err := DecodeManifest(bytes.NewReader(mbytes))
+	man, err := decodeManifest(mbytes)
 	if err != nil {
 		return nil, err
 	}

@@ -22,7 +22,7 @@ func packOf(t testing.TB, m *graph.Model, baseID string, base *graph.Model) (*En
 	if err != nil {
 		t.Fatal(err)
 	}
-	pack, err := EncodePack(enc.Manifest, encodedGet(enc))
+	pack, err := EncodePack(nil, enc.Manifest, encodedGet(enc))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,6 +114,54 @@ func TestPackRoundTripIsByteExact(t *testing.T) {
 	}
 }
 
+// TestReadPackDoesNotAliasInput: the model ReadPack returns keeps no
+// byte of its input — a client reads its next pack into the same
+// buffer — so overwriting the input leaves the model re-encoding to
+// the same pack and the same SOMX bytes.
+func TestReadPackDoesNotAliasInput(t *testing.T) {
+	for _, fx := range packFixtures(t) {
+		in := append([]byte(nil), fx.pack...)
+		m, err := ReadPack(in)
+		if err != nil {
+			t.Fatalf("%s: %v", fx.name, err)
+		}
+		for i := range in {
+			in[i] = 0xa5
+		}
+		if !bytes.Equal(somxOf(t, m), somxOf(t, fx.model)) {
+			t.Fatalf("%s: overwriting the pack changed the model read from it", fx.name)
+		}
+		if fx.delta {
+			continue // re-packing without the base gives the dense form
+		}
+		if _, again := packOf(t, m, "", nil); !bytes.Equal(again, fx.pack) {
+			t.Fatalf("%s: overwriting the pack changed the model's pack", fx.name)
+		}
+	}
+}
+
+// TestEncodePackAppends: EncodePack appends to dst and leaves what dst
+// held before it alone, so a caller may render into a recycled buffer.
+func TestEncodePackAppends(t *testing.T) {
+	fx := packFixtures(t)[0]
+	enc, err := Encode(fx.model, "", nil, packChunkSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefix := []byte("held")
+	dst := append(make([]byte, 0, len(prefix)+len(fx.pack)), prefix...)
+	out, err := EncodePack(dst, enc.Manifest, encodedGet(enc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(out[:len(prefix)], prefix) || !bytes.Equal(out[len(prefix):], fx.pack) {
+		t.Fatal("EncodePack into a non-empty dst changed its prefix or the pack")
+	}
+	if &out[0] != &dst[:1][0] {
+		t.Fatal("EncodePack reallocated a dst with room for the pack")
+	}
+}
+
 // packParts splits a pack built by EncodePack into its manifest bytes
 // and raw chunk payloads, for the rejection table to reassemble wrongly.
 func packParts(t *testing.T, pack []byte) (man []byte, chunks [][]byte) {
@@ -164,10 +212,33 @@ func TestReadPackRejects(t *testing.T) {
 	binary.BigEndian.PutUint32(pastEnd[firstRecord:], uint32(len(good)))
 	hugeManifest := append([]byte(nil), good...)
 	binary.BigEndian.PutUint32(hugeManifest[len(packMagic):], 0xffffffff)
-	badManifest := bytes.Replace(man, []byte(`"format":1`), []byte(`"format":9`), 1)
-	if bytes.Equal(badManifest, man) {
-		t.Fatal("fixture: manifest has no format field to spoil")
+	badManifest := append([]byte(nil), man...)
+	badManifest[len(manifestMagicStem)] = '9' // "SOMXMF9\n"
+	// The manifest spoiled where a pattern first occurs: the metadata
+	// keys family < series; Dense_1's op, inputs and attribute mask
+	// (units only, its int64 after it); and Dense_1's params B (one dim,
+	// a dense tag and its address count after it) < W (two dims).
+	spoil := func(old, new string) []byte {
+		t.Helper()
+		out := bytes.Replace(man, []byte(old), []byte(new), 1)
+		if bytes.Equal(out, man) {
+			t.Fatalf("fixture: manifest holds no %q to spoil", old)
+		}
+		return out
 	}
+	const paramB, paramW = "\x00\x00\x00\x01B\x00\x00\x00\x01", "\x00\x00\x00\x01W\x00\x00\x00\x02"
+	at := bytes.Index(man, []byte(paramB)) + len(paramB) + 8
+	badTag := append([]byte(nil), man...)
+	badTag[at] = 2
+	addrsPastEnd := append([]byte(nil), man...)
+	binary.BigEndian.PutUint32(addrsPastEnd[at+1:], 0xffffffff)
+	const dense1 = "Dense\x00\x00\x00\x01\x00\x00\x00\x05input\x00\x01"
+	units := bytes.Index(man, []byte(dense1)) + len(dense1)
+	zeroAttr := append([]byte(nil), man...)
+	copy(zeroAttr[units:units+8], make([]byte, 8))
+	unknownAttr := append([]byte(nil), man...)
+	unknownAttr[units-2] = 0x10 // bit 12: past the last attribute
+
 	var stray [8 * 4]byte // a well-formed chunk nobody references
 
 	cases := []struct {
@@ -193,6 +264,15 @@ func TestReadPackRejects(t *testing.T) {
 		{"trailing garbage", append(append([]byte(nil), good...), "junk"...), "after the last referenced chunk"},
 		{"invalid manifest", assemblePack(badManifest, chunks), "unsupported manifest format"},
 		{"malformed manifest", assemblePack([]byte("{malformed"), chunks), "decoding manifest"},
+		{"unsorted metadata keys", assemblePack(spoil("\x06series", "\x06aaaaaa"), chunks), "strictly ascending"},
+		{"repeated metadata key", assemblePack(spoil("\x06series", "\x06family"), chunks), "strictly ascending"},
+		{"unsorted param names", assemblePack(spoil(paramW, strings.Replace(paramW, "W", "A", 1)), chunks), "strictly ascending"},
+		{"repeated param name", assemblePack(spoil(paramW, strings.Replace(paramW, "W", "B", 1)), chunks), "strictly ascending"},
+		{"attribute present but zero", assemblePack(zeroAttr, chunks), "present but zero"},
+		{"attribute past the last", assemblePack(unknownAttr, chunks), "attribute mask"},
+		{"tag neither dense nor delta", assemblePack(badTag, chunks), "has tag 2"},
+		{"address count past the end", assemblePack(addrsPastEnd, chunks), "4294967295 elements declared"},
+		{"bytes after the manifest", assemblePack(append(append([]byte(nil), man...), 0), chunks), "bytes after the manifest"},
 	}
 	for _, tc := range cases {
 		m, err := ReadPack(tc.in)
@@ -214,7 +294,7 @@ func TestEncodePackPropagatesMissingChunk(t *testing.T) {
 		t.Fatal(err)
 	}
 	delete(enc.Chunks, enc.Manifest.ChunkRefs()[0])
-	if _, err := EncodePack(enc.Manifest, encodedGet(enc)); !errors.Is(err, ErrMissingChunk) {
+	if _, err := EncodePack(nil, enc.Manifest, encodedGet(enc)); !errors.Is(err, ErrMissingChunk) {
 		t.Fatalf("EncodePack over a store missing a chunk: %v, want ErrMissingChunk", err)
 	}
 }

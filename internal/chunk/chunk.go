@@ -35,13 +35,18 @@ func Hash(data []byte) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// ValidHash reports whether s is syntactically a chunk address.
+// ValidHash reports whether s is syntactically a chunk address: HashLen
+// lowercase hex digits, the only spelling Hash produces.
 func ValidHash(s string) bool {
 	if len(s) != HashLen {
 		return false
 	}
-	_, err := hex.DecodeString(s)
-	return err == nil
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	return true
 }
 
 // Bytes encodes float64 values as little-endian bytes, bit-exactly.

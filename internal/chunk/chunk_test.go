@@ -2,6 +2,7 @@ package chunk
 
 import (
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -85,7 +86,7 @@ func TestSplitDeterministicAndContentAddressed(t *testing.T) {
 	if c[0] != a[0] {
 		t.Fatal("identical chunk content got different addresses")
 	}
-	if !ValidHash(a[0]) || ValidHash("zz") || ValidHash("") {
+	if !ValidHash(a[0]) || ValidHash("zz") || ValidHash("") || ValidHash(strings.ToUpper(a[0])) {
 		t.Fatal("ValidHash misclassifies")
 	}
 }

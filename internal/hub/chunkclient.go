@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
 	"sort"
@@ -71,7 +70,7 @@ func (c *Client) GetChunk(hash string) (_ []byte, err error) {
 		if err := expectStatus(resp, http.StatusOK); err != nil {
 			return err
 		}
-		b, err := io.ReadAll(resp.Body)
+		b, err := readBody(nil, resp.Body, resp.ContentLength)
 		if err != nil {
 			return err
 		}

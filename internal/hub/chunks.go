@@ -1,6 +1,7 @@
 package hub
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -8,6 +9,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 
 	"sommelier/internal/cas"
 	"sommelier/internal/repo"
@@ -62,18 +64,42 @@ const presizeLimit = 1 << 20
 
 // readBody reads a whole HTTP body given its Content-Length (-1 when
 // unknown). io.ReadAll's doubling buffer allocates about three times
-// what it returns, so a plausible declared length gets one exact buffer
-// instead. net/http ends a body at its declared length, so nothing can
-// follow the buffer; a body that ends early is io.ErrUnexpectedEOF.
-func readBody(body io.Reader, declared int64) ([]byte, error) {
-	if declared <= 0 || declared > presizeLimit {
+// what it returns, so a declared length gets one exact buffer instead:
+// dst's, when its capacity holds the body, else a new one if the length
+// is plausible. net/http ends a body at its declared length, so nothing
+// can follow the buffer; a body that ends early is io.ErrUnexpectedEOF.
+func readBody(dst []byte, body io.Reader, declared int64) ([]byte, error) {
+	var buf []byte
+	switch {
+	case declared > 0 && declared <= int64(cap(dst)):
+		buf = dst[:declared]
+	case declared > 0 && declared <= presizeLimit:
+		buf = make([]byte, declared)
+	default:
 		return io.ReadAll(body)
 	}
-	buf := make([]byte, declared)
 	if _, err := io.ReadFull(body, buf); err != nil {
 		return nil, err
 	}
 	return buf, nil
+}
+
+// bufPool recycles whole-body buffers: the server's rendered packs and
+// the client's received ones. A buffer goes back once nothing holds a
+// slice of it.
+type bufPool struct{ pool sync.Pool }
+
+func (p *bufPool) get() []byte {
+	if b, ok := p.pool.Get().(*[]byte); ok {
+		return (*b)[:0]
+	}
+	return nil
+}
+
+func (p *bufPool) put(b []byte) {
+	if cap(b) > 0 {
+		p.pool.Put(&b)
+	}
 }
 
 // ChunkStore is the optional chunk-level surface a Store may implement
@@ -126,9 +152,10 @@ func (s *Server) handleChunk(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		w.Header().Set("Content-Type", "application/octet-stream")
+		w.Header().Set("Content-Length", strconv.Itoa(len(data)))
 		w.Write(data)
 	case http.MethodPut:
-		data, err := readBody(http.MaxBytesReader(w, r.Body, s.maxBody), r.ContentLength)
+		data, err := readBody(nil, http.MaxBytesReader(w, r.Body, s.maxBody), r.ContentLength)
 		if err != nil {
 			var mbe *http.MaxBytesError
 			if errors.As(err, &mbe) {
@@ -163,10 +190,14 @@ func (s *Server) serveManifestGet(w http.ResponseWriter, id string) {
 		http.Error(w, fmt.Sprintf("model %q not found", id), http.StatusNotFound)
 		return
 	}
-	w.Header().Set("Content-Type", ContentTypeManifest)
-	if err := cas.EncodeManifest(w, man); err != nil {
+	var body bytes.Buffer
+	if err := cas.EncodeManifest(&body, man); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
 	}
+	w.Header().Set("Content-Type", ContentTypeManifest)
+	w.Header().Set("Content-Length", strconv.Itoa(body.Len()))
+	w.Write(body.Bytes())
 }
 
 // servePack answers GET /v1/models/{id}?format=pack on a hub with a
@@ -177,7 +208,8 @@ func (s *Server) servePack(w http.ResponseWriter, cs ChunkStore, id string) {
 		http.Error(w, fmt.Sprintf("model %q not found", id), http.StatusNotFound)
 		return
 	}
-	body, err := cas.EncodePack(man, cs.GetChunk)
+	body, err := cas.EncodePack(s.packs.get(), man, cs.GetChunk)
+	defer s.packs.put(body)
 	if err != nil {
 		// The manifest is stored and a chunk it references is not
 		// readable: a damaged store, or a delete that won the race.

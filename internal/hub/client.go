@@ -138,6 +138,9 @@ type Client struct {
 
 	jitterMu sync.Mutex
 	jitter   *rand.Rand // guarded by jitterMu
+
+	// packs recycles Load's pack bodies.
+	packs bufPool
 }
 
 // clientSeq seeds each client's jitter stream: monotonic and
@@ -563,7 +566,7 @@ func readResultsBody(resp *http.Response, want int) ([][]query.Result, []*QueryE
 	if ct := resp.Header.Get("Content-Type"); ct != ContentTypeResults {
 		return nil, nil, fmt.Errorf("hub answered %q, not a results frame", ct)
 	}
-	data, err := readBody(resp.Body, resp.ContentLength)
+	data, err := readBody(nil, resp.Body, resp.ContentLength)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -632,11 +635,12 @@ func (c *Client) Load(id string) (_ *graph.Model, err error) {
 			m, err = graph.Decode(resp.Body)
 			return err
 		}
-		data, err := readBody(resp.Body, resp.ContentLength)
+		data, err := readBody(c.packs.get(), resp.Body, resp.ContentLength)
 		if err != nil {
 			return err
 		}
 		m, err = cas.ReadPack(data)
+		c.packs.put(data) // the model copied what it keeps
 		return err
 	})
 	if err != nil {

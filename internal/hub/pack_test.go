@@ -6,8 +6,11 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"sync"
 	"testing"
 
+	"sommelier/internal/cas"
 	"sommelier/internal/chunk"
 	"sommelier/internal/faults"
 	"sommelier/internal/graph"
@@ -170,11 +173,17 @@ func TestPackOfDamagedStoreIs500(t *testing.T) {
 // TestReadBodyPresizesOnlyWithinTheCap: a declared length buys one
 // exact buffer when it is plausible and nothing when it is not — past
 // the cap, or unknown, the read grows with the bytes that arrive — and
-// a body shorter than it declared is an error either way.
+// a body shorter than it declared is an error either way. A dst with
+// room for the declared length is read into whatever the length.
 func TestReadBodyPresizesOnlyWithinTheCap(t *testing.T) {
 	payload := bytes.Repeat([]byte("chunk"), 1000)
+	dst := make([]byte, 0, len(payload))
+	if got, err := readBody(dst, bytes.NewReader(payload), int64(len(payload))); err != nil ||
+		!bytes.Equal(got, payload) || &got[0] != &dst[:1][0] {
+		t.Errorf("a dst with room: read %d bytes, err %v, into dst %v", len(got), err, err == nil && &got[0] == &dst[:1][0])
+	}
 	for _, declared := range []int64{int64(len(payload)), -1, 0, presizeLimit + 1} {
-		got, err := readBody(bytes.NewReader(payload), declared)
+		got, err := readBody(nil, bytes.NewReader(payload), declared)
 		if err != nil || !bytes.Equal(got, payload) {
 			t.Errorf("declared %d: read %d bytes, err %v", declared, len(got), err)
 		}
@@ -182,11 +191,11 @@ func TestReadBodyPresizesOnlyWithinTheCap(t *testing.T) {
 			t.Errorf("declared %d: allocated %d bytes on the declaration alone", declared, cap(got))
 		}
 	}
-	if _, err := readBody(bytes.NewReader(payload[:10]), int64(len(payload))); !errors.Is(err, io.ErrUnexpectedEOF) {
+	if _, err := readBody(nil, bytes.NewReader(payload[:10]), int64(len(payload))); !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Errorf("short body: %v, want io.ErrUnexpectedEOF", err)
 	}
 	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := readBody(bytes.NewReader(payload), int64(len(payload))); err != nil {
+		if _, err := readBody(nil, bytes.NewReader(payload), int64(len(payload))); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -237,6 +246,63 @@ func TestChunkPutPresizedReadKeepsTheBodyLimit(t *testing.T) {
 	}
 }
 
+// TestManifestGetIsRenderedFirst: GET ?format=manifest answers a
+// manifest rendered whole, with its Content-Length, and a stored
+// manifest the codec cannot represent is a clean 500 — no status line
+// after a partial body.
+func TestManifestGetIsRenderedFirst(t *testing.T) {
+	store := repo.NewInMemory()
+	id, err := store.Publish(testModel(t, "rendered", 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	get := func(s repo.Store) (*http.Response, []byte) {
+		t.Helper()
+		srv, err := NewServer(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(srv)
+		defer ts.Close()
+		resp, err := ts.Client().Get(ts.URL + "/v1/models/" + id + "?format=manifest")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp, body
+	}
+	resp, body := get(store)
+	if resp.StatusCode != http.StatusOK || resp.ContentLength != int64(len(body)) {
+		t.Fatalf("manifest GET: status %d, Content-Length %d for %d bytes", resp.StatusCode, resp.ContentLength, len(body))
+	}
+	if _, err := cas.DecodeManifest(bytes.NewReader(body)); err != nil {
+		t.Fatalf("the served manifest does not decode: %v", err)
+	}
+	resp, body = get(badManifestStore{store})
+	if resp.StatusCode != http.StatusInternalServerError || bytes.HasPrefix(body, []byte("SOMXMF")) {
+		t.Fatalf("unrepresentable manifest: status %d, body %q; want a 500 and no manifest bytes", resp.StatusCode, body)
+	}
+}
+
+// badManifestStore hands out its manifests with their layers replaced
+// by one whose chunk address is not one, as a damaged store might.
+type badManifestStore struct{ *repo.Repository }
+
+func (s badManifestStore) Manifest(id string) (*cas.Manifest, bool) {
+	man, ok := s.Repository.Manifest(id)
+	if !ok {
+		return nil, false
+	}
+	bad := *man
+	bad.Layers = []cas.LayerRef{{Name: "l", Op: graph.OpDense,
+		Params: map[string]cas.TensorRef{"W": {Shape: []int{1}, Chunks: []string{"not-an-address"}}}}}
+	return &bad, true
+}
+
 // missingChunkStore is a repository that has lost one chunk.
 type missingChunkStore struct {
 	*repo.Repository
@@ -250,28 +316,119 @@ func (s missingChunkStore) GetChunk(hash string) ([]byte, error) {
 	return s.Repository.GetChunk(hash)
 }
 
-// BenchmarkHubLoad prices one uncached Client.Load against a loopback
-// hub over an in-memory repository: a width-96 depth-3 residual model
-// and one sparse edit of it, loaded alternately through a one-entry
-// cache so every iteration goes to the wire. pack is the path a
-// chunk-capable hub serves; somx is the same pull from a hub whose
-// store has no chunk surface.
-func BenchmarkHubLoad(b *testing.B) {
+// hubLoadFixture is BenchmarkHubLoad's repository: a width-96 depth-3
+// residual model and one sparse edit of it, in memory. It returns their
+// IDs and the larger one's parameter bytes.
+func hubLoadFixture(tb testing.TB) (*repo.Repository, [2]string, int) {
+	tb.Helper()
 	base, err := zoo.DenseResidualNet(zoo.Config{Name: "bench-base", Seed: 9, Width: 96, Depth: 3, Series: "bench"})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	edit, err := zoo.SparseEdit(base, "bench-edit", 8, 10)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	store := repo.NewInMemory()
 	var ids [2]string
+	params := 0
 	for i, m := range []*graph.Model{base, edit} {
 		if ids[i], err = store.Publish(m); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
+		}
+		params = max(params, 8*int(m.ParamCount()))
+	}
+	return store, ids, params
+}
+
+// TestLoadAllocatesAboutTheModel is the pull path's allocation gate: in
+// steady state an uncached Client.Load against a loopback hub — client,
+// server and HTTP together — allocates at most 2.5 times the model's
+// parameter bytes. Rendering each pack into a fresh buffer, reading it
+// into another, or a manifest codec that allocates per element pushes
+// it past that; the model itself is one times.
+func TestLoadAllocatesAboutTheModel(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops sync.Pool entries at random")
+	}
+	store, ids, params := hubLoadFixture(t)
+	client, _ := hubOver(t, store)
+	load := func(i int) {
+		if _, err := client.Load(ids[i%2]); err != nil {
+			t.Fatal(err)
 		}
 	}
+	for i := 0; i < 8; i++ {
+		load(i) // connections and buffers reach their steady state
+	}
+	const n = 40
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		load(i)
+	}
+	runtime.ReadMemStats(&after)
+	perLoad := float64(after.TotalAlloc-before.TotalAlloc) / n
+	if ratio := perLoad / float64(params); ratio > 2.5 {
+		t.Fatalf("an uncached Load allocates %.0f bytes, %.2fx the model's %d parameter bytes; want at most 2.5x",
+			perLoad, ratio, params)
+	}
+}
+
+// TestConcurrentLoadsStayIntact: loads of different models through one
+// client at once each give the model that was published, byte for
+// byte — the client's and the server's recycled buffers are never
+// handed to a second pull while a first still reads them. Run it with
+// -race.
+func TestConcurrentLoadsStayIntact(t *testing.T) {
+	store := repo.NewInMemory()
+	models := packCorpus(t)
+	ids := make([]string, len(models))
+	want := make([][]byte, len(models))
+	for i, m := range models {
+		want[i] = somxBytes(t, m)
+		var err error
+		if ids[i], err = store.Publish(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	client, _ := hubOver(t, store)
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 3; round++ {
+				for k := range ids {
+					i := (k + w*len(ids)/4) % len(ids)
+					m, err := client.Load(ids[i])
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					var buf bytes.Buffer
+					if err := graph.Encode(&buf, m); err != nil {
+						t.Error(err)
+						return
+					}
+					if !bytes.Equal(buf.Bytes(), want[i]) {
+						t.Errorf("worker %d: %s re-encodes differently after a concurrent pull", w, ids[i])
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// BenchmarkHubLoad prices one uncached Client.Load against a loopback
+// hub over an in-memory repository: hubLoadFixture's two models loaded
+// alternately through a one-entry cache so every iteration goes to the
+// wire. pack is the path a chunk-capable hub serves; somx is the same
+// pull from a hub whose store has no chunk surface.
+func BenchmarkHubLoad(b *testing.B) {
+	store, ids, _ := hubLoadFixture(b)
 	for _, bc := range []struct {
 		name  string
 		store repo.Store

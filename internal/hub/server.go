@@ -201,6 +201,8 @@ type Server struct {
 	boot string
 	// gen is the write generation HeaderGeneration reports.
 	gen atomic.Uint64
+	// packs recycles servePack's rendered bodies.
+	packs bufPool
 }
 
 // NewServer wraps a repository.
@@ -463,7 +465,7 @@ func readBatchRequest(body io.Reader, r *http.Request) ([]string, error) {
 		err := json.NewDecoder(body).Decode(&req)
 		return req.Queries, err
 	}
-	data, err := readBody(body, r.ContentLength)
+	data, err := readBody(nil, body, r.ContentLength)
 	if err != nil {
 		return nil, err
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -41,6 +42,74 @@ func TestOpenLeavesUnknownFilesAlone(t *testing.T) {
 		t.Fatal(err)
 	}
 	untouched(`Delete("foo@1")`)
+}
+
+// TestOpenRefusesJSONEraDirectory: a directory whose manifests are
+// JSON, as builds before the binary manifest wrote them, fails to open
+// with an error naming the first such file, and every file in it — the
+// manifest and the chunks only it references — is still there, byte
+// for byte. Sweeping the manifest as torn would orphan, and then sweep,
+// every chunk of the repository.
+func TestOpenRefusesJSONEraDirectory(t *testing.T) {
+	dir := t.TempDir()
+	r, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := r.Publish(model(t, "old", "1", 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(filepath.Join(dir, id+manifestSuffix)); err != nil {
+		t.Fatal(err)
+	}
+	jsonName := id + jsonManifestSuffix
+	if err := os.WriteFile(filepath.Join(dir, jsonName), []byte(`{"format":1,"name":"old","version":"1","layers":[]}`+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := dirContents(t, dir)
+	if _, err := Open(dir); err == nil || !strings.Contains(err.Error(), jsonName) {
+		t.Fatalf("Open of a JSON-era directory: %v, want an error naming %s", err, jsonName)
+	}
+	after := dirContents(t, dir)
+	if len(after) != len(before) {
+		t.Fatalf("Open changed the directory: %d files before, %d after", len(before), len(after))
+	}
+	chunks := 0
+	for path, data := range before {
+		if !bytes.Equal(after[path], data) {
+			t.Fatalf("Open changed or removed %s", path)
+		}
+		if strings.HasPrefix(path, "chunks"+string(filepath.Separator)) {
+			chunks++
+		}
+	}
+	if chunks == 0 {
+		t.Fatal("fixture: the directory holds no chunks to lose")
+	}
+}
+
+// dirContents maps every regular file under dir, by relative path, to
+// its bytes.
+func dirContents(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	out := make(map[string][]byte)
+	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(dir, path)
+		out[rel] = data
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 func TestOpenSweepsTornManifest(t *testing.T) {

@@ -91,16 +91,35 @@ func NewInMemory() *Repository {
 }
 
 // Open returns a directory-backed repository. The directory is created
-// if missing. Layout: one manifest file per model plus a chunks/ tree
-// holding the content-addressed tensor segments. Repository files that
-// cannot be used — a torn manifest, chunks no manifest references — are
-// swept with a logged warning rather than failing the open: one damaged
-// file must not take the repository down. Any other file in the
-// directory is not the repository's and is left alone.
+// if missing. Layout: one binary manifest file per model plus a chunks/
+// tree holding the content-addressed tensor segments. Repository files
+// that cannot be used — a torn manifest, chunks no manifest references
+// — are swept with a logged warning rather than failing the open: one
+// damaged file must not take the repository down. A directory written
+// by a build that kept JSON manifests (*.manifest.json) is refused
+// whole, before anything is touched: its manifests are not torn, and
+// sweeping them would sweep every chunk with them. Any other file in
+// the directory is not the repository's and is left alone.
 func Open(dir string) (*Repository, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("repo: %w", err)
 	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, fmt.Errorf("repo: %w", err)
+	}
+	var manifestFiles []string
+	for _, e := range entries {
+		switch {
+		case e.IsDir():
+		case strings.HasSuffix(e.Name(), jsonManifestSuffix):
+			return nil, fmt.Errorf("repo: open %s: %s is a JSON manifest (format 1), which this build does not read; nothing was removed",
+				dir, e.Name())
+		case strings.HasSuffix(e.Name(), manifestSuffix):
+			manifestFiles = append(manifestFiles, e.Name())
+		}
+	}
+	sort.Strings(manifestFiles)
 	chunks, err := cas.OpenDir(filepath.Join(dir, "chunks"))
 	if err != nil {
 		return nil, fmt.Errorf("repo: %w", err)
@@ -108,17 +127,6 @@ func Open(dir string) (*Repository, error) {
 	r := NewInMemory()
 	r.dir = dir
 	r.chunks = chunks
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("repo: %w", err)
-	}
-	var manifestFiles []string
-	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), manifestSuffix) {
-			manifestFiles = append(manifestFiles, e.Name())
-		}
-	}
-	sort.Strings(manifestFiles)
 	for _, name := range manifestFiles {
 		id := strings.TrimSuffix(name, manifestSuffix)
 		man, err := readManifestFile(filepath.Join(dir, name))
@@ -147,7 +155,12 @@ func Open(dir string) (*Repository, error) {
 	return r, nil
 }
 
-const manifestSuffix = ".manifest.json"
+// manifestSuffix names a model's manifest file; jsonManifestSuffix
+// named it while manifests were JSON.
+const (
+	manifestSuffix     = ".manifest"
+	jsonManifestSuffix = ".manifest.json"
+)
 
 // sweepFile removes an undecodable repository file, logging why. Only
 // called from Open, before the repository is shared.
