@@ -48,6 +48,48 @@ func BenchmarkIndexBatch(b *testing.B) {
 	b.ReportMetric(float64(observations)/float64(b.N*len(entries)), "observations/model")
 }
 
+// BenchmarkIndexOne times one Index — what a register pays for — of a
+// bench-sized model (dense-residual, width 96, depth 3) over 64 probes,
+// into a catalog holding 16 to 31 of its perturbed variants, so each
+// insert observes only itself and compares against its sampled
+// partners' stored evidence. The catalog is rebuilt, untimed, every 16
+// inserts so the commit's share stays that of a small catalog. At
+// Workers 2 the observation's sweep and bound factor run side by side;
+// at Workers 1 one after the other.
+func BenchmarkIndexOne(b *testing.B) {
+	base, err := zoo.DenseResidualNet(zoo.Config{Name: "one", Seed: 1, Width: 96, Depth: 3})
+	if err != nil {
+		b.Fatal(err)
+	}
+	variants := make([]index.Entry, 32)
+	for i := range variants {
+		name := fmt.Sprintf("one-v%d", i)
+		variants[i] = index.Entry{ID: name + "@v1", Model: zoo.Perturb(base, name, 0.01+0.001*float64(i), uint64(i+1))}
+	}
+	partners, inserts := variants[:16], variants[16:]
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			var c *Catalog
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if i%len(inserts) == 0 {
+					b.StopTimer()
+					c = New(Config{Seed: 7, ValidationSize: 64, Workers: workers})
+					if n, err := c.IndexBatch(context.Background(), partners); err != nil || n != len(partners) {
+						b.Fatalf("IndexBatch = %d, %v", n, err)
+					}
+					b.StartTimer()
+				}
+				e := inserts[i%len(inserts)]
+				if err := c.Index(context.Background(), e.ID, e.Model); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // tenthAnalyzer gives every measured pair the same low level, so a
 // commit touches the new model's list and its sampled partners' and —
 // with no measured diffs restored — derives nothing further.

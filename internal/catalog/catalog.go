@@ -84,6 +84,7 @@ type Catalog struct {
 	// analyze is pairs.analyze or the injected Config.Analyzer.
 	analyze func(*plannedPair) (index.AnalysisResult, error)
 	obs     *obs.Observer
+	m       metrics
 	// sema bounds concurrent analysis/profiling work across all
 	// indexing calls on this catalog.
 	sema chan struct{}
@@ -102,11 +103,50 @@ type Catalog struct {
 	snap atomic.Pointer[Snapshot]
 }
 
+// metrics are the pipeline's metric handles, resolved once in New so a
+// task or a stage updates them without the registry's lock. Without an
+// observer every handle is nil, and a nil handle no-ops.
+type metrics struct {
+	busy *obs.Gauge // catalog_workers_busy
+	// catalog_{tasks,observe,evidence_hits,index_canceled,index_errors,models_indexed}_total
+	tasks, observed, evidenceHits, canceled, failed, indexed *obs.Counter
+	plan, analyze, commit                                    *obs.Histogram // catalog_{plan,analyze,commit}_ms
+	profile, observe, bound, pair                            taskKind
+}
+
+// taskKind is one kind of pool task: its span name and its
+// catalog_<name>_ms histogram.
+type taskKind struct {
+	name string
+	ms   *obs.Histogram
+}
+
+func newMetrics(o *obs.Observer) metrics {
+	kind := func(name string) taskKind { return taskKind{name, o.Histogram("catalog_" + name + "_ms")} }
+	return metrics{
+		busy:         o.Gauge("catalog_workers_busy"),
+		tasks:        o.Counter("catalog_tasks_total"),
+		observed:     o.Counter("catalog_observe_total"),
+		evidenceHits: o.Counter("catalog_evidence_hits_total"),
+		canceled:     o.Counter("catalog_index_canceled_total"),
+		failed:       o.Counter("catalog_index_errors_total"),
+		indexed:      o.Counter("catalog_models_indexed_total"),
+		plan:         o.Histogram("catalog_plan_ms"),
+		analyze:      o.Histogram("catalog_analyze_ms"),
+		commit:       o.Histogram("catalog_commit_ms"),
+		profile:      kind("profile"),
+		observe:      kind("observe"),
+		bound:        kind("bound"),
+		pair:         kind("pair"),
+	}
+}
+
 // New creates an empty catalog.
 func New(cfg Config) *Catalog {
 	c := &Catalog{
 		cfg:      cfg,
 		obs:      cfg.Observer,
+		m:        newMetrics(cfg.Observer),
 		pairs:    newPairAnalyzer(cfg),
 		profiler: resource.NewProfiler(nil),
 		sema:     make(chan struct{}, cfg.workers()),

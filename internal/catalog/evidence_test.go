@@ -1,12 +1,15 @@
 package catalog
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
+	"sommelier/internal/equiv"
 	"sommelier/internal/graph"
 	"sommelier/internal/index"
 	"sommelier/internal/nn"
@@ -245,5 +248,127 @@ func TestRestoreDropsEvidence(t *testing.T) {
 	}
 	if got := exportJSON(t, restored); string(got) != string(want) {
 		t.Fatal("index after Restore + Index differs from the unrestored catalog's")
+	}
+}
+
+// regressionEntry is a label-free regression model: no softmax, so its
+// bound half sends the output-norm probe through the executor.
+func regressionEntry(t testing.TB, name string, seed uint64) index.Entry {
+	t.Helper()
+	b := graph.NewBuilder(name, graph.TaskRegression, tensor.Shape{6}, tensor.NewRNG(seed))
+	b.Dense(10)
+	b.Tanh()
+	b.Dense(4)
+	m, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return index.Entry{ID: name + "@v1", Model: m}
+}
+
+// TestRegisterPathEvidenceMatchesObserve: a sequence of single-model
+// Index calls — what a register runs — stores for every model the
+// evidence a serial equiv.Observe gives (the halves ran on two workers
+// or one), and commits one index at 1, 2 and 4 workers.
+func TestRegisterPathEvidenceMatchesObserve(t *testing.T) {
+	ctx := context.Background()
+	entries := testEntries(t, "register", 8)
+	for i := 0; i < 4; i++ {
+		entries = append(entries, regressionEntry(t, fmt.Sprintf("register-reg-%d", i), uint64(200+i)))
+	}
+	var want []byte
+	for _, workers := range []int{1, 2, 4} {
+		c, o := observedCatalog(16, workers)
+		for _, e := range entries {
+			if err := c.Index(ctx, e.ID, e.Model); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// A model is observed on its own probe set once it or a later
+		// model samples it as a partner; every model the table holds
+		// must be what the serial oracle sees, regression models (whose
+		// bound half runs the output-norm probe) included.
+		stored, regressions := 0, 0
+		for _, e := range entries {
+			key := evidenceKey{e.ID, c.pairs.probes.key(e.Model)}
+			c.mu.Lock()
+			got := c.evidence[key]
+			c.mu.Unlock()
+			if got == nil {
+				continue
+			}
+			oracle, err := equiv.Observe(e.Model, c.pairs.probes.For(e.Model), c.pairs.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, oracle) {
+				t.Fatalf("%d workers: stored evidence of %s differs from equiv.Observe's", workers, e.ID)
+			}
+			stored++
+			if e.Model.Task == graph.TaskRegression {
+				regressions++
+			}
+		}
+		snap := o.Snapshot()
+		if runs, bounds := snap.Counters["catalog_observe_total"], snap.Histograms["catalog_bound_ms"].Count; runs != int64(stored) || bounds != runs {
+			t.Fatalf("%d workers: %d observe and %d bound tasks for %d stored observations", workers, runs, bounds, stored)
+		}
+		if stored < len(entries)-2 || regressions < 2 {
+			t.Fatalf("%d workers: only %d observations stored (%d of regression models)", workers, stored, regressions)
+		}
+		got := exportJSON(t, c)
+		if want == nil {
+			want = got
+		} else if !bytes.Equal(got, want) {
+			t.Fatalf("index after registers on %d workers differs from 1 worker's", workers)
+		}
+	}
+}
+
+// TestCancelBetweenHalvesStoresNothing: a register canceled after its
+// observation's sweep and before the bound half got a worker commits
+// nothing and stores no evidence, and the same model indexes cleanly
+// afterwards. One worker makes the order certain: the sweep holds the
+// only slot, cancels from its preprocessor, and the bound task finds
+// the context done when the slot frees.
+func TestCancelBetweenHalvesStoresNothing(t *testing.T) {
+	c, o := observedCatalog(17, 1)
+	entries := testEntries(t, "halves", 4)
+	if n, err := c.IndexBatch(context.Background(), entries[:3]); err != nil || n != 3 {
+		t.Fatalf("IndexBatch = %d, %v", n, err)
+	}
+	before, ran := evidenced(o), observes(o)
+	bounds := o.Snapshot().Histograms["catalog_bound_ms"].Count
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	nn.RegisterPreprocessor("catalog-test-cancel", func(raw *tensor.Tensor) *tensor.Tensor {
+		cancel()
+		return raw
+	})
+	target := entries[3]
+	m := target.Model.Clone()
+	m.Preprocessor = "catalog-test-cancel"
+	if err := c.Index(ctx, target.ID, m); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Index canceled mid-observation = %v, want context.Canceled", err)
+	}
+	snap := o.Snapshot()
+	if got := observes(o) - ran; got != 1 {
+		t.Fatalf("the canceled Index ran %d sweeps, want 1", got)
+	}
+	if got := snap.Histograms["catalog_bound_ms"].Count; got != bounds {
+		t.Fatalf("the bound half ran after the cancel (%d bound tasks, %d before)", got, bounds)
+	}
+	if c.Snapshot().Contains(target.ID) {
+		t.Fatal("a canceled Index committed its model")
+	}
+	if got := evidenced(o); got != before {
+		t.Fatalf("a canceled Index moved the evidence table from %d to %d entries", before, got)
+	}
+	if err := c.Index(context.Background(), target.ID, target.Model); err != nil {
+		t.Fatal(err)
+	}
+	if got := evidenced(o); got != before+1 {
+		t.Fatalf("evidence table holds %d entries after the retry, want %d", got, before+1)
 	}
 }

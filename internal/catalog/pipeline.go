@@ -1,6 +1,7 @@
 package catalog
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -10,6 +11,7 @@ import (
 	"sommelier/internal/equiv"
 	"sommelier/internal/graph"
 	"sommelier/internal/index"
+	"sommelier/internal/nn"
 	"sommelier/internal/resource"
 )
 
@@ -22,8 +24,10 @@ import (
 // canonical order) and looks each planned model up in the evidence
 // table; commit applies precomputed measurements. Running models — the
 // expensive part — happens outside any lock, on the worker pool, once
-// per model rather than once per pair: an observe task runs one model
-// over one probe set, a pair task compares two models' evidence without
+// per model rather than once per pair: an observation of one model on
+// one probe set is two tasks over one executor, the sweep (an observe
+// task) and the bound factor (a bound task), which a second free worker
+// runs side by side; a pair task compares two models' evidence without
 // running either, and a model's evidence is stored when it commits, so
 // later insertions that sample it observe only themselves. For a fixed
 // seed the committed index is byte-identical to serial insertion at any
@@ -39,14 +43,24 @@ import (
 type evidenceKey struct{ id, probes string }
 
 // observation is one evidence slot an indexing call reads: filled from
-// the catalog's evidence table at plan time, or by an observe task.
+// the catalog's evidence table at plan time, or by joining the two
+// halves of a fresh observation once both have run.
 type observation struct {
 	key      evidenceKey
 	model    *graph.Model
 	probesOf *graph.Model // its input shape selects the probe set
 	ev       *equiv.Evidence
 	err      error
+	// A fresh observation's two halves fill part; the sweep's error
+	// goes to err and the bound's to boundErr, each errSkipped until its
+	// half has run.
+	part     *equiv.Evidence
+	boundErr error
 }
+
+// errSkipped marks an observation half that never ran: the call was
+// canceled first, and returns before any pair or commit reads it.
+var errSkipped = errors.New("catalog: observation canceled")
 
 // plannedPair is one new model (ref) and one of its sampled partners
 // (cand). A compatible pair reads the observations CheckPair makes: both
@@ -102,7 +116,7 @@ func (c *Catalog) IndexBatch(ctx context.Context, entries []index.Entry) (int, e
 func (c *Catalog) indexEntries(ctx context.Context, entries []index.Entry) (int, error) {
 	_, span := c.obs.StartSpan(ctx, "plan", "")
 	ins, observations, err := c.plan(entries)
-	c.obs.Histogram("catalog_plan_ms").Observe(span.End())
+	c.m.plan.Observe(span.End())
 	if err != nil || len(ins) == 0 {
 		return 0, err
 	}
@@ -114,25 +128,26 @@ func (c *Catalog) indexEntries(ctx context.Context, entries []index.Entry) (int,
 	actx, stage := c.obs.StartSpan(ctx, "analyze", "")
 	var wg sync.WaitGroup
 	for _, in := range ins {
-		c.runTask(actx, &wg, "profile", in.entry.ID, func() {
+		c.runTask(actx, &wg, c.m.profile, in.entry.ID, func() {
 			if in.footprint, in.err = c.profiler.Footprint(in.entry.Model); in.err != nil {
 				in.err = fmt.Errorf("catalog: profiling %q: %w", in.entry.ID, in.err)
 			}
 		})
 	}
 	for _, o := range observations {
-		if o.ev != nil {
-			continue
+		if o.ev == nil {
+			c.observe(actx, &wg, o)
 		}
-		c.runTask(actx, &wg, "observe", o.key.id+" on "+o.key.probes, func() {
-			c.obs.Counter("catalog_observe_total").Inc()
-			o.ev, o.err = equiv.Observe(o.model, c.pairs.probes.For(o.probesOf), c.pairs.opts)
-		})
 	}
 	wg.Wait()
+	for _, o := range observations {
+		if o.part != nil {
+			o.join()
+		}
+	}
 	for _, in := range ins {
 		for _, p := range in.pairs {
-			c.runTask(actx, &wg, "pair", p.ref.ID+"~"+p.cand.ID, func() {
+			c.runTask(actx, &wg, c.m.pair, p.ref.ID+"~"+p.cand.ID, func() {
 				if p.res, p.err = c.analyze(p); p.err != nil {
 					p.err = fmt.Errorf("catalog: analyzing %q vs %q: %w", p.ref.ID, p.cand.ID, p.err)
 				}
@@ -140,16 +155,16 @@ func (c *Catalog) indexEntries(ctx context.Context, entries []index.Entry) (int,
 		}
 	}
 	wg.Wait()
-	c.obs.Histogram("catalog_analyze_ms").Observe(stage.End())
+	c.m.analyze.Observe(stage.End())
 	if err := ctx.Err(); err != nil {
-		c.obs.Counter("catalog_index_canceled_total").Inc()
+		c.m.canceled.Inc()
 		return 0, err
 	}
 
 	// Commit (short lock): apply measurements in plan order and publish
 	// once, covering both full and partial (error) commits.
 	_, span = c.obs.StartSpan(ctx, "commit", "")
-	defer func() { c.obs.Histogram("catalog_commit_ms").Observe(span.End()) }()
+	defer func() { c.m.commit.Observe(span.End()) }()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	cur := c.snap.Load()
@@ -164,8 +179,43 @@ func (c *Catalog) indexEntries(ctx context.Context, entries []index.Entry) (int,
 		}
 	}
 	c.publishLocked(footprints, refs)
-	c.obs.Counter("catalog_models_indexed_total").Add(int64(committed))
+	c.m.indexed.Add(int64(committed))
 	return committed, err
+}
+
+// observe schedules a fresh observation as two pool tasks over one
+// executor. The observe task builds the executor, hands the bound half
+// to the pool and runs the sweep itself: with a second worker free the
+// halves run side by side, with one the bound follows the sweep. Each
+// half writes only its own error; join reads both once the pool drains.
+func (c *Catalog) observe(ctx context.Context, wg *sync.WaitGroup, o *observation) {
+	o.part, o.err = new(equiv.Evidence), errSkipped
+	if c.pairs.opts.Bound == equiv.BoundOn {
+		o.boundErr = errSkipped
+	}
+	detail := o.key.id + " on " + o.key.probes
+	c.runTask(ctx, wg, c.m.observe, detail, func() {
+		c.m.observed.Inc()
+		exec, err := nn.NewExecutor(o.model)
+		if err != nil {
+			o.err = fmt.Errorf("catalog: observing %q: %w", o.key.id, err)
+			return
+		}
+		if c.pairs.opts.Bound == equiv.BoundOn {
+			c.runTask(ctx, wg, c.m.bound, detail, func() { o.boundErr = o.part.Bound(exec) })
+		}
+		o.err = o.part.Sweep(exec, c.pairs.probes.For(o.probesOf))
+	})
+}
+
+// join settles a fresh observation once both halves have returned: its
+// error is the sweep's, else the bound's, and it has evidence only when
+// neither failed nor was skipped, so evidence that lacks its bound
+// reaches neither a pair nor the table.
+func (o *observation) join() {
+	if o.err = cmp.Or(o.err, o.boundErr); o.err == nil {
+		o.ev = o.part
+	}
 }
 
 // plan is stage 1 (short lock): filter out known and duplicate IDs,
@@ -196,7 +246,7 @@ func (c *Catalog) plan(entries []index.Entry) ([]*insertion, []*observation, err
 		if o == nil {
 			o = &observation{key: key, model: e.Model, probesOf: probesOf, ev: c.evidence[key]}
 			if o.ev != nil {
-				c.obs.Counter("catalog_evidence_hits_total").Inc()
+				c.m.evidenceHits.Inc()
 			}
 			slots[key] = o
 			observations = append(observations, o)
@@ -244,7 +294,7 @@ func (c *Catalog) commitLocked(ins []*insertion, footprints map[string]resource.
 			meas[i] = index.PairMeasurement{Partner: p.cand.ID, Result: p.res}
 		}
 		if err != nil {
-			c.obs.Counter("catalog_index_errors_total").Inc()
+			c.m.failed.Inc()
 			return committed, err
 		}
 		if err := c.writer.CommitPlanned(in.entry, meas); err != nil {
@@ -265,11 +315,12 @@ func (c *Catalog) commitLocked(ins []*insertion, footprints map[string]resource.
 }
 
 // runTask schedules fn on the bounded worker pool, tracking occupancy
-// and wrapping the work in a span parented to ctx's current span and a
-// catalog_<name>_ms histogram. A ctx canceled before the task acquires
-// a worker slot skips fn entirely; the call's post-wait ctx.Err()
-// check turns that into the caller's error.
-func (c *Catalog) runTask(ctx context.Context, wg *sync.WaitGroup, name, detail string, fn func()) {
+// and wrapping the work in a span parented to ctx's current span and
+// the kind's catalog_<name>_ms histogram. A ctx canceled before the
+// task acquires a worker slot skips fn entirely; the call's post-wait
+// ctx.Err() check turns that into the caller's error. A running task
+// may schedule another on the same WaitGroup.
+func (c *Catalog) runTask(ctx context.Context, wg *sync.WaitGroup, kind taskKind, detail string, fn func()) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -282,11 +333,11 @@ func (c *Catalog) runTask(ctx context.Context, wg *sync.WaitGroup, name, detail 
 		if ctx.Err() != nil {
 			return
 		}
-		c.obs.Gauge("catalog_workers_busy").Add(1)
-		defer c.obs.Gauge("catalog_workers_busy").Add(-1)
-		c.obs.Counter("catalog_tasks_total").Inc()
-		_, span := c.obs.StartSpan(ctx, name, detail)
-		defer func() { c.obs.Histogram("catalog_" + name + "_ms").Observe(span.End()) }()
+		c.m.busy.Add(1)
+		defer c.m.busy.Add(-1)
+		c.m.tasks.Inc()
+		_, span := c.obs.StartSpan(ctx, kind.name, detail)
+		defer func() { kind.ms.Observe(span.End()) }()
 		fn()
 	}()
 }

@@ -52,7 +52,7 @@ func GeneralizationBound(m *graph.Model, n int, gamma float64) (float64, error) 
 
 // boundFactor is the part of the bound that depends on the model alone,
 // d² · max‖f(x)‖₂ · Σᵢ 1/(μᵢ² μᵢ→²): a spectral-norm pass per linear
-// layer, which Observe keeps with the model's evidence.
+// layer, which an observation's Bound half keeps with the model's evidence.
 func boundFactor(exec *nn.Executor) (float64, error) {
 	order := exec.Layers()
 	linear := linearLayers(order)

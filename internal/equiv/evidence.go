@@ -27,44 +27,52 @@ type Evidence struct {
 }
 
 // Observe runs m over the validation set once and returns its evidence,
-// including the bound factor unless opts turns the bound off. The model
-// is validated and ordered once; the sweep and the bound share both.
+// including the bound factor unless opts turns the bound off. It is the
+// serial composition of an observation's two halves, Sweep and then
+// Bound, over one executor: the model is validated and ordered once.
 func Observe(m *graph.Model, val *dataset.Dataset, opts Options) (*Evidence, error) {
-	ev, err := observe(m, val, opts)
+	exec, err := nn.NewExecutor(m)
 	if err != nil {
 		return nil, fmt.Errorf("equiv: observing %q: %w", m.Name, err)
+	}
+	ev := new(Evidence)
+	if err := ev.Sweep(exec, val); err != nil {
+		return nil, err
+	}
+	if opts.Bound == BoundOn {
+		if err := ev.Bound(exec); err != nil {
+			return nil, err
+		}
 	}
 	return ev, nil
 }
 
-func observe(m *graph.Model, val *dataset.Dataset, opts Options) (*Evidence, error) {
-	if val.Len() == 0 {
-		return nil, fmt.Errorf("dataset %q is empty", val.Name)
+// Sweep is an observation's first half, the one inference pass: the
+// whole validation set through exec, recorded in ev. Bound is the
+// second. The halves write disjoint fields of ev and only read exec and
+// its model, so they may run at once over one executor; ev is evidence
+// once both have returned without error (Sweep alone, with the bound
+// off).
+func (ev *Evidence) Sweep(exec *nn.Executor, val *dataset.Dataset) error {
+	if err := ev.sweep(exec, val); err != nil {
+		return fmt.Errorf("equiv: observing %q: %w", exec.Model().Name, err)
 	}
-	exec, err := nn.NewExecutor(m)
-	if err != nil {
-		return nil, err
-	}
-	ev, err := sweep(exec, val)
-	if err == nil && opts.Bound == BoundOn {
-		ev.bound, err = boundFactor(exec)
-		ev.hasBound = true
-	}
-	return ev, err
+	return nil
 }
 
-// sweep is the one inference pass of an observation: the whole
-// validation set through the batched executor.
-func sweep(exec *nn.Executor, val *dataset.Dataset) (*Evidence, error) {
-	ev := &Evidence{n: val.Len(), labelled: val.Labels != nil}
+func (ev *Evidence) sweep(exec *nn.Executor, val *dataset.Dataset) error {
+	if val.Len() == 0 {
+		return fmt.Errorf("dataset %q is empty", val.Name)
+	}
+	ev.n, ev.labelled = val.Len(), val.Labels != nil
 	if !ev.labelled && exec.Model().Task != graph.TaskClassification {
 		var err error
 		ev.outputs, err = exec.ForwardBatch(val.Inputs)
-		return ev, err
+		return err
 	}
 	classes, err := exec.PredictBatch(val.Inputs)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	ev.classes = make([]int32, ev.n)
 	for i, cls := range classes {
@@ -73,7 +81,18 @@ func sweep(exec *nn.Executor, val *dataset.Dataset) (*Evidence, error) {
 			ev.correct++
 		}
 	}
-	return ev, nil
+	return nil
+}
+
+// Bound is an observation's second half: the model's bound factor (see
+// boundFactor), kept in ev for Compare.
+func (ev *Evidence) Bound(exec *nn.Executor) error {
+	factor, err := boundFactor(exec)
+	if err != nil {
+		return fmt.Errorf("equiv: observing %q: %w", exec.Model().Name, err)
+	}
+	ev.bound, ev.hasBound = factor, true
+	return nil
 }
 
 // Compare assesses cand standing in for ref, an IOCompatible pair, from

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestNilObserverIsInert(t *testing.T) {
@@ -116,6 +117,50 @@ func TestTraceCapZeroDisablesRecording(t *testing.T) {
 	s.End()
 	if got := o.Tracer().Recent(); len(got) != 0 {
 		t.Errorf("Recent = %v, want empty", got)
+	}
+}
+
+// TestDisabledTracerTakesNoLock: with recording off, ending a span
+// reads the capacity newTracer fixed and never the ring's mutex, so it
+// completes while another goroutine holds that mutex; concurrent ends
+// on an enabled and a disabled tracer stay clean under -race.
+func TestDisabledTracerTakesNoLock(t *testing.T) {
+	off, on := New(WithTraceCap(0)), New(WithTraceCap(4))
+	tr := off.Tracer()
+	tr.mu.Lock()
+	ended := make(chan struct{})
+	go func() {
+		defer close(ended)
+		_, s := off.StartSpan(context.Background(), "op", "")
+		s.End()
+	}()
+	select {
+	case <-ended:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Span.End on a tracer with recording off waited for the ring's mutex")
+	}
+	tr.mu.Unlock()
+
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				for _, o := range []*Observer{off, on} {
+					_, s := o.StartSpan(context.Background(), "op", "")
+					s.End()
+				}
+				on.Tracer().Recent()
+			}
+		}()
+	}
+	wg.Wait()
+	if got := off.Tracer().Recent(); len(got) != 0 {
+		t.Errorf("disabled tracer recorded %d spans", len(got))
+	}
+	if got := on.Tracer().Recent(); len(got) != 4 {
+		t.Errorf("tracer of capacity 4 holds %d spans", len(got))
 	}
 }
 

@@ -54,6 +54,9 @@ func (s *Span) ID() uint64 {
 type Tracer struct {
 	clock  Clock
 	nextID atomic.Uint64
+	// cap is the ring's capacity, fixed by newTracer; 0 disables
+	// recording, so a disabled tracer's record never takes mu.
+	cap int
 
 	mu   sync.Mutex
 	ring []SpanRecord // guarded by mu
@@ -65,7 +68,7 @@ type Tracer struct {
 func newTracer(clock Clock, cap int) *Tracer {
 	t := &Tracer{clock: clock}
 	if cap > 0 {
-		t.ring = make([]SpanRecord, 0, cap)
+		t.cap, t.ring = cap, make([]SpanRecord, 0, cap)
 	}
 	return t
 }
@@ -84,19 +87,16 @@ func (t *Tracer) start(parent uint64, name, detail string) Span {
 }
 
 func (t *Tracer) record(rec SpanRecord) {
-	if t == nil {
+	if t == nil || t.cap == 0 {
 		return
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if cap(t.ring) == 0 {
-		return
-	}
-	if len(t.ring) < cap(t.ring) {
+	if len(t.ring) < t.cap {
 		t.ring = append(t.ring, rec)
 	} else {
 		t.ring[t.next] = rec
-		t.next = (t.next + 1) % cap(t.ring)
+		t.next = (t.next + 1) % t.cap
 	}
 }
 

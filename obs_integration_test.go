@@ -3,6 +3,8 @@ package sommelier
 import (
 	"context"
 	"errors"
+	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -52,10 +54,48 @@ func TestIndexAllSpanTreeDeterministic(t *testing.T) {
 	if first != serial {
 		t.Fatalf("span tree with 4 workers differs from serial:\n--- parallel\n%s\n--- serial\n%s", first, serial)
 	}
-	for _, want := range []string{"catalog.indexall", "plan", "analyze", "commit", "profile [", "observe [", "pair ["} {
+	for _, want := range []string{"catalog.indexall", "plan", "analyze", "commit", "profile [", "observe [", "bound [", "pair ["} {
 		if !strings.Contains(first, want) {
 			t.Errorf("span tree missing %q:\n%s", want, first)
 		}
+	}
+}
+
+// TestSerialRegisterRunsOneTaskAtATime: with IndexWorkers(1) the pool
+// runs a register's analysis one task at a time — profile, the
+// observation's sweep and then its bound factor, each pair — so under a
+// TickClock no two of an analyze span's children overlap.
+func TestSerialRegisterRunsOneTaskAtATime(t *testing.T) {
+	o := tickObserver()
+	registerAllWith(t, benchModels(t, 0xbe7c), 1, o)
+	spans := o.Tracer().Recent()
+	children := make(map[uint64][]obs.SpanRecord)
+	for _, s := range spans {
+		if s.Name == "analyze" {
+			children[s.ID] = nil
+		}
+	}
+	for _, s := range spans {
+		if _, ok := children[s.Parent]; ok {
+			children[s.Parent] = append(children[s.Parent], s)
+		}
+	}
+	halves := 0
+	for _, tasks := range children {
+		sort.Slice(tasks, func(i, j int) bool { return tasks[i].StartNS < tasks[j].StartNS })
+		var names []string
+		for i, s := range tasks {
+			names = append(names, s.Name)
+			if i > 0 && s.StartNS < tasks[i-1].StartNS+tasks[i-1].DurNS {
+				t.Fatalf("%s [%s] starts before %s [%s] ends on one worker", s.Name, s.Detail, tasks[i-1].Name, tasks[i-1].Detail)
+			}
+		}
+		if slices.Contains(names, "observe") && slices.Contains(names, "bound") {
+			halves++
+		}
+	}
+	if len(children) != 24 || halves == 0 {
+		t.Fatalf("%d registers traced, %d with both observation halves", len(children), halves)
 	}
 }
 

@@ -7,6 +7,8 @@ import (
 	"testing"
 	"time"
 
+	"sommelier/internal/graph"
+	"sommelier/internal/obs"
 	"sommelier/internal/repo"
 	"sommelier/internal/zoo"
 )
@@ -15,21 +17,51 @@ import (
 // over 3 shared trunks) into a fresh repository.
 func benchCatalog(t testing.TB, seed uint64) *repo.Repository {
 	t.Helper()
+	store := repo.NewInMemory()
+	for _, m := range benchModels(t, seed) {
+		if _, err := store.Publish(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return store
+}
+
+// benchModels is benchCatalog's 24 models, in publish order.
+func benchModels(t testing.TB, seed uint64) []*graph.Model {
+	t.Helper()
 	series, err := zoo.Catalog(zoo.CatalogConfig{
 		NumSeries: 6, MinPerSeries: 4, MaxPerSeries: 4, NumTrunks: 3, Seed: seed,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	store := repo.NewInMemory()
+	var models []*graph.Model
 	for _, s := range series {
-		for _, m := range s.Models {
-			if _, err := store.Publish(m); err != nil {
-				t.Fatal(err)
-			}
+		models = append(models, s.Models...)
+	}
+	return models
+}
+
+// registerAllWith registers models one RegisterContext at a time into
+// an empty repository with the given worker count and observer, and
+// returns the serialized index state.
+func registerAllWith(t testing.TB, models []*graph.Model, workers int, o *obs.Observer) []byte {
+	t.Helper()
+	eng, err := NewEngine(repo.NewInMemory(),
+		WithSeed(17), WithValidationSize(80), WithIndexWorkers(workers), WithObserver(o))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range models {
+		if _, err := eng.RegisterContext(context.Background(), m); err != nil {
+			t.Fatal(err)
 		}
 	}
-	return store
+	var buf bytes.Buffer
+	if err := eng.SaveIndexes(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 // indexAllWith runs IndexAll over a fresh copy of the catalog with the
@@ -67,6 +99,20 @@ func TestIndexAllParallelByteIdentical(t *testing.T) {
 		parallel, _ := indexAllWith(t, workers)
 		if !bytes.Equal(serial, parallel) {
 			t.Fatalf("index state with %d workers differs from serial", workers)
+		}
+	}
+}
+
+// TestRegisterParallelByteIdentical is the determinism contract of the
+// register path, where one observation's sweep and bound factor run as
+// two pool tasks: a seeded sequence of single-model registers commits
+// an index byte-identical at 1, 2 and 4 workers.
+func TestRegisterParallelByteIdentical(t *testing.T) {
+	models := benchModels(t, 0xbe7c)
+	serial := registerAllWith(t, models, 1, nil)
+	for _, workers := range []int{2, 4} {
+		if parallel := registerAllWith(t, models, workers, nil); !bytes.Equal(serial, parallel) {
+			t.Fatalf("index state after registers on %d workers differs from serial", workers)
 		}
 	}
 }
