@@ -42,13 +42,14 @@ lint:
 benchsmoke:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-# layerbench runs the storage layer's benchmarks — hydration, the pack
-# reader and the manifest codec — and the register path's one-model
-# Index once each, so a benchmark that stops building or panics fails
-# the gate; the numbers it prints are not judged here
-# (TestHydrateCopiesOnce bounds the bytes).
+# layerbench runs the storage layer's benchmarks — hydration, the
+# encoder, the pack reader and the manifest codec — and the register
+# path's one-model Index once each, so a benchmark that stops building
+# or panics fails the gate; the numbers it prints are not judged here
+# (TestHydrateCopiesOnce and TestEncodeAddressesTensorsInPlace bound
+# the bytes).
 layerbench:
-	$(GO) test -run '^$$' -bench 'Join|Hydrate|ReadPack|ManifestCodec|IndexOne' -benchtime 1x ./internal/chunk ./internal/cas ./internal/catalog
+	$(GO) test -run '^$$' -bench 'Join|Hydrate|Encode|ReadPack|ManifestCodec|IndexOne' -benchtime 1x ./internal/chunk ./internal/cas ./internal/catalog
 
 # check is the CI gate: vet (and its gofmt gate), then sommlint, then
 # the bench-module smoke and the layer benchmarks, then the

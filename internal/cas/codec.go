@@ -15,6 +15,11 @@ import (
 // unit a publish hands to a store and the unit replication ships —
 // receivers take the manifest, ask for the chunks they miss, and drop
 // the rest on the floor.
+//
+// Chunks' values may alias Model's tensors: on a little-endian host
+// chunk.Split hashes a tensor's memory in place, and delta streams are
+// the only chunk bytes Encode allocates. So Chunks is read-only, and
+// the model's tensors must not change while the encoding is in use.
 type Encoded struct {
 	Model    *graph.Model
 	Manifest *Manifest
@@ -29,10 +34,12 @@ type Encoded struct {
 // chunk.DefaultSize.
 //
 // Encode is pure CPU — no locks, no I/O — so callers can run it outside
-// any critical section.
+// any critical section. It validates m first, and its only error is
+// m.Validate's, returned as it is so that each caller names its own
+// refusal; callers need not validate m themselves.
 func Encode(m *graph.Model, baseID string, base *graph.Model, chunkSize int) (*Encoded, error) {
 	if err := m.Validate(); err != nil {
-		return nil, fmt.Errorf("cas: refusing to encode invalid model: %w", err)
+		return nil, err
 	}
 	enc := &Encoded{
 		Model:  m,

@@ -35,32 +35,48 @@ func storeEncoded(t testing.TB, s *Store, m *graph.Model, baseID string, base *g
 	return enc
 }
 
-// hydrateFixture stores a width-96 model in a memory store and returns
-// its manifest and parameter bytes. With delta set the stored model is
-// a fine-tuned variant whose every weight matrix is a sparse delta
-// against the base, which the store also holds.
-func hydrateFixture(t testing.TB, delta bool) (*Store, *Manifest, int) {
+// fixtureModels builds a width-96 base model and returns it with its
+// parameter bytes. With delta set it also returns a fine-tuned variant
+// of it whose every weight matrix differs from the base's sparsely.
+func fixtureModels(t testing.TB, delta bool) (base, variant *graph.Model, params int) {
 	t.Helper()
 	base, err := zoo.DenseResidualNet(zoo.Config{Name: "hbase", Seed: 3, Width: 96, Depth: 2, Series: "cas-hydrate"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	base.Version = "1"
-	s := NewMemory()
-	enc := storeEncoded(t, s, base, "", nil, 0)
-	m := base
-	if delta {
-		m = base.Clone()
-		m.Name = "hvar"
-		for _, l := range m.Layers {
-			if p := l.Param("W"); p != nil {
-				d := p.Data()
-				for i := 0; i < len(d); i += 97 {
-					d[i] += 0.25
-				}
+	for _, l := range base.Layers {
+		for _, p := range l.Params {
+			params += 8 * p.NumElements()
+		}
+	}
+	if !delta {
+		return base, nil, params
+	}
+	variant = base.Clone()
+	variant.Name = "hvar"
+	for _, l := range variant.Layers {
+		if p := l.Param("W"); p != nil {
+			d := p.Data()
+			for i := 0; i < len(d); i += 97 {
+				d[i] += 0.25
 			}
 		}
-		enc = storeEncoded(t, s, m, "hbase@1", base, 0)
+	}
+	return base, variant, params
+}
+
+// hydrateFixture stores a width-96 model in a memory store and returns
+// its manifest and parameter bytes. With delta set the stored model is
+// a fine-tuned variant whose every weight matrix is a sparse delta
+// against the base, which the store also holds.
+func hydrateFixture(t testing.TB, delta bool) (*Store, *Manifest, int) {
+	t.Helper()
+	base, variant, params := fixtureModels(t, delta)
+	s := NewMemory()
+	enc := storeEncoded(t, s, base, "", nil, 0)
+	if delta {
+		enc = storeEncoded(t, s, variant, "hbase@1", base, 0)
 		deltas := 0
 		for _, lr := range enc.Manifest.Layers {
 			for _, ref := range lr.Params {
@@ -73,13 +89,7 @@ func hydrateFixture(t testing.TB, delta bool) (*Store, *Manifest, int) {
 			t.Fatal("fixture: no tensor encoded as a delta")
 		}
 	}
-	n := 0
-	for _, l := range m.Layers {
-		for _, p := range l.Params {
-			n += 8 * p.NumElements()
-		}
-	}
-	return s, enc.Manifest, n
+	return s, enc.Manifest, params
 }
 
 // TestHydrateCopiesOnce: hydration copies each parameter byte once,
@@ -323,6 +333,54 @@ func BenchmarkHydrate(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := Hydrate(man, s.Get); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// TestEncodeAddressesTensorsInPlace: Encode hashes each tensor where it
+// lies instead of copying it into chunk bytes first, so encoding a
+// dense model with no base allocates only the manifest and the chunk
+// map — well under a tenth of the model's parameter bytes, where a
+// copy per chunk is the whole of them.
+func TestEncodeAddressesTensorsInPlace(t *testing.T) {
+	m, _, params := fixtureModels(t, false)
+	const n = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		if _, err := Encode(m, "", nil, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	ratio := float64(after.TotalAlloc-before.TotalAlloc) / n / float64(params)
+	t.Logf("%d parameter bytes, %.3fx allocated per encode", params, ratio)
+	if ratio > 0.1 {
+		t.Fatalf("an encode allocates %.2fx the model's %d parameter bytes, want < 0.1x", ratio, params)
+	}
+}
+
+// BenchmarkEncode chunk-encodes a width-96 model: dense with no base,
+// and as a fine-tuned variant against its base (bit-identical tensors
+// become base references, sparsely edited ones deltas).
+func BenchmarkEncode(b *testing.B) {
+	for _, form := range hydrateForms {
+		b.Run(form.name, func(b *testing.B) {
+			base, variant, params := fixtureModels(b, form.delta)
+			m, baseID := base, ""
+			if form.delta {
+				m, baseID = variant, "hbase@1"
+			} else {
+				base = nil
+			}
+			b.SetBytes(int64(params))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := Encode(m, baseID, base, 0); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -18,6 +18,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math"
+	"unsafe"
 )
 
 // DefaultSize is the chunk granularity in float64 elements (32 KiB of
@@ -65,10 +66,27 @@ func decode(dst []float64, src []byte) {
 	}
 }
 
+// littleEndian reports whether a float64's memory is already its
+// little-endian encoding, so that Split can hash the values in place.
+var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// view returns the bytes Bytes(vals) would, without copying: on a
+// little-endian host, the values' own memory. The view aliases vals and
+// is read-only; its capacity ends with vals, so an append reallocates.
+func view(vals []float64) []byte {
+	if !littleEndian {
+		return Bytes(vals)
+	}
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(vals))), 8*len(vals))
+}
+
 // Split cuts raw tensor data into content-addressed chunks of at most
 // size elements and returns the ordered chunk list. The callback
 // receives each chunk's address and raw bytes exactly once per distinct
 // offset (the caller decides whether it already holds the content).
+// On a little-endian host those bytes are a view of vals itself, not a
+// copy: they are read-only and change if vals does, so a caller that
+// edits them, or keeps them while vals may change, copies them first.
 // size <= 0 uses DefaultSize.
 func Split(vals []float64, size int, emit func(hash string, data []byte)) []string {
 	if size <= 0 {
@@ -85,7 +103,7 @@ func Split(vals []float64, size int, emit func(hash string, data []byte)) []stri
 		if hi > len(vals) {
 			hi = len(vals)
 		}
-		data := Bytes(vals[lo:hi])
+		data := view(vals[lo:hi])
 		h := Hash(data)
 		hashes = append(hashes, h)
 		if emit != nil {

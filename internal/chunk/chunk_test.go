@@ -1,6 +1,7 @@
 package chunk
 
 import (
+	"bytes"
 	"math"
 	"strings"
 	"testing"
@@ -88,6 +89,62 @@ func TestSplitDeterministicAndContentAddressed(t *testing.T) {
 	}
 	if !ValidHash(a[0]) || ValidHash("zz") || ValidHash("") || ValidHash(strings.ToUpper(a[0])) {
 		t.Fatal("ValidHash misclassifies")
+	}
+}
+
+// TestSplitViewMatchesBytes is the differential check on Split's view
+// of a tensor's memory: every address and every emitted byte is what
+// hashing the little-endian copy, Bytes, gives — for signed zeros,
+// infinities, NaNs whose payloads differ, subnormals, an empty tensor
+// and a short last chunk. The view is read-only and ends with its
+// chunk, so an append to it cannot write into the next one.
+func TestSplitViewMatchesBytes(t *testing.T) {
+	special := []float64{
+		0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1),
+		math.NaN(), math.Float64frombits(0x7ff0000000000001), math.Float64frombits(0xfff8000000000abc),
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, math.Float64frombits(0x000fffffffffffff),
+		math.MaxFloat64, -1.5, math.Pi,
+	}
+	long := make([]float64, 3*5+2) // three whole chunks of 5 and a short one
+	for i := range long {
+		long[i] = special[i%len(special)] * float64(1+i%3)
+	}
+	for _, tc := range []struct {
+		name string
+		vals []float64
+		size int
+	}{
+		{"specials", special, 4},
+		{"short-last", long, 5},
+		{"one-chunk", special, 0},
+		{"empty", []float64{}, 4},
+		{"nil", nil, 4},
+	} {
+		var emitted [][]byte
+		hashes := Split(tc.vals, tc.size, func(h string, data []byte) {
+			emitted = append(emitted, data)
+		})
+		if len(emitted) != len(hashes) {
+			t.Fatalf("%s: %d chunks emitted for %d addresses", tc.name, len(emitted), len(hashes))
+		}
+		size := tc.size
+		if size <= 0 {
+			size = DefaultSize
+		}
+		for i, h := range hashes {
+			lo := min(i*size, len(tc.vals))
+			hi := min(lo+size, len(tc.vals))
+			want := Bytes(tc.vals[lo:hi])
+			if h != Hash(want) {
+				t.Errorf("%s: chunk %d addressed %s, want %s", tc.name, i, h, Hash(want))
+			}
+			if !bytes.Equal(emitted[i], want) {
+				t.Errorf("%s: chunk %d emitted bytes differ from Bytes", tc.name, i)
+			}
+			if cap(emitted[i]) != len(want) {
+				t.Errorf("%s: chunk %d view has capacity %d past its %d bytes", tc.name, i, cap(emitted[i]), len(want))
+			}
+		}
 	}
 }
 

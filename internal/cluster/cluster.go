@@ -103,13 +103,14 @@ func (c *Cluster) ShardFor(id, series string) int {
 	return c.ring.ShardFor(PlacementKey(id, series))
 }
 
-// encodeOnce chunk-encodes a model for replication. The encoding is
-// computed once per logical write and shared by every replica copy;
-// each replica then receives only the chunks it is missing.
+// encodeOnce chunk-encodes a model for replication, refusing an
+// invalid one. The encoding is computed once per logical write and
+// shared by every replica copy; each replica then receives only the
+// chunks it is missing.
 func encodeOnce(m *graph.Model) (*cas.Encoded, error) {
 	enc, err := cas.Encode(m, "", nil, 0)
 	if err != nil {
-		return nil, fmt.Errorf("cluster: encoding %s@%s: %w", m.Name, m.Version, err)
+		return nil, fmt.Errorf("cluster: refusing invalid model: %w", err)
 	}
 	return enc, nil
 }
@@ -147,9 +148,6 @@ func (c *Cluster) publishTo(ctx context.Context, shard int, reps []Replica, enc 
 // every replica there. On partial acceptance the returned ID is valid
 // and the error is a *PartialWriteError.
 func (c *Cluster) Publish(ctx context.Context, m *graph.Model) (string, error) {
-	if err := m.Validate(); err != nil {
-		return "", fmt.Errorf("cluster: refusing invalid model: %w", err)
-	}
 	enc, err := encodeOnce(m)
 	if err != nil {
 		return "", err
@@ -164,9 +162,6 @@ func (c *Cluster) Publish(ctx context.Context, m *graph.Model) (string, error) {
 // to correlate against. Partial acceptance aggregates into one
 // *PartialWriteError.
 func (c *Cluster) Broadcast(ctx context.Context, m *graph.Model) (string, error) {
-	if err := m.Validate(); err != nil {
-		return "", fmt.Errorf("cluster: refusing invalid model: %w", err)
-	}
 	enc, err := encodeOnce(m)
 	if err != nil {
 		return "", err

@@ -6,10 +6,12 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
 	"sommelier/internal/cas"
+	"sommelier/internal/chunk"
 	"sommelier/internal/graph"
 	"sommelier/internal/repo"
 	"sommelier/internal/zoo"
@@ -273,14 +275,15 @@ func TestChunkProtocolFallsBackOnOldHub(t *testing.T) {
 	}
 }
 
-// fineTunedSeries builds an n-model fine-tuned series: a width-48
-// depth-3 residual base, then variants cycling through sparse edits,
-// frozen-trunk transfers and lightly tuned transfers, each naming the
-// base so a repository stores it as delta refs and shared trunk chunks.
-func fineTunedSeries(t testing.TB, n int) []*graph.Model {
+// fineTunedSeries builds an n-model fine-tuned series: a depth-3
+// residual base of the given width, then variants cycling through
+// sparse edits, frozen-trunk transfers and lightly tuned transfers, each
+// naming the base so a repository stores it as delta refs and shared
+// trunk chunks.
+func fineTunedSeries(t testing.TB, n, width int) []*graph.Model {
 	t.Helper()
 	const depth = 3
-	base, err := zoo.DenseResidualNet(zoo.Config{Name: "series-base", Seed: 2022, Width: 48, Depth: depth, Series: "series"})
+	base, err := zoo.DenseResidualNet(zoo.Config{Name: "series-base", Seed: 2022, Width: width, Depth: depth, Series: "series"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +316,7 @@ func fineTunedSeries(t testing.TB, n int) []*graph.Model {
 // shared chunks, and hydrate byte-identically from a cold re-open.
 func TestFineTunedSeriesDedupAndFidelity(t *testing.T) {
 	const n = 32
-	models := fineTunedSeries(t, n)
+	models := fineTunedSeries(t, n, 48)
 
 	dir := t.TempDir()
 	src, err := repo.Open(dir)
@@ -399,5 +402,58 @@ func TestFineTunedSeriesDedupAndFidelity(t *testing.T) {
 		if !bytes.Equal(somxOf(got), somx[i]) {
 			t.Fatalf("%s hydrated from chunks did not re-encode byte-identically", repo.IDFor(m))
 		}
+	}
+}
+
+// TestConcurrentChunkPutsAreNotRetained: the hub reads each chunk PUT
+// into a recycled buffer, so a store that kept the buffer would see a
+// later upload overwrite an earlier chunk. Distinct chunks PUT at once
+// must each GET back byte-identical, and a PUT whose bytes do not hash
+// to its address is still refused. Run it with -race.
+func TestConcurrentChunkPutsAreNotRetained(t *testing.T) {
+	_, ts := newChunkServer(t)
+	c, err := NewClient(ts.URL, ts.Client())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers, perWorker = 4, 16
+	chunks := make([][]byte, workers*perWorker)
+	for i := range chunks {
+		chunks[i] = bytes.Repeat([]byte{byte(i), byte(i >> 8), 0xa5}, 1000+i)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; i < len(chunks); i += workers {
+				if err := c.PutChunk(chunk.Hash(chunks[i]), chunks[i]); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	for i, want := range chunks {
+		got, err := c.GetChunk(chunk.Hash(want))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("chunk %d reads back changed after concurrent uploads", i)
+		}
+	}
+	req, err := http.NewRequest(http.MethodPut, ts.URL+"/v1/chunks/"+chunk.Hash(chunks[0]), bytes.NewReader(chunks[1]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := ts.Client().Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("a chunk PUT under another chunk's address answered %d, want 400", resp.StatusCode)
 	}
 }

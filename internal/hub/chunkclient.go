@@ -200,12 +200,9 @@ func (c *Client) PublishEncoded(enc *cas.Encoded) (_ string, sent int64, err err
 // that cannot negotiate). The graph.Model-first counterpart of
 // PublishEncoded for callers without a repository to encode against.
 func (c *Client) PublishModel(m *graph.Model) (string, int64, error) {
-	if err := m.Validate(); err != nil {
-		return "", 0, fmt.Errorf("hub: refusing invalid model: %w", err)
-	}
 	enc, err := cas.Encode(m, "", nil, 0)
 	if err != nil {
-		return "", 0, fmt.Errorf("hub: encoding: %w", err)
+		return "", 0, fmt.Errorf("hub: refusing invalid model: %w", err)
 	}
 	return c.PublishEncoded(enc)
 }

@@ -85,8 +85,8 @@ func readBody(dst []byte, body io.Reader, declared int64) ([]byte, error) {
 }
 
 // bufPool recycles whole-body buffers: the server's rendered packs and
-// the client's received ones. A buffer goes back once nothing holds a
-// slice of it.
+// received chunk uploads, and the client's received packs. A buffer
+// goes back once nothing holds a slice of it.
 type bufPool struct{ pool sync.Pool }
 
 func (p *bufPool) get() []byte {
@@ -110,6 +110,9 @@ func (p *bufPool) put(b []byte) {
 type ChunkStore interface {
 	HasChunk(hash string) bool
 	GetChunk(hash string) ([]byte, error)
+	// PutChunk stores a chunk after checking that data hashes to hash.
+	// It never retains data: the hub reads each upload into a recycled
+	// buffer and reuses it once PutChunk returns.
 	PutChunk(hash string, data []byte) error
 	Manifest(id string) (*cas.Manifest, bool)
 	MissingChunks(man *cas.Manifest) []string
@@ -155,7 +158,8 @@ func (s *Server) handleChunk(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Length", strconv.Itoa(len(data)))
 		w.Write(data)
 	case http.MethodPut:
-		data, err := readBody(nil, http.MaxBytesReader(w, r.Body, s.maxBody), r.ContentLength)
+		data, err := readBody(s.uploads.get(), http.MaxBytesReader(w, r.Body, s.maxBody), r.ContentLength)
+		defer s.uploads.put(data)
 		if err != nil {
 			var mbe *http.MaxBytesError
 			if errors.As(err, &mbe) {

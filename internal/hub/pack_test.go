@@ -57,7 +57,7 @@ func packCorpus(t testing.TB) []*graph.Model {
 		}
 		models = append(models, m)
 	}
-	return append(models, fineTunedSeries(t, 7)...)
+	return append(models, fineTunedSeries(t, 7, 48)...)
 }
 
 // TestPackLoadMatchesSOMXLoad is the differential check on the pull
@@ -449,3 +449,46 @@ func BenchmarkHubLoad(b *testing.B) {
 }
 
 var benchLoaded *graph.Model
+
+// TestPublishAllocatesAboutWhatItKeeps is the publish path's allocation
+// gate, the twin of TestLoadAllocatesAboutTheModel: in steady state a
+// PublishModel of a fine-tuned variant to a loopback hub that holds its
+// base — the client's encode and chunk PUTs, the hub's negotiation,
+// hydration and store together, no indexer — allocates at most 2.4
+// times the variant's parameter bytes. The hub keeps the hydrated model
+// (one times) and a copy of each new chunk. Copying the parameters to
+// hash them (3.2x) or reading each chunk PUT into a fresh buffer (2.6x)
+// pushes it past the bound.
+func TestPublishAllocatesAboutWhatItKeeps(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops sync.Pool entries at random")
+	}
+	const warm, n = 8, 24
+	series := fineTunedSeries(t, 1+warm+n, 96)
+	base, variants := series[0], series[1:]
+	client, _ := hubOver(t, repo.NewInMemory())
+	publish := func(m *graph.Model) {
+		if _, _, err := client.PublishModel(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	publish(base)
+	for _, m := range variants[:warm] {
+		publish(m) // connections and buffers reach their steady state
+	}
+	params := 0
+	for _, m := range variants[warm:] {
+		params += 8 * int(m.ParamCount())
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, m := range variants[warm:] {
+		publish(m)
+	}
+	runtime.ReadMemStats(&after)
+	ratio := float64(after.TotalAlloc-before.TotalAlloc) / float64(params)
+	t.Logf("%d parameter bytes per variant, %.2fx allocated per publish", params/n, ratio)
+	if ratio > 2.4 {
+		t.Fatalf("a publish allocates %.2fx the variant's parameter bytes; want at most 2.4x", ratio)
+	}
+}

@@ -203,6 +203,8 @@ type Server struct {
 	gen atomic.Uint64
 	// packs recycles servePack's rendered bodies.
 	packs bufPool
+	// uploads recycles the bodies of chunk PUTs.
+	uploads bufPool
 }
 
 // NewServer wraps a repository.

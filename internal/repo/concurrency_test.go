@@ -8,7 +8,9 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 
+	"sommelier/internal/cas"
 	"sommelier/internal/zoo"
 )
 
@@ -191,5 +193,89 @@ func TestDeleteRemovesDiskFileWhenMemoryEntryMissing(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dir, safeID(id)+manifestSuffix)); !os.IsNotExist(err) {
 		t.Fatal("Delete left the on-disk manifest for an ID missing from memory")
+	}
+}
+
+// TestPublishManifestResuppliesAfterRacingDelete: PublishManifest puts
+// nothing — every chunk is in the store when it starts — so the chunk
+// bytes it read while hydrating are its only way back from a Delete
+// that collects a shared chunk between the hydration and the commit.
+// The test holds the repository lock so that the publish stops at its
+// commit (its manifest file on disk shows it got there), deletes the
+// model it shares chunks with there, and requires the publish to
+// succeed and the model to load byte-identically. Run it with -race.
+func TestPublishManifestResuppliesAfterRacingDelete(t *testing.T) {
+	dir := t.TempDir()
+	r, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := zoo.DenseResidualNet(zoo.Config{Name: "racebase", Seed: 4, Width: 32, Depth: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base.Version = "1"
+	baseID, err := r.Publish(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	variant, err := zoo.Transfer(base, "racevar", 8, 100, 0, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	variant.Version = "1"
+	enc, err := cas.Encode(variant, "", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, h := range r.MissingChunks(enc.Manifest) {
+		if err := r.PutChunk(h, enc.Chunks[h]); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	r.mu.Lock()
+	done := make(chan error, 1)
+	go func() {
+		_, err := r.PublishManifest(enc.Manifest)
+		done <- err
+	}()
+	manifest := r.manifestPath(IDFor(variant))
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		if _, err := os.Stat(manifest); err == nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			r.mu.Unlock()
+			t.Fatal("the publish never reached its commit")
+		}
+	}
+	// The racing Delete of the base: the shared trunk chunks lose their
+	// last reference and are collected before the variant claims them.
+	r.chunks.Release(r.forgetLocked(baseID))
+	if err := os.Remove(r.manifestPath(baseID)); err != nil {
+		t.Error(err)
+	}
+	collected := len(r.MissingChunks(enc.Manifest))
+	r.mu.Unlock()
+	if collected == 0 {
+		t.Fatal("the delete collected none of the variant's chunks; nothing was resupplied")
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("publish after a racing delete: %v", err)
+	}
+	got, err := r.Load(IDFor(variant))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(somxOf(t, got), somxOf(t, variant)) {
+		t.Fatal("the resupplied model does not re-encode byte-identically")
+	}
+	cold, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err = cold.Load(IDFor(variant)); err != nil || !bytes.Equal(somxOf(t, got), somxOf(t, variant)) {
+		t.Fatalf("the resupplied model does not survive a re-open: %v", err)
 	}
 }

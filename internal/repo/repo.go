@@ -216,13 +216,10 @@ func (r *Repository) Publish(m *graph.Model) (string, error) {
 // that publish the same model to many stores (cluster replication)
 // encode once and hand the result to each PublishEncoded.
 func (r *Repository) Encode(m *graph.Model) (*cas.Encoded, error) {
-	if err := m.Validate(); err != nil {
-		return nil, fmt.Errorf("repo: refusing invalid model: %w", err)
-	}
 	baseID, base := r.resolveBase(m)
 	enc, err := cas.Encode(m, baseID, base, 0)
 	if err != nil {
-		return nil, fmt.Errorf("repo: %w", err)
+		return nil, fmt.Errorf("repo: refusing invalid model: %w", err)
 	}
 	return enc, nil
 }
@@ -272,12 +269,19 @@ func (r *Repository) lookupID(ref string) string {
 // orphaned chunks for the next Open to sweep), then the manifest file,
 // then the in-memory commit that flips refcounts. Returns the model ID.
 func (r *Repository) PublishEncoded(enc *cas.Encoded) (string, error) {
-	id := enc.Manifest.ID()
 	for _, h := range sortedChunkKeys(enc.Chunks) {
 		if err := r.chunks.Put(h, enc.Chunks[h]); err != nil {
-			return "", fmt.Errorf("repo: publishing %s: %w", id, err)
+			return "", fmt.Errorf("repo: publishing %s: %w", enc.Manifest.ID(), err)
 		}
 	}
+	return r.commit(enc)
+}
+
+// commit is a publish once every chunk it references is stored: the
+// manifest file, then the in-memory commit. enc.Chunks is only the
+// resupply for a chunk a racing delete collects.
+func (r *Repository) commit(enc *cas.Encoded) (string, error) {
+	id := enc.Manifest.ID()
 	if r.dir != "" {
 		if err := writeManifestFile(r.manifestPath(id), enc.Manifest); err != nil {
 			return "", fmt.Errorf("repo: publishing %s: %w", id, err)
@@ -350,6 +354,8 @@ func (r *Repository) PublishManifest(man *cas.Manifest) (string, error) {
 	}
 	// Record chunk bytes as hydration fetches them, so the commit can
 	// resupply any chunk a racing delete GCs before it is referenced.
+	// They were read from this store, so nothing is put again: the
+	// commit starts at the manifest.
 	chunks := make(map[string][]byte)
 	m, err := cas.Hydrate(man, func(h string) ([]byte, error) {
 		data, err := r.chunks.Get(h)
@@ -361,7 +367,7 @@ func (r *Repository) PublishManifest(man *cas.Manifest) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("repo: publishing %s: %w", man.ID(), err)
 	}
-	return r.PublishEncoded(&cas.Encoded{Model: m, Manifest: man, Chunks: chunks})
+	return r.commit(&cas.Encoded{Model: m, Manifest: man, Chunks: chunks})
 }
 
 // Load returns the model stored under id, hydrating it from chunks on
@@ -408,20 +414,8 @@ func (r *Repository) Manifest(id string) (*cas.Manifest, bool) {
 // on-disk files for the ID are removed regardless, so a repository
 // whose memory and disk state disagree converges on deletion.
 func (r *Repository) Delete(id string) error {
-	var refs []string
 	r.mu.Lock()
-	if man, ok := r.manifests[id]; ok {
-		refs = man.ChunkRefs()
-		delete(r.meta, id)
-		delete(r.manifests, id)
-		delete(r.models, id)
-		for i, o := range r.order {
-			if o == id {
-				r.order = append(r.order[:i], r.order[i+1:]...)
-				break
-			}
-		}
-	}
+	refs := r.forgetLocked(id)
 	r.mu.Unlock()
 	if r.dir != "" {
 		if err := os.Remove(r.manifestPath(id)); err != nil && !os.IsNotExist(err) {
@@ -430,6 +424,26 @@ func (r *Repository) Delete(id string) error {
 	}
 	r.chunks.Release(refs)
 	return nil
+}
+
+// forgetLocked drops a model's in-memory records and returns the chunk
+// references the caller must release; nil for an unknown ID. Callers
+// hold mu.
+func (r *Repository) forgetLocked(id string) []string {
+	man, ok := r.manifests[id]
+	if !ok {
+		return nil
+	}
+	delete(r.meta, id)
+	delete(r.manifests, id)
+	delete(r.models, id)
+	for i, o := range r.order {
+		if o == id {
+			r.order = append(r.order[:i], r.order[i+1:]...)
+			break
+		}
+	}
+	return man.ChunkRefs()
 }
 
 // List returns metadata for every stored model in publication order.
@@ -465,7 +479,8 @@ func (r *Repository) HasChunk(hash string) bool { return r.chunks.Has(hash) }
 // GetChunk returns a chunk's verified bytes.
 func (r *Repository) GetChunk(hash string) ([]byte, error) { return r.chunks.Get(hash) }
 
-// PutChunk stores a chunk ahead of a manifest publish. The chunk is
+// PutChunk stores a chunk ahead of a manifest publish, after checking
+// its hash. It copies or writes data and never retains it. The chunk is
 // unreferenced until a manifest claims it; Open sweeps unclaimed ones.
 func (r *Repository) PutChunk(hash string, data []byte) error { return r.chunks.Put(hash, data) }
 
