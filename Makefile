@@ -80,12 +80,14 @@ chaos:
 
 # fuzz runs every decoder of outside bytes under its fuzz target for 60
 # s each: the index snapshot (root), the query wire frames (hub), packs
-# and manifests (cas), query text (query) and SOMX models (graph). go
-# test fuzzes one target per run, so each gets its own line; a crasher
-# fails the run and lands in that package's testdata/fuzz/. go test's
-# default 60 s to minimize each new interesting input would spend the
-# whole run on one kB-sized pack or manifest (8 executions in 60 s), so
-# minimizing gets 5 s.
+# and manifests (cas), query text (query) and SOMX models (graph). No
+# hub reads SOMX, but it stays the reference encoding tests and the
+# bench module compare and time models by, so its decoder keeps its
+# target. go test fuzzes one target per run, so each gets its own line;
+# a crasher fails the run and lands in that package's testdata/fuzz/.
+# go test's default 60 s to minimize each new interesting input would
+# spend the whole run on one kB-sized pack or manifest (8 executions in
+# 60 s), so minimizing gets 5 s.
 FUZZ = $(GO) test -run '^$$' -fuzztime 60s -fuzzminimizetime 5s -fuzz
 
 fuzz:

@@ -26,6 +26,17 @@ type Encoded struct {
 	Chunks   map[string][]byte
 }
 
+// Chunk returns the chunk the encoding carries under hash — the chunk
+// source EncodePack takes when the pack is rendered from an encoding
+// rather than a store.
+func (e *Encoded) Chunk(hash string) ([]byte, error) {
+	data, ok := e.Chunks[hash]
+	if !ok {
+		return nil, fmt.Errorf("%w %s", ErrMissingChunk, short(hash))
+	}
+	return data, nil
+}
+
 // Encode chunks a model into manifest + chunks. When base is non-nil,
 // tensors are deduplicated against it: a tensor bit-identical to the
 // base's same-named tensor becomes a pure reference to the base's chunk

@@ -10,6 +10,7 @@ import (
 	"strings"
 
 	"sommelier/internal/graph"
+	"sommelier/internal/wire"
 )
 
 // The manifest's binary form, the one every reader and writer uses: the
@@ -195,103 +196,34 @@ func appendManifest(b []byte, m *Manifest) ([]byte, error) {
 	return w.b, nil
 }
 
-// manifestReader consumes a manifest front to back. It reads a string
-// copy of the manifest's bytes, so every string it decodes is a slice
-// of that one copy: one allocation for them all, and none aliases the
-// caller's bytes. The first failure sticks: later reads return zero
-// values, and err says what went wrong first.
-type manifestReader struct {
-	s   string
-	err error
-}
-
-func (r *manifestReader) fail(format string, args ...any) {
-	if r.err == nil {
-		r.err = fmt.Errorf(errManifestPrefix+format, args...)
-	}
-	r.s = ""
-}
-
-// take consumes n bytes, or fails and returns "".
-func (r *manifestReader) take(n int) string {
-	if len(r.s) < n {
-		r.fail("truncated")
-		return ""
-	}
-	v := r.s[:n]
-	r.s = r.s[n:]
-	return v
-}
-
-func (r *manifestReader) u8() byte {
-	if v := r.take(1); v != "" {
-		return v[0]
-	}
-	return 0
-}
-
-func (r *manifestReader) u16() uint16 {
-	if v := r.take(2); v != "" {
-		return uint16(v[0])<<8 | uint16(v[1])
-	}
-	return 0
-}
-
-func (r *manifestReader) u32() int {
-	if v := r.take(packLenSize); v != "" {
-		return int(uint32(v[0])<<24 | uint32(v[1])<<16 | uint32(v[2])<<8 | uint32(v[3]))
-	}
-	return 0
-}
-
-func (r *manifestReader) u64() uint64 {
-	hi := uint64(r.u32())
-	return hi<<32 | uint64(r.u32())
-}
-
-// count reads an element count and checks that the bytes left can hold
-// that many elements of at least elem bytes each, so nothing is ever
-// sized from a count the input cannot back.
-func (r *manifestReader) count(elem int) int {
-	n := r.u32()
-	if r.err == nil && uint64(n)*uint64(elem) > uint64(len(r.s)) {
-		r.fail("%d elements declared, %d bytes left", n, len(r.s))
-		return 0
-	}
-	return n
-}
-
-func (r *manifestReader) str() string {
-	n := r.u32()
-	if r.err == nil && n > len(r.s) {
-		r.fail("string of %d bytes declared, %d left", n, len(r.s))
-		return ""
-	}
-	return r.take(n)
-}
+// manifestReader consumes a manifest. It reads a string copy of the
+// manifest's bytes, so every string it decodes is a slice of that one
+// copy: one allocation for them all, and none aliases the caller's
+// bytes.
+type manifestReader struct{ wire.Reader[string] }
 
 // strs decodes a string list; an empty one is nil.
 func (r *manifestReader) strs() []string {
-	n := r.count(packLenSize)
+	n := r.Count(packLenSize)
 	if n == 0 {
 		return nil
 	}
 	out := make([]string, n)
 	for i := range out {
-		out[i] = r.str()
+		out[i] = r.Str()
 	}
 	return out
 }
 
 // ints decodes an int list; an empty one is nil.
 func (r *manifestReader) ints() []int {
-	n := r.count(8)
+	n := r.Count(8)
 	if n == 0 {
 		return nil
 	}
 	out := make([]int, n)
 	for i := range out {
-		out[i] = int(r.u64())
+		out[i] = int(r.U64())
 	}
 	return out
 }
@@ -299,12 +231,12 @@ func (r *manifestReader) ints() []int {
 // addrs decodes an address list into hex strings that share one
 // backing string; an empty list is nil.
 func (r *manifestReader) addrs() []string {
-	n := r.count(addrSize)
+	n := r.Count(addrSize)
 	if n == 0 {
 		return nil
 	}
 	const digits = "0123456789abcdef"
-	raw := r.take(addrSize * n)
+	raw := r.Take(addrSize * n)
 	var sb strings.Builder
 	sb.Grow(2 * len(raw))
 	for i := 0; i < len(raw); i++ {
@@ -325,35 +257,35 @@ func decodeManifest(data []byte) (*Manifest, error) {
 	if err := manifestHeader(data); err != nil {
 		return nil, err
 	}
-	r := manifestReader{s: string(data[len(manifestMagic):])}
+	r := manifestReader{wire.NewReader(string(data[len(manifestMagic):]), errManifestPrefix)}
 	m := &Manifest{Format: ManifestFormat}
-	m.Name, m.Version, m.Task = r.str(), r.str(), graph.TaskKind(r.str())
-	m.Preprocessor, m.BaseID = r.str(), r.str()
+	m.Name, m.Version, m.Task = r.Str(), r.Str(), graph.TaskKind(r.Str())
+	m.Preprocessor, m.BaseID = r.Str(), r.Str()
 	m.InputShape = r.ints()
 	m.OutputLabels = r.strs()
-	if n := r.count(minPairLen); n > 0 {
+	if n := r.Count(minPairLen); n > 0 {
 		m.Metadata = make(map[string]string, n)
 		prev := ""
-		for i := 0; i < n && r.err == nil; i++ {
-			k := r.str()
+		for i := 0; i < n && r.Err() == nil; i++ {
+			k := r.Str()
 			if i > 0 && k <= prev {
-				r.fail("metadata key %q after %q: keys must be strictly ascending", k, prev)
+				r.Fail("metadata key %q after %q: keys must be strictly ascending", k, prev)
 			}
-			m.Metadata[k] = r.str()
+			m.Metadata[k] = r.Str()
 			prev = k
 		}
 	}
-	if n := r.count(minLayerLen); n > 0 {
+	if n := r.Count(minLayerLen); n > 0 {
 		m.Layers = make([]LayerRef, n)
-		for i := 0; i < n && r.err == nil; i++ {
+		for i := 0; i < n && r.Err() == nil; i++ {
 			r.layer(&m.Layers[i])
 		}
 	}
-	if r.err == nil && len(r.s) > 0 {
-		r.fail("%d bytes after the manifest", len(r.s))
+	if r.Err() == nil && r.Len() > 0 {
+		r.Fail("%d bytes after the manifest", r.Len())
 	}
-	if r.err != nil {
-		return nil, r.err
+	if r.Err() != nil {
+		return nil, r.Err()
 	}
 	if err := m.Validate(); err != nil {
 		return nil, err
@@ -362,11 +294,11 @@ func decodeManifest(data []byte) (*Manifest, error) {
 }
 
 func (r *manifestReader) layer(l *LayerRef) {
-	l.Name, l.Op = r.str(), graph.OpKind(r.str())
+	l.Name, l.Op = r.Str(), graph.OpKind(r.Str())
 	l.Inputs = r.strs()
-	mask := r.u16()
+	mask := r.U16()
 	if mask>>attrCount != 0 {
-		r.fail("layer %q attribute mask %#x", l.Name, mask)
+		r.Fail("layer %q attribute mask %#x", l.Name, mask)
 		return
 	}
 	var attrs [attrCount]uint64
@@ -374,35 +306,35 @@ func (r *manifestReader) layer(l *LayerRef) {
 		if mask&(1<<i) == 0 {
 			continue
 		}
-		if attrs[i] = r.u64(); attrs[i] == 0 && r.err == nil {
-			r.fail("layer %q attribute %d is present but zero", l.Name, i)
+		if attrs[i] = r.U64(); attrs[i] == 0 && r.Err() == nil {
+			r.Fail("layer %q attribute %d is present but zero", l.Name, i)
 			return
 		}
 	}
 	l.Attrs = attrsOf(&attrs)
-	n := r.count(minParamLen)
+	n := r.Count(minParamLen)
 	if n == 0 {
 		return
 	}
 	l.Params = make(map[string]TensorRef, n)
 	prev := ""
-	for i := 0; i < n && r.err == nil; i++ {
-		name := r.str()
+	for i := 0; i < n && r.Err() == nil; i++ {
+		name := r.Str()
 		if i > 0 && name <= prev {
-			r.fail("layer %q param %q after %q: names must be strictly ascending", l.Name, name, prev)
+			r.Fail("layer %q param %q after %q: names must be strictly ascending", l.Name, name, prev)
 			return
 		}
 		prev = name
 		ref := TensorRef{Shape: r.ints()}
-		switch tag := r.u8(); tag {
+		switch tag := r.U8(); tag {
 		case tagDense:
 			ref.Chunks = r.addrs()
 		case tagDelta:
 			base := r.addrs()
 			ref.Delta = &DeltaRef{Base: base, Chunks: r.addrs()}
 		default:
-			if r.err == nil {
-				r.fail("layer %q param %q has tag %d", l.Name, name, tag)
+			if r.Err() == nil {
+				r.Fail("layer %q param %q has tag %d", l.Name, name, tag)
 			}
 		}
 		l.Params[name] = ref

@@ -2,9 +2,10 @@
 // storage stack is built on: fixed-size chunking of tensor data,
 // SHA-256 addressing, bit-exact float64 (de)serialization, and the
 // sparse delta codec that stores a fine-tuned tensor as edits against
-// its base. The package sits below both internal/graph (SOMX-v2 files
-// embed chunk tables) and internal/cas (the refcounted chunk store), so
-// it depends on neither.
+// its base. The package sits below internal/cas (the refcounted chunk
+// store, whose packs carry models between hubs) and internal/graph
+// (whose SOMX reference encoding embeds chunk tables), so it depends on
+// neither.
 //
 // Everything here is deterministic by construction: chunk boundaries
 // are fixed offsets, hashes are content hashes, and encodings are

@@ -69,9 +69,9 @@ func (r *HTTPReplica) Generation() (uint64, bool) { return r.client.Generation()
 
 // PublishEncoded uploads the model through the hub's chunk-negotiation
 // protocol, shipping only the chunks the remote shard is missing. The
-// hub client itself falls back to a whole-model upload against hubs
-// that cannot negotiate, so this never fails merely for lack of
-// protocol support.
+// hub client itself sends the encoding as one pack to a hub that
+// cannot negotiate, so this never fails merely for lack of protocol
+// support.
 func (r *HTTPReplica) PublishEncoded(ctx context.Context, enc *cas.Encoded) (string, error) {
 	if err := ctx.Err(); err != nil {
 		return "", err

@@ -55,7 +55,7 @@ func wireShard(t *testing.T) (string, []string) {
 	}
 	publish := func(m *graph.Model) string {
 		t.Helper()
-		id, err := client.Publish(m)
+		id, _, err := client.PublishModel(m)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -10,14 +10,17 @@ import (
 	"sommelier/internal/tensor"
 )
 
-// The SOMX wire format is the reproduction's stand-in for ONNX: a JSON
+// SOMX is the reproduction's stand-in for ONNX: a self-contained JSON
 // envelope describing the DAG. Each parameter tensor is recorded as an
 // ordered list of content addresses into an in-file chunk table (base64
 // of the little-endian payload, deduplicated across tensors), so a file
 // shared between many tensors with identical content pays for the bytes
-// once and the on-disk form lines up with the content-addressed store in
-// internal/cas. Real Sommelier imports/exports ONNX through a Python
-// shim; here the format is native so the whole pipeline stays in Go.
+// once. It is not a wire format — every hub sends and accepts models as
+// packs (internal/cas/pack.go). Encode is the reference encoding that
+// tests and the benchmark compare models by: decode(encode(m))
+// re-encodes to the same bytes, so equal encodings mean equal models.
+// Real Sommelier imports/exports ONNX through a Python shim; here the
+// format is native so the whole pipeline stays in Go.
 
 // somxFormat is the only format number Encode writes and Decode reads.
 const somxFormat = 2

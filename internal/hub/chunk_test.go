@@ -3,8 +3,10 @@ package hub
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -234,6 +236,9 @@ func (p plainStore) List() []repo.Metadata                    { return p.r.List(
 func (p plainStore) Metadata(id string) (repo.Metadata, bool) { return p.r.Metadata(id) }
 func (p plainStore) Len() int                                 { return p.r.Len() }
 
+// TestChunkProtocolFallsBackOnOldHub: against a hub with no chunk
+// surface, a chunked publish becomes one pack PUT of the encoding after
+// the refused manifest PUT, and a mirror loads each model's pack.
 func TestChunkProtocolFallsBackOnOldHub(t *testing.T) {
 	inner := repo.NewInMemory()
 	srv, err := NewServer(plainStore{inner})
@@ -242,15 +247,19 @@ func TestChunkProtocolFallsBackOnOldHub(t *testing.T) {
 	}
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
-	c, err := NewClient(ts.URL, ts.Client())
+	rt := &putRecorder{inner: ts.Client().Transport}
+	c, err := NewClient(ts.URL, &http.Client{Transport: rt})
 	if err != nil {
 		t.Fatal(err)
 	}
 	base, _ := chunkFixtures(t)
 
-	// Chunked publish degrades to whole-model transfer.
 	src := repo.NewInMemory()
 	enc, err := src.Encode(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pack, err := cas.EncodePack(nil, enc.Manifest, enc.Chunk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,14 +267,19 @@ func TestChunkProtocolFallsBackOnOldHub(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if id != "cbase@1" || sent != -1 {
-		t.Fatalf("fallback publish: id=%q sent=%d", id, sent)
+	if id != "cbase@1" || sent != int64(len(pack)) {
+		t.Fatalf("fallback publish: id=%q sent=%d, want cbase@1 and the pack's %d bytes", id, sent, len(pack))
+	}
+	if want := []string{ContentTypeManifest, ContentTypePack}; !slices.Equal(rt.puts, want) {
+		t.Fatalf("fallback publish sent PUTs %q, want %q", rt.puts, want)
+	}
+	if !bytes.Equal(rt.last, pack) {
+		t.Fatal("the fallback PUT's body is not the encoding's pack")
 	}
 	if _, err := inner.Load(id); err != nil {
 		t.Fatal(err)
 	}
 
-	// Mirror degrades the same way.
 	dst := repo.NewInMemory()
 	if n, err := c.Mirror(dst); err != nil || n != 1 {
 		t.Fatalf("fallback mirror: n=%d err=%v", n, err)
@@ -273,6 +287,28 @@ func TestChunkProtocolFallsBackOnOldHub(t *testing.T) {
 	if _, err := dst.Load(id); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// putRecorder remembers the Content-Type of every PUT it carries and
+// the body of the last.
+type putRecorder struct {
+	inner http.RoundTripper
+	puts  []string
+	last  []byte
+}
+
+func (pr *putRecorder) RoundTrip(req *http.Request) (*http.Response, error) {
+	if req.Method == http.MethodPut {
+		pr.puts = append(pr.puts, req.Header.Get("Content-Type"))
+		body, err := io.ReadAll(req.Body)
+		req.Body.Close()
+		if err != nil {
+			return nil, err
+		}
+		pr.last = body
+		req.Body = io.NopCloser(bytes.NewReader(body))
+	}
+	return pr.inner.RoundTrip(req)
 }
 
 // fineTunedSeries builds an n-model fine-tuned series: a depth-3
@@ -337,8 +373,8 @@ func TestFineTunedSeriesDedupAndFidelity(t *testing.T) {
 		return buf.Bytes()
 	}
 	// wholeStored counts each model's chunks standalone, with no
-	// cross-model sharing; wholeWire is the SOMX body Client.Publish
-	// would upload per model.
+	// cross-model sharing; wholeWire is the pack a whole-model upload
+	// would send per model.
 	var wholeStored, wholeWire int64
 	somx := make([][]byte, n)
 	deltaRefs := 0
@@ -352,7 +388,7 @@ func TestFineTunedSeriesDedupAndFidelity(t *testing.T) {
 			wholeStored += int64(len(data))
 		}
 		somx[i] = somxOf(m)
-		wholeWire += int64(len(somx[i]))
+		wholeWire += int64(len(packBytes(t, m)))
 
 		enc, err := src.Encode(m)
 		if err != nil {

@@ -15,12 +15,6 @@ import (
 	"sommelier/internal/repo"
 )
 
-// ErrChunkUnsupported is wrapped by chunk-protocol errors when the hub
-// deliberately refused the chunk endpoints: its store has no chunk
-// surface (a sommhub in coordinator mode, a hub over a fault-wrapped
-// store). Callers fall back to whole-model transfer.
-var ErrChunkUnsupported = errors.New("hub: chunk transfer not supported")
-
 // chunkUnsupported classifies hub answers that mean "this hub cannot
 // speak the chunk protocol" (as opposed to transient failures or a
 // missing model).
@@ -54,9 +48,6 @@ func (c *Client) LoadManifest(id string) (_ *cas.Manifest, err error) {
 		return derr
 	})
 	if err != nil {
-		if chunkUnsupported(err) {
-			err = fmt.Errorf("%w: %w", ErrChunkUnsupported, err)
-		}
 		return nil, fmt.Errorf("hub: manifest %s: %w", id, err)
 	}
 	return man, nil
@@ -81,9 +72,6 @@ func (c *Client) GetChunk(hash string) (_ []byte, err error) {
 		return nil
 	})
 	if err != nil {
-		if chunkUnsupported(err) {
-			err = fmt.Errorf("%w: %w", ErrChunkUnsupported, err)
-		}
 		return nil, fmt.Errorf("hub: get chunk %s: %w", hash, err)
 	}
 	return data, nil
@@ -103,9 +91,6 @@ func (c *Client) PutChunk(hash string, data []byte) error {
 		},
 		func(resp *http.Response) error { return expectStatus(resp, http.StatusCreated) })
 	if err != nil {
-		if chunkUnsupported(err) {
-			err = fmt.Errorf("%w: %w", ErrChunkUnsupported, err)
-		}
 		return fmt.Errorf("hub: put chunk %s: %w", hash, err)
 	}
 	return nil
@@ -150,12 +135,12 @@ func (c *Client) putManifest(man *cas.Manifest) (created bool, missing []string,
 
 // PublishEncoded publishes an already-chunked model through the
 // negotiation protocol: PUT the manifest, upload exactly the chunks the
-// hub says it is missing, re-PUT. Hubs that cannot speak the protocol
-// get the whole model via Publish, so the call succeeds either way;
-// the returned bytes count is the chunk payload actually uploaded
-// (zero when the hub already held everything, -1 on fallback).
+// hub says it is missing, re-PUT. A hub that cannot negotiate gets the
+// encoding as one pack PUT instead, so the call succeeds either way.
+// The returned count is the bytes of model data uploaded: the chunks
+// the hub was missing (zero when it held everything), or the pack.
 func (c *Client) PublishEncoded(enc *cas.Encoded) (_ string, sent int64, err error) {
-	done := c.obs.TimeOp("hub_client_publish_chunked")
+	done := c.obs.TimeOp("hub_client_publish")
 	defer func() { done(err) }()
 	id := enc.Manifest.ID()
 	created, missing, err := c.putManifest(enc.Manifest)
@@ -179,12 +164,10 @@ func (c *Client) PublishEncoded(enc *cas.Encoded) (_ string, sent int64, err err
 			}
 		}
 	}
+	if err != nil && chunkUnsupported(err) {
+		sent, err = c.putPack(enc)
+	}
 	if err != nil {
-		if chunkUnsupported(err) && enc.Model != nil {
-			// No chunk surface on this hub: ship the whole model.
-			id, perr := c.Publish(enc.Model)
-			return id, -1, perr
-		}
 		return "", sent, fmt.Errorf("hub: publish %s: %w", id, err)
 	}
 	c.mu.Lock()
@@ -195,10 +178,29 @@ func (c *Client) PublishEncoded(enc *cas.Encoded) (_ string, sent int64, err err
 	return id, sent, nil
 }
 
-// PublishModel chunk-encodes a model and publishes it through the
-// negotiation protocol (falling back to whole-model transfer for hubs
-// that cannot negotiate). The graph.Model-first counterpart of
-// PublishEncoded for callers without a repository to encode against.
+// putPack PUTs the encoding whole, as a pack, and returns its size.
+// Like every model PUT it is not retried.
+func (c *Client) putPack(enc *cas.Encoded) (int64, error) {
+	data, err := cas.EncodePack(nil, enc.Manifest, enc.Chunk)
+	if err != nil {
+		return 0, err
+	}
+	err = c.do(false,
+		func() (*http.Request, error) {
+			req, err := http.NewRequest(http.MethodPut, c.modelURL(enc.Manifest.ID()), bytes.NewReader(data))
+			if err != nil {
+				return nil, err
+			}
+			req.Header.Set("Content-Type", ContentTypePack)
+			return req, nil
+		},
+		func(resp *http.Response) error { return expectStatus(resp, http.StatusCreated) })
+	return int64(len(data)), err
+}
+
+// PublishModel chunk-encodes a model and publishes it through
+// PublishEncoded. It is the graph.Model-first form for callers without
+// a repository to encode against.
 func (c *Client) PublishModel(m *graph.Model) (string, int64, error) {
 	enc, err := cas.Encode(m, "", nil, 0)
 	if err != nil {
@@ -212,7 +214,7 @@ func (c *Client) PublishModel(m *graph.Model) (string, int64, error) {
 // the hub speaks the chunk protocol, each model transfers as manifest
 // plus only the chunks the destination is missing, so re-mirroring a
 // mostly-unchanged hub moves metadata, not tensors; a hub without a
-// chunk surface falls back to whole-model fetches. Mirror tolerates
+// chunk surface falls back to loading each model's pack. Mirror tolerates
 // partial failure: a model that cannot be fetched or stored is skipped
 // and reported, and the rest of the hub still mirrors. The returned
 // count is the number of models copied; the error is nil on full
@@ -230,7 +232,7 @@ func (c *Client) Mirror(dst *repo.Repository) (int, error) {
 		var err error
 		if chunked {
 			err = c.mirrorChunked(dst, md.ID)
-			if errors.Is(err, ErrChunkUnsupported) {
+			if chunkUnsupported(err) {
 				chunked = false // stop asking; this hub cannot negotiate
 			}
 		}

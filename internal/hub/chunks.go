@@ -12,6 +12,7 @@ import (
 	"sync"
 
 	"sommelier/internal/cas"
+	"sommelier/internal/graph"
 	"sommelier/internal/repo"
 )
 
@@ -26,33 +27,32 @@ import (
 //	GET  /v1/chunks/{hash}            — fetch one chunk (binary)
 //	PUT  /v1/chunks/{hash}            — upload one chunk (binary)
 //	GET  /v1/models/{id}?format=manifest — fetch a model's chunk manifest
-//	GET  /v1/models/{id}?format=pack  — fetch manifest + every chunk, one body
 //	PUT  /v1/models/{id} (manifest)   — publish by manifest; 409 lists missing chunks
 //
-// The pack is the pull of a receiver that holds nothing — Client.Load.
-// Its body (framing in internal/cas/pack.go) is the stored manifest
-// and, in Manifest.ChunkRefs() order, each chunk as a length-prefixed
-// raw record, copied out of the chunk store with Content-Length set:
-// the hub neither hydrates the model nor re-encodes it. The hub
-// verifies nothing on the way out and the client trusts nothing on the
-// way in — cas.ReadPack derives every chunk's address by hashing the
-// bytes that arrived and requires it to be the manifest's next
+// The model body itself is the pack: what a bare GET /v1/models/{id}
+// answers (Client.Load, a receiver that holds nothing yet) and what a
+// pack-typed PUT carries (PublishEncoded, against a hub that cannot
+// negotiate). Its framing is internal/cas/pack.go: the manifest and, in
+// Manifest.ChunkRefs() order, each chunk as a length-prefixed raw
+// record. A hub over a chunk store copies the stored manifest and
+// chunks into it with Content-Length set, neither hydrating nor
+// re-encoding the model; a hub whose store has no chunk surface chunks
+// the model it loads, as a repository would store it. The sender
+// verifies nothing on the way out and the receiver trusts nothing on
+// the way in — cas.ReadPack derives every chunk's address by hashing
+// the bytes that arrived and requires it to be the manifest's next
 // reference, then hydrates and validates as a repository would.
 //
-// ?format=pack is a preference, not a demand: a hub whose store has no
-// chunk surface, like a hub that predates the parameter, answers the
-// same 200 with plain SOMX, and the client decodes whichever
-// Content-Type came back. A 501 here would make every load against
-// such a hub two requests, or make the client remember which hubs
-// cannot pack; answering with what the hub has keeps a Load one
-// request against every hub and keeps the client stateless.
+// So every hub sends and accepts the same body, and a Load is one
+// request against any of them; only the negotiation needs a chunk
+// store.
 
-// ContentTypeManifest marks a PUT /v1/models/{id} body as a chunk
-// manifest rather than a whole SOMX model.
+// ContentTypeManifest marks a PUT /v1/models/{id} body, and a
+// ?format=manifest answer, as a chunk manifest.
 const ContentTypeManifest = "application/x-somx-manifest"
 
-// ContentTypePack marks a GET /v1/models/{id}?format=pack response as
-// a pack rather than a whole SOMX model.
+// ContentTypePack marks a model body — a GET /v1/models/{id} answer or
+// a PUT — as a pack.
 const ContentTypePack = "application/x-somx-pack"
 
 // presizeLimit caps the buffer readBody allocates on the strength of a
@@ -85,7 +85,7 @@ func readBody(dst []byte, body io.Reader, declared int64) ([]byte, error) {
 }
 
 // bufPool recycles whole-body buffers: the server's rendered packs and
-// received chunk uploads, and the client's received packs. A buffer
+// received uploads, and the client's received packs. A buffer
 // goes back once nothing holds a slice of it.
 type bufPool struct{ pool sync.Pool }
 
@@ -104,9 +104,9 @@ func (p *bufPool) put(b []byte) {
 
 // ChunkStore is the optional chunk-level surface a Store may implement
 // — *repo.Repository does. A server whose store lacks it (sommhub's
-// coordinator-mode cluster store, faults.FlakyStore) answers chunk
-// endpoints with 501, and clients fall back to whole-model transfer;
-// asked for a pack, it answers SOMX.
+// cluster fronts, faults.FlakyStore) answers the chunk endpoints and
+// manifest transfers with 501, and clients publish by pack instead; it
+// still serves and accepts packs.
 type ChunkStore interface {
 	HasChunk(hash string) bool
 	GetChunk(hash string) ([]byte, error)
@@ -161,13 +161,7 @@ func (s *Server) handleChunk(w http.ResponseWriter, r *http.Request) {
 		data, err := readBody(s.uploads.get(), http.MaxBytesReader(w, r.Body, s.maxBody), r.ContentLength)
 		defer s.uploads.put(data)
 		if err != nil {
-			var mbe *http.MaxBytesError
-			if errors.As(err, &mbe) {
-				http.Error(w, fmt.Sprintf("chunk exceeds %d-byte upload limit", s.maxBody),
-					http.StatusRequestEntityTooLarge)
-				return
-			}
-			http.Error(w, err.Error(), http.StatusBadRequest)
+			s.refuseUpload(w, "chunk", err)
 			return
 		}
 		// PutChunk verifies content against the address, so a corrupted
@@ -204,15 +198,40 @@ func (s *Server) serveManifestGet(w http.ResponseWriter, id string) {
 	w.Write(body.Bytes())
 }
 
-// servePack answers GET /v1/models/{id}?format=pack on a hub with a
-// chunk surface.
-func (s *Server) servePack(w http.ResponseWriter, cs ChunkStore, id string) {
-	man, ok := cs.Manifest(id)
-	if !ok {
-		http.Error(w, fmt.Sprintf("model %q not found", id), http.StatusNotFound)
-		return
+// servePack answers GET /v1/models/{id} with the model's pack. A chunk
+// store's is rendered from the stored manifest and chunks; any other
+// store's from the model it loads, chunked as a repository would store
+// it.
+func (s *Server) servePack(w http.ResponseWriter, id string) {
+	var (
+		man *cas.Manifest
+		get func(hash string) ([]byte, error)
+	)
+	if cs := s.chunkStore(); cs != nil {
+		var ok bool
+		if man, ok = cs.Manifest(id); !ok {
+			http.Error(w, fmt.Sprintf("model %q not found", id), http.StatusNotFound)
+			return
+		}
+		get = cs.GetChunk
+	} else {
+		m, err := s.store.Load(id)
+		if err != nil {
+			if errors.Is(err, repo.ErrNotFound) {
+				http.Error(w, err.Error(), http.StatusNotFound)
+			} else {
+				http.Error(w, err.Error(), http.StatusInternalServerError)
+			}
+			return
+		}
+		enc, err := cas.Encode(m, "", nil, 0)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
+		man, get = enc.Manifest, enc.Chunk
 	}
-	body, err := cas.EncodePack(s.packs.get(), man, cs.GetChunk)
+	body, err := cas.EncodePack(s.packs.get(), man, get)
 	defer s.packs.put(body)
 	if err != nil {
 		// The manifest is stored and a chunk it references is not
@@ -227,11 +246,51 @@ func (s *Server) servePack(w http.ResponseWriter, cs ChunkStore, id string) {
 	s.obs.Counter("hub_fetch_bytes_total").Add(int64(len(body)))
 }
 
+// servePackPut answers a pack-typed PUT /v1/models/{id}: the pack is
+// read and verified whole, and its model must carry the path's
+// identity — a body that disagrees would corrupt later lookups, and is
+// refused before anything is stored, so a pre-existing model under the
+// body's ID survives.
+func (s *Server) servePackPut(w http.ResponseWriter, r *http.Request, id string) {
+	data, err := readBody(s.uploads.get(), http.MaxBytesReader(w, r.Body, s.maxBody), r.ContentLength)
+	defer s.uploads.put(data) // ReadPack's model copied what it keeps
+	if err != nil {
+		s.refuseUpload(w, "model", err)
+		return
+	}
+	m, err := cas.ReadPack(data)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	if gotID := repo.IDFor(m); gotID != id {
+		http.Error(w, fmt.Sprintf("model identity %q does not match path id %q", gotID, id),
+			http.StatusBadRequest)
+		return
+	}
+	s.accept(w, r, id, func() (*graph.Model, error) {
+		_, err := s.store.Publish(m)
+		return m, err
+	})
+}
+
+// refuseUpload answers a PUT whose body could not be read: 413 past the
+// upload limit, 400 otherwise.
+func (s *Server) refuseUpload(w http.ResponseWriter, what string, err error) {
+	var mbe *http.MaxBytesError
+	if errors.As(err, &mbe) {
+		http.Error(w, fmt.Sprintf("%s exceeds %d-byte upload limit", what, s.maxBody),
+			http.StatusRequestEntityTooLarge)
+		return
+	}
+	http.Error(w, err.Error(), http.StatusBadRequest)
+}
+
 // serveManifestPut answers a manifest-typed PUT /v1/models/{id}: if the
 // hub lacks referenced chunks it answers 409 Conflict with their
 // addresses and the client uploads them before retrying; otherwise the
 // model is published from the manifest (and indexed, with the same
-// rollback discipline as a whole-model upload).
+// rollback discipline as a pack upload).
 func (s *Server) serveManifestPut(w http.ResponseWriter, r *http.Request, id string) {
 	cs := s.chunkStore()
 	if cs == nil {
@@ -240,13 +299,7 @@ func (s *Server) serveManifestPut(w http.ResponseWriter, r *http.Request, id str
 	}
 	man, err := cas.DecodeManifest(http.MaxBytesReader(w, r.Body, s.maxBody))
 	if err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			http.Error(w, fmt.Sprintf("manifest exceeds %d-byte upload limit", s.maxBody),
-				http.StatusRequestEntityTooLarge)
-			return
-		}
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		s.refuseUpload(w, "manifest", err)
 		return
 	}
 	if man.ID() != id {
@@ -260,23 +313,10 @@ func (s *Server) serveManifestPut(w http.ResponseWriter, r *http.Request, id str
 		json.NewEncoder(w).Encode(map[string][]string{"missing": missing})
 		return
 	}
-	_, existed := s.store.Metadata(id)
-	if _, err := cs.PublishManifest(man); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	if s.indexer != nil {
-		m, err := s.store.Load(id)
-		if err == nil {
-			err = s.indexer.IndexModel(r.Context(), id, m)
-		}
-		if err != nil {
-			s.indexFailed(w, id, existed, err)
-			return
-		}
-	}
-	s.wrote(w)
-	w.WriteHeader(http.StatusCreated)
+	s.accept(w, r, id, func() (*graph.Model, error) {
+		_, err := cs.PublishManifest(man)
+		return nil, err
+	})
 }
 
 var _ ChunkStore = (*repo.Repository)(nil)

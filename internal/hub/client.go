@@ -573,44 +573,10 @@ func readResultsBody(resp *http.Response, want int) ([][]query.Result, []*QueryE
 	return readResults(data, want)
 }
 
-// Publish uploads a model and returns its hub ID. Publishes are not
-// retried — PUT against a bare-bone hub is not guaranteed idempotent.
-func (c *Client) Publish(m *graph.Model) (_ string, err error) {
-	done := c.obs.TimeOp("hub_client_publish")
-	defer func() { done(err) }()
-	if err := m.Validate(); err != nil {
-		return "", fmt.Errorf("hub: refusing invalid model: %w", err)
-	}
-	id := repo.IDFor(m)
-	var buf bytes.Buffer
-	if err := graph.Encode(&buf, m); err != nil {
-		return "", fmt.Errorf("hub: encoding: %w", err)
-	}
-	data := buf.Bytes()
-	err = c.do(false,
-		func() (*http.Request, error) {
-			req, err := http.NewRequest(http.MethodPut, c.modelURL(id), bytes.NewReader(data))
-			if err != nil {
-				return nil, err
-			}
-			req.Header.Set("Content-Type", "application/x-somx")
-			return req, nil
-		},
-		func(resp *http.Response) error { return expectStatus(resp, http.StatusCreated) })
-	if err != nil {
-		return "", fmt.Errorf("hub: publish %s: %w", id, err)
-	}
-	c.mu.Lock()
-	c.cache.Add(id, m)
-	c.mu.Unlock()
-	return id, nil
-}
-
 // Load fetches a model by ID, serving repeats from the local cache. A
-// fetch is one GET for the model's pack (manifest + raw chunks,
-// verified and hydrated by cas.ReadPack); a hub that has no pack to
-// give answers the same request with SOMX, and Load decodes whichever
-// the response's Content-Type names.
+// fetch is one GET whose answer is the model's pack (manifest + raw
+// chunks, verified and hydrated by cas.ReadPack); an answer of any
+// other Content-Type is an error.
 // When the hub is down, previously fetched models keep loading from
 // cache (counted as stale in Stats while the breaker is not closed);
 // unseen models fail fast with ErrCircuitOpen once the breaker trips.
@@ -626,14 +592,12 @@ func (c *Client) Load(id string) (_ *graph.Model, err error) {
 		}
 		return m, nil
 	}
-	err = c.do(true, buildGet(c.modelURL(id)+"?format=pack"), func(resp *http.Response) error {
-		err := expectStatus(resp, http.StatusOK)
-		if err != nil {
+	err = c.do(true, buildGet(c.modelURL(id)), func(resp *http.Response) error {
+		if err := expectStatus(resp, http.StatusOK); err != nil {
 			return err
 		}
-		if resp.Header.Get("Content-Type") != ContentTypePack {
-			m, err = graph.Decode(resp.Body)
-			return err
+		if ct := resp.Header.Get("Content-Type"); ct != ContentTypePack {
+			return fmt.Errorf("hub answered %q, not a pack", ct)
 		}
 		data, err := readBody(c.packs.get(), resp.Body, resp.ContentLength)
 		if err != nil {

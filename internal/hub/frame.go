@@ -8,6 +8,7 @@ import (
 
 	"sommelier/internal/query"
 	"sommelier/internal/resource"
+	"sommelier/internal/wire"
 )
 
 // The query wire's binary form. A client that sends Accept:
@@ -99,88 +100,25 @@ func appendRecord(b []byte, r *query.Result) []byte {
 	return binary.BigEndian.AppendUint64(b, math.Float64bits(r.Profile.LatencyMS))
 }
 
-// frameReader consumes a frame front to back. The first failure sticks:
-// later reads return zero values, and err says what went wrong first.
-type frameReader struct {
-	b   []byte
-	err error
-}
-
-func (f *frameReader) fail(format string, args ...any) {
-	if f.err == nil {
-		f.err = fmt.Errorf(errFramePrefix+format, args...)
-	}
-	f.b = nil
-}
-
-func (f *frameReader) u8() byte {
-	if len(f.b) < 1 {
-		f.fail("truncated")
-		return 0
-	}
-	v := f.b[0]
-	f.b = f.b[1:]
-	return v
-}
-
-func (f *frameReader) u32() int {
-	if len(f.b) < frameLen {
-		f.fail("truncated")
-		return 0
-	}
-	v := binary.BigEndian.Uint32(f.b)
-	f.b = f.b[frameLen:]
-	return int(v)
-}
-
-func (f *frameReader) u64() uint64 {
-	if len(f.b) < 8 {
-		f.fail("truncated")
-		return 0
-	}
-	v := binary.BigEndian.Uint64(f.b)
-	f.b = f.b[8:]
-	return v
-}
-
-// count reads an element count and checks that the bytes left can hold
-// that many elements of at least elem bytes each, so nothing is ever
-// sized from a count the input cannot back.
-func (f *frameReader) count(elem int) int {
-	n := f.u32()
-	if f.err == nil && uint64(n)*uint64(elem) > uint64(len(f.b)) {
-		f.fail("%d elements declared, %d bytes left", n, len(f.b))
-		return 0
-	}
-	return n
-}
-
-func (f *frameReader) str() string {
-	n := f.u32()
-	if f.err == nil && n > len(f.b) {
-		f.fail("string of %d bytes declared, %d left", n, len(f.b))
-		return ""
-	}
-	s := string(f.b[:n])
-	f.b = f.b[n:]
-	return s
-}
+// frameReader consumes a frame. Over the frame's []byte, every string
+// it reads is a copy: a decoded answer aliases nothing of the body.
+type frameReader struct{ wire.Reader[[]byte] }
 
 // end reports the first failure, or trailing bytes after a complete
 // frame.
 func (f *frameReader) end() error {
-	if f.err == nil && len(f.b) > 0 {
+	if f.Err() == nil && f.Len() > 0 {
 		return errTrailing
 	}
-	return f.err
+	return f.Err()
 }
 
 // readQueries decodes a queries frame.
 func readQueries(data []byte) ([]string, error) {
-	f := frameReader{b: data}
-	qs := make([]string, f.count(minQueryLen))
+	f := frameReader{wire.NewReader(data, errFramePrefix)}
+	qs := make([]string, f.Count(minQueryLen))
 	for i := range qs {
-		qs[i] = f.str()
+		qs[i] = f.Str()
 	}
 	if err := f.end(); err != nil {
 		return nil, err
@@ -193,27 +131,27 @@ func readQueries(data []byte) ([]string, error) {
 // rss[i] and qerrs[i] is meaningful per slot, and an answer with no
 // results decodes as nil.
 func readResults(data []byte, want int) ([][]query.Result, []*QueryError, error) {
-	f := frameReader{b: data}
-	n := f.count(minSlotLen)
-	if f.err == nil && n != want {
+	f := frameReader{wire.NewReader(data, errFramePrefix)}
+	n := f.Count(minSlotLen)
+	if f.Err() == nil && n != want {
 		return nil, nil, fmt.Errorf(errFramePrefix+"%d answers for %d queries", n, want)
 	}
 	rss := make([][]query.Result, n)
 	qerrs := make([]*QueryError, n)
-	for i := 0; i < n && f.err == nil; i++ {
-		switch tag := f.u8(); tag {
+	for i := 0; i < n && f.Err() == nil; i++ {
+		switch tag := f.U8(); tag {
 		case slotRefused:
-			code := f.str()
-			qerrs[i] = &QueryError{Code: code, Message: f.str()}
+			code := f.Str()
+			qerrs[i] = &QueryError{Code: code, Message: f.Str()}
 		case slotAnswer:
-			if m := f.count(minRecordLen); m > 0 {
+			if m := f.Count(minRecordLen); m > 0 {
 				rss[i] = make([]query.Result, m)
 				for j := range rss[i] {
 					f.record(&rss[i][j])
 				}
 			}
 		default:
-			f.fail("slot %d has tag %d", i, tag)
+			f.Fail("slot %d has tag %d", i, tag)
 		}
 	}
 	if err := f.end(); err != nil {
@@ -223,19 +161,19 @@ func readResults(data []byte, want int) ([][]query.Result, []*QueryError, error)
 }
 
 func (f *frameReader) record(r *query.Result) {
-	r.ID = f.str()
-	r.Level = math.Float64frombits(f.u64())
-	flags := f.u8()
+	r.ID = f.Str()
+	r.Level = math.Float64frombits(f.U64())
+	flags := f.U8()
 	if flags&^flagsKnown != 0 {
-		f.fail("record flags %#x", flags)
+		f.Fail("record flags %#x", flags)
 		return
 	}
 	r.Synthesized, r.Derived = flags&flagSynth != 0, flags&flagDerived != 0
-	r.DonorID = f.str()
-	r.Segment = f.str()
+	r.DonorID = f.Str()
+	r.Segment = f.Str()
 	r.Profile = resource.Profile{
-		FLOPs:       int64(f.u64()),
-		MemoryBytes: int64(f.u64()),
-		LatencyMS:   math.Float64frombits(f.u64()),
+		FLOPs:       int64(f.U64()),
+		MemoryBytes: int64(f.U64()),
+		LatencyMS:   math.Float64frombits(f.U64()),
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"sommelier/internal/cas"
-	"sommelier/internal/graph"
 	"sommelier/internal/repo"
 )
 
@@ -98,15 +97,6 @@ func (h *genHub) queryGen() uint64 {
 	return h.count("query answer", v)
 }
 
-func somx(t *testing.T, m *graph.Model) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := graph.Encode(&buf, m); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
 // TestGenerationMovesOnWritesOnly: query answers (GET and POST, answered
 // or refused) and write acks carry the generation under the hub's boot;
 // it moves by one on every accepted model PUT, manifest publish and
@@ -151,9 +141,9 @@ func TestGenerationMovesOnWritesOnly(t *testing.T) {
 	}
 
 	m := testModel(t, "gen", 1)
-	st, v := h.do(http.MethodPut, "/v1/models/gen@1", "application/x-somx", somx(t, m))
+	st, v := h.do(http.MethodPut, "/v1/models/gen@1", ContentTypePack, packBytes(t, m))
 	write("model PUT", st, v, http.StatusCreated)
-	st, v = h.do(http.MethodPut, "/v1/models/other@1", "application/x-somx", somx(t, m))
+	st, v = h.do(http.MethodPut, "/v1/models/other@1", ContentTypePack, packBytes(t, m))
 	if st != http.StatusBadRequest {
 		t.Fatalf("identity-mismatch PUT: status %d", st)
 	}
@@ -218,13 +208,13 @@ func TestGenerationAfterAckIsSeen(t *testing.T) {
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
 	for w := 0; w < 2; w++ {
-		body := somx(t, testModel(t, fmt.Sprintf("w%d", w), uint64(w)))
+		body := packBytes(t, testModel(t, fmt.Sprintf("w%d", w), uint64(w)))
 		path := fmt.Sprintf("/v1/models/w%d@1", w)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 40; i++ {
-				method, ct := http.MethodPut, "application/x-somx"
+				method, ct := http.MethodPut, ContentTypePack
 				if i%2 == 1 {
 					method, ct = http.MethodDelete, ""
 				}
@@ -322,7 +312,7 @@ func TestClientGeneration(t *testing.T) {
 	if _, ok := publisher.Generation(); ok {
 		t.Fatal("a client that has sent nothing reports a generation")
 	}
-	if _, err := publisher.Publish(testModel(t, "acked", 1)); err != nil {
+	if _, _, err := publisher.PublishModel(testModel(t, "acked", 1)); err != nil {
 		t.Fatal(err)
 	}
 	if g, ok := publisher.Generation(); g != 1 || !ok {

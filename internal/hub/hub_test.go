@@ -65,7 +65,7 @@ func TestNewClientValidation(t *testing.T) {
 func TestPublishLoadRoundTrip(t *testing.T) {
 	_, client, store := newHub(t)
 	m := testModel(t, "remote", 1)
-	id, err := client.Publish(m)
+	id, _, err := client.PublishModel(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestPublishLoadRoundTrip(t *testing.T) {
 func TestLoadUsesCache(t *testing.T) {
 	ts, client, store := newHub(t)
 	m := testModel(t, "cached", 2)
-	id, err := client.Publish(m)
+	id, _, err := client.PublishModel(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,10 +124,10 @@ func TestListMetadata(t *testing.T) {
 	if got := strings.TrimSpace(string(body)); got != "[]" {
 		t.Fatalf("empty hub lists as %q, want []", got)
 	}
-	if _, err := client.Publish(testModel(t, "a", 1)); err != nil {
+	if _, _, err := client.PublishModel(testModel(t, "a", 1)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := client.Publish(testModel(t, "b", 2)); err != nil {
+	if _, _, err := client.PublishModel(testModel(t, "b", 2)); err != nil {
 		t.Fatal(err)
 	}
 	list, err := client.List()
@@ -150,11 +150,10 @@ func (failingIndexer) IndexModel(context.Context, string, *graph.Model) error {
 
 // TestFailedRollbackIsReported: when indexing an upload fails and the
 // rollback delete fails too, the model is left published but unindexed
-// and the 500 must say so — for a whole-model PUT and a manifest PUT
-// alike.
+// and the 500 must say so — for a pack PUT and a manifest PUT alike.
 func TestFailedRollbackIsReported(t *testing.T) {
 	// Find an injector seed whose first two store faults are none,
-	// conn-error: Publish (whole-model) or Load (manifest) ok, then the
+	// conn-error: Publish (pack) or Load (manifest) ok, then the
 	// rollback Delete fails. The sequence is deterministic per seed.
 	cfg := faults.Config{ConnErrorRate: 0.3}
 	for ; cfg.Seed < 10000; cfg.Seed++ {
@@ -170,11 +169,22 @@ func TestFailedRollbackIsReported(t *testing.T) {
 		t.Fatal("no injector seed found for the none,conn-error pattern")
 	}
 	for _, tc := range []struct {
-		name    string
-		publish func(*Client, *graph.Model) error
+		name  string
+		store func(inner *repo.Repository, inj *faults.Injector) repo.Store
 	}{
-		{"somx", func(c *Client, m *graph.Model) error { _, err := c.Publish(m); return err }},
-		{"manifest", func(c *Client, m *graph.Model) error { _, _, err := c.PublishModel(m); return err }},
+		// FlakyStore has no chunk surface, so the publish falls back to
+		// one pack PUT.
+		{"pack", func(inner *repo.Repository, inj *faults.Injector) repo.Store {
+			return faults.NewFlakyStore(inner, inj)
+		}},
+		// Lent the repository's chunk surface, the same store takes the
+		// manifest PUT. Delete stays flaky.
+		{"manifest", func(inner *repo.Repository, inj *faults.Injector) repo.Store {
+			return struct {
+				*faults.FlakyStore
+				ChunkStore
+			}{faults.NewFlakyStore(inner, inj), inner}
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			inj, err := faults.NewInjector(cfg)
@@ -182,13 +192,7 @@ func TestFailedRollbackIsReported(t *testing.T) {
 				t.Fatal(err)
 			}
 			inner := repo.NewInMemory()
-			// FlakyStore has no chunk surface; lend it the repository's
-			// so the manifest PUT is reachable. Delete stays flaky.
-			store := struct {
-				*faults.FlakyStore
-				ChunkStore
-			}{faults.NewFlakyStore(inner, inj), inner}
-			srv, err := NewServer(store, WithIndexer(failingIndexer{}))
+			srv, err := NewServer(tc.store(inner, inj), WithIndexer(failingIndexer{}))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -198,7 +202,7 @@ func TestFailedRollbackIsReported(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			err = tc.publish(client, testModel(t, "orphan", 5))
+			_, _, err = client.PublishModel(testModel(t, "orphan", 5))
 			var se *StatusError
 			if !errors.As(err, &se) || se.Code != http.StatusInternalServerError {
 				t.Fatalf("publish: %v, want a *StatusError 500", err)
@@ -215,7 +219,7 @@ func TestFailedRollbackIsReported(t *testing.T) {
 
 func TestDelete(t *testing.T) {
 	_, client, store := newHub(t)
-	id, err := client.Publish(testModel(t, "gone", 3))
+	id, _, err := client.PublishModel(testModel(t, "gone", 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +237,7 @@ func TestDelete(t *testing.T) {
 func TestPublishRejectsInvalid(t *testing.T) {
 	_, client, _ := newHub(t)
 	bad := &graph.Model{Name: "bad", Version: "1", InputShape: tensor.Shape{2}}
-	if _, err := client.Publish(bad); err == nil {
+	if _, _, err := client.PublishModel(bad); err == nil {
 		t.Fatal("expected validation error")
 	}
 }
@@ -241,14 +245,11 @@ func TestPublishRejectsInvalid(t *testing.T) {
 func TestServerRejectsIdentityMismatch(t *testing.T) {
 	ts, _, store := newHub(t)
 	m := testModel(t, "honest", 4)
-	var body strings.Builder
-	if err := graph.Encode(&body, m); err != nil {
-		t.Fatal(err)
-	}
-	req, err := http.NewRequest(http.MethodPut, ts.URL+"/v1/models/liar@9", strings.NewReader(body.String()))
+	req, err := http.NewRequest(http.MethodPut, ts.URL+"/v1/models/liar@9", bytes.NewReader(packBytes(t, m)))
 	if err != nil {
 		t.Fatal(err)
 	}
+	req.Header.Set("Content-Type", ContentTypePack)
 	resp, err := ts.Client().Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -259,6 +260,33 @@ func TestServerRejectsIdentityMismatch(t *testing.T) {
 	}
 	if store.Len() != 0 {
 		t.Fatal("mismatched publish left residue")
+	}
+}
+
+// TestModelPutOfAnotherBodyIs415: a model PUT carries a pack or a
+// manifest. A SOMX body (graph's JSON encoding) or an untyped one is
+// refused as an unsupported media type before it is read, and nothing
+// is stored.
+func TestModelPutOfAnotherBodyIs415(t *testing.T) {
+	ts, _, store := newHub(t)
+	somx := somxBytes(t, testModel(t, "legacy", 6))
+	for _, ct := range []string{"application/x-somx", ""} {
+		req, err := http.NewRequest(http.MethodPut, ts.URL+"/v1/models/legacy@1", bytes.NewReader(somx))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Content-Type", ct)
+		resp, err := ts.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusUnsupportedMediaType {
+			t.Errorf("PUT of a %q body: status %d, want 415", ct, resp.StatusCode)
+		}
+	}
+	if store.Len() != 0 {
+		t.Fatal("a refused PUT stored a model")
 	}
 }
 
@@ -294,7 +322,7 @@ func TestServerMethodValidation(t *testing.T) {
 func TestMirrorThenIndexLocally(t *testing.T) {
 	_, client, _ := newHub(t)
 	for i := 0; i < 3; i++ {
-		if _, err := client.Publish(testModel(t, "m"+string(rune('a'+i)), uint64(i+1))); err != nil {
+		if _, _, err := client.PublishModel(testModel(t, "m"+string(rune('a'+i)), uint64(i+1))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -329,7 +357,7 @@ func TestClientNetworkErrors(t *testing.T) {
 	if err := client.Delete("x@1"); err == nil {
 		t.Fatal("expected connection error on Delete")
 	}
-	if _, err := client.Publish(testModel(t, "m", 1)); err == nil {
+	if _, _, err := client.PublishModel(testModel(t, "m", 1)); err == nil {
 		t.Fatal("expected connection error on Publish")
 	}
 	local := repo.NewInMemory()

@@ -47,7 +47,7 @@ func newObservedHub(t testing.TB) (*httptest.Server, *Client, *obs.Observer) {
 func TestMetricsEndpoint(t *testing.T) {
 	ts, client, _ := newObservedHub(t)
 
-	id, err := client.Publish(testModel(t, "observed", 1))
+	id, _, err := client.PublishModel(testModel(t, "observed", 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,20 +125,19 @@ func TestMetricsEndpointCountsErrors(t *testing.T) {
 	}
 }
 
-// TestMetricsCountFetchRepresentations: /v1/metrics says which
-// representation the fetch endpoint handed out and how many body bytes
-// went with it — one SOMX fetch and one pack fetch of the same model
-// count one each, and the byte counter is the sum of the two bodies. A
-// 404 counts as neither. (Hubs without an observer serve both all
-// through pack_test.go.)
+// TestMetricsCountFetchRepresentations: /v1/metrics says how many
+// packs the fetch endpoint handed out and how many body bytes went with
+// them — a model GET counts one pack and its body; a manifest GET and a
+// 404 count neither. (Hubs without an observer serve packs all through
+// pack_test.go.)
 func TestMetricsCountFetchRepresentations(t *testing.T) {
 	ts, client, o := newObservedHub(t)
-	id, err := client.Publish(testModel(t, "counted", 2))
+	id, _, err := client.PublishModel(testModel(t, "counted", 2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var served int64
-	for _, url := range []string{"/v1/models/" + id, "/v1/models/" + id + "?format=pack", "/v1/models/ghost@1?format=pack"} {
+	for _, url := range []string{"/v1/models/" + id, "/v1/models/" + id + "?format=manifest", "/v1/models/ghost@1"} {
 		resp, err := ts.Client().Get(ts.URL + url)
 		if err != nil {
 			t.Fatal(err)
@@ -148,16 +147,16 @@ func TestMetricsCountFetchRepresentations(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if resp.StatusCode == http.StatusOK {
+		if resp.Header.Get("Content-Type") == ContentTypePack {
 			served += n
 		}
 	}
 	snap := o.Snapshot()
-	if somx, pack := snap.Counters["hub_fetch_somx_total"], snap.Counters["hub_fetch_pack_total"]; somx != 1 || pack != 1 {
-		t.Errorf("hub_fetch_somx_total = %d, hub_fetch_pack_total = %d, want 1 and 1", somx, pack)
+	if pack := snap.Counters["hub_fetch_pack_total"]; pack != 1 {
+		t.Errorf("hub_fetch_pack_total = %d, want 1", pack)
 	}
 	if got := snap.Counters["hub_fetch_bytes_total"]; got != served || got == 0 {
-		t.Errorf("hub_fetch_bytes_total = %d, the two bodies were %d bytes", got, served)
+		t.Errorf("hub_fetch_bytes_total = %d, the pack was %d bytes", got, served)
 	}
 }
 
@@ -219,7 +218,7 @@ func TestQueryEndpoint(t *testing.T) {
 // serves a valid (empty) JSON array.
 func TestTracezEndpoint(t *testing.T) {
 	ts, client, _ := newObservedHub(t)
-	if _, err := client.Publish(testModel(t, "traced", 1)); err != nil {
+	if _, _, err := client.PublishModel(testModel(t, "traced", 1)); err != nil {
 		t.Fatal(err)
 	}
 

@@ -45,6 +45,20 @@ func somxBytes(t testing.TB, m *graph.Model) []byte {
 	return buf.Bytes()
 }
 
+// packBytes is m's pack, the body a model PUT carries.
+func packBytes(t testing.TB, m *graph.Model) []byte {
+	t.Helper()
+	enc, err := cas.Encode(m, "", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pack, err := cas.EncodePack(nil, enc.Manifest, enc.Chunk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pack
+}
+
 // packCorpus is one model of each zoo family plus a fine-tuned series
 // a repository stores as delta refs and shared trunk chunks.
 func packCorpus(t testing.TB) []*graph.Model {
@@ -60,28 +74,24 @@ func packCorpus(t testing.TB) []*graph.Model {
 	return append(models, fineTunedSeries(t, 7, 48)...)
 }
 
-// TestPackLoadMatchesSOMXLoad is the differential check on the pull
-// path: the same repository behind a hub that can pack and behind two
-// that cannot (no chunk surface; a fault-wrapped store), every model
-// loaded through each. All three give a model that re-encodes to the
-// bytes the publisher had, and every Load is one request — the
-// chunk-less hubs answer SOMX to the pack request, they do not refuse it.
-func TestPackLoadMatchesSOMXLoad(t *testing.T) {
+// TestEveryHubAnswersAPack is the differential check on the pull path:
+// the same repository behind a hub that has a chunk store and behind
+// two that do not (no chunk surface; a fault-wrapped store), every
+// model loaded through each. All three answer the one body, a pack,
+// in one request per Load, and give a model that re-encodes to the
+// bytes the publisher had.
+func TestEveryHubAnswersAPack(t *testing.T) {
 	store := repo.NewInMemory()
 	inj, err := faults.NewInjector(faults.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	type hubCase struct {
-		name, contentType string
-		client            *Client
-		rt                *countingTransport
+		name   string
+		client *Client
+		rt     *countingTransport
 	}
-	hubs := []*hubCase{
-		{name: "chunk-capable", contentType: ContentTypePack},
-		{name: "no chunk surface", contentType: "application/x-somx"},
-		{name: "flaky store", contentType: "application/x-somx"},
-	}
+	hubs := []*hubCase{{name: "chunk store"}, {name: "no chunk surface"}, {name: "flaky store"}}
 	hubs[0].client, hubs[0].rt = hubOver(t, store)
 	hubs[1].client, hubs[1].rt = hubOver(t, plainStore{store})
 	hubs[2].client, hubs[2].rt = hubOver(t, faults.NewFlakyStore(store, inj))
@@ -113,8 +123,8 @@ func TestPackLoadMatchesSOMXLoad(t *testing.T) {
 			if n := h.rt.requests.Load() - before; n != 1 {
 				t.Errorf("%s: load %s took %d requests, want 1", h.name, id, n)
 			}
-			if ct := h.rt.contentType.Load(); ct != h.contentType {
-				t.Errorf("%s: load %s answered %v, want %s", h.name, id, ct, h.contentType)
+			if ct := h.rt.contentType.Load(); ct != ContentTypePack {
+				t.Errorf("%s: load %s answered %v, want %s", h.name, id, ct, ContentTypePack)
 			}
 			if !bytes.Equal(somxBytes(t, got), want) {
 				t.Errorf("%s: %s re-encodes differently after the pull", h.name, id)
@@ -127,8 +137,8 @@ func TestPackLoadMatchesSOMXLoad(t *testing.T) {
 }
 
 // TestPackLoadUnknownIDIs404: asking for the pack of a model the hub
-// does not hold is the same deliberate 404 a SOMX fetch gets — typed,
-// not retried — whichever branch of the fetch handler answers.
+// does not hold is a deliberate 404 — typed, not retried — whether the
+// hub renders packs from a chunk store or from the models it loads.
 func TestPackLoadUnknownIDIs404(t *testing.T) {
 	store := repo.NewInMemory()
 	for name, s := range map[string]repo.Store{"chunk-capable": store, "no chunk surface": plainStore{store}} {
@@ -145,8 +155,8 @@ func TestPackLoadUnknownIDIs404(t *testing.T) {
 }
 
 // TestPackOfDamagedStoreIs500: a stored manifest whose chunk has gone
-// is the hub's fault, not the caller's — 500, so clients retry, as the
-// SOMX branch answers repo.ErrDamaged.
+// is the hub's fault, not the caller's — 500, so clients retry, as a
+// chunkless hub answers a load failing with repo.ErrDamaged.
 func TestPackOfDamagedStoreIs500(t *testing.T) {
 	store := repo.NewInMemory()
 	id, err := store.Publish(testModel(t, "damaged", 3))
@@ -160,7 +170,7 @@ func TestPackOfDamagedStoreIs500(t *testing.T) {
 	}
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
-	resp, err := ts.Client().Get(ts.URL + "/v1/models/" + id + "?format=pack")
+	resp, err := ts.Client().Get(ts.URL + "/v1/models/" + id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,14 +435,15 @@ func TestConcurrentLoadsStayIntact(t *testing.T) {
 // BenchmarkHubLoad prices one uncached Client.Load against a loopback
 // hub over an in-memory repository: hubLoadFixture's two models loaded
 // alternately through a one-entry cache so every iteration goes to the
-// wire. pack is the path a chunk-capable hub serves; somx is the same
-// pull from a hub whose store has no chunk surface.
+// wire. pack is the path a hub over a chunk store serves; chunkless is
+// the same pull from a hub whose store has no chunk surface, which
+// chunks each model it loads to render the pack.
 func BenchmarkHubLoad(b *testing.B) {
 	store, ids, _ := hubLoadFixture(b)
 	for _, bc := range []struct {
 		name  string
 		store repo.Store
-	}{{"pack", store}, {"somx", plainStore{store}}} {
+	}{{"pack", store}, {"chunkless", plainStore{store}}} {
 		b.Run(bc.name, func(b *testing.B) {
 			client, _ := hubOver(b, bc.store)
 			b.ReportAllocs()

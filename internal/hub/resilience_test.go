@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"sommelier/internal/faults"
-	"sommelier/internal/graph"
 	"sommelier/internal/repo"
 )
 
@@ -393,17 +392,14 @@ func TestServerGetNotFoundVsInternal(t *testing.T) {
 func TestMismatchedPutPreservesExisting(t *testing.T) {
 	ts, client, store := newHub(t)
 	m := testModel(t, "honest", 4)
-	if _, err := client.Publish(m); err != nil {
+	if _, _, err := client.PublishModel(m); err != nil {
 		t.Fatal(err)
 	}
-	var body bytes.Buffer
-	if err := graph.Encode(&body, m); err != nil {
-		t.Fatal(err)
-	}
-	req, err := http.NewRequest(http.MethodPut, ts.URL+"/v1/models/liar@9", &body)
+	req, err := http.NewRequest(http.MethodPut, ts.URL+"/v1/models/liar@9", bytes.NewReader(packBytes(t, m)))
 	if err != nil {
 		t.Fatal(err)
 	}
+	req.Header.Set("Content-Type", ContentTypePack)
 	resp, err := ts.Client().Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -424,7 +420,7 @@ func TestMismatchedPutPreservesExisting(t *testing.T) {
 // TestServerHealthz: the liveness endpoint reports status and count.
 func TestServerHealthz(t *testing.T) {
 	ts, client, _ := newHub(t)
-	if _, err := client.Publish(testModel(t, "h", 1)); err != nil {
+	if _, _, err := client.PublishModel(testModel(t, "h", 1)); err != nil {
 		t.Fatal(err)
 	}
 	resp, err := http.Get(ts.URL + "/v1/healthz")
@@ -465,18 +461,15 @@ func TestServerPutBodyLimit(t *testing.T) {
 	}
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
-	m := testModel(t, "big", 5)
-	var body bytes.Buffer
-	if err := graph.Encode(&body, m); err != nil {
-		t.Fatal(err)
+	body := packBytes(t, testModel(t, "big", 5))
+	if len(body) <= 128 {
+		t.Fatalf("test model too small (%d bytes) to exceed the limit", len(body))
 	}
-	if body.Len() <= 128 {
-		t.Fatalf("test model too small (%d bytes) to exceed the limit", body.Len())
-	}
-	req, err := http.NewRequest(http.MethodPut, ts.URL+"/v1/models/big@1", &body)
+	req, err := http.NewRequest(http.MethodPut, ts.URL+"/v1/models/big@1", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
+	req.Header.Set("Content-Type", ContentTypePack)
 	resp, err := ts.Client().Do(req)
 	if err != nil {
 		t.Fatal(err)

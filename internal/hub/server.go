@@ -9,13 +9,10 @@
 // Endpoints:
 //
 //	GET  /v1/models            — list model metadata (JSON)
-//	GET  /v1/models/{id}       — fetch one model (SOMX); its chunk
-//	                             manifest with ?format=manifest; manifest
-//	                             plus raw chunks in one body with
-//	                             ?format=pack (what Client.Load asks for;
-//	                             a hub whose store has no chunk surface
-//	                             answers that with SOMX — see chunks.go)
-//	PUT  /v1/models/{id}       — publish a model (SOMX body), or by
+//	GET  /v1/models/{id}       — fetch one model as a pack (manifest plus
+//	                             raw chunks, one body; see chunks.go), or
+//	                             its chunk manifest with ?format=manifest
+//	PUT  /v1/models/{id}       — publish a model (pack body), or by
 //	                             manifest (chunk negotiation; see chunks.go)
 //	DELETE /v1/models/{id}     — remove a model
 //	HEAD/GET/PUT /v1/chunks/{hash} — probe/fetch/upload one tensor chunk
@@ -173,8 +170,8 @@ func WithShardInfo(shard, shards int) ServerOption {
 // records a request counter and latency histogram through it
 // (hub_<op>_requests_total / hub_<op>_errors_total / hub_<op>_ms, for
 // op in list, fetch, upload, delete, query, healthz), the fetch endpoint
-// also counts what it served (hub_fetch_pack_total, hub_fetch_somx_total,
-// hub_fetch_bytes_total of model body), and the snapshot
+// also counts the packs it served (hub_fetch_pack_total,
+// hub_fetch_bytes_total of pack body), and the snapshot
 // is served at /v1/metrics with recent spans at /v1/tracez. Pass the
 // same observer the engine uses and /v1/metrics becomes the one unified
 // snapshot — hub, catalog, and query metrics together.
@@ -203,7 +200,7 @@ type Server struct {
 	gen atomic.Uint64
 	// packs recycles servePack's rendered bodies.
 	packs bufPool
-	// uploads recycles the bodies of chunk PUTs.
+	// uploads recycles the bodies of chunk and pack PUTs.
 	uploads bufPool
 }
 
@@ -245,18 +242,6 @@ type statusWriter struct {
 func (w *statusWriter) WriteHeader(code int) {
 	w.status = code
 	w.ResponseWriter.WriteHeader(code)
-}
-
-// byteCounter counts the body bytes a fetch writes through it.
-type byteCounter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *byteCounter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
 }
 
 // instrument wraps a handler with the per-endpoint request counter,
@@ -537,75 +522,21 @@ func (s *Server) serveModel(w http.ResponseWriter, r *http.Request) {
 	}
 	switch r.Method {
 	case http.MethodGet:
-		switch r.URL.Query().Get("format") {
-		case "manifest":
+		if r.URL.Query().Get("format") == "manifest" {
 			s.serveManifestGet(w, id)
 			return
-		case "pack":
-			// A store without a chunk surface has no pack to give; it
-			// answers SOMX below and the Content-Type says so.
-			if cs := s.chunkStore(); cs != nil {
-				s.servePack(w, cs, id)
-				return
-			}
 		}
-		m, err := s.store.Load(id)
-		if err != nil {
-			if errors.Is(err, repo.ErrNotFound) {
-				http.Error(w, err.Error(), http.StatusNotFound)
-			} else {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-			}
-			return
-		}
-		w.Header().Set("Content-Type", "application/x-somx")
-		body := &byteCounter{w: w}
-		if err := graph.Encode(body, m); err != nil {
-			// Headers are gone; nothing more to do than log via the
-			// error path available to handlers.
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-		s.obs.Counter("hub_fetch_somx_total").Inc()
-		s.obs.Counter("hub_fetch_bytes_total").Add(body.n)
+		s.servePack(w, id)
 	case http.MethodPut:
-		if r.Header.Get("Content-Type") == ContentTypeManifest {
+		switch r.Header.Get("Content-Type") {
+		case ContentTypeManifest:
 			s.serveManifestPut(w, r, id)
-			return
+		case ContentTypePack:
+			s.servePackPut(w, r, id)
+		default:
+			http.Error(w, fmt.Sprintf("a model PUT carries %s or %s", ContentTypePack, ContentTypeManifest),
+				http.StatusUnsupportedMediaType)
 		}
-		m, err := graph.Decode(http.MaxBytesReader(w, r.Body, s.maxBody))
-		if err != nil {
-			var mbe *http.MaxBytesError
-			if errors.As(err, &mbe) {
-				http.Error(w, fmt.Sprintf("model exceeds %d-byte upload limit", s.maxBody),
-					http.StatusRequestEntityTooLarge)
-				return
-			}
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		// The bare-bone interface is load-by-exact-URL; a body whose
-		// identity disagrees with the path would corrupt later lookups.
-		// Reject before publishing — storing first and compensating
-		// with a delete could destroy a pre-existing model under the
-		// body's ID.
-		if gotID := repo.IDFor(m); gotID != id {
-			http.Error(w, fmt.Sprintf("model identity %q does not match path id %q", gotID, id),
-				http.StatusBadRequest)
-			return
-		}
-		_, existed := s.store.Metadata(id)
-		if _, err := s.store.Publish(m); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		if s.indexer != nil {
-			if err := s.indexer.IndexModel(r.Context(), id, m); err != nil {
-				s.indexFailed(w, id, existed, err)
-				return
-			}
-		}
-		s.wrote(w)
-		w.WriteHeader(http.StatusCreated)
 	case http.MethodDelete:
 		if _, ok := s.store.Metadata(id); !ok {
 			http.Error(w, fmt.Sprintf("model %q not found", id), http.StatusNotFound)
@@ -620,6 +551,33 @@ func (s *Server) serveModel(w http.ResponseWriter, r *http.Request) {
 	default:
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 	}
+}
+
+// accept is the tail every model PUT shares once its body has passed:
+// publish, index, ack. publish returns the stored model, or nil when
+// the indexer should load it from the store. An upload that fails to
+// index is answered by indexFailed.
+func (s *Server) accept(w http.ResponseWriter, r *http.Request, id string, publish func() (*graph.Model, error)) {
+	_, existed := s.store.Metadata(id)
+	m, err := publish()
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	if s.indexer != nil {
+		if m == nil {
+			m, err = s.store.Load(id)
+		}
+		if err == nil {
+			err = s.indexer.IndexModel(r.Context(), id, m)
+		}
+		if err != nil {
+			s.indexFailed(w, id, existed, err)
+			return
+		}
+	}
+	s.wrote(w)
+	w.WriteHeader(http.StatusCreated)
 }
 
 // indexFailed answers 500 for a PUT that stored id but could not index
