@@ -23,13 +23,12 @@ race:
 	$(GO) test -race -timeout 30m ./...
 
 # lint runs sommlint, the repo's own analyzer suite (see DESIGN.md
-# "Invariants and static enforcement"): lock-annotation discipline,
-# snapshot immutability, determinism, context plumbing, sentinel error
-# comparison, plus the flow-sensitive checks (lockflow, leakcheck,
-# errflow) — locks released on every path and never held across I/O,
-# resources closed on every path, error chains wrapped with %w. Exit 1
-# means findings; use `-json` for tooling and `//lint:ignore <analyzer>
-# <reason>` for justified one-line suppressions.
+# "Invariants and static enforcement"): determinism (detcheck) and
+# context plumbing (ctxcheck), plus the flow-sensitive checks
+# (lockflow, leakcheck, errflow) — locks released on every path and
+# never held across I/O, resources closed on every path, error chains
+# wrapped with %w. Exit 1 means findings; use `-json` for tooling.
+# There is no suppression directive: a finding is fixed.
 lint:
 	$(GO) run ./cmd/sommlint ./...
 
@@ -53,12 +52,13 @@ layerbench:
 
 # check is the CI gate: vet (and its gofmt gate), then sommlint, then
 # the bench-module smoke and the layer benchmarks, then the
-# race-detector run. lint sits before race because it is ~100x
-# cheaper and catches the invariant violations race can only hope to
-# trip over; benchsmoke (~30 s) before race for the same reason. It is
-# the gate's benchmark half: sommperf's hard checks (batch_equals_serial,
-# oracle_no_stray_result, hydrate_byte_identical, coordinator_full, …)
-# run there at the 3-second rung and fail the build when they break.
+# race-detector run. lint and benchsmoke (~30 s) sit before race
+# because they are far cheaper. race stays last and stays in: it is
+# what catches a `// guarded by mu` field touched without its mutex
+# (DESIGN.md's lint table). benchsmoke is the gate's benchmark half:
+# sommperf's hard checks (batch_equals_serial, oracle_no_stray_result,
+# hydrate_byte_identical, coordinator_full, …) run there at the
+# 3-second rung and fail the build when they break.
 check: vet lint benchsmoke layerbench race
 
 # bench is the one way to benchmark: sommperf's whole suite (the four

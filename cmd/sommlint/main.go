@@ -1,11 +1,9 @@
 // Command sommlint runs Sommelier's in-tree static-analysis suite
-// (internal/lint) over the module: the syntactic checks (lockcheck,
-// snapcheck, detcheck, ctxcheck, errcmp) plus the
-// flow-sensitive ones built on the CFG engine (lockflow, leakcheck,
-// errflow) — the machine-checked versions of the invariants DESIGN.md
-// documents. Findings can be silenced case by case with a justified
-// `//lint:ignore <analyzer> <reason>` directive; unused or reasonless
-// directives are themselves findings.
+// (internal/lint) over the module: the syntactic checks (detcheck,
+// ctxcheck) plus the flow-sensitive ones built on the CFG engine
+// (lockflow, leakcheck, errflow) — the machine-checked versions of the
+// invariants DESIGN.md documents. There is no suppression directive: a
+// finding is fixed, never silenced.
 //
 // Usage:
 //

@@ -372,3 +372,46 @@ func TestCancelBetweenHalvesStoresNothing(t *testing.T) {
 		t.Fatalf("evidence table holds %d entries after the retry, want %d", got, before+1)
 	}
 }
+
+// TestBatchSkipsEntryLostToConcurrentWriter: an IndexBatch entry whose
+// ID a concurrent writer commits between the batch's plan and its
+// commit is skipped, not an error, and the batch's other entries still
+// commit.
+func TestBatchSkipsEntryLostToConcurrentWriter(t *testing.T) {
+	ctx := context.Background()
+	c, _ := observedCatalog(13, 2)
+	entries := testEntries(t, "batchrace", 3)
+	partner, winner, other := entries[0], entries[1], entries[2]
+	if err := c.Index(ctx, partner.ID, partner.Model); err != nil {
+		t.Fatal(err)
+	}
+	entered, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	nn.RegisterPreprocessor("catalog-test-batch-gate", func(raw *tensor.Tensor) *tensor.Tensor {
+		once.Do(func() { close(entered) })
+		<-release
+		return raw
+	})
+	loser := winner.Model.Clone()
+	loser.Preprocessor = "catalog-test-batch-gate"
+	type outcome struct {
+		n   int
+		err error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		n, err := c.IndexBatch(ctx, []index.Entry{{ID: winner.ID, Model: loser}, other})
+		done <- outcome{n, err}
+	}()
+	<-entered
+	if err := c.Index(ctx, winner.ID, winner.Model); err != nil {
+		t.Fatal(err)
+	}
+	close(release)
+	if got := <-done; got.err != nil || got.n != 1 {
+		t.Fatalf("IndexBatch = %d, %v; want the lost entry skipped and the other committed", got.n, got.err)
+	}
+	if !c.Snapshot().Contains(other.ID) {
+		t.Fatalf("%s was not committed", other.ID)
+	}
+}

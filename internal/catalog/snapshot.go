@@ -18,7 +18,8 @@ import (
 // Successive snapshots share what a commit did not change: every
 // candidate list it did not touch, and a table it did not write. What
 // a Snapshot method returns therefore aliases published data and must
-// not be written to; sommlint's snapcheck enforces that.
+// not be written to: the snapshot-isolation tests here and the
+// engine's oracle tests fail when something does.
 type Snapshot struct {
 	*version
 	footprints map[string]resource.Footprint

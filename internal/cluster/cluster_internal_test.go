@@ -1,11 +1,14 @@
 package cluster
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"testing"
 
+	"sommelier/internal/hub"
 	"sommelier/internal/query"
+	"sommelier/internal/repo"
 	"sommelier/internal/resource"
 )
 
@@ -195,5 +198,45 @@ func TestPartialWriteErrorStable(t *testing.T) {
 	wantOrder := "shard0/replica1: y; shard0/replica2: z"
 	if first != fmt.Sprintf("cluster: publish m@1: 1 replica(s) accepted, 2 failed: %s", wantOrder) {
 		t.Errorf("message = %q, want sorted replicas %q", first, wantOrder)
+	}
+}
+
+// TestFailoverCounterSeesWrappedErrors: replica errors arrive wrapped
+// by the hub client, and each still lands on its own failover counter.
+func TestFailoverCounterSeesWrappedErrors(t *testing.T) {
+	for _, tc := range []struct {
+		err  error
+		want string
+	}{
+		{fmt.Errorf("hub: query: %w", hub.ErrCircuitOpen), "cluster_failover_breaker_total"},
+		{fmt.Errorf("hub: query: %w", hub.ErrAttemptTimeout), "cluster_failover_timeout_total"},
+		{fmt.Errorf("attempt: %w", context.DeadlineExceeded), "cluster_failover_timeout_total"},
+		{errors.New("connection refused"), "cluster_failover_error_total"},
+	} {
+		if got := failoverCounter(tc.err); got != tc.want {
+			t.Errorf("failoverCounter(%v) = %s, want %s", tc.err, got, tc.want)
+		}
+	}
+}
+
+// TestDeleteContract: a delete succeeds when some replica held the
+// model, whatever the replicas without it answer (their wrapped
+// repo.ErrNotFound included), and fails with repo.ErrNotFound when none
+// did.
+func TestDeleteContract(t *testing.T) {
+	ctx := context.Background()
+	c, err := NewCluster([][]Replica{{newDenseReplica()}, {newDenseReplica()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := c.Publish(ctx, chunkTestModel(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Delete(ctx, id); err != nil {
+		t.Fatalf("Delete(%s) = %v, want nil", id, err)
+	}
+	if err := c.Delete(ctx, id); !errors.Is(err, repo.ErrNotFound) {
+		t.Fatalf("second Delete(%s) = %v, want repo.ErrNotFound", id, err)
 	}
 }

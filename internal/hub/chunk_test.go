@@ -289,6 +289,114 @@ func TestChunkProtocolFallsBackOnOldHub(t *testing.T) {
 	}
 }
 
+// TestGetAbsentChunkIs404: a chunk the store does not hold is the
+// caller's miss, 404, not a hub failure a client would retry.
+func TestGetAbsentChunkIs404(t *testing.T) {
+	_, ts := newChunkServer(t)
+	resp, err := http.Get(ts.URL + "/v1/chunks/" + chunk.Hash([]byte("absent")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET of an absent chunk answered %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestClientRemembersChunklessHub checks that a client asks a hub
+// without a chunk surface to negotiate once: the refused manifest PUT
+// sends that publish and every later one as a single pack PUT.
+func TestClientRemembersChunklessHub(t *testing.T) {
+	inner := repo.NewInMemory()
+	srv, err := NewServer(plainStore{inner})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	tr := newBodyCounter(ts.Client().Transport)
+	c, err := NewClient(ts.URL, &http.Client{Transport: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, _ := chunkFixtures(t)
+	for i := range 30 {
+		base.Version = fmt.Sprint(i + 1)
+		if _, _, err := c.PublishModel(base); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := tr.answers(http.StatusNotImplemented); got != 1 {
+		t.Errorf("30 publishes to a chunkless hub drew %d 501 answers, want 1", got)
+	}
+	if got := tr.answers(http.StatusCreated); got != 30 {
+		t.Errorf("30 publishes drew %d 201 answers, want 30", got)
+	}
+	if inner.Len() != 30 {
+		t.Errorf("hub holds %d models, want 30", inner.Len())
+	}
+}
+
+// bodyCounter is a transport that counts answers by status and the
+// response bodies the client has closed.
+type bodyCounter struct {
+	inner  http.RoundTripper
+	mu     sync.Mutex
+	status map[int]int
+	closed int
+}
+
+func newBodyCounter(inner http.RoundTripper) *bodyCounter {
+	return &bodyCounter{inner: inner, status: make(map[int]int)}
+}
+
+func (bc *bodyCounter) RoundTrip(req *http.Request) (*http.Response, error) {
+	resp, err := bc.inner.RoundTrip(req)
+	if err != nil {
+		return nil, err
+	}
+	bc.mu.Lock()
+	bc.status[resp.StatusCode]++
+	bc.mu.Unlock()
+	resp.Body = &countedBody{ReadCloser: resp.Body, bc: bc}
+	return resp, nil
+}
+
+// answers returns how many answers carried status code; 0 counts all.
+func (bc *bodyCounter) answers(code int) int {
+	bc.mu.Lock()
+	defer bc.mu.Unlock()
+	if code != 0 {
+		return bc.status[code]
+	}
+	n := 0
+	for _, k := range bc.status {
+		n += k
+	}
+	return n
+}
+
+func (bc *bodyCounter) closedBodies() int {
+	bc.mu.Lock()
+	defer bc.mu.Unlock()
+	return bc.closed
+}
+
+type countedBody struct {
+	io.ReadCloser
+	bc   *bodyCounter
+	once sync.Once
+}
+
+func (b *countedBody) Close() error {
+	b.once.Do(func() {
+		b.bc.mu.Lock()
+		b.bc.closed++
+		b.bc.mu.Unlock()
+	})
+	return b.ReadCloser.Close()
+}
+
 // putRecorder remembers the Content-Type of every PUT it carries and
 // the body of the last.
 type putRecorder struct {

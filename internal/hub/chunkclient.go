@@ -136,35 +136,19 @@ func (c *Client) putManifest(man *cas.Manifest) (created bool, missing []string,
 // PublishEncoded publishes an already-chunked model through the
 // negotiation protocol: PUT the manifest, upload exactly the chunks the
 // hub says it is missing, re-PUT. A hub that cannot negotiate gets the
-// encoding as one pack PUT instead, so the call succeeds either way.
-// The returned count is the bytes of model data uploaded: the chunks
-// the hub was missing (zero when it held everything), or the pack.
+// encoding as one pack PUT instead, so the call succeeds either way,
+// and the client remembers it: later publishes to that hub go straight
+// to the pack. The returned count is the bytes of model data uploaded:
+// the chunks the hub was missing (zero when it held everything), or the
+// pack.
 func (c *Client) PublishEncoded(enc *cas.Encoded) (_ string, sent int64, err error) {
 	done := c.obs.TimeOp("hub_client_publish")
 	defer func() { done(err) }()
 	id := enc.Manifest.ID()
-	created, missing, err := c.putManifest(enc.Manifest)
-	if err == nil && !created {
-		sort.Strings(missing)
-		for _, h := range missing {
-			data, ok := enc.Chunks[h]
-			if !ok {
-				err = fmt.Errorf("hub needs chunk %s the encoding does not carry", h)
-				break
-			}
-			if err = c.PutChunk(h, data); err != nil {
-				break
-			}
-			sent += int64(len(data))
-		}
-		if err == nil {
-			created, missing, err = c.putManifest(enc.Manifest)
-			if err == nil && !created {
-				err = fmt.Errorf("hub still missing %d chunks after upload", len(missing))
-			}
-		}
-	}
-	if err != nil && chunkUnsupported(err) {
+	if c.packOnly.Load() {
+		sent, err = c.putPack(enc)
+	} else if sent, err = c.negotiate(enc); chunkUnsupported(err) {
+		c.packOnly.Store(true)
 		sent, err = c.putPack(enc)
 	}
 	if err != nil {
@@ -176,6 +160,31 @@ func (c *Client) PublishEncoded(enc *cas.Encoded) (_ string, sent int64, err err
 	}
 	c.mu.Unlock()
 	return id, sent, nil
+}
+
+// negotiate is PublishEncoded's chunk protocol, returning the bytes of
+// the chunks it uploaded.
+func (c *Client) negotiate(enc *cas.Encoded) (sent int64, err error) {
+	created, missing, err := c.putManifest(enc.Manifest)
+	if err != nil || created {
+		return 0, err
+	}
+	sort.Strings(missing)
+	for _, h := range missing {
+		data, ok := enc.Chunks[h]
+		if !ok {
+			return sent, fmt.Errorf("hub needs chunk %s the encoding does not carry", h)
+		}
+		if err := c.PutChunk(h, data); err != nil {
+			return sent, err
+		}
+		sent += int64(len(data))
+	}
+	created, missing, err = c.putManifest(enc.Manifest)
+	if err == nil && !created {
+		err = fmt.Errorf("hub still missing %d chunks after upload", len(missing))
+	}
+	return sent, err
 }
 
 // putPack PUTs the encoding whole, as a pack, and returns its size.

@@ -131,6 +131,9 @@ type Client struct {
 	// attempt whose answer never arrived, or was a 5xx without the
 	// header: Generation reports none until a later change is seen.
 	unsure atomic.Uint64
+	// packOnly is set once the hub has refused a manifest PUT as
+	// unsupported: later publishes skip negotiation and send one pack.
+	packOnly atomic.Bool
 
 	mu       sync.Mutex
 	cache    *lru.Cache[string, *graph.Model] // guarded by mu

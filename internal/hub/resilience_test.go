@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -511,4 +512,64 @@ func TestConcurrentLoadsUnderFaults(t *testing.T) {
 		<-done
 	}
 	_ = client.Stats()
+}
+
+// TestClientClosesEveryResponseBody answers the client's calls with
+// 200, 201, 204, 400, 404 and 500, and a 503 that a GET retries, and
+// checks that every response body was closed: an unclosed body pins
+// its connection and the transport cannot reuse it.
+func TestClientClosesEveryResponseBody(t *testing.T) {
+	var mu sync.Mutex
+	plan := map[string][]int{
+		"/v1/models":     {http.StatusServiceUnavailable, http.StatusOK},
+		"/v1/chunks/h":   {http.StatusCreated},
+		"/v1/models/a@1": {http.StatusNoContent},
+		"/v1/models/b@1": {http.StatusBadRequest},
+		"/v1/models/c@1": {http.StatusNotFound},
+		"/v1/models/d@1": {http.StatusInternalServerError},
+	}
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		codes := plan[r.URL.Path]
+		code := codes[0]
+		plan[r.URL.Path] = codes[1:]
+		mu.Unlock()
+		if code == http.StatusOK {
+			w.Header().Set("Content-Type", "application/json")
+			w.WriteHeader(code)
+			fmt.Fprint(w, "[]")
+			return
+		}
+		http.Error(w, http.StatusText(code), code)
+	}))
+	defer ts.Close()
+	tr := newBodyCounter(ts.Client().Transport)
+	c, err := NewClient(ts.URL, &http.Client{Transport: tr}, fastOpts()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.List(); err != nil {
+		t.Fatalf("List after a retried 503: %v", err)
+	}
+	if err := c.PutChunk("h", []byte("x")); err != nil {
+		t.Fatalf("PutChunk: %v", err)
+	}
+	if err := c.Delete("a@1"); err != nil {
+		t.Fatalf("Delete: %v", err)
+	}
+	if err := c.Delete("b@1"); err == nil {
+		t.Error("Delete answered 400 succeeded")
+	}
+	if _, err := c.Load("c@1"); err == nil {
+		t.Error("Load answered 404 succeeded")
+	}
+	if err := c.Delete("d@1"); err == nil {
+		t.Error("Delete answered 500 succeeded")
+	}
+	if n := tr.answers(0); n != 7 {
+		t.Fatalf("the hub gave %d answers, want 7", n)
+	}
+	if closed := tr.closedBodies(); closed != 7 {
+		t.Errorf("the client closed %d of 7 response bodies", closed)
+	}
 }

@@ -538,16 +538,15 @@ func (s *Server) serveModel(w http.ResponseWriter, r *http.Request) {
 				http.StatusUnsupportedMediaType)
 		}
 	case http.MethodDelete:
-		if _, ok := s.store.Metadata(id); !ok {
-			http.Error(w, fmt.Sprintf("model %q not found", id), http.StatusNotFound)
-			return
-		}
-		if err := s.store.Delete(id); err != nil {
+		switch err := s.store.Delete(id); {
+		case errors.Is(err, repo.ErrNotFound):
+			http.Error(w, err.Error(), http.StatusNotFound)
+		case err != nil:
 			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
+		default:
+			s.wrote(w)
+			w.WriteHeader(http.StatusNoContent)
 		}
-		s.wrote(w)
-		w.WriteHeader(http.StatusNoContent)
 	default:
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 	}
@@ -558,7 +557,10 @@ func (s *Server) serveModel(w http.ResponseWriter, r *http.Request) {
 // the indexer should load it from the store. An upload that fails to
 // index is answered by indexFailed.
 func (s *Server) accept(w http.ResponseWriter, r *http.Request, id string, publish func() (*graph.Model, error)) {
-	_, existed := s.store.Metadata(id)
+	var existed bool // read by indexFailed only
+	if s.indexer != nil {
+		_, existed = s.store.Metadata(id)
+	}
 	m, err := publish()
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)

@@ -90,7 +90,8 @@ type Analyzer interface {
 // SemanticIndex has handed it out it is never written again, so any
 // number of goroutines may read it, and keep it, with no locking. The
 // slices it returns alias its own lists: callers must not write to them
-// (sommlint's snapcheck holds snapshot readers to that).
+// (the catalog's snapshot tests and the engine's oracle tests catch one
+// that does).
 type SemanticVersion struct {
 	order []string               // insertion order; successors extend the same array
 	lists map[string][]Candidate // model ID -> candidates; a stored list is never written, only replaced

@@ -193,3 +193,25 @@ func isSortingCall(info *types.Info, call *ast.CallExpr) bool {
 	}
 	return false
 }
+
+// isInPlaceSort matches the stdlib in-place sorters (sort.*, slices.Sort*).
+func isInPlaceSort(info *types.Info, call *ast.CallExpr) bool {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return false
+	}
+	fn, ok := info.Uses[sel.Sel].(*types.Func)
+	if !ok || fn.Pkg() == nil {
+		return false
+	}
+	switch fn.Pkg().Path() {
+	case "sort":
+		switch fn.Name() {
+		case "Sort", "Stable", "Slice", "SliceStable", "Strings", "Ints", "Float64s":
+			return true
+		}
+	case "slices":
+		return strings.HasPrefix(fn.Name(), "Sort") || fn.Name() == "Reverse"
+	}
+	return false
+}

@@ -99,14 +99,6 @@ func runGolden(t *testing.T, a *Analyzer, patterns ...string) {
 	}
 }
 
-func TestLockCheckGolden(t *testing.T) { runGolden(t, LockCheck, "lockcheck") }
-
-func TestSnapCheckGoldenDerived(t *testing.T) { runGolden(t, SnapCheck, "snapwrite") }
-
-func TestSnapCheckGoldenInCatalog(t *testing.T) {
-	runGolden(t, SnapCheck, "sommelier/internal/catalog")
-}
-
 func TestDetCheckGolden(t *testing.T) {
 	runGolden(t, DetCheck, "detcheck/index", "detcheck/plain")
 }
@@ -115,28 +107,19 @@ func TestCtxCheckGolden(t *testing.T) {
 	runGolden(t, CtxCheck, "ctxcheck/lib", "ctxcheck/mainprog")
 }
 
-func TestErrCmpGolden(t *testing.T) { runGolden(t, ErrCmp, "errcmp") }
-
 func TestLockFlowGolden(t *testing.T) { runGolden(t, LockFlow, "lockflow") }
 
 func TestLeakCheckGolden(t *testing.T) { runGolden(t, LeakCheck, "leakcheck") }
 
 func TestErrFlowGolden(t *testing.T) { runGolden(t, ErrFlow, "errflow") }
 
-// TestSuppressGolden drives the //lint:ignore directive through the
-// driver with errcmp as the finding source: used suppressions silence,
-// malformed/unknown/unused ones are reported.
-func TestSuppressGolden(t *testing.T) { runGolden(t, ErrCmp, "suppress") }
-
 // TestFullSuiteOverTestdata runs every analyzer over every golden
 // package at once; diagnostics must exactly cover the union of wants.
 // This catches analyzers that fire on another analyzer's fixtures.
 func TestFullSuiteOverTestdata(t *testing.T) {
 	patterns := []string{
-		"lockcheck", "snapwrite", "sommelier/internal/catalog",
 		"detcheck/index", "detcheck/plain", "ctxcheck/lib", "ctxcheck/mainprog",
-		"errcmp", "errcmp/deps",
-		"lockflow", "leakcheck", "errflow", "suppress",
+		"lockflow", "leakcheck", "errflow",
 	}
 	pkgs := loadGolden(t, patterns...)
 	wants := collectWants(t, pkgs)

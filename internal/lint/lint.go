@@ -1,11 +1,9 @@
 // Package lint is Sommelier's in-tree static-analysis framework. It
-// machine-checks the invariants the catalog's concurrency and
-// determinism guarantees rest on — invariants that are otherwise only
-// enforced by tests and code review: snapshots are immutable after
-// publish, guarded fields are only touched under their mutex, the
+// machine-checks invariants that tests catch late or not at all: the
 // indexing pipeline stays byte-identical across worker counts, library
-// code threads contexts instead of minting them, and sentinel errors
-// are matched with errors.Is.
+// code threads contexts instead of minting them, mutexes are released
+// on every path and never held across I/O, operating-system resources
+// are closed on every path, and error chains stay wrapped with %w.
 //
 // The framework is built on the standard library only (go/parser,
 // go/ast, go/types, go/importer — no x/tools): a small loader
@@ -20,13 +18,12 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
-	"strings"
 )
 
 // Analyzer is one named invariant check. Run inspects a single
 // type-checked package through its Pass and reports findings.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics ("lockcheck", ...).
+	// Name identifies the analyzer in diagnostics ("detcheck", ...).
 	Name string
 	// Doc is a one-line description of the invariant enforced.
 	Doc string
@@ -84,11 +81,8 @@ type Package struct {
 // Analyzers returns the full registered suite in stable order.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
-		LockCheck,
-		SnapCheck,
 		DetCheck,
 		CtxCheck,
-		ErrCmp,
 		LockFlow,
 		LeakCheck,
 		ErrFlow,
@@ -117,30 +111,20 @@ func ByName(names []string) ([]*Analyzer, error) {
 	return out, nil
 }
 
-// Run executes the analyzers over the packages, applies //lint:ignore
-// suppressions, and returns all surviving diagnostics sorted by
-// position, then analyzer name.
+// Run executes the analyzers over the packages and returns all
+// diagnostics sorted by position, then analyzer name. There is no
+// suppression directive: a finding is fixed, never silenced.
 func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
-	known := make(map[string]bool)
-	for _, a := range Analyzers() {
-		known[a.Name] = true
-	}
-	running := make(map[string]bool, len(analyzers))
-	for _, a := range analyzers {
-		running[a.Name] = true
-	}
 	var diags []Diagnostic
 	for _, pkg := range pkgs {
-		var pkgDiags []Diagnostic
 		for _, a := range analyzers {
 			pass := &Pass{
 				Analyzer: a,
 				Pkg:      pkg,
-				report:   func(d Diagnostic) { pkgDiags = append(pkgDiags, d) },
+				report:   func(d Diagnostic) { diags = append(diags, d) },
 			}
 			a.Run(pass)
 		}
-		diags = append(diags, applySuppressions(pkg, pkgDiags, known, running)...)
 	}
 	sort.Slice(diags, func(i, j int) bool {
 		di, dj := diags[i], diags[j]
@@ -159,95 +143,4 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 		return di.Message < dj.Message
 	})
 	return diags
-}
-
-// suppression is one parsed //lint:ignore <analyzer> <reason>
-// directive. It silences matching diagnostics on its own line and the
-// line immediately below, so it works both as a trailing comment and
-// on a line of its own above the flagged statement.
-type suppression struct {
-	analyzer string
-	file     string
-	line     int
-	pos      token.Pos
-	used     bool
-}
-
-// applySuppressions filters the package's diagnostics through its
-// //lint:ignore directives. Directives must name an analyzer and give
-// a reason; a directive that silences nothing is itself reported, so
-// suppressions cannot silently outlive the code they excuse.
-func applySuppressions(pkg *Package, diags []Diagnostic, known, running map[string]bool) []Diagnostic {
-	sups, out := collectSuppressions(pkg)
-	for _, d := range diags {
-		suppressed := false
-		for _, s := range sups {
-			if s.analyzer == d.Analyzer && s.file == d.Position.Filename &&
-				(d.Position.Line == s.line || d.Position.Line == s.line+1) {
-				s.used = true
-				suppressed = true
-			}
-		}
-		if !suppressed {
-			out = append(out, d)
-		}
-	}
-	for _, s := range sups {
-		if s.used {
-			continue
-		}
-		if !known[s.analyzer] {
-			out = append(out, Diagnostic{
-				Analyzer: "suppress",
-				Position: pkg.Fset.Position(s.pos),
-				Message:  fmt.Sprintf("//lint:ignore names unknown analyzer %q", s.analyzer),
-			})
-			continue
-		}
-		// The named analyzer exists but was not selected for this run
-		// (e.g. sommlint -only): not this run's business.
-		if !running[s.analyzer] {
-			continue
-		}
-		out = append(out, Diagnostic{
-			Analyzer: "suppress",
-			Position: pkg.Fset.Position(s.pos),
-			Message:  fmt.Sprintf("unused //lint:ignore for %s: it suppresses nothing; remove it", s.analyzer),
-		})
-	}
-	return out
-}
-
-// collectSuppressions parses the package's //lint:ignore directives.
-// Malformed ones (no analyzer, or no reason) come back as diagnostics.
-func collectSuppressions(pkg *Package) ([]*suppression, []Diagnostic) {
-	var sups []*suppression
-	var malformed []Diagnostic
-	for _, f := range pkg.Files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				rest, ok := strings.CutPrefix(c.Text, "//lint:ignore")
-				if !ok || (rest != "" && rest[0] != ' ' && rest[0] != '\t') {
-					continue
-				}
-				fields := strings.Fields(rest)
-				if len(fields) < 2 {
-					malformed = append(malformed, Diagnostic{
-						Analyzer: "suppress",
-						Position: pkg.Fset.Position(c.Pos()),
-						Message:  "//lint:ignore requires an analyzer name and a reason: //lint:ignore <analyzer> <reason>",
-					})
-					continue
-				}
-				pos := pkg.Fset.Position(c.Pos())
-				sups = append(sups, &suppression{
-					analyzer: fields[0],
-					file:     pos.Filename,
-					line:     pos.Line,
-					pos:      c.Pos(),
-				})
-			}
-		}
-	}
-	return sups, malformed
 }

@@ -9,10 +9,9 @@ import (
 	"strings"
 )
 
-// LockFlow is the flow-sensitive companion to LockCheck: where
-// lockcheck ties annotated fields to their mutex, lockflow follows each
-// acquisition through the control-flow graph and enforces two rules on
-// every function (and function literal) in the module:
+// LockFlow follows each mutex acquisition through the control-flow
+// graph and enforces two rules on every function (and function
+// literal) in the module:
 //
 //  1. Pairing: a sync.Mutex/RWMutex acquired in a function must be
 //     released on every path out of it — explicit Unlock/RUnlock before

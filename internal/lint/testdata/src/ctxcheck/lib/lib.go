@@ -16,6 +16,20 @@ func Buried(id string, ctx context.Context, n int) error { // want `takes contex
 	return ctx.Err()
 }
 
+// Coordinator carries the method form of the position rule.
+type Coordinator struct{}
+
+// scatter takes ctx second, as a method.
+func (c *Coordinator) scatter(shard int, ctx context.Context, qs []string) error { // want `takes context\.Context at position 2`
+	return ctx.Err()
+}
+
+// Dropped has the caller's ctx in hand and passes a fresh root on
+// instead, so the callee stops honouring the caller's cancellation.
+func Dropped(ctx context.Context, id string) error {
+	return Fetch(context.Background(), id) // want `context\.Background in a library package`
+}
+
 // Minted fabricates a root, detaching work from the caller.
 func Minted(id string) error {
 	ctx := context.Background() // want `context\.Background in a library package`

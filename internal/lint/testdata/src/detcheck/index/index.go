@@ -36,6 +36,16 @@ func orderLeak(set map[string]bool) []string {
 	return ids
 }
 
+// orderLeakPrealloc collects into a preallocated slice and hands it on
+// unsorted: the shape of a scan that dropped its sort.Strings(ids).
+func orderLeakPrealloc(set map[string]int, keep func([]string) int) int {
+	ids := make([]string, 0, len(set))
+	for id := range set { // want `range over map feeds ids in map iteration order`
+		ids = append(ids, id)
+	}
+	return keep(ids)
+}
+
 // sortedAfterRange is the sanctioned pattern: collect, then sort.
 func sortedAfterRange(set map[string]bool) []string {
 	var ids []string

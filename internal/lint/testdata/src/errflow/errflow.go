@@ -33,6 +33,16 @@ func flattenS(id string, err error) error {
 	return fmt.Errorf("load %-8q: %s", id, err) // want `error formatted with %s loses the chain`
 }
 
+// flattenCause wraps the sentinel but flattens the cause behind it.
+func flattenCause(id string, err error) error {
+	return fmt.Errorf("model %q: %w: %v", id, ErrCorrupt, err) // want `error formatted with %v loses the chain`
+}
+
+// stringifyConcat rebuilds the error from a prefix and its text.
+func stringifyConcat(err error) error {
+	return errors.New("repo: " + err.Error()) // want `err.Error\(\) re-stringifies the chain`
+}
+
 // stringifyNew rebuilds the error from its text.
 func stringifyNew(err error) error {
 	return errors.New(err.Error()) // want `err.Error\(\) re-stringifies the chain`

@@ -43,6 +43,20 @@ func leakOnError(path, marker string) error {
 	return nil
 }
 
+// tempLeak loses the temp file when the write fails: the error path
+// removes it but never closes it.
+func tempLeak(dir string, data []byte) error {
+	tmp, err := os.CreateTemp(dir, ".tmp-*") // want `the os.CreateTemp result is not closed on the return path`
+	if err != nil {
+		return err
+	}
+	if _, err := tmp.Write(data); err != nil {
+		os.Remove(tmp.Name())
+		return err
+	}
+	return tmp.Close()
+}
+
 // closeSplit closes explicitly on both paths — clean without a defer.
 func closeSplit(path, marker string) error {
 	f, err := os.Open(path)

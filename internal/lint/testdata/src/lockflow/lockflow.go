@@ -99,6 +99,27 @@ func (s *Store) writeUnderLock(path, key string) error {
 	return os.WriteFile(path, s.state[key], 0o644) // want `Store.writeUnderLock calls os.WriteFile while s.mu is held`
 }
 
+// readUnderLock checks membership, then reads the file before
+// releasing: every other caller now waits on the disk.
+func (s *Store) readUnderLock(path, key string) ([]byte, error) {
+	s.mu.Lock()
+	if _, ok := s.state[key]; !ok {
+		s.mu.Unlock()
+		return nil, errMissing
+	}
+	b, err := os.ReadFile(path) // want `Store.readUnderLock calls os.ReadFile while s.mu is held`
+	s.mu.Unlock()
+	return b, err
+}
+
+// removeUnderLock deletes a file inside the section that records it.
+func (s *Store) removeUnderLock(path, key string) {
+	s.mu.Lock()
+	os.Remove(path) // want `Store.removeUnderLock calls os.Remove while s.mu is held`
+	delete(s.state, key)
+	s.mu.Unlock()
+}
+
 // writeOutsideLock copies under the lock and writes after releasing.
 func (s *Store) writeOutsideLock(path, key string) error {
 	s.mu.Lock()

@@ -15,7 +15,8 @@ import (
 )
 
 // Satellite of the CAS refactor: the repository must stay coherent when
-// publishes, loads, and deletes of overlapping IDs race. Run with -race.
+// publishes, metadata reads, loads, and deletes of overlapping IDs
+// race. Run with -race.
 
 func TestParallelPublishLoadDeleteOverlapping(t *testing.T) {
 	for _, mode := range []string{"memory", "dir"} {
@@ -43,8 +44,12 @@ func TestParallelPublishLoadDeleteOverlapping(t *testing.T) {
 								return
 							}
 						}
-					case 1: // loader: anything but a damaged-model error is fine
+					case 1: // reader: anything but a damaged-model error is fine
 						for i := 0; i < 20; i++ {
+							if md, ok := r.Metadata(name + "@1"); ok && md.Name != name {
+								t.Errorf("Metadata(%s@1) names %q", name, md.Name)
+								return
+							}
 							_, err := r.Load(name + "@1")
 							if err != nil && !errors.Is(err, ErrNotFound) {
 								t.Errorf("load %s: %v", name, err)
@@ -53,7 +58,7 @@ func TestParallelPublishLoadDeleteOverlapping(t *testing.T) {
 						}
 					default: // deleter
 						for i := 0; i < 10; i++ {
-							if err := r.Delete(name + "@1"); err != nil {
+							if err := r.Delete(name + "@1"); err != nil && !errors.Is(err, ErrNotFound) {
 								t.Errorf("delete %s: %v", name, err)
 								return
 							}
@@ -188,8 +193,8 @@ func TestDeleteRemovesDiskFileWhenMemoryEntryMissing(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if err := r.Delete(id); err != nil {
-		t.Fatal(err)
+	if err := r.Delete(id); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Delete of an ID missing from memory = %v, want ErrNotFound", err)
 	}
 	if _, err := os.Stat(filepath.Join(dir, safeID(id)+manifestSuffix)); !os.IsNotExist(err) {
 		t.Fatal("Delete left the on-disk manifest for an ID missing from memory")

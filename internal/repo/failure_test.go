@@ -38,8 +38,8 @@ func TestOpenLeavesUnknownFilesAlone(t *testing.T) {
 		}
 	}
 	untouched("Open")
-	if err := r.Delete("foo@1"); err != nil {
-		t.Fatal(err)
+	if err := r.Delete("foo@1"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf(`Delete("foo@1") = %v, want ErrNotFound`, err)
 	}
 	untouched(`Delete("foo@1")`)
 }

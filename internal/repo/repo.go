@@ -409,18 +409,22 @@ func (r *Repository) Manifest(id string) (*cas.Manifest, bool) {
 }
 
 // Delete removes a model and releases its chunk references; chunks
-// shared with other models survive, exclusive ones are reclaimed.
-// Unknown IDs are a no-op for the in-memory record, but any stray
-// on-disk files for the ID are removed regardless, so a repository
-// whose memory and disk state disagree converges on deletion.
+// shared with other models survive, exclusive ones are reclaimed. An
+// unknown ID is an error wrapping ErrNotFound, but any stray on-disk
+// file for it is removed first, so a repository whose memory and disk
+// state disagree converges on deletion.
 func (r *Repository) Delete(id string) error {
 	r.mu.Lock()
+	_, known := r.manifests[id]
 	refs := r.forgetLocked(id)
 	r.mu.Unlock()
 	if r.dir != "" {
 		if err := os.Remove(r.manifestPath(id)); err != nil && !os.IsNotExist(err) {
 			return fmt.Errorf("repo: %w", err)
 		}
+	}
+	if !known {
+		return fmt.Errorf("repo: delete %q: %w", id, ErrNotFound)
 	}
 	r.chunks.Release(refs)
 	return nil

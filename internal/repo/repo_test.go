@@ -2,6 +2,7 @@ package repo
 
 import (
 	"bytes"
+	"errors"
 	"sync"
 	"testing"
 
@@ -76,8 +77,8 @@ func TestDeleteAndList(t *testing.T) {
 	if err := r.Delete(idA); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Delete("ghost"); err != nil {
-		t.Fatal(err)
+	if err := r.Delete("ghost"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Delete of an absent ID = %v, want ErrNotFound", err)
 	}
 	if r.Len() != 1 {
 		t.Fatalf("Len after delete = %d", r.Len())

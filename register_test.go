@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
+	"slices"
 	"testing"
 
 	"sommelier/internal/catalog"
@@ -239,5 +241,36 @@ func TestIndexAllSkipsConcurrentlyIndexed(t *testing.T) {
 	}
 	if eng.IndexedLen() != 4 {
 		t.Fatalf("IndexedLen after second pass = %d, want 4", eng.IndexedLen())
+	}
+}
+
+// TestTopEquivalentsLeavesSnapshotIntact: TopEquivalents reads the
+// published candidate list without copying it, so it must answer that
+// list's own records, best first, and leave it as it found it for
+// every later query.
+func TestTopEquivalentsLeavesSnapshotIntact(t *testing.T) {
+	eng, refID, _ := newEngineWithLadder(t, false)
+	list, err := eng.cat.Snapshot().Lookup(refID, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := slices.Clone(list)
+	for range 2 {
+		got, err := eng.TopEquivalents(refID, len(want))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("TopEquivalents returned %d results, want %d", len(got), len(want))
+		}
+		for i, r := range got {
+			if r.ID != candProfileID(want[i]) || r.Level != want[i].Level {
+				t.Fatalf("TopEquivalents[%d] = %s at %v, want %s at %v",
+					i, r.ID, r.Level, candProfileID(want[i]), want[i].Level)
+			}
+		}
+	}
+	if after, _ := eng.cat.Snapshot().Lookup(refID, 0); !reflect.DeepEqual(after, want) {
+		t.Fatal("TopEquivalents rewrote the snapshot's candidate list")
 	}
 }
