@@ -46,7 +46,9 @@ benchsmoke:
 # path's one-model Index once each, so a benchmark that stops building
 # or panics fails the gate; the numbers it prints are not judged here
 # (TestHydrateCopiesOnce and TestEncodeAddressesTensorsInPlace bound
-# the bytes).
+# the bytes). IndexOne includes BenchmarkIndexOne/series, whose one op
+# registers a whole fine-tuned series, so the sweeps that resume from
+# a cached cut run here too.
 layerbench:
 	$(GO) test -run '^$$' -bench 'Join|Hydrate|Encode|ReadPack|ManifestCodec|IndexOne' -benchtime 1x ./internal/chunk ./internal/cas ./internal/catalog
 

@@ -90,7 +90,7 @@ func BenchmarkReadPack(b *testing.B) {
 			b.SetBytes(int64(len(pack)))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				m, err := ReadPack(pack)
+				m, _, err := ReadPack(pack)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -82,43 +82,48 @@ func EncodePack(dst []byte, man *Manifest, get func(hash string) ([]byte, error)
 // length is checked against the bytes in hand before anything is sized
 // from it. The chunks alias data until Hydrate has copied them into
 // tensors; the returned model never does, so a caller may reuse data
-// for its next read as soon as ReadPack returns.
-func ReadPack(data []byte) (*graph.Model, error) {
+// for its next read as soon as ReadPack returns. The manifest returned
+// with the model is the one it was hydrated from.
+func ReadPack(data []byte) (*graph.Model, *Manifest, error) {
 	if len(data) < len(packMagic) || string(data[:len(packMagic)]) != packMagic {
-		return nil, fmt.Errorf("cas: not a pack: bad or truncated magic")
+		return nil, nil, fmt.Errorf("cas: not a pack: bad or truncated magic")
 	}
 	rest := data[len(packMagic):]
 	mbytes, rest, err := packRecord(rest)
 	if err != nil {
-		return nil, fmt.Errorf("cas: pack manifest: %w", err)
+		return nil, nil, fmt.Errorf("cas: pack manifest: %w", err)
 	}
 	man, err := decodeManifest(mbytes)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	refs := man.ChunkRefs()
 	chunks := make(map[string][]byte, len(refs))
 	for i, want := range refs {
 		var payload []byte
 		if payload, rest, err = packRecord(rest); err != nil {
-			return nil, fmt.Errorf("cas: pack %s record %d of %d: %w", man.ID(), i+1, len(refs), err)
+			return nil, nil, fmt.Errorf("cas: pack %s record %d of %d: %w", man.ID(), i+1, len(refs), err)
 		}
 		if got := chunk.Hash(payload); got != want {
-			return nil, fmt.Errorf("cas: pack %s record %d hashes to %s: manifest references a chunk the pack does not carry (%s)",
+			return nil, nil, fmt.Errorf("cas: pack %s record %d hashes to %s: manifest references a chunk the pack does not carry (%s)",
 				man.ID(), i+1, short(got), short(want))
 		}
 		chunks[want] = payload
 	}
 	if len(rest) != 0 {
-		return nil, fmt.Errorf("cas: pack %s: %d bytes after the last referenced chunk", man.ID(), len(rest))
+		return nil, nil, fmt.Errorf("cas: pack %s: %d bytes after the last referenced chunk", man.ID(), len(rest))
 	}
-	return Hydrate(man, func(hash string) ([]byte, error) {
+	m, err := Hydrate(man, func(hash string) ([]byte, error) {
 		payload, ok := chunks[hash]
 		if !ok {
 			return nil, fmt.Errorf("cas: pack %s: %w %s", man.ID(), ErrMissingChunk, short(hash))
 		}
 		return payload, nil
 	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return m, man, nil
 }
 
 // packRecord splits one length-prefixed record off the front of b.

@@ -98,7 +98,7 @@ func somxOf(t testing.TB, m *graph.Model) []byte {
 // and packing the hydrated model the same way gives the same pack.
 func TestPackRoundTripIsByteExact(t *testing.T) {
 	for _, fx := range packFixtures(t) {
-		m, err := ReadPack(fx.pack)
+		m, _, err := ReadPack(fx.pack)
 		if err != nil {
 			t.Fatalf("%s: %v", fx.name, err)
 		}
@@ -121,7 +121,7 @@ func TestPackRoundTripIsByteExact(t *testing.T) {
 func TestReadPackDoesNotAliasInput(t *testing.T) {
 	for _, fx := range packFixtures(t) {
 		in := append([]byte(nil), fx.pack...)
-		m, err := ReadPack(in)
+		m, _, err := ReadPack(in)
 		if err != nil {
 			t.Fatalf("%s: %v", fx.name, err)
 		}
@@ -198,7 +198,7 @@ func assemblePack(man []byte, chunks [][]byte) []byte {
 // chunk hydrates, silently, into different weights.
 func TestReadPackRejects(t *testing.T) {
 	good := packFixtures(t)[0].pack
-	if _, err := ReadPack(good); err != nil {
+	if _, _, err := ReadPack(good); err != nil {
 		t.Fatalf("the unmodified pack is rejected: %v", err)
 	}
 	man, chunks := packParts(t, good)
@@ -275,7 +275,7 @@ func TestReadPackRejects(t *testing.T) {
 		{"bytes after the manifest", assemblePack(append(append([]byte(nil), man...), 0), chunks), "bytes after the manifest"},
 	}
 	for _, tc := range cases {
-		m, err := ReadPack(tc.in)
+		m, _, err := ReadPack(tc.in)
 		if err == nil {
 			t.Errorf("%s: accepted, hydrating %s", tc.name, m.Name)
 			continue
@@ -316,7 +316,7 @@ func FuzzReadPack(f *testing.F) {
 	f.Fuzz(func(t *testing.T, in []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		m, err := ReadPack(in)
+		m, _, err := ReadPack(in)
 		runtime.ReadMemStats(&after)
 		budget := uint64(len(in))
 		if err == nil {
@@ -329,7 +329,7 @@ func FuzzReadPack(f *testing.F) {
 			return
 		}
 		_, pack := packOf(t, m, "", nil)
-		back, err := ReadPack(pack)
+		back, _, err := ReadPack(pack)
 		if err != nil {
 			t.Fatalf("the pack of an accepted model is rejected: %v", err)
 		}

@@ -55,7 +55,9 @@ func BenchmarkIndexBatch(b *testing.B) {
 // partners' stored evidence. The catalog is rebuilt, untimed, every 16
 // inserts so the commit's share stays that of a small catalog. At
 // Workers 2 the observation's sweep and bound factor run side by side;
-// at Workers 1 one after the other.
+// at Workers 1 one after the other. The series case registers a
+// fine-tuned series instead, where the memos of prefix.go skip the
+// trunk its variants share with their base.
 func BenchmarkIndexOne(b *testing.B) {
 	base, err := zoo.DenseResidualNet(zoo.Config{Name: "one", Seed: 1, Width: 96, Depth: 3})
 	if err != nil {
@@ -88,6 +90,36 @@ func BenchmarkIndexOne(b *testing.B) {
 			}
 		})
 	}
+	b.Run("series", func(b *testing.B) { benchmarkIndexSeries(b, 2) })
+}
+
+// benchmarkIndexSeries is BenchmarkIndexOne/series: one op registers
+// a bench-sized fine-tuned series of 16 — a base, then frozen-trunk
+// transfers, tuned transfers, sparse edits and perturbations — one
+// Index at a time, identities carried, into a fresh catalog. It
+// reports the time per model and how many of the 16 sweeps resumed
+// from a cached cut, so even one op runs the resume path.
+func benchmarkIndexSeries(b *testing.B, workers int) {
+	base, err := zoo.DenseResidualNet(zoo.Config{Name: "series", Seed: 1, Width: 96, Depth: 3})
+	if err != nil {
+		b.Fatal(err)
+	}
+	series := seriesEntries(b, base, 1+2*3, 16, 100)
+	var resumed int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		o := obs.New()
+		c := New(Config{Seed: 7, ValidationSize: 64, Workers: workers, Observer: o})
+		for _, e := range series {
+			if err := c.IndexEntry(context.Background(), e); err != nil {
+				b.Fatal(err)
+			}
+		}
+		resumed += o.Counter("catalog_prefix_hits_total").Value()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(series)), "ns/model")
+	b.ReportMetric(float64(resumed)/float64(b.N), "resumed/series")
 }
 
 // tenthAnalyzer gives every measured pair the same low level, so a

@@ -88,6 +88,8 @@ type Catalog struct {
 	// sema bounds concurrent analysis/profiling work across all
 	// indexing calls on this catalog.
 	sema chan struct{}
+	// memos holds the work observations share by content (prefix.go).
+	memos *memos
 
 	// mu serializes writers; no read of the snapshot takes it.
 	mu sync.Mutex
@@ -110,8 +112,11 @@ type metrics struct {
 	busy *obs.Gauge // catalog_workers_busy
 	// catalog_{tasks,observe,evidence_hits,index_canceled,index_errors,models_indexed}_total
 	tasks, observed, evidenceHits, canceled, failed, indexed *obs.Counter
-	plan, analyze, commit                                    *obs.Histogram // catalog_{plan,analyze,commit}_ms
-	profile, observe, bound, pair                            taskKind
+	// catalog_prefix_{hits,misses,layers_skipped}_total, catalog_sigma_hits_total
+	prefixHits, prefixMisses, prefixSkipped, sigmaHits *obs.Counter
+	prefixBytes                                        *obs.Gauge     // catalog_prefix_cache_bytes
+	plan, analyze, commit                              *obs.Histogram // catalog_{plan,analyze,commit}_ms
+	profile, observe, bound, pair                      taskKind
 }
 
 // taskKind is one kind of pool task: its span name and its
@@ -124,20 +129,25 @@ type taskKind struct {
 func newMetrics(o *obs.Observer) metrics {
 	kind := func(name string) taskKind { return taskKind{name, o.Histogram("catalog_" + name + "_ms")} }
 	return metrics{
-		busy:         o.Gauge("catalog_workers_busy"),
-		tasks:        o.Counter("catalog_tasks_total"),
-		observed:     o.Counter("catalog_observe_total"),
-		evidenceHits: o.Counter("catalog_evidence_hits_total"),
-		canceled:     o.Counter("catalog_index_canceled_total"),
-		failed:       o.Counter("catalog_index_errors_total"),
-		indexed:      o.Counter("catalog_models_indexed_total"),
-		plan:         o.Histogram("catalog_plan_ms"),
-		analyze:      o.Histogram("catalog_analyze_ms"),
-		commit:       o.Histogram("catalog_commit_ms"),
-		profile:      kind("profile"),
-		observe:      kind("observe"),
-		bound:        kind("bound"),
-		pair:         kind("pair"),
+		busy:          o.Gauge("catalog_workers_busy"),
+		tasks:         o.Counter("catalog_tasks_total"),
+		observed:      o.Counter("catalog_observe_total"),
+		evidenceHits:  o.Counter("catalog_evidence_hits_total"),
+		canceled:      o.Counter("catalog_index_canceled_total"),
+		failed:        o.Counter("catalog_index_errors_total"),
+		indexed:       o.Counter("catalog_models_indexed_total"),
+		prefixHits:    o.Counter("catalog_prefix_hits_total"),
+		prefixMisses:  o.Counter("catalog_prefix_misses_total"),
+		prefixSkipped: o.Counter("catalog_prefix_layers_skipped_total"),
+		sigmaHits:     o.Counter("catalog_sigma_hits_total"),
+		prefixBytes:   o.Gauge("catalog_prefix_cache_bytes"),
+		plan:          o.Histogram("catalog_plan_ms"),
+		analyze:       o.Histogram("catalog_analyze_ms"),
+		commit:        o.Histogram("catalog_commit_ms"),
+		profile:       kind("profile"),
+		observe:       kind("observe"),
+		bound:         kind("bound"),
+		pair:          kind("pair"),
 	}
 }
 
@@ -150,6 +160,7 @@ func New(cfg Config) *Catalog {
 		pairs:    newPairAnalyzer(cfg),
 		profiler: resource.NewProfiler(nil),
 		sema:     make(chan struct{}, cfg.workers()),
+		memos:    newMemos(),
 		writer:   index.NewSemanticIndex(cfg.Seed + 1),
 		evidence: make(map[evidenceKey]*equiv.Evidence),
 	}

@@ -269,18 +269,29 @@ func regressionEntry(t testing.TB, name string, seed uint64) index.Entry {
 // TestRegisterPathEvidenceMatchesObserve: a sequence of single-model
 // Index calls — what a register runs — stores for every model the
 // evidence a serial equiv.Observe gives (the halves ran on two workers
-// or one), and commits one index at 1, 2 and 4 workers.
+// or one), and commits one index at 1, 2 and 4 workers: the index the
+// same models give indexed without their identities, cold. Half the
+// models are fine-tuned series (fineTunedEntries) that carry
+// identities, so their sweeps resume from cached cuts and their bounds
+// reuse cushions; the test fails if the memos went unused.
 func TestRegisterPathEvidenceMatchesObserve(t *testing.T) {
 	ctx := context.Background()
 	entries := testEntries(t, "register", 8)
 	for i := 0; i < 4; i++ {
 		entries = append(entries, regressionEntry(t, fmt.Sprintf("register-reg-%d", i), uint64(200+i)))
 	}
-	var want []byte
+	entries = append(entries, fineTunedEntries(t)...)
+	cold, _ := observedCatalog(16, 1)
+	for _, e := range entries {
+		if err := cold.Index(ctx, e.ID, e.Model); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := exportJSON(t, cold)
 	for _, workers := range []int{1, 2, 4} {
 		c, o := observedCatalog(16, workers)
 		for _, e := range entries {
-			if err := c.Index(ctx, e.ID, e.Model); err != nil {
+			if err := c.IndexEntry(ctx, e); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -316,11 +327,11 @@ func TestRegisterPathEvidenceMatchesObserve(t *testing.T) {
 		if stored < len(entries)-2 || regressions < 2 {
 			t.Fatalf("%d workers: only %d observations stored (%d of regression models)", workers, stored, regressions)
 		}
-		got := exportJSON(t, c)
-		if want == nil {
-			want = got
-		} else if !bytes.Equal(got, want) {
-			t.Fatalf("index after registers on %d workers differs from 1 worker's", workers)
+		if hits, sigma := snap.Counters["catalog_prefix_hits_total"], snap.Counters["catalog_sigma_hits_total"]; hits < 6 || sigma < 12 {
+			t.Fatalf("%d workers: %d prefix hits and %d σ hits; the memos were barely used", workers, hits, sigma)
+		}
+		if !bytes.Equal(exportJSON(t, c), want) {
+			t.Fatalf("index after registers on %d workers differs from the cold one", workers)
 		}
 	}
 }

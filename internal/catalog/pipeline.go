@@ -8,6 +8,7 @@ import (
 	"maps"
 	"sync"
 
+	"sommelier/internal/cas"
 	"sommelier/internal/equiv"
 	"sommelier/internal/graph"
 	"sommelier/internal/index"
@@ -48,6 +49,7 @@ type evidenceKey struct{ id, probes string }
 type observation struct {
 	key      evidenceKey
 	model    *graph.Model
+	ident    cas.Identity // model's, from its entry; nil observes cold
 	probesOf *graph.Model // its input shape selects the probe set
 	ev       *equiv.Evidence
 	err      error
@@ -85,11 +87,17 @@ type insertion struct {
 // already indexed ID fails with an error wrapping
 // index.ErrAlreadyIndexed. A canceled ctx aborts before commit.
 func (c *Catalog) Index(ctx context.Context, id string, m *graph.Model) error {
-	ctx, root := c.obs.StartSpan(ctx, "catalog.index", id)
+	return c.IndexEntry(ctx, index.Entry{ID: id, Model: m})
+}
+
+// IndexEntry is Index of an entry, whose identity, when it has one,
+// lets the observation skip what it shares with models seen before.
+func (c *Catalog) IndexEntry(ctx context.Context, e index.Entry) error {
+	ctx, root := c.obs.StartSpan(ctx, "catalog.index", e.ID)
 	defer root.End()
-	n, err := c.indexEntries(ctx, []index.Entry{{ID: id, Model: m}})
+	n, err := c.indexEntries(ctx, []index.Entry{e})
 	if err == nil && n == 0 {
-		err = fmt.Errorf("catalog: model %q %w", id, index.ErrAlreadyIndexed)
+		err = fmt.Errorf("catalog: model %q %w", e.ID, index.ErrAlreadyIndexed)
 	}
 	return err
 }
@@ -188,6 +196,8 @@ func (c *Catalog) indexEntries(ctx context.Context, entries []index.Entry) (int,
 // to the pool and runs the sweep itself: with a second worker free the
 // halves run side by side, with one the bound follows the sweep. Each
 // half writes only its own error; join reads both once the pool drains.
+// A model with identity sweeps from the deepest cut the prefix memo
+// holds and bounds with the σ memo (prefix.go).
 func (c *Catalog) observe(ctx context.Context, wg *sync.WaitGroup, o *observation) {
 	o.part, o.err = new(equiv.Evidence), errSkipped
 	if c.pairs.opts.Bound == equiv.BoundOn {
@@ -202,9 +212,16 @@ func (c *Catalog) observe(ctx context.Context, wg *sync.WaitGroup, o *observatio
 			return
 		}
 		if c.pairs.opts.Bound == equiv.BoundOn {
-			c.runTask(ctx, wg, c.m.bound, detail, func() { o.boundErr = o.part.Bound(exec) })
+			c.runTask(ctx, wg, c.m.bound, detail, func() { o.boundErr = o.part.Bound(exec, c.cushions(o.ident)) })
 		}
-		o.err = o.part.Sweep(exec, c.pairs.probes.For(o.probesOf))
+		plan := c.planPrefix(exec, o.ident, o.key.probes)
+		if plan == nil {
+			o.err = o.part.Sweep(exec, c.pairs.probes.For(o.probesOf), nil)
+			return
+		}
+		if o.err = o.part.Sweep(exec, c.pairs.probes.For(o.probesOf), &plan.pass); o.err == nil {
+			c.storePrefix(plan)
+		}
 	})
 }
 
@@ -227,15 +244,15 @@ func (c *Catalog) plan(entries []index.Entry) ([]*insertion, []*observation, err
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var fresh []index.Entry
-	inBatch := make(map[string]*graph.Model, len(entries))
+	inBatch := make(map[string]index.Entry, len(entries))
 	for _, e := range entries {
 		if e.ID == "" || e.Model == nil {
 			return nil, nil, fmt.Errorf("catalog: batch entry must have an ID and a model")
 		}
-		if c.writer.Contains(e.ID) || inBatch[e.ID] != nil {
+		if _, dup := inBatch[e.ID]; dup || c.writer.Contains(e.ID) {
 			continue
 		}
-		inBatch[e.ID] = e.Model
+		inBatch[e.ID] = e
 		fresh = append(fresh, e)
 	}
 	slots := make(map[evidenceKey]*observation)
@@ -244,7 +261,7 @@ func (c *Catalog) plan(entries []index.Entry) ([]*insertion, []*observation, err
 		key := evidenceKey{e.ID, c.pairs.probes.key(probesOf)}
 		o := slots[key]
 		if o == nil {
-			o = &observation{key: key, model: e.Model, probesOf: probesOf, ev: c.evidence[key]}
+			o = &observation{key: key, model: e.Model, ident: e.Identity, probesOf: probesOf, ev: c.evidence[key]}
 			if o.ev != nil {
 				c.m.evidenceHits.Inc()
 			}
@@ -259,10 +276,9 @@ func (c *Catalog) plan(entries []index.Entry) ([]*insertion, []*observation, err
 		for _, pid := range sp.Partners {
 			partner, ok := c.writer.EntryOf(pid)
 			if !ok {
-				if inBatch[pid] == nil {
+				if partner, ok = inBatch[pid]; !ok {
 					return nil, nil, fmt.Errorf("catalog: planned partner %q unknown", pid)
 				}
-				partner = index.Entry{ID: pid, Model: inBatch[pid]}
 			}
 			p := &plannedPair{ref: in.entry, cand: partner}
 			if p.compatible, _ = equiv.IOCompatible(p.ref.Model, p.cand.Model); p.compatible {

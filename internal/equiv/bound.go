@@ -43,7 +43,7 @@ func GeneralizationBound(m *graph.Model, n int, gamma float64) (float64, error) 
 	if err != nil {
 		return 0, err
 	}
-	factor, err := boundFactor(exec)
+	factor, err := boundFactor(exec, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -52,8 +52,12 @@ func GeneralizationBound(m *graph.Model, n int, gamma float64) (float64, error) 
 
 // boundFactor is the part of the bound that depends on the model alone,
 // d² · max‖f(x)‖₂ · Σᵢ 1/(μᵢ² μᵢ→²): a spectral-norm pass per linear
-// layer, which an observation's Bound half keeps with the model's evidence.
-func boundFactor(exec *nn.Executor) (float64, error) {
+// layer, which an observation's Bound half keeps with the model's
+// evidence. cushion, when non-nil, stands in for LayerCushion.
+func boundFactor(exec *nn.Executor, cushion func(*graph.Layer) float64) (float64, error) {
+	if cushion == nil {
+		cushion = LayerCushion
+	}
 	order := exec.Layers()
 	linear := linearLayers(order)
 	d := float64(len(order))
@@ -65,7 +69,7 @@ func boundFactor(exec *nn.Executor) (float64, error) {
 
 	cushions := make([]float64, len(linear))
 	for i, l := range linear {
-		cushions[i] = layerCushion(l)
+		cushions[i] = cushion(l)
 	}
 	var sum float64
 	for i := range linear {
@@ -107,8 +111,9 @@ func linearLayers(order []*graph.Layer) []*graph.Layer {
 	return out
 }
 
-// layerCushion returns ‖W‖_F / (√min(r,c) · σmax(W)), clamped to (0, 1].
-func layerCushion(l *graph.Layer) float64 {
+// LayerCushion returns ‖W‖_F / (√min(r,c) · σmax(W)), clamped to
+// (0, 1]: a function of the layer's W alone.
+func LayerCushion(l *graph.Layer) float64 {
 	w := l.Param("W")
 	if w == nil || w.Shape().Rank() != 2 {
 		return 1

@@ -36,11 +36,11 @@ func Observe(m *graph.Model, val *dataset.Dataset, opts Options) (*Evidence, err
 		return nil, fmt.Errorf("equiv: observing %q: %w", m.Name, err)
 	}
 	ev := new(Evidence)
-	if err := ev.Sweep(exec, val); err != nil {
+	if err := ev.Sweep(exec, val, nil); err != nil {
 		return nil, err
 	}
 	if opts.Bound == BoundOn {
-		if err := ev.Bound(exec); err != nil {
+		if err := ev.Bound(exec, nil); err != nil {
 			return nil, err
 		}
 	}
@@ -52,25 +52,26 @@ func Observe(m *graph.Model, val *dataset.Dataset, opts Options) (*Evidence, err
 // second. The halves write disjoint fields of ev and only read exec and
 // its model, so they may run at once over one executor; ev is evidence
 // once both have returned without error (Sweep alone, with the bound
-// off).
-func (ev *Evidence) Sweep(exec *nn.Executor, val *dataset.Dataset) error {
-	if err := ev.sweep(exec, val); err != nil {
+// off). A non-nil pass runs the sweep as that nn.Pass — resumed after a
+// cut, keeping cuts — which records exactly what the whole pass does.
+func (ev *Evidence) Sweep(exec *nn.Executor, val *dataset.Dataset, pass *nn.Pass) error {
+	if err := ev.sweep(exec, val, pass); err != nil {
 		return fmt.Errorf("equiv: observing %q: %w", exec.Model().Name, err)
 	}
 	return nil
 }
 
-func (ev *Evidence) sweep(exec *nn.Executor, val *dataset.Dataset) error {
+func (ev *Evidence) sweep(exec *nn.Executor, val *dataset.Dataset, pass *nn.Pass) error {
 	if val.Len() == 0 {
 		return fmt.Errorf("dataset %q is empty", val.Name)
 	}
 	ev.n, ev.labelled = val.Len(), val.Labels != nil
 	if !ev.labelled && exec.Model().Task != graph.TaskClassification {
 		var err error
-		ev.outputs, err = exec.ForwardBatch(val.Inputs)
+		ev.outputs, err = exec.ForwardBatchPass(val.Inputs, pass)
 		return err
 	}
-	classes, err := exec.PredictBatch(val.Inputs)
+	classes, err := exec.PredictBatchPass(val.Inputs, pass)
 	if err != nil {
 		return err
 	}
@@ -85,9 +86,11 @@ func (ev *Evidence) sweep(exec *nn.Executor, val *dataset.Dataset) error {
 }
 
 // Bound is an observation's second half: the model's bound factor (see
-// boundFactor), kept in ev for Compare.
-func (ev *Evidence) Bound(exec *nn.Executor) error {
-	factor, err := boundFactor(exec)
+// boundFactor), kept in ev for Compare. cushion gives each linear
+// layer's cushion, LayerCushion's value (a memo of it, say); nil
+// computes every one.
+func (ev *Evidence) Bound(exec *nn.Executor, cushion func(*graph.Layer) float64) error {
+	factor, err := boundFactor(exec, cushion)
 	if err != nil {
 		return fmt.Errorf("equiv: observing %q: %w", exec.Model().Name, err)
 	}

@@ -117,9 +117,9 @@ func oracleBound(m *graph.Model, n int, gamma float64) (float64, error) {
 	d := float64(len(m.Layers))
 	var sum float64
 	for i := range linear {
-		mu, muNext := layerCushion(linear[i]), 1.0
+		mu, muNext := LayerCushion(linear[i]), 1.0
 		if i+1 < len(linear) {
-			muNext = layerCushion(linear[i+1])
+			muNext = LayerCushion(linear[i+1])
 		}
 		sum += 1 / (mu * mu * muNext * muNext)
 	}

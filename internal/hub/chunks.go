@@ -116,7 +116,8 @@ type ChunkStore interface {
 	PutChunk(hash string, data []byte) error
 	Manifest(id string) (*cas.Manifest, bool)
 	MissingChunks(man *cas.Manifest) []string
-	PublishManifest(man *cas.Manifest) (string, error)
+	// PublishManifest stores the model man describes and returns it.
+	PublishManifest(man *cas.Manifest) (*graph.Model, error)
 }
 
 // chunkStore returns the store's chunk surface, or nil when the store
@@ -258,7 +259,7 @@ func (s *Server) servePackPut(w http.ResponseWriter, r *http.Request, id string)
 		s.refuseUpload(w, "model", err)
 		return
 	}
-	m, err := cas.ReadPack(data)
+	m, man, err := cas.ReadPack(data)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -268,7 +269,7 @@ func (s *Server) servePackPut(w http.ResponseWriter, r *http.Request, id string)
 			http.StatusBadRequest)
 		return
 	}
-	s.accept(w, r, id, func() (*graph.Model, error) {
+	s.accept(w, r, id, man, func() (*graph.Model, error) {
 		_, err := s.store.Publish(m)
 		return m, err
 	})
@@ -313,10 +314,7 @@ func (s *Server) serveManifestPut(w http.ResponseWriter, r *http.Request, id str
 		json.NewEncoder(w).Encode(map[string][]string{"missing": missing})
 		return
 	}
-	s.accept(w, r, id, func() (*graph.Model, error) {
-		_, err := cs.PublishManifest(man)
-		return nil, err
-	})
+	s.accept(w, r, id, man, func() (*graph.Model, error) { return cs.PublishManifest(man) })
 }
 
 var _ ChunkStore = (*repo.Repository)(nil)

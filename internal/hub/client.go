@@ -606,7 +606,7 @@ func (c *Client) Load(id string) (_ *graph.Model, err error) {
 		if err != nil {
 			return err
 		}
-		m, err = cas.ReadPack(data)
+		m, _, err = cas.ReadPack(data)
 		c.packs.put(data) // the model copied what it keeps
 		return err
 	})

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"sommelier/internal/cas"
 	"sommelier/internal/faults"
 	"sommelier/internal/graph"
 	"sommelier/internal/repo"
@@ -144,7 +145,7 @@ func TestListMetadata(t *testing.T) {
 
 type failingIndexer struct{}
 
-func (failingIndexer) IndexModel(context.Context, string, *graph.Model) error {
+func (failingIndexer) IndexPublished(context.Context, string, *graph.Model, cas.Identity) error {
 	return errors.New("analysis failed")
 }
 
@@ -152,34 +153,44 @@ func (failingIndexer) IndexModel(context.Context, string, *graph.Model) error {
 // rollback delete fails too, the model is left published but unindexed
 // and the 500 must say so — for a pack PUT and a manifest PUT alike.
 func TestFailedRollbackIsReported(t *testing.T) {
-	// Find an injector seed whose first two store faults are none,
-	// conn-error: Publish (pack) or Load (manifest) ok, then the
-	// rollback Delete fails. The sequence is deterministic per seed.
-	cfg := faults.Config{ConnErrorRate: 0.3}
-	for ; cfg.Seed < 10000; cfg.Seed++ {
-		inj, err := faults.NewInjector(cfg)
-		if err != nil {
-			t.Fatal(err)
+	// Find an injector seed whose store faults are none for each store
+	// call the PUT makes before indexing, then conn-error: the rollback
+	// Delete fails. The sequence is deterministic per seed.
+	seedFor := func(t *testing.T, before int) faults.Config {
+		cfg := faults.Config{ConnErrorRate: 0.3}
+	seeds:
+		for ; cfg.Seed < 10000; cfg.Seed++ {
+			inj, err := faults.NewInjector(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < before; i++ {
+				if inj.Next() != faults.None {
+					continue seeds
+				}
+			}
+			if inj.Next() == faults.ConnError {
+				return cfg
+			}
 		}
-		if inj.Next() == faults.None && inj.Next() == faults.ConnError {
-			break
-		}
-	}
-	if cfg.Seed == 10000 {
-		t.Fatal("no injector seed found for the none,conn-error pattern")
+		t.Fatalf("no injector seed found for %d nones, then conn-error", before)
+		return cfg
 	}
 	for _, tc := range []struct {
-		name  string
-		store func(inner *repo.Repository, inj *faults.Injector) repo.Store
+		name string
+		// before counts the faultable store calls ahead of the rollback.
+		before int
+		store  func(inner *repo.Repository, inj *faults.Injector) repo.Store
 	}{
 		// FlakyStore has no chunk surface, so the publish falls back to
-		// one pack PUT.
-		{"pack", func(inner *repo.Repository, inj *faults.Injector) repo.Store {
+		// one pack PUT, which calls the flaky Publish.
+		{"pack", 1, func(inner *repo.Repository, inj *faults.Injector) repo.Store {
 			return faults.NewFlakyStore(inner, inj)
 		}},
 		// Lent the repository's chunk surface, the same store takes the
-		// manifest PUT. Delete stays flaky.
-		{"manifest", func(inner *repo.Repository, inj *faults.Injector) repo.Store {
+		// manifest PUT, which publishes and hands the indexer the model
+		// through the chunk surface. Delete stays flaky.
+		{"manifest", 0, func(inner *repo.Repository, inj *faults.Injector) repo.Store {
 			return struct {
 				*faults.FlakyStore
 				ChunkStore
@@ -187,7 +198,7 @@ func TestFailedRollbackIsReported(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			inj, err := faults.NewInjector(cfg)
+			inj, err := faults.NewInjector(seedFor(t, tc.before))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -42,6 +42,7 @@ import (
 	"strings"
 	"sync/atomic"
 
+	"sommelier/internal/cas"
 	"sommelier/internal/graph"
 	"sommelier/internal/obs"
 	"sommelier/internal/query"
@@ -52,11 +53,13 @@ import (
 // current — the curated-hub mode where Sommelier indexes models as they
 // arrive instead of in offline batches. The ctx is the upload request's
 // context: a client that gives up mid-upload cancels the pairwise
-// analysis too. An Indexer must treat an already indexed ID as success,
-// not an error (re-publishing a version is legal hub behaviour).
-// *sommelier.Engine satisfies it via IndexModel.
+// analysis too. ident is m's tensor identity, taken from the manifest
+// the upload was hydrated from: the indexer may skip work m shares with
+// models it has seen, by content. An Indexer must treat an already
+// indexed ID as success, not an error (re-publishing a version is legal
+// hub behaviour). *sommelier.Engine satisfies it via IndexPublished.
 type Indexer interface {
-	IndexModel(ctx context.Context, id string, m *graph.Model) error
+	IndexPublished(ctx context.Context, id string, m *graph.Model, ident cas.Identity) error
 }
 
 // Querier answers query strings for the /v1/query endpoint. A
@@ -553,10 +556,11 @@ func (s *Server) serveModel(w http.ResponseWriter, r *http.Request) {
 }
 
 // accept is the tail every model PUT shares once its body has passed:
-// publish, index, ack. publish returns the stored model, or nil when
-// the indexer should load it from the store. An upload that fails to
-// index is answered by indexFailed.
-func (s *Server) accept(w http.ResponseWriter, r *http.Request, id string, publish func() (*graph.Model, error)) {
+// publish, index, ack. publish stores the upload and returns the model
+// and the manifest it was hydrated from, which the indexer gets as they
+// are: loading the model again by ID could meet a concurrent overwrite.
+// An upload that fails to index is answered by indexFailed.
+func (s *Server) accept(w http.ResponseWriter, r *http.Request, id string, man *cas.Manifest, publish func() (*graph.Model, error)) {
 	var existed bool // read by indexFailed only
 	if s.indexer != nil {
 		_, existed = s.store.Metadata(id)
@@ -567,13 +571,7 @@ func (s *Server) accept(w http.ResponseWriter, r *http.Request, id string, publi
 		return
 	}
 	if s.indexer != nil {
-		if m == nil {
-			m, err = s.store.Load(id)
-		}
-		if err == nil {
-			err = s.indexer.IndexModel(r.Context(), id, m)
-		}
-		if err != nil {
+		if err := s.indexer.IndexPublished(r.Context(), id, m, man.Identity()); err != nil {
 			s.indexFailed(w, id, existed, err)
 			return
 		}

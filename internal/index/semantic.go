@@ -15,6 +15,7 @@ import (
 	"slices"
 	"sort"
 
+	"sommelier/internal/cas"
 	"sommelier/internal/graph"
 	"sommelier/internal/tensor"
 )
@@ -57,10 +58,15 @@ type Candidate struct {
 	Derived bool
 }
 
-// Entry couples a repository model ID with its graph for analysis.
+// Entry couples a repository model ID with its graph for analysis, and
+// with the graph's tensor identity when its store reported one (see
+// cas.Identity): the identity travels with the model it was taken with
+// and is never looked up again by ID. An entry without one is analyzed
+// from scratch.
 type Entry struct {
-	ID    string
-	Model *graph.Model
+	ID       string
+	Model    *graph.Model
+	Identity cas.Identity
 }
 
 // AnalysisResult is what an Analyzer reports for one ordered pair.
@@ -114,7 +120,10 @@ type SemanticIndex struct {
 	// write moves to a successor instead of touching it.
 	handedOut bool
 
-	models map[string]*graph.Model // every indexed ID's graph, for analyzing new models against it
+	entries map[string]Entry // every indexed ID's entry, for analyzing new models against it
+	// perm is PlanInserts' sampling permutation, kept between calls so
+	// a plan allocates none once it has grown to the index's size.
+	perm []int
 	// measured records which other IDs have a directly measured (or
 	// derived) level, for transitive derivation: ID -> other ID -> diff
 	// (1 - level).
@@ -130,7 +139,7 @@ func NewSemanticIndex(seed uint64) *SemanticIndex {
 		SemanticVersion: &SemanticVersion{
 			lists: make(map[string][]Candidate),
 		},
-		models:   make(map[string]*graph.Model),
+		entries:  make(map[string]Entry),
 		measured: make(map[string]map[string]float64),
 		rng:      tensor.NewRNG(seed),
 	}
@@ -210,7 +219,7 @@ func (s *SemanticIndex) Insert(e Entry, analyzer Analyzer) error {
 	plan := s.PlanInserts([]Entry{e})[0]
 	meas := make([]PairMeasurement, 0, len(plan.Partners))
 	for _, otherID := range plan.Partners {
-		res, err := analyzer.Analyze(e, Entry{ID: otherID, Model: s.models[otherID]})
+		res, err := analyzer.Analyze(e, s.entries[otherID])
 		if err != nil {
 			return fmt.Errorf("index: analyzing %q vs %q: %w", e.ID, otherID, err)
 		}
@@ -253,8 +262,8 @@ func (s *SemanticIndex) PlanInserts(entries []Entry) []SamplePlan {
 		if len(virtual) <= k {
 			partners = append(partners, virtual...)
 		} else {
-			perm := s.rng.Perm(len(virtual))
-			for _, p := range perm[:k] {
+			s.perm = s.rng.PermInto(s.perm, len(virtual))
+			for _, p := range s.perm[:k] {
 				partners = append(partners, virtual[p])
 			}
 		}
@@ -264,15 +273,12 @@ func (s *SemanticIndex) PlanInserts(entries []Entry) []SamplePlan {
 	return plans
 }
 
-// EntryOf returns the stored entry (ID plus model graph) for id — the
+// EntryOf returns the stored entry (ID, model graph and identity) for id — the
 // material a staged pipeline needs to analyze new models against
 // already committed ones.
 func (s *SemanticIndex) EntryOf(id string) (Entry, bool) {
-	m, ok := s.models[id]
-	if !ok {
-		return Entry{}, false
-	}
-	return Entry{ID: id, Model: m}, true
+	e, ok := s.entries[id]
+	return e, ok
 }
 
 // CommitPlanned applies one planned insertion whose pairwise
@@ -361,7 +367,7 @@ func (s *SemanticIndex) CommitPlanned(e Entry, meas []PairMeasurement) error {
 	}
 
 	v.lists[e.ID] = sortedOnce(own)
-	s.models[e.ID] = e.Model
+	s.entries[e.ID] = e
 	v.order = append(v.order, e.ID)
 	return nil
 }

@@ -50,7 +50,7 @@ func (s *SemanticIndex) Snapshot() SemanticSnapshot {
 // that will never be re-analyzed.
 func (s *SemanticIndex) Restore(snap SemanticSnapshot, resolve func(id string) (*graph.Model, error)) error {
 	v := &SemanticVersion{lists: make(map[string][]Candidate, len(snap.Entries))}
-	models := make(map[string]*graph.Model, len(snap.Entries))
+	entries := make(map[string]Entry, len(snap.Entries))
 	measured := make(map[string]map[string]float64, len(snap.Entries))
 	for _, e := range snap.Entries {
 		if e.ID == "" {
@@ -67,7 +67,7 @@ func (s *SemanticIndex) Restore(snap SemanticSnapshot, resolve func(id string) (
 				return fmt.Errorf("index: resolving %q: %w", e.ID, err)
 			}
 		}
-		models[e.ID] = m
+		entries[e.ID] = Entry{ID: e.ID, Model: m}
 		// Copied: the caller keeps the snapshot and may write to it.
 		v.lists[e.ID] = slices.Clone(e.Candidates)
 		measured[e.ID] = make(map[string]float64, len(e.Measured))
@@ -79,7 +79,7 @@ func (s *SemanticIndex) Restore(snap SemanticSnapshot, resolve func(id string) (
 		s.SampleSize = snap.SampleSize
 	}
 	s.SemanticVersion, s.handedOut = v, false
-	s.models, s.measured = models, measured
+	s.entries, s.measured = entries, measured
 	return nil
 }
 

@@ -15,7 +15,11 @@ import (
 //     net.Listener from net.Dial*/Listen*, and an *http.Response from
 //     http.Get or (*http.Client).Do must be Closed (Body.Close for
 //     responses) on every path, returned to the caller, or handed to
-//     another function (ownership transfer);
+//     another function (ownership transfer) — but not lent: a callee
+//     that takes the resource as an io.Reader or io.Writer only reads
+//     or writes it, and a callback (a function value, not a declared
+//     function) only borrows it, so neither call relieves the caller
+//     of the Close;
 //   - assigning the resource to `_` discards it open;
 //   - a `go func` in a library (non-main) package must be ctx-bounded
 //     or joined: its body must consume a context, signal a
@@ -363,6 +367,20 @@ func killTransfers(info *types.Info, s leakState, n ast.Node) {
 			if isNilComparison(m) {
 				return false
 			}
+		case *ast.CallExpr:
+			// A resource lent to the callee stays the caller's; the
+			// rest of the call is inspected as usual.
+			lent := lentArgs(info, m)
+			if lent == nil {
+				return true
+			}
+			killTransfers(info, s, m.Fun)
+			for i, arg := range m.Args {
+				if _, isIdent := ast.Unparen(arg).(*ast.Ident); !isIdent || !lent[i] {
+					killTransfers(info, s, arg)
+				}
+			}
+			return false
 		case *ast.Ident:
 			if obj := objOf(info, m); obj != nil {
 				delete(s, obj)
@@ -372,14 +390,81 @@ func killTransfers(info *types.Info, s leakState, n ast.Node) {
 	})
 }
 
-// killUses removes facts for every tracked identifier appearing in e.
+// lentArgs reports which of call's arguments the callee only borrows:
+// every argument of a call through a function value, and those bound to
+// an io.Reader or io.Writer parameter. It is nil when none is.
+func lentArgs(info *types.Info, call *ast.CallExpr) []bool {
+	tv, ok := info.Types[call.Fun]
+	if !ok || tv.IsType() {
+		return nil // a conversion
+	}
+	sig, ok := tv.Type.Underlying().(*types.Signature)
+	if !ok {
+		return nil
+	}
+	callback := false
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		_, callback = objOf(info, fun).(*types.Var)
+	case *ast.SelectorExpr:
+		_, callback = objOf(info, fun.Sel).(*types.Var)
+	}
+	var lent []bool
+	params := sig.Params()
+	for i := range call.Args {
+		if params.Len() == 0 {
+			break
+		}
+		var t types.Type
+		if at := min(i, params.Len()-1); sig.Variadic() && at == params.Len()-1 && !call.Ellipsis.IsValid() {
+			t = params.At(at).Type().(*types.Slice).Elem()
+		} else if i < params.Len() {
+			t = params.At(i).Type()
+		} else {
+			break
+		}
+		if callback || isIOReaderWriter(t) {
+			if lent == nil {
+				lent = make([]bool, len(call.Args))
+			}
+			lent[i] = true
+		}
+	}
+	return lent
+}
+
+// isIOReaderWriter reports whether t is io.Reader or io.Writer.
+func isIOReaderWriter(t types.Type) bool {
+	n, ok := t.(*types.Named)
+	if !ok {
+		return false
+	}
+	obj := n.Obj()
+	return obj.Pkg() != nil && obj.Pkg().Path() == "io" && (obj.Name() == "Reader" || obj.Name() == "Writer")
+}
+
+// killUses removes facts for every tracked identifier appearing in e,
+// except as an argument lent to a callee (lentArgs).
 func killUses(info *types.Info, s leakState, e ast.Expr) {
 	if e == nil || len(s) == 0 {
 		return
 	}
 	ast.Inspect(e, func(m ast.Node) bool {
-		if id, ok := m.(*ast.Ident); ok {
-			if obj := objOf(info, id); obj != nil {
+		switch m := m.(type) {
+		case *ast.CallExpr:
+			lent := lentArgs(info, m)
+			if lent == nil {
+				return true
+			}
+			killUses(info, s, m.Fun)
+			for i, arg := range m.Args {
+				if _, isIdent := ast.Unparen(arg).(*ast.Ident); !isIdent || !lent[i] {
+					killUses(info, s, arg)
+				}
+			}
+			return false
+		case *ast.Ident:
+			if obj := objOf(info, m); obj != nil {
 				delete(s, obj)
 			}
 		}

@@ -7,6 +7,7 @@ package leakcheck
 import (
 	"context"
 	"errors"
+	"io"
 	"net/http"
 	"os"
 	"sync"
@@ -184,4 +185,80 @@ func spawnChannel(c *counter) {
 		done <- struct{}{}
 	}()
 	<-done
+}
+
+// decodeLeak lends the file to a reader and never closes it: a callee
+// that takes an io.Reader reads the file, it does not own it.
+func decodeLeak(path string) ([]byte, error) {
+	f, err := os.Open(path) // want `the os.Open result is not closed on the return path`
+	if err != nil {
+		return nil, err
+	}
+	return io.ReadAll(f)
+}
+
+// decodeDeferred is decodeLeak with its deferred Close.
+func decodeDeferred(path string) ([]byte, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return io.ReadAll(f)
+}
+
+func encode(w io.Writer, data []byte) error {
+	_, err := w.Write(data)
+	return err
+}
+
+// encodeLeak loses the temp file when the write through an io.Writer
+// fails: the writer never owned it.
+func encodeLeak(dir string, data []byte) error {
+	tmp, err := os.CreateTemp(dir, ".tmp-*") // want `the os.CreateTemp result is not closed on the return path`
+	if err != nil {
+		return err
+	}
+	if err := encode(tmp, data); err != nil {
+		os.Remove(tmp.Name())
+		return err
+	}
+	return tmp.Close()
+}
+
+// encodeClosed closes the temp file on both paths.
+func encodeClosed(dir string, data []byte) error {
+	tmp, err := os.CreateTemp(dir, ".tmp-*")
+	if err != nil {
+		return err
+	}
+	if err := encode(tmp, data); err != nil {
+		tmp.Close()
+		os.Remove(tmp.Name())
+		return err
+	}
+	return tmp.Close()
+}
+
+// handleLeak lends the response to a callback and never closes its
+// body: a function value borrows what it is given.
+func handleLeak(c *http.Client, req *http.Request, handle func(*http.Response) error) error {
+	resp, err := c.Do(req) // want `the http.Client.Do result is not closed on the return path`
+	if err != nil {
+		return err
+	}
+	if err := handle(resp); err != nil {
+		return err
+	}
+	return nil
+}
+
+// handleDeferred is handleLeak with its deferred body close.
+func handleDeferred(c *http.Client, req *http.Request, handle func(*http.Response) error) error {
+	resp, err := c.Do(req)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	return handle(resp)
 }

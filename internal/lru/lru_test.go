@@ -44,3 +44,31 @@ func TestUnbounded(t *testing.T) {
 		t.Fatalf("len = %d, want 100", c.Len())
 	}
 }
+
+// TestSizedEvictsByBytes: a sized cache keeps its entries' sizes summed
+// within the budget, evicting least-recently-used first, recounts an
+// entry refreshed with a new size, and keeps nothing larger than the
+// budget.
+func TestSizedEvictsByBytes(t *testing.T) {
+	c := NewSized[string](10, func(v []byte) int64 { return int64(len(v)) })
+	c.Add("a", make([]byte, 4))
+	c.Add("b", make([]byte, 4))
+	c.Get("a") // b is now the oldest
+	c.Add("c", make([]byte, 4))
+	if _, ok := c.Get("b"); ok || c.Len() != 2 || c.Size() != 8 {
+		t.Fatalf("after overflowing: b kept %v, %d entries, %d bytes", ok, c.Len(), c.Size())
+	}
+	c.Add("a", make([]byte, 6))
+	if c.Size() != 10 || c.Len() != 2 {
+		t.Fatalf("after refreshing a larger: %d entries, %d bytes", c.Len(), c.Size())
+	}
+	c.Add("huge", make([]byte, 11))
+	if _, ok := c.Get("huge"); ok || c.Size() != 0 {
+		t.Fatalf("an entry past the budget: kept %v, %d bytes", ok, c.Size())
+	}
+	c.Add("d", make([]byte, 3))
+	c.Remove("d")
+	if c.Size() != 0 || c.Len() != 0 {
+		t.Fatalf("after Remove: %d entries, %d bytes", c.Len(), c.Size())
+	}
+}

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"slices"
 
 	"sommelier/internal/graph"
 	"sommelier/internal/tensor"
@@ -31,10 +32,13 @@ func (a activation) row(r int) []float64 { return a.buf.data[r*a.width : (r+1)*a
 func (a activation) rows() []float64 { return a.buf.data }
 
 // buffer is the storage of one or more activations; users counts the
-// layers that hold it and still have readers to come.
+// layers that hold it and still have readers to come. A pinned buffer
+// is a resumed pass's view of its caller's rows: it is read, and never
+// recycled into the pass's scratch.
 type buffer struct {
-	data  []float64
-	users int
+	data   []float64
+	users  int
+	pinned bool
 }
 
 // blockPass is the scratch of one ForwardBatch or PredictBatch call:
@@ -70,29 +74,130 @@ func (p *blockPass) alloc(shape tensor.Shape, n int) activation {
 
 // release drops one layer's hold on its buffer.
 func (p *blockPass) release(a activation) {
-	if a.buf.users--; a.buf.users == 0 {
+	if a.buf.users--; a.buf.users == 0 && !a.buf.pinned {
 		p.free = append(p.free, a.buf)
 	}
+}
+
+// Activations is one layer's output for every sample of a batched
+// pass: a row of Shape.NumElements() values per sample, in sample order.
+type Activations struct {
+	Shape tensor.Shape // of one sample
+	Data  []float64
+}
+
+// A Pass is a batched pass over part of the model. It may resume after
+// a cut, from that cut's activations, and it may keep the activations
+// of later cuts. A cut is a position in the executor's order (Layers)
+// that no later layer reads past, so its activation is all the rest of
+// the model needs: Cuts lists them. Since every operator sees exactly
+// the values a whole pass would give it, a resumed pass's outputs are
+// bit-identical to the whole pass's, and so are the activations it
+// keeps.
+type Pass struct {
+	// From is the cut the pass resumes after when Resume is non-nil;
+	// Resume holds its activations for every sample, which the pass
+	// reads and never writes. The samples are then only counted: no
+	// layer up to From runs, the preprocessor included.
+	From   int
+	Resume *Activations
+	// Keep lists cuts past From whose activations the pass returns in
+	// Kept, index for index.
+	Keep []int
+	Kept []Activations
+}
+
+// Cuts returns the positions a Pass may resume after or keep, in
+// order: every layer but the input and the output after which no layer
+// reads an earlier position.
+func (e *Executor) Cuts() []int {
+	var cuts []int
+	low := len(e.order) // the least position read by any layer after i
+	for i := len(e.order) - 1; i > 0; i-- {
+		if low >= i && i < e.outPos {
+			cuts = append(cuts, i)
+		}
+		for _, pos := range e.inputs[i] {
+			low = min(low, pos)
+		}
+	}
+	slices.Reverse(cuts)
+	return cuts
+}
+
+// check reports whether pass fits this executor and n samples.
+func (pass *Pass) check(e *Executor, n int) error {
+	cuts := e.Cuts()
+	isCut := func(pos int) bool { _, ok := slices.BinarySearch(cuts, pos); return ok }
+	if r := pass.Resume; r != nil {
+		if !isCut(pass.From) {
+			return fmt.Errorf("nn: position %d is not a cut of %q", pass.From, e.model.Name)
+		}
+		if len(r.Data) != n*r.Shape.NumElements() {
+			return fmt.Errorf("nn: resuming %q with %d values for %d samples of shape %v",
+				e.model.Name, len(r.Data), n, r.Shape)
+		}
+	}
+	for _, pos := range pass.Keep {
+		if !isCut(pos) || (pass.Resume != nil && pos <= pass.From) {
+			return fmt.Errorf("nn: position %d is not a cut past the start of %q's pass", pos, e.model.Name)
+		}
+	}
+	return nil
 }
 
 // forEachBlock runs samples through the model batchBlock at a time and
 // hands emit the output activation of each block with the index of the
 // block's first sample and its row count. Every operator sees exactly the
 // per-sample values the single-sample pass would give it, so outputs
-// are bit-identical to Forward's whatever the batch size.
-func (e *Executor) forEachBlock(samples []*tensor.Tensor, emit func(lo, n int, out activation)) error {
-	p := &blockPass{e: e, acts: make([]activation, len(e.order)), pending: make([]int, len(e.order))}
-	for lo := 0; lo < len(samples); lo += batchBlock {
-		n := min(batchBlock, len(samples)-lo)
-		in := p.alloc(e.model.InputShape, n)
-		for r, s := range samples[lo : lo+n] {
-			x, err := e.prepare(s)
-			if err != nil {
-				return fmt.Errorf("nn: sample %d: %w", lo+r, err)
-			}
-			copy(in.row(r), x.Data())
+// are bit-identical to Forward's whatever the batch size. A non-nil
+// pass resumes the blocks after its cut and keeps its cuts' rows.
+func (e *Executor) forEachBlock(samples []*tensor.Tensor, pass *Pass, emit func(lo, n int, out activation)) error {
+	from, lo := -1, 0 // -1: the block starts at the input layer
+	var resume *Activations
+	var keep func(pos int, a activation)
+	if pass != nil {
+		if err := pass.check(e, len(samples)); err != nil {
+			return err
 		}
-		out, r, err := p.run(in, n)
+		if resume = pass.Resume; resume != nil {
+			from = pass.From
+		}
+		pass.Kept = make([]Activations, len(pass.Keep))
+		if len(pass.Keep) > 0 {
+			keep = func(pos int, a activation) {
+				for k, at := range pass.Keep {
+					if at != pos {
+						continue
+					}
+					kept := &pass.Kept[k]
+					if kept.Data == nil {
+						kept.Shape, kept.Data = a.shape, make([]float64, len(samples)*a.width)
+					}
+					copy(kept.Data[lo*a.width:], a.rows())
+				}
+			}
+		}
+	}
+	p := &blockPass{e: e, acts: make([]activation, len(e.order)), pending: make([]int, len(e.order))}
+	for ; lo < len(samples); lo += batchBlock {
+		n := min(batchBlock, len(samples)-lo)
+		var in activation
+		if resume != nil {
+			w := resume.Shape.NumElements()
+			in = activation{shape: resume.Shape, width: w,
+				buf: &buffer{data: resume.Data[lo*w : (lo+n)*w], users: 1, pinned: true}}
+		} else {
+			in = p.alloc(e.model.InputShape, n)
+			for r, s := range samples[lo : lo+n] {
+				x, err := e.prepare(s)
+				if err != nil {
+					return fmt.Errorf("nn: sample %d: %w", lo+r, err)
+				}
+				copy(in.row(r), x.Data())
+			}
+		}
+		out, r, err := p.run(in, from, n, keep)
 		if err != nil {
 			return fmt.Errorf("nn: sample %d: %w", lo+r, err)
 		}
@@ -102,13 +207,20 @@ func (e *Executor) forEachBlock(samples []*tensor.Tensor, emit func(lo, n int, o
 	return nil
 }
 
-// run carries one block of n samples, loaded into in, through every
-// layer and returns the output layer's activation. On error it also
-// returns the row the failing operator was working on.
-func (p *blockPass) run(in activation, n int) (activation, int, error) {
+// run carries one block of n samples through the model and returns the
+// output layer's activation: from the input layer, which holds in, or
+// with from >= 0 from the layers after cut from, whose activation in
+// is. keep, when the pass keeps cuts, sees each layer's activation as
+// it is made. On error run also returns the row the failing operator
+// was working on.
+func (p *blockPass) run(in activation, from, n int, keep func(pos int, a activation)) (activation, int, error) {
 	e := p.e
 	copy(p.pending, e.readers)
-	for i, l := range e.order {
+	if from >= 0 {
+		p.acts[from] = in
+	}
+	for i := from + 1; i < len(e.order); i++ {
+		l := e.order[i]
 		var src activation // the first (usually only) input
 		if len(e.inputs[i]) > 0 {
 			src = p.acts[e.inputs[i][0]]
@@ -157,6 +269,9 @@ func (p *blockPass) run(in activation, n int) (activation, int, error) {
 			}
 		}
 		p.acts[i] = out
+		if keep != nil {
+			keep(i, out)
+		}
 		for _, pos := range e.inputs[i] {
 			if p.pending[pos]--; p.pending[pos] == 0 {
 				p.release(p.acts[pos])
@@ -192,8 +307,14 @@ func (p *blockPass) perRow(l *graph.Layer, inputs []int, n int) (activation, int
 // ForwardBatch runs each sample through the model and returns the outputs
 // in order, each equal bit for bit to what Forward returns for it.
 func (e *Executor) ForwardBatch(samples []*tensor.Tensor) ([]*tensor.Tensor, error) {
+	return e.ForwardBatchPass(samples, nil)
+}
+
+// ForwardBatchPass is ForwardBatch over pass, or the whole model when
+// pass is nil.
+func (e *Executor) ForwardBatchPass(samples []*tensor.Tensor, pass *Pass) ([]*tensor.Tensor, error) {
 	outs := make([]*tensor.Tensor, len(samples))
-	err := e.forEachBlock(samples, func(lo, n int, out activation) {
+	err := e.forEachBlock(samples, pass, func(lo, n int, out activation) {
 		for r := 0; r < n; r++ {
 			t := tensor.New(out.shape...)
 			copy(t.Data(), out.row(r))
@@ -209,9 +330,15 @@ func (e *Executor) ForwardBatch(samples []*tensor.Tensor) ([]*tensor.Tensor, err
 // PredictBatch returns the argmax class index of each sample, as Predict
 // does one sample at a time (ties go to the lowest index).
 func (e *Executor) PredictBatch(samples []*tensor.Tensor) ([]int, error) {
+	return e.PredictBatchPass(samples, nil)
+}
+
+// PredictBatchPass is PredictBatch over pass, or the whole model when
+// pass is nil.
+func (e *Executor) PredictBatchPass(samples []*tensor.Tensor, pass *Pass) ([]int, error) {
 	classes := make([]int, len(samples))
 	var row *tensor.Tensor // one scratch row; Tensor.ArgMax owns the tie-break
-	err := e.forEachBlock(samples, func(lo, n int, out activation) {
+	err := e.forEachBlock(samples, pass, func(lo, n int, out activation) {
 		if row == nil {
 			row = tensor.New(out.width)
 		}

@@ -293,3 +293,83 @@ func TestBatchedForwardMatchesPerSample(t *testing.T) {
 		}
 	})
 }
+
+// TestPassResumesBitIdentical: a pass that keeps every cut's
+// activations and passes resumed from each of them give, bit for bit,
+// the outputs and the activations of the whole pass, in every zoo
+// family and at batch sizes around the block; the resumed-from rows are
+// read and never written, and a pass that does not fit is refused.
+func TestPassResumesBitIdentical(t *testing.T) {
+	for _, family := range zoo.Families() {
+		m, err := zoo.Build(family, zoo.Config{Name: family, Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := nn.NewExecutor(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cuts := e.Cuts()
+		if len(cuts) == 0 {
+			t.Fatalf("%s: no cuts", family)
+		}
+		rng := tensor.NewRNG(0x9a55)
+		for _, n := range []int{1, nn.BatchBlock + 1, 2*nn.BatchBlock + 3} {
+			samples := make([]*tensor.Tensor, n)
+			for i := range samples {
+				samples[i] = normalSample(m.InputShape)(rng)
+			}
+			want, err := e.ForwardBatch(samples)
+			if err != nil {
+				t.Fatal(err)
+			}
+			whole := &nn.Pass{Keep: cuts}
+			if _, err := e.ForwardBatchPass(samples, whole); err != nil {
+				t.Fatal(err)
+			}
+			for j, from := range cuts {
+				resume := whole.Kept[j]
+				before := append([]float64(nil), resume.Data...)
+				pass := &nn.Pass{From: from, Resume: &resume, Keep: cuts[j+1:]}
+				got, err := e.ForwardBatchPass(samples, pass)
+				if err != nil {
+					t.Fatalf("%s: resuming after %d: %v", family, from, err)
+				}
+				for i := range want {
+					for k, v := range want[i].Data() {
+						if !sameBits(v, got[i].Data()[k]) {
+							t.Fatalf("%s, %d samples: resumed after %d, sample %d differs", family, n, from, i)
+						}
+					}
+				}
+				for k := range pass.Keep {
+					if !slicesSameBits(pass.Kept[k].Data, whole.Kept[j+1+k].Data) {
+						t.Fatalf("%s: cut %d kept after resuming at %d differs", family, pass.Keep[k], from)
+					}
+				}
+				if !slicesSameBits(before, resume.Data) {
+					t.Fatalf("%s: resuming after %d wrote to the resumed-from rows", family, from)
+				}
+			}
+			if _, err := e.PredictBatchPass(samples, &nn.Pass{From: 0, Resume: &whole.Kept[0]}); err == nil {
+				t.Fatalf("%s: resuming after the input layer was accepted", family)
+			}
+			short := nn.Activations{Shape: whole.Kept[0].Shape, Data: whole.Kept[0].Data[1:]}
+			if _, err := e.PredictBatchPass(samples, &nn.Pass{From: cuts[0], Resume: &short}); err == nil {
+				t.Fatalf("%s: a short resume was accepted", family)
+			}
+		}
+	}
+}
+
+func slicesSameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !sameBits(a[i], b[i]) {
+			return false
+		}
+	}
+	return true
+}

@@ -94,6 +94,11 @@ func (e *Executor) Model() *graph.Model { return e.model }
 // executor runs them. Callers must not mutate the slice.
 func (e *Executor) Layers() []*graph.Layer { return e.order }
 
+// InputPositions returns the positions in Layers of the inputs of the
+// layer at position i, in the layer's input order. Callers must not
+// mutate the slice.
+func (e *Executor) InputPositions(i int) []int { return e.inputs[i] }
+
 // OutputLayer returns the name of the model's sink layer.
 func (e *Executor) OutputLayer() string { return e.output }
 

@@ -204,11 +204,23 @@ func IDFor(m *graph.Model) string { return m.Name + "@" + m.Version }
 // differ. Encoding runs outside the repository lock; only the final
 // commit of the manifest is serialized.
 func (r *Repository) Publish(m *graph.Model) (string, error) {
+	id, _, err := r.PublishIdentified(m)
+	return id, err
+}
+
+// PublishIdentified is Publish that also returns the tensor identity of
+// the manifest m was encoded to: m's identity, for the caller to index
+// m with.
+func (r *Repository) PublishIdentified(m *graph.Model) (string, cas.Identity, error) {
 	enc, err := r.Encode(m)
 	if err != nil {
-		return "", err
+		return "", nil, err
 	}
-	return r.PublishEncoded(enc)
+	id, err := r.PublishEncoded(enc)
+	if err != nil {
+		return "", nil, err
+	}
+	return id, enc.Manifest.Identity(), nil
 }
 
 // Encode chunks a model for publication, resolving its base model for
@@ -343,13 +355,14 @@ func (r *Repository) commitManifest(enc *cas.Encoded, refs []string) error {
 // chunks (the hub's chunked upload path). Every referenced chunk must
 // already be present — MissingChunks names any that are not — and the
 // manifest must hydrate to a valid model, so a malformed upload is
-// rejected before it becomes visible.
-func (r *Repository) PublishManifest(man *cas.Manifest) (string, error) {
+// rejected before it becomes visible. It returns the hydrated model it
+// stored.
+func (r *Repository) PublishManifest(man *cas.Manifest) (*graph.Model, error) {
 	if err := man.Validate(); err != nil {
-		return "", fmt.Errorf("repo: %w", err)
+		return nil, fmt.Errorf("repo: %w", err)
 	}
 	if missing := cas.Missing(man, r.chunks.Has); len(missing) > 0 {
-		return "", fmt.Errorf("repo: publishing %s: %d referenced chunks not uploaded: %w",
+		return nil, fmt.Errorf("repo: publishing %s: %d referenced chunks not uploaded: %w",
 			man.ID(), len(missing), cas.ErrMissingChunk)
 	}
 	// Record chunk bytes as hydration fetches them, so the commit can
@@ -365,9 +378,12 @@ func (r *Repository) PublishManifest(man *cas.Manifest) (string, error) {
 		return data, err
 	})
 	if err != nil {
-		return "", fmt.Errorf("repo: publishing %s: %w", man.ID(), err)
+		return nil, fmt.Errorf("repo: publishing %s: %w", man.ID(), err)
 	}
-	return r.commit(&cas.Encoded{Model: m, Manifest: man, Chunks: chunks})
+	if _, err := r.commit(&cas.Encoded{Model: m, Manifest: man, Chunks: chunks}); err != nil {
+		return nil, err
+	}
+	return m, nil
 }
 
 // Load returns the model stored under id, hydrating it from chunks on

@@ -1,6 +1,9 @@
 package tensor
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // RNG is a small, fast, seedable pseudo-random generator (splitmix64 core)
 // used everywhere randomness appears in the reproduction so that every
@@ -65,8 +68,13 @@ func (r *RNG) ExpFloat64() float64 {
 }
 
 // Perm returns a pseudo-random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
+func (r *RNG) Perm(n int) []int { return r.PermInto(nil, n) }
+
+// PermInto is Perm written into dst's storage, grown only when it is
+// shorter than n: the same draws, and no allocation once dst is large
+// enough.
+func (r *RNG) PermInto(dst []int, n int) []int {
+	p := slices.Grow(dst[:0], n)[:n]
 	for i := range p {
 		p[i] = i
 	}

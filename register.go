@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 
+	"sommelier/internal/cas"
 	"sommelier/internal/graph"
 	"sommelier/internal/index"
 	"sommelier/internal/repo"
@@ -34,11 +35,11 @@ func (e *Engine) RegisterContext(ctx context.Context, m *graph.Model) (string, e
 	if m != nil {
 		_, preexisted = e.store.Metadata(repo.IDFor(m))
 	}
-	id, err := e.store.Publish(m)
+	id, ident, err := e.publish(m)
 	if err != nil {
 		return "", err
 	}
-	if err := e.cat.Index(ctx, id, m); err != nil {
+	if err := e.cat.IndexEntry(ctx, index.Entry{ID: id, Model: m, Identity: ident}); err != nil {
 		if errors.Is(err, index.ErrAlreadyIndexed) {
 			return "", err
 		}
@@ -52,6 +53,22 @@ func (e *Engine) RegisterContext(ctx context.Context, m *graph.Model) (string, e
 		return "", err
 	}
 	return id, nil
+}
+
+// identityPublisher is a Store that reports the tensor identity of the
+// manifest a model was encoded to; *repo.Repository is one.
+type identityPublisher interface {
+	PublishIdentified(m *graph.Model) (string, cas.Identity, error)
+}
+
+// publish stores m and returns its ID, and m's tensor identity when the
+// store reports one.
+func (e *Engine) publish(m *graph.Model) (string, cas.Identity, error) {
+	if p, ok := e.store.(identityPublisher); ok {
+		return p.PublishIdentified(m)
+	}
+	id, err := e.store.Publish(m)
+	return id, nil, err
 }
 
 // RegisterAnnotatedContext publishes and indexes a model using
@@ -107,10 +124,18 @@ func (e *Engine) IndexAllContext(ctx context.Context) error {
 }
 
 // IndexModel indexes an already published model, skipping it silently
-// if it is already indexed — the hook hub servers call after accepting
-// an upload.
+// if it is already indexed.
 func (e *Engine) IndexModel(ctx context.Context, id string, m *graph.Model) error {
-	if err := e.cat.Index(ctx, id, m); err != nil && !errors.Is(err, index.ErrAlreadyIndexed) {
+	return e.IndexPublished(ctx, id, m, nil)
+}
+
+// IndexPublished is IndexModel for a model whose tensor identity its
+// store reported (nil when it did not): the hook hub servers call after
+// accepting an upload. The identity must be m's own, taken with it from
+// the manifest it was hydrated from.
+func (e *Engine) IndexPublished(ctx context.Context, id string, m *graph.Model, ident cas.Identity) error {
+	err := e.cat.IndexEntry(ctx, index.Entry{ID: id, Model: m, Identity: ident})
+	if err != nil && !errors.Is(err, index.ErrAlreadyIndexed) {
 		return err
 	}
 	return nil
