@@ -109,6 +109,14 @@ func main() {
 	}
 
 	var srvStore repo.Store
+	// front serves a cluster: the model endpoints through its store
+	// surface, /v1/query through its coordinator.
+	front := func(cl *cluster.Cluster, co *cluster.Coordinator) {
+		srvStore = &clusterStore{cl: cl}
+		opts = append(opts,
+			hub.WithQuerier(func(ctx context.Context, q string) (any, error) { return co.Query(ctx, q) }),
+			hub.WithBatchQuerier(batchQuerier(co.QueryBatch)))
+	}
 	switch {
 	case *coordinator != "":
 		topo, err := parseCoordinatorTopology(*coordinator)
@@ -119,12 +127,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		srvStore = &clusterStore{cl: cl}
-		opts = append(opts,
-			hub.WithQuerier(func(ctx context.Context, q string) (any, error) {
-				return co.Query(ctx, q)
-			}),
-			hub.WithBatchQuerier(coordinatorBatchQuerier(co)))
+		front(cl, co)
 		fmt.Printf("sommhub coordinator over %d shard(s)\n", cl.Shards())
 
 	case *shards > 1 && *shardID < 0:
@@ -141,12 +144,7 @@ func main() {
 				fatal(err)
 			}
 		}
-		srvStore = &clusterStore{cl: cl}
-		opts = append(opts,
-			hub.WithQuerier(func(ctx context.Context, q string) (any, error) {
-				return co.Query(ctx, q)
-			}),
-			hub.WithBatchQuerier(coordinatorBatchQuerier(co)))
+		front(cl, co)
 		fmt.Printf("sommhub in-process cluster: %d shards x %d replicas\n", *shards, *replicas)
 
 	default:
@@ -182,7 +180,7 @@ func main() {
 				hub.WithQuerier(func(ctx context.Context, q string) (any, error) {
 					return eng.QueryContext(ctx, q)
 				}),
-				hub.WithBatchQuerier(engineBatchQuerier(eng)))
+				hub.WithBatchQuerier(batchQuerier(eng.QueryBatchContext)))
 		}
 		if *shardID >= 0 {
 			if *shards <= *shardID {
@@ -226,11 +224,11 @@ func main() {
 	}
 }
 
-// engineBatchQuerier adapts an engine's batched query path to the hub
-// server's POST /v1/query.
-func engineBatchQuerier(eng *sommelier.Engine) hub.BatchQuerier {
+// batchQuerier adapts a batched query path — an engine's or a cluster
+// coordinator's — to the hub server's POST /v1/query.
+func batchQuerier[T any](batch func(context.Context, []string) ([]T, []error)) hub.BatchQuerier {
 	return func(ctx context.Context, qs []string) ([]any, []*hub.QueryError) {
-		results, errs := eng.QueryBatchContext(ctx, qs)
+		answers, errs := batch(ctx, qs)
 		out := make([]any, len(qs))
 		qerrs := make([]*hub.QueryError, len(qs))
 		for i := range qs {
@@ -238,25 +236,7 @@ func engineBatchQuerier(eng *sommelier.Engine) hub.BatchQuerier {
 				qerrs[i] = hub.NewQueryError(err)
 				continue
 			}
-			out[i] = results[i]
-		}
-		return out, qerrs
-	}
-}
-
-// coordinatorBatchQuerier adapts a cluster coordinator's batched
-// scatter-gather to the hub server's POST /v1/query.
-func coordinatorBatchQuerier(co *cluster.Coordinator) hub.BatchQuerier {
-	return func(ctx context.Context, qs []string) ([]any, []*hub.QueryError) {
-		responses, errs := co.QueryBatch(ctx, qs)
-		out := make([]any, len(qs))
-		qerrs := make([]*hub.QueryError, len(qs))
-		for i := range qs {
-			if err := errs[i]; err != nil {
-				qerrs[i] = hub.NewQueryError(err)
-				continue
-			}
-			out[i] = responses[i]
+			out[i] = answers[i]
 		}
 		return out, qerrs
 	}

@@ -78,8 +78,6 @@ func TestCoordinatorQueryBatchMatchesSerial(t *testing.T) {
 // TestCoordinatorQueryBatchFailoverInvisible pins the degradation
 // ladder under batching: with one replica of a shard dead, the batch
 // fails over and returns results byte-identical to the healthy run.
-// The faulty wrapper deliberately does not speak the batch interface,
-// so this also exercises the coordinator's serial per-replica fallback.
 func TestCoordinatorQueryBatchFailoverInvisible(t *testing.T) {
 	_, co, _, _, refID := chaosCluster(t)
 	qs := batchWorkload(refID)

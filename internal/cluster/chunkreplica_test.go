@@ -23,7 +23,10 @@ type denseReplica struct {
 
 func newDenseReplica() *denseReplica { return &denseReplica{store: repo.NewInMemory()} }
 
-func (d *denseReplica) Query(ctx context.Context, q string) ([]Result, error) { return nil, nil }
+func (d *denseReplica) QueryBatch(ctx context.Context, qs []string) ([][]Result, []error, error) {
+	return make([][]Result, len(qs)), make([]error, len(qs)), nil
+}
+func (d *denseReplica) Generation() (uint64, bool) { return 0, false }
 func (d *denseReplica) PublishEncoded(ctx context.Context, enc *cas.Encoded) (string, error) {
 	d.dense.Add(1)
 	return d.store.Publish(enc.Model)

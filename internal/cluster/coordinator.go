@@ -366,14 +366,6 @@ func (c *Coordinator) fanOut(ctx context.Context, qs []string, idx []int, routes
 	wg.Wait()
 }
 
-// generation reads b's generation; false when b cannot report one.
-func generation(b QueryBackend) (uint64, bool) {
-	if g, ok := b.(GenerationReporter); ok {
-		return g.Generation()
-	}
-	return 0, false
-}
-
 // generations reads every replica's generation, shard by shard; a shard
 // with a replica that cannot report one reads nil.
 func (c *Coordinator) generations() [][]uint64 {
@@ -381,7 +373,7 @@ func (c *Coordinator) generations() [][]uint64 {
 	for s, reps := range c.shards {
 		out[s] = make([]uint64, len(reps))
 		for r, rep := range reps {
-			g, ok := generation(rep)
+			g, ok := rep.Generation()
 			if !ok {
 				out[s] = nil
 				break
@@ -404,7 +396,7 @@ func (c *Coordinator) valid(e *holderEntry) bool {
 			return false
 		}
 		for r, rep := range c.shards[s] {
-			if g, ok := generation(rep); !ok || g != e.gens[s][r] {
+			if g, ok := rep.Generation(); !ok || g != e.gens[s][r] {
 				return false
 			}
 		}
@@ -520,34 +512,17 @@ func (c *Coordinator) queryShardBatch(ctx context.Context, shard int, qs []strin
 	return outs
 }
 
-// replicaBatch runs the pending set against one replica: through the
-// replica's batch surface when it has one, one query or many, and
-// through a serial Query loop otherwise. The returned slices are
-// index-aligned with qs; the outer error means the whole attempt failed.
+// replicaBatch runs the pending set against one replica. The returned
+// slices are index-aligned with qs; the outer error means the whole
+// attempt failed, which an answer of the wrong length also is.
 func replicaBatch(ctx context.Context, b QueryBackend, qs []string) ([][]Result, []error, error) {
-	if bb, ok := b.(BatchQueryBackend); ok {
-		results, qerrs, err := bb.QueryBatch(ctx, qs)
-		if err != nil {
-			return nil, nil, err
-		}
-		if len(results) != len(qs) || len(qerrs) != len(qs) {
-			return nil, nil, fmt.Errorf("cluster: batch backend returned %d results / %d errors for %d queries",
-				len(results), len(qerrs), len(qs))
-		}
-		return results, qerrs, nil
+	results, qerrs, err := b.QueryBatch(ctx, qs)
+	if err == nil && (len(results) != len(qs) || len(qerrs) != len(qs)) {
+		err = fmt.Errorf("cluster: replica returned %d results / %d errors for %d queries",
+			len(results), len(qerrs), len(qs))
 	}
-	results := make([][]Result, len(qs))
-	qerrs := make([]error, len(qs))
-	for i, q := range qs {
-		if err := ctx.Err(); err != nil {
-			return nil, nil, err
-		}
-		res, err := b.Query(ctx, q)
-		if err != nil {
-			qerrs[i] = err
-			continue
-		}
-		results[i] = res
+	if err != nil {
+		return nil, nil, err
 	}
 	return results, qerrs, nil
 }

@@ -515,17 +515,6 @@ type stubReplica struct {
 
 func newStub(holds map[string][]Result) *stubReplica { return &stubReplica{holds: holds} }
 
-func (r *stubReplica) Query(ctx context.Context, q string) ([]Result, error) {
-	res, errs, err := r.QueryBatch(ctx, []string{q})
-	if err != nil {
-		return nil, err
-	}
-	if errors.Is(errs[0], query.ErrUnknownReference) {
-		return nil, nil
-	}
-	return res[0], errs[0]
-}
-
 func (r *stubReplica) QueryBatch(ctx context.Context, qs []string) ([][]Result, []error, error) {
 	r.mu.Lock()
 	r.asked += len(qs)
@@ -582,12 +571,10 @@ func (r *stubReplica) set(f func(r *stubReplica)) {
 // when its catalog changed.
 type blindReplica struct{ s *stubReplica }
 
-func (b blindReplica) Query(ctx context.Context, q string) ([]Result, error) {
-	return b.s.Query(ctx, q)
-}
 func (b blindReplica) QueryBatch(ctx context.Context, qs []string) ([][]Result, []error, error) {
 	return b.s.QueryBatch(ctx, qs)
 }
+func (b blindReplica) Generation() (uint64, bool) { return 0, false }
 
 const stubQ = `SELECT CORR "x@1" WITHIN 50% PICK most_similar`
 

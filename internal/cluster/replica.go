@@ -11,17 +11,9 @@ import (
 	"sommelier/internal/repo"
 )
 
-// QueryBackend answers queries for one shard replica. Query treats an
-// unknown reference model as an empty answer, not an error — in a
-// sharded catalog most shards do not hold any given reference. A
-// backend without the batched surface below cannot say that it does not
-// hold a reference, so the coordinator asks its shard every query.
-type QueryBackend interface {
-	Query(ctx context.Context, q string) ([]Result, error)
-}
-
-// BatchQueryBackend is the optional batched surface of a QueryBackend;
-// the coordinator sends every attempt through it, one query or many.
+// QueryBackend is one shard replica's query surface. The coordinator
+// sends every attempt through QueryBatch, one query or many.
+//
 // QueryBatch answers every query against one catalog state. results and
 // errs are index-aligned with qs — exactly one of results[i]/errs[i] is
 // meaningful per slot. A query whose reference this replica does not
@@ -30,19 +22,15 @@ type QueryBackend interface {
 // hold the reference. Any other errs[i] is retried on the next replica.
 // The outer error is transport-level: the whole attempt failed and
 // nothing per-query is known, so the coordinator fails the entire
-// pending set over to the next replica. Backends without this surface
-// are driven by a serial Query loop.
-type BatchQueryBackend interface {
+// pending set over to the next replica.
+//
+// Generation lets the coordinator skip the replica's shard for a
+// reference it did not hold: a counter that moves whenever the
+// replica's catalog may have changed. Two equal readings mean no write
+// to the replica was acknowledged between them. A replica that cannot
+// tell returns (0, false), and its shard is asked every query.
+type QueryBackend interface {
 	QueryBatch(ctx context.Context, qs []string) ([][]Result, []error, error)
-}
-
-// GenerationReporter is the optional surface of a QueryBackend that
-// lets the coordinator skip the backend's shard for a reference it did
-// not hold: Generation returns a counter that moves whenever the
-// replica's catalog may have changed, false while it cannot tell. Two
-// equal readings mean no write to the replica was acknowledged between
-// them. A shard with a replica that cannot report is asked every query.
-type GenerationReporter interface {
 	Generation() (uint64, bool)
 }
 
@@ -122,17 +110,9 @@ func (f *FaultyReplica) fault(ctx context.Context, op string) error {
 	return nil
 }
 
-// Query applies the schedule, then delegates.
-func (f *FaultyReplica) Query(ctx context.Context, q string) ([]Result, error) {
-	if err := f.fault(ctx, "query"); err != nil {
-		return nil, err
-	}
-	return f.inner.Query(ctx, q)
-}
-
-// QueryBatch draws one fault per query, in order — the draws a serial
-// Query loop makes — and sends the queries no fault stopped to the
-// inner replica as one attempt. A fault fails only its query's slot.
+// QueryBatch draws one fault per query, in order, and sends the
+// queries no fault stopped to the inner replica as one attempt. A fault
+// fails only its query's slot.
 func (f *FaultyReplica) QueryBatch(ctx context.Context, qs []string) ([][]Result, []error, error) {
 	results := make([][]Result, len(qs))
 	errs := make([]error, len(qs))
@@ -164,12 +144,7 @@ func (f *FaultyReplica) QueryBatch(ctx context.Context, qs []string) ([][]Result
 
 // Generation reports the inner replica's generation: a faulted write
 // never reaches the inner replica, so it cannot change it.
-func (f *FaultyReplica) Generation() (uint64, bool) {
-	if g, ok := f.inner.(GenerationReporter); ok {
-		return g.Generation()
-	}
-	return 0, false
-}
+func (f *FaultyReplica) Generation() (uint64, bool) { return f.inner.Generation() }
 
 // PublishEncoded applies the schedule — one draw per replica-publish —
 // then delegates.

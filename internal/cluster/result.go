@@ -1,10 +1,6 @@
 package cluster
 
-import (
-	"sort"
-
-	"sommelier/internal/query"
-)
+import "sommelier/internal/query"
 
 // Result is one model in a cluster query answer: query.Result, the type
 // the shard engines return and a shard hub answers on the wire.
@@ -66,7 +62,7 @@ func mergeTopK(q *query.Query, perShard [][]Result) []Result {
 	for _, rs := range perShard {
 		all = append(all, rs...)
 	}
-	sortResults(all, q.Pick)
+	query.SortResults(all, q.Pick)
 	seen := make(map[string]bool, len(all))
 	out := all[:0]
 	for _, r := range all {
@@ -80,27 +76,4 @@ func mergeTopK(q *query.Query, perShard [][]Result) []Result {
 		out = out[:q.Limit]
 	}
 	return out
-}
-
-// sortResults mirrors the engine's ranking so a merged cluster answer
-// orders exactly like a single node would order the same set.
-func sortResults(rs []Result, pick query.PickKind) {
-	less := func(i, j int) bool { return rs[i].Level > rs[j].Level }
-	switch pick {
-	case query.PickSmallest:
-		less = func(i, j int) bool { return rs[i].Profile.MemoryBytes < rs[j].Profile.MemoryBytes }
-	case query.PickFastest:
-		less = func(i, j int) bool { return rs[i].Profile.LatencyMS < rs[j].Profile.LatencyMS }
-	case query.PickCheapest:
-		less = func(i, j int) bool { return rs[i].Profile.FLOPs < rs[j].Profile.FLOPs }
-	}
-	sort.SliceStable(rs, func(i, j int) bool {
-		if less(i, j) {
-			return true
-		}
-		if less(j, i) {
-			return false
-		}
-		return rs[i].ID < rs[j].ID
-	})
 }

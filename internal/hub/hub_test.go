@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"sommelier/internal/cas"
-	"sommelier/internal/faults"
 	"sommelier/internal/graph"
 	"sommelier/internal/repo"
 	"sommelier/internal/tensor"
@@ -143,88 +142,54 @@ func TestListMetadata(t *testing.T) {
 	}
 }
 
+// failingIndexer publishes, then fails to index.
 type failingIndexer struct{}
 
-func (failingIndexer) IndexPublished(context.Context, string, *graph.Model, cas.Identity) error {
+func (failingIndexer) Accept(_ context.Context, _ string, publish func() (*graph.Model, cas.Identity, error)) error {
+	if _, _, err := publish(); err != nil {
+		return err
+	}
 	return errors.New("analysis failed")
 }
 
-// TestFailedRollbackIsReported: when indexing an upload fails and the
-// rollback delete fails too, the model is left published but unindexed
-// and the 500 must say so — for a pack PUT and a manifest PUT alike.
-func TestFailedRollbackIsReported(t *testing.T) {
-	// Find an injector seed whose store faults are none for each store
-	// call the PUT makes before indexing, then conn-error: the rollback
-	// Delete fails. The sequence is deterministic per seed.
-	seedFor := func(t *testing.T, before int) faults.Config {
-		cfg := faults.Config{ConnErrorRate: 0.3}
-	seeds:
-		for ; cfg.Seed < 10000; cfg.Seed++ {
-			inj, err := faults.NewInjector(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < before; i++ {
-				if inj.Next() != faults.None {
-					continue seeds
-				}
-			}
-			if inj.Next() == faults.ConnError {
-				return cfg
-			}
-		}
-		t.Fatalf("no injector seed found for %d nones, then conn-error", before)
-		return cfg
+// TestIndexErrorIs500AndMovesGeneration: an upload its indexer fails on
+// is answered 500 naming the ID, and the answer moves the generation —
+// the store changed, whatever the indexer's rollback did. The rollback
+// rule itself is the indexer's (the root package's write-rule test).
+func TestIndexErrorIs500AndMovesGeneration(t *testing.T) {
+	srv, err := NewServer(repo.NewInMemory(), WithIndexer(failingIndexer{}))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, tc := range []struct {
-		name string
-		// before counts the faultable store calls ahead of the rollback.
-		before int
-		store  func(inner *repo.Repository, inj *faults.Injector) repo.Store
-	}{
-		// FlakyStore has no chunk surface, so the publish falls back to
-		// one pack PUT, which calls the flaky Publish.
-		{"pack", 1, func(inner *repo.Repository, inj *faults.Injector) repo.Store {
-			return faults.NewFlakyStore(inner, inj)
-		}},
-		// Lent the repository's chunk surface, the same store takes the
-		// manifest PUT, which publishes and hands the indexer the model
-		// through the chunk surface. Delete stays flaky.
-		{"manifest", 0, func(inner *repo.Repository, inj *faults.Injector) repo.Store {
-			return struct {
-				*faults.FlakyStore
-				ChunkStore
-			}{faults.NewFlakyStore(inner, inj), inner}
-		}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			inj, err := faults.NewInjector(seedFor(t, tc.before))
-			if err != nil {
-				t.Fatal(err)
-			}
-			inner := repo.NewInMemory()
-			srv, err := NewServer(tc.store(inner, inj), WithIndexer(failingIndexer{}))
-			if err != nil {
-				t.Fatal(err)
-			}
-			ts := httptest.NewServer(srv)
-			defer ts.Close()
-			client, err := NewClient(ts.URL, ts.Client())
-			if err != nil {
-				t.Fatal(err)
-			}
-			_, _, err = client.PublishModel(testModel(t, "orphan", 5))
-			var se *StatusError
-			if !errors.As(err, &se) || se.Code != http.StatusInternalServerError {
-				t.Fatalf("publish: %v, want a *StatusError 500", err)
-			}
-			if !strings.Contains(err.Error(), `"orphan@1" is published but not indexed`) {
-				t.Fatalf("500 does not name the orphaned model: %v", err)
-			}
-			if _, err := inner.Load("orphan@1"); err != nil {
-				t.Fatalf("orphaned model missing from store: %v", err)
-			}
-		})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	enc, err := cas.Encode(testModel(t, "orphan", 5), "", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pack, err := cas.EncodePack(nil, enc.Manifest, enc.Chunk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, err := http.NewRequest(http.MethodPut, ts.URL+"/v1/models/orphan@1", bytes.NewReader(pack))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", ContentTypePack)
+	resp, err := ts.Client().Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(string(body), `indexing "orphan@1": analysis failed`) {
+		t.Fatalf("PUT answered %d %q, want 500 naming the index failure", resp.StatusCode, body)
+	}
+	if _, g, err := parseGen(resp.Header.Get(HeaderGeneration)); err != nil || g != 1 {
+		t.Fatalf("500 carries generation %q (%v), want count 1", resp.Header.Get(HeaderGeneration), err)
 	}
 }
 

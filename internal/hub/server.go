@@ -49,17 +49,24 @@ import (
 	"sommelier/internal/repo"
 )
 
-// Indexer receives accepted uploads so the serving catalog stays
-// current — the curated-hub mode where Sommelier indexes models as they
-// arrive instead of in offline batches. The ctx is the upload request's
-// context: a client that gives up mid-upload cancels the pairwise
-// analysis too. ident is m's tensor identity, taken from the manifest
-// the upload was hydrated from: the indexer may skip work m shares with
-// models it has seen, by content. An Indexer must treat an already
-// indexed ID as success, not an error (re-publishing a version is legal
-// hub behaviour). *sommelier.Engine satisfies it via IndexPublished.
+// Indexer keeps a serving catalog current with the uploads a hub
+// accepts — the curated-hub mode where Sommelier indexes models as they
+// arrive instead of in offline batches. Accept calls publish, which
+// stores the upload in the server's store and returns the stored model
+// with its tensor identity (taken from the manifest the upload was
+// hydrated from, so the indexer may skip work the model shares with
+// models it has seen, by content), then indexes the model. When
+// indexing fails it deletes a fresh upload, keeps an overwritten one,
+// and returns an error; an ID that is already indexed is success, since
+// re-publishing a version is legal hub behaviour. The ctx is the upload
+// request's context: a client that gives up mid-upload cancels the
+// pairwise analysis too.
+//
+// The indexer reads and rolls back through its own store, so that store
+// must be the server's: every wiring passes the engine's own store to
+// NewServer. *sommelier.Engine is an Indexer (Engine.Accept).
 type Indexer interface {
-	IndexPublished(ctx context.Context, id string, m *graph.Model, ident cas.Identity) error
+	Accept(ctx context.Context, id string, publish func() (*graph.Model, cas.Identity, error)) error
 }
 
 // Querier answers query strings for the /v1/query endpoint. A
@@ -141,9 +148,9 @@ func WithMaxBodyBytes(n int64) ServerOption {
 	}
 }
 
-// WithIndexer makes the server index every accepted upload. When
-// indexing fails, the upload is rejected and — unless the PUT
-// overwrote a pre-existing version — rolled back, keeping "published
+// WithIndexer makes the server index every accepted upload through ix,
+// whose store must be the server's (see Indexer). An upload that fails
+// to index is answered 500 after ix's rollback, keeping "published
 // implies indexed" true for models that arrived through this server.
 func WithIndexer(ix Indexer) ServerOption {
 	return func(s *Server) { s.indexer = ix }
@@ -557,43 +564,33 @@ func (s *Server) serveModel(w http.ResponseWriter, r *http.Request) {
 
 // accept is the tail every model PUT shares once its body has passed:
 // publish, index, ack. publish stores the upload and returns the model
-// and the manifest it was hydrated from, which the indexer gets as they
-// are: loading the model again by ID could meet a concurrent overwrite.
-// An upload that fails to index is answered by indexFailed.
+// it stored; the indexer, which decides any rollback, gets it with the
+// identity of the manifest it was hydrated from. accept maps the
+// outcome to a status: a publish error is 400; an index error is 500,
+// and moves the generation, because the store changed either way — an
+// overwrite is kept, and a failed rollback leaves the upload published
+// but unindexed, which the indexer's error says; success is 201.
 func (s *Server) accept(w http.ResponseWriter, r *http.Request, id string, man *cas.Manifest, publish func() (*graph.Model, error)) {
-	var existed bool // read by indexFailed only
-	if s.indexer != nil {
-		_, existed = s.store.Metadata(id)
+	var err, pubErr error
+	if s.indexer == nil {
+		_, pubErr = publish()
+	} else {
+		err = s.indexer.Accept(r.Context(), id, func() (*graph.Model, cas.Identity, error) {
+			m, err := publish()
+			if pubErr = err; err != nil {
+				return nil, nil, err
+			}
+			return m, man.Identity(), nil
+		})
 	}
-	m, err := publish()
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
+	switch {
+	case pubErr != nil:
+		http.Error(w, pubErr.Error(), http.StatusBadRequest)
+	case err != nil:
+		s.wrote(w)
+		http.Error(w, fmt.Sprintf("indexing %q: %v", id, err), http.StatusInternalServerError)
+	default:
+		s.wrote(w)
+		w.WriteHeader(http.StatusCreated)
 	}
-	if s.indexer != nil {
-		if err := s.indexer.IndexPublished(r.Context(), id, m, man.Identity()); err != nil {
-			s.indexFailed(w, id, existed, err)
-			return
-		}
-	}
-	s.wrote(w)
-	w.WriteHeader(http.StatusCreated)
-}
-
-// indexFailed answers 500 for a PUT that stored id but could not index
-// it, after keeping the hub consistent with the catalog: the model this
-// PUT created is dropped. A pre-existing version stays — deleting it
-// would destroy data the uploader didn't send — and remains queryable
-// under its old index entry. When the delete fails too the model is
-// left published but unindexed, and the body says so. The store
-// changed either way, so the generation moves.
-func (s *Server) indexFailed(w http.ResponseWriter, id string, existed bool, err error) {
-	msg := fmt.Sprintf("indexing %q: %v", id, err)
-	if !existed {
-		if delErr := s.store.Delete(id); delErr != nil {
-			msg += fmt.Sprintf("; rollback failed, %q is published but not indexed: %v", id, delErr)
-		}
-	}
-	s.wrote(w)
-	http.Error(w, msg, http.StatusInternalServerError)
 }

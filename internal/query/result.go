@@ -2,6 +2,8 @@ package query
 
 import (
 	"errors"
+	"slices"
+	"strings"
 
 	"sommelier/internal/resource"
 )
@@ -32,4 +34,30 @@ type Result struct {
 	Derived bool `json:"derived,omitempty"`
 	// Profile is the candidate's resource profile.
 	Profile resource.Profile `json:"profile"`
+}
+
+// SortResults orders rs by pick — highest level first, or least memory,
+// latency or FLOPs first — breaking ties by ID. It is the one ranking
+// rule: the engine ranks a query's answer with it, and a cluster
+// coordinator merges its shards' answers with it, so a merged answer
+// orders exactly like one engine's answer over the same set.
+func SortResults(rs []Result, pick PickKind) {
+	less := func(a, b Result) bool { return a.Level > b.Level }
+	switch pick {
+	case PickSmallest:
+		less = func(a, b Result) bool { return a.Profile.MemoryBytes < b.Profile.MemoryBytes }
+	case PickFastest:
+		less = func(a, b Result) bool { return a.Profile.LatencyMS < b.Profile.LatencyMS }
+	case PickCheapest:
+		less = func(a, b Result) bool { return a.Profile.FLOPs < b.Profile.FLOPs }
+	}
+	slices.SortStableFunc(rs, func(a, b Result) int {
+		switch {
+		case less(a, b):
+			return -1
+		case less(b, a):
+			return 1
+		}
+		return strings.Compare(a.ID, b.ID)
+	})
 }

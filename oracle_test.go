@@ -330,13 +330,6 @@ func TestExecQueryPathsMatchOracle(t *testing.T) {
 	})
 }
 
-// engineBackend adapts an Engine to the coordinator's shard surface.
-type engineBackend struct{ eng *Engine }
-
-func (b engineBackend) Query(ctx context.Context, q string) ([]cluster.Result, error) {
-	return b.eng.QueryContext(ctx, q)
-}
-
 // TestCoordinatorMatchesUnionOracle: two shards hold the same
 // references with disjoint candidates; the coordinator's merged answer
 // must be the oracle's answer over the union.
@@ -344,13 +337,13 @@ func TestCoordinatorMatchesUnionOracle(t *testing.T) {
 	var engs []*Engine
 	var backends [][]cluster.QueryBackend
 	for shard := 0; shard < 2; shard++ {
-		eng, err := NewEngine(repo.NewInMemory(), WithSeed(1))
+		rep, err := NewEngineReplica(1, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		restoreSyntheticCatalog(t, eng, 5, shard*60, 60, false)
-		engs = append(engs, eng)
-		backends = append(backends, []cluster.QueryBackend{engineBackend{eng}})
+		restoreSyntheticCatalog(t, rep.Engine(), 5, shard*60, 60, false)
+		engs = append(engs, rep.Engine())
+		backends = append(backends, []cluster.QueryBackend{rep})
 	}
 	coord, err := cluster.NewCoordinator(backends)
 	if err != nil {

@@ -4,9 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 	"strconv"
-	"strings"
 
 	"sommelier/internal/catalog"
 	"sommelier/internal/equiv"
@@ -145,7 +143,7 @@ func (e *Engine) queryOne(ctx context.Context, snap *catalog.Snapshot, q *query.
 
 	// Stage 3: final selection.
 	span = e.obs.StartLeaf(ctx, "rank")
-	sortResults(results, q.Pick)
+	query.SortResults(results, q.Pick)
 	if q.Limit > 0 && len(results) > q.Limit {
 		results = results[:q.Limit]
 	}
@@ -384,25 +382,4 @@ func satisfies(c query.Constraint, p, ref resource.Profile) (bool, error) {
 		return v >= limit*0.95 && v <= limit*1.05, nil
 	}
 	return true, nil
-}
-
-func sortResults(rs []Result, pick query.PickKind) {
-	less := func(a, b Result) bool { return a.Level > b.Level }
-	switch pick {
-	case query.PickSmallest:
-		less = func(a, b Result) bool { return a.Profile.MemoryBytes < b.Profile.MemoryBytes }
-	case query.PickFastest:
-		less = func(a, b Result) bool { return a.Profile.LatencyMS < b.Profile.LatencyMS }
-	case query.PickCheapest:
-		less = func(a, b Result) bool { return a.Profile.FLOPs < b.Profile.FLOPs }
-	}
-	slices.SortStableFunc(rs, func(a, b Result) int {
-		switch {
-		case less(a, b):
-			return -1
-		case less(b, a):
-			return 1
-		}
-		return strings.Compare(a.ID, b.ID) // deterministic tie-break
-	})
 }

@@ -11,48 +11,73 @@ import (
 	"sommelier/internal/repo"
 )
 
-// ErrPublishedUnindexed is wrapped by RegisterContext when the model
-// reached the repository but indexing failed AND the rollback delete
-// also failed: the store now holds a model the engine does not know about.
+// ErrPublishedUnindexed is wrapped by Accept (and so by RegisterContext,
+// a hub's PUT and EngineReplica.PublishEncoded) when the model reached
+// the repository but indexing failed AND the rollback delete also
+// failed: the store now holds a model the engine does not know about.
 // Callers can retry with IndexAllContext (which picks up unindexed
 // repository models) or delete the ID themselves.
-var ErrPublishedUnindexed = errors.New("model published but not indexed")
+var ErrPublishedUnindexed = errors.New("published but not indexed")
 
-// RegisterContext publishes the model to the repository and indexes it.
-// It returns the repository ID. Canceling ctx aborts the pairwise
-// analysis before anything is committed to the index; the rollback
-// below then removes the published model, so a canceled Register
-// leaves no trace.
-//
-// Publish-then-index is not atomic; RegisterContext restores the
-// invariant "published implies indexed" on failure by deleting what it
-// just published. The rollback is skipped when the publish overwrote a
-// pre-existing ID (deleting would destroy the prior version) or when a
-// concurrent writer indexed the ID first (the model is in the index —
-// just not through this call).
+// RegisterContext publishes the model to the repository and indexes it
+// under Accept's write rule. It returns the repository ID. Canceling ctx
+// aborts the pairwise analysis before anything is committed to the
+// index; the rollback then removes the published model, so a canceled
+// Register leaves no trace. Unlike Accept, registering an ID that is
+// already indexed fails, wrapping index.ErrAlreadyIndexed.
 func (e *Engine) RegisterContext(ctx context.Context, m *graph.Model) (string, error) {
-	var preexisted bool
-	if m != nil {
-		_, preexisted = e.store.Metadata(repo.IDFor(m))
+	if m == nil {
+		return "", errors.New("sommelier: register of a nil model")
 	}
-	id, ident, err := e.publish(m)
+	id := repo.IDFor(m)
+	err := e.accept(ctx, id, func() (*graph.Model, cas.Identity, error) {
+		_, ident, err := e.publish(m)
+		return m, ident, err
+	})
 	if err != nil {
 		return "", err
 	}
-	if err := e.cat.IndexEntry(ctx, index.Entry{ID: id, Model: m, Identity: ident}); err != nil {
-		if errors.Is(err, index.ErrAlreadyIndexed) {
-			return "", err
-		}
-		if preexisted {
-			return "", err
-		}
-		if delErr := e.store.Delete(id); delErr != nil {
-			return "", fmt.Errorf("sommelier: %w: %q: indexing failed (%w) and rollback failed (%w)",
-				ErrPublishedUnindexed, id, err, delErr)
-		}
-		return "", err
-	}
 	return id, nil
+}
+
+// Accept is the write rule every front door shares — RegisterContext,
+// a hub's model PUT (Accept is the hub.Indexer hook) and an in-process
+// cluster replica's PublishEncoded: publish, index, and on an index
+// failure delete the upload, so that "published implies indexed" holds.
+// publish stores the model under id and returns it with its tensor
+// identity (nil when the store reports none), taken with the model
+// from the manifest it was encoded to or hydrated from — never looked
+// up again by ID, which a concurrent overwrite could change. A publish
+// error is returned as it is, with nothing rolled back.
+//
+// The rollback is skipped when the publish overwrote a pre-existing ID
+// (deleting would destroy the prior version, which stays queryable
+// under its old index entry) or when the ID was already indexed, which
+// Accept treats as success: re-publishing a version is legal hub
+// behaviour. A failed rollback wraps ErrPublishedUnindexed.
+func (e *Engine) Accept(ctx context.Context, id string, publish func() (*graph.Model, cas.Identity, error)) error {
+	if err := e.accept(ctx, id, publish); !errors.Is(err, index.ErrAlreadyIndexed) {
+		return err
+	}
+	return nil
+}
+
+// accept is Accept that reports an already indexed ID as
+// index.ErrAlreadyIndexed. It is the one place that decides a rollback.
+func (e *Engine) accept(ctx context.Context, id string, publish func() (*graph.Model, cas.Identity, error)) error {
+	_, existed := e.store.Metadata(id)
+	m, ident, err := publish()
+	if err != nil {
+		return err
+	}
+	err = e.cat.IndexEntry(ctx, index.Entry{ID: id, Model: m, Identity: ident})
+	if err == nil || existed || errors.Is(err, index.ErrAlreadyIndexed) {
+		return err
+	}
+	if delErr := e.store.Delete(id); delErr != nil {
+		return fmt.Errorf("%w; rollback failed, %q is %w: %w", err, id, ErrPublishedUnindexed, delErr)
+	}
+	return err
 }
 
 // identityPublisher is a Store that reports the tensor identity of the
@@ -126,15 +151,7 @@ func (e *Engine) IndexAllContext(ctx context.Context) error {
 // IndexModel indexes an already published model, skipping it silently
 // if it is already indexed.
 func (e *Engine) IndexModel(ctx context.Context, id string, m *graph.Model) error {
-	return e.IndexPublished(ctx, id, m, nil)
-}
-
-// IndexPublished is IndexModel for a model whose tensor identity its
-// store reported (nil when it did not): the hook hub servers call after
-// accepting an upload. The identity must be m's own, taken with it from
-// the manifest it was hydrated from.
-func (e *Engine) IndexPublished(ctx context.Context, id string, m *graph.Model, ident cas.Identity) error {
-	err := e.cat.IndexEntry(ctx, index.Entry{ID: id, Model: m, Identity: ident})
+	err := e.cat.IndexEntry(ctx, index.Entry{ID: id, Model: m})
 	if err != nil && !errors.Is(err, index.ErrAlreadyIndexed) {
 		return err
 	}

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"sommelier/internal/catalog"
-	"sommelier/internal/faults"
 	"sommelier/internal/graph"
 	"sommelier/internal/index"
 	"sommelier/internal/repo"
@@ -39,112 +38,6 @@ func registerTestModel(t testing.TB, name string, seed uint64) *graph.Model {
 		t.Fatal(err)
 	}
 	return m
-}
-
-// TestRegisterRollsBackOnIndexFailure: a model that publishes but fails
-// to index must not linger in the repository — "published implies
-// indexed" survives the failure.
-func TestRegisterRollsBackOnIndexFailure(t *testing.T) {
-	store := repo.NewInMemory()
-	eng, err := NewEngine(store, WithSeed(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	withAnalyzer(eng, failingAnalyzer{})
-
-	a := registerTestModel(t, "roll-a", 1)
-	if _, err := eng.RegisterContext(context.Background(), a); err != nil {
-		t.Fatalf("first model has no analysis partners, want success: %v", err)
-	}
-
-	b := registerTestModel(t, "roll-b", 2)
-	if _, err := eng.RegisterContext(context.Background(), b); err == nil {
-		t.Fatal("expected index failure")
-	}
-	if _, err := store.Load(repo.IDFor(b)); !errors.Is(err, repo.ErrNotFound) {
-		t.Fatalf("failed registration left model in store: load err = %v", err)
-	}
-	if eng.IndexedLen() != 1 {
-		t.Fatalf("IndexedLen = %d, want 1", eng.IndexedLen())
-	}
-}
-
-// TestRegisterKeepsPreexistingOnIndexFailure: when the publish
-// overwrote an already stored version, rollback must NOT delete — the
-// slot held real data before this call.
-func TestRegisterKeepsPreexistingOnIndexFailure(t *testing.T) {
-	store := repo.NewInMemory()
-	eng, err := NewEngine(store, WithSeed(6))
-	if err != nil {
-		t.Fatal(err)
-	}
-	withAnalyzer(eng, failingAnalyzer{})
-
-	if _, err := eng.RegisterContext(context.Background(), registerTestModel(t, "keep-a", 1)); err != nil {
-		t.Fatal(err)
-	}
-	b := registerTestModel(t, "keep-b", 2)
-	if _, err := store.Publish(b); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eng.RegisterContext(context.Background(), b); err == nil {
-		t.Fatal("expected index failure")
-	}
-	if _, err := store.Load(repo.IDFor(b)); err != nil {
-		t.Fatalf("rollback deleted a pre-existing model: %v", err)
-	}
-}
-
-// TestRegisterSurfacesErrPublishedUnindexed: when indexing fails AND
-// the rollback delete fails too, the caller must learn the store and
-// index are out of sync.
-func TestRegisterSurfacesErrPublishedUnindexed(t *testing.T) {
-	// Find an injector seed whose first three store faults are
-	// none, none, conn-error: Publish(a) ok, Publish(b) ok, Delete(b)
-	// fails. The sequence is deterministic per seed.
-	cfg := faults.Config{ConnErrorRate: 0.3}
-	var seed uint64
-	for seed = 0; seed < 10000; seed++ {
-		cfg.Seed = seed
-		inj, err := faults.NewInjector(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if inj.Next() == faults.None && inj.Next() == faults.None && inj.Next() == faults.ConnError {
-			break
-		}
-	}
-	if seed == 10000 {
-		t.Fatal("no injector seed found for the none,none,conn-error pattern")
-	}
-	cfg.Seed = seed
-	inj, err := faults.NewInjector(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inner := repo.NewInMemory()
-	store := faults.NewFlakyStore(inner, inj)
-	eng, err := NewEngine(store, WithSeed(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	withAnalyzer(eng, failingAnalyzer{})
-
-	if _, err := eng.RegisterContext(context.Background(), registerTestModel(t, "sync-a", 1)); err != nil {
-		t.Fatal(err)
-	}
-	b := registerTestModel(t, "sync-b", 2)
-	_, err = eng.RegisterContext(context.Background(), b)
-	if !errors.Is(err, ErrPublishedUnindexed) {
-		t.Fatalf("err = %v, want ErrPublishedUnindexed", err)
-	}
-	// The model really is stranded: published, not indexed.
-	if _, err := inner.Load(repo.IDFor(b)); err != nil {
-		t.Fatalf("stranded model missing from store: %v", err)
-	}
-	if eng.IndexedLen() != 1 {
-		t.Fatalf("IndexedLen = %d, want 1", eng.IndexedLen())
-	}
 }
 
 // TestRegisterAnnotatedAtomic: a bad annotation applies no edges, even
