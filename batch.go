@@ -20,8 +20,8 @@ import (
 //     quiescent catalog would;
 //   - one parse pass over all strings before any execution starts.
 //
-// Queries execute on a bounded worker pool (WithQueryWorkers, default
-// GOMAXPROCS) with a per-query span under one query_batch root span.
+// Queries execute on a pool of GOMAXPROCS workers with a per-query span
+// under one query_batch root span.
 // Execution order never changes answers: results are byte-identical to
 // running the same queries serially through QueryContext against an
 // unchanging catalog, at any worker count. Cancelling ctx aborts the
@@ -101,9 +101,9 @@ func (e *Engine) runBatch(ctx context.Context, qs []*query.Query, errs []error, 
 	return results
 }
 
-// queryWorkers resolves the batch pool size: the configured
-// WithQueryWorkers value (default GOMAXPROCS), never more than the
-// batch has queries to run.
+// queryWorkers resolves the batch pool size: GOMAXPROCS (or the
+// cfg.queryWorkers a test sets), never more than the batch has queries
+// to run.
 func (e *Engine) queryWorkers(batch int) int {
 	n := e.cfg.queryWorkers
 	if n <= 0 {

@@ -109,10 +109,11 @@ func TestQueryBatchMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 2, 4, 8} {
-		eng2, err := NewEngine(store, WithSeed(11), WithValidationSize(250), WithQueryWorkers(workers))
+		eng2, err := NewEngine(store, WithSeed(11), WithValidationSize(250))
 		if err != nil {
 			t.Fatal(err)
 		}
+		eng2.cfg.queryWorkers = workers
 		if err := eng2.LoadIndexes(bytes.NewReader(snap.Bytes())); err != nil {
 			t.Fatal(err)
 		}

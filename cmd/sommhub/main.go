@@ -64,7 +64,6 @@ import (
 	"sommelier"
 	"sommelier/internal/cluster"
 	"sommelier/internal/dataset"
-	"sommelier/internal/experiments"
 	"sommelier/internal/graph"
 	"sommelier/internal/hub"
 	"sommelier/internal/obs"
@@ -123,7 +122,11 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		cl, co, err := buildCoordinator(topo, o)
+		reps, err := httpReplicas(topo)
+		if err != nil {
+			fatal(err)
+		}
+		cl, co, err := newCluster(reps, o)
 		if err != nil {
 			fatal(err)
 		}
@@ -131,16 +134,16 @@ func main() {
 		fmt.Printf("sommhub coordinator over %d shard(s)\n", cl.Shards())
 
 	case *shards > 1 && *shardID < 0:
-		top := experiments.ClusterTopology{
-			Shards: *shards, Replicas: *replicas,
-			Seed: *seed, ValidationSize: *validation,
+		reps, err := engineReplicas(*shards, *replicas, *seed, *validation)
+		if err != nil {
+			fatal(err)
 		}
-		cl, co, err := experiments.BuildCluster(top, nil, o)
+		cl, co, err := newCluster(reps, o)
 		if err != nil {
 			fatal(err)
 		}
 		if *seedDemo {
-			if _, _, err := experiments.SeedClusterModels(ctx, cl, 6, 16, 2, *seed); err != nil {
+			if err := seedCluster(ctx, cl, *seed); err != nil {
 				fatal(err)
 			}
 		}
@@ -262,19 +265,41 @@ func parseCoordinatorTopology(spec string) ([][]string, error) {
 	return topo, nil
 }
 
-// buildCoordinator wires hub clients for every replica URL into a
-// cluster and its scatter-gather coordinator.
-func buildCoordinator(topo [][]string, o *obs.Observer) (*cluster.Cluster, *cluster.Coordinator, error) {
+// httpReplicas wires a hub client for every replica URL.
+func httpReplicas(topo [][]string) ([][]cluster.Replica, error) {
 	reps := make([][]cluster.Replica, len(topo))
 	for s, urls := range topo {
 		for _, u := range urls {
 			client, err := hub.NewClient(u, nil)
 			if err != nil {
-				return nil, nil, fmt.Errorf("shard %d replica %q: %w", s, u, err)
+				return nil, fmt.Errorf("shard %d replica %q: %w", s, u, err)
 			}
 			reps[s] = append(reps[s], cluster.NewHTTPReplica(client))
 		}
 	}
+	return reps, nil
+}
+
+// engineReplicas builds shards × replicas empty in-process engine
+// replicas. Every engine shares seed, so the replicas of a shard answer
+// alike.
+func engineReplicas(shards, replicas int, seed uint64, validation int) ([][]cluster.Replica, error) {
+	reps := make([][]cluster.Replica, shards)
+	for s := range reps {
+		for r := 0; r < replicas; r++ {
+			rep, err := sommelier.NewEngineReplica(seed, validation, nil)
+			if err != nil {
+				return nil, err
+			}
+			reps[s] = append(reps[s], rep)
+		}
+	}
+	return reps, nil
+}
+
+// newCluster puts replicas behind a ring and a scatter-gather
+// coordinator, both reporting to o.
+func newCluster(reps [][]cluster.Replica, o *obs.Observer) (*cluster.Cluster, *cluster.Coordinator, error) {
 	cl, err := cluster.NewCluster(reps, cluster.WithClusterObserver(o))
 	if err != nil {
 		return nil, nil, err
@@ -356,6 +381,27 @@ func seedModels(store *repo.Repository, seed uint64) error {
 		}
 		if _, err := store.Publish(v); err != nil {
 			return err
+		}
+	}
+	return nil
+}
+
+// seedCluster publishes the in-process cluster's demo family: a base
+// broadcast to every shard, so every shard can correlate against it, and
+// six variants placed by the ring, perturbed more with each index so
+// their equivalence to the base, and the merged top-K order, differ.
+func seedCluster(ctx context.Context, cl *cluster.Cluster, seed uint64) error {
+	base, err := zoo.DenseResidualNet(zoo.Config{Name: "cluster-base", Seed: seed, Width: 16, Depth: 2})
+	if err != nil {
+		return err
+	}
+	if _, err := cl.Broadcast(ctx, base); err != nil {
+		return err
+	}
+	for i := 0; i < 6; i++ {
+		v := zoo.Perturb(base, fmt.Sprintf("cluster-v%02d", i), 0.005*float64(i+1), seed+uint64(i)+1)
+		if _, err := cl.Publish(ctx, v); err != nil {
+			return fmt.Errorf("publishing variant %d: %w", i, err)
 		}
 	}
 	return nil

@@ -66,7 +66,11 @@ func TestCoordinatorWritesListNoShard(t *testing.T) {
 		urls = append(urls, ts.URL)
 		shardObs = append(shardObs, o)
 	}
-	cl, _, err := buildCoordinator([][]string{{urls[0]}, {urls[1]}}, obs.New())
+	reps, err := httpReplicas([][]string{{urls[0]}, {urls[1]}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, _, err := newCluster(reps, obs.New())
 	if err != nil {
 		t.Fatal(err)
 	}

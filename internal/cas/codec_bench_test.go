@@ -82,7 +82,7 @@ func BenchmarkManifestCodec(b *testing.B) {
 // is what the pull adds to the copy.
 func BenchmarkReadPack(b *testing.B) {
 	for _, form := range pullForms(b) {
-		pack, err := EncodePack(nil, form.enc.Manifest, encodedGet(form.enc))
+		pack, err := EncodePack(nil, form.enc.Manifest, form.enc.Manifest.ChunkRefs(), encodedGet(form.enc))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -94,7 +94,7 @@ func TestIdentityOneSided(t *testing.T) {
 		t.Fatalf("dense and delta encodings of %s: %d equal identities for %d equal tensors; the delta ones should miss",
 			edit.Name, same, bits)
 	}
-	data, err := EncodePack(nil, editDelta.Manifest, editDelta.Chunk)
+	data, err := EncodePack(nil, editDelta.Manifest, editDelta.Manifest.ChunkRefs(), editDelta.Chunk)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"sommelier/internal/chunk"
 	"sommelier/internal/graph"
 	"sommelier/internal/tensor"
 )
@@ -22,7 +23,7 @@ func packOf(t testing.TB, m *graph.Model, baseID string, base *graph.Model) (*En
 	if err != nil {
 		t.Fatal(err)
 	}
-	pack, err := EncodePack(nil, enc.Manifest, encodedGet(enc))
+	pack, err := EncodePack(nil, enc.Manifest, enc.Manifest.ChunkRefs(), encodedGet(enc))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +151,7 @@ func TestEncodePackAppends(t *testing.T) {
 	}
 	prefix := []byte("held")
 	dst := append(make([]byte, 0, len(prefix)+len(fx.pack)), prefix...)
-	out, err := EncodePack(dst, enc.Manifest, encodedGet(enc))
+	out, err := EncodePack(dst, enc.Manifest, enc.Manifest.ChunkRefs(), encodedGet(enc))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +165,7 @@ func TestEncodePackAppends(t *testing.T) {
 
 // packParts splits a pack built by EncodePack into its manifest bytes
 // and raw chunk payloads, for the rejection table to reassemble wrongly.
-func packParts(t *testing.T, pack []byte) (man []byte, chunks [][]byte) {
+func packParts(t testing.TB, pack []byte) (man []byte, chunks [][]byte) {
 	t.Helper()
 	rest := pack[len(packMagic):]
 	man, rest, err := packRecord(rest)
@@ -255,13 +256,14 @@ func TestReadPackRejects(t *testing.T) {
 		{"truncated record length", good[:firstRecord+2], "record 1 of"},
 		{"truncated record", good[:len(good)-5], "truncated"},
 		{"record length past the end", pastEnd, "truncated"},
-		{"flipped payload byte", flipped, "does not carry"},
-		{"missing chunk", assemblePack(man, append(append([][]byte(nil), chunks[:1]...), chunks[2:]...)), "does not carry"},
-		{"missing last chunk", assemblePack(man, chunks[:len(chunks)-1]), "truncated"},
-		{"extra chunk", assemblePack(man, append(append([][]byte(nil), chunks...), stray[:])), "after the last referenced chunk"},
-		{"duplicated record", assemblePack(man, append(append([][]byte(nil), chunks[:2]...), chunks[1:]...)), "does not carry"},
-		{"reordered records", assemblePack(man, append([][]byte{chunks[1], chunks[0]}, chunks[2:]...)), "does not carry"},
-		{"trailing garbage", append(append([]byte(nil), good...), "junk"...), "after the last referenced chunk"},
+		{"flipped payload byte", flipped, "no manifest reference after"},
+		{"missing chunk", assemblePack(man, append(append([][]byte(nil), chunks[:1]...), chunks[2:]...)), "carries"},
+		{"missing last chunk", assemblePack(man, chunks[:len(chunks)-1]), "carries"},
+		{"manifest alone", assemblePack(man, nil), "carries 0 of"},
+		{"extra chunk", assemblePack(man, append(append([][]byte(nil), chunks...), stray[:])), "no manifest reference after"},
+		{"duplicated record", assemblePack(man, append(append([][]byte(nil), chunks[:2]...), chunks[1:]...)), "no manifest reference after"},
+		{"reordered records", assemblePack(man, append([][]byte{chunks[1], chunks[0]}, chunks[2:]...)), "no manifest reference after"},
+		{"trailing garbage", append(append([]byte(nil), good...), "junk"...), "truncated"},
 		{"invalid manifest", assemblePack(badManifest, chunks), "unsupported manifest format"},
 		{"malformed manifest", assemblePack([]byte("{malformed"), chunks), "decoding manifest"},
 		{"unsorted metadata keys", assemblePack(spoil("\x06series", "\x06aaaaaa"), chunks), "strictly ascending"},
@@ -283,6 +285,59 @@ func TestReadPackRejects(t *testing.T) {
 		if !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: rejected with %q, want mention of %q", tc.name, err, tc.want)
 		}
+		// A partial pack is a well-formed upload body: only ReadPack's
+		// completeness check refuses it. DecodePack refuses the rest.
+		partial := errors.Is(err, ErrMissingChunk)
+		if _, _, derr := DecodePack(tc.in); (derr == nil) != partial {
+			t.Errorf("%s: DecodePack answered %v, ReadPack %q", tc.name, derr, err)
+		}
+	}
+}
+
+// TestDecodePackTakesAnInOrderSubset: any in-order subset of the
+// manifest's references decodes, each record keyed by its own hash, and
+// the pack of the same subset is the same bytes.
+func TestDecodePackTakesAnInOrderSubset(t *testing.T) {
+	enc, err := Encode(buildModel(t, "psub", 5), "", nil, packChunkSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refs := enc.Manifest.ChunkRefs()
+	if len(refs) < 3 {
+		t.Fatalf("fixture has %d chunks, need at least 3", len(refs))
+	}
+	subsets := map[string][]string{
+		"none":         nil,
+		"first":        refs[:1],
+		"last":         refs[len(refs)-1:],
+		"every other":  nil,
+		"all but last": refs[:len(refs)-1],
+		"all":          refs,
+	}
+	for i := 0; i < len(refs); i += 2 {
+		subsets["every other"] = append(subsets["every other"], refs[i])
+	}
+	for name, sub := range subsets {
+		pack, err := EncodePack(nil, enc.Manifest, sub, encodedGet(enc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		man, chunks, err := DecodePack(pack)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if man.ID() != enc.Manifest.ID() || len(chunks) != len(sub) {
+			t.Fatalf("%s: decoded %s with %d records, want %s with %d", name, man.ID(), len(chunks), enc.Manifest.ID(), len(sub))
+		}
+		for _, h := range sub {
+			if !bytes.Equal(chunks[h], enc.Chunks[h]) {
+				t.Fatalf("%s: record %s decoded to other bytes", name, h[:12])
+			}
+		}
+		again, err := EncodePack(nil, man, sub, func(h string) ([]byte, error) { return chunks[h], nil })
+		if err != nil || !bytes.Equal(again, pack) {
+			t.Fatalf("%s: re-encoding the decoded pack: %v, equal %t", name, err, bytes.Equal(again, pack))
+		}
 	}
 }
 
@@ -294,7 +349,7 @@ func TestEncodePackPropagatesMissingChunk(t *testing.T) {
 		t.Fatal(err)
 	}
 	delete(enc.Chunks, enc.Manifest.ChunkRefs()[0])
-	if _, err := EncodePack(nil, enc.Manifest, encodedGet(enc)); !errors.Is(err, ErrMissingChunk) {
+	if _, err := EncodePack(nil, enc.Manifest, enc.Manifest.ChunkRefs(), encodedGet(enc)); !errors.Is(err, ErrMissingChunk) {
 		t.Fatalf("EncodePack over a store missing a chunk: %v, want ErrMissingChunk", err)
 	}
 }
@@ -307,13 +362,46 @@ func TestEncodePackPropagatesMissingChunk(t *testing.T) {
 // accepts hydrates to a model whose own pack reads back to the same
 // model and re-encodes byte for byte.
 func FuzzReadPack(f *testing.F) {
-	for _, fx := range packFixtures(f) {
+	fixtures := packFixtures(f)
+	for _, fx := range fixtures {
 		f.Add(fx.pack)
 	}
 	f.Add([]byte(packMagic))
 	f.Add([]byte("{malformed"))
+	// Partial packs, well-formed and not.
+	man, chunks := packParts(f, fixtures[0].pack)
+	var stray [8 * 4]byte
+	f.Add(assemblePack(man, append(append([][]byte(nil), chunks[:1]...), chunks[2:]...))) // a skipped reference
+	f.Add(assemblePack(man, nil))                                                         // the manifest alone
+	f.Add(assemblePack(man, [][]byte{chunks[1], chunks[0]}))                              // reordered records
+	f.Add(assemblePack(man, [][]byte{chunks[0], chunks[1], chunks[1]}))                   // a repeated record
+	f.Add(assemblePack(man, [][]byte{chunks[0], stray[:]}))                               // a record no reference names
+	f.Add(append(assemblePack(man, [][]byte{chunks[1]}), 0, 0))                           // trailing bytes
 
 	f.Fuzz(func(t *testing.T, in []byte) {
+		if man, chunks, err := DecodePack(in); err == nil {
+			// An accepted pack is canonical: its records are in-order
+			// references named by their own hashes, so the pack of the
+			// same records is the input, byte for byte.
+			var carried []string
+			for _, h := range man.ChunkRefs() {
+				if _, ok := chunks[h]; ok {
+					carried = append(carried, h)
+				}
+			}
+			if len(carried) != len(chunks) {
+				t.Fatalf("DecodePack keyed %d records, %d of them manifest references", len(chunks), len(carried))
+			}
+			for h, c := range chunks {
+				if chunk.Hash(c) != h {
+					t.Fatalf("record keyed %s does not hash to its key", h)
+				}
+			}
+			again, err := EncodePack(nil, man, carried, func(h string) ([]byte, error) { return chunks[h], nil })
+			if err != nil || !bytes.Equal(again, in) {
+				t.Fatalf("an accepted pack does not re-encode to itself: %v", err)
+			}
+		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		m, _, err := ReadPack(in)

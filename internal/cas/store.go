@@ -136,6 +136,13 @@ func (s *Store) Put(hash string, data []byte) error {
 	if got := chunk.Hash(data); got != hash {
 		return fmt.Errorf("cas: put %s: content hashes to %s", short(hash), short(got))
 	}
+	return s.PutHashed(hash, data)
+}
+
+// PutHashed is Put for a caller that named data by hashing it — a pack
+// reader, a verified fetch — so the store does not hash it again. It
+// copies or writes data and never retains it.
+func (s *Store) PutHashed(hash string, data []byte) error {
 	s.mu.Lock()
 	s.stats.Puts++
 	s.stats.PutBytes += int64(len(data))

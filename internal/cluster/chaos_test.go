@@ -27,43 +27,69 @@ import (
 	"testing"
 	"time"
 
+	"sommelier"
 	"sommelier/internal/cluster"
-	"sommelier/internal/experiments"
 	"sommelier/internal/faults"
 	"sommelier/internal/obs"
+	"sommelier/internal/zoo"
 )
 
-// chaosTopology is the small-but-honest cluster every chaos test uses:
-// 3 shards × 2 replicas, a broadcast reference, 8 sharded variants.
-var chaosTopology = experiments.ClusterTopology{
-	Shards: 3, Replicas: 2, Seed: 7, ValidationSize: 32,
-}
-
+// The small-but-honest cluster every chaos test uses: 3 shards × 2
+// replicas, a broadcast reference, 8 sharded variants.
 const (
-	chaosVariants = 8
-	chaosWidth    = 8
-	chaosDepth    = 1
-	chaosSeed     = 7
+	chaosShards     = 3
+	chaosReplicas   = 2
+	chaosValidation = 32
+	chaosVariants   = 8
+	chaosWidth      = 8
+	chaosDepth      = 1
+	chaosSeed       = 7
 )
 
-// chaosCluster builds a faulted cluster. The schedule is empty at build
-// time — seeding publishes run fault-free — and is programmed by the
-// test afterwards (Set resets each target's op counter, so windows are
-// phrased in post-seeding operations).
+// chaosCluster builds a faulted cluster: every replica an engine
+// replica behind a cluster.FaultyReplica. The schedule is empty at
+// build time — seeding publishes run fault-free — and is programmed by
+// the test afterwards (Set resets each target's op counter, so windows
+// are phrased in post-seeding operations). The seed family is one base
+// broadcast to every shard, the reference every shard can correlate
+// against, and chaosVariants variants placed by the ring, perturbed more
+// with each index so the merged top-K order is non-trivial.
 func chaosCluster(t *testing.T, copts ...cluster.CoordinatorOption) (*cluster.Cluster, *cluster.Coordinator, *faults.Schedule, *obs.Observer, string) {
 	t.Helper()
 	o := obs.New()
 	sched := faults.NewSchedule(chaosSeed)
-	wrap := func(shard, replica int, r cluster.Replica) cluster.Replica {
-		return cluster.NewFaultyReplica(r, cluster.Target(shard, replica), sched)
+	shards := make([][]cluster.Replica, chaosShards)
+	for s := range shards {
+		for r := 0; r < chaosReplicas; r++ {
+			rep, err := sommelier.NewEngineReplica(chaosSeed, chaosValidation, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			shards[s] = append(shards[s], cluster.NewFaultyReplica(rep, cluster.Target(s, r), sched))
+		}
 	}
-	cl, co, err := experiments.BuildCluster(chaosTopology, wrap, o, copts...)
+	cl, err := cluster.NewCluster(shards, cluster.WithClusterObserver(o))
 	if err != nil {
-		t.Fatalf("BuildCluster: %v", err)
+		t.Fatal(err)
 	}
-	refID, _, err := experiments.SeedClusterModels(context.Background(), cl, chaosVariants, chaosWidth, chaosDepth, chaosSeed)
+	co, err := cluster.NewCoordinator(cl.Backends(), append([]cluster.CoordinatorOption{cluster.WithCoordinatorObserver(o)}, copts...)...)
 	if err != nil {
-		t.Fatalf("SeedClusterModels: %v", err)
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	base, err := zoo.DenseResidualNet(zoo.Config{Name: "cluster-base", Seed: chaosSeed, Width: chaosWidth, Depth: chaosDepth})
+	if err != nil {
+		t.Fatal(err)
+	}
+	refID, err := cl.Broadcast(ctx, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < chaosVariants; i++ {
+		v := zoo.Perturb(base, fmt.Sprintf("cluster-v%02d", i), 0.005*float64(i+1), chaosSeed+uint64(i)+1)
+		if _, err := cl.Publish(ctx, v); err != nil {
+			t.Fatalf("publishing variant %d: %v", i, err)
+		}
 	}
 	return cl, co, sched, o, refID
 }
@@ -154,7 +180,7 @@ func baselineResults(t *testing.T) []byte {
 func TestChaosFailoverInvisible(t *testing.T) {
 	baseline := baselineResults(t)
 
-	for shard := 0; shard < chaosTopology.Shards; shard++ {
+	for shard := 0; shard < chaosShards; shard++ {
 		shard := shard
 		t.Run(fmt.Sprintf("kill-shard%d-replica0", shard), func(t *testing.T) {
 			run := func(ask askFunc) ([]byte, *cluster.Response, *obs.Observer) {
@@ -202,12 +228,12 @@ func TestChaosFailoverInvisible(t *testing.T) {
 func TestChaosShardLossDegrades(t *testing.T) {
 	baseline := baselineResults(t)
 
-	for shard := 0; shard < chaosTopology.Shards; shard++ {
+	for shard := 0; shard < chaosShards; shard++ {
 		shard := shard
 		t.Run(fmt.Sprintf("kill-shard%d-all-replicas", shard), func(t *testing.T) {
 			run := func(ask askFunc) ([]byte, *cluster.Response, *obs.Observer) {
 				_, co, sched, o, refID := chaosCluster(t)
-				for r := 0; r < chaosTopology.Replicas; r++ {
+				for r := 0; r < chaosReplicas; r++ {
 					sched.Set(cluster.Target(shard, r), faults.Kill(0, 0))
 				}
 				resp, err := ask(co, chaosQuery(refID))
@@ -279,7 +305,7 @@ func TestChaosStaleLastKnownGood(t *testing.T) {
 		if _, err := ask(co, q); err != nil {
 			t.Fatalf("warm-up query: %v", err)
 		}
-		for r := 0; r < chaosTopology.Replicas; r++ {
+		for r := 0; r < chaosReplicas; r++ {
 			sched.Set(cluster.Target(shard, r), faults.Kill(0, 0))
 		}
 		resp, err := ask(co, q)
@@ -453,7 +479,7 @@ func TestChaosMatrix(t *testing.T) {
 func TestChaosConcurrentQueryStress(t *testing.T) {
 	baseline := baselineResults(t)
 	_, co, sched, o, refID := chaosCluster(t)
-	for s := 0; s < chaosTopology.Shards; s++ {
+	for s := 0; s < chaosShards; s++ {
 		sched.Set(cluster.Target(s, 0), faults.Flake(0, 0, 0.3))
 	}
 

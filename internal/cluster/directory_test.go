@@ -446,16 +446,18 @@ func TestDirectoryAfterShardHubRestart(t *testing.T) {
 	matchesOracle(t, f, q, variant)
 }
 
-// lateWrites holds every model PUT until release is closed — after the
-// client gave up on it — then commits it and reports on committed.
+// lateWrites lets the first pass model PUTs through, then holds every
+// later one until release is closed — after the client gave up on it —
+// then commits it and reports on committed.
 type lateWrites struct {
 	next      http.Handler
+	pass      atomic.Int32
 	release   chan struct{}
 	committed chan struct{}
 }
 
-func (l lateWrites) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPut || !strings.HasPrefix(r.URL.Path, "/v1/models/") {
+func (l *lateWrites) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if r.Method != http.MethodPut || !strings.HasPrefix(r.URL.Path, "/v1/models/") || l.pass.Add(-1) >= 0 {
 		l.next.ServeHTTP(w, r)
 		return
 	}
@@ -484,12 +486,10 @@ func TestDirectoryAfterLostWriteAck(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for h, data := range enc.Chunks { // the manifest PUT alone is the write
-		if err := f.direct[1][r].PutChunk(h, data); err != nil {
-			t.Fatal(err)
-		}
-	}
-	late := lateWrites{f.hubs[1][r].get(), make(chan struct{}), make(chan struct{}, 1)}
+	// The publish's first PUT, the manifest alone, draws a 409 and writes
+	// nothing; the second carries the chunks and is the write held.
+	late := &lateWrites{next: f.hubs[1][r].get(), release: make(chan struct{}), committed: make(chan struct{}, 1)}
+	late.pass.Store(1)
 	f.hubs[1][r].set(late)
 	if _, err := f.reps[1][r].PublishEncoded(context.Background(), enc); err == nil {
 		t.Fatal("the held write was acknowledged")

@@ -67,11 +67,10 @@ func (r *HTTPReplica) QueryBatch(ctx context.Context, qs []string) ([][]Result, 
 // else moves it with the first answer the hub gives after that write.
 func (r *HTTPReplica) Generation() (uint64, bool) { return r.client.Generation() }
 
-// PublishEncoded uploads the model through the hub's chunk-negotiation
-// protocol, shipping only the chunks the remote shard is missing. The
-// hub client itself sends the encoding as one pack to a hub that
-// cannot negotiate, so this never fails merely for lack of protocol
-// support.
+// PublishEncoded uploads the model in pack PUTs that ship only the
+// chunks the remote shard is missing. The hub client itself sends the
+// complete pack to a hub that cannot negotiate, so this never fails
+// merely for lack of protocol support.
 func (r *HTTPReplica) PublishEncoded(ctx context.Context, enc *cas.Encoded) (string, error) {
 	if err := ctx.Err(); err != nil {
 		return "", err

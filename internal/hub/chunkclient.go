@@ -5,9 +5,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/url"
-	"sort"
+	"sync/atomic"
 
 	"sommelier/internal/cas"
 	"sommelier/internal/chunk"
@@ -77,79 +78,35 @@ func (c *Client) GetChunk(hash string) (_ []byte, err error) {
 	return data, nil
 }
 
-// PutChunk uploads one chunk. Chunk PUTs are idempotent by content
-// addressing, so the retry machinery applies.
-func (c *Client) PutChunk(hash string, data []byte) error {
-	err := c.do(true,
-		func() (*http.Request, error) {
-			req, err := http.NewRequest(http.MethodPut, c.chunkURL(hash), bytes.NewReader(data))
-			if err != nil {
-				return nil, err
-			}
-			req.Header.Set("Content-Type", "application/octet-stream")
-			return req, nil
-		},
-		func(resp *http.Response) error { return expectStatus(resp, http.StatusCreated) })
-	if err != nil {
-		return fmt.Errorf("hub: put chunk %s: %w", hash, err)
-	}
-	return nil
-}
+// packBudget caps the record bytes of one publish pack (a record is a
+// chunk and its 4-byte length; see internal/cas/pack.go), so a model
+// with more new bytes than a hub's body limit still publishes, in
+// several packs. A chunk larger than the budget travels alone.
+const packBudget = 4 << 20
 
-// putManifest PUTs a manifest; on 409 it returns the hub's missing
-// chunk list with a nil error and created=false.
-func (c *Client) putManifest(man *cas.Manifest) (created bool, missing []string, err error) {
-	var body bytes.Buffer
-	if err := cas.EncodeManifest(&body, man); err != nil {
-		return false, nil, err
-	}
-	data := body.Bytes()
-	err = c.do(false,
-		func() (*http.Request, error) {
-			req, err := http.NewRequest(http.MethodPut, c.modelURL(man.ID()), bytes.NewReader(data))
-			if err != nil {
-				return nil, err
-			}
-			req.Header.Set("Content-Type", ContentTypeManifest)
-			return req, nil
-		},
-		func(resp *http.Response) error {
-			switch resp.StatusCode {
-			case http.StatusCreated:
-				created = true
-				return nil
-			case http.StatusConflict:
-				var wire struct {
-					Missing []string `json:"missing"`
-				}
-				if err := json.NewDecoder(resp.Body).Decode(&wire); err != nil {
-					return err
-				}
-				missing = wire.Missing
-				return nil
-			}
-			return &StatusError{Code: resp.StatusCode, msg: readError(resp)}
-		})
-	return created, missing, err
-}
-
-// PublishEncoded publishes an already-chunked model through the
-// negotiation protocol: PUT the manifest, upload exactly the chunks the
-// hub says it is missing, re-PUT. A hub that cannot negotiate gets the
-// encoding as one pack PUT instead, so the call succeeds either way,
-// and the client remembers it: later publishes to that hub go straight
-// to the pack. The returned count is the bytes of model data uploaded:
-// the chunks the hub was missing (zero when it held everything), or the
-// pack.
+// PublishEncoded publishes an already-chunked model in pack PUTs. The
+// first carries the manifest alone: a hub that holds every chunk it
+// references commits the model (201), and a chunk store that lacks some
+// names them (409); those go up as the records of further packs, each
+// within packBudget, and the last one commits. A hub without a chunk
+// store refuses a partial pack (501) and gets the complete pack
+// instead; the client remembers it, and later publishes to that hub
+// send the complete pack at once. The returned count is the bytes of
+// model data uploaded: the chunks the hub was missing (zero when it
+// held everything), or the complete pack.
 func (c *Client) PublishEncoded(enc *cas.Encoded) (_ string, sent int64, err error) {
 	done := c.obs.TimeOp("hub_client_publish")
 	defer func() { done(err) }()
 	id := enc.Manifest.ID()
+	whole := func() (int64, error) {
+		_, size, err := c.putPack(enc, enc.Manifest.ChunkRefs())
+		return int64(size), err
+	}
 	if c.packOnly.Load() {
-		sent, err = c.putPack(enc)
+		sent, err = whole()
 	} else if sent, err = c.negotiate(enc); chunkUnsupported(err) {
 		c.packOnly.Store(true)
-		sent, err = c.putPack(enc)
+		sent, err = whole()
 	}
 	if err != nil {
 		return "", sent, fmt.Errorf("hub: publish %s: %w", id, err)
@@ -162,49 +119,108 @@ func (c *Client) PublishEncoded(enc *cas.Encoded) (_ string, sent int64, err err
 	return id, sent, nil
 }
 
-// negotiate is PublishEncoded's chunk protocol, returning the bytes of
-// the chunks it uploaded.
+// negotiate is PublishEncoded's exchange with a chunk store: the
+// manifest alone, then the chunks the hub names missing, in its order,
+// as the records of packs within packBudget, until it commits. Each
+// answer must name fewer missing chunks than the one before, less those
+// just sent. It returns the bytes of the chunks it uploaded.
 func (c *Client) negotiate(enc *cas.Encoded) (sent int64, err error) {
-	created, missing, err := c.putManifest(enc.Manifest)
-	if err != nil || created {
-		return 0, err
-	}
-	sort.Strings(missing)
-	for _, h := range missing {
-		data, ok := enc.Chunks[h]
-		if !ok {
-			return sent, fmt.Errorf("hub needs chunk %s the encoding does not carry", h)
+	missing, _, err := c.putPack(enc, nil)
+	for err == nil && missing != nil {
+		n, size := 0, 0
+		for ; n < len(missing); n++ {
+			data, ok := enc.Chunks[missing[n]]
+			if !ok {
+				return sent, fmt.Errorf("hub needs chunk %s the encoding does not carry", missing[n])
+			}
+			if n > 0 && 4*(n+1)+size+len(data) > packBudget {
+				break
+			}
+			size += len(data)
 		}
-		if err := c.PutChunk(h, data); err != nil {
-			return sent, err
+		left := len(missing) - n
+		if missing, _, err = c.putPack(enc, missing[:n]); err == nil {
+			sent += int64(size)
+			if len(missing) > left {
+				err = fmt.Errorf("hub still missing %d chunks after upload", len(missing))
+			}
 		}
-		sent += int64(len(data))
-	}
-	created, missing, err = c.putManifest(enc.Manifest)
-	if err == nil && !created {
-		err = fmt.Errorf("hub still missing %d chunks after upload", len(missing))
 	}
 	return sent, err
 }
 
-// putPack PUTs the encoding whole, as a pack, and returns its size.
-// Like every model PUT it is not retried.
-func (c *Client) putPack(enc *cas.Encoded) (int64, error) {
-	data, err := cas.EncodePack(nil, enc.Manifest, enc.Chunk)
+// putPack PUTs the pack of enc carrying the chunks refs names, and
+// returns what the hub still lacks — nil once it has committed the
+// model — and the pack's size. Like every model PUT it is not retried.
+func (c *Client) putPack(enc *cas.Encoded, refs []string) (missing []string, size int, err error) {
+	body, err := cas.EncodePack(c.packs.get(), enc.Manifest, refs, enc.Chunk)
 	if err != nil {
-		return 0, err
+		return nil, 0, err
 	}
 	err = c.do(false,
 		func() (*http.Request, error) {
-			req, err := http.NewRequest(http.MethodPut, c.modelURL(enc.Manifest.ID()), bytes.NewReader(data))
+			req, err := http.NewRequest(http.MethodPut, c.modelURL(enc.Manifest.ID()), lend(body, &c.packs))
 			if err != nil {
 				return nil, err
 			}
+			req.ContentLength = int64(len(body))
 			req.Header.Set("Content-Type", ContentTypePack)
 			return req, nil
 		},
-		func(resp *http.Response) error { return expectStatus(resp, http.StatusCreated) })
-	return int64(len(data)), err
+		func(resp *http.Response) error {
+			switch resp.StatusCode {
+			case http.StatusCreated:
+				return nil
+			case http.StatusConflict:
+				var wire struct {
+					Missing []string `json:"missing"`
+				}
+				if err := json.NewDecoder(resp.Body).Decode(&wire); err != nil {
+					return err
+				}
+				if len(wire.Missing) == 0 {
+					return fmt.Errorf("hub answered %d naming no missing chunk", resp.StatusCode)
+				}
+				missing = wire.Missing
+				return nil
+			}
+			return &StatusError{Code: resp.StatusCode, msg: readError(resp)}
+		})
+	return missing, len(body), err
+}
+
+// lentBody is a request body over a buffer of pool's. The transport may
+// go on reading a request body after the response has arrived, and
+// closes it when it is done, or gives up; so the buffer goes back to the
+// pool only at a close after the last byte was read, and is otherwise
+// left to the garbage collector.
+type lentBody struct {
+	buf    []byte
+	r      bytes.Reader
+	pool   *bufPool
+	read   atomic.Bool // Read has reported io.EOF
+	closed atomic.Bool
+}
+
+func lend(buf []byte, pool *bufPool) *lentBody {
+	b := &lentBody{buf: buf, pool: pool}
+	b.r.Reset(buf)
+	return b
+}
+
+func (b *lentBody) Read(p []byte) (int, error) {
+	n, err := b.r.Read(p)
+	if err == io.EOF {
+		b.read.Store(true)
+	}
+	return n, err
+}
+
+func (b *lentBody) Close() error {
+	if b.read.Load() && !b.closed.Swap(true) {
+		b.pool.put(b.buf)
+	}
+	return nil
 }
 
 // PublishModel chunk-encodes a model and publishes it through
@@ -288,7 +304,7 @@ func (c *Client) mirrorChunked(dst *repo.Repository, id string) error {
 			return fmt.Errorf("hub: mirroring %s: %w", id, err)
 		}
 	}
-	if _, err := dst.PublishManifest(man); err != nil {
+	if _, err := dst.PublishManifest(man, nil); err != nil {
 		return fmt.Errorf("hub: mirroring %s: %w", id, err)
 	}
 	return nil

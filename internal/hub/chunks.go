@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -16,39 +17,36 @@ import (
 	"sommelier/internal/repo"
 )
 
-// The chunk-negotiation protocol (git/OCI style): a publisher PUTs a
-// model's manifest; the server answers 409 with the chunk addresses it
-// lacks; the publisher uploads exactly those and re-PUTs the manifest.
-// A mirror runs the same negotiation in reverse with HEAD + GET. Either
-// way only chunks the receiver is missing cross the wire, so a
-// fine-tuned series costs its unique tensors, not whole models.
+// The model body on the wire, in both directions, is the pack
+// (internal/cas/pack.go): a model's manifest and, in
+// Manifest.ChunkRefs() order, any subset of the chunks it references as
+// length-prefixed raw records. A bare GET /v1/models/{id} answers the
+// complete pack. A publish PUTs the manifest alone first; a hub over a
+// chunk store that lacks referenced chunks answers 409 with their
+// addresses, and the publisher PUTs them as the records of further
+// packs until the hub holds every reference and commits (201). So only
+// chunks the receiver is missing cross the wire, and a fine-tuned
+// series costs its unique tensors, not whole models.
 //
-//	HEAD /v1/chunks/{hash}            — does the hub hold this chunk?
-//	GET  /v1/chunks/{hash}            — fetch one chunk (binary)
-//	PUT  /v1/chunks/{hash}            — upload one chunk (binary)
-//	GET  /v1/models/{id}?format=manifest — fetch a model's chunk manifest
-//	PUT  /v1/models/{id} (manifest)   — publish by manifest; 409 lists missing chunks
+//	GET /v1/models/{id}                  — the model's complete pack
+//	GET /v1/models/{id}?format=manifest  — its chunk manifest
+//	GET /v1/chunks/{hash}                — one chunk (binary)
+//	PUT /v1/models/{id} (pack)           — publish; 409 lists missing chunks
 //
-// The model body itself is the pack: what a bare GET /v1/models/{id}
-// answers (Client.Load, a receiver that holds nothing yet) and what a
-// pack-typed PUT carries (PublishEncoded, against a hub that cannot
-// negotiate). Its framing is internal/cas/pack.go: the manifest and, in
-// Manifest.ChunkRefs() order, each chunk as a length-prefixed raw
-// record. A hub over a chunk store copies the stored manifest and
-// chunks into it with Content-Length set, neither hydrating nor
-// re-encoding the model; a hub whose store has no chunk surface chunks
-// the model it loads, as a repository would store it. The sender
-// verifies nothing on the way out and the receiver trusts nothing on
-// the way in — cas.ReadPack derives every chunk's address by hashing
-// the bytes that arrived and requires it to be the manifest's next
-// reference, then hydrates and validates as a repository would.
-//
-// So every hub sends and accepts the same body, and a Load is one
-// request against any of them; only the negotiation needs a chunk
-// store.
+// Mirror pulls with the two manifest and chunk GETs, asking its own
+// repository which chunks it lacks. A hub over a chunk store copies the
+// stored manifest and chunks into a pack with Content-Length set,
+// neither hydrating nor re-encoding the model; a hub whose store has no
+// chunk surface chunks the model it loads, as a repository would store
+// it, answers the manifest and chunk GETs 501, and takes only complete
+// packs (any other is 501 too). The sender verifies nothing on the way
+// out and the receiver trusts nothing on the way in: cas.DecodePack
+// derives every record's address by hashing the bytes that arrived and
+// requires it to be a later reference of the manifest, and that hash is
+// the only one an uploaded byte gets at the hub.
 
-// ContentTypeManifest marks a PUT /v1/models/{id} body, and a
-// ?format=manifest answer, as a chunk manifest.
+// ContentTypeManifest marks a ?format=manifest answer as a chunk
+// manifest.
 const ContentTypeManifest = "application/x-somx-manifest"
 
 // ContentTypePack marks a model body — a GET /v1/models/{id} answer or
@@ -56,8 +54,8 @@ const ContentTypeManifest = "application/x-somx-manifest"
 const ContentTypePack = "application/x-somx-pack"
 
 // presizeLimit caps the buffer readBody allocates on the strength of a
-// declared Content-Length alone. Chunks are 32 KiB by default and the
-// packs of the models this repository serves a few hundred KiB; a body
+// declared Content-Length alone. The packs of the models this
+// repository serves and publishes are a few hundred KiB; a body
 // declared longer is read by io.ReadAll, which grows only as bytes
 // actually arrive.
 const presizeLimit = 1 << 20
@@ -85,7 +83,7 @@ func readBody(dst []byte, body io.Reader, declared int64) ([]byte, error) {
 }
 
 // bufPool recycles whole-body buffers: the server's rendered packs and
-// received uploads, and the client's received packs. A buffer
+// received uploads, and the client's received and sent packs. A buffer
 // goes back once nothing holds a slice of it.
 type bufPool struct{ pool sync.Pool }
 
@@ -104,20 +102,20 @@ func (p *bufPool) put(b []byte) {
 
 // ChunkStore is the optional chunk-level surface a Store may implement
 // — *repo.Repository does. A server whose store lacks it (sommhub's
-// cluster fronts, faults.FlakyStore) answers the chunk endpoints and
-// manifest transfers with 501, and clients publish by pack instead; it
-// still serves and accepts packs.
+// cluster fronts, faults.FlakyStore) answers the chunk and manifest GETs
+// with 501 and takes only complete packs; it still serves packs.
 type ChunkStore interface {
-	HasChunk(hash string) bool
 	GetChunk(hash string) ([]byte, error)
-	// PutChunk stores a chunk after checking that data hashes to hash.
-	// It never retains data: the hub reads each upload into a recycled
-	// buffer and reuses it once PutChunk returns.
+	// PutChunk stores a chunk whose address the caller got by hashing
+	// data. It never retains data: the hub's records alias a recycled
+	// upload buffer, reused once the PUT is answered.
 	PutChunk(hash string, data []byte) error
 	Manifest(id string) (*cas.Manifest, bool)
 	MissingChunks(man *cas.Manifest) []string
-	// PublishManifest stores the model man describes and returns it.
-	PublishManifest(man *cas.Manifest) (*graph.Model, error)
+	// PublishManifest stores the model man describes, from the chunks
+	// carried (named by hashing them, and never retained) and those it
+	// holds, and returns it.
+	PublishManifest(man *cas.Manifest, carried map[string][]byte) (*graph.Model, error)
 }
 
 // chunkStore returns the store's chunk surface, or nil when the store
@@ -127,7 +125,13 @@ func (s *Server) chunkStore() ChunkStore {
 	return cs
 }
 
+// handleChunk answers GET /v1/chunks/{hash}. Chunks go up only as
+// pack records, so every other method is 405.
 func (s *Server) handleChunk(w http.ResponseWriter, r *http.Request) {
+	if r.Method != http.MethodGet {
+		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+		return
+	}
 	cs := s.chunkStore()
 	if cs == nil {
 		http.Error(w, "chunk transfer not supported by this hub", http.StatusNotImplemented)
@@ -138,43 +142,18 @@ func (s *Server) handleChunk(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "missing chunk address", http.StatusBadRequest)
 		return
 	}
-	switch r.Method {
-	case http.MethodHead:
-		if !cs.HasChunk(hash) {
-			w.WriteHeader(http.StatusNotFound)
-			return
+	data, err := cs.GetChunk(hash)
+	if err != nil {
+		if errors.Is(err, cas.ErrMissingChunk) {
+			http.Error(w, err.Error(), http.StatusNotFound)
+		} else {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
-		w.WriteHeader(http.StatusOK)
-	case http.MethodGet:
-		data, err := cs.GetChunk(hash)
-		if err != nil {
-			if errors.Is(err, cas.ErrMissingChunk) {
-				http.Error(w, err.Error(), http.StatusNotFound)
-			} else {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-			}
-			return
-		}
-		w.Header().Set("Content-Type", "application/octet-stream")
-		w.Header().Set("Content-Length", strconv.Itoa(len(data)))
-		w.Write(data)
-	case http.MethodPut:
-		data, err := readBody(s.uploads.get(), http.MaxBytesReader(w, r.Body, s.maxBody), r.ContentLength)
-		defer s.uploads.put(data)
-		if err != nil {
-			s.refuseUpload(w, "chunk", err)
-			return
-		}
-		// PutChunk verifies content against the address, so a corrupted
-		// upload is rejected here, not discovered at hydration.
-		if err := cs.PutChunk(hash, data); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		w.WriteHeader(http.StatusCreated)
-	default:
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+		return
 	}
+	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Header().Set("Content-Length", strconv.Itoa(len(data)))
+	w.Write(data)
 }
 
 // serveManifestGet answers GET /v1/models/{id}?format=manifest.
@@ -232,7 +211,7 @@ func (s *Server) servePack(w http.ResponseWriter, id string) {
 		}
 		man, get = enc.Manifest, enc.Chunk
 	}
-	body, err := cas.EncodePack(s.packs.get(), man, get)
+	body, err := cas.EncodePack(s.packs.get(), man, man.ChunkRefs(), get)
 	defer s.packs.put(body)
 	if err != nil {
 		// The manifest is stored and a chunk it references is not
@@ -247,74 +226,80 @@ func (s *Server) servePack(w http.ResponseWriter, id string) {
 	s.obs.Counter("hub_fetch_bytes_total").Add(int64(len(body)))
 }
 
-// servePackPut answers a pack-typed PUT /v1/models/{id}: the pack is
-// read and verified whole, and its model must carry the path's
-// identity — a body that disagrees would corrupt later lookups, and is
-// refused before anything is stored, so a pre-existing model under the
-// body's ID survives.
-func (s *Server) servePackPut(w http.ResponseWriter, r *http.Request, id string) {
-	data, err := readBody(s.uploads.get(), http.MaxBytesReader(w, r.Body, s.maxBody), r.ContentLength)
-	defer s.uploads.put(data) // ReadPack's model copied what it keeps
-	if err != nil {
-		s.refuseUpload(w, "model", err)
+// servePut answers PUT /v1/models/{id}, whose body is a pack. Its
+// manifest must carry the path's identity — a body that disagrees would
+// corrupt later lookups, and is refused before anything is stored, so a
+// pre-existing model under the body's ID survives.
+//
+// A hub over a chunk store answers 409 with the references neither
+// stored nor carried, storing the records it was sent, until there are
+// none; then it commits the manifest as it was sent, with the records
+// as its carried chunks, resolving no base and re-encoding nothing. A
+// hub without a chunk store takes complete packs only, and answers any
+// other 501.
+func (s *Server) servePut(w http.ResponseWriter, r *http.Request, id string) {
+	if ct := r.Header.Get("Content-Type"); ct != ContentTypePack {
+		http.Error(w, fmt.Sprintf("a model PUT carries %s, not %q", ContentTypePack, ct), http.StatusUnsupportedMediaType)
 		return
 	}
-	m, man, err := cas.ReadPack(data)
+	data, err := readBody(s.uploads.get(), http.MaxBytesReader(w, r.Body, s.maxBody), r.ContentLength)
+	defer s.uploads.put(data) // the store and the model copied what they keep
+	var mbe *http.MaxBytesError
+	switch {
+	case errors.As(err, &mbe):
+		http.Error(w, fmt.Sprintf("model exceeds %d-byte upload limit", s.maxBody), http.StatusRequestEntityTooLarge)
+		return
+	case err != nil:
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	cs := s.chunkStore()
+	var (
+		man    *cas.Manifest
+		chunks map[string][]byte
+		m      *graph.Model
+	)
+	if cs != nil {
+		man, chunks, err = cas.DecodePack(data)
+	} else if m, man, err = cas.ReadPack(data); errors.Is(err, cas.ErrMissingChunk) {
+		http.Error(w, "this hub has no chunk store and takes only complete packs: "+err.Error(), http.StatusNotImplemented)
+		return
+	}
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	if gotID := repo.IDFor(m); gotID != id {
-		http.Error(w, fmt.Sprintf("model identity %q does not match path id %q", gotID, id),
-			http.StatusBadRequest)
-		return
-	}
-	s.accept(w, r, id, man, func() (*graph.Model, error) {
-		_, err := s.store.Publish(m)
-		return m, err
-	})
-}
-
-// refuseUpload answers a PUT whose body could not be read: 413 past the
-// upload limit, 400 otherwise.
-func (s *Server) refuseUpload(w http.ResponseWriter, what string, err error) {
-	var mbe *http.MaxBytesError
-	if errors.As(err, &mbe) {
-		http.Error(w, fmt.Sprintf("%s exceeds %d-byte upload limit", what, s.maxBody),
-			http.StatusRequestEntityTooLarge)
-		return
-	}
-	http.Error(w, err.Error(), http.StatusBadRequest)
-}
-
-// serveManifestPut answers a manifest-typed PUT /v1/models/{id}: if the
-// hub lacks referenced chunks it answers 409 Conflict with their
-// addresses and the client uploads them before retrying; otherwise the
-// model is published from the manifest (and indexed, with the same
-// rollback discipline as a pack upload).
-func (s *Server) serveManifestPut(w http.ResponseWriter, r *http.Request, id string) {
-	cs := s.chunkStore()
-	if cs == nil {
-		http.Error(w, "chunk transfer not supported by this hub", http.StatusNotImplemented)
-		return
-	}
-	man, err := cas.DecodeManifest(http.MaxBytesReader(w, r.Body, s.maxBody))
-	if err != nil {
-		s.refuseUpload(w, "manifest", err)
-		return
-	}
 	if man.ID() != id {
-		http.Error(w, fmt.Sprintf("manifest identity %q does not match path id %q", man.ID(), id),
-			http.StatusBadRequest)
+		http.Error(w, fmt.Sprintf("model identity %q does not match path id %q", man.ID(), id), http.StatusBadRequest)
 		return
 	}
-	if missing := cs.MissingChunks(man); len(missing) > 0 {
+	if cs == nil {
+		s.accept(w, r, id, man, func() (*graph.Model, error) {
+			_, err := s.store.Publish(m)
+			return m, err
+		})
+		return
+	}
+	// A chunk the pack carries counts as held, even if a racing delete
+	// collects the stored copy before the commit: PublishManifest
+	// resupplies it.
+	missing := slices.DeleteFunc(cs.MissingChunks(man), func(h string) bool {
+		_, ok := chunks[h]
+		return ok
+	})
+	if len(missing) > 0 {
+		for h, record := range chunks {
+			if err := cs.PutChunk(h, record); err != nil {
+				http.Error(w, err.Error(), http.StatusInternalServerError)
+				return
+			}
+		}
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusConflict)
 		json.NewEncoder(w).Encode(map[string][]string{"missing": missing})
 		return
 	}
-	s.accept(w, r, id, man, func() (*graph.Model, error) { return cs.PublishManifest(man) })
+	s.accept(w, r, id, man, func() (*graph.Model, error) { return cs.PublishManifest(man, chunks) })
 }
 
 var _ ChunkStore = (*repo.Repository)(nil)

@@ -131,7 +131,7 @@ type Client struct {
 	// attempt whose answer never arrived, or was a 5xx without the
 	// header: Generation reports none until a later change is seen.
 	unsure atomic.Uint64
-	// packOnly is set once the hub has refused a manifest PUT as
+	// packOnly is set once the hub has refused a partial pack as
 	// unsupported: later publishes skip negotiation and send one pack.
 	packOnly atomic.Bool
 

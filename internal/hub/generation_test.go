@@ -99,9 +99,10 @@ func (h *genHub) queryGen() uint64 {
 
 // TestGenerationMovesOnWritesOnly: query answers (GET and POST, answered
 // or refused) and write acks carry the generation under the hub's boot;
-// it moves by one on every accepted model PUT, manifest publish and
-// DELETE, and not on a model or manifest GET, a chunk HEAD/GET/PUT, or a
-// refused write. Another hub names another boot.
+// it moves by one on every model PUT that commits and every DELETE, and
+// not on a model or manifest GET, a chunk GET, a PUT answered 409 while
+// the hub lacks chunks, or a refused write. Another hub names another
+// boot.
 func TestGenerationMovesOnWritesOnly(t *testing.T) {
 	h := newGenHub(t)
 	g := h.queryGen()
@@ -155,33 +156,40 @@ func TestGenerationMovesOnWritesOnly(t *testing.T) {
 	_, v = h.do(http.MethodGet, "/v1/models", "", nil)
 	unchanged("a list", v)
 
-	// Publish a second model by manifest, chunk by chunk.
+	// Publish a second model the way a client negotiates it: the
+	// manifest alone, then its chunks as records, one pack per record.
 	enc, err := cas.Encode(testModel(t, "bychunk", 2), "", nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var man bytes.Buffer
-	if err := cas.EncodeManifest(&man, enc.Manifest); err != nil {
-		t.Fatal(err)
+	refs := enc.Manifest.ChunkRefs()
+	if len(refs) < 2 {
+		t.Fatalf("fixture has %d chunks, need at least 2", len(refs))
 	}
-	st, v = h.do(http.MethodPut, "/v1/models/bychunk@1", ContentTypeManifest, man.Bytes())
-	if st != http.StatusConflict {
-		t.Fatalf("manifest PUT before its chunks: status %d, want 409", st)
-	}
-	unchanged("a 409 manifest PUT", v)
-	for hash, data := range enc.Chunks {
-		st, v = h.do(http.MethodPut, "/v1/chunks/"+hash, "", data)
-		if st != http.StatusCreated {
-			t.Fatalf("chunk PUT: status %d", st)
+	pack := func(refs []string) []byte {
+		t.Helper()
+		data, err := cas.EncodePack(nil, enc.Manifest, refs, enc.Chunk)
+		if err != nil {
+			t.Fatal(err)
 		}
-		unchanged("a chunk PUT", v)
-		_, v = h.do(http.MethodHead, "/v1/chunks/"+hash, "", nil)
-		unchanged("a chunk HEAD", v)
+		return data
+	}
+	st, v = h.do(http.MethodPut, "/v1/models/bychunk@1", ContentTypePack, pack(nil))
+	if st != http.StatusConflict {
+		t.Fatalf("manifest-alone PUT: status %d, want 409", st)
+	}
+	unchanged("a 409 PUT", v)
+	for i, hash := range refs[:len(refs)-1] {
+		st, v = h.do(http.MethodPut, "/v1/models/bychunk@1", ContentTypePack, pack(refs[i:i+1]))
+		if st != http.StatusConflict {
+			t.Fatalf("PUT of record %d of %d: status %d, want 409", i+1, len(refs), st)
+		}
+		unchanged("a 409 PUT carrying a record", v)
 		_, v = h.do(http.MethodGet, "/v1/chunks/"+hash, "", nil)
 		unchanged("a chunk GET", v)
 	}
-	st, v = h.do(http.MethodPut, "/v1/models/bychunk@1", ContentTypeManifest, man.Bytes())
-	write("manifest publish", st, v, http.StatusCreated)
+	st, v = h.do(http.MethodPut, "/v1/models/bychunk@1", ContentTypePack, pack(refs[len(refs)-1:]))
+	write("the PUT carrying the last record", st, v, http.StatusCreated)
 
 	st, v = h.do(http.MethodDelete, "/v1/models/gen@1", "", nil)
 	write("DELETE", st, v, http.StatusNoContent)

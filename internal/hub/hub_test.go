@@ -167,7 +167,7 @@ func TestIndexErrorIs500AndMovesGeneration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pack, err := cas.EncodePack(nil, enc.Manifest, enc.Chunk)
+	pack, err := cas.EncodePack(nil, enc.Manifest, enc.Manifest.ChunkRefs(), enc.Chunk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,15 +239,24 @@ func TestServerRejectsIdentityMismatch(t *testing.T) {
 	}
 }
 
-// TestModelPutOfAnotherBodyIs415: a model PUT carries a pack or a
-// manifest. A SOMX body (graph's JSON encoding) or an untyped one is
+// TestModelPutOfAnotherBodyIs415: a model PUT carries a pack. A SOMX
+// body (graph's JSON encoding), a bare manifest or an untyped body is
 // refused as an unsupported media type before it is read, and nothing
 // is stored.
 func TestModelPutOfAnotherBodyIs415(t *testing.T) {
 	ts, _, store := newHub(t)
-	somx := somxBytes(t, testModel(t, "legacy", 6))
-	for _, ct := range []string{"application/x-somx", ""} {
-		req, err := http.NewRequest(http.MethodPut, ts.URL+"/v1/models/legacy@1", bytes.NewReader(somx))
+	m := testModel(t, "legacy", 6)
+	enc, err := cas.Encode(m, "", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var man bytes.Buffer
+	if err := cas.EncodeManifest(&man, enc.Manifest); err != nil {
+		t.Fatal(err)
+	}
+	somx := somxBytes(t, m)
+	for ct, body := range map[string][]byte{"application/x-somx": somx, "": somx, ContentTypeManifest: man.Bytes()} {
+		req, err := http.NewRequest(http.MethodPut, ts.URL+"/v1/models/legacy@1", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}

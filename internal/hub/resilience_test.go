@@ -522,7 +522,7 @@ func TestClientClosesEveryResponseBody(t *testing.T) {
 	var mu sync.Mutex
 	plan := map[string][]int{
 		"/v1/models":     {http.StatusServiceUnavailable, http.StatusOK},
-		"/v1/chunks/h":   {http.StatusCreated},
+		"/v1/models/e@1": {http.StatusCreated},
 		"/v1/models/a@1": {http.StatusNoContent},
 		"/v1/models/b@1": {http.StatusBadRequest},
 		"/v1/models/c@1": {http.StatusNotFound},
@@ -551,8 +551,8 @@ func TestClientClosesEveryResponseBody(t *testing.T) {
 	if _, err := c.List(); err != nil {
 		t.Fatalf("List after a retried 503: %v", err)
 	}
-	if err := c.PutChunk("h", []byte("x")); err != nil {
-		t.Fatalf("PutChunk: %v", err)
+	if _, _, err := c.PublishModel(testModel(t, "e", 1)); err != nil {
+		t.Fatalf("PublishModel: %v", err)
 	}
 	if err := c.Delete("a@1"); err != nil {
 		t.Fatalf("Delete: %v", err)

@@ -12,10 +12,11 @@
 //	GET  /v1/models/{id}       — fetch one model as a pack (manifest plus
 //	                             raw chunks, one body; see chunks.go), or
 //	                             its chunk manifest with ?format=manifest
-//	PUT  /v1/models/{id}       — publish a model (pack body), or by
-//	                             manifest (chunk negotiation; see chunks.go)
+//	PUT  /v1/models/{id}       — publish a model: a pack carrying the
+//	                             chunks the hub lacks (409 names them; see
+//	                             chunks.go)
 //	DELETE /v1/models/{id}     — remove a model
-//	HEAD/GET/PUT /v1/chunks/{hash} — probe/fetch/upload one tensor chunk
+//	GET  /v1/chunks/{hash}     — fetch one tensor chunk
 //	GET  /v1/query?q=…         — run a Sommelier query (JSON, or a results
 //	                             frame when Accept asks; needs WithQuerier)
 //	POST /v1/query             — run a query batch ({"queries":[…]} body or
@@ -125,11 +126,11 @@ type BatchQuerier func(ctx context.Context, qs []string) ([]any, []*QueryError)
 // HeaderGeneration names the response header that carries the hub's
 // write generation, "<boot>.<n>": boot names the hub process and n
 // counts, from 0 at its start, the writes that changed the store (a
-// model PUT, a manifest publish, a DELETE). A /v1/query answer carries
-// the value read before the query ran, so an answer carrying n has seen
+// model PUT that committed, a DELETE). A /v1/query answer carries the
+// value read before the query ran, so an answer carrying n has seen
 // every write whose ack carried n or less under the same boot; a write
-// ack carries the value read after the write committed. Chunk
-// transfers and loads do not carry it.
+// ack carries the value read after the write committed. A PUT answered
+// 409, chunk fetches and loads do not carry it.
 const HeaderGeneration = "X-Sommelier-Generation"
 
 // DefaultMaxBodyBytes caps PUT bodies; a bare-bone hub should not be
@@ -210,7 +211,7 @@ type Server struct {
 	gen atomic.Uint64
 	// packs recycles servePack's rendered bodies.
 	packs bufPool
-	// uploads recycles the bodies of chunk and pack PUTs.
+	// uploads recycles the bodies of model PUTs.
 	uploads bufPool
 }
 
@@ -538,15 +539,7 @@ func (s *Server) serveModel(w http.ResponseWriter, r *http.Request) {
 		}
 		s.servePack(w, id)
 	case http.MethodPut:
-		switch r.Header.Get("Content-Type") {
-		case ContentTypeManifest:
-			s.serveManifestPut(w, r, id)
-		case ContentTypePack:
-			s.servePackPut(w, r, id)
-		default:
-			http.Error(w, fmt.Sprintf("a model PUT carries %s or %s", ContentTypePack, ContentTypeManifest),
-				http.StatusUnsupportedMediaType)
-		}
+		s.servePut(w, r, id)
 	case http.MethodDelete:
 		switch err := s.store.Delete(id); {
 		case errors.Is(err, repo.ErrNotFound):

@@ -242,7 +242,7 @@ func TestPublishManifestResuppliesAfterRacingDelete(t *testing.T) {
 	r.mu.Lock()
 	done := make(chan error, 1)
 	go func() {
-		_, err := r.PublishManifest(enc.Manifest)
+		_, err := r.PublishManifest(enc.Manifest, nil)
 		done <- err
 	}()
 	manifest := r.manifestPath(IDFor(variant))

@@ -351,31 +351,46 @@ func (r *Repository) commitManifest(enc *cas.Encoded, refs []string) error {
 	return nil
 }
 
-// PublishManifest commits a model received as manifest + negotiated
-// chunks (the hub's chunked upload path). Every referenced chunk must
-// already be present — MissingChunks names any that are not — and the
-// manifest must hydrate to a valid model, so a malformed upload is
-// rejected before it becomes visible. It returns the hydrated model it
-// stored.
-func (r *Repository) PublishManifest(man *cas.Manifest) (*graph.Model, error) {
+// PublishManifest commits a model received as a manifest (the hub's
+// upload path, and Mirror's). Each chunk it references is carried —
+// named by the caller's own hash of it, as a pack reader does — or
+// already stored; MissingChunks names the stored ones missing. The
+// carried chunks are stored without hashing them again and never
+// retained. The manifest must hydrate to a valid model, so a malformed
+// upload is rejected before it becomes visible. It returns the
+// hydrated model it stored.
+func (r *Repository) PublishManifest(man *cas.Manifest, carried map[string][]byte) (*graph.Model, error) {
 	if err := man.Validate(); err != nil {
 		return nil, fmt.Errorf("repo: %w", err)
 	}
-	if missing := cas.Missing(man, r.chunks.Has); len(missing) > 0 {
+	held := func(h string) bool {
+		_, ok := carried[h]
+		return ok || r.chunks.Has(h)
+	}
+	if missing := cas.Missing(man, held); len(missing) > 0 {
 		return nil, fmt.Errorf("repo: publishing %s: %d referenced chunks not uploaded: %w",
 			man.ID(), len(missing), cas.ErrMissingChunk)
 	}
+	for h, data := range carried {
+		if err := r.chunks.PutHashed(h, data); err != nil {
+			return nil, fmt.Errorf("repo: publishing %s: %w", man.ID(), err)
+		}
+	}
 	// Record chunk bytes as hydration fetches them, so the commit can
-	// resupply any chunk a racing delete GCs before it is referenced.
-	// They were read from this store, so nothing is put again: the
-	// commit starts at the manifest.
+	// resupply any chunk a racing delete GCs before it is referenced:
+	// the carried bytes, and those read from this store. Nothing is put
+	// again: the commit starts at the manifest.
 	chunks := make(map[string][]byte)
 	m, err := cas.Hydrate(man, func(h string) ([]byte, error) {
-		data, err := r.chunks.Get(h)
-		if err == nil {
-			chunks[h] = data
+		data, ok := carried[h]
+		if !ok {
+			var err error
+			if data, err = r.chunks.Get(h); err != nil {
+				return nil, err
+			}
 		}
-		return data, err
+		chunks[h] = data
+		return data, nil
 	})
 	if err != nil {
 		return nil, fmt.Errorf("repo: publishing %s: %w", man.ID(), err)
@@ -492,17 +507,16 @@ func (r *Repository) Len() int {
 	return len(r.meta)
 }
 
-// HasChunk reports whether the repository's chunk store holds a chunk —
-// the transfer-negotiation primitive ("do I need to send this?").
-func (r *Repository) HasChunk(hash string) bool { return r.chunks.Has(hash) }
-
 // GetChunk returns a chunk's verified bytes.
 func (r *Repository) GetChunk(hash string) ([]byte, error) { return r.chunks.Get(hash) }
 
-// PutChunk stores a chunk ahead of a manifest publish, after checking
-// its hash. It copies or writes data and never retains it. The chunk is
-// unreferenced until a manifest claims it; Open sweeps unclaimed ones.
-func (r *Repository) PutChunk(hash string, data []byte) error { return r.chunks.Put(hash, data) }
+// PutChunk stores a chunk ahead of a manifest publish. hash must be
+// what the caller got by hashing data — the hub's pack reader and
+// Mirror's verified fetch both name each chunk that way — so it is not
+// hashed again. It copies or writes data and never retains it. The
+// chunk is unreferenced until a manifest claims it; Open sweeps
+// unclaimed ones.
+func (r *Repository) PutChunk(hash string, data []byte) error { return r.chunks.PutHashed(hash, data) }
 
 // MissingChunks returns the manifest's chunk references this repository
 // does not hold, sorted.

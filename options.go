@@ -16,8 +16,8 @@ type Option func(*engineConfig)
 type engineConfig struct {
 	cat catalog.Config
 	obs *obs.Observer
-	// queryWorkers bounds QueryBatchContext's execution pool; 0 means
-	// runtime.GOMAXPROCS(0).
+	// queryWorkers bounds QueryBatchContext's execution pool; 0, the
+	// only value outside tests, means runtime.GOMAXPROCS(0).
 	queryWorkers int
 }
 
@@ -63,15 +63,6 @@ func WithSampleSize(n int) Option {
 // results — only how fast they arrive.
 func WithIndexWorkers(n int) Option {
 	return func(c *engineConfig) { c.cat.Workers = n }
-}
-
-// WithQueryWorkers bounds how many queries of one QueryBatchContext
-// batch execute concurrently. Zero means runtime.GOMAXPROCS(0). The
-// worker count never changes batch results — only how fast they
-// arrive; every query still runs its own full pipeline against the
-// batch's shared snapshot.
-func WithQueryWorkers(n int) Option {
-	return func(c *engineConfig) { c.queryWorkers = n }
 }
 
 // WithCustomValidation uses the dataset instead of generated probe data

@@ -206,7 +206,8 @@ query_total_ms 19
 // of it.
 func TestQueryTracesPinned(t *testing.T) {
 	o := obs.New(obs.WithClock(obs.NewTickClock(0, 1000)))
-	eng, ref := queryEngine(t, WithObserver(o), WithQueryWorkers(2))
+	eng, ref := queryEngine(t, WithObserver(o))
+	eng.cfg.queryWorkers = 2
 	ctx := context.Background()
 	shapes := mixShapeQueries(ref)
 	var texts []string

@@ -57,7 +57,7 @@ var writeDoors = []struct {
 			if err != nil {
 				return err
 			}
-			pack, err := cas.EncodePack(nil, enc.Manifest, enc.Chunk)
+			pack, err := cas.EncodePack(nil, enc.Manifest, enc.Manifest.ChunkRefs(), enc.Chunk)
 			if err != nil {
 				return err
 			}
@@ -139,8 +139,9 @@ func openWrite(t *testing.T, door int, failing, deletesFail bool) *writeFixture 
 
 // TestWriteRule drives the engine's one write rule, Accept, through
 // every front door: RegisterContext, a hub PUT on loopback over the
-// engine's own store (pack and manifest bodies), and
-// EngineReplica.PublishEncoded. Every row holds at every door.
+// engine's own store (a complete pack, and hub_manifest: the client's
+// negotiation, the manifest alone and then the chunks the hub names),
+// and EngineReplica.PublishEncoded. Every row holds at every door.
 func TestWriteRule(t *testing.T) {
 	a := registerTestModel(t, "rule-a", 1)
 	b := registerTestModel(t, "rule-b", 2)
