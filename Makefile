@@ -42,15 +42,18 @@ benchsmoke:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # layerbench runs the storage layer's benchmarks — hydration, the
-# encoder, the pack reader and the manifest codec — and the register
-# path's one-model Index once each, so a benchmark that stops building
-# or panics fails the gate; the numbers it prints are not judged here
+# encoder, the pack reader and the manifest codec — the register
+# path's one-model Index, the dense and spectral-norm kernels and one
+# model observation once each, so a benchmark that stops building or
+# panics fails the gate; the numbers it prints are not judged here
 # (TestHydrateCopiesOnce and TestEncodeAddressesTensorsInPlace bound
 # the bytes). IndexOne includes BenchmarkIndexOne/series, whose one op
 # registers a whole fine-tuned series, so the sweeps that resume from
 # a cached cut run here too.
 layerbench:
 	$(GO) test -run '^$$' -bench 'Join|Hydrate|Encode|ReadPack|ManifestCodec|IndexOne' -benchtime 1x ./internal/chunk ./internal/cas ./internal/catalog
+	$(GO) test -run '^$$' -bench 'DenseBatch|SpectralNorm' -benchtime 1x ./internal/tensor
+	$(GO) test -run '^$$' -bench 'Observe' -benchtime 1x ./internal/equiv
 
 # check is the CI gate: vet (and its gofmt gate), then sommlint, then
 # the bench-module smoke and the layer benchmarks, then the
@@ -82,7 +85,9 @@ chaos:
 
 # fuzz runs every decoder of outside bytes under its fuzz target for 60
 # s each: the index snapshot (root), the query wire frames (hub), packs
-# and manifests (cas), query text (query) and SOMX models (graph). No
+# and manifests (cas), query text (query) and SOMX models (graph); and
+# the dense kernels (tensor) against their one-row loops, on the AVX2
+# path where the host has it and on the scalar path everywhere. No
 # hub reads SOMX, but it stays the reference encoding tests and the
 # bench module compare and time models by, so its decoder keeps its
 # target. go test fuzzes one target per run, so each gets its own line;
@@ -100,12 +105,17 @@ fuzz:
 	$(FUZZ) '^FuzzDecodeManifest$$' ./internal/cas
 	$(FUZZ) '^FuzzParse$$' ./internal/query
 	$(FUZZ) '^FuzzDecode$$' ./internal/graph
+	$(FUZZ) '^FuzzKernelsMatchOneRowReference$$' ./internal/tensor
 
-# loc prints the two line counts ROADMAP's subtraction budget is stated
+# loc prints the line counts ROADMAP's subtraction budget is stated
 # in: non-test Go outside bench/ and testdata/, and test Go outside
-# bench/. Plain `wc -l` over `find`, so the count is reproducible.
+# bench/; and the assembly (.s) outside bench/ and testdata/, which
+# neither Go count includes. Plain `wc -l` over `find`, so the count is
+# reproducible.
 loc:
 	@printf 'non-test Go (outside bench/, testdata/): '; \
 	find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path '*/testdata/*' -print0 | xargs -0 cat | wc -l
 	@printf 'test Go (outside bench/): '; \
 	find . -name '*_test.go' ! -path './bench/*' -print0 | xargs -0 cat | wc -l
+	@printf 'assembly (outside bench/, testdata/): '; \
+	find . -name '*.s' ! -path './bench/*' ! -path '*/testdata/*' -print0 | xargs -0 cat | wc -l

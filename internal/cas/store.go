@@ -140,8 +140,8 @@ func (s *Store) Put(hash string, data []byte) error {
 }
 
 // PutHashed is Put for a caller that named data by hashing it — a pack
-// reader, a verified fetch — so the store does not hash it again. It
-// copies or writes data and never retains it.
+// reader, a verified fetch, Encode — so the store does not hash it
+// again. It copies or writes data and never retains it.
 func (s *Store) PutHashed(hash string, data []byte) error {
 	s.mu.Lock()
 	s.stats.Puts++

@@ -61,7 +61,12 @@ func Bytes(vals []float64) []byte {
 }
 
 // decode fills dst from little-endian bytes; len(src) is 8*len(dst).
+// On a little-endian host that is one copy into dst's own memory.
 func decode(dst []float64, src []byte) {
+	if littleEndian {
+		copy(view(dst), src)
+		return
+	}
 	for i := range dst {
 		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
 	}
@@ -72,8 +77,9 @@ func decode(dst []float64, src []byte) {
 var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
 
 // view returns the bytes Bytes(vals) would, without copying: on a
-// little-endian host, the values' own memory. The view aliases vals and
-// is read-only; its capacity ends with vals, so an append reallocates.
+// little-endian host, the values' own memory. The view aliases vals:
+// Split's callers only read it, decode writes through it. Its capacity
+// ends with vals, so an append reallocates.
 func view(vals []float64) []byte {
 	if !littleEndian {
 		return Bytes(vals)

@@ -8,7 +8,9 @@ import (
 )
 
 func TestBytesFloatsRoundTrip(t *testing.T) {
-	vals := []float64{0, 1.5, -2.75, math.Pi, math.SmallestNonzeroFloat64, math.MaxFloat64, math.Inf(1)}
+	vals := []float64{0, 1.5, -2.75, math.Pi, math.SmallestNonzeroFloat64, math.MaxFloat64, math.Inf(1),
+		math.Copysign(0, -1), math.Inf(-1), math.Float64frombits(0x7ff0000000000001),
+		math.Float64frombits(0xfff8000000000abc), math.Float64frombits(0x000fffffffffffff)}
 	got, err := Join([][]byte{Bytes(vals)}, len(vals))
 	if err != nil {
 		t.Fatal(err)

@@ -3,6 +3,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/scanner"
@@ -220,8 +221,8 @@ func (l *loader) load(path string) (*Package, error) {
 	return pkg, nil
 }
 
-// parseDir parses every non-test Go file in dir, in name order so
-// positions and diagnostics are stable.
+// parseDir parses every non-test Go file of dir's build, in name order
+// so positions and diagnostics are stable.
 func (l *loader) parseDir(dir string) ([]*ast.File, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -229,12 +230,9 @@ func (l *loader) parseDir(dir string) ([]*ast.File, error) {
 	}
 	var names []string
 	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") ||
-			strings.HasSuffix(name, "_test.go") || strings.HasPrefix(name, ".") {
-			continue
+		if inBuild(dir, e) {
+			names = append(names, e.Name())
 		}
-		names = append(names, name)
 	}
 	sort.Strings(names)
 	files := make([]*ast.File, 0, len(names))
@@ -330,11 +328,22 @@ func hasGoFiles(dir string) bool {
 		return false
 	}
 	for _, e := range entries {
-		name := e.Name()
-		if !e.IsDir() && strings.HasSuffix(name, ".go") &&
-			!strings.HasSuffix(name, "_test.go") && !strings.HasPrefix(name, ".") {
+		if inBuild(dir, e) {
 			return true
 		}
 	}
 	return false
+}
+
+// inBuild reports whether the go command compiles e into dir's package
+// for this GOOS and GOARCH: a Go file, not a test, whose name suffix
+// (_amd64.go, _windows.go) and //go:build line match. Files whose header
+// go/build cannot read are kept, so the parser reports them.
+func inBuild(dir string, e os.DirEntry) bool {
+	name := e.Name()
+	if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+		return false
+	}
+	ok, err := build.Default.MatchFile(dir, name)
+	return ok || err != nil
 }

@@ -2,7 +2,9 @@ package lint
 
 import (
 	"errors"
+	"maps"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -114,5 +116,31 @@ func TestLoadErrorMessage(t *testing.T) {
 	msg := err.Error()
 	if !strings.Contains(msg, "typecheck") || !strings.Contains(msg, "broken") {
 		t.Errorf("Error() = %q, want stage and package named", msg)
+	}
+}
+
+// TestLoadHonoursBuildConstraints loads a package that declares
+// haveWide twice, in a _amd64.go file and in a //go:build !amd64 file,
+// and expects the package file plus the one declaration the go command
+// compiles here.
+func TestLoadHonoursBuildConstraints(t *testing.T) {
+	root, err := filepath.Abs(filepath.Join("testdata", "src"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := Load(Config{Root: root}, []string{"./buildtags"})
+	if err != nil {
+		t.Fatalf("Load(./buildtags): %v", err)
+	}
+	want := map[string]bool{"buildtags.go": true, "wide_other.go": true}
+	if runtime.GOARCH == "amd64" {
+		want = map[string]bool{"buildtags.go": true, "wide_amd64.go": true}
+	}
+	got := map[string]bool{}
+	for _, f := range pkgs[0].Files {
+		got[filepath.Base(pkgs[0].Fset.Position(f.Pos()).Filename)] = true
+	}
+	if !maps.Equal(got, want) {
+		t.Errorf("loaded %v, want %v", got, want)
 	}
 }

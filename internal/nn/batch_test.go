@@ -373,3 +373,25 @@ func slicesSameBits(a, b []float64) bool {
 	}
 	return true
 }
+
+// TestReLUMatchesMathMax holds the ReLU layer to math.Max(0, v), the
+// function it replaced, on every special value and on seeded normals of
+// both signs and many scales.
+func TestReLUMatchesMathMax(t *testing.T) {
+	vals := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(),
+		math.Float64frombits(0xfff8000000000001), math.Float64frombits(0x7ff0000000000001),
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, math.MaxFloat64, -math.MaxFloat64, 1, -1}
+	rng := tensor.NewRNG(0x2e1)
+	for i := 0; i < 1000; i++ {
+		vals = append(vals, rng.NormFloat64()*math.Ldexp(1, rng.Intn(200)-100))
+	}
+	out, err := nn.Apply(&graph.Layer{Op: graph.OpReLU}, []*tensor.Tensor{tensor.FromSlice(vals, len(vals))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range vals {
+		if got, want := out.Data()[i], math.Max(0, v); !sameBits(got, want) {
+			t.Errorf("ReLU(%v) = %v (%#x), math.Max(0, v) = %v (%#x)", v, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+}

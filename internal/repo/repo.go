@@ -280,9 +280,14 @@ func (r *Repository) lookupID(ref string) string {
 // idempotent and crash-safe; an interrupted publish leaves only
 // orphaned chunks for the next Open to sweep), then the manifest file,
 // then the in-memory commit that flips refcounts. Returns the model ID.
+// enc is cas.Encode's, made in this process: Encode named each chunk by
+// hashing it, so the chunks are stored without a second hash. Bytes from
+// outside the process reach the store through PublishManifest and
+// PutChunk, after the hub's pack reader or Mirror's fetch has hashed
+// them.
 func (r *Repository) PublishEncoded(enc *cas.Encoded) (string, error) {
 	for _, h := range sortedChunkKeys(enc.Chunks) {
-		if err := r.chunks.Put(h, enc.Chunks[h]); err != nil {
+		if err := r.chunks.PutHashed(h, enc.Chunks[h]); err != nil {
 			return "", fmt.Errorf("repo: publishing %s: %w", enc.Manifest.ID(), err)
 		}
 	}
@@ -319,7 +324,7 @@ func (r *Repository) commit(enc *cas.Encoded) (string, error) {
 			if !ok {
 				return "", fmt.Errorf("repo: publishing %s: %w and the encoding cannot resupply it", id, cas.ErrMissingChunk)
 			}
-			if err := r.chunks.Put(h, data); err != nil {
+			if err := r.chunks.PutHashed(h, data); err != nil {
 				return "", fmt.Errorf("repo: publishing %s: %w", id, err)
 			}
 		}

@@ -121,8 +121,27 @@ func fillKernelInput(rng *RNG, v []float64, specials bool) {
 	}
 }
 
-// checkKernels compares every blocked kernel with its reference on one
-// seeded problem: n input rows, an m×k weight matrix.
+// hostAVX2 is useAVX2 as package init set it, before any test flips it.
+var hostAVX2 = useAVX2
+
+// kernelPaths are the kernel sets this host runs: the scalar kernels
+// everywhere, the AVX2 ones where the processor has them.
+func kernelPaths() []bool {
+	if hostAVX2 {
+		return []bool{false, true}
+	}
+	return []bool{false}
+}
+
+func pathName(avx2 bool) string {
+	if avx2 {
+		return "AVX2"
+	}
+	return "scalar"
+}
+
+// checkKernels compares every blocked kernel, on every path, with its
+// reference on one seeded problem: n input rows, an m×k weight matrix.
 func checkKernels(t testing.TB, seed uint64, n, m, k int, specials bool) {
 	t.Helper()
 	rng := NewRNG(seed)
@@ -137,38 +156,51 @@ func checkKernels(t testing.TB, seed uint64, n, m, k int, specials bool) {
 			u[i] = 0
 		}
 	}
-
-	if i := firstDiff(MatVec(w, FromSlice(x[:k], k)).data, refMatVec(w.data, x[:k], m, k)); i >= 0 {
-		t.Fatalf("seed %d n=%d m=%d k=%d: MatVec differs from the one-row loop at row %d", seed, n, m, k, i)
-	}
-	got := make([]float64, k)
-	for i := range got {
-		got[i] = math.NaN() // matTVec must overwrite, not accumulate into, its output
-	}
-	matTVec(got, w.data, u)
-	if i := firstDiff(got, refMatTVec(w.data, u, m, k)); i >= 0 {
-		t.Fatalf("seed %d m=%d k=%d: transposed product differs from the one-row loop at column %d", seed, m, k, i)
-	}
-	y := make([]float64, n*m)
-	DenseBatch(y, x, w, b)
-	if i := firstDiff(y, refDense(x, w.data, b.data, n, m, k)); i >= 0 {
-		t.Fatalf("seed %d n=%d m=%d k=%d: DenseBatch differs from MatVec+AddInPlace at sample %d row %d", seed, n, m, k, i/m, i%m)
+	defer func() { useAVX2 = hostAVX2 }()
+	for _, avx2 := range kernelPaths() {
+		useAVX2 = avx2
+		path := pathName(avx2)
+		if i := firstDiff(MatVec(w, FromSlice(x[:k], k)).data, refMatVec(w.data, x[:k], m, k)); i >= 0 {
+			t.Fatalf("%s seed %d n=%d m=%d k=%d: MatVec differs from the one-row loop at row %d", path, seed, n, m, k, i)
+		}
+		got := make([]float64, k)
+		for i := range got {
+			got[i] = math.NaN() // matTVec must overwrite, not accumulate into, its output
+		}
+		matTVec(got, w.data, u)
+		if i := firstDiff(got, refMatTVec(w.data, u, m, k)); i >= 0 {
+			t.Fatalf("%s seed %d m=%d k=%d: transposed product differs from the one-row loop at column %d", path, seed, m, k, i)
+		}
+		y := make([]float64, n*m)
+		for i := range y {
+			y[i] = math.NaN() // so must DenseBatch
+		}
+		DenseBatch(y, x, w, b)
+		if i := firstDiff(y, refDense(x, w.data, b.data, n, m, k)); i >= 0 {
+			t.Fatalf("%s seed %d n=%d m=%d k=%d: DenseBatch differs from MatVec+AddInPlace at sample %d row %d", path, seed, n, m, k, i/m, i%m)
+		}
 	}
 }
 
 // TestKernelsMatchOneRowReference sweeps every small shape — all
-// remainders of the 4-row unrolls — and then seeded random ones, with
+// remainders of the 4-row blocks and 4-column tiles, batches below,
+// at and past the 8-sample groups — and then seeded random ones, with
 // and without special values.
 func TestKernelsMatchOneRowReference(t *testing.T) {
 	seed := uint64(1)
-	for n := 1; n <= 5; n++ {
-		for m := 1; m <= 9; m++ {
-			for _, k := range []int{1, 2, 3, 7, 16} {
+	for _, n := range []int{1, 2, 3, 4, 5, 7, 8, 9, 13, 17} {
+		for m := 1; m <= 18; m++ {
+			for _, k := range []int{1, 2, 3, 4, 5, 7, 16} {
 				checkKernels(t, seed, n, m, k, seed%2 == 0)
 				seed++
 			}
 		}
 	}
+	for _, avx2 := range kernelPaths() { // an empty batch is no work on either path
+		useAVX2 = avx2
+		DenseBatch(nil, nil, New(8, 3), New(8))
+	}
+	useAVX2 = hostAVX2
 	rng := NewRNG(0xd07)
 	for i := 0; i < 200; i++ {
 		checkKernels(t, rng.Uint64(), 1+rng.Intn(40), 1+rng.Intn(70), 1+rng.Intn(70), i%2 == 0)

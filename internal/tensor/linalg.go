@@ -40,10 +40,11 @@ func MatMul(a, b *Tensor) *Tensor {
 // index order into an accumulator that starts at zero, exactly as the
 // one-row loop `s := 0.0; for j { s += w[j] * x[j] }` does. The blocked
 // kernels below only run several such sums side by side — independent
-// accumulators, one per output element — so their results equal the
-// one-row loop's bit for bit (NaN, ±Inf and −0 included) and the
-// equivalence evidence computed through them does not depend on how a
-// batch was blocked.
+// accumulators, one per output element — and so do the AVX2 lanes of
+// simd_amd64.s, which the kernels hand their work to where the host has
+// AVX2; so their results equal the one-row loop's bit for bit (NaN, ±Inf
+// and −0 included) and the equivalence evidence computed through them
+// does not depend on how a batch was blocked or on the processor.
 
 // MatVec multiplies a (m×k) by vector x (k) and returns a length-m vector.
 func MatVec(a, x *Tensor) *Tensor {
@@ -65,6 +66,10 @@ func MatVec(a, x *Tensor) *Tensor {
 // processor overlaps.
 func matVec(out, a, x, bias []float64) {
 	m, k := len(out), len(x)
+	if useAVX2 && m >= 4 && k > 0 {
+		matVecAVX2(out, a, x, bias)
+		return
+	}
 	i := 0
 	for ; i+4 <= m; i += 4 {
 		r0 := a[(i+0)*k:][:k]
@@ -109,6 +114,10 @@ func DenseBatch(y, x []float64, w, b *Tensor) {
 	if k == 0 || len(x)%k != 0 || len(y) != len(x)/k*m {
 		panic(fmt.Errorf("%w: DenseBatch %d inputs and %d outputs for W %v", ErrShape, len(x), len(y), w.shape))
 	}
+	if useAVX2 && m >= 4 && len(x) > 0 {
+		denseBatchAVX2(y, x, w.data, b.data, m, k)
+		return
+	}
 	for s := 0; s*k < len(x); s++ {
 		matVec(y[s*m:][:m], w.data, x[s*k:][:k], b.data)
 	}
@@ -149,7 +158,7 @@ func SpectralNorm(a *Tensor, iters int) float64 {
 	for i := range v {
 		v[i] = 1 + float64(i%7)*1e-3
 	}
-	normalize(v)
+	scale(v, l2Norm(v))
 	var sigma float64
 	for it := 0; it < iters; it++ {
 		// u = A v ; v = Aᵀ u
@@ -158,12 +167,13 @@ func SpectralNorm(a *Tensor, iters int) float64 {
 		if sigma == 0 {
 			return 0
 		}
-		normalize(u)
+		scale(u, sigma)
 		matTVec(v, a.data, u)
-		if l2Norm(v) == 0 {
+		norm := l2Norm(v)
+		if norm == 0 {
 			return sigma
 		}
-		normalize(v)
+		scale(v, norm)
 	}
 	return sigma
 }
@@ -173,6 +183,10 @@ func SpectralNorm(a *Tensor, iters int) float64 {
 // order. Four such rows are folded into a register before each store.
 func matTVec(out, a, u []float64) {
 	n := len(out)
+	if useAVX2 && n >= 4 && len(u) > 0 {
+		matTVecAVX2(out, a, u)
+		return
+	}
 	for j := range out {
 		out[j] = 0
 	}
@@ -214,11 +228,8 @@ func l2Norm(v []float64) float64 {
 	return math.Sqrt(s)
 }
 
-func normalize(v []float64) {
-	n := l2Norm(v)
-	if n == 0 {
-		return
-	}
+// scale divides v by its nonzero norm n, as v[i] *= 1/n.
+func scale(v []float64, n float64) {
 	inv := 1 / n
 	for i := range v {
 		v[i] *= inv
