@@ -49,11 +49,14 @@ benchsmoke:
 # (TestHydrateCopiesOnce and TestEncodeAddressesTensorsInPlace bound
 # the bytes). IndexOne includes BenchmarkIndexOne/series, whose one op
 # registers a whole fine-tuned series, so the sweeps that resume from
-# a cached cut run here too.
+# a cached cut run here too. CommitPlanned commits into 100- and
+# 1,000-model indexes of near-identical variants, where every list a
+# commit touches is as long as the index.
 layerbench:
 	$(GO) test -run '^$$' -bench 'Join|Hydrate|Encode|ReadPack|ManifestCodec|IndexOne' -benchtime 1x ./internal/chunk ./internal/cas ./internal/catalog
 	$(GO) test -run '^$$' -bench 'DenseBatch|SpectralNorm' -benchtime 1x ./internal/tensor
 	$(GO) test -run '^$$' -bench 'Observe' -benchtime 1x ./internal/equiv
+	$(GO) test -run '^$$' -bench 'CommitPlanned' -benchtime 1x ./internal/index
 
 # check is the CI gate: vet (and its gofmt gate), then sommlint, then
 # the bench-module smoke and the layer benchmarks, then the

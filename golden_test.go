@@ -58,8 +58,10 @@ func goldenIndexBytes(t *testing.T, source *repo.Repository, segments bool, work
 // TestIndexGoldenDigest pins the index content across commits, not just
 // across worker counts within one: testdata/index_golden.json holds,
 // under <key>_v2, the SHA-256 of the SaveIndexes bytes. They last
-// changed when semantic entries lost their "fingerprint" member, to the
-// earlier bytes with exactly that member deleted. Every route into the
+// changed when semantic entries lost their "measured" member and the
+// semantic object its "sample_size", to the earlier bytes with exactly
+// those members deleted (before that, when entries lost their
+// "fingerprint" member, likewise). Every route into the
 // index — batch or one by one, 1 or 4 workers, segments off or on —
 // must produce exactly those bytes.
 func TestIndexGoldenDigest(t *testing.T) {

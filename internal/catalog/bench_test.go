@@ -122,13 +122,15 @@ func benchmarkIndexSeries(b *testing.B, workers int) {
 	b.ReportMetric(float64(resumed)/float64(b.N), "resumed/series")
 }
 
-// tenthAnalyzer gives every measured pair the same low level, so a
-// commit touches the new model's list and its sampled partners' and —
-// with no measured diffs restored — derives nothing further.
-type tenthAnalyzer struct{}
+// faintAnalyzer gives every measured pair the same low level, so a
+// commit touches the new model's list and its sampled partners' and
+// derives nothing further: through a partner's list, a record at level
+// L bounds the new model at L − 0.99, and BenchmarkPublish's restored
+// lists hold none above 1 − 1/65.
+type faintAnalyzer struct{}
 
-func (tenthAnalyzer) Analyze(ref, cand index.Entry) (index.AnalysisResult, error) {
-	return index.AnalysisResult{LevelForRef: 0.1, LevelForCand: 0.1}, nil
+func (faintAnalyzer) Analyze(ref, cand index.Entry) (index.AnalysisResult, error) {
+	return index.AnalysisResult{LevelForRef: 0.01, LevelForCand: 0.01}, nil
 }
 
 // BenchmarkPublish times one Index commit — plan, observe, compare,
@@ -156,7 +158,7 @@ func BenchmarkPublish(b *testing.B) {
 					sem.Entries = append(sem.Entries, e)
 					footprints[e.ID] = resource.Footprint{FLOPs: int64(i + 1), ParamBytes: int64(i + 1), PeakActivation: 1, LatencyNS: 1e6}
 				}
-				c := New(Config{Seed: 7, ValidationSize: 4, Workers: 1, Analyzer: tenthAnalyzer{}})
+				c := New(Config{Seed: 7, ValidationSize: 4, Workers: 1, Analyzer: faintAnalyzer{}})
 				if err := c.Restore(sem, index.ResourceSnapshot{Footprints: footprints}, nil, resolve); err != nil {
 					b.Fatal(err)
 				}

@@ -93,9 +93,9 @@ type Catalog struct {
 
 	// mu serializes writers; no read of the snapshot takes it.
 	mu sync.Mutex
-	// writer is the semantic index's write side: the sampling RNG, the
-	// model graphs and the measured diffs. The version it writes is the
-	// one each snapshot publishes, not a copy of it.
+	// writer is the semantic index's write side: the sampling RNG and
+	// the model graphs. The version it writes is the one each snapshot
+	// publishes, not a copy of it.
 	writer *index.SemanticIndex // guarded by mu
 	// evidence caches what observing committed models has shown; a
 	// missing entry is observed again when next sampled. The catalog
@@ -269,14 +269,13 @@ func (c *Catalog) MemoryBytes() (semantic, res int64) {
 }
 
 // Export captures the catalog's serializable state (§5.5 persistence):
-// the semantic snapshot, the footprint table, and the default-reference
-// table. It is a writer as far as the lock goes: the measured diffs it
-// copies are writer state.
+// the candidate lists, the footprint table and the default-reference
+// table, all three from one published snapshot. It is a reader: it
+// takes no lock, and a concurrent commit is either wholly in what it
+// returns or not at all.
 func (c *Catalog) Export() (index.SemanticSnapshot, index.ResourceSnapshot, map[string]string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	cur := c.snap.Load()
-	return c.writer.Snapshot(), index.ResourceSnapshot{Footprints: maps.Clone(cur.footprints)}, maps.Clone(cur.refs)
+	return cur.version.Snapshot(), index.ResourceSnapshot{Footprints: maps.Clone(cur.footprints)}, maps.Clone(cur.refs)
 }
 
 // Restore replaces the catalog's contents with previously exported

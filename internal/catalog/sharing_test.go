@@ -90,7 +90,8 @@ func freeze(t *testing.T, s *Snapshot, tasks []string) frozenSnapshot {
 // Isolation: after the last commit every kept snapshot still equals its
 // copy — and every Export taken on the way still encodes to the same
 // bytes — and readers that query the kept snapshots throughout (under
-// -race) never see a list out of order.
+// -race) never see a list out of order, nor an Export, which takes no
+// lock, that is not one snapshot whole.
 //
 // Sharing: a commit's snapshot holds, for every list the commit did not
 // change, the very array the snapshot before it holds, and the very
@@ -125,6 +126,13 @@ func TestSnapshotsShareAndStayFrozen(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for !done.Load() {
+				// Export takes no lock: it must still read one snapshot
+				// whole, so every entry it lists has its footprint.
+				sem, res, _ := c.Export()
+				if len(sem.Entries) != len(res.Footprints) {
+					t.Errorf("reader: export lists %d models and %d footprints", len(sem.Entries), len(res.Footprints))
+					return
+				}
 				mu.Lock()
 				snaps := slices.Clone(all)
 				mu.Unlock()

@@ -221,6 +221,72 @@ func TestSortedOnceEqualsInsertSorted(t *testing.T) {
 	}
 }
 
+// TestInsertPrecomputedKeepsOneRecordPerKey: an annotation that raises
+// a record replaces it, one that raises nothing leaves the list — its
+// very array, which published versions share — as it was.
+func TestInsertPrecomputedKeepsOneRecordPerKey(t *testing.T) {
+	idx := NewSemanticIndex(1)
+	an := &stubAnalyzer{tag: map[string]float64{"a": 0, "b": 0.2, "c": 0.4}}
+	for i, id := range []string{"a", "b", "c"} {
+		if err := idx.Insert(Entry{ID: id, Model: tinyModel(t, uint64(i+1))}, an); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := idx.Version()
+	list, _ := before.Lookup("a", 0)
+	if err := idx.InsertPrecomputed("a", []Candidate{{ID: "b", Level: 0.5, Kind: KindWhole}}); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := idx.Lookup("a", 0); &got[0] != &list[0] || !reflect.DeepEqual(got, list) {
+		t.Fatalf("an annotation below the measured level changed the list: %+v, was %+v", got, list)
+	}
+	if err := idx.InsertPrecomputed("a", []Candidate{{ID: "c", Level: 0.95, Kind: KindWhole}}); err != nil {
+		t.Fatal(err)
+	}
+	got, _ := idx.Lookup("a", 0)
+	want := []Candidate{{ID: "c", Level: 0.95, Kind: KindWhole}, {ID: "b", Level: 0.8, Kind: KindWhole}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("after raising c: %+v, want %+v", got, want)
+	}
+	if old, _ := before.Lookup("a", 0); !reflect.DeepEqual(old, list) {
+		t.Fatalf("the published version changed: %+v, was %+v", old, list)
+	}
+}
+
+// TestAnnotatedLevelFeedsDerivation: a level an annotation raised is
+// the one later insertions derive through, as the list answers it.
+func TestAnnotatedLevelFeedsDerivation(t *testing.T) {
+	an := &stubAnalyzer{tag: map[string]float64{"a": 0, "b": 0.3, "c": 0.1}}
+	idx := NewSemanticIndex(5)
+	idx.SampleSize = 1
+	for i, id := range []string{"a", "b"} {
+		if err := idx.Insert(Entry{ID: id, Model: tinyModel(t, uint64(i+1))}, an); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const annotated = 0.95 // measured: 0.7
+	for _, p := range [][2]string{{"a", "b"}, {"b", "a"}} {
+		if err := idx.InsertPrecomputed(p[0], []Candidate{{ID: p[1], Level: annotated, Kind: KindWhole}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := idx.Insert(Entry{ID: "c", Model: tinyModel(t, 3)}, an); err != nil {
+		t.Fatal(err)
+	}
+	list, _ := idx.Lookup("c", 0)
+	if len(list) != 2 || list[0].Derived == list[1].Derived {
+		t.Fatalf("c's list = %+v, want one measured and one derived record", list)
+	}
+	measured, derived := list[0], list[1]
+	if measured.Derived {
+		measured, derived = derived, measured
+	}
+	res, _ := an.Analyze(Entry{ID: "c"}, Entry{ID: measured.ID})
+	if want := 1 - ((1 - res.LevelForRef) + (1 - annotated)); derived.Level != want {
+		t.Fatalf("derived %s at %v, want %v through the annotated level", derived.ID, derived.Level, want)
+	}
+}
+
 func TestSemanticMemoryGrows(t *testing.T) {
 	idx := NewSemanticIndex(1)
 	tags := map[string]float64{}

@@ -101,7 +101,6 @@ type Analyzer interface {
 type SemanticVersion struct {
 	order []string               // insertion order; successors extend the same array
 	lists map[string][]Candidate // model ID -> candidates; a stored list is never written, only replaced
-	diffs int                    // measured-diff records the writer holds, for MemoryBytes
 }
 
 // SemanticIndex is the write side of the §5.2 structure. It embeds the
@@ -124,11 +123,11 @@ type SemanticIndex struct {
 	// perm is PlanInserts' sampling permutation, kept between calls so
 	// a plan allocates none once it has grown to the index's size.
 	perm []int
-	// measured records which other IDs have a directly measured (or
-	// derived) level, for transitive derivation: ID -> other ID -> diff
-	// (1 - level).
-	measured map[string]map[string]float64
-	rng      *tensor.RNG
+	// derived is CommitPlanned's scratch table of the best derived level
+	// per unsampled model, cleared and reused by every commit for the
+	// same reason.
+	derived map[string]float64
+	rng     *tensor.RNG
 }
 
 // NewSemanticIndex returns an empty semantic index with the paper's
@@ -139,9 +138,9 @@ func NewSemanticIndex(seed uint64) *SemanticIndex {
 		SemanticVersion: &SemanticVersion{
 			lists: make(map[string][]Candidate),
 		},
-		entries:  make(map[string]Entry),
-		measured: make(map[string]map[string]float64),
-		rng:      tensor.NewRNG(seed),
+		entries: make(map[string]Entry),
+		derived: make(map[string]float64),
+		rng:     tensor.NewRNG(seed),
 	}
 }
 
@@ -284,9 +283,9 @@ func (s *SemanticIndex) EntryOf(id string) (Entry, bool) {
 // CommitPlanned applies one planned insertion whose pairwise
 // measurements were computed outside the index and its lock. It replays
 // exactly what Insert does after analysis: symmetric candidate recording
-// for each measured partner, then transitive derivation against every
-// remaining indexed model. Committing an ID that was indexed in the meantime
-// fails with ErrAlreadyIndexed.
+// for each measured partner, then transitive derivation through the
+// partners' candidate lists to every model they reach. Committing an
+// ID that was indexed in the meantime fails with ErrAlreadyIndexed.
 func (s *SemanticIndex) CommitPlanned(e Entry, meas []PairMeasurement) error {
 	if e.ID == "" || e.Model == nil {
 		return fmt.Errorf("index: entry must have an ID and a model")
@@ -305,15 +304,6 @@ func (s *SemanticIndex) CommitPlanned(e Entry, meas []PairMeasurement) error {
 	// list may be published and is replaced record by record.
 	var own []Candidate
 	add := func(id string, c Candidate) { v.lists[id] = insertSorted(v.lists[id], c) }
-	setDiff := func(id, other string, diff float64) {
-		m := s.measured[id]
-		v.diffs -= len(m)
-		m[other] = diff
-		v.diffs += len(m)
-	}
-	mine := make(map[string]float64)
-	s.measured[e.ID] = mine
-
 	for _, pm := range meas {
 		res := pm.Result
 		// res.LevelForRef: candidate (the partner) standing in for the
@@ -324,45 +314,41 @@ func (s *SemanticIndex) CommitPlanned(e Entry, meas []PairMeasurement) error {
 		if res.LevelForCand > 0 {
 			add(pm.Partner, Candidate{ID: e.ID, Level: res.LevelForCand, Kind: KindWhole})
 		}
-		setDiff(e.ID, pm.Partner, 1-res.LevelForRef)
-		setDiff(pm.Partner, e.ID, 1-res.LevelForCand)
 		own = append(own, res.SynthForRef...)
 		for _, c := range res.SynthForCand {
 			add(pm.Partner, c)
 		}
 	}
 
-	// Transitive derivation: for every unsampled model Z reachable
-	// through a sampled Y, diff(new, Z) is bounded above by
-	// diff(new, Y) + diff(Y, Z); the paper's |A−B| lower bound is not
-	// needed for ranking, so the conservative upper bound is stored.
-	sampledSet := make(map[string]bool, len(meas))
+	// Transitive derivation: for every model Z that a sampled Y lists,
+	// diff(new, Z) is bounded above by diff(new, Y) + diff(Y, Z); the
+	// paper's |A−B| lower bound is not needed for ranking, so the
+	// conservative upper bound is stored. Y's list is the one copy of
+	// diff(Y, Z) = 1 − level: a pair it lacks has level 0 and can only
+	// bound the new model's level at or below 0, which is never kept.
+	best := s.derived
+	clear(best)
 	for _, pm := range meas {
-		sampledSet[pm.Partner] = true
+		dNewY := 1 - pm.Result.LevelForRef
+		for _, c := range v.lists[pm.Partner] {
+			if c.Kind != KindWhole {
+				continue
+			}
+			dYZ := 1 - c.Level
+			if lvl := 1 - (dNewY + dYZ); lvl > best[c.ID] {
+				best[c.ID] = lvl
+			}
+		}
 	}
+	for _, pm := range meas {
+		delete(best, pm.Partner)
+	}
+	// In insertion order, so that equal levels keep arrival order; IDs
+	// that are not indexed (the new model among them) are skipped.
 	for _, otherID := range v.order {
-		if sampledSet[otherID] {
-			continue
-		}
-		best := -1.0
-		for _, pm := range meas {
-			dNewY, ok := mine[pm.Partner]
-			if !ok {
-				continue
-			}
-			dYZ, ok := s.measured[pm.Partner][otherID]
-			if !ok {
-				continue
-			}
-			if lvl := 1 - (dNewY + dYZ); lvl > best {
-				best = lvl
-			}
-		}
-		if best > 0 {
-			own = append(own, Candidate{ID: otherID, Level: best, Kind: KindWhole, Derived: true})
-			add(otherID, Candidate{ID: e.ID, Level: best, Kind: KindWhole, Derived: true})
-			setDiff(e.ID, otherID, 1-best)
-			setDiff(otherID, e.ID, 1-best)
+		if lvl, ok := best[otherID]; ok {
+			own = append(own, Candidate{ID: otherID, Level: lvl, Kind: KindWhole, Derived: true})
+			add(otherID, Candidate{ID: e.ID, Level: lvl, Kind: KindWhole, Derived: true})
 		}
 	}
 
@@ -422,15 +408,19 @@ func sortedOnce(recs []Candidate) []Candidate {
 // model, bypassing pairwise analysis. It serves two purposes: importing
 // designer annotations (§5.5) and populating index-structure benchmarks
 // at 100K-record scale, where per-record sorted insertion would be
-// quadratic. Records are sorted descending and replace the existing list
-// merged with it.
+// quadratic. The existing list and the records are merged as
+// insertSorted would merge them one at a time, in one sort: of the
+// records sharing an (ID, Kind, Segment) the higher level wins, so an
+// annotation replaces the measurement it raises. A merge that raises
+// nothing leaves the list, and the array versions share, as it was.
 func (s *SemanticIndex) InsertPrecomputed(refID string, cands []Candidate) error {
 	if !s.Contains(refID) {
 		return fmt.Errorf("index: model %q is not indexed", refID)
 	}
-	merged := slices.Concat(s.lists[refID], cands)
-	sort.SliceStable(merged, func(i, j int) bool { return merged[i].Level > merged[j].Level })
-	s.writable().lists[refID] = merged
+	old := s.lists[refID]
+	if merged := sortedOnce(slices.Concat(old, cands)); !slices.Equal(merged, old) {
+		s.writable().lists[refID] = merged
+	}
 	return nil
 }
 
@@ -466,10 +456,10 @@ func head(list []Candidate, n int) []Candidate {
 }
 
 // MemoryBytes estimates the in-memory footprint of the semantic index:
-// IDs, candidate records, and the measured-diff maps. Models themselves
-// live in the repository, not here (§5.5, persistence).
+// IDs and candidate records, the one copy of every level. Models
+// themselves live in the repository, not here (§5.5, persistence).
 func (v *SemanticVersion) MemoryBytes() int64 {
-	total := int64(v.diffs) * 56
+	var total int64
 	for _, id := range v.order {
 		total += int64(len(id)) + 48
 		for _, c := range v.lists[id] {

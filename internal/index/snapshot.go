@@ -2,7 +2,6 @@ package index
 
 import (
 	"fmt"
-	"maps"
 	"slices"
 
 	"sommelier/internal/graph"
@@ -13,33 +12,27 @@ import (
 // data structures whose contents can be populated to disk and restored
 // without re-running the (expensive, offline) pairwise analysis. Models
 // themselves always stay in the repository; snapshots carry metadata
-// only.
+// only, and never writer state or configuration: the candidate lists
+// are the one copy of every level, and the sample size is the engine's
+// option.
 
 // SemanticEntrySnapshot is one serialized semantic-index entry.
 type SemanticEntrySnapshot struct {
-	ID         string             `json:"id"`
-	Candidates []Candidate        `json:"candidates,omitempty"`
-	Measured   map[string]float64 `json:"measured,omitempty"`
+	ID         string      `json:"id"`
+	Candidates []Candidate `json:"candidates,omitempty"`
 }
 
 // SemanticSnapshot is the serializable state of a SemanticIndex.
 type SemanticSnapshot struct {
-	SampleSize int                     `json:"sample_size"`
-	Entries    []SemanticEntrySnapshot `json:"entries"`
+	Entries []SemanticEntrySnapshot `json:"entries"`
 }
 
-// Snapshot captures the index's current state in insertion order. The
-// result shares nothing with the index: the lists are copied because
-// the caller may write to what it gets, the measured-diff maps because
-// later commits write to them.
-func (s *SemanticIndex) Snapshot() SemanticSnapshot {
-	snap := SemanticSnapshot{SampleSize: s.SampleSize}
-	for _, id := range s.order {
-		e := SemanticEntrySnapshot{ID: id, Candidates: slices.Clone(s.lists[id])}
-		if len(s.measured[id]) > 0 {
-			e.Measured = maps.Clone(s.measured[id])
-		}
-		snap.Entries = append(snap.Entries, e)
+// Snapshot captures the version in insertion order. The lists are
+// copied because the caller may write to what it gets.
+func (v *SemanticVersion) Snapshot() SemanticSnapshot {
+	var snap SemanticSnapshot
+	for _, id := range v.order {
+		snap.Entries = append(snap.Entries, SemanticEntrySnapshot{ID: id, Candidates: slices.Clone(v.lists[id])})
 	}
 	return snap
 }
@@ -47,17 +40,27 @@ func (s *SemanticIndex) Snapshot() SemanticSnapshot {
 // Restore replaces the index's contents with a snapshot. resolve maps a
 // model ID back to its graph (normally repo.Load) so future insertions
 // can analyze against restored entries; it may return nil for models
-// that will never be re-analyzed.
+// that will never be re-analyzed. A level outside [0, 1] or a kind
+// other than KindWhole and KindSynthesized is refused; each list is
+// put in the order Lookup's search relies on, with one record per (ID,
+// Kind, Segment), whatever order the snapshot holds.
 func (s *SemanticIndex) Restore(snap SemanticSnapshot, resolve func(id string) (*graph.Model, error)) error {
 	v := &SemanticVersion{lists: make(map[string][]Candidate, len(snap.Entries))}
 	entries := make(map[string]Entry, len(snap.Entries))
-	measured := make(map[string]map[string]float64, len(snap.Entries))
 	for _, e := range snap.Entries {
 		if e.ID == "" {
 			return fmt.Errorf("index: snapshot entry without ID")
 		}
 		if _, dup := v.lists[e.ID]; dup {
 			return fmt.Errorf("index: snapshot has duplicate entry %q", e.ID)
+		}
+		for _, c := range e.Candidates {
+			if !(c.Level >= 0 && c.Level <= 1) {
+				return fmt.Errorf("index: snapshot level %g of %q for %q outside [0,1]", c.Level, c.ID, e.ID)
+			}
+			if c.Kind != KindWhole && c.Kind != KindSynthesized {
+				return fmt.Errorf("index: snapshot record %q for %q has unknown kind %d", c.ID, e.ID, c.Kind)
+			}
 		}
 		var m *graph.Model
 		if resolve != nil {
@@ -69,17 +72,11 @@ func (s *SemanticIndex) Restore(snap SemanticSnapshot, resolve func(id string) (
 		}
 		entries[e.ID] = Entry{ID: e.ID, Model: m}
 		// Copied: the caller keeps the snapshot and may write to it.
-		v.lists[e.ID] = slices.Clone(e.Candidates)
-		measured[e.ID] = make(map[string]float64, len(e.Measured))
-		maps.Copy(measured[e.ID], e.Measured)
-		v.diffs += len(e.Measured)
+		v.lists[e.ID] = sortedOnce(slices.Clone(e.Candidates))
 		v.order = append(v.order, e.ID)
 	}
-	if snap.SampleSize > 0 {
-		s.SampleSize = snap.SampleSize
-	}
 	s.SemanticVersion, s.handedOut = v, false
-	s.entries, s.measured = entries, measured
+	s.entries = entries
 	return nil
 }
 

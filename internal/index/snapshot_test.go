@@ -2,6 +2,7 @@ package index
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"testing"
 
@@ -21,7 +22,7 @@ func TestSemanticSnapshotRoundTrip(t *testing.T) {
 		}
 	}
 	snap := idx.Snapshot()
-	if len(snap.Entries) != 3 || snap.SampleSize != 5 {
+	if len(snap.Entries) != 3 {
 		t.Fatalf("snapshot = %+v", snap)
 	}
 
@@ -79,5 +80,46 @@ func TestSemanticRestoreRejectsBadSnapshots(t *testing.T) {
 		{ID: "x"},
 	}}, failing); err == nil {
 		t.Fatal("expected resolve error")
+	}
+}
+
+// TestSemanticRestoreNormalizesLists: Lookup's binary search trusts a
+// list's order, so Restore puts every list in it — descending, one
+// record per (ID, Kind, Segment), the better one kept — whatever order
+// the snapshot holds, and refuses a level outside [0, 1] and an unknown
+// kind. The sample size is the index's configuration, which a restore
+// leaves alone.
+func TestSemanticRestoreNormalizesLists(t *testing.T) {
+	idx := NewSemanticIndex(1)
+	idx.SampleSize = 2
+	if err := idx.Restore(SemanticSnapshot{Entries: []SemanticEntrySnapshot{
+		{ID: "r", Candidates: []Candidate{
+			{ID: "a", Level: 0.2}, {ID: "b", Level: 0.5}, {ID: "a", Level: 0.9},
+			{ID: "c", Level: 0.7}, {ID: "b", Level: 0.5, Kind: KindSynthesized, Segment: "s"},
+		}},
+	}}, nil); err != nil {
+		t.Fatal(err)
+	}
+	got, err := idx.Lookup("r", 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Candidate{{ID: "a", Level: 0.9}, {ID: "c", Level: 0.7}, {ID: "b", Level: 0.5}, {ID: "b", Level: 0.5, Kind: KindSynthesized, Segment: "s"}}
+	if !slices.Equal(got, want) {
+		t.Fatalf("Lookup(r, 0.5) = %+v, want %+v", got, want)
+	}
+	if idx.SampleSize != 2 {
+		t.Fatalf("SampleSize = %d after a restore, want the configured 2", idx.SampleSize)
+	}
+	for _, c := range []Candidate{{Level: 2}, {Level: -1}, {Level: math.NaN()}, {Level: 0.5, Kind: 2}} {
+		c.ID = "y"
+		if err := idx.Restore(SemanticSnapshot{Entries: []SemanticEntrySnapshot{
+			{ID: "x", Candidates: []Candidate{c}},
+		}}, nil); err == nil {
+			t.Fatalf("record %+v accepted", c)
+		}
+	}
+	if !idx.Contains("r") || idx.Contains("x") {
+		t.Fatal("a refused snapshot replaced the index")
 	}
 }

@@ -3,12 +3,15 @@ package sommelier
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
+	"sommelier/internal/index"
 	"sommelier/internal/repo"
 )
 
@@ -20,14 +23,17 @@ func TestSaveLoadIndexesRoundTrip(t *testing.T) {
 	}
 	saved := buf.Bytes()
 	// The same ladder's snapshot as written while semantic entries still
-	// carried a sampled "fingerprint" member: still version 2, and the
-	// member is ignored.
+	// carried a sampled "fingerprint" member and the writer's "measured"
+	// diffs, and the semantic object the "sample_size": still version 2,
+	// the members are ignored, and it re-saves to the engine's own bytes.
 	legacy, err := os.ReadFile("testdata/index_v2_fingerprints.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Contains(legacy, []byte(`"fingerprint":`)) {
-		t.Fatal("testdata/index_v2_fingerprints.json lost its fingerprint members")
+	for _, member := range []string{`"fingerprint":`, `"measured":`, `"sample_size":`} {
+		if !bytes.Contains(legacy, []byte(member)) {
+			t.Fatalf("testdata/index_v2_fingerprints.json lost its %s members", member)
+		}
 	}
 
 	for _, in := range []struct {
@@ -170,10 +176,14 @@ func TestLoadIndexesErrors(t *testing.T) {
 // It never panics and never allocates more than a small multiple of what
 // it was handed; a snapshot it accepts re-saves to bytes that load and
 // save again unchanged, and answers every query shape without
-// panicking; a snapshot it rejects leaves the engine exactly as it was.
-// Seeds: a real snapshot and TestLoadIndexesErrors' hostile cases, plus
-// a footprint without an ID, a duplicated entry and footprints with
-// negative fields.
+// panicking — the mix's plain WITHIN shapes with exactly the records of
+// the reference's list at or above the threshold that have a footprint,
+// each record once, whatever order the list was in; a snapshot it
+// rejects leaves the engine exactly as it was. Seeds: a real snapshot
+// and TestLoadIndexesErrors' hostile cases, plus a footprint without an
+// ID, a duplicated entry, footprints with negative fields, and the real
+// snapshot with the reference's list reversed, with a record repeated
+// and with a level of 2 and of −1.
 func FuzzLoadIndexes(f *testing.F) {
 	eng, refID, _ := newEngineWithLadder(f, false)
 	var buf bytes.Buffer
@@ -192,6 +202,27 @@ func FuzzLoadIndexes(f *testing.F) {
 		refs = append(refs, md.ID)
 	}
 	f.Add(snapshot)
+	for _, edit := range []func([]index.Candidate) []index.Candidate{
+		func(l []index.Candidate) []index.Candidate { slices.Reverse(l); return l },
+		func(l []index.Candidate) []index.Candidate { return append(l, l[0]) },
+		func(l []index.Candidate) []index.Candidate { l[1].Level = 2; return l },
+		func(l []index.Candidate) []index.Candidate { l[1].Level = -1; return l },
+	} {
+		var snap engineSnapshot
+		if err := json.Unmarshal(snapshot, &snap); err != nil {
+			f.Fatal(err)
+		}
+		ref := &snap.Semantic.Entries[0]
+		if ref.ID != refID || len(ref.Candidates) < 2 {
+			f.Fatalf("the ladder's first entry is %q with %d candidates", ref.ID, len(ref.Candidates))
+		}
+		ref.Candidates = edit(ref.Candidates)
+		seed, err := json.Marshal(&snap)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(seed)
+	}
 	for _, s := range []string{
 		`{"version":99}`,
 		`not json`,
@@ -216,6 +247,8 @@ func FuzzLoadIndexes(f *testing.F) {
 			"WITHIN 50% ON memory <= 1 GB AND latency < 30 ms PICK fastest LIMIT 2",
 			"WITHIN 50% ON flops >= 10% AND flops <= 120% PICK cheapest",
 			"WITHIN 50% EXEC batch=8 PICK smallest",
+			"WITHIN 50%",
+			"WITHIN 80%",
 		} {
 			queries = append(queries, fmt.Sprintf("SELECT CORR %q %s", ref, tail))
 		}
@@ -267,5 +300,41 @@ func FuzzLoadIndexes(f *testing.F) {
 			_, _ = e.QueryContext(ctx, q)
 		}
 		_, _ = e.QueryBatchContext(ctx, queries)
+
+		var snap engineSnapshot
+		if err := json.NewDecoder(bytes.NewReader(in)).Decode(&snap); err != nil {
+			t.Fatalf("an accepted snapshot does not decode: %v", err)
+		}
+		type key struct {
+			id      string
+			synth   bool
+			segment string
+		}
+		for _, entry := range snap.Semantic.Entries {
+			for _, pct := range []float64{50, 80} {
+				want := map[key]float64{}
+				for _, c := range entry.Candidates {
+					if _, ok := snap.Resource.Footprints[c.ID]; ok && c.Level >= pct/100 {
+						k := key{c.ID, c.Kind == index.KindSynthesized, c.Segment}
+						want[k] = max(want[k], c.Level)
+					}
+				}
+				q := fmt.Sprintf("SELECT CORR %q WITHIN %g%%", entry.ID, pct)
+				got, err := e.QueryContext(ctx, q)
+				if err != nil {
+					continue // the reference itself has no footprint
+				}
+				if len(got) != len(want) {
+					t.Fatalf("%s: %d answers, want %d: %+v", q, len(got), len(want), got)
+				}
+				for _, r := range got {
+					k := key{r.ID, r.Synthesized, r.Segment}
+					if lvl, ok := want[k]; !ok || lvl != r.Level {
+						t.Fatalf("%s: answer %+v is not a best record of the list, or is answered twice", q, r)
+					}
+					delete(want, k)
+				}
+			}
+		}
 	})
 }

@@ -541,6 +541,25 @@ func TestRegisterAnnotated(t *testing.T) {
 	if own[0].ID != refID || own[0].Level != 0.99 {
 		t.Fatalf("reverse annotation missing: %+v", own[0])
 	}
+	// The annotation replaces the measurement it raises: every answer
+	// names each model once, in both directions.
+	for _, from := range []string{refID, id} {
+		q := fmt.Sprintf("SELECT CORR %q WITHIN 0%%", from)
+		res, err := eng.QueryContext(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := map[string]bool{}
+		for _, r := range res {
+			if seen[r.ID] {
+				t.Errorf("%s answers %s twice: %+v", q, r.ID, res)
+			}
+			seen[r.ID] = true
+		}
+		if other := map[string]string{refID: id, id: refID}[from]; !seen[other] {
+			t.Errorf("%s does not answer %s: %+v", q, other, res)
+		}
+	}
 	// Invalid annotations fail loudly.
 	bad := m.Clone()
 	bad.Name = "bad-level"
